@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .ast import (
@@ -96,24 +97,14 @@ def _union_pacing(parts: list[Pacing]) -> Pacing:
     return Pacing.of(names) if names else Pacing.any_event()
 
 
-def infer_pacing(spec: Specification) -> Specification:
-    """Return an equal specification with every eval clause pacing filled in.
+def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]]:
+    """Fill in every eval clause pacing and sort outputs for evaluation.
 
     A clause's requirement is the union of the resolved pacings of every
     stream it reads synchronously. Explicit pacings must cover their
     requirement; missing pacings are inferred as exactly the requirement.
+    The order lists outputs so synchronous dependencies come first.
     """
-    filled, _ = _resolve_pacing(spec)
-    return filled
-
-
-def evaluation_order(spec: Specification) -> tuple[str, ...]:
-    """Outputs sorted so synchronous dependencies come first."""
-    _, order = _resolve_pacing(spec)
-    return order
-
-
-def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]]:
     inputs = set(spec.input_names())
     out_decls = {o.name: o for o in spec.outputs}
     resolved: dict[str, Pacing] = {i: Pacing.of([i]) for i in inputs}
@@ -351,14 +342,6 @@ class AnnEntry:
     source: str
     clause_index: int  # -1 for input annotations
 
-    @property
-    def kind_priority(self) -> bool:
-        return self.priority is not None
-
-    @property
-    def kind_deadline(self) -> bool:
-        return self.deadline is not None
-
 
 def derive_annotation_map(spec: Specification) -> dict[str, tuple[AnnEntry, ...]]:
     """Collect the chained annotation entries per annotated stream.
@@ -418,6 +401,13 @@ class AnalyzedSpec:
     def config(self) -> GlobalConfig:
         return self.spec.config if self.spec.config is not None else GlobalConfig()
 
+    @cached_property
+    def compiled(self):
+        """The engine's compiled form, built on first use and then shared."""
+        from .engine import compile_spec  # the engine imports this module
+
+        return compile_spec(self)
+
 
 def analyze(spec: Specification) -> AnalyzedSpec:
     """Run every static pass; raise the first error encountered."""
@@ -453,6 +443,5 @@ def analyze(spec: Specification) -> AnalyzedSpec:
 
 __all__ = [
     "AnalyzedSpec", "AnnEntry", "analyze", "derive_annotation_map",
-    "evaluation_order", "infer_pacing", "offset_refs", "resolved_pacing",
-    "sync_refs", "type_check",
+    "offset_refs", "resolved_pacing", "sync_refs", "type_check",
 ]

@@ -17,13 +17,14 @@ from .analysis import analyze
 from .ast import format_spec
 from .engine import verify_model
 from .errors import SpecError
-from .io import (read_model, read_trace, trigger_json, violation_json,
-                 write_json, write_model, write_plan_log, write_triggers)
+from .io import (read_json, read_model, read_trace, trigger_json,
+                 violation_json, write_json, write_model, write_plan_log,
+                 write_triggers)
 from .parser import parse_spec
 from .schedule import check_scheduled_model
 from .scheduler import run_scheduled
-from .sim import (FlightScenario, TraceSource, compute_metrics,
-                  generate_flight, run_experiment, run_fixed,
+from .sim import (TraceSource, compute_metrics, generate_flight,
+                  run_experiment, run_fixed, scenario_from_json,
                   sensor_trace_from_events, trace_fingerprint)
 from .translate import translate
 
@@ -35,6 +36,17 @@ def _load(path) -> tuple:
     text = Path(path).read_text(encoding="utf-8")
     analyzed = analyze(parse_spec(text, filename=str(path)))
     return analyzed
+
+
+def _frequency(text: str) -> Fraction:
+    """argparse type for a sampling frequency: a positive number of Hz."""
+    try:
+        freq = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if freq <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return freq
 
 
 def _emit_metrics(metrics, out_dir):
@@ -59,8 +71,7 @@ def cmd_translate(args) -> int:
 
 def _source_for(args, analyzed):
     if args.scenario:
-        entry = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-        scenario = FlightScenario(**entry)
+        scenario = scenario_from_json(read_json(args.scenario))
         trace = generate_flight(scenario)
         horizon = args.horizon if args.horizon is not None else scenario.duration
     else:
@@ -105,7 +116,7 @@ def cmd_baseline(args) -> int:
     events = read_trace(args.trace, analyzed)
     trace = sensor_trace_from_events(events, analyzed.spec.input_names())
     horizon = args.horizon
-    base = run_fixed(analyzed, trace, Fraction(args.freq), horizon)
+    base = run_fixed(analyzed, trace, args.freq, horizon)
     for report in base.triggers:
         print(trigger_json(report))
     if args.out_dir:
@@ -122,7 +133,9 @@ def cmd_baseline(args) -> int:
 
 def cmd_compare(args) -> int:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config = read_json(config_path)
+    if not isinstance(config, dict) or not isinstance(config.get("spec"), str):
+        raise SpecError(f"{config_path}: the config needs a \"spec\" file name")
     spec_name = Path(config["spec"])
     for candidate in (spec_name, config_path.parent / spec_name,
                       SPEC_DIR / spec_name):
@@ -131,6 +144,9 @@ def cmd_compare(args) -> int:
             break
     else:
         raise SpecError(f"spec '{config['spec']}' not found")
+    if not isinstance(config.get("scenarios"), list) or not config["scenarios"]:
+        raise SpecError(f"{config_path}: the config needs a nonempty "
+                        "\"scenarios\" list")
     analyzed = _load(spec_path)
     tr = translate(analyzed, config.get("mode", "dp"))
     result = run_experiment(config, analyzed, tr)
@@ -189,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("baseline", help="fixed-frequency monitor over a trace")
     b.add_argument("spec")
     b.add_argument("--trace", required=True)
-    b.add_argument("--freq", required=True, help="sampling frequency in Hz")
+    b.add_argument("--freq", required=True, type=_frequency,
+                   help="sampling frequency in Hz")
     b.add_argument("--horizon", type=float)
     b.add_argument("--out-dir")
     b.set_defaults(func=cmd_baseline)

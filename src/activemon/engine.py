@@ -3,15 +3,19 @@
 The engine executes an analyzed specification over timed events. Values are
 either concrete or the ABSENT marker; absence propagates strictly through
 every expression form except offset accesses, whose defaults apply when the
-accessed history is too short.
+accessed history is too short. Expressions are compiled once per
+specification (`compile_spec`) and the compiled form is shared by the
+monitor and both oracles.
 
-`verify_model` independently recomputes every output of a finished model and
-is the membership oracle every scheduling test checks against.
+`verify_model` recomputes every output of a finished model from the model
+itself, not from the monitor's state, and is the membership oracle every
+scheduling test checks against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,8 +24,7 @@ from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import (
-    Binary, Const, EvalClause, Expr, MinMax, Now, OffsetAccess, OutputDecl,
-    Proj, StreamRef, Unary,
+    Binary, Const, Expr, MinMax, Now, OffsetAccess, Proj, StreamRef, Unary,
 )
 from .errors import NonMonotonicTime
 
@@ -110,7 +113,7 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation
+# expression compilation
 
 
 def _int_div(a: int, b: int) -> int:
@@ -119,95 +122,148 @@ def _int_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def eval_expr(expr: Expr, read: Callable, offset_read: Callable, now: float):
-    """Evaluate an expression to a value or ABSENT.
+def _div(a, b):
+    # division is total: zero divisors yield NaN (NaN operands already do)
+    if b == 0:
+        return _NAN
+    if type(a) is int and type(b) is int:
+        return _int_div(a, b)
+    return a / b
+
+
+def _sqrt(v):
+    if v < 0:  # math.sqrt passes NaN through
+        return _NAN
+    return math.sqrt(v)
+
+
+def _and(a, b) -> bool:
+    return bool(a) and bool(b)
+
+
+def _or(a, b) -> bool:
+    return bool(a) or bool(b)
+
+
+_UNARY = {"neg": operator.neg, "not": operator.not_, "abs": abs, "sqrt": _sqrt}
+
+# The type checker admits only scalar operands for comparisons, and Python's
+# float comparisons are already false on NaN (and != is true), which is the
+# language's NaN rule.
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne, "&&": _and, "||": _or,
+}
+
+
+def compile_expr(expr: Expr) -> Callable:
+    """Compile an expression into `f(read, offset_read, now)`.
 
     `read(name)` gives the current-step value of a stream; `offset_read(name,
     k)` gives the k-th previous non-absent value or None when history is too
-    short. Division by zero and sqrt of negatives yield NaN so evaluation is
-    total over numeric inputs.
+    short. The result is a value or ABSENT: absence propagates strictly
+    through every form except offset accesses, whose default applies when
+    history is missing. Division by zero and sqrt of negatives yield NaN, so
+    evaluation is total over numeric inputs. Node kinds, operators and
+    constants are resolved here, once, so evaluation does no dispatch.
     """
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda read, offset_read, now: value
+    if isinstance(expr, Now):
+        return lambda read, offset_read, now: now
+    if isinstance(expr, StreamRef):
+        name = expr.name
+        return lambda read, offset_read, now: read(name)
+    if isinstance(expr, OffsetAccess):
+        stream, k = expr.stream, expr.offset
+        default = compile_expr(expr.default)
 
-    def ev(e: Expr):
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Now):
-            return now
-        if isinstance(e, StreamRef):
-            return read(e.name)
-        if isinstance(e, OffsetAccess):
-            past = offset_read(e.stream, e.offset)
-            return ev(e.default) if past is None else past
-        if isinstance(e, Proj):
-            v = ev(e.operand)
-            return v if v is ABSENT else v[e.index]
-        if isinstance(e, Unary):
-            v = ev(e.operand)
-            if v is ABSENT:
+        def offset(read, offset_read, now):
+            past = offset_read(stream, k)
+            return default(read, offset_read, now) if past is None else past
+        return offset
+    if isinstance(expr, Proj):
+        operand, index = compile_expr(expr.operand), expr.index
+
+        def proj(read, offset_read, now):
+            v = operand(read, offset_read, now)
+            return v if v is ABSENT else v[index]
+        return proj
+    if isinstance(expr, Unary):
+        operand, fn = compile_expr(expr.operand), _UNARY[expr.op]
+
+        def unary(read, offset_read, now):
+            v = operand(read, offset_read, now)
+            return v if v is ABSENT else fn(v)
+        return unary
+    if isinstance(expr, Binary):
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        fn = _BINARY[expr.op]
+
+        def binary(read, offset_read, now):
+            a = left(read, offset_read, now)
+            if a is ABSENT:
                 return ABSENT
-            if e.op == "neg":
-                return -v
-            if e.op == "not":
-                return not v
-            if e.op == "abs":
-                return abs(v)
-            # sqrt
-            if _is_nan(v) or v < 0:
-                return _NAN
-            return math.sqrt(v)
-        if isinstance(e, Binary):
-            lv = ev(e.left)
-            if lv is ABSENT:
+            b = right(read, offset_read, now)
+            if b is ABSENT:
                 return ABSENT
-            rv = ev(e.right)
-            if rv is ABSENT:
-                return ABSENT
-            op = e.op
-            if op == "&&":
-                return bool(lv) and bool(rv)
-            if op == "||":
-                return bool(lv) or bool(rv)
-            if op in ("<", "<=", ">", ">="):
-                if _is_nan(lv) or _is_nan(rv):
-                    return False
-                return {"<": lv < rv, "<=": lv <= rv,
-                        ">": lv > rv, ">=": lv >= rv}[op]
-            if op == "==":
-                return values_equal(lv, rv) and not (_is_nan(lv) and _is_nan(rv))
-            if op == "!=":
-                return not (values_equal(lv, rv) and not (_is_nan(lv) and _is_nan(rv)))
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            # division is total: zero divisors yield NaN
-            if rv == 0 and not _is_nan(rv):
-                return _NAN
-            if _is_nan(lv) or _is_nan(rv):
-                return _NAN
-            if isinstance(lv, int) and isinstance(rv, int) \
-                    and not isinstance(lv, bool) and not isinstance(rv, bool):
-                return _int_div(lv, rv)
-            return lv / rv
-        if isinstance(e, MinMax):
+            return fn(a, b)
+        return binary
+    if isinstance(expr, MinMax):
+        args = tuple(compile_expr(a) for a in expr.args)
+        pick = min if expr.op == "min" else max
+
+        def minmax(read, offset_read, now):
             vals = []
-            for a in e.args:
-                v = ev(a)
+            for arg in args:
+                v = arg(read, offset_read, now)
                 if v is ABSENT:
                     return ABSENT
                 vals.append(v)
-            if any(_is_nan(v) for v in vals):
+            if any(v != v for v in vals):
                 return _NAN
-            return min(vals) if e.op == "min" else max(vals)
-        raise AssertionError(f"unhandled expression {e!r}")
+            return pick(vals)
+        return minmax
+    raise AssertionError(f"unhandled expression {expr!r}")
 
-    return ev(expr)
+
+@dataclass(frozen=True)
+class CompiledSpec:
+    """Every expression of an analyzed specification, compiled once.
+
+    `outputs` lists (name, clauses) in evaluation order, each clause being
+    (pacing inputs, or None for @any; when closure or None; expr closure).
+    `triggers` lists (report name, message, condition closure). `names` is
+    every stream, inputs first; `inputs` the set of input names.
+    """
+
+    outputs: tuple
+    triggers: tuple
+    names: tuple[str, ...]
+    inputs: frozenset[str]
 
 
-def eval_clauses(decl: OutputDecl, present: frozenset[str], read, offset_read,
-                 now: float):
+def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
+    """Compile a specification; use `analyzed.compiled`, which caches this."""
+    spec = analyzed.spec
+    decls = {o.name: o for o in spec.outputs}
+    outputs = tuple(
+        (name, tuple(
+            (None if c.pacing.is_any else c.pacing.inputs,
+             None if c.when is None else compile_expr(c.when),
+             compile_expr(c.expr))
+            for c in decls[name].clauses))
+        for name in analyzed.eval_order)
+    triggers = tuple(
+        (name, trig.message, compile_expr(trig.expr))
+        for name, trig in zip(analyzed.trigger_names, spec.triggers))
+    return CompiledSpec(outputs, triggers, spec.stream_names(),
+                        frozenset(spec.input_names()))
+
+
+def _first_match(clauses, present, read, offset_read, now):
     """First-match clause evaluation for one output at one step.
 
     A clause fires when its pacing is satisfied and its when condition holds;
@@ -215,16 +271,16 @@ def eval_clauses(decl: OutputDecl, present: frozenset[str], read, offset_read,
     for the step, since later clauses assume the earlier conditions were
     decided false.
     """
-    for clause in decl.clauses:
-        if clause.pacing is None or not clause.pacing.satisfied_by(present):
+    for inputs, when, expr in clauses:
+        if inputs is not None and not inputs <= present:
             continue
-        if clause.when is not None:
-            w = eval_expr(clause.when, read, offset_read, now)
+        if when is not None:
+            w = when(read, offset_read, now)
             if w is ABSENT:
                 return ABSENT
             if w is not True:
                 continue
-        return eval_expr(clause.expr, read, offset_read, now)
+        return expr(read, offset_read, now)
     return ABSENT
 
 
@@ -239,7 +295,7 @@ class MonitorState:
         self.analyzed = analyzed
         self.step = 0
         self.time: Optional[Fraction] = None
-        self._inputs = frozenset(analyzed.spec.input_names())
+        self.compiled = analyzed.compiled
         # history keeps only the non-absent values still reachable by offsets
         self._history: dict[str, deque] = {
             name: deque(maxlen=depth)
@@ -270,29 +326,25 @@ def eval_event(state: MonitorState, event: Event):
             f"event at {event.time} does not advance past {state.time}")
     if not event.values:
         raise ValueError("an event must carry at least one input value")
-    unknown = set(event.values) - state._inputs
-    if unknown:
-        raise ValueError(f"event values for undeclared inputs: {sorted(unknown)}")
-
-    spec = state.analyzed.spec
-    now = float(event.time)
+    compiled = state.compiled
     present = frozenset(event.values)
-    current: dict[str, object] = {name: ABSENT for name in spec.stream_names()}
-    for name, value in event.values.items():
-        current[name] = value
+    if not present <= compiled.inputs:
+        raise ValueError("event values for undeclared inputs: "
+                         f"{sorted(present - compiled.inputs)}")
 
+    now = float(event.time)
+    current = dict.fromkeys(compiled.names, ABSENT)
+    current.update(event.values)
     read = current.__getitem__
-    for name in state.analyzed.eval_order:
-        current[name] = eval_clauses(
-            spec.output_decl(name), present, read, state.offset_read, now)
+    offset_read = state.offset_read
+    for name, clauses in compiled.outputs:
+        current[name] = _first_match(clauses, present, read, offset_read, now)
 
-    reports = []
-    for idx, trig in enumerate(spec.triggers):
-        v = eval_expr(trig.expr, read, state.offset_read, now)
-        if v is True:
-            reports.append(TriggerReport(
-                state.analyzed.trigger_names[idx], state.step, event.time,
-                trig.message))
+    reports = [
+        TriggerReport(name, state.step, event.time, message)
+        for name, message, condition in compiled.triggers
+        if condition(read, offset_read, now) is True
+    ]
 
     state._push_history(current)
     state.step += 1
@@ -369,18 +421,18 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
                 f"time map not strictly increasing: {model.times[t]} after "
                 f"{model.times[t - 1]}"))
 
-    spec = analyzed.spec
-    input_names = spec.input_names()
+    compiled = analyzed.compiled
+    input_names = analyzed.spec.input_names()
     reader = ModelReader(model)
     for t in range(n):
         present = model.present_inputs(input_names, t)
         now = float(model.times[t])
         read, offset_read = reader.at_step(t)
-        for name in analyzed.eval_order:
-            expected = eval_clauses(
-                spec.output_decl(name), present, read, offset_read, now)
+        for name, clauses in compiled.outputs:
+            expected = _first_match(clauses, present, read, offset_read, now)
             actual = model.streams[name][t]
-            if not values_equal(expected, actual):
+            # == implies values_equal; only unequal cells need the NaN rules
+            if expected != actual and not values_equal(expected, actual):
                 violations.append(Violation(
                     "semantic", t, model.times[t],
                     f"stream '{name}' holds {actual!r}, recomputation gives "
@@ -395,17 +447,15 @@ def triggers_from_model(analyzed: AnalyzedSpec, model: EvaluationModel):
     for t in range(len(model.times)):
         read, offset_read = reader.at_step(t)
         now = float(model.times[t])
-        for idx, trig in enumerate(analyzed.spec.triggers):
-            if eval_expr(trig.expr, read, offset_read, now) is True:
-                reports.append(TriggerReport(
-                    analyzed.trigger_names[idx], t, model.times[t],
-                    trig.message))
+        for name, message, condition in analyzed.compiled.triggers:
+            if condition(read, offset_read, now) is True:
+                reports.append(TriggerReport(name, t, model.times[t], message))
     return reports
 
 
 __all__ = [
-    "ABSENT", "Event", "EvaluationModel", "ModelReader", "MonitorState",
-    "TriggerReport", "Violation", "eval_clauses", "eval_event", "eval_expr",
-    "run_monitor", "run_monitor_full", "triggers_from_model", "values_equal",
-    "verify_model",
+    "ABSENT", "CompiledSpec", "Event", "EvaluationModel", "ModelReader",
+    "MonitorState", "TriggerReport", "Violation", "compile_expr",
+    "compile_spec", "eval_event", "run_monitor", "run_monitor_full",
+    "triggers_from_model", "values_equal", "verify_model",
 ]

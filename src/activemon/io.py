@@ -94,6 +94,28 @@ def write_trace(path, events: list[Event], input_names) -> None:
             writer.writerow(row)
 
 
+def _parse_row(row: list, names: list, types: dict, path, lineno: int):
+    """(time, cell values) of one CSV row, padding missing cells with ABSENT.
+
+    A malformed cell or a row longer than the header is a SpecSyntaxError
+    naming its line and column.
+    """
+    if len(row) > len(names) + 1:
+        raise SpecSyntaxError(
+            f"row has {len(row)} cells, the header has {len(names) + 1}",
+            str(path), lineno, len(names) + 2)
+    col = 1
+    try:
+        t = parse_time(row[0])
+        cells = []
+        for col, (name, cell) in enumerate(zip(names, row[1:]), start=2):
+            cells.append(parse_value(cell, types[name]))
+    except (ValueError, ZeroDivisionError) as err:
+        raise SpecSyntaxError(f"bad cell: {err}", str(path), lineno, col) from err
+    cells.extend(ABSENT for _ in names[len(cells):])
+    return t, cells
+
+
 def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
     types = analyzed.types
     known = set(analyzed.spec.input_names())
@@ -113,16 +135,12 @@ def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            t = parse_time(row[0])
+            t, cells = _parse_row(row, names, types, path, lineno)
             if previous is not None and t <= previous:
                 raise NonMonotonicTime(
                     f"{path}:{lineno}: time {t} does not advance past {previous}")
             previous = t
-            values = {}
-            for name, cell in zip(names, row[1:]):
-                v = parse_value(cell, types[name])
-                if v is not ABSENT:
-                    values[name] = v
+            values = {name: v for name, v in zip(names, cells) if v is not ABSENT}
             if values:
                 events.append(Event(t, values))
     if not events:
@@ -158,14 +176,14 @@ def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
                 f"model columns are not spec streams: {sorted(missing)}",
                 str(path), 1, 1)
         model = EvaluationModel(streams={name: [] for name in names})
-        for row in reader:
+        columns = [model.streams[name] for name in names]
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            model.times.append(parse_time(row[0]))
-            for name, cell in zip(names, row[1:]):
-                model.streams[name].append(parse_value(cell, types[name]))
-            for name in names[len(row) - 1:]:
-                model.streams[name].append(ABSENT)
+            t, cells = _parse_row(row, names, types, path, lineno)
+            model.times.append(t)
+            for column, v in zip(columns, cells):
+                column.append(v)
     return model
 
 
@@ -198,12 +216,6 @@ def violation_json(v: Violation) -> str:
     return json.dumps(record)
 
 
-def write_violations(path, violations) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in violations:
-            fh.write(violation_json(v) + "\n")
-
-
 def write_plan_log(path, plans, mode) -> None:
     """Per-event audit records {time, queried, selected, mode}."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -225,12 +237,15 @@ def write_json(path, payload) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise SpecSyntaxError(err.msg, str(path), err.lineno, err.colno) from err
 
 
 __all__ = [
     "format_time", "format_value", "parse_time", "parse_value", "read_json",
     "read_model", "read_trace", "trigger_json", "violation_json",
     "write_json", "write_model", "write_plan_log", "write_trace",
-    "write_triggers", "write_violations",
+    "write_triggers",
 ]

@@ -20,7 +20,7 @@ from .engine import (
     EvaluationModel,
     ModelReader,
     Violation,
-    eval_expr,
+    compile_expr,
     verify_model,
 )
 from .errors import MixedAnnotationKinds, PreconditionViolation
@@ -262,19 +262,30 @@ class DecisionOracle:
             for task in schedule.universe
         }
 
-        # region truth per step, then the sticky current value per task
+        # region truth per step, each distinct region decided once
+        truth: dict = {}
+        for chain in schedule.entries.values():
+            for entry in chain:
+                region = (entry.condition, entry.pacing)
+                if region not in truth:
+                    truth[region] = (compile_expr(entry.condition), [])
+        # entry pacings are concrete: build_static_schedule rejects @any
+        regions = [(p.inputs, cond, steps)
+                   for (_, p), (cond, steps) in truth.items()]
+        for s in range(self.n):
+            present = self.present[s]
+            read, offset_read = reader.at_step(s)
+            now = float(model.times[s])
+            for inputs, cond, steps in regions:
+                if inputs <= present and cond(read, offset_read, now) is True:
+                    steps.append(s)
+
+        # then the sticky current value per task
         combine = schedule.restrictive()
         self.true_steps: dict = {}
         self.current: dict = {}
         for task, chain in schedule.entries.items():
-            per_entry = []
-            for entry in chain:
-                steps = [
-                    s for s in range(self.n)
-                    if entry.pacing.satisfied_by(self.present[s])
-                    and self._holds(reader, entry.condition, s)
-                ]
-                per_entry.append(steps)
+            per_entry = [truth[(e.condition, e.pacing)][1] for e in chain]
             self.true_steps[task] = per_entry
             values: list = []
             cur = None
@@ -285,11 +296,6 @@ class DecisionOracle:
                     cur = combine(here)
                 values.append(cur)
             self.current[task] = values
-
-    def _holds(self, reader: ModelReader, expr: Expr, step: int) -> bool:
-        read, offset_read = reader.at_step(step)
-        now = float(self.model.times[step])
-        return eval_expr(expr, read, offset_read, now) is True
 
     # -- helpers ------------------------------------------------------------
 
@@ -386,18 +392,8 @@ class DecisionOracle:
         return out
 
 
-def dynamic_decision(analyzed: AnalyzedSpec, schedule: StaticSchedule,
-                     model: EvaluationModel, step: int) -> dict:
-    """One-shot oracle call; build a DecisionOracle for repeated queries."""
-    return DecisionOracle(analyzed, schedule, model).decide(step)
-
-
 # ---------------------------------------------------------------------------
 # model-level checks
-
-
-def check_bandwidth(bound: int, model: EvaluationModel, inputs, step: int) -> bool:
-    return len(model.present_inputs(tuple(inputs), step)) <= bound
 
 
 def valid_tasks(universe: frozenset, model: EvaluationModel, inputs,

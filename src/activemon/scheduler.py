@@ -213,7 +213,6 @@ class PreconditionReport:
     bound: int
     max_task_size: int
     oversized: tuple  # tasks wider than the bandwidth, never schedulable
-    bound_ok: bool
     split_min: Optional[int]
     split_max: Optional[int]
     split_error: Optional[str]
@@ -270,7 +269,6 @@ def build_precondition_report(schedule: StaticSchedule, bound: int,
         bound=bound,
         max_task_size=max_size,
         oversized=oversized,
-        bound_ok=not oversized,
         split_min=split_min,
         split_max=split_max,
         split_error=split_error,

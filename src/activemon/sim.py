@@ -11,14 +11,15 @@ import hashlib
 import math
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 from typing import Optional
 
 from .analysis import AnalyzedSpec
 from .engine import ABSENT, Event, EvaluationModel, run_monitor_full
-from .errors import MismatchedTraces, OutOfRange, SensorUnavailable
+from .errors import MismatchedTraces, OutOfRange, SensorUnavailable, SpecError
 
 GRID_HZ = 10  # sampling grid of generated traces
 
@@ -50,22 +51,12 @@ class SensorTrace:
         return first, last
 
 
-def query_sensor(trace: SensorTrace, sensor: str, time):
-    """Value of the latest sample at or before `time` (zero-order hold)."""
-    if sensor not in trace.samples:
-        raise SensorUnavailable(sensor, time)
-    seq = trace.samples[sensor]
-    times = [t for t, _ in seq]
-    if time > times[-1]:
-        raise OutOfRange(f"t={time} is past the last sample of '{sensor}'")
-    idx = bisect_right(times, time) - 1
-    if idx < 0:
-        raise OutOfRange(f"t={time} precedes the first sample of '{sensor}'")
-    return seq[idx][1]
-
-
 class TraceSource:
-    """Sensor source over a trace; the scheduler's query endpoint."""
+    """Sensor source over a trace; the scheduler's query endpoint.
+
+    `query` gives the value of the latest sample at or before `at`
+    (zero-order hold).
+    """
 
     def __init__(self, trace: SensorTrace):
         self.trace = trace
@@ -118,6 +109,30 @@ class FlightScenario:
     start_lat: float = 47.0
     start_long: float = 9.0
     ground_altitude: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration!r}")
+
+
+def scenario_from_json(entry) -> FlightScenario:
+    """A scenario from a parsed JSON object; SpecError on malformed input."""
+    if not isinstance(entry, dict):
+        raise SpecError(f"a scenario must be a JSON object, got {entry!r}")
+    unknown = set(entry) - {f.name for f in fields(FlightScenario)}
+    if unknown:
+        raise SpecError(f"unknown scenario keys: {sorted(unknown)}")
+    try:
+        return FlightScenario(**entry)
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"invalid scenario: {err}") from err
 
 
 def _dodge_grid(t: float, period: float = 0.5, margin: float = 0.06) -> bool:
@@ -242,14 +257,27 @@ def flight_crossings(scenario: FlightScenario) -> dict:
 @dataclass(frozen=True)
 class RunMetrics:
     horizon: float
-    total_values: int
-    per_sensor: dict  # sensor -> values per second
-    groups: dict  # group name -> values per second
+    counts: dict  # sensor -> values received
+    group_counts: dict  # group name -> values received by its members
     fingerprint: Optional[str] = None
+
+    @property
+    def total_values(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def values_per_second(self) -> float:
         return self.total_values / self.horizon if self.horizon else 0.0
+
+    @property
+    def per_sensor(self) -> dict:
+        """Sensor -> values per second."""
+        return {s: c / self.horizon for s, c in self.counts.items()}
+
+    @property
+    def groups(self) -> dict:
+        """Group name -> values per second."""
+        return {g: c / self.horizon for g, c in self.group_counts.items()}
 
     def as_json(self) -> dict:
         return {"horizon": self.horizon, "total_values": self.total_values,
@@ -266,12 +294,20 @@ def compute_metrics(model: EvaluationModel, input_names, horizon: float,
     for name in input_names:
         column = model.streams.get(name, [])
         counts[name] = sum(1 for v in column if v is not ABSENT)
-    total = sum(counts.values())
-    per_sensor = {s: c / horizon for s, c in counts.items()}
     grouped = {}
     for gname, members in (groups or {}).items():
-        grouped[gname] = sum(counts.get(m, 0) for m in members) / horizon
-    return RunMetrics(horizon, total, per_sensor, grouped, fingerprint)
+        grouped[gname] = sum(counts.get(m, 0) for m in members)
+    return RunMetrics(horizon, counts, grouped, fingerprint)
+
+
+def pool_metrics(runs) -> RunMetrics:
+    """Several runs as one: their values over their summed horizons."""
+    counts: Counter = Counter()
+    grouped: Counter = Counter()
+    for m in runs:
+        counts.update(m.counts)
+        grouped.update(m.group_counts)
+    return RunMetrics(sum(m.horizon for m in runs), dict(counts), dict(grouped))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +462,9 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
 
     results = []
     rows = []
+    metrics: dict = {}  # run name -> RunMetrics per scenario
     for entry in config["scenarios"]:
-        scenario = FlightScenario(**entry)
+        scenario = scenario_from_json(entry)
         trace = generate_flight(scenario)
         fingerprint = trace_fingerprint(trace)
         crossings = flight_crossings(scenario)
@@ -443,6 +480,8 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
             runs.append((f"fixed_{float(f):g}hz", base.triggers, base.metrics))
 
         report = compare_runs(runs, truth, window)
+        for name, _, m in runs:
+            metrics.setdefault(name, []).append(m)
         results.append(ScenarioResult(scenario, crossings, report, sched))
         for row in report.rows:
             rows.append(dict(row, seed=scenario.seed))
@@ -450,24 +489,16 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
     summary = {"window": window, "monitors": {}, "scenarios": [
         {"seed": r.scenario.seed, **{k: v for k, v in r.crossings.items()}}
         for r in results]}
-    seen = []
-    for row in rows:
-        if row["run"] not in seen:
-            seen.append(row["run"])
-    for name in seen:
+    for name in metrics:
         delays = [r["delay"] for r in rows
                   if r["run"] == name and r["delay"] is not None]
         missed = sum(1 for r in rows
                      if r["run"] == name and r["detection"] is None)
         q1, q2, q3 = _quartiles(delays)
-        bandwidth = None
-        for res in results:
-            if name in res.report.summary:
-                bandwidth = res.report.summary[name]["bandwidth"]
-                break
         summary["monitors"][name] = {
             "median_delay": q2, "q1_delay": q1, "q3_delay": q3,
-            "matched": len(delays), "missed": missed, "bandwidth": bandwidth}
+            "matched": len(delays), "missed": missed,
+            "bandwidth": pool_metrics(metrics[name]).as_json()}
     return ExperimentResult(results, rows, summary)
 
 
@@ -475,6 +506,6 @@ __all__ = [
     "BaselineRun", "ComparisonReport", "ExperimentResult", "FlightScenario",
     "GRID_HZ", "RunMetrics", "ScenarioResult", "SensorTrace", "TraceSource",
     "compare_runs", "compute_metrics", "flight_crossings", "generate_flight",
-    "query_sensor", "run_experiment", "run_fixed", "sensor_trace_from_events",
-    "trace_fingerprint",
+    "pool_metrics", "run_experiment", "run_fixed", "scenario_from_json",
+    "sensor_trace_from_events", "trace_fingerprint",
 ]

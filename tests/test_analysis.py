@@ -6,7 +6,7 @@ import pytest
 
 from activemon.analysis import analyze, derive_annotation_map, resolved_pacing
 from activemon.ast import Const
-from activemon.engine import eval_expr
+from activemon.engine import compile_expr
 from activemon.errors import (CyclicDependency, EmptyPacing, PacingConflict,
                               TypeError_)
 from activemon.parser import parse_spec
@@ -135,7 +135,7 @@ def test_annotation_guards_stack_negations():
     def active(d):
         read = lambda name: d
         hits = [e.priority for e in chain
-                if eval_expr(e.condition, read, None, 0.0) is True]
+                if compile_expr(e.condition)(read, None, 0.0) is True]
         return hits
 
     # guards are exclusive: exactly one region claims any given value

@@ -262,6 +262,61 @@ def test_bad_spec_reports_the_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run the CLI, require exit 2 without a traceback; return stderr."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects an argument
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "error:" in err
+    return err
+
+
+def test_non_numeric_trace_cell_is_a_usage_error(spec_dir, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,1.0\n1,abc,1.0\n")
+    err = _usage_error(["run", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace)], capsys)
+    assert "trace.csv:3:2" in err
+
+
+def test_unknown_scenario_key_is_a_usage_error(spec_dir, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "speed": 3.0}))
+    err = _usage_error(["run", str(spec_dir / "drone_experiment.lola"),
+                        "--scenario", str(scenario)], capsys)
+    assert "speed" in err
+
+
+def test_negative_duration_is_a_usage_error(spec_dir, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 1, "duration": -5.0}))
+    err = _usage_error(["run", str(spec_dir / "drone_experiment.lola"),
+                        "--scenario", str(scenario)], capsys)
+    assert "duration" in err
+
+
+@pytest.mark.parametrize("freq", ["0", "abc"])
+def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
+                                                 capsys, freq):
+    err = _usage_error(["baseline", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(conflict_trace), "--freq", freq], capsys)
+    assert "--freq" in err
+
+
+def test_compare_without_scenarios_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                  "scenarios": []}))
+    err = _usage_error(["compare", "--config", str(config),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert "scenarios" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_smoke(spec_dir):
     result = subprocess.run(
         [sys.executable, "-m", "activemon.cli",

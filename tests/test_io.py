@@ -116,6 +116,32 @@ def test_model_round_trip(tmp_path):
     assert back.value("first", 1) is ABSENT
 
 
+def test_model_pads_short_rows_with_absent(tmp_path):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "model.csv"
+    path.write_text("time,g,ok,first\n0,1.0;2.0,true,1.0\n1,3.0;4.0\n")
+    back = read_model(path, analyzed)
+    assert back.streams["g"] == [(1.0, 2.0), (3.0, 4.0)]
+    assert back.streams["ok"] == [True, ABSENT]
+    assert back.streams["first"] == [1.0, ABSENT]
+
+
+def test_model_rejects_rows_longer_than_the_header(tmp_path):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "model.csv"
+    path.write_text("time,g,ok\n0,1.0;2.0,true\n1,3.0;4.0,false,9.0\n")
+    with pytest.raises(SpecSyntaxError, match=r"model\.csv:3:"):
+        read_model(path, analyzed)
+
+
+def test_malformed_cells_name_their_line(tmp_path):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "trace.csv"
+    path.write_text("time,g,ok\n0,1.0;2.0,true\n1,1.0;abc,true\n")
+    with pytest.raises(SpecSyntaxError, match=r"trace\.csv:3:2: bad cell"):
+        read_trace(path, analyzed)
+
+
 def test_violation_json_fields():
     semantic = Violation("semantic", 3, Fraction(3, 2), "wrong", stream="x")
     assert violation_json(semantic) == (
@@ -132,3 +158,10 @@ def test_json_round_trip(tmp_path):
     write_json(path, payload)
     assert read_json(path) == payload
     assert path.read_text().endswith("\n")
+
+
+def test_malformed_json_names_its_line(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"seed": 1,\n "duration": }\n')
+    with pytest.raises(SpecSyntaxError, match=r"data\.json:2:14:"):
+        read_json(path)

@@ -16,7 +16,7 @@ from activemon.ast import format_spec
 from activemon.engine import (
     ABSENT,
     ModelReader,
-    eval_expr,
+    compile_expr,
     run_monitor,
     values_equal,
     verify_model,
@@ -111,12 +111,13 @@ def test_region_guards_are_mutually_exclusive(seed):
         chained = [e for e in entries if e.clause_index >= 0]
         if len(chained) < 2:
             continue
+        conditions = [compile_expr(e.condition) for e in chained]
         for step in range(len(model)):
             read, offset_read = reader.at_step(step)
             now = float(model.times[step])
             hits = sum(
-                1 for e in chained
-                if eval_expr(e.condition, read, offset_read, now) is True)
+                1 for cond in conditions
+                if cond(read, offset_read, now) is True)
             assert hits <= 1
 
 

@@ -174,7 +174,6 @@ def test_drone_report_flags_oversized_unions(drone_text):
     tr = _translated(drone_text, "dp")
     report = build_precondition_report(tr.schedule, 2, Fraction(1, 2))
     assert not report.ok
-    assert not report.bound_ok
     assert report.max_task_size == 4
     assert len(report.oversized) == 5  # the 3- and 4-sensor unions
     assert report.split_error is not None and "15 tasks" in report.split_error

@@ -17,13 +17,15 @@ from activemon.sim import (
     compute_metrics,
     flight_crossings,
     generate_flight,
-    query_sensor,
+    run_experiment,
     run_fixed,
     sensor_trace_from_events,
     trace_fingerprint,
 )
+from activemon.translate import translate
 
 HOLD = SensorTrace({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
+SOURCE = TraceSource(HOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -31,31 +33,22 @@ HOLD = SensorTrace({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
 
 
 def test_query_holds_last_sample():
-    assert query_sensor(HOLD, "s", Fraction(1, 2)) == 1.0
-    assert query_sensor(HOLD, "s", Fraction(1)) == 2.0
-    assert query_sensor(HOLD, "s", Fraction(0)) == 1.0
+    assert SOURCE.query("s", Fraction(1, 2)) == 1.0
+    assert SOURCE.query("s", Fraction(9, 10)) == 1.0
+    assert SOURCE.query("s", Fraction(1)) == 2.0
+    assert SOURCE.query("s", Fraction(0)) == 1.0
 
 
 def test_query_rejects_out_of_range_times():
     with pytest.raises(OutOfRange):
-        query_sensor(HOLD, "s", Fraction(3, 2))
+        SOURCE.query("s", Fraction(3, 2))
     with pytest.raises(OutOfRange):
-        query_sensor(HOLD, "s", Fraction(-1, 2))
+        SOURCE.query("s", Fraction(-1, 2))
 
 
 def test_query_rejects_unknown_sensor():
     with pytest.raises(SensorUnavailable):
-        query_sensor(HOLD, "nope", Fraction(0))
-
-
-def test_trace_source_matches_query_sensor():
-    source = TraceSource(HOLD)
-    for t in (Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
-        assert source.query("s", t) == query_sensor(HOLD, "s", t)
-    with pytest.raises(OutOfRange):
-        source.query("s", Fraction(2))
-    with pytest.raises(SensorUnavailable):
-        source.query("nope", Fraction(0))
+        SOURCE.query("nope", Fraction(0))
 
 
 def test_trace_rejects_unsorted_samples():
@@ -116,14 +109,15 @@ def test_crossings_match_the_sampled_trajectory(seed):
     (ta,) = crossings["altitude"]
     assert 0 < tg < 60 and 0 < ta < 60
 
+    source = TraceSource(trace)
     start = trace.samples["gps_lat_long"][0][1]
-    before = query_sensor(trace, "gps_lat_long", Fraction(int((tg - 0.2) * 10), 10))
-    after = query_sensor(trace, "gps_lat_long", Fraction(int((tg + 0.3) * 10), 10))
+    before = source.query("gps_lat_long", Fraction(int((tg - 0.2) * 10), 10))
+    after = source.query("gps_lat_long", Fraction(int((tg + 0.3) * 10), 10))
     assert _distance(before, start) < 8.0 <= _distance(after, start)
 
     ground = trace.samples["gps_altitude"][0][1]
-    low = query_sensor(trace, "gps_altitude", Fraction(int((ta - 0.2) * 10), 10))
-    high = query_sensor(trace, "gps_altitude", Fraction(int((ta + 0.3) * 10), 10))
+    low = source.query("gps_altitude", Fraction(int((ta - 0.2) * 10), 10))
+    high = source.query("gps_altitude", Fraction(int((ta + 0.3) * 10), 10))
     assert low - ground < 10.0 <= high - ground
 
 
@@ -151,6 +145,24 @@ def test_metrics_count_present_input_cells():
     assert metrics.values_per_second == 2.0
     assert metrics.per_sensor == {"a": 1.0, "b": 1.0}
     assert metrics.groups == {"gps": 1.0, "both": 2.0}
+
+
+def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
+    analyzed = analyze(parse_spec(drone_text))
+    config = {"bound": 2, "horizon": 60.0, "baselines": [1.0],
+              "groups": {"safety": ["gps_lat_long", "gps_altitude"]},
+              "scenarios": [{"seed": 101}, {"seed": 137}]}
+    result = run_experiment(config, analyzed, translate(analyzed, "dp"))
+    per_scenario = [r.report.summary["scheduled_dp"]["bandwidth"]
+                    for r in result.results]
+    assert [b["groups"]["safety"] for b in per_scenario] == [1.5, 1.55]
+    pooled = result.summary["monitors"]["scheduled_dp"]["bandwidth"]
+    assert pooled["horizon"] == 120.0
+    assert pooled["total_values"] == sum(b["total_values"] for b in per_scenario)
+    assert pooled["groups"] == {"safety": (90 + 93) / 120}
+    for sensor, rate in pooled["per_sensor"].items():
+        assert rate == pytest.approx(
+            sum(b["per_sensor"][sensor] for b in per_scenario) / 2)
 
 
 def test_fixed_baseline_queries_every_sensor(drone_text):
