@@ -17,9 +17,9 @@ from typing import Optional
 
 from .ast import (
     BOOL, FLOAT64, INT64, INTLIT, NUMERIC, TRUE, UINT64,
-    Annotation, Binary, Const, EvalClause, Expr, GlobalConfig, MinMax, Now,
+    Binary, Const, EvalClause, Expr, GlobalConfig, MinMax, Now,
     OffsetAccess, OutputDecl, Pacing, Proj, Specification, StreamRef,
-    TupleType, Type, Unary, conjoin, negate,
+    TupleType, Type, Unary, children, conjoin, negate,
 )
 from .errors import (
     CyclicDependency, EmptyPacing, PacingConflict, TypeError_,
@@ -30,54 +30,28 @@ from .errors import (
 # expression walks
 
 
+def _nodes(expr: Expr):
+    """Every node of the expression, in preorder."""
+    yield expr
+    for child in children(expr):
+        yield from _nodes(child)
+
+
 def sync_refs(expr: Expr) -> set[str]:
     """Streams read at the current step.
 
     Offset targets are excluded (they read history), offset defaults are
     included (they evaluate at the current step when history is missing).
     """
-    acc: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, StreamRef):
-            acc.add(e.name)
-        elif isinstance(e, OffsetAccess):
-            walk(e.default)
-        elif isinstance(e, Proj):
-            walk(e.operand)
-        elif isinstance(e, Unary):
-            walk(e.operand)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, MinMax):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
-    return acc
+    return {e.name for e in _nodes(expr) if isinstance(e, StreamRef)}
 
 
 def offset_refs(expr: Expr) -> dict[str, int]:
     """Map of stream name to the deepest offset used against it."""
     acc: dict[str, int] = {}
-
-    def walk(e: Expr) -> None:
+    for e in _nodes(expr):
         if isinstance(e, OffsetAccess):
             acc[e.stream] = max(acc.get(e.stream, 0), e.offset)
-            walk(e.default)
-        elif isinstance(e, Proj):
-            walk(e.operand)
-        elif isinstance(e, Unary):
-            walk(e.operand)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, MinMax):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
     return acc
 
 

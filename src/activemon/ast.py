@@ -7,7 +7,7 @@ to source text; parsing that text again yields an equal AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -104,7 +104,6 @@ class MinMax:
 Expr = Union[Const, StreamRef, Now, OffsetAccess, Proj, Unary, Binary, MinMax]
 
 TRUE = Const(True)
-FALSE = Const(False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +137,6 @@ class Pacing:
     def of(names) -> "Pacing":
         return Pacing(frozenset(names), False)
 
-
-PRIORITY_KIND = "priority"
-DEADLINE_KIND = "deadline"
 
 PRIORITY_LEVELS = {"high": 10, "medium": 5, "low": 1}
 
@@ -227,12 +223,6 @@ class Specification:
     def stream_names(self) -> tuple[str, ...]:
         return self.input_names() + self.output_names()
 
-    def input_decl(self, name: str) -> InputDecl:
-        for i in self.inputs:
-            if i.name == name:
-                return i
-        raise KeyError(name)
-
     def output_decl(self, name: str) -> OutputDecl:
         for o in self.outputs:
             if o.name == name:
@@ -242,6 +232,20 @@ class Specification:
 
 # ---------------------------------------------------------------------------
 # expression helpers
+
+
+def children(expr: Expr) -> tuple:
+    """Direct subexpressions; an offset access's default is one, its
+    target stream is not."""
+    if isinstance(expr, OffsetAccess):
+        return (expr.default,)
+    if isinstance(expr, (Proj, Unary)):
+        return (expr.operand,)
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, MinMax):
+        return expr.args
+    return ()
 
 
 def conjoin(parts: list[Expr]) -> Expr:
@@ -332,22 +336,14 @@ def format_pacing(pacing: Pacing, input_order: tuple[str, ...]) -> str:
     return "|@" + "&&".join(ordered) + "|"
 
 
-def _format_frequency(freq: Fraction) -> str:
-    if freq.denominator == 1:
-        return f"{freq.numerator}Hz"
-    as_float = float(freq)
-    if Fraction(str(as_float)) == freq:
-        return f"{as_float}Hz"
-    return f"{freq.numerator}/{freq.denominator}Hz"
-
-
-def _format_seconds(sec: Fraction) -> str:
-    if sec.denominator == 1:
-        return f"{sec.numerator}s"
-    as_float = float(sec)
-    if Fraction(str(as_float)) == sec:
-        return f"{as_float}s"
-    return f"{sec.numerator}/{sec.denominator}s"
+def _format_quantity(value: Fraction, unit: str) -> str:
+    """An integer, a round-tripping decimal or a ratio, then the unit."""
+    if value.denominator == 1:
+        return f"{value.numerator}{unit}"
+    as_float = float(value)
+    if Fraction(str(as_float)) == value:
+        return f"{as_float}{unit}"
+    return f"{value.numerator}/{value.denominator}{unit}"
 
 
 def _format_annotation(ann: Annotation) -> str:
@@ -355,12 +351,8 @@ def _format_annotation(ann: Annotation) -> str:
     if ann.priority is not None:
         parts.append(f'priority="{ann.priority}"')
     if ann.deadline is not None:
-        parts.append(f'deadline="{_format_seconds(ann.deadline)}"')
+        parts.append(f'deadline="{_format_quantity(ann.deadline, "s")}"')
     return "#[" + ",".join(parts) + "]"
-
-
-def format_type(t: Type) -> str:
-    return str(t)
 
 
 def format_spec(spec: Specification) -> str:
@@ -369,17 +361,18 @@ def format_spec(spec: Specification) -> str:
     lines: list[str] = []
     if spec.config is not None:
         cfg = spec.config
-        parts = [f'frequency="{_format_frequency(cfg.event_frequency)}"',
+        parts = [f'frequency="{_format_quantity(cfg.event_frequency, "Hz")}"',
                  f'bound="{cfg.bandwidth}"']
         if cfg.default_deadline is not None:
-            parts.append(f'deadline="{_format_seconds(cfg.default_deadline)}"')
+            deadline = _format_quantity(cfg.default_deadline, "s")
+            parts.append(f'deadline="{deadline}"')
         lines.append("#![" + ",".join(parts) + "]")
     for mod in spec.imports:
         lines.append(f"import {mod}")
     for inp in spec.inputs:
         if inp.annotation is not None and not inp.annotation.is_empty():
             lines.append(_format_annotation(inp.annotation))
-        lines.append(f"input {inp.name} : {format_type(inp.type)}")
+        lines.append(f"input {inp.name} : {inp.type}")
     for out in spec.outputs:
         lines.append(f"output {out.name}")
         for clause in out.clauses:
@@ -404,10 +397,9 @@ __all__ = [
     "ScalarType", "TupleType", "Type", "FLOAT64", "INT64", "UINT64", "BOOL",
     "INTLIT", "NUMERIC",
     "Const", "StreamRef", "Now", "OffsetAccess", "Proj", "Unary", "Binary",
-    "MinMax", "Expr", "TRUE", "FALSE",
-    "Pacing", "Annotation", "GlobalConfig", "PRIORITY_KIND", "DEADLINE_KIND",
-    "PRIORITY_LEVELS",
+    "MinMax", "Expr", "TRUE",
+    "Pacing", "Annotation", "GlobalConfig", "PRIORITY_LEVELS",
     "InputDecl", "EvalClause", "OutputDecl", "TriggerDecl", "Specification",
-    "conjoin", "negate", "format_expr", "format_pacing", "format_spec",
-    "format_type", "replace", "field",
+    "children", "conjoin", "negate", "format_expr", "format_pacing",
+    "format_spec",
 ]

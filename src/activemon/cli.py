@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import analyze
+from .analysis import AnalyzedSpec, analyze
 from .ast import format_spec
 from .engine import verify_model
 from .errors import SpecError
@@ -21,7 +22,7 @@ from .io import (read_json, read_model, read_trace, trigger_json,
                  violation_json, write_json, write_model, write_plan_log,
                  write_triggers)
 from .parser import parse_spec
-from .schedule import check_scheduled_model
+from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
 from .sim import (TraceSource, compute_metrics, generate_flight,
                   run_experiment, run_fixed, scenario_from_json,
@@ -29,13 +30,11 @@ from .sim import (TraceSource, compute_metrics, generate_flight,
 from .translate import translate
 
 SPEC_DIR = Path(__file__).parent / "specs"
-MODES = ["deadline", "priority", "dp"]
 
 
-def _load(path) -> tuple:
+def _load(path) -> AnalyzedSpec:
     text = Path(path).read_text(encoding="utf-8")
-    analyzed = analyze(parse_spec(text, filename=str(path)))
-    return analyzed
+    return analyze(parse_spec(text, filename=str(path)))
 
 
 def _frequency(text: str) -> Fraction:
@@ -49,11 +48,19 @@ def _frequency(text: str) -> Fraction:
     return freq
 
 
-def _emit_metrics(metrics, out_dir):
-    if out_dir is not None:
-        write_json(Path(out_dir) / "metrics.json", metrics.as_json())
-    else:
+def _emit(run, stream_names, metrics, out_dir):
+    """Triggers to stdout; triggers, model and metrics to out_dir if given,
+    else the metrics to stderr."""
+    for report in run.triggers:
+        print(trigger_json(report))
+    if not out_dir:
         print(json.dumps(metrics.as_json()), file=sys.stderr)
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_triggers(out / "triggers.jsonl", run.triggers)
+    write_model(out / "model.csv", run.model, stream_names)
+    write_json(out / "metrics.json", metrics.as_json())
 
 
 def cmd_translate(args) -> int:
@@ -94,45 +101,55 @@ def cmd_run(args) -> int:
     if not run.report.ok or run.report.deadline_warnings:
         for line in run.report.lines():
             print(line, file=sys.stderr)
-    for report in run.triggers:
-        print(trigger_json(report))
-    inputs = analyzed.spec.input_names()
-    metrics = compute_metrics(run.model, inputs, float(horizon),
+    metrics = compute_metrics(run.model, analyzed.spec.input_names(),
+                              float(horizon),
                               fingerprint=trace_fingerprint(trace))
+    _emit(run, tr.plain.spec.stream_names(), metrics, args.out_dir)
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_triggers(out / "triggers.jsonl", run.triggers)
-        write_model(out / "model.csv", run.model, tr.plain.spec.stream_names())
-        write_plan_log(out / "plans.jsonl", run.plans, tr.mode)
-        _emit_metrics(metrics, out)
-    else:
-        _emit_metrics(metrics, None)
+        write_plan_log(Path(args.out_dir) / "plans.jsonl", run.plans, tr.mode)
     return 0
 
 
 def cmd_baseline(args) -> int:
     analyzed = _load(args.spec)
     events = read_trace(args.trace, analyzed)
-    trace = sensor_trace_from_events(events, analyzed.spec.input_names())
-    horizon = args.horizon
-    base = run_fixed(analyzed, trace, args.freq, horizon)
-    for report in base.triggers:
-        print(trigger_json(report))
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_triggers(out / "triggers.jsonl", base.triggers)
-        write_model(out / "model.csv", base.model,
-                    analyzed.spec.stream_names())
-        _emit_metrics(base.metrics, out)
-    else:
-        _emit_metrics(base.metrics, None)
+    inputs = analyzed.spec.input_names()
+    trace = sensor_trace_from_events(events, inputs)
+    base = run_fixed(analyzed, trace, args.freq, args.horizon)
+    span = args.horizon if args.horizon is not None else float(trace.span()[1])
+    metrics = compute_metrics(base.model, inputs, span)
+    _emit(base, analyzed.spec.stream_names(), metrics, args.out_dir)
     return 0
 
 
-def cmd_compare(args) -> int:
-    config_path = Path(args.config)
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# optional compare config fields: (accepts the value, what it must be)
+_CONFIG_FIELDS = {
+    "mode": (lambda v: v in MODES, "one of " + ", ".join(MODES)),
+    "bound": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "horizon": (_positive, "a positive number"),
+    "window": (_positive, "a positive number"),
+    "baselines": (lambda v: isinstance(v, list) and all(map(_positive, v)),
+                  "a list of positive numbers"),
+    "groups": (lambda v: isinstance(v, dict)
+               and all(map(_strings, v.values())),
+               "an object of input-name lists"),
+    "trigger_kinds": (lambda v: isinstance(v, dict)
+                      and all(isinstance(kind, str) for kind in v.values()),
+                      "an object of kind names"),
+}
+
+
+def _read_config(config_path: Path) -> tuple:
+    """The compare config, every field checked, and its spec's path;
+    SpecError if malformed."""
     config = read_json(config_path)
     if not isinstance(config, dict) or not isinstance(config.get("spec"), str):
         raise SpecError(f"{config_path}: the config needs a \"spec\" file name")
@@ -147,6 +164,15 @@ def cmd_compare(args) -> int:
     if not isinstance(config.get("scenarios"), list) or not config["scenarios"]:
         raise SpecError(f"{config_path}: the config needs a nonempty "
                         "\"scenarios\" list")
+    for key, (ok, what) in _CONFIG_FIELDS.items():
+        if key in config and not ok(config[key]):
+            raise SpecError(f"{config_path}: \"{key}\" must be {what}, "
+                            f"got {config[key]!r}")
+    return config, spec_path
+
+
+def cmd_compare(args) -> int:
+    config, spec_path = _read_config(Path(args.config))
     analyzed = _load(spec_path)
     tr = translate(analyzed, config.get("mode", "dp"))
     result = run_experiment(config, analyzed, tr)

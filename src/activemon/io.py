@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .analysis import AnalyzedSpec
-from .ast import BOOL, FLOAT64, INT64, UINT64, ScalarType, TupleType, Type
+from .ast import BOOL, INT64, UINT64, TupleType, Type
 from .engine import ABSENT, Event, EvaluationModel, TriggerReport, Violation
 from .errors import NonMonotonicTime, SpecSyntaxError
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .ast import (
     BOOL, FLOAT64, INT64, UINT64,
     Annotation, Binary, Const, EvalClause, GlobalConfig, InputDecl, MinMax,
-    Now, OffsetAccess, OutputDecl, Pacing, Proj, ScalarType, Specification,
-    StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS,
+    Now, OffsetAccess, OutputDecl, Pacing, Proj, Specification,
+    StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS, children,
 )
 from .errors import DuplicateStream, SpecSyntaxError, UnknownStream
 
@@ -532,23 +532,12 @@ class Parser:
         inputs = set(spec.input_names())
 
         def check_expr(expr) -> None:
-            if isinstance(expr, StreamRef):
-                if expr.name not in seen:
-                    raise UnknownStream(expr.name)
-            elif isinstance(expr, OffsetAccess):
-                if expr.stream not in seen:
-                    raise UnknownStream(expr.stream)
-                check_expr(expr.default)
-            elif isinstance(expr, Proj):
-                check_expr(expr.operand)
-            elif isinstance(expr, Unary):
-                check_expr(expr.operand)
-            elif isinstance(expr, Binary):
-                check_expr(expr.left)
-                check_expr(expr.right)
-            elif isinstance(expr, MinMax):
-                for a in expr.args:
-                    check_expr(a)
+            if isinstance(expr, StreamRef) and expr.name not in seen:
+                raise UnknownStream(expr.name)
+            if isinstance(expr, OffsetAccess) and expr.stream not in seen:
+                raise UnknownStream(expr.stream)
+            for child in children(expr):
+                check_expr(child)
 
         def check_pacing(pacing: Pacing | None) -> None:
             if pacing is None or pacing.is_any:
@@ -576,9 +565,4 @@ def parse_spec(text: str, filename: str = "<spec>") -> Specification:
     return Parser(text, filename).parse()
 
 
-def load_spec(path) -> Specification:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read(), str(path))
-
-
-__all__ = ["parse_spec", "load_spec", "Parser"]
+__all__ = ["parse_spec", "Parser"]

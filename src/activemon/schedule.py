@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .analysis import AnalyzedSpec, AnnEntry
-from .ast import TRUE, Expr, Pacing, conjoin, format_expr
+from .analysis import AnalyzedSpec
+from .ast import Expr, Pacing, conjoin
 from .engine import (
-    ABSENT,
     EvaluationModel,
     ModelReader,
     Violation,
@@ -75,15 +74,11 @@ class StaticSchedule:
 
 
 def union_closure(base: set) -> frozenset:
-    tasks = {t for t in base if t}
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.combinations(list(tasks), 2):
-            u = a | b
-            if u not in tasks:
-                tasks.add(u)
-                grew = True
+    """Every nonempty union of a subset of `base`, one base task at a time."""
+    tasks: set = set()
+    for b in base:
+        if b:
+            tasks |= {b} | {t | b for t in tasks}
     return frozenset(tasks)
 
 
@@ -280,21 +275,25 @@ class DecisionOracle:
                 if inputs <= present and cond(read, offset_read, now) is True:
                     steps.append(s)
 
-        # then the sticky current value per task
+        # then the sticky current value per task, swept over the steps
+        # where one of its regions holds
         combine = schedule.restrictive()
         self.true_steps: dict = {}
         self.current: dict = {}
         for task, chain in schedule.entries.items():
             per_entry = [truth[(e.condition, e.pacing)][1] for e in chain]
             self.true_steps[task] = per_entry
+            holding: dict = {}  # step -> values of the regions holding there
+            for entry, steps in zip(chain, per_entry):
+                for s in steps:
+                    holding.setdefault(s, []).append(entry.value)
             values: list = []
             cur = None
-            marks = [set(steps) for steps in per_entry]
-            for s in range(self.n):
-                here = [chain[i].value for i, m in enumerate(marks) if s in m]
-                if here:
-                    cur = combine(here)
+            for s in sorted(holding):
+                values += [cur] * (s - len(values))
+                cur = combine(holding[s])
                 values.append(cur)
+            values += [cur] * (self.n - len(values))
             self.current[task] = values
 
     # -- helpers ------------------------------------------------------------
@@ -360,9 +359,8 @@ class DecisionOracle:
         p1 = self.current[task][step]
         if p1 is None:
             return False
-        for sup in self.schedule.universe:
-            if task <= sup and sup in self.sat_sets[step + 1]:
-                return False
+        if task in self.sat_sets[step + 1]:  # as is under a satisfied superset
+            return False
         for other in self.schedule.universe:
             p2 = self.current[other][step]
             if p2 is None or other not in self.sat_sets[step + 1]:

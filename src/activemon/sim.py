@@ -318,12 +318,14 @@ def pool_metrics(runs) -> RunMetrics:
 class BaselineRun:
     model: EvaluationModel
     triggers: list
-    metrics: RunMetrics
 
 
 def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
-              horizon: Optional[float] = None, groups: Optional[dict] = None) -> BaselineRun:
-    """Query every sensor each 1/freq seconds and feed the monitor."""
+              horizon: Optional[float] = None) -> BaselineRun:
+    """Query every sensor each 1/freq seconds and feed the monitor.
+
+    Events run up to `horizon` (exclusive) or else through the last sample.
+    """
     freq = Fraction(str(freq)) if isinstance(freq, float) else Fraction(freq)
     if freq <= 0:
         raise ValueError("frequency must be positive")
@@ -331,26 +333,36 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     source = TraceSource(trace)
     _, last = trace.span()
     inputs = analyzed.spec.input_names()
-    events = []
-    k = 0
-    while True:
-        at = k * period
-        if horizon is not None:
-            if at >= horizon:
-                break
-        elif at > last:
-            break
-        events.append(Event(at, {s: source.query(s, at) for s in inputs}))
-        k += 1
-    model, triggers = run_monitor_full(analyzed, events)
-    span = horizon if horizon is not None else float(last)
-    metrics = compute_metrics(model, inputs, span, groups,
-                              trace_fingerprint(trace))
-    return BaselineRun(model, triggers, metrics)
+
+    def events():
+        k = 0
+        while True:
+            at = k * period
+            if (at >= horizon) if horizon is not None else (at > last):
+                return
+            yield Event(at, {s: source.query(s, at) for s in inputs})
+            k += 1
+
+    return BaselineRun(*run_monitor_full(analyzed, events()))
 
 
 # ---------------------------------------------------------------------------
 # run comparison
+
+_COLUMNS = ("run", "trigger", "crossing", "detection", "delay")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _csv_lines(rows, columns):
+    """Comparison rows as CSV: numbers by repr, an empty cell for None."""
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join(_cell(row[c]) for c in columns)
 
 
 @dataclass
@@ -360,12 +372,7 @@ class ComparisonReport:
     summary: dict  # run name -> aggregate stats
 
     def csv_lines(self):
-        yield "run,trigger,crossing,detection,delay"
-        for row in self.rows:
-            det = "" if row["detection"] is None else repr(row["detection"])
-            delay = "" if row["delay"] is None else repr(row["delay"])
-            yield (f"{row['run']},{row['trigger']},{row['crossing']!r},"
-                   f"{det},{delay}")
+        return _csv_lines(self.rows, _COLUMNS)
 
 
 def _quartiles(values):
@@ -375,6 +382,22 @@ def _quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def summarize(rows, metrics_by_run: dict) -> dict:
+    """Per run: delay quartiles, matched and missed crossings, and the
+    bandwidth pooled over its RunMetrics list in `metrics_by_run`."""
+    summary = {}
+    for name, metrics in metrics_by_run.items():
+        own = [r for r in rows if r["run"] == name]
+        delays = [r["delay"] for r in own if r["delay"] is not None]
+        q1, q2, q3 = _quartiles(delays)
+        summary[name] = {
+            "median_delay": q2, "q1_delay": q1, "q3_delay": q3,
+            "matched": len(delays),
+            "missed": sum(1 for r in own if r["detection"] is None),
+            "bandwidth": pool_metrics(metrics).as_json()}
+    return summary
 
 
 def compare_runs(runs, ground_truth: dict, window: float = 5.0) -> ComparisonReport:
@@ -406,16 +429,7 @@ def compare_runs(runs, ground_truth: dict, window: float = 5.0) -> ComparisonRep
                 rows.append({"run": name, "trigger": trigger, "crossing": ci,
                              "detection": hit, "delay": delay})
 
-    summary = {}
-    for name, _, metrics in runs:
-        delays = [r["delay"] for r in rows
-                  if r["run"] == name and r["delay"] is not None]
-        missed = sum(1 for r in rows
-                     if r["run"] == name and r["detection"] is None)
-        q1, q2, q3 = _quartiles(delays)
-        summary[name] = {"delays": delays, "median_delay": q2,
-                         "q1_delay": q1, "q3_delay": q3, "missed": missed,
-                         "bandwidth": metrics.as_json()}
+    summary = summarize(rows, {name: [m] for name, _, m in runs})
     return ComparisonReport(window, rows, summary)
 
 
@@ -438,12 +452,7 @@ class ExperimentResult:
     summary: dict
 
     def csv_lines(self):
-        yield "seed,run,trigger,crossing,detection,delay"
-        for row in self.rows:
-            det = "" if row["detection"] is None else repr(row["detection"])
-            delay = "" if row["delay"] is None else repr(row["delay"])
-            yield (f"{row['seed']},{row['run']},{row['trigger']},"
-                   f"{row['crossing']!r},{det},{delay}")
+        return _csv_lines(self.rows, ("seed",) + _COLUMNS)
 
 
 def run_experiment(config: dict, analyzed: AnalyzedSpec,
@@ -472,12 +481,12 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
                  for trigger, kind in kinds.items()}
 
         sched = run_scheduled(translation, TraceSource(trace), horizon, bound)
-        sched_metrics = compute_metrics(
-            sched.model, inputs, horizon, groups, fingerprint)
-        runs = [(f"scheduled_{mode}", sched.triggers, sched_metrics)]
-        for f in baselines:
-            base = run_fixed(analyzed, trace, f, horizon, groups)
-            runs.append((f"fixed_{float(f):g}hz", base.triggers, base.metrics))
+        named = [(f"scheduled_{mode}", sched)] + [
+            (f"fixed_{float(f):g}hz", run_fixed(analyzed, trace, f, horizon))
+            for f in baselines]
+        runs = [(name, run.triggers, compute_metrics(
+                    run.model, inputs, horizon, groups, fingerprint))
+                for name, run in named]
 
         report = compare_runs(runs, truth, window)
         for name, _, m in runs:
@@ -486,19 +495,9 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
         for row in report.rows:
             rows.append(dict(row, seed=scenario.seed))
 
-    summary = {"window": window, "monitors": {}, "scenarios": [
-        {"seed": r.scenario.seed, **{k: v for k, v in r.crossings.items()}}
-        for r in results]}
-    for name in metrics:
-        delays = [r["delay"] for r in rows
-                  if r["run"] == name and r["delay"] is not None]
-        missed = sum(1 for r in rows
-                     if r["run"] == name and r["detection"] is None)
-        q1, q2, q3 = _quartiles(delays)
-        summary["monitors"][name] = {
-            "median_delay": q2, "q1_delay": q1, "q3_delay": q3,
-            "matched": len(delays), "missed": missed,
-            "bandwidth": pool_metrics(metrics[name]).as_json()}
+    summary = {"window": window, "monitors": summarize(rows, metrics),
+               "scenarios": [{"seed": r.scenario.seed, **r.crossings}
+                             for r in results]}
     return ExperimentResult(results, rows, summary)
 
 
@@ -507,5 +506,5 @@ __all__ = [
     "GRID_HZ", "RunMetrics", "ScenarioResult", "SensorTrace", "TraceSource",
     "compare_runs", "compute_metrics", "flight_crossings", "generate_flight",
     "pool_metrics", "run_experiment", "run_fixed", "scenario_from_json",
-    "sensor_trace_from_events", "trace_fingerprint",
+    "sensor_trace_from_events", "summarize", "trace_fingerprint",
 ]

@@ -29,13 +29,11 @@ from .ast import (
     OutputDecl,
     Pacing,
     Specification,
-    StreamRef,
     Unary,
 )
 from .schedule import (
     MODE_DEADLINE,
     MODE_PRIORITY,
-    ScheduleEntry,
     StaticSchedule,
     Task,
     build_static_schedule,
@@ -113,7 +111,7 @@ def _schedule_clauses(mode: str, regions: tuple,
 
 
 def _overdue_expr(task: Task, bound: Fraction, schedule: StaticSchedule,
-                  names: dict, input_order: list) -> Expr:
+                  names: dict) -> Expr:
     subs = sorted((s for s in schedule.tracked if s <= task),
                   key=lambda s: tuple(sorted(s)))
     reads = [
@@ -160,7 +158,7 @@ def translate(analyzed: AnalyzedSpec, mode: str,
             helpers.append(OutputDecl(kinds["overdue"], (
                 EvalClause(Pacing.any_event(), None,
                            _overdue_expr(task, schedule.bounds[task],
-                                         schedule, names, input_order)),)))
+                                         schedule, names)),)))
 
     plain_inputs = tuple(
         InputDecl(i.name, i.type, None) for i in spec.inputs)
@@ -177,10 +175,9 @@ def translate(analyzed: AnalyzedSpec, mode: str,
 
     table = {
         "mode": mode,
-        "default_deadline": (
-            None if schedule.bounds is None else _json_deadline(
-                default_deadline if default_deadline is not None
-                else analyzed.config.default_deadline)),
+        "default_deadline": _json_deadline(
+            default_deadline if default_deadline is not None
+            else analyzed.config.default_deadline),
         "tasks": [
             {
                 "inputs": [n for n in input_order if n in task],

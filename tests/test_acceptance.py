@@ -191,8 +191,10 @@ def test_criterion_5_scheduled_bandwidth_halves_the_fast_baseline(drone_text):
     from activemon.sim import compute_metrics
     sched = compute_metrics(run.model, inputs, 60.0,
                             fingerprint=trace_fingerprint(trace))
-    slow = run_fixed(analyzed, trace, 1, horizon=60.0).metrics
-    fast = run_fixed(analyzed, trace, 2, horizon=60.0).metrics
+    slow = compute_metrics(run_fixed(analyzed, trace, 1, horizon=60.0).model,
+                           inputs, 60.0)
+    fast = compute_metrics(run_fixed(analyzed, trace, 2, horizon=60.0).model,
+                           inputs, 60.0)
 
     assert abs(sched.total_values - 240) <= 2
     assert sched.values_per_second == 4.0

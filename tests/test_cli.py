@@ -317,6 +317,22 @@ def test_compare_without_scenarios_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mode", "fast"), ("horizon", "long"), ("horizon", -5), ("bound", "two"),
+    ("bound", 0), ("bound", True), ("window", None), ("baselines", [0]),
+    ("groups", ["a"]), ("trigger_kinds", ["x"]),
+])
+def test_invalid_compare_config_field_is_a_usage_error(tmp_path, capsys,
+                                                        key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                  "scenarios": [{"seed": 101}], key: value}))
+    err = _usage_error(["compare", "--config", str(config),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert f'"{key}"' in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_smoke(spec_dir):
     result = subprocess.run(
         [sys.executable, "-m", "activemon.cli",

@@ -1,9 +1,11 @@
 """Task universe, region tables, and the per-step decision oracle."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from activemon.analysis import analyze
 from activemon.engine import Event, run_monitor
@@ -36,6 +38,14 @@ def test_union_closure():
     assert union_closure(base) == tasks("a", "b", "ab")
     assert union_closure({frozenset("ab"), frozenset("bc")}) == \
         tasks("ab", "bc", "abc")
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=6))
+def test_union_closure_is_every_union_of_base_tasks(base):
+    expected = {frozenset().union(*subset)
+                for k in range(1, len(base) + 1)
+                for subset in combinations(base, k)} - {frozenset()}
+    assert union_closure(set(base)) == expected
 
 
 def test_geofence_universe(geofence_text):

@@ -168,12 +168,14 @@ def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
 def test_fixed_baseline_queries_every_sensor(drone_text):
     analyzed = analyze(parse_spec(drone_text))
     trace = generate_flight(FlightScenario(seed=137))
+    inputs = analyzed.spec.input_names()
     base = run_fixed(analyzed, trace, 2, horizon=60.0)
     assert len(base.model) == 120
-    assert base.metrics.total_values == 480
-    assert base.metrics.values_per_second == 8.0
+    metrics = compute_metrics(base.model, inputs, 60.0)
+    assert metrics.total_values == 480
+    assert metrics.values_per_second == 8.0
     half = run_fixed(analyzed, trace, 1, horizon=60.0)
-    assert half.metrics.values_per_second == 4.0
+    assert compute_metrics(half.model, inputs, 60.0).values_per_second == 4.0
 
 
 def test_fixed_baseline_defaults_to_trace_span():
