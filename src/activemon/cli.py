@@ -48,6 +48,33 @@ def _frequency(text: str) -> Fraction:
     return freq
 
 
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a run length: a positive finite number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not _positive(seconds):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number: {text!r}")
+    return seconds
+
+
+def _bandwidth(text: str) -> int:
+    """argparse type for a bandwidth bound: an integer of at least 1."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return bound
+
+
 def _emit(run, stream_names, metrics, out_dir):
     """Triggers to stdout; triggers, model and metrics to out_dir if given,
     else the metrics to stderr."""
@@ -120,10 +147,6 @@ def cmd_baseline(args) -> int:
     metrics = compute_metrics(base.model, inputs, span)
     _emit(base, analyzed.spec.stream_names(), metrics, args.out_dir)
     return 0
-
-
-def _positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
 
 
 def _strings(value) -> bool:
@@ -223,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--trace", help="event trace CSV to replay")
     src.add_argument("--scenario", help="flight scenario JSON to synthesize")
     r.add_argument("--mode", choices=MODES, default="dp")
-    r.add_argument("--horizon", type=float, help="run length in seconds")
-    r.add_argument("--bound", type=int, help="bandwidth override")
+    r.add_argument("--horizon", type=_seconds, help="run length in seconds")
+    r.add_argument("--bound", type=_bandwidth, help="bandwidth override")
     r.add_argument("--out-dir", help="write triggers/model/plans/metrics here")
     r.set_defaults(func=cmd_run)
 
@@ -233,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trace", required=True)
     b.add_argument("--freq", required=True, type=_frequency,
                    help="sampling frequency in Hz")
-    b.add_argument("--horizon", type=float)
+    b.add_argument("--horizon", type=_seconds)
     b.add_argument("--out-dir")
     b.set_defaults(func=cmd_baseline)
 
@@ -246,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("spec")
     k.add_argument("--model", required=True)
     k.add_argument("--mode", choices=MODES, default="dp")
-    k.add_argument("--bound", type=int)
+    k.add_argument("--bound", type=_bandwidth)
     k.set_defaults(func=cmd_check)
     return p
 

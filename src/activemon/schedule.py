@@ -247,15 +247,31 @@ class DecisionOracle:
         self.period = analyzed.config.period
         reader = ModelReader(model)
         inputs = analyzed.spec.input_names()
+        # every per-step verdict and violation follows this one order
+        self.tasks = sorted(schedule.universe, key=task_key)
         self.present = [model.present_inputs(inputs, t) for t in range(self.n)]
-        self.sat_sets = [
-            frozenset(t for t in schedule.universe if t <= self.present[step])
-            for step in range(self.n)
+        by_present: dict = {}  # the satisfied tasks per set of present inputs
+        self.sat_sets = []
+        for present in self.present:
+            if present not in by_present:
+                by_present[present] = frozenset(
+                    t for t in self.tasks if t <= present)
+            self.sat_sets.append(by_present[present])
+        self.sat_steps: dict = {task: [] for task in self.tasks}
+        for s, sat in enumerate(self.sat_sets):
+            for task in sat:
+                self.sat_steps[task].append(s)
+
+        # staleness: the distinct bounds, and per task its bound's index
+        # and the tracked subtasks whose satisfaction refreshes it
+        self.staleness_bounds = sorted(
+            {b for b in schedule.bounds.values() if b is not None})
+        index = {b: i for i, b in enumerate(self.staleness_bounds)}
+        self.staleness = [
+            (task, index[schedule.bounds[task]],
+             frozenset(t for t in schedule.tracked if t <= task))
+            for task in self.tasks if schedule.bounds.get(task) is not None
         ]
-        self.sat_steps: dict = {
-            task: [s for s in range(self.n) if task in self.sat_sets[s]]
-            for task in schedule.universe
-        }
 
         # region truth per step, each distinct region decided once
         truth: dict = {}
@@ -309,20 +325,22 @@ class DecisionOracle:
         i = bisect_right(steps, upto)
         return steps[i - 1] if i else None
 
-    def overdue(self, task: Task, step: int) -> bool:
-        """Staleness at `step`, from satisfactions strictly before it."""
-        bound = self.schedule.bounds.get(task)
-        if bound is None:
-            return False
-        last: Optional[int] = None
+    def overdue_at(self, step: int) -> dict:
+        """Staleness of every task at `step`, from satisfactions strictly
+        before it: a bounded task is overdue unless one of its tracked
+        subtasks was last satisfied within its bound."""
+        now = self._time(step)
+        ages = []
         for sub in self.schedule.tracked:
-            if sub <= task:
-                s = self._last_sat(sub, step - 1)
-                if s is not None and (last is None or s > last):
-                    last = s
-        if last is None:
-            return True
-        return self._time(step) - self.model.times[last] > bound
+            last = self._last_sat(sub, step - 1)
+            if last is not None:
+                ages.append((sub, now - self.model.times[last]))
+        fresh = [frozenset(sub for sub, age in ages if age <= bound)
+                 for bound in self.staleness_bounds]
+        over = dict.fromkeys(self.tasks, False)
+        for task, i, subs in self.staleness:
+            over[task] = subs.isdisjoint(fresh[i])
+        return over
 
     # -- the three obligation rules -----------------------------------------
 
@@ -332,14 +350,13 @@ class DecisionOracle:
             raise ValueError(f"step {step} needs the model through {step + 2}")
         if self.schedule.mode == MODE_DEADLINE:
             return self._decide_deadline(step)
-        if self.schedule.mode == MODE_PRIORITY:
-            return self._decide_priority(step)
-        return self._decide_dp(step)
+        # priority mode sets no staleness bounds, so nothing is overdue there
+        return self._decide_priority(step, self.overdue_at(step + 1))
 
     def _decide_deadline(self, step: int) -> dict:
         out = {}
         horizon = self._time(step + 2)
-        for task in self.schedule.universe:
+        for task in self.tasks:
             verdict = "M"
             anchor = self._last_sat(task, step)
             lo = anchor if anchor is not None else 0
@@ -353,40 +370,23 @@ class DecisionOracle:
             out[task] = verdict
         return out
 
-    def _priority_witness(self, task: Task, step: int,
-                          extra: Optional[Callable[[Task], bool]] = None) -> bool:
-        """A strictly lower-priority satisfied task while this one is unserved."""
-        p1 = self.current[task][step]
-        if p1 is None:
-            return False
-        if task in self.sat_sets[step + 1]:  # as is under a satisfied superset
-            return False
-        for other in self.schedule.universe:
-            p2 = self.current[other][step]
-            if p2 is None or other not in self.sat_sets[step + 1]:
-                continue
-            if p1 > p2 and (extra is None or extra(other)):
-                return True
-        return False
-
-    def _decide_priority(self, step: int) -> dict:
-        return {
-            task: "Y" if self._priority_witness(task, step) else "M"
-            for task in self.schedule.universe
-        }
-
-    def _decide_dp(self, step: int) -> dict:
+    def _decide_priority(self, step: int, over: dict) -> dict:
+        """An unserved task is obliged when a fresh satisfied task has a
+        strictly lower current priority, and an overdue task is obliged as
+        soon as any fresh task is satisfied."""
+        sat = self.sat_sets[step + 1]
+        current = self.current
+        fresh = [t for t in sat if not over[t]]
+        floor = min((v for t in fresh if (v := current[t][step]) is not None),
+                    default=None)
+        fresh_sat = bool(fresh)
         out = {}
-        over = {t: self.overdue(t, step + 1) for t in self.schedule.universe}
-        fresh_sat = [t for t in self.sat_sets[step + 1] if not over[t]]
-        for task in self.schedule.universe:
-            if over[task] and fresh_sat:
-                out[task] = "Y"
-            elif self._priority_witness(task, step,
-                                        extra=lambda o: not over[o]):
-                out[task] = "Y"
-            else:
-                out[task] = "M"
+        for task in self.tasks:
+            p = current[task][step]
+            obliged = (fresh_sat and over[task]) or (
+                floor is not None and p is not None and p > floor
+                and task not in sat)  # as is under a satisfied superset
+            out[task] = "Y" if obliged else "M"
         return out
 
 

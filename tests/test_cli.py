@@ -307,6 +307,29 @@ def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
     assert "--freq" in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--horizon", "inf"), ("run", "--horizon", "nan"),
+    ("run", "--horizon", "0"), ("run", "--horizon", "-1"),
+    ("run", "--horizon", "abc"), ("baseline", "--horizon", "-1"),
+    ("baseline", "--horizon", "0"), ("run", "--bound", "0"),
+    ("run", "--bound", "-1"), ("check", "--bound", "-3"),
+    ("check", "--bound", "2.5"),
+])
+def test_invalid_numeric_flag_is_a_usage_error(spec_dir, conflict_trace,
+                                               conflict_model, capsys,
+                                               command, flag, value):
+    spec = str(spec_dir / "priority_conflict.lola")
+    argv = {
+        "run": ["run", spec, "--trace", str(conflict_trace)],
+        "baseline": ["baseline", spec, "--trace", str(conflict_trace),
+                     "--freq", "1"],
+        "check": ["check", spec, "--model", str(conflict_model),
+                  "--mode", "priority"],
+    }[command]
+    err = _usage_error(argv + [flag, value], capsys)
+    assert flag in err
+
+
 def test_compare_without_scenarios_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "empty.json"
     config.write_text(json.dumps({"spec": "drone_experiment.lola",

@@ -1,19 +1,31 @@
 """Task universe, region tables, and the per-step decision oracle."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen_specs
 from activemon.analysis import analyze
 from activemon.engine import Event, run_monitor
 from activemon.errors import MixedAnnotationKinds, PreconditionViolation
+from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.schedule import (DecisionOracle, build_static_schedule,
                                 build_task_universe, check_scheduled_model,
-                                union_closure, valid_tasks)
+                                task_key, union_closure, valid_tasks)
+from activemon.scheduler import run_scheduled
+from activemon.sim import FlightScenario, TraceSource, generate_flight
+from activemon.translate import translate
+from reference_oracle import ReferenceOracle
 
 GL = "gps_lat_long"
 GA = "gps_altitude"
@@ -281,6 +293,122 @@ def test_bandwidth_overrun_is_flagged():
         Event(Fraction(0), {"a": 1.0, "b": 1.0, "c": 1.0})])
     violations = check_scheduled_model(analyzed, sched, 2, model)
     assert any(v.kind == "bandwidth" for v in violations)
+
+
+def test_priority_tie_is_not_a_witness():
+    # a value equal to the floor of the satisfied tasks obliges nothing
+    text = PRIORITY_PAIR.replace('"medium"', '"high"')
+    events = [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+              Event(Fraction(1), {"b": 2.0})]
+    oracle, sched, model, analyzed = oracle_for(text, "priority", events)
+    assert oracle.current[frozenset({"a"})][0] == \
+        oracle.current[frozenset({"b"})][0]
+    assert all(v == "M" for v in oracle.decide(0).values())
+    assert check_scheduled_model(analyzed, sched, 2, model) == []
+
+
+def test_dp_overdue_without_a_fresh_satisfied_task_is_free():
+    # x served at 0 and again at 3 is overdue there, like the never served
+    # y, so nothing satisfied at step 1 is fresh and nothing is obliged
+    events = [Event(Fraction(0), {"x": 1.0}), Event(Fraction(3), {"x": 2.0})]
+    oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
+    assert all(oracle.overdue_at(1).values())
+    assert all(v == "M" for v in oracle.decide(0).values())
+    assert check_scheduled_model(analyzed, sched, 1, model) == []
+
+
+def test_dp_task_never_served_since_step_0_is_overdue_throughout():
+    events = [Event(Fraction(t), {"x": 1.0}) for t in range(4)]
+    oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
+    x, y, xy = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
+    for step in range(4):
+        over = oracle.overdue_at(step)
+        assert over[y]
+        # the union is refreshed by its tracked subtask x from step 1 on
+        assert over[xy] == over[x] == (step == 0)
+    assert all(oracle.decide(step)[y] == "Y" for step in range(3))
+    violations = check_scheduled_model(analyzed, sched, 1, model)
+    assert {(v.task, v.step) for v in violations} == \
+        {(("y",), 1), (("y",), 2), (("y",), 3)}
+
+
+def test_dp_bound_without_a_tracked_subtask_is_always_overdue():
+    # y keeps its staleness bound but nothing can refresh it
+    events = [Event(Fraction(t), {"x": 1.0, "y": 1.0}) for t in range(3)]
+    analyzed = analyze(parse_spec(DP_PAIR))
+    sched = build_static_schedule(analyzed, "dp")
+    sched = replace(sched, tracked=frozenset({frozenset({"x"})}))
+    model = run_monitor(analyzed, events)
+    oracle = DecisionOracle(analyzed, sched, model)
+    reference = ReferenceOracle(analyzed, sched, model)
+    y = frozenset({"y"})
+    assert sched.bounds[y] is not None
+    for step in range(3):
+        assert oracle.overdue_at(step)[y]
+        assert oracle.overdue_at(step) == \
+            {t: reference.overdue(t, step) for t in sched.universe}
+    for step in range(2):
+        assert oracle.decide(step) == reference.decide(step)
+
+
+def test_check_lists_violations_by_step_then_sorted_task(tmp_path):
+    # the inversion of test_priority_inversion_is_flagged: two violations
+    # at step 1, printed in one order whatever the string hash
+    tr = translate(analyze(parse_spec(PRIORITY_PAIR)), "priority")
+    model = run_monitor(tr.plain, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+                                   Event(Fraction(1), {"b": 2.0})])
+    spec = tmp_path / "pair.lola"
+    spec.write_text(PRIORITY_PAIR)
+    path = tmp_path / "model.csv"
+    write_model(path, model, tr.plain.spec.stream_names())
+    argv = [sys.executable, "-m", "activemon.cli", "check", str(spec),
+            "--model", str(path), "--mode", "priority", "--bound", "2"]
+    outs = [subprocess.run(argv, capture_output=True, timeout=60,
+                           env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("1", "2")]
+    assert [o.returncode for o in outs] == [1, 1]
+    assert outs[0].stdout == outs[1].stdout
+    lines = [json.loads(line) for line in outs[0].stdout.splitlines()]
+    assert [(v["step"], v["task"]) for v in lines] == \
+        [(1, ["a"]), (1, ["a", "b"])]
+
+
+def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
+    analyzed = analyze(parse_spec(drone_text))
+    tr = translate(analyzed, "dp")
+    trace = generate_flight(FlightScenario(seed=3, duration=10.0))
+    model = run_scheduled(tr, TraceSource(trace), 10, 2).model
+    oracle = DecisionOracle(tr.plain, tr.schedule, model)
+    expected = sorted(tr.schedule.universe, key=task_key)
+    assert all(list(oracle.decide(step)) == expected
+               for step in range(len(model) - 1))
+
+
+def _differential_models(seed, mode):
+    """Models of one generated instance: scheduled at bound 1 and at the
+    instance bound, and one monitor run over a free generated trace."""
+    rng = Random(seed)
+    text, bound, horizon, trace = gen_specs.gen_instance(rng, mode)
+    tr = translate(analyze(parse_spec(text)), mode)
+    for b in (1, bound):
+        yield tr, run_scheduled(tr, TraceSource(trace), horizon, b).model
+    events = gen_specs.gen_trace(rng, tr.plain.spec.input_names(), 25)
+    yield tr, run_monitor(tr.plain, events)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES))
+@settings(max_examples=100, deadline=None)
+def test_oracle_matches_the_per_task_reference(seed, mode):
+    for tr, model in _differential_models(seed, mode):
+        if len(model) < 2:
+            continue
+        oracle = DecisionOracle(tr.plain, tr.schedule, model)
+        reference = ReferenceOracle(tr.plain, tr.schedule, model)
+        assert oracle.sat_sets == reference.sat_sets
+        assert oracle.sat_steps == reference.sat_steps
+        for step in range(len(model) - 1):
+            assert oracle.decide(step) == reference.decide(step)
 
 
 def test_valid_tasks_requires_union_closure_selection():
