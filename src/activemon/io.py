@@ -170,10 +170,15 @@ def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
         if not header or header[0] != "time":
             raise SpecSyntaxError("model header must start with 'time'", str(path), 1, 1)
         names = header[1:]
-        missing = set(names) - set(types)
+        unknown = set(names) - set(types)
+        if unknown:
+            raise SpecSyntaxError(
+                f"model columns are not spec streams: {sorted(unknown)}",
+                str(path), 1, 1)
+        missing = set(types) - set(names)
         if missing:
             raise SpecSyntaxError(
-                f"model columns are not spec streams: {sorted(missing)}",
+                f"model lacks columns for spec streams: {sorted(missing)}",
                 str(path), 1, 1)
         model = EvaluationModel(streams={name: [] for name in names})
         columns = [model.streams[name] for name in names]

@@ -21,7 +21,6 @@ from .schedule import (
     MODE_DEADLINE,
     MODE_PRIORITY,
     StaticSchedule,
-    Task,
     format_task,
     task_key,
 )
@@ -57,108 +56,123 @@ def selected_tasks(universe: frozenset, flat: frozenset) -> frozenset:
 
 
 class SchedulerState:
-    """Urgency caches, kept exact and refreshed from each step's values."""
+    """Urgency caches, kept exact and refreshed from each step's values.
+
+    Time in the loop is the cycle index: `plan` is called once per cycle,
+    at k * period for k = 0, 1, ..., and counts it; `observe` records, on
+    every working superset of each tracked task whose `last_*` helper
+    fired, the cycle at which it did. A task with staleness bound b is then
+    overdue at cycle k iff k - seen > floor(b / period), which is exact
+    because both sides are integers.
+    """
 
     def __init__(self, translation: Translation, bound: int):
-        self.schedule = translation.schedule
-        self.names = translation.names
+        schedule = translation.schedule
+        self.universe = schedule.universe
+        self.period = translation.analyzed.config.period
         self.bound = bound
         self.working = sorted(
-            (t for t in self.schedule.universe if len(t) <= bound),
-            key=task_key)
-        self._direct = frozenset(self.schedule.direct)
+            (t for t in schedule.universe if len(t) <= bound), key=task_key)
+        self.deadline = schedule.mode == MODE_DEADLINE
         self.values: dict = {}  # Task -> current schedule value, exact
-        self.last: dict = {}  # tracked direct Task -> last satisfaction time
-        self.combine = self.schedule.restrictive()
-        # schedule streams carry floats in deadline mode; map back exactly
-        self.exact: dict = {
-            task: {self._payload(e.value): e.value for e in entries}
-            for task, entries in self.schedule.entries.items()
-        }
+        self.seen: dict = {}  # working Task -> cycle of its last satisfaction
+        self.cycle = -1  # the cycle last planned
+        self.combine = schedule.restrictive()
+        direct = frozenset(schedule.direct)
+        # per direct task: its schedule stream with the map from the
+        # stream's payload back to the exact value (deadline streams carry
+        # floats), and its last stream with the working tasks it refreshes
+        self._rows = []
+        for task in schedule.direct:
+            kinds = translation.names[task]
+            exact = {float(e.value) if self.deadline else e.value: e.value
+                     for e in schedule.entries[task]}
+            last = kinds.get("last")
+            refreshed = tuple(t for t in self.working if task <= t) if last else ()
+            self._rows.append((task, kinds.get("schedule"), exact, last, refreshed))
+        self._joint = [(t, schedule.joint[t]) for t in self.working
+                       if t not in direct and schedule.joint.get(t)]
+        # the static part of each rank key; the index in `working` breaks
+        # ties in task_key order
+        stale = schedule.mode != MODE_PRIORITY
+        self._static = [
+            (i, task, bool(schedule.entries.get(task)), task in direct,
+             schedule.bounds[task] // self.period
+             if stale and schedule.bounds.get(task) is not None else None)
+            for i, task in enumerate(self.working)]
+        self._selected: dict = {}  # flat -> the universe tasks it satisfies
 
-    def _payload(self, value):
-        return float(value) if self.schedule.mode == MODE_DEADLINE else value
-
-    def observe(self, current: dict, time: Fraction) -> None:
-        """Fold one evaluated step into the urgency caches."""
+    def observe(self, current: dict) -> None:
+        """Fold the evaluated step of the cycle last planned into the caches."""
         fired: dict = {}
-        for task in self.schedule.direct:
-            kinds = self.names[task]
-            name = kinds.get("schedule")
+        values, seen, cycle = self.values, self.seen, self.cycle
+        for task, name, exact, last, refreshed in self._rows:
             if name is not None:
                 raw = current.get(name, ABSENT)
                 if raw is not ABSENT:
-                    value = self.exact[task].get(raw, raw)
-                    fired[task] = value
-                    self.values[task] = value
-            lname = kinds.get("last")
-            if lname is not None and current.get(lname, ABSENT) is not ABSENT:
-                self.last[task] = time
-        for task in self.working:
-            joint = self.schedule.joint.get(task, frozenset())
-            if task in self.schedule.direct or not joint:
-                continue
+                    fired[task] = values[task] = exact.get(raw, raw)
+            if last is not None and current.get(last, ABSENT) is not ABSENT:
+                for sup in refreshed:
+                    seen[sup] = cycle
+        for task, joint in self._joint:
             if all(src in fired for src in joint):
-                self.values[task] = self.combine(fired[src] for src in joint)
+                values[task] = self.combine(fired[src] for src in joint)
 
-    def last_satisfied(self, task: Task) -> Optional[Fraction]:
-        best = None
-        for sub in self.schedule.tracked:
-            if sub <= task:
-                t = self.last.get(sub)
-                if t is not None and (best is None or t > best):
-                    best = t
-        return best
-
-    def overdue(self, task: Task, at: Fraction) -> bool:
-        bound = self.schedule.bounds.get(task)
-        if bound is None:
-            return False
-        seen = self.last_satisfied(task)
-        if seen is None:
-            return True
-        return at - seen > bound
-
-    def _key(self, task: Task, at: Fraction):
-        ranked = bool(self.schedule.entries.get(task))
-        value = self.values.get(task)
-        seen = self.last_satisfied(task)
-        age = seen if seen is not None else _NEVER
-        lex = task_key(task)
-        mode = self.schedule.mode
-        if mode == MODE_DEADLINE:
-            # deadlines never conflict through side satisfactions, so
-            # every task ranks on its own urgency
+    def _deadline_keys(self) -> list:
+        # deadlines never conflict through side satisfactions, so
+        # every task ranks on its own urgency
+        keys = []
+        for i, task, ranked, _, _ in self._static:
+            seen = self.seen.get(task)
+            age = seen if seen is not None else _NEVER
+            value = self.values.get(task)
             if not ranked:
-                return (3, 0, age, lex)
-            if value is None or seen is None:
-                return (0, 0, age, lex)  # bootstrap: rank as most urgent
-            return (1, seen + value, 0, lex)
-        # Priority-based order. Overdue tasks go first: serving stale
-        # tasks never counts as an inversion against anyone. Then direct
-        # tasks in strict observed-priority order with a stable tie break;
-        # rotating ties would rotate which side unions fire and leave
-        # stale union claims behind. Unknown-value tasks follow (serving
-        # them can satisfy low-priority side tasks, which is an inversion
-        # while any known higher-priority task is pending), then plain
-        # fillers. Non-overdue union tasks come dead last: they are
-        # satisfied for free whenever their parts are packed, and packing
-        # them directly would inject their weakest member into the event.
-        if mode != MODE_PRIORITY and self.overdue(task, at):
-            urgency = -(value if value is not None else _UNRANKED)
-            return (0, urgency, age, lex)
-        if not ranked:
-            return (3, 0, age, lex)
-        if task not in self._direct:
-            return (4, -(value if value is not None else _UNRANKED), 0, lex)
-        if value is not None:
-            return (1, -value, 0, lex)
-        return (2, 0, 0, lex)
+                keys.append((3, 0, age, i))
+            elif value is None or seen is None:
+                keys.append((0, 0, age, i))  # bootstrap: rank as most urgent
+            else:
+                keys.append((1, seen * self.period + value, 0, i))
+        return keys
+
+    def _priority_keys(self) -> list:
+        # Overdue tasks go first: serving stale tasks never counts as an
+        # inversion against anyone. Then direct tasks in strict
+        # observed-priority order with a stable tie break; rotating ties
+        # would rotate which side unions fire and leave stale union claims
+        # behind. Unknown-value tasks follow (serving them can satisfy
+        # low-priority side tasks, which is an inversion while any known
+        # higher-priority task is pending), then plain fillers. Non-overdue
+        # union tasks come dead last: they are satisfied for free whenever
+        # their parts are packed, and packing them directly would inject
+        # their weakest member into the event.
+        keys = []
+        cycle = self.cycle
+        for i, task, ranked, direct, limit in self._static:
+            seen = self.seen.get(task)
+            value = self.values.get(task)
+            if limit is not None and (seen is None or cycle - seen > limit):
+                urgency = -(value if value is not None else _UNRANKED)
+                keys.append((0, urgency, seen if seen is not None else _NEVER, i))
+            elif not ranked:
+                keys.append((3, 0, seen if seen is not None else _NEVER, i))
+            elif not direct:
+                keys.append((4, -(value if value is not None else _UNRANKED), 0, i))
+            elif value is not None:
+                keys.append((1, -value, 0, i))
+            else:
+                keys.append((2, 0, 0, i))
+        return keys
 
     def plan(self, at: Fraction) -> EventPlan:
-        ordered = sorted(self.working, key=lambda t: self._key(t, at))
-        flat = take_event(ordered, self.bound)
-        return EventPlan(at, flat, selected_tasks(self.schedule.universe, flat))
+        """The event of the next cycle, which runs at `at`."""
+        self.cycle += 1
+        keys = self._deadline_keys() if self.deadline else self._priority_keys()
+        flat = take_event([self.working[key[-1]] for key in sorted(keys)],
+                          self.bound)
+        selected = self._selected.get(flat)
+        if selected is None:
+            selected = self._selected[flat] = selected_tasks(self.universe, flat)
+        return EventPlan(at, flat, selected)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +326,16 @@ def run_scheduled(translation: Translation, source, horizon,
     triggers: list = []
     plans: list = []
 
-    k = 0
-    while k * period < horizon:
+    for k in range(math.ceil(horizon / period)):
         at = k * period
         plan = state.plan(at)
         plans.append(plan)
         if plan.flat:
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
             current, fired = eval_event(monitor, Event(at, values))
-            state.observe(current, at)
+            state.observe(current)
             model.times.append(at)
             for name in names:
                 model.streams[name].append(current[name])
             triggers.extend(fired)
-        k += 1
     return ScheduledRun(translation, model, triggers, plans, report)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
+from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -30,17 +31,29 @@ GRID_HZ = 10  # sampling grid of generated traces
 
 @dataclass(frozen=True)
 class SensorTrace:
-    """Per-sensor sampled signals; times strictly increasing per sensor."""
+    """Per-sensor sampled signals; times strictly increasing per sensor.
+
+    Sample times are exact rationals (int or Fraction). Each is also kept
+    as an integer tick t·quantum, where quantum is the lcm of all their
+    denominators, so that queries compare integers only.
+    """
 
     samples: dict  # sensor -> list of (Fraction time, value)
+    quantum: int = field(init=False, repr=False, compare=False)
+    ticks: dict = field(init=False, repr=False, compare=False)  # sensor -> t·quantum
 
     def __post_init__(self):
         for sensor, seq in self.samples.items():
             if not seq:
                 raise ValueError(f"sensor '{sensor}' has no samples")
-            times = [t for t, _ in seq]
-            if any(b <= a for a, b in zip(times, times[1:])):
+        q = math.lcm(*{t.denominator for seq in self.samples.values()
+                       for t, _ in seq})
+        ticks = {s: _ticks(seq, q) for s, seq in self.samples.items()}
+        for sensor, seq in ticks.items():
+            if any(b <= a for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"sensor '{sensor}' times not increasing")
+        object.__setattr__(self, "quantum", q)
+        object.__setattr__(self, "ticks", ticks)
 
     def sensors(self):
         return sorted(self.samples)
@@ -51,25 +64,43 @@ class SensorTrace:
         return first, last
 
 
+def _ticks(seq, q: int):
+    """The sample times of `seq` times q, as int64s while they fit."""
+    try:
+        return array("q", (t.numerator * (q // t.denominator) for t, _ in seq))
+    except OverflowError:  # keep exact Python ints beyond 64 bits
+        return [t.numerator * (q // t.denominator) for t, _ in seq]
+
+
 class TraceSource:
     """Sensor source over a trace; the scheduler's query endpoint.
 
     `query` gives the value of the latest sample at or before `at`
-    (zero-order hold).
+    (zero-order hold). It bisects the trace's integer ticks with
+    floor(at·quantum), which is exact for any rational `at` because every
+    sample time times the quantum is an integer.
     """
 
     def __init__(self, trace: SensorTrace):
         self.trace = trace
-        self._times = {s: [t for t, _ in seq] for s, seq in trace.samples.items()}
+        self._quantum = trace.quantum
+        self._ticks = trace.ticks
         self._values = {s: [v for _, v in seq] for s, seq in trace.samples.items()}
 
     def query(self, sensor: str, at):
-        times = self._times.get(sensor)
-        if times is None:
+        ticks = self._ticks.get(sensor)
+        if ticks is None:
             raise SensorUnavailable(sensor, at)
-        if at > times[-1]:
+        try:
+            num, den = at.numerator, at.denominator
+        except AttributeError:  # a float time, exact as its integer ratio
+            if not math.isfinite(at):
+                raise OutOfRange(f"t={at} is not a finite time") from None
+            num, den = at.as_integer_ratio()
+        num *= self._quantum
+        if num > ticks[-1] * den:
             raise OutOfRange(f"t={at} is past the last sample of '{sensor}'")
-        idx = bisect_right(times, at) - 1
+        idx = bisect_right(ticks, num // den) - 1
         if idx < 0:
             raise OutOfRange(f"t={at} precedes the first sample of '{sensor}'")
         return self._values[sensor][idx]

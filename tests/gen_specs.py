@@ -177,17 +177,18 @@ def gen_source_trace(rng: Random, sensors, horizon: Fraction) -> SensorTrace:
     return SensorTrace(samples)
 
 
-def gen_instance(rng: Random, mode: str):
+def gen_instance(rng: Random, mode: str, deadlines=(9, 20)):
     """A (spec text, bound, horizon, source trace) scheduling instance.
 
-    The bound covers the widest universe task, and deadline-mode
-    deadlines (drawn from 9s up) exceed any worst-case split round at
-    the generated frequencies, so a correct scheduler has a valid
-    schedule to find.
+    The bound covers the widest universe task, and with the default
+    `deadlines` (drawn from 9s up) deadline-mode deadlines exceed any
+    worst-case split round at the generated frequencies, so a correct
+    scheduler has a valid schedule to find. Shorter deadlines make
+    staleness bounds expire within the 8-15 s horizon.
     """
     from activemon.schedule import build_task_universe
 
-    text = gen_spec(rng, mode, annotate=True, max_paced=3)
+    text = gen_spec(rng, mode, annotate=True, max_paced=3, deadlines=deadlines)
     analyzed = analyze(parse_spec(text))
     universe = build_task_universe(analyzed)
     widest = max((len(t) for t in universe), default=1)

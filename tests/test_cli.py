@@ -218,6 +218,23 @@ def test_check_flags_a_mutated_cell(spec_dir, conflict_model, capsys):
     assert violation["step"] == 2
 
 
+def test_check_on_a_model_without_the_helper_columns_is_a_usage_error(
+        tmp_path, spec_dir, conflict_text, capsys):
+    # a model of the annotated spec lacks the translation's helper streams
+    tr = translate(analyze(parse_spec(conflict_text)), "priority")
+    run = run_scheduled(tr, ConstSource({"a": 20.0, "b": 1.0}), 10)
+    path = tmp_path / "model.csv"
+    write_model(path, run.model, tr.analyzed.spec.stream_names())
+    rc = main(["check", str(spec_dir / "priority_conflict.lola"),
+               "--model", str(path), "--mode", "priority"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "model lacks columns for spec streams" in err
+    assert "schedule_a" in err and "last_a_b" in err
+    assert "Traceback" not in err
+
+
 def test_check_plain_spec_uses_the_semantic_oracle(tmp_path, capsys):
     spec = tmp_path / "plain.lola"
     spec.write_text("input s : Float64\noutput o := s + 1.0\n")

@@ -129,8 +129,18 @@ def test_model_pads_short_rows_with_absent(tmp_path):
 def test_model_rejects_rows_longer_than_the_header(tmp_path):
     analyzed = analyze(parse_spec(SPEC))
     path = tmp_path / "model.csv"
-    path.write_text("time,g,ok\n0,1.0;2.0,true\n1,3.0;4.0,false,9.0\n")
+    path.write_text("time,g,ok,first\n0,1.0;2.0,true,1.0\n"
+                    "1,3.0;4.0,false,3.0,9.0\n")
     with pytest.raises(SpecSyntaxError, match=r"model\.csv:3:"):
+        read_model(path, analyzed)
+
+
+def test_model_rejects_a_header_without_every_stream(tmp_path):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "model.csv"
+    path.write_text("time,g,ok\n0,1.0;2.0,true\n")
+    with pytest.raises(SpecSyntaxError,
+                       match=r"model\.csv:1:1: .*spec streams: \['first'\]"):
         read_model(path, analyzed)
 
 

@@ -1,10 +1,15 @@
 """Bandwidth packing, split bounds, and closed-loop scheduling runs."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gen_specs
 from activemon.analysis import analyze
+from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model
@@ -18,6 +23,7 @@ from activemon.scheduler import (
 )
 from activemon.sim import FlightScenario, TraceSource, compute_metrics, generate_flight
 from activemon.translate import translate
+from reference_scheduler import reference_run
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -271,3 +277,73 @@ def test_gps_tasks_never_starve(drone_text):
         assert times, sensor
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert max(gaps) <= Fraction(7, 2), sensor
+
+
+# ---------------------------------------------------------------------------
+# cycle-indexed urgency against the time-based reference
+
+
+def _assert_matches_reference(tr, trace, horizon, bound):
+    run = run_scheduled(tr, TraceSource(trace), horizon, bound)
+    plans, model = reference_run(tr, TraceSource(trace), horizon, bound)
+    assert run.plans == plans
+    assert run.model.times == model.times
+    assert run.model.streams.keys() == model.streams.keys()
+    for name, column in model.streams.items():
+        assert all(values_equal(a, b)
+                   for a, b in zip(run.model.streams[name], column, strict=True))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES),
+       st.sampled_from([(9, 20), (1, 4)]))
+@settings(max_examples=200, deadline=None)
+def test_scheduler_matches_the_time_based_reference(seed, mode, deadlines):
+    text, bound, horizon, trace = gen_specs.gen_instance(
+        Random(seed), mode, deadlines)
+    tr = _translated(text, mode)
+    # bound 1 ranks singletons only and the instance bound packs every
+    # task, so the bounds between are where unions compete for the event
+    for b in range(1, bound + 1):
+        _assert_matches_reference(tr, trace, horizon, b)
+
+
+# 3 Hz against bounds of 1.2 s and 0.5 s: 3.6 and 1.5 cycles, so the
+# staleness limit is floor(bound / period) and not a whole quotient
+FRACTIONAL_DP = (
+    '#![frequency="3Hz"]\n'
+    '#[priority="high", deadline="1.2s"]\ninput x : Float64\n'
+    '#[priority="low", deadline="0.5s"]\ninput y : Float64\n'
+    '#[priority="medium"]\ninput z : Float64\n'
+    "output s\n"
+    '    #[priority="low"]\n'
+    "    eval |@x && y| when x > 0.0 with x + y\n"
+    "    eval |@x && y| with x - y\n"
+)
+
+FRACTIONAL_DEADLINE = (
+    '#![frequency="3Hz"]\n'
+    '#[deadline="1.2s"]\ninput x : Float64\n'
+    '#[deadline="0.5s"]\ninput y : Float64\n'
+    '#[deadline="2s"]\ninput z : Float64\n'
+)
+
+
+@pytest.mark.parametrize("text,mode", [
+    (FRACTIONAL_DP, "dp"), (FRACTIONAL_DP, "priority"),
+    (FRACTIONAL_DEADLINE, "deadline"), (DP_PAIR, "dp"),
+    (DEADLINE_PAIR, "deadline"),
+])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_scheduler_matches_the_reference_on_fractional_bounds(text, mode, bound):
+    tr = _translated(text, mode)
+    trace = gen_specs.gen_source_trace(Random(bound), ("x", "y", "z"),
+                                       Fraction(12))
+    _assert_matches_reference(tr, trace, Fraction(23, 2), bound)
+
+
+def test_scheduler_matches_the_reference_on_a_drone_flight(drone_text):
+    tr = _translated(drone_text, "dp")
+    trace = generate_flight(FlightScenario(seed=42))
+    for bound in (1, 2, 3):
+        _assert_matches_reference(tr, trace, 60, bound)

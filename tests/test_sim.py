@@ -1,6 +1,7 @@
 """Sensor traces, synthetic flights, baselines, and run comparison."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,65 @@ def test_query_rejects_out_of_range_times():
 def test_query_rejects_unknown_sensor():
     with pytest.raises(SensorUnavailable):
         SOURCE.query("nope", Fraction(0))
+
+
+# samples on thirds and on tenths of a second, one sensor with both
+_THIRDS = [Fraction(k, 3) for k in range(1, 31)]
+_TENTHS = [Fraction(k, 10) for k in range(2, 101)]
+MIXED = SensorTrace({
+    "thirds": [(t, float(i)) for i, t in enumerate(_THIRDS)],
+    "tenths": [(t, float(i)) for i, t in enumerate(_TENTHS)],
+    "both": [(t, float(i)) for i, t in enumerate(sorted(set(_THIRDS + _TENTHS)))],
+})
+# beyond 64 bits: the quantum (2**61 - 1) * 3 times 10 s overflows int64
+HUGE = SensorTrace({"s": [(Fraction(1, 2**61 - 1), 1.0), (Fraction(1, 3), 2.0),
+                          (Fraction(10), 3.0)]})
+_EPS = Fraction(1, 10**12)
+
+
+def _bisect_reference(trace, sensor, at):
+    """Zero-order hold by a bisect over the Fraction sample times."""
+    seq = trace.samples[sensor]
+    times = [t for t, _ in seq]
+    if at > times[-1]:
+        raise OutOfRange(sensor)
+    idx = bisect_right(times, at) - 1
+    if idx < 0:
+        raise OutOfRange(sensor)
+    return seq[idx][1]
+
+
+_QUERIES = [
+    Fraction(1, 7) + 1, Fraction(22, 7), 0.7, 1 / 3 + 1, 2.05, 3, 7,
+    Fraction(4, 3), Fraction(4, 3) - _EPS, Fraction(4, 3) + _EPS,
+    Fraction(7, 10), Fraction(7, 10) - _EPS, Fraction(7, 10) + _EPS,
+    math.nextafter(0.7, 0.0), math.nextafter(0.7, 1.0),
+    Fraction(10), 10, 10.0,
+]
+
+
+@pytest.mark.parametrize("sensor", ["thirds", "tenths", "both"])
+@pytest.mark.parametrize("at", _QUERIES)
+def test_query_matches_a_fraction_bisect(sensor, at):
+    assert MIXED.quantum == 30
+    assert TraceSource(MIXED).query(sensor, at) == \
+        _bisect_reference(MIXED, sensor, at)
+
+
+@pytest.mark.parametrize("at", [Fraction(1, 3), Fraction(1, 3) - _EPS, 1 / 3,
+                                Fraction(5), 9.99, Fraction(10), 10])
+def test_query_beyond_int64_ticks_stays_exact(at):
+    assert HUGE.quantum > 2**63 // 10
+    assert TraceSource(HUGE).query("s", at) == _bisect_reference(HUGE, "s", at)
+
+
+@pytest.mark.parametrize("sensor", ["thirds", "tenths", "both"])
+@pytest.mark.parametrize("at", [Fraction(10) + _EPS, 10.000001, 11,
+                                math.inf, Fraction(1, 7), 0.0, -1, -math.inf,
+                                math.nan])
+def test_query_outside_the_samples_is_out_of_range(sensor, at):
+    with pytest.raises(OutOfRange):
+        TraceSource(MIXED).query(sensor, at)
 
 
 def test_trace_rejects_unsorted_samples():
