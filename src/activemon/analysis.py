@@ -144,14 +144,6 @@ def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]
     return new_spec, tuple(order)
 
 
-def resolved_pacing(spec: Specification, name: str) -> Pacing:
-    """Pacing of a whole stream in a pacing-filled specification."""
-    if name in spec.input_names():
-        return Pacing.of([name])
-    decl = spec.output_decl(name)
-    return _union_pacing([c.pacing for c in decl.clauses])
-
-
 # ---------------------------------------------------------------------------
 # type checking
 
@@ -417,5 +409,5 @@ def analyze(spec: Specification) -> AnalyzedSpec:
 
 __all__ = [
     "AnalyzedSpec", "AnnEntry", "analyze", "derive_annotation_map",
-    "offset_refs", "resolved_pacing", "sync_refs", "type_check",
+    "offset_refs", "sync_refs", "type_check",
 ]

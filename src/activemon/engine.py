@@ -94,9 +94,6 @@ class EvaluationModel:
     def __len__(self) -> int:
         return len(self.times)
 
-    def value(self, stream: str, step: int):
-        return self.streams[stream][step]
-
     def present_inputs(self, input_names, step: int) -> frozenset[str]:
         return frozenset(
             i for i in input_names if self.streams[i][step] is not ABSENT)
@@ -352,14 +349,8 @@ def eval_event(state: MonitorState, event: Event):
     return current, reports
 
 
-def run_monitor(analyzed: AnalyzedSpec, events) -> EvaluationModel:
-    """Execute the monitor over a whole trace and materialize the model."""
-    model, _ = run_monitor_full(analyzed, events)
-    return model
-
-
 def run_monitor_full(analyzed: AnalyzedSpec, events):
-    """Like run_monitor but also returns the trigger reports."""
+    """Execute the monitor over a whole trace: its model and triggers."""
     state = MonitorState(analyzed)
     names = analyzed.spec.stream_names()
     model = EvaluationModel(streams={name: [] for name in names})
@@ -456,6 +447,6 @@ def triggers_from_model(analyzed: AnalyzedSpec, model: EvaluationModel):
 __all__ = [
     "ABSENT", "CompiledSpec", "Event", "EvaluationModel", "ModelReader",
     "MonitorState", "TriggerReport", "Violation", "compile_expr",
-    "compile_spec", "eval_event", "run_monitor", "run_monitor_full",
+    "compile_spec", "eval_event", "run_monitor_full",
     "triggers_from_model", "values_equal", "verify_model",
 ]

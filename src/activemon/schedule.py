@@ -394,27 +394,6 @@ class DecisionOracle:
 # model-level checks
 
 
-def valid_tasks(universe: frozenset, model: EvaluationModel, inputs,
-                step: int, selected: frozenset) -> bool:
-    """Selected tasks are exactly the satisfied ones, closed upward and
-    under union."""
-    present = model.present_inputs(tuple(inputs), step)
-    for task in selected:
-        if not task <= present:
-            return False
-    for task in universe - selected:
-        if task <= present:
-            return False
-    for task in selected:
-        for sup in universe:
-            if task <= sup and sup <= present and sup not in selected:
-                return False
-    for a, b in itertools.combinations(selected, 2):
-        if (a | b) not in selected:
-            return False
-    return True
-
-
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
                           bound: int, model: EvaluationModel) -> list:
     """Semantic, bandwidth and obligation conformance of a finished run."""

@@ -216,11 +216,6 @@ def split_bound_range(universe, bound: int) -> tuple:
     return (int(lo) if tasks else 1, hi if tasks else 1)
 
 
-def compute_split_bound(universe, bound: int) -> int:
-    """Events sufficient to satisfy every task once, any adversarial order."""
-    return split_bound_range(universe, bound)[1]
-
-
 @dataclass(frozen=True)
 class PreconditionReport:
     mode: str
@@ -241,6 +236,8 @@ class PreconditionReport:
                        f"wider than bandwidth {self.bound}")
         if self.split_error:
             out.append(f"split bound unavailable: {self.split_error}")
+            out.append("deadline and staleness warnings skipped: "
+                       "they need the split bound")
         elif self.split_max is not None:
             out.append(f"split bound: worst {self.split_max}, "
                        f"best {self.split_min}")

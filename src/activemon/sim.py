@@ -1,6 +1,7 @@
 """Synthetic flight traces, fixed-frequency baselines, and run comparison.
 
-The sensor model is zero-order hold over a sampled trace. Anything with a
+A trace keeps time as integer ticks on a quantum (tick n is n/quantum s);
+the sensor model is zero-order hold over its samples. Anything with a
 ``query(sensor, at)`` method can stand in for TraceSource, so a live
 simulator backend can be plugged into the scheduler without touching it.
 """
@@ -8,12 +9,13 @@ simulator backend can be plugged into the scheduler without touching it.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
 import statistics
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -31,37 +33,39 @@ GRID_HZ = 10  # sampling grid of generated traces
 
 @dataclass(frozen=True)
 class SensorTrace:
-    """Per-sensor sampled signals; times strictly increasing per sensor.
+    """Per-sensor sampled signals on an integer time grid.
 
-    Sample times are exact rationals (int or Fraction). Each is also kept
-    as an integer tick t·quantum, where quantum is the lcm of all their
-    denominators, so that queries compare integers only.
+    Sample i of a sensor lies at ticks[sensor][i] / quantum seconds and
+    holds values[sensor][i]. Ticks are strictly increasing per sensor, as
+    an array('q') while they fit in 64 bits, else as a list of ints.
     """
 
-    samples: dict  # sensor -> list of (Fraction time, value)
-    quantum: int = field(init=False, repr=False, compare=False)
-    ticks: dict = field(init=False, repr=False, compare=False)  # sensor -> t·quantum
+    quantum: int
+    ticks: dict  # sensor -> ticks
+    values: dict  # sensor -> list of values, one per tick
 
-    def __post_init__(self):
-        for sensor, seq in self.samples.items():
+    @classmethod
+    def from_samples(cls, samples: dict) -> SensorTrace:
+        """A trace from exact (time, value) pairs per sensor, times int or
+        Fraction; the quantum is the lcm of all their denominators."""
+        for sensor, seq in samples.items():
             if not seq:
                 raise ValueError(f"sensor '{sensor}' has no samples")
-        q = math.lcm(*{t.denominator for seq in self.samples.values()
+        q = math.lcm(*{t.denominator for seq in samples.values()
                        for t, _ in seq})
-        ticks = {s: _ticks(seq, q) for s, seq in self.samples.items()}
+        ticks = {s: _ticks(seq, q) for s, seq in samples.items()}
         for sensor, seq in ticks.items():
             if any(b <= a for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"sensor '{sensor}' times not increasing")
-        object.__setattr__(self, "quantum", q)
-        object.__setattr__(self, "ticks", ticks)
+        return cls(q, ticks, {s: [v for _, v in seq] for s, seq in samples.items()})
 
     def sensors(self):
-        return sorted(self.samples)
+        return sorted(self.ticks)
 
     def span(self):
-        first = min(seq[0][0] for seq in self.samples.values())
-        last = max(seq[-1][0] for seq in self.samples.values())
-        return first, last
+        first = min(seq[0] for seq in self.ticks.values())
+        last = max(seq[-1] for seq in self.ticks.values())
+        return Fraction(first, self.quantum), Fraction(last, self.quantum)
 
 
 def _ticks(seq, q: int):
@@ -77,15 +81,15 @@ class TraceSource:
 
     `query` gives the value of the latest sample at or before `at`
     (zero-order hold). It bisects the trace's integer ticks with
-    floor(at·quantum), which is exact for any rational `at` because every
-    sample time times the quantum is an integer.
+    floor(at·quantum), which is exact for any rational `at` because the
+    ticks are integers.
     """
 
     def __init__(self, trace: SensorTrace):
         self.trace = trace
         self._quantum = trace.quantum
         self._ticks = trace.ticks
-        self._values = {s: [v for _, v in seq] for s, seq in trace.samples.items()}
+        self._values = trace.values
 
     def query(self, sensor: str, at):
         ticks = self._ticks.get(sensor)
@@ -113,15 +117,15 @@ def sensor_trace_from_events(events, input_names) -> SensorTrace:
         for name, value in ev.values.items():
             if name in samples and value is not ABSENT:
                 samples[name].append((ev.time, value))
-    return SensorTrace({k: v for k, v in samples.items() if v})
+    return SensorTrace.from_samples({k: v for k, v in samples.items() if v})
 
 
 def trace_fingerprint(trace: SensorTrace) -> str:
-    h = hashlib.sha1()
+    h = hashlib.sha1(str(trace.quantum).encode())
     for sensor in trace.sensors():
-        h.update(sensor.encode())
-        for t, v in trace.samples[sensor]:
-            h.update(f"{t}:{v!r};".encode())
+        # format 2 writes no back-references, whose use depends on refcounts
+        h.update(marshal.dumps(
+            (sensor, trace.ticks[sensor], trace.values[sensor]), 2))
     return h.hexdigest()
 
 
@@ -262,16 +266,13 @@ def generate_flight(scenario: FlightScenario) -> SensorTrace:
     """Sample the scenario's trajectory on the fixed grid."""
     prof = _Profile(scenario)
     steps = int(round(scenario.duration * GRID_HZ))
-    samples = {"gps_lat_long": [], "gps_altitude": [],
-               "barometer_pressure": [], "barometer_altitude": []}
-    for k in range(steps + 1):
-        t = Fraction(k, GRID_HZ)
-        tf = k / GRID_HZ
-        samples["gps_lat_long"].append((t, prof.lat_long(tf)))
-        samples["gps_altitude"].append((t, prof.altitude(tf)))
-        samples["barometer_pressure"].append((t, prof.pressure(tf)))
-        samples["barometer_altitude"].append((t, prof.baro_altitude(tf)))
-    return SensorTrace(samples)
+    times = [k / GRID_HZ for k in range(steps + 1)]
+    values = {"gps_lat_long": [prof.lat_long(t) for t in times],
+              "gps_altitude": [prof.altitude(t) for t in times],
+              "barometer_pressure": [prof.pressure(t) for t in times],
+              "barometer_altitude": [prof.baro_altitude(t) for t in times]}
+    ticks = array("q", range(steps + 1))
+    return SensorTrace(GRID_HZ, dict.fromkeys(values, ticks), values)
 
 
 def flight_crossings(scenario: FlightScenario) -> dict:
@@ -362,17 +363,16 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
         raise ValueError("frequency must be positive")
     period = 1 / freq
     source = TraceSource(trace)
-    _, last = trace.span()
     inputs = analyzed.spec.input_names()
+    if horizon is not None:  # events k * period < horizon
+        count = math.ceil(Fraction(horizon) * freq)
+    else:  # events k * period <= the last sample
+        count = math.floor(trace.span()[1] * freq) + 1
 
     def events():
-        k = 0
-        while True:
+        for k in range(count):
             at = k * period
-            if (at >= horizon) if horizon is not None else (at > last):
-                return
             yield Event(at, {s: source.query(s, at) for s in inputs})
-            k += 1
 
     return BaselineRun(*run_monitor_full(analyzed, events()))
 

@@ -174,7 +174,7 @@ def gen_source_trace(rng: Random, sensors, horizon: Fraction) -> SensorTrace:
             pts.append((t, round(rng.uniform(-10.0, 10.0), 3)))
             t += Fraction(1, 2)
         samples[s] = tuple(pts)
-    return SensorTrace(samples)
+    return SensorTrace.from_samples(samples)
 
 
 def gen_instance(rng: Random, mode: str, deadlines=(9, 20)):

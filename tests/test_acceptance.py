@@ -16,12 +16,12 @@ import gen_specs
 from activemon.analysis import analyze
 from activemon.ast import format_spec
 from activemon.cli import main
-from activemon.engine import ABSENT, run_monitor, values_equal, verify_model
+from activemon.engine import ABSENT, run_monitor_full, values_equal, verify_model
 from activemon.errors import PreconditionViolation
 from activemon.io import read_json, write_trace
 from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model
-from activemon.scheduler import compute_split_bound, run_scheduled, split_bound_range
+from activemon.scheduler import run_scheduled, split_bound_range
 from activemon.sim import (
     FlightScenario,
     TraceSource,
@@ -89,8 +89,8 @@ def test_criterion_2_translation_preserves_semantics():
         for _ in range(10):
             events = gen_specs.gen_trace(
                 rng, analyzed.spec.input_names(), rng.randint(1, 200))
-            base = run_monitor(analyzed, events)
-            lowered = run_monitor(tr.plain, events)
+            base = run_monitor_full(analyzed, events)[0]
+            lowered = run_monitor_full(tr.plain, events)[0]
             assert base.times == lowered.times
             for name in names:
                 assert all(
@@ -114,7 +114,7 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
         assert max(len(t) for t in tr.schedule.universe) <= bound
         if mode == "deadline":
             # every deadline exceeds the worst-case split round
-            n = compute_split_bound(tr.schedule.universe, bound)
+            n = split_bound_range(tr.schedule.universe, bound)[1]
             window = n * tr.analyzed.config.period
             for entries in tr.schedule.entries.values():
                 assert all(e.value > window for e in entries)
@@ -278,7 +278,7 @@ def test_criterion_9_models_verify_and_mutations_are_caught():
         inputs = analyzed.spec.input_names()
         for _ in range(10):
             events = gen_specs.gen_trace(rng, inputs, rng.randint(1, 30))
-            model = run_monitor(analyzed, events)
+            model = run_monitor_full(analyzed, events)[0]
             assert verify_model(analyzed, model) == []
             pairs += 1
     assert pairs == 1000
@@ -292,7 +292,7 @@ def test_criterion_9_models_verify_and_mutations_are_caught():
         analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
         events = gen_specs.gen_trace(
             rng, analyzed.spec.input_names(), rng.randint(5, 30))
-        model = run_monitor(analyzed, events)
+        model = run_monitor_full(analyzed, events)[0]
         cells = [(name, step)
                  for name in analyzed.spec.output_names()
                  for step in range(len(model))

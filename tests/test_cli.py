@@ -240,8 +240,8 @@ def test_check_plain_spec_uses_the_semantic_oracle(tmp_path, capsys):
     spec.write_text("input s : Float64\noutput o := s + 1.0\n")
     analyzed = analyze(parse_spec(spec.read_text()))
     events = [Event(Fraction(0), {"s": 1.0}), Event(Fraction(1), {"s": 2.0})]
-    from activemon.engine import run_monitor
-    model = run_monitor(analyzed, events)
+    from activemon.engine import run_monitor_full
+    model = run_monitor_full(analyzed, events)[0]
     path = tmp_path / "model.csv"
     write_model(path, model, analyzed.spec.stream_names())
     rc = main(["check", str(spec), "--model", str(path)])

@@ -4,14 +4,14 @@ import math
 from fractions import Fraction
 
 from activemon.analysis import analyze
-from activemon.engine import (ABSENT, Event, run_monitor, run_monitor_full,
+from activemon.engine import (ABSENT, Event, run_monitor_full,
                               triggers_from_model, values_equal, verify_model)
 from activemon.parser import parse_spec
 
 
 def monitor(text, events):
     analyzed = analyze(parse_spec(text))
-    return analyzed, run_monitor(analyzed, events)
+    return analyzed, run_monitor_full(analyzed, events)[0]
 
 
 def test_offset_difference_and_trigger():

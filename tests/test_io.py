@@ -6,7 +6,7 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.ast import BOOL, FLOAT64, TupleType
-from activemon.engine import ABSENT, Event, Violation, run_monitor
+from activemon.engine import ABSENT, Event, Violation, run_monitor_full
 from activemon.errors import NonMonotonicTime, SpecSyntaxError
 from activemon.parser import parse_spec
 from activemon.io import (
@@ -107,13 +107,13 @@ def test_model_round_trip(tmp_path):
         Event(Fraction(0), {"g": (1.0, 2.0), "ok": True}),
         Event(Fraction(1), {"ok": False}),
     ]
-    model = run_monitor(analyzed, events)
+    model = run_monitor_full(analyzed, events)[0]
     path = tmp_path / "model.csv"
     write_model(path, model, analyzed.spec.stream_names())
     back = read_model(path, analyzed)
     assert back.times == model.times
     assert back.streams == model.streams
-    assert back.value("first", 1) is ABSENT
+    assert back.streams["first"][1] is ABSENT
 
 
 def test_model_pads_short_rows_with_absent(tmp_path):

@@ -17,7 +17,7 @@ from activemon.engine import (
     ABSENT,
     ModelReader,
     compile_expr,
-    run_monitor,
+    run_monitor_full,
     values_equal,
     verify_model,
 )
@@ -47,10 +47,10 @@ def test_monitor_models_pass_their_own_oracle(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     events = gen_specs.gen_trace(
         rng, analyzed.spec.input_names(), rng.randint(1, 40))
-    model = run_monitor(analyzed, events)
+    model = run_monitor_full(analyzed, events)[0]
     assert verify_model(analyzed, model) == []
     # evaluation is a pure function of the trace
-    again = run_monitor(analyzed, events)
+    again = run_monitor_full(analyzed, events)[0]
     for name, column in model.streams.items():
         assert all(values_equal(a, b)
                    for a, b in zip(again.streams[name], column))
@@ -62,7 +62,7 @@ def test_single_cell_mutations_are_caught(seed):
     rng = Random(seed)
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 20)
-    model = run_monitor(analyzed, events)
+    model = run_monitor_full(analyzed, events)[0]
     cells = [
         (name, step)
         for name in analyzed.spec.output_names()
@@ -91,7 +91,7 @@ def test_metrics_count_exactly_the_present_cells(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     inputs = analyzed.spec.input_names()
     events = gen_specs.gen_trace(rng, inputs, rng.randint(1, 30))
-    model = run_monitor(analyzed, events)
+    model = run_monitor_full(analyzed, events)[0]
     manual = sum(
         1 for name in inputs for v in model.streams[name] if v is not ABSENT)
     metrics = compute_metrics(model, inputs, 10.0)
@@ -105,7 +105,7 @@ def test_region_guards_are_mutually_exclusive(seed):
     mode = gen_specs.MODES[seed % 3]
     analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 25)
-    model = run_monitor(analyzed, events)
+    model = run_monitor_full(analyzed, events)[0]
     reader = ModelReader(model)
     for entries in analyzed.annotations.values():
         chained = [e for e in entries if e.clause_index >= 0]
@@ -164,8 +164,8 @@ def test_translation_preserves_every_original_stream(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
     tr = translate(analyzed, mode)
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 25)
-    base = run_monitor(analyzed, events)
-    lowered = run_monitor(tr.plain, events)
+    base = run_monitor_full(analyzed, events)[0]
+    lowered = run_monitor_full(tr.plain, events)[0]
     assert base.times == lowered.times
     for name in analyzed.spec.stream_names():
         assert all(values_equal(a, b) for a, b in

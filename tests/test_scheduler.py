@@ -15,7 +15,6 @@ from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model
 from activemon.scheduler import (
     build_precondition_report,
-    compute_split_bound,
     run_scheduled,
     selected_tasks,
     split_bound_range,
@@ -83,7 +82,7 @@ def test_split_bound_range(universe, bound, expected):
 
 
 def test_split_bound_is_worst_case():
-    assert compute_split_bound(frozenset({A, B, C, AB}), 2) == 3
+    assert split_bound_range(frozenset({A, B, C, AB}), 2)[1] == 3
 
 
 def test_split_bound_rejects_oversized_task():
@@ -184,6 +183,8 @@ def test_drone_report_flags_oversized_unions(drone_text):
     assert len(report.oversized) == 5  # the 3- and 4-sensor unions
     assert report.split_error is not None and "15 tasks" in report.split_error
     assert any("split bound unavailable" in line for line in report.lines())
+    assert "deadline and staleness warnings skipped: they need the split " \
+        "bound" in report.lines()
 
 
 def test_drone_report_ok_once_bound_covers_tasks(drone_text):
@@ -201,6 +202,7 @@ def test_deadline_report_warns_on_tight_deadline():
     # a deadline inside one worst-case round can always be missed
     assert (report.split_min, report.split_max) == (1, 1)
     assert any("deadline 1.0s" in w for w in report.deadline_warnings)
+    assert not any("skipped" in line for line in report.lines())
     assert report.ok  # warnings do not invalidate the run
 
 

@@ -11,6 +11,7 @@ from activemon.engine import ABSENT, Event, EvaluationModel, TriggerReport
 from activemon.errors import MismatchedTraces, OutOfRange, SensorUnavailable
 from activemon.parser import parse_spec
 from activemon.sim import (
+    GRID_HZ,
     FlightScenario,
     SensorTrace,
     TraceSource,
@@ -22,10 +23,11 @@ from activemon.sim import (
     run_fixed,
     sensor_trace_from_events,
     trace_fingerprint,
+    _Profile,
 )
 from activemon.translate import translate
 
-HOLD = SensorTrace({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
+HOLD = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
 SOURCE = TraceSource(HOLD)
 
 
@@ -55,27 +57,26 @@ def test_query_rejects_unknown_sensor():
 # samples on thirds and on tenths of a second, one sensor with both
 _THIRDS = [Fraction(k, 3) for k in range(1, 31)]
 _TENTHS = [Fraction(k, 10) for k in range(2, 101)]
-MIXED = SensorTrace({
+MIXED = SensorTrace.from_samples({
     "thirds": [(t, float(i)) for i, t in enumerate(_THIRDS)],
     "tenths": [(t, float(i)) for i, t in enumerate(_TENTHS)],
     "both": [(t, float(i)) for i, t in enumerate(sorted(set(_THIRDS + _TENTHS)))],
 })
 # beyond 64 bits: the quantum (2**61 - 1) * 3 times 10 s overflows int64
-HUGE = SensorTrace({"s": [(Fraction(1, 2**61 - 1), 1.0), (Fraction(1, 3), 2.0),
-                          (Fraction(10), 3.0)]})
+HUGE = SensorTrace.from_samples({"s": [(Fraction(1, 2**61 - 1), 1.0),
+                                       (Fraction(1, 3), 2.0), (Fraction(10), 3.0)]})
 _EPS = Fraction(1, 10**12)
 
 
 def _bisect_reference(trace, sensor, at):
     """Zero-order hold by a bisect over the Fraction sample times."""
-    seq = trace.samples[sensor]
-    times = [t for t, _ in seq]
+    times = [Fraction(tick, trace.quantum) for tick in trace.ticks[sensor]]
     if at > times[-1]:
         raise OutOfRange(sensor)
     idx = bisect_right(times, at) - 1
     if idx < 0:
         raise OutOfRange(sensor)
-    return seq[idx][1]
+    return trace.values[sensor][idx]
 
 
 _QUERIES = [
@@ -113,9 +114,9 @@ def test_query_outside_the_samples_is_out_of_range(sensor, at):
 
 def test_trace_rejects_unsorted_samples():
     with pytest.raises(ValueError):
-        SensorTrace({"s": [(Fraction(1), 1.0), (Fraction(1), 2.0)]})
+        SensorTrace.from_samples({"s": [(Fraction(1), 1.0), (Fraction(1), 2.0)]})
     with pytest.raises(ValueError):
-        SensorTrace({"s": []})
+        SensorTrace.from_samples({"s": []})
 
 
 def test_sensor_trace_from_events_drops_absent_cells():
@@ -125,10 +126,10 @@ def test_sensor_trace_from_events_drops_absent_cells():
         Event(Fraction(2), {"b": 3.0}),
     ]
     trace = sensor_trace_from_events(events, ("a", "b"))
-    assert trace.samples == {
-        "a": [(Fraction(0), 1.0), (Fraction(1), 2.0)],
-        "b": [(Fraction(2), 3.0)],
-    }
+    assert trace.quantum == 1
+    assert {s: list(ticks) for s, ticks in trace.ticks.items()} == {
+        "a": [0, 1], "b": [2]}
+    assert trace.values == {"a": [1.0, 2.0], "b": [3.0]}
 
 
 def test_fingerprint_is_stable_and_discriminating():
@@ -137,6 +138,27 @@ def test_fingerprint_is_stable_and_discriminating():
     other = generate_flight(FlightScenario(seed=8))
     assert trace_fingerprint(one) == trace_fingerprint(two)
     assert trace_fingerprint(one) != trace_fingerprint(other)
+
+
+def _small_samples(sensor="s", tick=1, value=2.0):
+    return {sensor: [(Fraction(0), 1.0), (Fraction(tick, 2), value)],
+            "t": [(Fraction(1, 3), 3.0)]}
+
+
+@pytest.mark.parametrize("changed", [{"tick": 3}, {"value": 2.5}, {"sensor": "u"}])
+def test_fingerprint_tells_one_changed_sample_apart(changed):
+    base = trace_fingerprint(SensorTrace.from_samples(_small_samples()))
+    assert trace_fingerprint(SensorTrace.from_samples(_small_samples())) == base
+    assert trace_fingerprint(
+        SensorTrace.from_samples(_small_samples(**changed))) != base
+
+
+def test_fingerprint_ignores_which_value_objects_are_shared():
+    shared = float("2.5")
+    one = SensorTrace.from_samples({"s": [(0, shared), (1, shared)]})
+    two = SensorTrace.from_samples({"s": [(0, float("2.5")), (1, float("2.5"))]})
+    assert one == two
+    assert trace_fingerprint(one) == trace_fingerprint(two)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +170,38 @@ def test_flight_samples_the_full_grid():
     assert trace.sensors() == [
         "barometer_altitude", "barometer_pressure",
         "gps_altitude", "gps_lat_long"]
+    assert trace.quantum == GRID_HZ
     for sensor in trace.sensors():
-        seq = trace.samples[sensor]
-        assert len(seq) == 601
-        assert seq[0][0] == 0 and seq[-1][0] == 60
+        ticks = trace.ticks[sensor]
+        assert len(ticks) == len(trace.values[sensor]) == 601
+        assert ticks[0] == 0 and ticks[-1] == 600
     assert trace.span() == (Fraction(0), Fraction(60))
+
+
+def _reference_flight(scenario):
+    """The flight as (Fraction time, value) pairs on the grid, sampled one
+    grid point at a time."""
+    prof = _Profile(scenario)
+    samples = {"gps_lat_long": [], "gps_altitude": [],
+               "barometer_pressure": [], "barometer_altitude": []}
+    for k in range(int(round(scenario.duration * GRID_HZ)) + 1):
+        t = Fraction(k, GRID_HZ)
+        tf = k / GRID_HZ
+        samples["gps_lat_long"].append((t, prof.lat_long(tf)))
+        samples["gps_altitude"].append((t, prof.altitude(tf)))
+        samples["barometer_pressure"].append((t, prof.pressure(tf)))
+        samples["barometer_altitude"].append((t, prof.baro_altitude(tf)))
+    return samples
+
+
+@pytest.mark.parametrize("scenario", [
+    FlightScenario(seed=1), FlightScenario(seed=137, duration=12.34),
+    FlightScenario(seed=588, duration=1800.0)])
+def test_flight_matches_the_pairwise_reference(scenario):
+    trace = generate_flight(scenario)
+    reference = SensorTrace.from_samples(_reference_flight(scenario))
+    assert trace == reference
+    assert trace_fingerprint(trace) == trace_fingerprint(reference)
 
 
 def _distance(sample, start):
@@ -170,12 +219,12 @@ def test_crossings_match_the_sampled_trajectory(seed):
     assert 0 < tg < 60 and 0 < ta < 60
 
     source = TraceSource(trace)
-    start = trace.samples["gps_lat_long"][0][1]
+    start = trace.values["gps_lat_long"][0]
     before = source.query("gps_lat_long", Fraction(int((tg - 0.2) * 10), 10))
     after = source.query("gps_lat_long", Fraction(int((tg + 0.3) * 10), 10))
     assert _distance(before, start) < 8.0 <= _distance(after, start)
 
-    ground = trace.samples["gps_altitude"][0][1]
+    ground = trace.values["gps_altitude"][0]
     low = source.query("gps_altitude", Fraction(int((ta - 0.2) * 10), 10))
     high = source.query("gps_altitude", Fraction(int((ta + 0.3) * 10), 10))
     assert low - ground < 10.0 <= high - ground
@@ -243,6 +292,31 @@ def test_fixed_baseline_defaults_to_trace_span():
     base = run_fixed(spec, HOLD, 1)
     assert base.model.times == [Fraction(0), Fraction(1)]
     assert base.model.streams["o"] == [2.0, 3.0]
+
+
+def _reference_event_times(freq, last, horizon):
+    """Baseline event times from a loop that tests each time in turn."""
+    period = 1 / Fraction(str(freq))
+    times, k = [], 0
+    while not ((k * period >= horizon) if horizon is not None
+               else (k * period > last)):
+        times.append(k * period)
+        k += 1
+    return times
+
+
+# 3 Hz lands on 2 s and 0.7 Hz on 10 s; 2.2 s and 9.9 s fall between events
+@pytest.mark.parametrize("freq,last", [(3, 2), (3, Fraction(11, 5)),
+                                       (0.7, 10), (0.7, Fraction(99, 10))])
+@pytest.mark.parametrize("horizon", [None, "last", 1.0])
+def test_fixed_baseline_counts_events_like_a_per_event_test(freq, last, horizon):
+    spec = analyze(parse_spec("input s : Float64\noutput o := s + 1.0\n"))
+    trace = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (last, 2.0)]})
+    if horizon == "last":
+        horizon = float(last)
+    base = run_fixed(spec, trace, freq, horizon)
+    assert base.model.times == _reference_event_times(freq, last, horizon)
+    assert base.model.times
 
 
 def test_fixed_baseline_rejects_bad_frequency():
