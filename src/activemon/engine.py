@@ -7,6 +7,13 @@ accessed history is too short. Expressions are compiled once per
 specification (`compile_spec`) and the compiled form is shared by the
 monitor and both oracles.
 
+An output is evaluated only when its pacing is activated. Each distinct set
+of present inputs gets an activation plan, built once on first use: the
+outputs that set can activate, in evaluation order, each with only its
+activated clauses. The monitor calls nothing else, so every other output
+stays ABSENT; `verify_model` recomputes through the same plans and checks
+that every output a plan leaves out is ABSENT in the model.
+
 `verify_model` recomputes every output of a finished model from the model
 itself, not from the monitor's state, and is the membership oracle every
 scheduling test checks against.
@@ -196,18 +203,7 @@ def compile_expr(expr: Expr) -> Callable:
             return v if v is ABSENT else fn(v)
         return unary
     if isinstance(expr, Binary):
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
-        fn = _BINARY[expr.op]
-
-        def binary(read, offset_read, now):
-            a = left(read, offset_read, now)
-            if a is ABSENT:
-                return ABSENT
-            b = right(read, offset_read, now)
-            if b is ABSENT:
-                return ABSENT
-            return fn(a, b)
-        return binary
+        return _compile_binary(expr)
     if isinstance(expr, MinMax):
         args = tuple(compile_expr(a) for a in expr.args)
         pick = min if expr.op == "min" else max
@@ -226,6 +222,90 @@ def compile_expr(expr: Expr) -> Callable:
     raise AssertionError(f"unhandled expression {expr!r}")
 
 
+def _compile_binary(expr: Binary) -> Callable:
+    """A binary node; stream/stream, stream/constant and constant/stream
+    operands are read in the node's own closure, in the same order and with
+    the same ABSENT checks as the general form."""
+    fn = _BINARY[expr.op]
+    left, right = expr.left, expr.right
+    if isinstance(left, StreamRef) and isinstance(right, StreamRef):
+        a_name, b_name = left.name, right.name
+
+        def refs(read, offset_read, now):
+            a = read(a_name)
+            if a is ABSENT:
+                return ABSENT
+            b = read(b_name)
+            if b is ABSENT:
+                return ABSENT
+            return fn(a, b)
+        return refs
+    if isinstance(left, StreamRef) and isinstance(right, Const):
+        a_name, b = left.name, right.value
+
+        def ref_const(read, offset_read, now):
+            a = read(a_name)
+            return ABSENT if a is ABSENT else fn(a, b)
+        return ref_const
+    if isinstance(left, Const) and isinstance(right, StreamRef):
+        a, b_name = left.value, right.name
+
+        def const_ref(read, offset_read, now):
+            b = read(b_name)
+            return ABSENT if b is ABSENT else fn(a, b)
+        return const_ref
+    left, right = compile_expr(left), compile_expr(right)
+
+    def binary(read, offset_read, now):
+        a = left(read, offset_read, now)
+        if a is ABSENT:
+            return ABSENT
+        b = right(read, offset_read, now)
+        if b is ABSENT:
+            return ABSENT
+        return fn(a, b)
+    return binary
+
+
+@dataclass(frozen=True)
+class ActivationPlan:
+    """What one set of present inputs activates, in evaluation order.
+
+    `outputs` lists (name, evaluate) for each output with a clause whose
+    pacing the set satisfies; `evaluate` runs first-match over only those
+    clauses. `checks` lists every output as (name, evaluate), with None for
+    an output the plan leaves ABSENT. `template` maps every stream to ABSENT.
+    """
+
+    outputs: tuple
+    checks: tuple
+    template: dict
+
+
+def _first_match(clauses) -> Callable:
+    """First-match evaluation of one output over its activated clauses,
+    given as (when closure or None, expr closure).
+
+    A clause fires when its when condition holds; a when condition that
+    evaluates to ABSENT makes the whole output absent for the step, since
+    later clauses assume the earlier conditions were decided false.
+    """
+    if clauses[0][0] is None:  # an unguarded first clause always fires
+        return clauses[0][1]
+
+    def first_match(read, offset_read, now):
+        for when, expr in clauses:
+            if when is not None:
+                w = when(read, offset_read, now)
+                if w is ABSENT:
+                    return ABSENT
+                if w is not True:
+                    continue
+            return expr(read, offset_read, now)
+        return ABSENT
+    return first_match
+
+
 @dataclass(frozen=True)
 class CompiledSpec:
     """Every expression of an analyzed specification, compiled once.
@@ -240,6 +320,34 @@ class CompiledSpec:
     triggers: tuple
     names: tuple[str, ...]
     inputs: frozenset[str]
+    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def plan(self, present: frozenset) -> ActivationPlan:
+        """The activation plan of a set of present inputs, built on first
+        use. An output keeps the clauses whose pacing `present` satisfies
+        (@any clauses always) up to its first one without a when condition.
+        A set with undeclared inputs raises ValueError and is not kept.
+        """
+        plan = self._plans.get(present)
+        if plan is not None:
+            return plan
+        if not present <= self.inputs:
+            raise ValueError("event values for undeclared inputs: "
+                             f"{sorted(present - self.inputs)}")
+        checks = []
+        for name, clauses in self.outputs:
+            kept = []
+            for inputs, when, expr in clauses:
+                if inputs is None or inputs <= present:
+                    kept.append((when, expr))
+                    if when is None:
+                        break
+            checks.append((name, _first_match(kept) if kept else None))
+        template = dict.fromkeys(self.names, ABSENT)
+        plan = self._plans[present] = ActivationPlan(
+            tuple(c for c in checks if c[1] is not None), tuple(checks),
+            template)
+        return plan
 
 
 def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
@@ -258,27 +366,6 @@ def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
         for name, trig in zip(analyzed.trigger_names, spec.triggers))
     return CompiledSpec(outputs, triggers, spec.stream_names(),
                         frozenset(spec.input_names()))
-
-
-def _first_match(clauses, present, read, offset_read, now):
-    """First-match clause evaluation for one output at one step.
-
-    A clause fires when its pacing is satisfied and its when condition holds;
-    a when condition that evaluates to ABSENT makes the whole output absent
-    for the step, since later clauses assume the earlier conditions were
-    decided false.
-    """
-    for inputs, when, expr in clauses:
-        if inputs is not None and not inputs <= present:
-            continue
-        if when is not None:
-            w = when(read, offset_read, now)
-            if w is ABSENT:
-                return ABSENT
-            if w is not True:
-                continue
-        return expr(read, offset_read, now)
-    return ABSENT
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +411,15 @@ def eval_event(state: MonitorState, event: Event):
     if not event.values:
         raise ValueError("an event must carry at least one input value")
     compiled = state.compiled
-    present = frozenset(event.values)
-    if not present <= compiled.inputs:
-        raise ValueError("event values for undeclared inputs: "
-                         f"{sorted(present - compiled.inputs)}")
+    plan = compiled.plan(frozenset(event.values))
 
     now = float(event.time)
-    current = dict.fromkeys(compiled.names, ABSENT)
+    current = plan.template.copy()
     current.update(event.values)
     read = current.__getitem__
     offset_read = state.offset_read
-    for name, clauses in compiled.outputs:
-        current[name] = _first_match(clauses, present, read, offset_read, now)
+    for name, evaluate in plan.outputs:
+        current[name] = evaluate(read, offset_read, now)
 
     reports = [
         TriggerReport(name, state.step, event.time, message)
@@ -352,14 +436,15 @@ def eval_event(state: MonitorState, event: Event):
 def run_monitor_full(analyzed: AnalyzedSpec, events):
     """Execute the monitor over a whole trace: its model and triggers."""
     state = MonitorState(analyzed)
-    names = analyzed.spec.stream_names()
-    model = EvaluationModel(streams={name: [] for name in names})
+    model = EvaluationModel(
+        streams={name: [] for name in analyzed.spec.stream_names()})
+    appends = [(name, col.append) for name, col in model.streams.items()]
     reports: list[TriggerReport] = []
     for event in events:
         values, fired = eval_event(state, event)
         model.times.append(event.time)
-        for name in names:
-            model.streams[name].append(values[name])
+        for name, append in appends:
+            append(values[name])
         reports.extend(fired)
     return model, reports
 
@@ -415,13 +500,16 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
     compiled = analyzed.compiled
     input_names = analyzed.spec.input_names()
     reader = ModelReader(model)
+    streams = model.streams
     for t in range(n):
-        present = model.present_inputs(input_names, t)
+        plan = compiled.plan(model.present_inputs(input_names, t))
         now = float(model.times[t])
         read, offset_read = reader.at_step(t)
-        for name, clauses in compiled.outputs:
-            expected = _first_match(clauses, present, read, offset_read, now)
-            actual = model.streams[name][t]
+        for name, evaluate in plan.checks:
+            # an output the plan leaves out must be ABSENT
+            expected = (ABSENT if evaluate is None
+                        else evaluate(read, offset_read, now))
+            actual = streams[name][t]
             # == implies values_equal; only unequal cells need the NaN rules
             if expected != actual and not values_equal(expected, actual):
                 violations.append(Violation(
@@ -445,7 +533,7 @@ def triggers_from_model(analyzed: AnalyzedSpec, model: EvaluationModel):
 
 
 __all__ = [
-    "ABSENT", "CompiledSpec", "Event", "EvaluationModel", "ModelReader",
+    "ABSENT", "ActivationPlan", "CompiledSpec", "Event", "EvaluationModel", "ModelReader",
     "MonitorState", "TriggerReport", "Violation", "compile_expr",
     "compile_spec", "eval_event", "run_monitor_full",
     "triggers_from_model", "values_equal", "verify_model",

@@ -97,8 +97,9 @@ def write_trace(path, events: list[Event], input_names) -> None:
 def _parse_row(row: list, names: list, types: dict, path, lineno: int):
     """(time, cell values) of one CSV row, padding missing cells with ABSENT.
 
-    A malformed cell or a row longer than the header is a SpecSyntaxError
-    naming its line and column.
+    A malformed cell, a time beyond float range (monitors read time as a
+    float) or a row longer than the header is a SpecSyntaxError naming its
+    line and column.
     """
     if len(row) > len(names) + 1:
         raise SpecSyntaxError(
@@ -107,6 +108,10 @@ def _parse_row(row: list, names: list, types: dict, path, lineno: int):
     col = 1
     try:
         t = parse_time(row[0])
+        try:
+            float(t)
+        except OverflowError:
+            raise ValueError(f"time {row[0]} is beyond float range") from None
         cells = []
         for col, (name, cell) in enumerate(zip(names, row[1:]), start=2):
             cells.append(parse_value(cell, types[name]))

@@ -90,8 +90,14 @@ class SchedulerState:
             last = kinds.get("last")
             refreshed = tuple(t for t in self.working if task <= t) if last else ()
             self._rows.append((task, kinds.get("schedule"), exact, last, refreshed))
-        self._joint = [(t, schedule.joint[t]) for t in self.working
-                       if t not in direct and schedule.joint.get(t)]
+        # each joint task under one of its sources: its value can change
+        # only in a step in which all of them fired
+        self._joint: dict = {}  # direct Task -> [(joint Task, sources)]
+        for t in self.working:
+            if t not in direct and schedule.joint.get(t):
+                sources = schedule.joint[t]
+                self._joint.setdefault(min(sources, key=task_key), []).append(
+                    (t, sources))
         # the static part of each rank key; the index in `working` breaks
         # ties in task_key order
         stale = schedule.mode != MODE_PRIORITY
@@ -114,9 +120,10 @@ class SchedulerState:
             if last is not None and current.get(last, ABSENT) is not ABSENT:
                 for sup in refreshed:
                     seen[sup] = cycle
-        for task, joint in self._joint:
-            if all(src in fired for src in joint):
-                values[task] = self.combine(fired[src] for src in joint)
+        for src in fired:
+            for task, joint in self._joint.get(src, ()):
+                if all(s in fired for s in joint):
+                    values[task] = self.combine(fired[s] for s in joint)
 
     def _deadline_keys(self) -> list:
         # deadlines never conflict through side satisfactions, so
@@ -318,8 +325,9 @@ def run_scheduled(translation: Translation, source, horizon,
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
     monitor = MonitorState(translation.plain)
-    names = translation.plain.spec.stream_names()
-    model = EvaluationModel(streams={name: [] for name in names})
+    model = EvaluationModel(
+        streams={name: [] for name in translation.plain.spec.stream_names()})
+    appends = [(name, col.append) for name, col in model.streams.items()]
     triggers: list = []
     plans: list = []
 
@@ -332,7 +340,7 @@ def run_scheduled(translation: Translation, source, horizon,
             current, fired = eval_event(monitor, Event(at, values))
             state.observe(current)
             model.times.append(at)
-            for name in names:
-                model.streams[name].append(current[name])
+            for name, append in appends:
+                append(current[name])
             triggers.extend(fired)
     return ScheduledRun(translation, model, triggers, plans, report)

@@ -369,10 +369,25 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     else:  # events k * period <= the last sample
         count = math.floor(trace.span()[1] * freq) + 1
 
+    # one tick per event, floor(at·quantum), bisected as `query` does; the
+    # sensors `query` would reject at `at` (no samples, the event before the
+    # first or after the last) go through it, so it raises its own error
+    den = period.denominator
+    step = period.numerator * trace.quantum
+    sensors = [(s, trace.ticks.get(s), trace.values.get(s)) for s in inputs]
+
     def events():
         for k in range(count):
             at = k * period
-            yield Event(at, {s: source.query(s, at) for s in inputs})
+            scaled = k * step  # at·quantum·den
+            tick = scaled // den
+            values = {}
+            for s, ticks, vals in sensors:
+                if ticks is None or tick < ticks[0] or scaled > ticks[-1] * den:
+                    values[s] = source.query(s, at)
+                else:
+                    values[s] = vals[bisect_right(ticks, tick) - 1]
+            yield Event(at, values)
 
     return BaselineRun(*run_monitor_full(analyzed, events()))
 

@@ -300,6 +300,28 @@ def test_non_numeric_trace_cell_is_a_usage_error(spec_dir, tmp_path, capsys):
     assert "trace.csv:3:2" in err
 
 
+def test_trace_time_beyond_float_range_is_a_usage_error(spec_dir, tmp_path,
+                                                        capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,1.0\n1e400,20.0,1.0\n")
+    err = _usage_error(["run", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace)], capsys)
+    assert "trace.csv:3:1" in err and "beyond float range" in err
+
+
+def test_model_time_beyond_float_range_is_a_usage_error(spec_dir,
+                                                        conflict_model, capsys):
+    with open(conflict_model, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[-1][0] = "1e400"
+    with open(conflict_model, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    err = _usage_error(["check", str(spec_dir / "priority_conflict.lola"),
+                        "--model", str(conflict_model), "--mode", "priority"],
+                       capsys)
+    assert f"model.csv:{len(rows)}:1" in err and "beyond float range" in err
+
+
 def test_unknown_scenario_key_is_a_usage_error(spec_dir, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"seed": 1, "speed": 3.0}))

@@ -7,9 +7,12 @@ by checking each other. These tests compare every path with
 """
 
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +20,18 @@ import gen_specs
 import reference_eval
 from activemon.analysis import analyze
 from activemon.ast import (
-    Binary, Const, MinMax, Now, OffsetAccess, Proj, StreamRef, Unary,
+    Binary, Const, EvalClause, MinMax, Now, OffsetAccess, OutputDecl, Pacing,
+    Proj, StreamRef, Unary,
 )
 from activemon.engine import (
     ABSENT,
+    CompiledSpec,
     Event,
     EvaluationModel,
     ModelReader,
+    MonitorState,
     compile_expr,
+    eval_event,
     run_monitor_full,
     triggers_from_model,
     values_equal,
@@ -135,6 +142,117 @@ def test_an_absent_when_makes_the_output_absent():
     assert model.streams["o"] == columns["o"] == [1.0, ABSENT, 2.0]
 
 
+# ---------------------------------------------------------------------------
+# activation plans
+
+# a `when` over an output that is absent at that step (x where a <= 0), a
+# conjunctive pacing with a guard, an @any output, and outputs of one input
+PLANNED = ("input a : Float64\ninput b : Float64\n"
+           "output x\n    eval |@a| when a > 0.0 with a\n"
+           "output both\n"
+           "    eval |@a && b| when x > 1.0 with a + b\n"
+           "    eval |@a && b| when b < 0.0 with a - b\n"
+           "output nb |@b| := b * 2.0\n"
+           "output count\n"
+           "    eval |@any| with count.offset(by:-1).defaults(to: 0) + 1\n"
+           'trigger both > 3.0 "both large"\n')
+
+PLANNED_EVENTS = [
+    Event(Fraction(t, 2), values) for t, values in enumerate((
+        {"a": 2.0, "b": 1.5}, {"a": -1.0, "b": 4.0}, {"b": 3.0},
+        {"a": 0.5}, {"a": 0.5, "b": -2.0}, {"a": 3.0, "b": -1.0},
+        {"b": 1.0}, {"a": 5.0, "b": 2.0}))
+]
+
+
+def _assert_matches_reference(analyzed, events):
+    model, reports = run_monitor_full(analyzed, events)
+    columns, fired = reference_run(analyzed, events)
+    for name, column in columns.items():
+        assert all(values_equal(a, b)
+                   for a, b in zip(model.streams[name], column, strict=True)), name
+    assert _as_tuples(reports) == fired
+    assert verify_model(analyzed, model) == []
+    return model
+
+
+def test_plans_match_the_reference_on_guards_over_absent_outputs():
+    analyzed = analyze(parse_spec(PLANNED))
+    model = _assert_matches_reference(analyzed, PLANNED_EVENTS)
+    # x is absent at step 1 and both's first guard with it
+    assert model.streams["both"][:3] == [3.5, ABSENT, ABSENT]
+    assert model.streams["count"] == list(range(1, 9))
+
+
+def test_plans_keep_any_clauses_after_paced_ones():
+    # analysis gives every clause of an output one pacing; a plan filters
+    # clause by clause, which this output with mixed pacings shows
+    a, b = StreamRef("a"), StreamRef("b")
+    mixed = OutputDecl("nb", (
+        EvalClause(Pacing.of(["a", "b"]), Binary(">", a, Const(1.0)),
+                   Binary("+", a, b)),
+        EvalClause(Pacing.of(["b"]), Binary("<", b, Const(0.0)), b),
+        EvalClause(Pacing.any_event(), Binary(">", Now(), Const(2.0)),
+                   Const(7.0)),
+        EvalClause(Pacing.of(["a"]), None, Unary("neg", a)),
+        EvalClause(Pacing.any_event(), None, Const(9.0)),
+    ))
+    base = analyze(parse_spec(PLANNED))
+    spec = replace(base.spec, outputs=tuple(
+        mixed if o.name == "nb" else o for o in base.spec.outputs))
+    analyzed = replace(base, spec=spec)
+    model = _assert_matches_reference(analyzed, PLANNED_EVENTS)
+    # each clause fires somewhere, the last @any one at step 2
+    assert model.streams["nb"] == [3.5, 1.0, 9.0, -0.5, -2.0, 2.0, 7.0, 7.0]
+    plan = analyzed.compiled.plan(frozenset({"a"}))
+    assert sorted(name for name, _ in plan.outputs) == ["count", "nb", "x"]
+
+
+def test_verify_flags_a_value_where_the_plan_leaves_an_output_out():
+    analyzed = analyze(parse_spec(PLANNED))
+    model, _ = run_monitor_full(analyzed, PLANNED_EVENTS)
+    model.streams["nb"][3] = 1.0  # step 3 carries a alone
+    violations = verify_model(analyzed, model)
+    assert [(v.kind, v.step, v.stream, v.detail) for v in violations] == [
+        ("semantic", 3, "nb", "stream 'nb' holds 1.0, recomputation gives ABSENT")]
+
+
+def test_an_undeclared_input_raises_on_every_event():
+    analyzed = analyze(parse_spec(PLANNED))
+    state = MonitorState(analyzed)
+    for t in range(3):
+        with pytest.raises(ValueError, match=r"undeclared inputs: \['c'\]"):
+            eval_event(state, Event(Fraction(t), {"a": 1.0, "c": 2.0}))
+    assert state.step == 0
+    eval_event(state, Event(Fraction(0), {"a": 1.0}))
+    assert state.step == 1
+
+
+def test_unactivated_outputs_cost_no_call():
+    analyzed = analyze(parse_spec(PLANNED))
+    calls = Counter()
+
+    def counted(name, closure):
+        def call(*args):
+            calls[name] += 1
+            return closure(*args)
+        return call
+
+    compiled = analyzed.compiled
+    state = MonitorState(analyzed)
+    state.compiled = CompiledSpec(tuple(
+        (name, tuple((inputs, when and counted(name, when),
+                      counted(name, expr)) for inputs, when, expr in clauses))
+        for name, clauses in compiled.outputs),
+        compiled.triggers, compiled.names, compiled.inputs)
+    for t in range(4):
+        eval_event(state, Event(Fraction(t), {"a": 2.0}))
+    # with a alone, `both` (a && b) and `nb` (b) are never called
+    assert calls == {"x": 8, "count": 4}
+    eval_event(state, Event(Fraction(4), {"b": 2.0}))
+    assert calls == {"x": 8, "count": 5, "nb": 1}
+
+
 def _same(form, env, offset_read=None, now=0.0):
     read = env.__getitem__
     got = compile_expr(form)(read, offset_read, now)
@@ -144,7 +262,11 @@ def _same(form, env, offset_read=None, now=0.0):
 
 def test_every_operator_matches_the_reference_on_edge_values():
     a, b = StreamRef("a"), StreamRef("b")
-    forms = [Binary(op, a, b) for op in BINARY_OPS]
+    # stream/stream, stream/constant and constant/stream compile to their
+    # own closures; a negated operand takes the general path
+    forms = [Binary(op, x, y) for op in BINARY_OPS
+             for x, y in ((a, b), (a, Const(2)), (Const(2.5), b),
+                          (Unary("neg", a), b))]
     forms += [MinMax("min", (a, b)), MinMax("max", (a, Const(1.0), b))]
     for form in forms:
         for x in EDGE_VALUES:

@@ -319,6 +319,40 @@ def test_fixed_baseline_counts_events_like_a_per_event_test(freq, last, horizon)
     assert base.model.times
 
 
+# thirds and tenths from 0 s through 10 s, and a sensor that starts late
+_FROM_ZERO = SensorTrace.from_samples({
+    "thirds": [(Fraction(k, 3), float(k)) for k in range(31)],
+    "tenths": [(Fraction(k, 10), -float(k)) for k in range(101)],
+    "late": [(Fraction(1, 3), 0.5), (Fraction(10), 1.5)],
+})
+_THREE = "input thirds : Float64\ninput tenths : Float64\n"
+
+
+@pytest.mark.parametrize("freq", [0.7, 3, 4])
+@pytest.mark.parametrize("horizon", [None, 7.77])
+def test_fixed_baseline_values_equal_per_event_queries(freq, horizon):
+    spec = analyze(parse_spec(_THREE + "output o := thirds + tenths\n"))
+    base = run_fixed(spec, _FROM_ZERO, freq, horizon)
+    source = TraceSource(_FROM_ZERO)
+    for sensor in ("thirds", "tenths"):
+        assert base.model.streams[sensor] == [
+            source.query(sensor, at) for at in base.model.times]
+    assert len(set(base.model.streams["thirds"])) > len(base.model) // 2
+
+
+@pytest.mark.parametrize("inputs,horizon,error,message", [
+    ("input late : Float64\n", None, OutOfRange, "precedes the first sample"),
+    (_THREE, 10.5, OutOfRange, "is past the last sample of 'thirds'"),
+    ("input gone : Float64\n", None, SensorUnavailable, "gone"),
+])
+def test_fixed_baseline_raises_what_the_query_raises(inputs, horizon, error,
+                                                     message):
+    first = inputs.split()[1]
+    spec = analyze(parse_spec(inputs + f"output o := {first}\n"))
+    with pytest.raises(error, match=message):
+        run_fixed(spec, _FROM_ZERO, 4, horizon)
+
+
 def test_fixed_baseline_rejects_bad_frequency():
     spec = analyze(parse_spec("input s : Float64\noutput o := s\n"))
     with pytest.raises(ValueError):
