@@ -14,16 +14,17 @@ activated clauses. The monitor calls nothing else, so every other output
 stays ABSENT; `verify_model` recomputes through the same plans and checks
 that every output a plan leaves out is ABSENT in the model.
 
-`verify_model` recomputes every output of a finished model from the model
-itself, not from the monitor's state, and is the membership oracle every
-scheduling test checks against.
+`replay` walks a finished model forward through a monitor's own bounded
+history, filled only with the model's rows. `verify_model` recomputes every
+output of the model through it and is the membership oracle every
+scheduling test checks against; the `DecisionOracle` decides its region
+conditions through the same walk.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .analysis import AnalyzedSpec
 from .ast import (
     Binary, Const, Expr, MinMax, Now, OffsetAccess, Proj, StreamRef, Unary,
 )
-from .errors import NonMonotonicTime
+from .errors import NonMonotonicTime, TooManySteps
 
 
 class _Absent:
@@ -101,9 +102,18 @@ class EvaluationModel:
     def __len__(self) -> int:
         return len(self.times)
 
-    def present_inputs(self, input_names, step: int) -> frozenset[str]:
-        return frozenset(
-            i for i in input_names if self.streams[i][step] is not ABSENT)
+
+# models and traces are held in memory whole, which bounds a run's length
+MAX_STEPS = 10**6
+
+
+def check_steps(count: int, what: str) -> None:
+    """Reject a run of `count` steps above MAX_STEPS before it starts."""
+    if count > MAX_STEPS:
+        shown = (count if count < 10**12
+                 else f"about 10^{math.log10(count):.0f}")
+        raise TooManySteps(f"{what} would take {shown} steps, more than the "
+                           f"cap of {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -453,32 +463,27 @@ def run_monitor_full(analyzed: AnalyzedSpec, events):
 # the semantic oracle
 
 
-class ModelReader:
-    """Random access into a finished model, with offset reads by history.
+def replay(analyzed: AnalyzedSpec, model: EvaluationModel):
+    """Walk a finished model forward, one step at a time.
 
-    Offsets address a stream's own non-absent values strictly before a step,
-    which this resolves through per-stream indexes of present steps.
+    Yields (step, present, read, offset_read, now): the inputs present at
+    the step, a read over the step's row, and its time as a float. Offsets
+    go through a `MonitorState` whose history takes each row after the step
+    is yielded, so it holds only the model's own values, kept as deep as
+    the spec's `max_offset`, as the monitor keeps them. That serves exactly
+    the offsets the spec's expressions use; the `DecisionOracle`'s region
+    conditions are built from the spec's own `when` guards, so they are
+    covered too. A deeper offset reads as missing history.
     """
-
-    def __init__(self, model: EvaluationModel):
-        self.model = model
-        self._present: dict[str, list[int]] = {
-            name: [t for t, v in enumerate(col) if v is not ABSENT]
-            for name, col in model.streams.items()
-        }
-
-    def at_step(self, step: int):
-        def read(name: str):
-            return self.model.streams[name][step]
-
-        def offset_read(name: str, k: int):
-            steps = self._present[name]
-            pos = bisect_left(steps, step)  # first present index >= step
-            if pos < k:
-                return None
-            return self.model.streams[name][steps[pos - k]]
-
-        return read, offset_read
+    state = MonitorState(analyzed)
+    inputs = analyzed.spec.input_names()
+    names = tuple(model.streams)
+    rows = zip(*model.streams.values())
+    for step, (time, row) in enumerate(zip(model.times, rows)):
+        values = dict(zip(names, row))
+        present = frozenset(i for i in inputs if values[i] is not ABSENT)
+        yield step, present, values.__getitem__, state.offset_read, float(time)
+        state._push_history(values)
 
 
 def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violation]:
@@ -486,7 +491,8 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
 
     An empty result means the model is a member of the specification's
     semantics: timestamps strictly increase and each output cell equals the
-    first-match clause evaluation over the model itself.
+    first-match clause evaluation over the model itself, read forward by
+    `replay`. Time-map violations come first, then the cells in step order.
     """
     violations: list[Violation] = []
     n = len(model.times)
@@ -498,18 +504,12 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
                 f"{model.times[t - 1]}"))
 
     compiled = analyzed.compiled
-    input_names = analyzed.spec.input_names()
-    reader = ModelReader(model)
-    streams = model.streams
-    for t in range(n):
-        plan = compiled.plan(model.present_inputs(input_names, t))
-        now = float(model.times[t])
-        read, offset_read = reader.at_step(t)
-        for name, evaluate in plan.checks:
+    for t, present, read, offset_read, now in replay(analyzed, model):
+        for name, evaluate in compiled.plan(present).checks:
             # an output the plan leaves out must be ABSENT
             expected = (ABSENT if evaluate is None
                         else evaluate(read, offset_read, now))
-            actual = streams[name][t]
+            actual = read(name)
             # == implies values_equal; only unequal cells need the NaN rules
             if expected != actual and not values_equal(expected, actual):
                 violations.append(Violation(
@@ -519,22 +519,9 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
     return violations
 
 
-def triggers_from_model(analyzed: AnalyzedSpec, model: EvaluationModel):
-    """Evaluate all triggers over a finished model."""
-    reports: list[TriggerReport] = []
-    reader = ModelReader(model)
-    for t in range(len(model.times)):
-        read, offset_read = reader.at_step(t)
-        now = float(model.times[t])
-        for name, message, condition in analyzed.compiled.triggers:
-            if condition(read, offset_read, now) is True:
-                reports.append(TriggerReport(name, t, model.times[t], message))
-    return reports
-
-
 __all__ = [
-    "ABSENT", "ActivationPlan", "CompiledSpec", "Event", "EvaluationModel", "ModelReader",
-    "MonitorState", "TriggerReport", "Violation", "compile_expr",
-    "compile_spec", "eval_event", "run_monitor_full",
-    "triggers_from_model", "values_equal", "verify_model",
+    "ABSENT", "ActivationPlan", "CompiledSpec", "Event", "EvaluationModel",
+    "MAX_STEPS", "MonitorState", "TriggerReport", "Violation", "check_steps",
+    "compile_expr", "compile_spec", "eval_event", "replay", "run_monitor_full",
+    "values_equal", "verify_model",
 ]

@@ -74,5 +74,9 @@ class SensorUnavailable(SpecError):
         super().__init__(f"sensor '{sensor}' cannot be queried at t={time}")
 
 
+class TooManySteps(SpecError):
+    """A run would take more steps than a model or trace is allowed."""
+
+
 class MismatchedTraces(SpecError):
     """Compared runs did not observe the same underlying trace."""

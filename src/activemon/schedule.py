@@ -17,9 +17,9 @@ from .analysis import AnalyzedSpec
 from .ast import Expr, Pacing, conjoin
 from .engine import (
     EvaluationModel,
-    ModelReader,
     Violation,
     compile_expr,
+    replay,
     verify_model,
 )
 from .errors import MixedAnnotationKinds, PreconditionViolation
@@ -101,11 +101,7 @@ def _stream_order(analyzed: AnalyzedSpec) -> list:
     ]
 
 
-def build_static_schedule(
-    analyzed: AnalyzedSpec,
-    mode: str,
-    default_deadline: Optional[Fraction] = None,
-) -> StaticSchedule:
+def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
     """Derive the per-task region table for one scheduling mode.
 
     Deadline mode consumes deadline annotations and rejects priorities;
@@ -114,8 +110,7 @@ def build_static_schedule(
     """
     if mode not in MODES:
         raise ValueError(f"unknown scheduling mode '{mode}'")
-    if default_deadline is None:
-        default_deadline = analyzed.config.default_deadline
+    default_deadline = analyzed.config.default_deadline
 
     ann = analyzed.annotations
     for name, chain in ann.items():
@@ -245,11 +240,27 @@ class DecisionOracle:
         self.model = model
         self.n = len(model)
         self.period = analyzed.config.period
-        reader = ModelReader(model)
-        inputs = analyzed.spec.input_names()
         # every per-step verdict and violation follows this one order
         self.tasks = sorted(schedule.universe, key=task_key)
-        self.present = [model.present_inputs(inputs, t) for t in range(self.n)]
+
+        # region truth per step, each distinct region decided once, in the
+        # one walk that also collects the present inputs
+        truth: dict = {}
+        for chain in schedule.entries.values():
+            for entry in chain:
+                region = (entry.condition, entry.pacing)
+                if region not in truth:
+                    truth[region] = (compile_expr(entry.condition), [])
+        # entry pacings are concrete: build_static_schedule rejects @any
+        regions = [(p.inputs, cond, steps)
+                   for (_, p), (cond, steps) in truth.items()]
+        self.present = []
+        for s, present, read, offset_read, now in replay(analyzed, model):
+            self.present.append(present)
+            for inputs, cond, steps in regions:
+                if inputs <= present and cond(read, offset_read, now) is True:
+                    steps.append(s)
+
         by_present: dict = {}  # the satisfied tasks per set of present inputs
         self.sat_sets = []
         for present in self.present:
@@ -272,24 +283,6 @@ class DecisionOracle:
              frozenset(t for t in schedule.tracked if t <= task))
             for task in self.tasks if schedule.bounds.get(task) is not None
         ]
-
-        # region truth per step, each distinct region decided once
-        truth: dict = {}
-        for chain in schedule.entries.values():
-            for entry in chain:
-                region = (entry.condition, entry.pacing)
-                if region not in truth:
-                    truth[region] = (compile_expr(entry.condition), [])
-        # entry pacings are concrete: build_static_schedule rejects @any
-        regions = [(p.inputs, cond, steps)
-                   for (_, p), (cond, steps) in truth.items()]
-        for s in range(self.n):
-            present = self.present[s]
-            read, offset_read = reader.at_step(s)
-            now = float(model.times[s])
-            for inputs, cond, steps in regions:
-                if inputs <= present and cond(read, offset_read, now) is True:
-                    steps.append(s)
 
         # then the sticky current value per task, swept over the steps
         # where one of its regions holds
@@ -398,21 +391,18 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
                           bound: int, model: EvaluationModel) -> list:
     """Semantic, bandwidth and obligation conformance of a finished run."""
     violations = list(verify_model(analyzed, model))
-    inputs = analyzed.spec.input_names()
-    for step in range(len(model)):
-        got = model.present_inputs(inputs, step)
+    oracle = DecisionOracle(analyzed, schedule, model)
+    for step, got in enumerate(oracle.present):
         if len(got) > bound:
             violations.append(Violation(
                 kind="bandwidth", step=step, time=model.times[step],
                 detail=f"{len(got)} inputs arrive at once, bound is {bound}"))
-    if len(model) >= 2 and schedule.universe:
-        oracle = DecisionOracle(analyzed, schedule, model)
-        for step in range(len(model) - 1):
-            for task, verdict in oracle.decide(step).items():
-                if verdict == "Y" and task not in oracle.sat_sets[step + 1]:
-                    violations.append(Violation(
-                        kind="schedule", step=step + 1,
-                        time=model.times[step + 1],
-                        detail="obligated task left unsatisfied",
-                        task=tuple(sorted(task))))
+    for step in range(len(model) - 1):
+        for task, verdict in oracle.decide(step).items():
+            if verdict == "Y" and task not in oracle.sat_sets[step + 1]:
+                violations.append(Violation(
+                    kind="schedule", step=step + 1,
+                    time=model.times[step + 1],
+                    detail="obligated task left unsatisfied",
+                    task=tuple(sorted(task))))
     return violations

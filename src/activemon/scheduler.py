@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import ABSENT, EvaluationModel, MonitorState, Event, eval_event
+from .engine import (ABSENT, EvaluationModel, MonitorState, Event,
+                     check_steps, eval_event)
 from .errors import PreconditionViolation, UniverseTooLarge
 from .schedule import (
     MODE_DEADLINE,
@@ -314,13 +315,16 @@ def run_scheduled(translation: Translation, source, horizon,
 
     Cycles run at the configured event frequency starting at time zero.
     The run proceeds even when the precondition report is negative;
-    tasks wider than the bandwidth are simply never scheduled.
+    tasks wider than the bandwidth are simply never scheduled. More than
+    MAX_STEPS cycles raise TooManySteps before any cycle runs.
     """
     config = translation.analyzed.config
     period = config.period
     if bound is None:
         bound = config.bandwidth
     horizon = Fraction(horizon)
+    cycles = math.ceil(horizon / period)
+    check_steps(cycles, f"a {float(horizon)} s scheduled run")
 
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
@@ -331,7 +335,7 @@ def run_scheduled(translation: Translation, source, horizon,
     triggers: list = []
     plans: list = []
 
-    for k in range(math.ceil(horizon / period)):
+    for k in range(cycles):
         at = k * period
         plan = state.plan(at)
         plans.append(plan)

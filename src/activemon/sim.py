@@ -21,7 +21,8 @@ from random import Random
 from typing import Optional
 
 from .analysis import AnalyzedSpec
-from .engine import ABSENT, Event, EvaluationModel, run_monitor_full
+from .engine import (ABSENT, Event, EvaluationModel, check_steps,
+                     run_monitor_full)
 from .errors import MismatchedTraces, OutOfRange, SensorUnavailable, SpecError
 
 GRID_HZ = 10  # sampling grid of generated traces
@@ -155,6 +156,8 @@ class FlightScenario:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
+        check_steps(round(Fraction(self.duration) * GRID_HZ),
+                    f"a {self.duration} s flight at {GRID_HZ} Hz")
 
 
 def scenario_from_json(entry) -> FlightScenario:
@@ -356,7 +359,8 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
               horizon: Optional[float] = None) -> BaselineRun:
     """Query every sensor each 1/freq seconds and feed the monitor.
 
-    Events run up to `horizon` (exclusive) or else through the last sample.
+    Events run up to `horizon` (exclusive) or else through the last sample;
+    more than MAX_STEPS of them raise TooManySteps before the first.
     """
     freq = Fraction(str(freq)) if isinstance(freq, float) else Fraction(freq)
     if freq <= 0:
@@ -368,6 +372,7 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
         count = math.ceil(Fraction(horizon) * freq)
     else:  # events k * period <= the last sample
         count = math.floor(trace.span()[1] * freq) + 1
+    check_steps(count, f"a {float(freq)} Hz baseline")
 
     # one tick per event, floor(at·quantum), bisected as `query` does; the
     # sensors `query` would reject at `at` (no samples, the event before the

@@ -123,10 +123,9 @@ def _overdue_expr(task: Task, bound: Fraction, schedule: StaticSchedule,
     return Binary(">", age, Const(float(bound), is_float=True))
 
 
-def translate(analyzed: AnalyzedSpec, mode: str,
-              default_deadline: Optional[Fraction] = None) -> Translation:
+def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
     """Lower an annotated spec to a plain one plus its task table."""
-    schedule = build_static_schedule(analyzed, mode, default_deadline)
+    schedule = build_static_schedule(analyzed, mode)
     spec = analyzed.spec
     input_order = [i.name for i in spec.inputs]
 
@@ -175,9 +174,7 @@ def translate(analyzed: AnalyzedSpec, mode: str,
 
     table = {
         "mode": mode,
-        "default_deadline": _json_deadline(
-            default_deadline if default_deadline is not None
-            else analyzed.config.default_deadline),
+        "default_deadline": _json_deadline(analyzed.config.default_deadline),
         "tasks": [
             {
                 "inputs": [n for n in input_order if n in task],

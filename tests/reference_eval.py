@@ -1,22 +1,31 @@
-"""Tree-walking expression evaluator, kept as a test-only reference.
+"""Tree-walking expression evaluator and model reader, kept as test-only
+references.
 
 The engine compiles expressions into closures once per specification and
 shares them between the monitor, `verify_model` and the `DecisionOracle`,
 so a compiler bug would pass the engine's own membership oracle. This
 module is the direct recursive reading of the semantics that the
 differential tests compare the compiled form against.
+
+`engine.replay` serves offsets from the monitor's bounded history as it
+walks a model forward. `ModelReader` is the random-access reading it is
+tested against: per-stream indexes of present steps over the whole model.
+`present_inputs` and `triggers_from_model` read a finished model for the
+tests; the latter walks `replay` with the compiled trigger conditions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable
 
 from activemon.ast import (
     Binary, Const, Expr, MinMax, Now, OffsetAccess, OutputDecl, Proj,
     StreamRef, Unary,
 )
-from activemon.engine import ABSENT, values_equal
+from activemon.engine import (ABSENT, EvaluationModel, TriggerReport, replay,
+                              values_equal)
 
 _NAN = float("nan")
 
@@ -138,3 +147,48 @@ def eval_clauses(decl: OutputDecl, present: frozenset[str], read, offset_read,
                 continue
         return eval_expr(clause.expr, read, offset_read, now)
     return ABSENT
+
+
+class ModelReader:
+    """Random access into a finished model, with offset reads by history.
+
+    Offsets address a stream's own non-absent values strictly before a step,
+    which this resolves through per-stream indexes of present steps.
+    """
+
+    def __init__(self, model: EvaluationModel):
+        self.model = model
+        self._present: dict[str, list[int]] = {
+            name: [t for t, v in enumerate(col) if v is not ABSENT]
+            for name, col in model.streams.items()
+        }
+
+    def at_step(self, step: int):
+        def read(name: str):
+            return self.model.streams[name][step]
+
+        def offset_read(name: str, k: int):
+            steps = self._present[name]
+            pos = bisect_left(steps, step)  # first present index >= step
+            if pos < k:
+                return None
+            return self.model.streams[name][steps[pos - k]]
+
+        return read, offset_read
+
+
+def present_inputs(model: EvaluationModel, input_names,
+                   step: int) -> frozenset:
+    """The inputs with a value at `step`, read off the model's cells."""
+    return frozenset(
+        i for i in input_names if model.streams[i][step] is not ABSENT)
+
+
+def triggers_from_model(analyzed, model: EvaluationModel) -> list:
+    """Every trigger evaluated over a finished model, walked by `replay`."""
+    reports: list[TriggerReport] = []
+    for t, _, read, offset_read, now in replay(analyzed, model):
+        for name, message, condition in analyzed.compiled.triggers:
+            if condition(read, offset_read, now) is True:
+                reports.append(TriggerReport(name, t, model.times[t], message))
+    return reports

@@ -1,12 +1,14 @@
 """Per-task decision rules, kept as a test-only reference.
 
 `schedule.DecisionOracle` decides each step in one sweep: the staleness of
-every task from the tracked tasks' last satisfactions, and the priority
-rule from the lowest current value among the satisfied tasks. This module
-is the direct reading of both rules, one task at a time, that the
-differential tests compare the sweep against. The satisfied sets are
-rebuilt here by a membership test per (task, step), independently of the
-oracle's own construction.
+every task from the tracked tasks' last satisfactions, the priority rule
+from the lowest current value among the satisfied tasks, and the deadline
+rule from per-region step lists bisected at the last satisfaction. This
+module is the direct reading of the three rules, one task at a time, that
+the differential tests compare the sweep against. The present inputs and
+satisfied sets are rebuilt here from the model's cells by a membership test
+per (task, step), and region truth by the tree-walking evaluator over
+`ModelReader`, independently of the oracle's own walk.
 """
 
 from __future__ import annotations
@@ -14,14 +16,18 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from activemon.schedule import (
-    MODE_DEADLINE, MODE_PRIORITY, DecisionOracle, Task,
+    MODE_DEADLINE, MODE_PRIORITY, DecisionOracle, ScheduleEntry, Task,
 )
+from reference_eval import ModelReader, eval_expr, present_inputs
 
 
 class ReferenceOracle(DecisionOracle):
 
     def __init__(self, analyzed, schedule, model):
         super().__init__(analyzed, schedule, model)
+        inputs = analyzed.spec.input_names()
+        self.present = [present_inputs(model, inputs, step)
+                        for step in range(self.n)]
         self.sat_sets = [
             frozenset(t for t in schedule.universe if t <= self.present[step])
             for step in range(self.n)
@@ -30,6 +36,8 @@ class ReferenceOracle(DecisionOracle):
             task: [s for s in range(self.n) if task in self.sat_sets[s]]
             for task in schedule.universe
         }
+        self.reader = ModelReader(model)
+        self._truth: dict = {}  # (condition, pacing, step) -> bool
 
     def overdue(self, task: Task, step: int) -> bool:
         """Staleness at `step`, from satisfactions strictly before it."""
@@ -57,6 +65,36 @@ class ReferenceOracle(DecisionOracle):
                 for task in self.schedule.universe
             }
         return self._decide_dp(step)
+
+    def _holds(self, entry: ScheduleEntry, step: int) -> bool:
+        """Whether a region's pacing and condition hold at `step`."""
+        key = (entry.condition, entry.pacing, step)
+        if key not in self._truth:
+            self._truth[key] = entry.pacing.satisfied_by(self.present[step]) \
+                and eval_expr(entry.condition, *self.reader.at_step(step),
+                              float(self.model.times[step])) is True
+        return self._truth[key]
+
+    def _decide_deadline(self, step: int) -> dict:
+        """A task is obliged when, since its last satisfaction (or from the
+        start), one of its regions first held at an onset whose deadline
+        runs out before the step after next."""
+        horizon = self._time(step + 2)
+        out = {}
+        for task in self.schedule.universe:
+            last = 0
+            for s in range(step + 1):
+                if task in self.sat_sets[s]:
+                    last = s
+            verdict = "M"
+            for entry in self.schedule.entries[task]:
+                onset = next((s for s in range(last, step + 1)
+                              if self._holds(entry, s)), None)
+                if onset is not None and \
+                        horizon > self.model.times[onset] + entry.value:
+                    verdict = "Y"
+            out[task] = verdict
+        return out
 
     def _priority_witness(self, task: Task, step: int,
                           extra: Optional[Callable[[Task], bool]] = None) -> bool:

@@ -338,6 +338,38 @@ def test_negative_duration_is_a_usage_error(spec_dir, tmp_path, capsys):
     assert "duration" in err
 
 
+@pytest.mark.parametrize("command, count", [
+    ("run", "about 10^300"), ("baseline", "about 10^300"),
+    ("scenario", "about 10^301"), ("compare", "about 10^301"),
+])
+def test_a_run_beyond_the_step_cap_is_a_usage_error(spec_dir, tmp_path,
+                                                    command, count):
+    # each of these would otherwise plan, count or sample about 1e300 steps
+    spec = str(spec_dir / "priority_conflict.lola")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,1.0\n1e300,20.0,1.0\n")
+    far = {"seed": 1, "duration": 1e300}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(far))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                  "scenarios": [far]}))
+    argv = {
+        "run": ["run", spec, "--trace", str(trace)],
+        "baseline": ["baseline", spec, "--trace", str(trace), "--freq", "1"],
+        "scenario": ["run", str(spec_dir / "drone_experiment.lola"),
+                     "--scenario", str(scenario)],
+        "compare": ["compare", "--config", str(config),
+                    "--out-dir", str(tmp_path / "out")],
+    }[command]
+    result = subprocess.run([sys.executable, "-m", "activemon.cli", *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+    assert f"{count} steps, more than the cap of 1000000" in result.stderr
+
+
 @pytest.mark.parametrize("freq", ["0", "abc"])
 def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
                                                  capsys, freq):

@@ -28,18 +28,18 @@ from activemon.engine import (
     CompiledSpec,
     Event,
     EvaluationModel,
-    ModelReader,
     MonitorState,
     compile_expr,
     eval_event,
+    replay,
     run_monitor_full,
-    triggers_from_model,
     values_equal,
     verify_model,
 )
 from activemon.parser import parse_spec
 from activemon.schedule import DecisionOracle
 from activemon.translate import translate
+from reference_eval import ModelReader, present_inputs, triggers_from_model
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -120,12 +120,33 @@ def test_oracle_region_truth_matches_the_reference(seed):
         for entry, steps in zip(chain, oracle.true_steps[task], strict=True):
             expected = [
                 s for s in range(len(model))
-                if entry.pacing.satisfied_by(model.present_inputs(inputs, s))
+                if entry.pacing.satisfied_by(present_inputs(model, inputs, s))
                 and reference_eval.eval_expr(
                     entry.condition, *reader.at_step(s),
                     float(model.times[s])) is True
             ]
             assert steps == expected
+
+
+@given(SEEDS, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_the_model_and_the_reference_reader(seed, annotate):
+    analyzed, tr, events = _generated(seed, annotate)
+    for spec in (analyzed, tr.plain):
+        model, _ = run_monitor_full(spec, events)
+        inputs = spec.spec.input_names()
+        reader = ModelReader(model)
+        steps = []
+        for step, present, read, offset_read, now in replay(spec, model):
+            steps.append(step)
+            assert present == present_inputs(model, inputs, step)
+            assert now == float(model.times[step])
+            _, reference = reader.at_step(step)
+            for name, column in model.streams.items():
+                assert read(name) is column[step]
+                for k in range(1, spec.max_offset[name] + 1):
+                    assert offset_read(name, k) is reference(name, k), (name, k)
+        assert steps == list(range(len(model)))
 
 
 def test_an_absent_when_makes_the_output_absent():

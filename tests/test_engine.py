@@ -5,8 +5,9 @@ from fractions import Fraction
 
 from activemon.analysis import analyze
 from activemon.engine import (ABSENT, Event, run_monitor_full,
-                              triggers_from_model, values_equal, verify_model)
+                              values_equal, verify_model)
 from activemon.parser import parse_spec
+from reference_eval import triggers_from_model
 
 
 def monitor(text, events):

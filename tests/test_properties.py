@@ -15,7 +15,6 @@ from activemon.analysis import analyze
 from activemon.ast import format_spec
 from activemon.engine import (
     ABSENT,
-    ModelReader,
     compile_expr,
     run_monitor_full,
     values_equal,
@@ -26,6 +25,7 @@ from activemon.schedule import check_scheduled_model
 from activemon.scheduler import run_scheduled
 from activemon.sim import TraceSource, compute_metrics
 from activemon.translate import translate
+from reference_eval import ModelReader
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -8,7 +8,8 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.engine import ABSENT, Event, EvaluationModel, TriggerReport
-from activemon.errors import MismatchedTraces, OutOfRange, SensorUnavailable
+from activemon.errors import (MismatchedTraces, OutOfRange, SensorUnavailable,
+                              TooManySteps)
 from activemon.parser import parse_spec
 from activemon.sim import (
     GRID_HZ,
@@ -202,6 +203,16 @@ def test_flight_matches_the_pairwise_reference(scenario):
     reference = SensorTrace.from_samples(_reference_flight(scenario))
     assert trace == reference
     assert trace_fingerprint(trace) == trace_fingerprint(reference)
+
+
+def test_the_step_cap_admits_exactly_a_million_steps():
+    # a scenario is checked on construction, before any sample is made
+    assert FlightScenario(seed=1, duration=100_000.0).duration == 100_000.0
+    with pytest.raises(TooManySteps, match="1000001 steps"):
+        FlightScenario(seed=1, duration=100_000.1)
+    analyzed = analyze(parse_spec("input s : Float64\noutput o := s\n"))
+    with pytest.raises(TooManySteps, match="1000001 steps"):
+        run_fixed(analyzed, HOLD, Fraction(10**6))  # events at 0, 1e-6, ..., 1
 
 
 def _distance(sample, start):
