@@ -114,8 +114,13 @@ def _source_for(args, analyzed):
         if args.horizon is not None:
             horizon = args.horizon
         else:
-            _, last = trace.span()
-            horizon = float(last + analyzed.config.period)
+            # the cycles k * period up to the last time that every sampled
+            # input still covers; at least one, so a trace that covers none
+            # fails on its first query
+            period = analyzed.config.period
+            covered = Fraction(min(seq[-1] for seq in trace.ticks.values()),
+                               trace.quantum)
+            horizon = max(math.floor(covered / period) + 1, 1) * period
     return trace, horizon
 
 

@@ -94,13 +94,40 @@ class TriggerReport:
 
 @dataclass
 class EvaluationModel:
-    """Every stream's value (or ABSENT) at every step plus exact timestamps."""
+    """Every stream's value (or ABSENT) at every step plus exact timestamps.
 
-    times: list[Fraction] = field(default_factory=list)
+    Step s lies at ticks[s] / quantum seconds. The quantum is canonical: the
+    smallest on which every time of the model is an integer, 1 when there
+    are none, so models with equal times have equal ticks and quanta.
+    """
+
+    ticks: list[int] = field(default_factory=list)
     streams: dict[str, list[object]] = field(default_factory=dict)
+    quantum: int = 1
+
+    def __post_init__(self):
+        g = math.gcd(self.quantum, *self.ticks)
+        if g != 1:
+            self.quantum //= g
+            self.ticks = [t // g for t in self.ticks]
+
+    @classmethod
+    def from_times(cls, times, streams: dict) -> EvaluationModel:
+        """A model at exact times, each an int or a Fraction."""
+        q = math.lcm(*{t.denominator for t in times})
+        return cls([t.numerator * (q // t.denominator) for t in times],
+                   streams, q)
+
+    @property
+    def times(self) -> list[Fraction]:
+        """Every step's time as an exact Fraction, for reports and tests."""
+        return [Fraction(t, self.quantum) for t in self.ticks]
+
+    def time_at(self, step: int) -> Fraction:
+        return Fraction(self.ticks[step], self.quantum)
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.ticks)
 
 
 # models and traces are held in memory whole, which bounds a run's length
@@ -446,17 +473,17 @@ def eval_event(state: MonitorState, event: Event):
 def run_monitor_full(analyzed: AnalyzedSpec, events):
     """Execute the monitor over a whole trace: its model and triggers."""
     state = MonitorState(analyzed)
-    model = EvaluationModel(
-        streams={name: [] for name in analyzed.spec.stream_names()})
-    appends = [(name, col.append) for name, col in model.streams.items()]
+    streams = {name: [] for name in analyzed.spec.stream_names()}
+    appends = [(name, col.append) for name, col in streams.items()]
+    times = []
     reports: list[TriggerReport] = []
     for event in events:
         values, fired = eval_event(state, event)
-        model.times.append(event.time)
+        times.append(event.time)
         for name, append in appends:
             append(values[name])
         reports.extend(fired)
-    return model, reports
+    return EvaluationModel.from_times(times, streams), reports
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +494,8 @@ def replay(analyzed: AnalyzedSpec, model: EvaluationModel):
     """Walk a finished model forward, one step at a time.
 
     Yields (step, present, read, offset_read, now): the inputs present at
-    the step, a read over the step's row, and its time as a float. Offsets
+    the step, a read over the step's row, and its time as a float, rounded
+    once from the exact tick / quantum. Offsets
     go through a `MonitorState` whose history takes each row after the step
     is yielded, so it holds only the model's own values, kept as deep as
     the spec's `max_offset`, as the monitor keeps them. That serves exactly
@@ -479,10 +507,11 @@ def replay(analyzed: AnalyzedSpec, model: EvaluationModel):
     inputs = analyzed.spec.input_names()
     names = tuple(model.streams)
     rows = zip(*model.streams.values())
-    for step, (time, row) in enumerate(zip(model.times, rows)):
+    q = model.quantum
+    for step, (tick, row) in enumerate(zip(model.ticks, rows)):
         values = dict(zip(names, row))
         present = frozenset(i for i in inputs if values[i] is not ABSENT)
-        yield step, present, values.__getitem__, state.offset_read, float(time)
+        yield step, present, values.__getitem__, state.offset_read, tick / q
         state._push_history(values)
 
 
@@ -495,13 +524,14 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
     `replay`. Time-map violations come first, then the cells in step order.
     """
     violations: list[Violation] = []
-    n = len(model.times)
-    for t in range(1, n):
-        if model.times[t] <= model.times[t - 1]:
+    ticks = model.ticks
+    for t in range(1, len(ticks)):
+        if ticks[t] <= ticks[t - 1]:
+            time = model.time_at(t)
             violations.append(Violation(
-                "semantic", t, model.times[t],
-                f"time map not strictly increasing: {model.times[t]} after "
-                f"{model.times[t - 1]}"))
+                "semantic", t, time,
+                f"time map not strictly increasing: {time} after "
+                f"{model.time_at(t - 1)}"))
 
     compiled = analyzed.compiled
     for t, present, read, offset_read, now in replay(analyzed, model):
@@ -513,7 +543,7 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
             # == implies values_equal; only unequal cells need the NaN rules
             if expected != actual and not values_equal(expected, actual):
                 violations.append(Violation(
-                    "semantic", t, model.times[t],
+                    "semantic", t, model.time_at(t),
                     f"stream '{name}' holds {actual!r}, recomputation gives "
                     f"{expected!r}", stream=name))
     return violations

@@ -3,13 +3,24 @@
 Times are exact rationals serialized as decimal strings whenever they
 terminate (falling back to p/q), so reading a written file reproduces the
 values bit for bit. Empty CSV cells mean absent.
+
+Each column's cells go through one parser bound to the column's type once
+per file; `parse_value` calls the same parsers. A time cell is read into an
+exact numerator and denominator: a plain decimal directly, any other form
+through `Fraction`, which decides what is accepted. `read_model` puts the
+model's times on the lcm of those denominators as integer ticks, and
+`write_model` formats the ticks of a model whose quantum divides a power of
+ten at one decimal scale, each with its fewest digits, exactly as
+`format_time` formats the time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import BOOL, INT64, UINT64, TupleType, Type
@@ -21,31 +32,76 @@ from .errors import NonMonotonicTime, SpecSyntaxError
 # scalar cells
 
 
+def _decimal_format(quantum: int) -> Optional[Callable[[int], str]]:
+    """`format_time` of tick / quantum for any tick, at one decimal scale,
+    when the quantum divides a power of ten; None for any other quantum.
+    Trailing zeros are dropped, so each time gets its fewest digits."""
+    rest, twos, fives = quantum, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    digits = max(twos, fives)
+    if digits == 0:
+        return str
+    scale = 10 ** digits
+    mult = scale // quantum
+
+    def decimal(tick: int) -> str:
+        sign = "-" if tick < 0 else ""
+        whole, frac = divmod(abs(tick) * mult, scale)
+        if not frac:
+            return f"{sign}{whole}"
+        return f"{sign}{whole}.{str(frac).zfill(digits).rstrip('0')}"
+    return decimal
+
+
 def format_time(t: Fraction) -> str:
     """Exact decimal when the denominator is 2^a 5^b, else p/q."""
-    den = t.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den != 1:
+    decimal = _decimal_format(t.denominator)
+    if decimal is None:
         return f"{t.numerator}/{t.denominator}"
-    if t.denominator == 1:
-        return str(t.numerator)
-    scale = 1
-    digits = 0
-    while scale % t.denominator != 0:
-        scale *= 10
-        digits += 1
-    units = t.numerator * (scale // t.denominator)
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    whole, frac = divmod(units, scale)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    return decimal(t.numerator)
+
+
+def _time_parts(cell: str) -> tuple[int, int]:
+    """(numerator, denominator) of a time cell, exact but not reduced.
+
+    A plain decimal (an optional minus, ASCII digits, an optional point
+    and more digits) is read directly; every other cell goes through
+    Fraction(cell), so the cells accepted and their values are Fraction's.
+    """
+    negative = cell[:1] == "-"
+    body = cell[1:] if negative else cell
+    whole, point, frac = body.partition(".")
+    if body.isascii() and whole.isdigit() and (frac.isdigit() or not point):
+        try:
+            n = int(whole + frac)
+        except ValueError:  # beyond int()'s digit limit; Fraction decides
+            pass
+        else:
+            return (-n if negative else n), 10 ** len(frac)
+    t = Fraction(cell)
+    return t.numerator, t.denominator
+
+
+def _parse_time(cell: str) -> tuple[int, int]:
+    """`_time_parts`, rejecting times beyond float range, since monitors
+    read time as a float."""
+    n, d = parts = _time_parts(cell)
+    try:
+        n / d
+    except OverflowError:
+        raise ValueError(f"time {cell} is beyond float range") from None
+    return parts
 
 
 def parse_time(cell: str) -> Fraction:
-    return Fraction(cell)
+    return Fraction(*_time_parts(cell))
 
 
 def format_value(v) -> str:
@@ -60,23 +116,78 @@ def format_value(v) -> str:
     return str(v)
 
 
-def parse_value(cell: str, ty: Type):
-    if cell == "":
-        return ABSENT
-    if isinstance(ty, TupleType):
-        parts = cell.split(";")
-        if len(parts) != len(ty.elements):
-            raise ValueError(f"expected {len(ty.elements)} tuple parts, got {cell!r}")
-        return tuple(parse_value(p, el) for p, el in zip(parts, ty.elements))
-    if ty == BOOL:
-        if cell == "true":
-            return True
-        if cell == "false":
-            return False
+_BOOLS = {"": ABSENT, "true": True, "false": False}
+
+
+def _parse_bool(cell: str):
+    value = _BOOLS.get(cell)
+    if value is None:
         raise ValueError(f"invalid Bool cell {cell!r}")
+    return value
+
+
+def _parse_int(cell: str):
+    return int(cell) if cell else ABSENT
+
+
+def _parse_float(cell: str):
+    return float(cell) if cell else ABSENT
+
+
+def _cell_parser(ty: Type) -> Callable[[str], object]:
+    """The parser of one column's cells, bound once per type: ABSENT for an
+    empty cell, else the value; a malformed cell raises ValueError."""
+    if isinstance(ty, TupleType):
+        parts = tuple(_cell_parser(el) for el in ty.elements)
+
+        def parse_tuple(cell: str):
+            if not cell:
+                return ABSENT
+            cells = cell.split(";")
+            if len(cells) != len(parts):
+                raise ValueError(
+                    f"expected {len(parts)} tuple parts, got {cell!r}")
+            return tuple(parse(c) for parse, c in zip(parts, cells))
+        return parse_tuple
+    if ty == BOOL:
+        return _parse_bool
     if ty in (INT64, UINT64):
-        return int(cell)
-    return float(cell)
+        return _parse_int
+    return _parse_float
+
+
+def parse_value(cell: str, ty: Type):
+    return _cell_parser(ty)(cell)
+
+
+def _parsed_rows(reader, names: list, types: dict, path):
+    """(line, cells) of every nonempty CSV row: the time's (numerator,
+    denominator), then a value or ABSENT per column, missing trailing cells
+    ABSENT.
+
+    A malformed cell, a time beyond float range or a row longer than the
+    header is a SpecSyntaxError naming its line and column.
+    """
+    parsers = [_parse_time, *(_cell_parser(types[name]) for name in names)]
+    width = len(parsers)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) > width:
+            raise SpecSyntaxError(
+                f"row has {len(row)} cells, the header has {width}",
+                str(path), lineno, width + 1)
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        cells = []
+        append = cells.append
+        try:
+            for parse, cell in zip(parsers, row):
+                append(parse(cell))
+        except (ValueError, ZeroDivisionError) as err:
+            raise SpecSyntaxError(f"bad cell: {err}", str(path), lineno,
+                                  len(cells) + 1) from err
+        yield lineno, cells
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +203,6 @@ def write_trace(path, events: list[Event], input_names) -> None:
             for name in input_names:
                 row.append(format_value(ev.values.get(name, ABSENT)))
             writer.writerow(row)
-
-
-def _parse_row(row: list, names: list, types: dict, path, lineno: int):
-    """(time, cell values) of one CSV row, padding missing cells with ABSENT.
-
-    A malformed cell, a time beyond float range (monitors read time as a
-    float) or a row longer than the header is a SpecSyntaxError naming its
-    line and column.
-    """
-    if len(row) > len(names) + 1:
-        raise SpecSyntaxError(
-            f"row has {len(row)} cells, the header has {len(names) + 1}",
-            str(path), lineno, len(names) + 2)
-    col = 1
-    try:
-        t = parse_time(row[0])
-        try:
-            float(t)
-        except OverflowError:
-            raise ValueError(f"time {row[0]} is beyond float range") from None
-        cells = []
-        for col, (name, cell) in enumerate(zip(names, row[1:]), start=2):
-            cells.append(parse_value(cell, types[name]))
-    except (ValueError, ZeroDivisionError) as err:
-        raise SpecSyntaxError(f"bad cell: {err}", str(path), lineno, col) from err
-    cells.extend(ABSENT for _ in names[len(cells):])
-    return t, cells
 
 
 def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
@@ -137,10 +221,8 @@ def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
                 f"trace columns are not spec inputs: {sorted(missing)}",
                 str(path), 1, 1)
         previous = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            t, cells = _parse_row(row, names, types, path, lineno)
+        for lineno, (time, *cells) in _parsed_rows(reader, names, types, path):
+            t = Fraction(*time)
             if previous is not None and t <= previous:
                 raise NonMonotonicTime(
                     f"{path}:{lineno}: time {t} does not advance past {previous}")
@@ -158,13 +240,14 @@ def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
 
 
 def write_model(path, model: EvaluationModel, stream_names) -> None:
+    q = model.quantum
+    time = _decimal_format(q) or (lambda tick: format_time(Fraction(tick, q)))
+    columns = [model.streams[name] for name in stream_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", *stream_names])
-        for t in range(len(model.times)):
-            row = [format_time(model.times[t])]
-            row.extend(format_value(model.streams[name][t]) for name in stream_names)
-            writer.writerow(row)
+        writer.writerows([time(tick), *map(format_value, cells)]
+                         for tick, *cells in zip(model.ticks, *columns))
 
 
 def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
@@ -185,16 +268,13 @@ def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
             raise SpecSyntaxError(
                 f"model lacks columns for spec streams: {sorted(missing)}",
                 str(path), 1, 1)
-        model = EvaluationModel(streams={name: [] for name in names})
-        columns = [model.streams[name] for name in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            t, cells = _parse_row(row, names, types, path, lineno)
-            model.times.append(t)
-            for column, v in zip(columns, cells):
-                column.append(v)
-    return model
+        rows = [cells for _, cells in _parsed_rows(reader, names, types, path)]
+    columns = zip(*rows)  # one column at a time
+    times = next(columns, ())
+    # one quantum for the whole model; EvaluationModel makes it canonical
+    q = math.lcm(*{d for _, d in times})
+    return EvaluationModel([n * (q // d) for n, d in times],
+                           {name: list(next(columns, ())) for name in names}, q)
 
 
 # ---------------------------------------------------------------------------

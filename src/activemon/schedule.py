@@ -8,9 +8,9 @@ tasks the scheduler was obliged to satisfy at each step.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
@@ -240,6 +240,12 @@ class DecisionOracle:
         self.model = model
         self.n = len(model)
         self.period = analyzed.config.period
+        # exact time in ticks on a quantum that holds both the model's times
+        # and the period, so that steps past the end are ticks too
+        self.quantum = math.lcm(model.quantum, self.period.denominator)
+        scale = self.quantum // model.quantum
+        self.ticks = [t * scale for t in model.ticks]
+        self.period_ticks = int(self.period * self.quantum)
         # every per-step verdict and violation follows this one order
         self.tasks = sorted(schedule.universe, key=task_key)
 
@@ -273,16 +279,23 @@ class DecisionOracle:
             for task in sat:
                 self.sat_steps[task].append(s)
 
-        # staleness: the distinct bounds, and per task its bound's index
-        # and the tracked subtasks whose satisfaction refreshes it
+        # staleness: the distinct bounds, and per task its position, its
+        # bound's index and the tracked subtasks whose satisfaction
+        # refreshes it
         self.staleness_bounds = sorted(
             {b for b in schedule.bounds.values() if b is not None})
         index = {b: i for i, b in enumerate(self.staleness_bounds)}
         self.staleness = [
-            (task, index[schedule.bounds[task]],
+            (pos, index[schedule.bounds[task]],
              frozenset(t for t in schedule.tracked if t <= task))
-            for task in self.tasks if schedule.bounds.get(task) is not None
+            for pos, task in enumerate(self.tasks)
+            if schedule.bounds.get(task) is not None
         ]
+        self.position = {task: pos for pos, task in enumerate(self.tasks)}
+        # an age in ticks is an integer, so age <= b exactly when
+        # age <= floor(b * quantum), and age > d when age > floor(d * quantum)
+        self.bound_ticks = [self._floor_ticks(b) for b in self.staleness_bounds]
+        self._overdue: dict = {}  # fresh sets per bound -> overdue flags
 
         # then the sticky current value per task, swept over the steps
         # where one of its regions holds
@@ -304,13 +317,22 @@ class DecisionOracle:
                 values.append(cur)
             values += [cur] * (self.n - len(values))
             self.current[task] = values
+        self.deadline_ticks = {
+            task: [self._floor_ticks(e.value) for e in chain]
+            for task, chain in schedule.entries.items()
+        } if schedule.mode == MODE_DEADLINE else {}
 
     # -- helpers ------------------------------------------------------------
 
-    def _time(self, step: int) -> Fraction:
+    def _floor_ticks(self, seconds) -> int:
+        return math.floor(seconds * self.quantum)
+
+    def _time(self, step: int) -> int:
+        """The time of a step in ticks; steps past the model's end follow
+        its last one a period apart."""
         if step < self.n:
-            return self.model.times[step]
-        return self.model.times[self.n - 1] + (step - self.n + 1) * self.period
+            return self.ticks[step]
+        return self.ticks[self.n - 1] + (step - self.n + 1) * self.period_ticks
 
     def _last_sat(self, task: Task, upto: int) -> Optional[int]:
         """Latest step <= upto at which task was satisfied, if any."""
@@ -322,17 +344,29 @@ class DecisionOracle:
         """Staleness of every task at `step`, from satisfactions strictly
         before it: a bounded task is overdue unless one of its tracked
         subtasks was last satisfied within its bound."""
+        return dict(zip(self.tasks, map(bool, self._overdue_flags(step))))
+
+    def _overdue_flags(self, step: int) -> bytes:
+        """`overdue_at` as one byte per task, in `tasks` order.
+
+        The flags depend only on the fresh subtasks per bound, so they are
+        built once per distinct tuple of those and shared by every step
+        with that tuple."""
         now = self._time(step)
+        ticks = self.ticks
         ages = []
         for sub in self.schedule.tracked:
             last = self._last_sat(sub, step - 1)
             if last is not None:
-                ages.append((sub, now - self.model.times[last]))
-        fresh = [frozenset(sub for sub, age in ages if age <= bound)
-                 for bound in self.staleness_bounds]
-        over = dict.fromkeys(self.tasks, False)
-        for task, i, subs in self.staleness:
-            over[task] = subs.isdisjoint(fresh[i])
+                ages.append((sub, now - ticks[last]))
+        fresh = tuple(frozenset(sub for sub, age in ages if age <= bound)
+                      for bound in self.bound_ticks)
+        over = self._overdue.get(fresh)
+        if over is None:
+            flags = bytearray(len(self.tasks))
+            for pos, i, subs in self.staleness:
+                flags[pos] = subs.isdisjoint(fresh[i])
+            over = self._overdue[fresh] = bytes(flags)
         return over
 
     # -- the three obligation rules -----------------------------------------
@@ -344,39 +378,41 @@ class DecisionOracle:
         if self.schedule.mode == MODE_DEADLINE:
             return self._decide_deadline(step)
         # priority mode sets no staleness bounds, so nothing is overdue there
-        return self._decide_priority(step, self.overdue_at(step + 1))
+        return self._decide_priority(step, self._overdue_flags(step + 1))
 
     def _decide_deadline(self, step: int) -> dict:
         out = {}
         horizon = self._time(step + 2)
+        ticks = self.ticks
         for task in self.tasks:
             verdict = "M"
             anchor = self._last_sat(task, step)
             lo = anchor if anchor is not None else 0
-            for entry, steps in zip(self.schedule.entries[task],
-                                    self.true_steps[task]):
+            for deadline, steps in zip(self.deadline_ticks[task],
+                                       self.true_steps[task]):
                 i = bisect_right(steps, lo - 1)
                 if i < len(steps) and steps[i] <= step:
-                    if horizon > self.model.times[steps[i]] + entry.value:
+                    if horizon - ticks[steps[i]] > deadline:
                         verdict = "Y"
                         break
             out[task] = verdict
         return out
 
-    def _decide_priority(self, step: int, over: dict) -> dict:
+    def _decide_priority(self, step: int, over: bytes) -> dict:
         """An unserved task is obliged when a fresh satisfied task has a
         strictly lower current priority, and an overdue task is obliged as
         soon as any fresh task is satisfied."""
         sat = self.sat_sets[step + 1]
         current = self.current
-        fresh = [t for t in sat if not over[t]]
+        position = self.position
+        fresh = [t for t in sat if not over[position[t]]]
         floor = min((v for t in fresh if (v := current[t][step]) is not None),
                     default=None)
         fresh_sat = bool(fresh)
         out = {}
-        for task in self.tasks:
+        for task, overdue in zip(self.tasks, over):
             p = current[task][step]
-            obliged = (fresh_sat and over[task]) or (
+            obliged = (fresh_sat and overdue) or (
                 floor is not None and p is not None and p > floor
                 and task not in sat)  # as is under a satisfied superset
             out[task] = "Y" if obliged else "M"
@@ -395,14 +431,17 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
     for step, got in enumerate(oracle.present):
         if len(got) > bound:
             violations.append(Violation(
-                kind="bandwidth", step=step, time=model.times[step],
+                kind="bandwidth", step=step, time=model.time_at(step),
                 detail=f"{len(got)} inputs arrive at once, bound is {bound}"))
+    keys = {task: task_key(task) for task in oracle.tasks}
     for step in range(len(model) - 1):
-        for task, verdict in oracle.decide(step).items():
-            if verdict == "Y" and task not in oracle.sat_sets[step + 1]:
-                violations.append(Violation(
-                    kind="schedule", step=step + 1,
-                    time=model.times[step + 1],
-                    detail="obligated task left unsatisfied",
-                    task=tuple(sorted(task))))
+        sat = oracle.sat_sets[step + 1]
+        missed = [task for task, verdict in oracle.decide(step).items()
+                  if verdict == "Y" and task not in sat]
+        if missed:
+            time = model.time_at(step + 1)  # shared by the step's violations
+            violations.extend(Violation(
+                kind="schedule", step=step + 1, time=time,
+                detail="obligated task left unsatisfied", task=keys[task])
+                for task in missed)
     return violations

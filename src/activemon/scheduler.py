@@ -329,9 +329,9 @@ def run_scheduled(translation: Translation, source, horizon,
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
     monitor = MonitorState(translation.plain)
-    model = EvaluationModel(
-        streams={name: [] for name in translation.plain.spec.stream_names()})
-    appends = [(name, col.append) for name, col in model.streams.items()]
+    streams = {name: [] for name in translation.plain.spec.stream_names()}
+    appends = [(name, col.append) for name, col in streams.items()]
+    ticks: list = []  # cycle k at k * period.numerator / period.denominator
     triggers: list = []
     plans: list = []
 
@@ -343,8 +343,9 @@ def run_scheduled(translation: Translation, source, horizon,
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
             current, fired = eval_event(monitor, Event(at, values))
             state.observe(current)
-            model.times.append(at)
+            ticks.append(k * period.numerator)
             for name, append in appends:
                 append(current[name])
             triggers.extend(fired)
+    model = EvaluationModel(ticks, streams, period.denominator)
     return ScheduledRun(translation, model, triggers, plans, report)

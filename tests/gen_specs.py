@@ -17,6 +17,12 @@ from activemon.sim import SensorTrace
 
 LEVELS = ("high", "medium", "low")
 MODES = ("deadline", "priority", "dp")
+# off-grid specs: a 3 Hz period, and deadlines that are not whole seconds
+# or that fall between the 1/2 and 1/3 s cycles
+OFF_GRID_FREQUENCIES = ("1Hz", "2Hz", "3Hz")
+OFF_GRID_DEADLINES = ("28/3s", "9.5s", "10s", "73/7s")
+# mixed traces step by tenths, thirds and sevenths of a second
+MIXED_DENOMINATORS = (10, 3, 7)
 
 
 def _literal(rng: Random) -> str:
@@ -54,9 +60,8 @@ def _guard(rng: Random, avail: list) -> str:
     return f"{rng.choice(avail)} {op} {_literal(rng)}"
 
 
-def _input_annotation(rng: Random, mode: str, deadlines) -> str:
-    lo, hi = deadlines
-    dl = f'deadline="{rng.randint(lo, hi)}s"'
+def _input_annotation(rng: Random, mode: str, deadline) -> str:
+    dl = f'deadline="{deadline()}"'
     if mode == "deadline":
         return f"#[{dl}]"
     prio = f'priority="{rng.choice(LEVELS)}"'
@@ -65,28 +70,36 @@ def _input_annotation(rng: Random, mode: str, deadlines) -> str:
     return f"#[{prio}]"
 
 
-def _clause_annotation(rng: Random, mode: str, deadlines) -> str:
+def _clause_annotation(rng: Random, mode: str, deadline) -> str:
     if mode == "deadline":
-        lo, hi = deadlines
-        return f'#[deadline="{rng.randint(lo, hi)}s"]'
+        return f'#[deadline="{deadline()}"]'
     return f'#[priority="{rng.choice(LEVELS)}"]'
 
 
 def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
-             max_paced: int = 4, deadlines=(9, 20)) -> str:
+             max_paced: int = 4, deadlines=(9, 20),
+             off_grid: bool = False) -> str:
     """One well-formed spec as source text.
 
     With annotate=True at least one stream carries a scheduling
     annotation legal for `mode`, and only the first `max_paced` inputs
-    appear in pacings so the task universe stays small.
+    appear in pacings so the task universe stays small. Deadlines are
+    whole seconds within `deadlines`; with off_grid=True they come from
+    OFF_GRID_DEADLINES instead, and the frequency may be 3 Hz.
     """
+    if off_grid:
+        def deadline():
+            return rng.choice(OFF_GRID_DEADLINES)
+    else:
+        def deadline():
+            return f"{rng.randint(*deadlines)}s"
     n_in = rng.randint(2, 4)
     inputs = [f"s{i}" for i in range(n_in)]
     paced = inputs[:max_paced]
     lines = []
     header = rng.random()
     if header < 0.4:
-        freq = rng.choice(["1Hz", "2Hz"])
+        freq = rng.choice(OFF_GRID_FREQUENCIES if off_grid else ["1Hz", "2Hz"])
         lines.append(f'#![frequency="{freq}", bound="2"]')
     if rng.random() < 0.5:
         lines.append("import math")
@@ -96,7 +109,7 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
         annotated_inputs = rng.sample(paced, rng.randint(1, len(paced)))
     for name in inputs:
         if name in annotated_inputs:
-            lines.append(_input_annotation(rng, mode, deadlines))
+            lines.append(_input_annotation(rng, mode, deadline))
         lines.append(f"input {name} : Float64")
 
     # float stream name -> the inputs its value depends on synchronously
@@ -117,7 +130,7 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
             # never comes up empty
             expr = f"({rng.choice(avail)} + {_float_expr(rng, avail, offsets, 2)})"
             if may_annotate:
-                lines.append(_clause_annotation(rng, mode, deadlines))
+                lines.append(_clause_annotation(rng, mode, deadline))
             lines.append(f"output {name} := {expr}")
             floats[name] = pac
         elif shape < 0.55:
@@ -125,7 +138,7 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
             expr = _guard(rng, avail)
             lines.append(f"output {name}")
             if may_annotate:
-                lines.append(f"    {_clause_annotation(rng, mode, deadlines)}")
+                lines.append(f"    {_clause_annotation(rng, mode, deadline)}")
             lines.append(f"    eval |@{pacing}| with {expr}")
             bool_names.append(name)
         else:
@@ -134,7 +147,7 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
             n_clauses = rng.randint(2, 3)
             for c in range(n_clauses):
                 if annotate and rng.random() < 0.7:
-                    lines.append(f"    {_clause_annotation(rng, mode, deadlines)}")
+                    lines.append(f"    {_clause_annotation(rng, mode, deadline)}")
                 body = _float_expr(rng, avail, offsets, 2)
                 if c < n_clauses - 1:
                     lines.append(f"    eval |@{pacing}| "
@@ -151,13 +164,15 @@ def gen_annotated_spec(rng: Random, mode: str) -> str:
     return gen_spec(rng, mode, annotate=True)
 
 
-def gen_trace(rng: Random, inputs, n_events: int) -> list:
-    """Events with strictly increasing tenth-second timestamps."""
+def gen_trace(rng: Random, inputs, n_events: int, mixed: bool = False) -> list:
+    """Events with strictly increasing tenth-second timestamps; with
+    mixed=True each step is in tenths, thirds or sevenths."""
     events = []
     t = Fraction(0)
     names = list(inputs)
     for _ in range(n_events):
-        t += Fraction(rng.randint(1, 10), 10)
+        t += Fraction(rng.randint(1, 10),
+                      rng.choice(MIXED_DENOMINATORS) if mixed else 10)
         present = rng.sample(names, rng.randint(1, len(names)))
         values = {s: round(rng.uniform(-10.0, 10.0), 3) for s in present}
         events.append(Event(t, values))
@@ -177,18 +192,21 @@ def gen_source_trace(rng: Random, sensors, horizon: Fraction) -> SensorTrace:
     return SensorTrace.from_samples(samples)
 
 
-def gen_instance(rng: Random, mode: str, deadlines=(9, 20)):
+def gen_instance(rng: Random, mode: str, deadlines=(9, 20),
+                 off_grid: bool = False):
     """A (spec text, bound, horizon, source trace) scheduling instance.
 
     The bound covers the widest universe task, and with the default
     `deadlines` (drawn from 9s up) deadline-mode deadlines exceed any
     worst-case split round at the generated frequencies, so a correct
     scheduler has a valid schedule to find. Shorter deadlines make
-    staleness bounds expire within the 8-15 s horizon.
+    staleness bounds expire within the 8-15 s horizon. `off_grid` is
+    passed to `gen_spec`.
     """
     from activemon.schedule import build_task_universe
 
-    text = gen_spec(rng, mode, annotate=True, max_paced=3, deadlines=deadlines)
+    text = gen_spec(rng, mode, annotate=True, max_paced=3, deadlines=deadlines,
+                    off_grid=off_grid)
     analyzed = analyze(parse_spec(text))
     universe = build_task_universe(analyzed)
     widest = max((len(t) for t in universe), default=1)

@@ -190,5 +190,5 @@ def triggers_from_model(analyzed, model: EvaluationModel) -> list:
     for t, _, read, offset_read, now in replay(analyzed, model):
         for name, message, condition in analyzed.compiled.triggers:
             if condition(read, offset_read, now) is True:
-                reports.append(TriggerReport(name, t, model.times[t], message))
+                reports.append(TriggerReport(name, t, model.time_at(t), message))
     return reports

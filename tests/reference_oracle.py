@@ -8,11 +8,13 @@ module is the direct reading of the three rules, one task at a time, that
 the differential tests compare the sweep against. The present inputs and
 satisfied sets are rebuilt here from the model's cells by a membership test
 per (task, step), and region truth by the tree-walking evaluator over
-`ModelReader`, independently of the oracle's own walk.
+`ModelReader`, independently of the oracle's own walk. Ages and deadline
+horizons are exact `Fraction` seconds, not the oracle's ticks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Optional
 
 from activemon.schedule import (
@@ -38,6 +40,13 @@ class ReferenceOracle(DecisionOracle):
         }
         self.reader = ModelReader(model)
         self._truth: dict = {}  # (condition, pacing, step) -> bool
+        self.times = model.times
+
+    def time(self, step: int) -> Fraction:
+        """A step's exact time; past the end, a period apart."""
+        if step < self.n:
+            return self.times[step]
+        return self.times[-1] + (step - self.n + 1) * self.period
 
     def overdue(self, task: Task, step: int) -> bool:
         """Staleness at `step`, from satisfactions strictly before it."""
@@ -52,7 +61,7 @@ class ReferenceOracle(DecisionOracle):
                     last = s
         if last is None:
             return True
-        return self._time(step) - self.model.times[last] > bound
+        return self.time(step) - self.times[last] > bound
 
     def decide(self, step: int) -> dict:
         if not 0 <= step <= self.n - 2:
@@ -72,14 +81,14 @@ class ReferenceOracle(DecisionOracle):
         if key not in self._truth:
             self._truth[key] = entry.pacing.satisfied_by(self.present[step]) \
                 and eval_expr(entry.condition, *self.reader.at_step(step),
-                              float(self.model.times[step])) is True
+                              float(self.times[step])) is True
         return self._truth[key]
 
     def _decide_deadline(self, step: int) -> dict:
         """A task is obliged when, since its last satisfaction (or from the
         start), one of its regions first held at an onset whose deadline
         runs out before the step after next."""
-        horizon = self._time(step + 2)
+        horizon = self.time(step + 2)
         out = {}
         for task in self.schedule.universe:
             last = 0
@@ -91,7 +100,7 @@ class ReferenceOracle(DecisionOracle):
                 onset = next((s for s in range(last, step + 1)
                               if self._holds(entry, s)), None)
                 if onset is not None and \
-                        horizon > self.model.times[onset] + entry.value:
+                        horizon > self.times[onset] + entry.value:
                     verdict = "Y"
             out[task] = verdict
         return out

@@ -138,7 +138,8 @@ def reference_run(translation: Translation, source, horizon, bound: int):
     state = ReferenceSchedulerState(translation, bound)
     monitor = MonitorState(translation.plain)
     names = translation.plain.spec.stream_names()
-    model = EvaluationModel(streams={name: [] for name in names})
+    streams: dict = {name: [] for name in names}
+    times: list = []
     plans: list = []
     k = 0
     while k * period < horizon:
@@ -149,8 +150,8 @@ def reference_run(translation: Translation, source, horizon, bound: int):
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
             current, _ = eval_event(monitor, Event(at, values))
             state.observe(current, at)
-            model.times.append(at)
+            times.append(at)
             for name in names:
-                model.streams[name].append(current[name])
+                streams[name].append(current[name])
         k += 1
-    return plans, model
+    return plans, EvaluationModel.from_times(times, streams)

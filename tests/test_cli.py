@@ -120,6 +120,36 @@ def test_run_metrics_go_to_stderr_without_out_dir(spec_dir, tmp_path, capsys,
     assert json.loads(err)["total_values"] == 12
 
 
+@pytest.mark.parametrize("rows,cycles", [
+    # the last row is off the 1 Hz grid: cycles 0, 1 and 2
+    (["0,20.0,1.0", "1,20.0,1.0", "2.5,20.0,1.0"], 3),
+    # b's last sample is at 1, so the cycle at 2 would be past it
+    (["0,20.0,1.0", "1,20.0,1.0", "2,20.0,"], 2),
+])
+def test_run_trace_stops_at_the_last_time_every_input_covers(
+        spec_dir, tmp_path, capsys, rows, cycles):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(["time,a,b", *rows]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["run", str(spec_dir / "priority_conflict.lola"),
+               "--trace", str(trace), "--mode", "priority",
+               "--out-dir", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    plans = (out / "plans.jsonl").read_text().splitlines()
+    assert [json.loads(p)["time"] for p in plans] == list(range(cycles))
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["horizon"] == cycles
+
+
+def test_run_trace_with_an_unsampled_input_is_a_usage_error(spec_dir,
+                                                            tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,\n1,20.0,\n")
+    err = _usage_error(["run", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace), "--mode", "priority"], capsys)
+    assert "'b'" in err
+
+
 # ---------------------------------------------------------------------------
 # baseline
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen_specs
@@ -84,11 +84,13 @@ def _as_tuples(reports):
     return [(r.trigger, r.step, r.time, r.message) for r in reports]
 
 
-def _generated(seed, annotate):
+def _generated(seed, annotate, off_grid=False):
     rng = Random(seed)
     mode = gen_specs.MODES[seed % 3]
-    analyzed = analyze(parse_spec(gen_specs.gen_spec(rng, mode, annotate=annotate)))
-    events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 30)
+    analyzed = analyze(parse_spec(gen_specs.gen_spec(
+        rng, mode, annotate=annotate, off_grid=off_grid)))
+    events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 30,
+                                 mixed=off_grid)
     return analyzed, translate(analyzed, mode), events
 
 
@@ -104,7 +106,8 @@ def test_compiled_paths_match_the_reference(seed, annotate):
                        for a, b in zip(model.streams[name], column, strict=True)), name
         assert _as_tuples(reports) == fired
         assert _as_tuples(triggers_from_model(spec, model)) == fired
-        reference = EvaluationModel([e.time for e in events], columns)
+        reference = EvaluationModel.from_times([e.time for e in events],
+                                               columns)
         assert verify_model(spec, reference) == []
 
 
@@ -128,19 +131,25 @@ def test_oracle_region_truth_matches_the_reference(seed):
             assert steps == expected
 
 
-@given(SEEDS, st.booleans())
+@given(SEEDS, st.booleans(), st.booleans())
+# times in tenths, thirds and sevenths, read as tick / quantum
+@example(5, True, True)
 @settings(max_examples=60, deadline=None)
-def test_replay_matches_the_model_and_the_reference_reader(seed, annotate):
-    analyzed, tr, events = _generated(seed, annotate)
+def test_replay_matches_the_model_and_the_reference_reader(seed, annotate,
+                                                          off_grid):
+    analyzed, tr, events = _generated(seed, annotate, off_grid)
+    times = [e.time for e in events]
     for spec in (analyzed, tr.plain):
         model, _ = run_monitor_full(spec, events)
+        assert model.times == times
+        assert model.quantum == math.lcm(*(t.denominator for t in times))
         inputs = spec.spec.input_names()
         reader = ModelReader(model)
         steps = []
         for step, present, read, offset_read, now in replay(spec, model):
             steps.append(step)
             assert present == present_inputs(model, inputs, step)
-            assert now == float(model.times[step])
+            assert now == float(times[step])
             _, reference = reader.at_step(step)
             for name, column in model.streams.items():
                 assert read(name) is column[step]

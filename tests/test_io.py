@@ -1,11 +1,12 @@
 """Exact round trips for the trace, model, and JSON file formats."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from activemon.analysis import analyze
-from activemon.ast import BOOL, FLOAT64, TupleType
+from activemon.ast import BOOL, FLOAT64, INT64, UINT64, TupleType
 from activemon.engine import ABSENT, Event, Violation, run_monitor_full
 from activemon.errors import NonMonotonicTime, SpecSyntaxError
 from activemon.parser import parse_spec
@@ -50,6 +51,42 @@ def test_value_cells_round_trip():
     pair = TupleType((FLOAT64, FLOAT64))
     assert format_value((47.0, 9.5)) == "47.0;9.5"
     assert parse_value("47.0;9.5", pair) == (47.0, 9.5)
+
+
+_PAIR = TupleType((FLOAT64, BOOL))
+
+
+@pytest.mark.parametrize("cell,ty,value", [
+    ("", BOOL, ABSENT), ("true", BOOL, True), ("false", BOOL, False),
+    ("", FLOAT64, ABSENT), ("1", FLOAT64, 1.0), ("-2", FLOAT64, -2.0),
+    (" 7 ", FLOAT64, 7.0), ("1e3", FLOAT64, 1000.0),
+    ("", INT64, ABSENT), ("-2", INT64, -2), (" 7 ", INT64, 7),
+    ("", UINT64, ABSENT), ("1", UINT64, 1),
+    ("", _PAIR, ABSENT), ("1;true", _PAIR, (1.0, True)),
+    (";true", _PAIR, (ABSENT, True)), ("1;", _PAIR, (1.0, ABSENT)),
+])
+def test_value_cells_of_every_type(cell, ty, value):
+    assert parse_value(cell, ty) == value
+    assert type(parse_value(cell, ty)) is type(value)
+
+
+def test_float_cells_keep_nan():
+    assert math.isnan(parse_value("nan", FLOAT64))
+
+
+@pytest.mark.parametrize("cell,ty,message", [
+    ("1", BOOL, "invalid Bool cell '1'"),
+    (" true", BOOL, "invalid Bool cell ' true'"),
+    ("abc", FLOAT64, "could not convert string to float: 'abc'"),
+    ("1.5", INT64, "invalid literal for int() with base 10: '1.5'"),
+    ("nan", UINT64, "invalid literal for int() with base 10: 'nan'"),
+    ("1;2;3", _PAIR, "expected 2 tuple parts, got '1;2;3'"),
+    ("1;yes", _PAIR, "invalid Bool cell 'yes'"),
+])
+def test_malformed_value_cells_name_the_cell(cell, ty, message):
+    with pytest.raises(ValueError) as err:
+        parse_value(cell, ty)
+    assert str(err.value) == message
 
 
 def test_value_cells_reject_malformed_input():
@@ -114,6 +151,65 @@ def test_model_round_trip(tmp_path):
     assert back.times == model.times
     assert back.streams == model.streams
     assert back.streams["first"][1] is ABSENT
+
+
+def _ok_events(times) -> list:
+    return [Event(t, {"ok": k % 2 == 0} if k % 3 else
+                  {"g": (float(k), -0.5), "ok": True})
+            for k, t in enumerate(times)]
+
+
+@pytest.mark.parametrize("times", [
+    [Fraction(k, 7) for k in range(1, 20)],
+    [Fraction(k, 3) - 2 for k in range(12)],
+    [Fraction(k, 8) + Fraction(k * k, 10) for k in range(15)],
+    [Fraction(k, 3) + Fraction(k, 7) + Fraction(k, 10) for k in range(9)],
+    [Fraction(5, 2)],
+    [],
+], ids=["sevenths", "thirds", "decimals", "mixed", "single", "empty"])
+def test_model_round_trip_keeps_ticks_and_quantum(tmp_path, times):
+    analyzed = analyze(parse_spec(SPEC))
+    model = run_monitor_full(analyzed, _ok_events(times))[0]
+    assert model.times == times
+    assert model.quantum == math.lcm(*(t.denominator for t in times))
+    path = tmp_path / "model.csv"
+    write_model(path, model, analyzed.spec.stream_names())
+    cells = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+    assert cells == [format_time(t) for t in times]
+    back = read_model(path, analyzed)
+    assert (back.quantum, back.ticks) == (model.quantum, model.ticks)
+    assert back.streams == model.streams
+    assert back == model
+
+
+@pytest.mark.parametrize("cell", [
+    "1e-3", "2.5E1", "7/3", " 1.5 ", "-0.5", "-12", "0.250", "+3", "1_0",
+    "5.", ".5", "007.50", "-0",
+])
+def test_model_time_cells_read_as_fraction_reads_them(tmp_path, cell):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "model.csv"
+    path.write_text(f"time,g,ok,first\n0.1,,true,\n{cell},,false,\n")
+    back = read_model(path, analyzed)
+    assert back.times == [Fraction(1, 10), Fraction(cell)]
+    assert back.quantum == math.lcm(10, Fraction(cell).denominator)
+    assert parse_time(cell) == Fraction(cell)
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("nan", "bad cell: Invalid literal for Fraction: 'nan'"),
+    ("1/0", "bad cell: Fraction(1, 0)"),
+    ("1e400", "bad cell: time 1e400 is beyond float range"),
+    ("-1" + "0" * 400, "bad cell: time -1" + "0" * 400
+     + " is beyond float range"),
+])
+def test_malformed_model_times_name_line_and_column(tmp_path, cell, message):
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path / "model.csv"
+    path.write_text(f"time,g,ok,first\n0,,true,\n{cell},,false,\n")
+    with pytest.raises(SpecSyntaxError) as err:
+        read_model(path, analyzed)
+    assert str(err.value) == f"{path}:3:1: {message}"
 
 
 def test_model_pads_short_rows_with_absent(tmp_path):

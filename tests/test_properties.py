@@ -114,7 +114,7 @@ def test_region_guards_are_mutually_exclusive(seed):
         conditions = [compile_expr(e.condition) for e in chained]
         for step in range(len(model)):
             read, offset_read = reader.at_step(step)
-            now = float(model.times[step])
+            now = float(model.time_at(step))
             hits = sum(
                 1 for cond in conditions
                 if cond(read, offset_read, now) is True)

@@ -385,27 +385,36 @@ def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
                for step in range(len(model) - 1))
 
 
-def _differential_models(seed, mode):
+def _differential_models(seed, mode, off_grid=False):
     """Models of one generated instance: scheduled at bound 1 and at the
-    instance bound, and one monitor run over a free generated trace."""
+    instance bound, and one monitor run over a free generated trace. Off
+    the grid, the spec may run at 3 Hz with deadlines that are not whole
+    seconds, and the free trace mixes tenths, thirds and sevenths."""
     rng = Random(seed)
-    text, bound, horizon, trace = gen_specs.gen_instance(rng, mode)
+    text, bound, horizon, trace = gen_specs.gen_instance(rng, mode,
+                                                         off_grid=off_grid)
     tr = translate(analyze(parse_spec(text)), mode)
     for b in (1, bound):
         yield tr, run_scheduled(tr, TraceSource(trace), horizon, b).model
-    events = gen_specs.gen_trace(rng, tr.plain.spec.input_names(), 25)
+    events = gen_specs.gen_trace(rng, tr.plain.spec.input_names(), 25,
+                                 mixed=off_grid)
     yield tr, run_monitor_full(tr.plain, events)[0]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.sampled_from(gen_specs.MODES))
+       st.sampled_from(gen_specs.MODES), st.booleans())
 # deadline instances whose joint tasks see a region hold again before they
 # are satisfied, so the first onset and the latest one give other verdicts
-@example(6, "deadline")
-@example(60, "deadline")
+@example(6, "deadline", False)
+@example(60, "deadline", False)
+# off the grid: a deadline and a staleness bound between two ticks, and a
+# deadline that runs out within the period after the model's last step
+@example(20, "deadline", True)
+@example(26, "dp", True)
+@example(114, "deadline", True)
 @settings(max_examples=100, deadline=None)
-def test_oracle_matches_the_per_task_reference(seed, mode):
-    for tr, model in _differential_models(seed, mode):
+def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
+    for tr, model in _differential_models(seed, mode, off_grid):
         if len(model) < 2:
             continue
         oracle = DecisionOracle(tr.plain, tr.schedule, model)

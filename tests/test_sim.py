@@ -256,7 +256,7 @@ def test_crossings_stay_off_the_half_second_grid(seed):
 
 def test_metrics_count_present_input_cells():
     model = EvaluationModel(
-        times=[Fraction(0), Fraction(1), Fraction(2)],
+        ticks=[0, 1, 2],
         streams={"a": [1.0, ABSENT, 2.0], "b": [ABSENT, 3.0, 4.0],
                  "out": [1.0, 1.0, 1.0]})
     metrics = compute_metrics(model, ("a", "b"), 2.0,
