@@ -248,6 +248,16 @@ def children(expr: Expr) -> tuple:
     return ()
 
 
+def expr_depth(expr: Expr) -> int:
+    """The height of an expression tree, found level by level, without
+    recursion."""
+    depth, level = 0, [expr]
+    while level:
+        depth += 1
+        level = [c for e in level for c in children(e)]
+    return depth
+
+
 def conjoin(parts: list[Expr]) -> Expr:
     """Conjunction of parts, dropping literal-true and repeated conjuncts."""
     real: list[Expr] = []
@@ -400,6 +410,6 @@ __all__ = [
     "MinMax", "Expr", "TRUE",
     "Pacing", "Annotation", "GlobalConfig", "PRIORITY_LEVELS",
     "InputDecl", "EvalClause", "OutputDecl", "TriggerDecl", "Specification",
-    "children", "conjoin", "negate", "format_expr", "format_pacing",
-    "format_spec",
+    "children", "conjoin", "expr_depth", "negate", "format_expr",
+    "format_pacing", "format_spec",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import AnalyzedSpec, analyze
 from .ast import format_spec
 from .engine import verify_model
-from .errors import SpecError
+from .errors import OutOfRange, SpecError
 from .io import (read_json, read_model, read_trace, trigger_json,
                  violation_json, write_json, write_model, write_plan_log,
                  write_triggers)
@@ -147,8 +147,15 @@ def cmd_baseline(args) -> int:
     events = read_trace(args.trace, analyzed)
     inputs = analyzed.spec.input_names()
     trace = sensor_trace_from_events(events, inputs)
+    if args.horizon is not None:
+        span = args.horizon
+    else:  # the events run from time 0 through the last sample
+        last = trace.span()[1]
+        if last <= 0:
+            raise OutOfRange(f"the trace ends at t={last}, so a baseline "
+                             "from time 0 covers no time; give --horizon")
+        span = float(last)
     base = run_fixed(analyzed, trace, args.freq, args.horizon)
-    span = args.horizon if args.horizon is not None else float(trace.span()[1])
     metrics = compute_metrics(base.model, inputs, span)
     _emit(base, analyzed.spec.stream_names(), metrics, args.out_dir)
     return 0

@@ -3,28 +3,36 @@
 The engine executes an analyzed specification over timed events. Values are
 either concrete or the ABSENT marker; absence propagates strictly through
 every expression form except offset accesses, whose defaults apply when the
-accessed history is too short. Expressions are compiled once per
-specification (`compile_spec`) and the compiled form is shared by the
-monitor and both oracles.
+accessed history is too short.
 
-An output is evaluated only when its pacing is activated. Each distinct set
-of present inputs gets an activation plan, built once on first use: the
-outputs that set can activate, in evaluation order, each with only its
-activated clauses. The monitor calls nothing else, so every other output
-stays ABSENT; `verify_model` recomputes through the same plans and checks
-that every output a plan leaves out is ABSENT in the model.
+Each specification is generated once, on first use (`analyzed.compiled`),
+as straight-line Python source and compiled in one call: one local per
+stream, one presence flag per input, and each output as first-match
+conditionals guarded by its clauses' pacing flags, so an output whose
+pacing an event does not activate stays ABSENT without evaluating anything.
+Each expression runs its ABSENT checks in evaluation order before computing
+its value; offsets read the history deques directly, and triggers and
+history pushes are inline. The same generator emits two step functions,
+kept with their source on the `CompiledSpec`: the monitor's, over an
+event's values, and `verify_model`'s, which recomputes every output from a
+model row. `compile_expr` emits conditions for the `DecisionOracle` over
+`read`/`offset_read` callbacks.
+
+The monitor keeps time as integer ticks on a quantum fixed per run: a step
+at tick lies at tick / quantum seconds, passed to expressions as that
+correctly rounded float, and a trigger report builds its exact time only
+when the trigger fires.
 
 `replay` walks a finished model forward through a monitor's own bounded
-history, filled only with the model's rows. `verify_model` recomputes every
-output of the model through it and is the membership oracle every
-scheduling test checks against; the `DecisionOracle` decides its region
-conditions through the same walk.
+history, filled only with the model's rows; the `DecisionOracle` decides its
+region conditions through it. `verify_model` recomputes every output of the
+model the same way and is the membership oracle every scheduling test
+checks against.
 """
-
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,7 +162,7 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# expression compilation
+# code generation
 
 
 def _int_div(a: int, b: int) -> int:
@@ -178,24 +186,156 @@ def _sqrt(v):
     return math.sqrt(v)
 
 
-def _and(a, b) -> bool:
-    return bool(a) and bool(b)
+def _pick(pick):
+    def minmax(*vals):
+        if any(v != v for v in vals):
+            return _NAN
+        return pick(vals)
+    return minmax
 
 
-def _or(a, b) -> bool:
-    return bool(a) or bool(b)
+def _undeclared(values, inputs) -> None:
+    raise ValueError("event values for undeclared inputs: "
+                     f"{sorted(values.keys() - inputs)}")
 
 
-_UNARY = {"neg": operator.neg, "not": operator.not_, "abs": abs, "sqrt": _sqrt}
+# what generated source may name besides its own locals and bound constants
+_RUNTIME = {"ABSENT": ABSENT, "_div": _div, "_sqrt": _sqrt,
+            "_min": _pick(min), "_max": _pick(max),
+            "_undeclared": _undeclared, "values_equal": values_equal}
 
-# The type checker admits only scalar operands for comparisons, and Python's
-# float comparisons are already false on NaN (and != is true), which is the
+# each form as a template over its operands' source. The type checker
+# admits only scalar operands for comparisons, and Python's float
+# comparisons are already false on NaN (and != is true), which is the
 # language's NaN rule.
-_BINARY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "==": operator.eq, "!=": operator.ne, "&&": _and, "||": _or,
-}
+_UNARY = {"neg": "(-{})", "not": "(not {})", "abs": "abs({})",
+          "sqrt": "_sqrt({})"}
+_BINARY = {op: f"({{}} {op} {{}})"
+           for op in ("+", "-", "*", "<", "<=", ">", ">=", "==", "!=")}
+_BINARY.update({"/": "_div({}, {})",
+                "&&": "(not not {} and not not {})",
+                "||": "(not not {} or not not {})"})
+
+# CPython parses at most 200 nested brackets; a subexpression this deep is
+# bound to a temporary instead
+_HOIST_DEPTH = 40
+# CPython's compiler recurses once per elif; longer first-match chains
+# restart every this many clauses
+_CHAIN = 200
+
+
+def _chain(tests) -> str:
+    """One condition that holds when any test does, in order, or ''."""
+    parts = []
+    for guards, text in dict.fromkeys(tests):
+        parts.append(f"({' and '.join(guards)} and {text})" if guards
+                     else text)
+    return f"({' or '.join(parts)})" if parts else ""
+
+
+class _Source:
+    """Python source for the expressions of one specification.
+
+    An expression compiles to (tests, value, depth). `tests` lists, in
+    evaluation order, checks that hold when a stream read is ABSENT; each
+    is (guards, text) and runs only while its guards hold, so the reads of
+    an offset default run only when history is short. `value` computes the
+    expression once no test holds, and `depth` is its bracket nesting.
+    Streams are read from locals (`streams`: name -> local, with `history`:
+    name -> deque local) or, without them, through `read` and `offset_read`.
+    Constants are bound in `ns`, the namespace the source runs in.
+    """
+
+    def __init__(self, streams=None, history=None):
+        self.streams = streams
+        self.history = history
+        self.ns = dict(_RUNTIME)
+        self._bound: dict = {}
+        self._temps = itertools.count()
+
+    def bind(self, value, prefix: str = "_c") -> str:
+        # repr tells -0.0 from 0.0 and NaN from itself; type tells 1 from True
+        key = (prefix, type(value), repr(value))
+        name = self._bound.get(key)
+        if name is None:
+            name = self._bound[key] = f"{prefix}{len(self._bound)}"
+            self.ns[name] = value
+        return name
+
+    def _temp(self) -> str:
+        return f"_t{next(self._temps)}"
+
+    def _node(self, tests, text, depth):
+        if depth < _HOIST_DEPTH:
+            return tests, text, depth
+        temp = self._temp()  # never ABSENT: the test only binds it
+        return tests + [((), f"(({temp} := {text}) is ABSENT)")], temp, 0
+
+    def expr(self, e: Expr, known: frozenset):
+        """(tests, value, depth) of `e`, whose `known` inputs are present."""
+        if isinstance(e, Const):
+            return [], self.bind(e.value), 0
+        if isinstance(e, Now):
+            return [], "now", 0
+        if isinstance(e, StreamRef):
+            if self.streams is None:
+                temp = self._temp()
+                test = f"(({temp} := read({e.name!r})) is ABSENT)"
+                return [((), test)], temp, 0
+            local = self.streams[e.name]
+            return ([] if e.name in known else [((), f"{local} is ABSENT")],
+                    local, 0)
+        if isinstance(e, OffsetAccess):
+            return self._offset(e, known)
+        if isinstance(e, (Proj, Unary)):
+            tests, v, depth = self.expr(e.operand, known)
+            text = (f"{v}[{e.index}]" if isinstance(e, Proj)
+                    else _UNARY[e.op].format(v))
+            return self._node(tests, text, depth + 1)
+        if isinstance(e, Binary):
+            tests, a, da = self.expr(e.left, known)
+            more, b, db = self.expr(e.right, known)
+            return self._node(tests + more, _BINARY[e.op].format(a, b),
+                              max(da, db) + 1)
+        if isinstance(e, MinMax):
+            tests, args, depth = [], [], 0
+            for arg in e.args:
+                more, v, d = self.expr(arg, known)
+                tests += more
+                args.append(v)
+                depth = max(depth, d)
+            return self._node(tests, f"_{e.op}({', '.join(args)})", depth + 1)
+        raise AssertionError(f"unhandled expression {e!r}")
+
+    def _offset(self, e: OffsetAccess, known):
+        # the default, and its tests, only when the history is too short
+        tests, default, depth = self.expr(e.default, known)
+        k = e.offset
+        if self.streams is None:
+            past = self._temp()
+            short = f"{past} is None"
+            read = f"offset_read({e.stream!r}, {k})"
+            first = [((), f"(({past} := {read}) is ABSENT)")]
+            text = f"({default} if {short} else {past})"
+        else:
+            h = self.history[e.stream]
+            short = f"not {h}" if k == 1 else f"len({h}) < {k}"
+            first = []
+            text = f"({default} if {short} else {h}[-{k}])"
+        tests = first + [((short, *guards), t) for guards, t in tests]
+        return self._node(tests, text, depth + 1)
+
+    def code(self, e: Expr, known: frozenset = frozenset()):
+        """(source for the value of `e` or ABSENT, whether it can be
+        ABSENT)."""
+        tests, value, _ = self.expr(e, known)
+        if not tests or tests == [((), f"{value} is ABSENT")]:
+            return value, bool(tests)  # a stream read as it is
+        return f"(ABSENT if {_chain(tests)} else {value})", True
+
+    def run(self, source: str) -> dict:
+        exec(compile(source, "<activemon spec>", "exec"), self.ns)
+        return self.ns
 
 
 def compile_expr(expr: Expr) -> Callable:
@@ -206,203 +346,139 @@ def compile_expr(expr: Expr) -> Callable:
     short. The result is a value or ABSENT: absence propagates strictly
     through every form except offset accesses, whose default applies when
     history is missing. Division by zero and sqrt of negatives yield NaN, so
-    evaluation is total over numeric inputs. Node kinds, operators and
-    constants are resolved here, once, so evaluation does no dispatch.
+    evaluation is total over numeric inputs.
     """
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda read, offset_read, now: value
-    if isinstance(expr, Now):
-        return lambda read, offset_read, now: now
-    if isinstance(expr, StreamRef):
-        name = expr.name
-        return lambda read, offset_read, now: read(name)
-    if isinstance(expr, OffsetAccess):
-        stream, k = expr.stream, expr.offset
-        default = compile_expr(expr.default)
-
-        def offset(read, offset_read, now):
-            past = offset_read(stream, k)
-            return default(read, offset_read, now) if past is None else past
-        return offset
-    if isinstance(expr, Proj):
-        operand, index = compile_expr(expr.operand), expr.index
-
-        def proj(read, offset_read, now):
-            v = operand(read, offset_read, now)
-            return v if v is ABSENT else v[index]
-        return proj
-    if isinstance(expr, Unary):
-        operand, fn = compile_expr(expr.operand), _UNARY[expr.op]
-
-        def unary(read, offset_read, now):
-            v = operand(read, offset_read, now)
-            return v if v is ABSENT else fn(v)
-        return unary
-    if isinstance(expr, Binary):
-        return _compile_binary(expr)
-    if isinstance(expr, MinMax):
-        args = tuple(compile_expr(a) for a in expr.args)
-        pick = min if expr.op == "min" else max
-
-        def minmax(read, offset_read, now):
-            vals = []
-            for arg in args:
-                v = arg(read, offset_read, now)
-                if v is ABSENT:
-                    return ABSENT
-                vals.append(v)
-            if any(v != v for v in vals):
-                return _NAN
-            return pick(vals)
-        return minmax
-    raise AssertionError(f"unhandled expression {expr!r}")
-
-
-def _compile_binary(expr: Binary) -> Callable:
-    """A binary node; stream/stream, stream/constant and constant/stream
-    operands are read in the node's own closure, in the same order and with
-    the same ABSENT checks as the general form."""
-    fn = _BINARY[expr.op]
-    left, right = expr.left, expr.right
-    if isinstance(left, StreamRef) and isinstance(right, StreamRef):
-        a_name, b_name = left.name, right.name
-
-        def refs(read, offset_read, now):
-            a = read(a_name)
-            if a is ABSENT:
-                return ABSENT
-            b = read(b_name)
-            if b is ABSENT:
-                return ABSENT
-            return fn(a, b)
-        return refs
-    if isinstance(left, StreamRef) and isinstance(right, Const):
-        a_name, b = left.name, right.value
-
-        def ref_const(read, offset_read, now):
-            a = read(a_name)
-            return ABSENT if a is ABSENT else fn(a, b)
-        return ref_const
-    if isinstance(left, Const) and isinstance(right, StreamRef):
-        a, b_name = left.value, right.name
-
-        def const_ref(read, offset_read, now):
-            b = read(b_name)
-            return ABSENT if b is ABSENT else fn(a, b)
-        return const_ref
-    left, right = compile_expr(left), compile_expr(right)
-
-    def binary(read, offset_read, now):
-        a = left(read, offset_read, now)
-        if a is ABSENT:
-            return ABSENT
-        b = right(read, offset_read, now)
-        if b is ABSENT:
-            return ABSENT
-        return fn(a, b)
-    return binary
-
-
-@dataclass(frozen=True)
-class ActivationPlan:
-    """What one set of present inputs activates, in evaluation order.
-
-    `outputs` lists (name, evaluate) for each output with a clause whose
-    pacing the set satisfies; `evaluate` runs first-match over only those
-    clauses. `checks` lists every output as (name, evaluate), with None for
-    an output the plan leaves ABSENT. `template` maps every stream to ABSENT.
-    """
-
-    outputs: tuple
-    checks: tuple
-    template: dict
-
-
-def _first_match(clauses) -> Callable:
-    """First-match evaluation of one output over its activated clauses,
-    given as (when closure or None, expr closure).
-
-    A clause fires when its when condition holds; a when condition that
-    evaluates to ABSENT makes the whole output absent for the step, since
-    later clauses assume the earlier conditions were decided false.
-    """
-    if clauses[0][0] is None:  # an unguarded first clause always fires
-        return clauses[0][1]
-
-    def first_match(read, offset_read, now):
-        for when, expr in clauses:
-            if when is not None:
-                w = when(read, offset_read, now)
-                if w is ABSENT:
-                    return ABSENT
-                if w is not True:
-                    continue
-            return expr(read, offset_read, now)
-        return ABSENT
-    return first_match
+    source = _Source()
+    return source.run("def condition(read, offset_read, now):\n"
+                      f"    return {source.code(expr)[0]}\n")["condition"]
 
 
 @dataclass(frozen=True)
 class CompiledSpec:
-    """Every expression of an analyzed specification, compiled once.
+    """One specification as generated Python source, compiled once.
 
-    `outputs` lists (name, clauses) in evaluation order, each clause being
-    (pacing inputs, or None for @any; when closure or None; expr closure).
-    `triggers` lists (report name, message, condition closure). `names` is
-    every stream, inputs first; `inputs` the set of input names.
+    `monitor(*deques)` and `verifier(*deques)` each take one history deque
+    per entry of `history` ((stream, depth), in order) and return the
+    specification's step function over them. The monitor's
+    `step(values, now)` evaluates one event and returns (every stream's
+    value or ABSENT, in the spec's stream order, as a dict; the (trigger,
+    message) pairs that fired). The verifier's `check(row, now)` recomputes
+    every output from a model row and returns (stream, recomputed, held)
+    for each that disagrees. Both push each step's values into their
+    deques.
     """
 
-    outputs: tuple
-    triggers: tuple
-    names: tuple[str, ...]
-    inputs: frozenset[str]
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def plan(self, present: frozenset) -> ActivationPlan:
-        """The activation plan of a set of present inputs, built on first
-        use. An output keeps the clauses whose pacing `present` satisfies
-        (@any clauses always) up to its first one without a when condition.
-        A set with undeclared inputs raises ValueError and is not kept.
-        """
-        plan = self._plans.get(present)
-        if plan is not None:
-            return plan
-        if not present <= self.inputs:
-            raise ValueError("event values for undeclared inputs: "
-                             f"{sorted(present - self.inputs)}")
-        checks = []
-        for name, clauses in self.outputs:
-            kept = []
-            for inputs, when, expr in clauses:
-                if inputs is None or inputs <= present:
-                    kept.append((when, expr))
-                    if when is None:
-                        break
-            checks.append((name, _first_match(kept) if kept else None))
-        template = dict.fromkeys(self.names, ABSENT)
-        plan = self._plans[present] = ActivationPlan(
-            tuple(c for c in checks if c[1] is not None), tuple(checks),
-            template)
-        return plan
+    source: str
+    history: tuple
+    monitor: Callable
+    verifier: Callable
 
 
 def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
-    """Compile a specification; use `analyzed.compiled`, which caches this."""
+    """Generate and compile the step functions of a specification; use
+    `analyzed.compiled`, which caches this.
+
+    Each stream is a local and each input has a presence flag; each output
+    is first-match conditionals guarded by its clauses' pacing flags, in
+    evaluation order, so an output whose pacing an event does not satisfy
+    is ABSENT without evaluating anything.
+    """
     spec = analyzed.spec
+    names = spec.stream_names()
+    inputs = spec.input_names()
+    history = tuple((n, d) for n, d in analyzed.max_offset.items() if d > 0)
+    local = {name: f"_v{i}" for i, name in enumerate(names)}
+    source = _Source(local, {n: f"_h{j}" for j, (n, _) in enumerate(history)})
     decls = {o.name: o for o in spec.outputs}
-    outputs = tuple(
-        (name, tuple(
-            (None if c.pacing.is_any else c.pacing.inputs,
-             None if c.when is None else compile_expr(c.when),
-             compile_expr(c.expr))
-            for c in decls[name].clauses))
-        for name in analyzed.eval_order)
-    triggers = tuple(
-        (name, trig.message, compile_expr(trig.expr))
-        for name, trig in zip(analyzed.trigger_names, spec.triggers))
-    return CompiledSpec(outputs, triggers, spec.stream_names(),
-                        frozenset(spec.input_names()))
+    outputs = [(name, decls[name].clauses) for name in analyzed.eval_order]
+
+    # a presence flag per input some pacing names, and one per conjunction
+    order = {name: i for i, name in enumerate(inputs)}
+    paced = {c.pacing.inputs for _, clauses in outputs for c in clauses}
+    flags: dict = {frozenset(): None}  # @any
+    presence = []
+    for name in sorted({n for p in paced for n in p}, key=order.get):
+        flags[frozenset([name])] = flag = f"_p{order[name]}"
+        presence.append(f"{flag} = {local[name]} is not ABSENT")
+    for p in sorted((p for p in paced if len(p) > 1),
+                    key=lambda p: sorted(map(order.get, p))):
+        flags[p] = flag = f"_q{len(presence)}"
+        presence.append(f"{flag} = " + " and ".join(
+            flags[frozenset([n])] for n in sorted(p, key=order.get)))
+
+    def clauses_code(clauses) -> list:
+        """(condition, value) per clause, the condition None for a clause
+        that always fires, after which no clause runs."""
+        out = []
+        for c in clauses:
+            known = c.pacing.inputs
+            value, _ = source.code(c.expr, known)
+            cond = flags[known]
+            if c.when is not None:
+                when, absent = source.code(c.when, known)
+                if absent:  # an ABSENT condition leaves the output ABSENT
+                    test = f"((_w := {when}) is True or _w is ABSENT)"
+                    value = f"ABSENT if _w is ABSENT else {value}"
+                else:
+                    test = f"{when} is True"
+                cond = test if cond is None else f"{cond} and {test}"
+            out.append((cond, value))
+            if cond is None:
+                break
+        return out
+
+    def first_match(target, coded) -> list:
+        out = []
+        for i, (cond, value) in enumerate(coded):
+            if cond is None:
+                return out + ([f"{target} = {value}"] if not i
+                              else ["else:", f"    {target} = {value}"])
+            if i and i % _CHAIN == 0:
+                out += ["else:", f"    {target} = None",
+                        f"if {target} is not None:", "    pass"]
+            out += [f"{'elif' if i else 'if'} {cond}:",
+                    f"    {target} = {value}"]
+        return out + ["else:", f"    {target} = ABSENT"]
+
+    pushes = []
+    for j, (name, _) in enumerate(history):
+        pushes += [f"if {local[name]} is not ABSENT:",
+                   f"    _h{j}.append({local[name]})"]
+    monitor = ["if not values.keys() <= _inputs:",
+               "    _undeclared(values, _inputs)",
+               "get = values.get"]
+    monitor += [f"{local[n]} = get({n!r}, ABSENT)" for n in inputs]
+    monitor += presence
+    check = [f"{', '.join(local.values())}, = row", *presence, "_bad = []"]
+    for name, clauses in outputs:
+        v, coded = local[name], clauses_code(clauses)
+        monitor += [f"# {name!r}", *first_match(v, coded)]
+        check += [f"# {name!r}", *first_match("_e", coded),
+                  f"if _e != {v} and not values_equal(_e, {v}):",
+                  f"    _bad.append(({name!r}, _e, {v}))"]
+    monitor.append("_fired = []")
+    for name, trig in zip(analyzed.trigger_names, spec.triggers):
+        fired = source.bind((name, trig.message), "_r")
+        monitor += [f"if {source.code(trig.expr)[0]} is True:",
+                    f"    _fired.append({fired})"]
+    monitor += pushes
+    row = ", ".join(f"{n!r}: {v}" for n, v in local.items())
+    monitor.append(f"return {{{row}}}, _fired")
+    check += [*pushes, "return _bad"]
+
+    deques = ", ".join(f"_h{j}" for j in range(len(history)))
+    text = "\n".join(
+        [f"def _monitor({deques}):", "    def step(values, now):",
+         *_indent(monitor, 8), "    return step", "", "",
+         f"def _verifier({deques}):", "    def check(row, now):",
+         *_indent(check, 8), "    return check", ""])
+    source.ns["_inputs"] = frozenset(inputs)
+    ns = source.run(text)
+    return CompiledSpec(text, history, ns["_monitor"], ns["_verifier"])
+
+
+def _indent(lines, n: int) -> list:
+    return [" " * n + line for line in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +486,22 @@ def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
 
 
 class MonitorState:
-    """Single-owner incremental monitor with bounded per-stream history."""
+    """Single-owner incremental monitor with bounded per-stream history.
 
-    def __init__(self, analyzed: AnalyzedSpec):
+    Time is integer ticks on `quantum`: a step at tick lies at
+    tick / quantum seconds.
+    """
+
+    def __init__(self, analyzed: AnalyzedSpec, quantum: int = 1):
         self.analyzed = analyzed
+        self.quantum = quantum
         self.step = 0
-        self.time: Optional[Fraction] = None
-        self.compiled = analyzed.compiled
+        self.tick = -math.inf  # the tick of the last step
+        compiled = analyzed.compiled
         # history keeps only the non-absent values still reachable by offsets
         self._history: dict[str, deque] = {
-            name: deque(maxlen=depth)
-            for name, depth in analyzed.max_offset.items() if depth > 0
-        }
+            name: deque(maxlen=depth) for name, depth in compiled.history}
+        self.evaluate = compiled.monitor(*self._history.values())
 
     def offset_read(self, name: str, k: int):
         h = self._history.get(name)
@@ -436,54 +516,70 @@ class MonitorState:
                 h.append(v)
 
 
-def eval_event(state: MonitorState, event: Event):
-    """Advance the monitor one step.
+def eval_event(state: MonitorState, tick: int, values: dict):
+    """Advance the monitor one step, to tick / state.quantum seconds.
 
-    Returns (values, reports): the value or ABSENT of every stream at this
-    step, and the triggers that fired. The state is updated in place.
+    `values` maps each present input to its value. Returns (values,
+    reports): the value or ABSENT of every stream at this step, and the
+    triggers that fired. The state is updated in place.
     """
-    if state.time is not None and event.time <= state.time:
-        raise NonMonotonicTime(
-            f"event at {event.time} does not advance past {state.time}")
-    if not event.values:
+    if tick <= state.tick:
+        q = state.quantum
+        raise NonMonotonicTime(f"event at {Fraction(tick, q)} does not "
+                               f"advance past {Fraction(state.tick, q)}")
+    if not values:
         raise ValueError("an event must carry at least one input value")
-    compiled = state.compiled
-    plan = compiled.plan(frozenset(event.values))
-
-    now = float(event.time)
-    current = plan.template.copy()
-    current.update(event.values)
-    read = current.__getitem__
-    offset_read = state.offset_read
-    for name, evaluate in plan.outputs:
-        current[name] = evaluate(read, offset_read, now)
-
-    reports = [
-        TriggerReport(name, state.step, event.time, message)
-        for name, message, condition in compiled.triggers
-        if condition(read, offset_read, now) is True
-    ]
-
-    state._push_history(current)
-    state.step += 1
-    state.time = event.time
-    return current, reports
+    current, fired = state.evaluate(values, tick / state.quantum)
+    step = state.step
+    state.step = step + 1
+    state.tick = tick
+    if fired:
+        time = Fraction(tick, state.quantum)
+        fired = [TriggerReport(name, step, time, message)
+                 for name, message in fired]
+    return current, fired
 
 
-def run_monitor_full(analyzed: AnalyzedSpec, events):
-    """Execute the monitor over a whole trace: its model and triggers."""
-    state = MonitorState(analyzed)
-    streams = {name: [] for name in analyzed.spec.stream_names()}
-    appends = [(name, col.append) for name, col in streams.items()]
-    times = []
+# rows a run keeps before folding them into its columns: each row is a
+# dict of every stream, so keeping many would raise a long run's peak memory
+FOLD_ROWS = 32
+
+
+def fold_rows(columns: list, rows: list) -> None:
+    """Append each row dict's values (in column order) to the columns, in
+    one transpose, and empty `rows`."""
+    for column, values in zip(columns, zip(*map(dict.values, rows))):
+        column.extend(values)
+    rows.clear()
+
+
+def run_monitor_full(analyzed: AnalyzedSpec, events, quantum=None):
+    """Execute the monitor over a whole trace: its model and triggers.
+
+    `events` are `Event`s at exact times or, given `quantum`, (tick,
+    values) pairs at tick / quantum seconds.
+    """
+    if quantum is None:
+        events = [(e.time, e.values) for e in events]
+        quantum = math.lcm(*{t.denominator for t, _ in events})
+        events = [(t.numerator * (quantum // t.denominator), values)
+                  for t, values in events]
+    state = MonitorState(analyzed, quantum)
+    names = analyzed.spec.stream_names()
+    columns: list = [[] for _ in names]
+    ticks: list = []
+    rows: list = []
     reports: list[TriggerReport] = []
-    for event in events:
-        values, fired = eval_event(state, event)
-        times.append(event.time)
-        for name, append in appends:
-            append(values[name])
-        reports.extend(fired)
-    return EvaluationModel.from_times(times, streams), reports
+    for tick, values in events:
+        current, fired = eval_event(state, tick, values)
+        ticks.append(tick)
+        rows.append(current)
+        if len(rows) == FOLD_ROWS:
+            fold_rows(columns, rows)
+        if fired:
+            reports.extend(fired)
+    fold_rows(columns, rows)
+    return EvaluationModel(ticks, dict(zip(names, columns)), quantum), reports
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +616,10 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
 
     An empty result means the model is a member of the specification's
     semantics: timestamps strictly increase and each output cell equals the
-    first-match clause evaluation over the model itself, read forward by
-    `replay`. Time-map violations come first, then the cells in step order.
+    first-match clause evaluation over the model itself, recomputed by the
+    specification's `verifier`, whose offsets read a history that takes the
+    model's own rows, as `replay` does. Time-map violations come first, then
+    the cells in step order.
     """
     violations: list[Violation] = []
     ticks = model.ticks
@@ -534,24 +632,24 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
                 f"{model.time_at(t - 1)}"))
 
     compiled = analyzed.compiled
-    for t, present, read, offset_read, now in replay(analyzed, model):
-        for name, evaluate in compiled.plan(present).checks:
-            # an output the plan leaves out must be ABSENT
-            expected = (ABSENT if evaluate is None
-                        else evaluate(read, offset_read, now))
-            actual = read(name)
-            # == implies values_equal; only unequal cells need the NaN rules
-            if expected != actual and not values_equal(expected, actual):
-                violations.append(Violation(
-                    "semantic", t, model.time_at(t),
-                    f"stream '{name}' holds {actual!r}, recomputation gives "
-                    f"{expected!r}", stream=name))
+    check = compiled.verifier(*(deque(maxlen=d) for _, d in compiled.history))
+    rows = zip(*(model.streams[name] for name in analyzed.spec.stream_names()))
+    q = model.quantum
+    for t, (tick, row) in enumerate(zip(model.ticks, rows)):
+        wrong = check(row, tick / q)
+        if wrong:
+            time = model.time_at(t)
+            violations.extend(Violation(
+                "semantic", t, time, f"stream '{name}' holds {actual!r}, "
+                f"recomputation gives {expected!r}", stream=name)
+                for name, expected, actual in wrong)
     return violations
 
 
 __all__ = [
-    "ABSENT", "ActivationPlan", "CompiledSpec", "Event", "EvaluationModel",
-    "MAX_STEPS", "MonitorState", "TriggerReport", "Violation", "check_steps",
-    "compile_expr", "compile_spec", "eval_event", "replay", "run_monitor_full",
-    "values_equal", "verify_model",
+    "ABSENT", "CompiledSpec", "Event", "EvaluationModel", "FOLD_ROWS",
+    "MAX_STEPS",
+    "MonitorState", "TriggerReport", "Violation", "check_steps",
+    "compile_expr", "compile_spec", "eval_event",
+    "fold_rows", "replay", "run_monitor_full", "values_equal", "verify_model",
 ]

@@ -15,6 +15,7 @@ from .ast import (
     Annotation, Binary, Const, EvalClause, GlobalConfig, InputDecl, MinMax,
     Now, OffsetAccess, OutputDecl, Pacing, Proj, Specification,
     StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS, children,
+    expr_depth,
 )
 from .errors import DuplicateStream, SpecSyntaxError, UnknownStream
 
@@ -25,6 +26,15 @@ _KEYWORDS = {
     "now", "true", "false", "any",
 }
 _BUILTIN_FUNCS = {"min", "max", "abs", "sqrt"}
+
+# How deep an expression may nest. The parser recurses once for the
+# expression and once more for each pair of parentheses, function argument
+# list, offset default and prefix operator open around a token: at most
+# MAX_NESTING. Every pass over the tree recurses once per level, leaves
+# included (a chain of n binary operators is n + 1 deep): at most
+# MAX_DEPTH. A deeper expression is a syntax error, not a RecursionError.
+MAX_NESTING = 100
+MAX_DEPTH = 500
 _RESERVED = _KEYWORDS | _BUILTIN_FUNCS | {"offset", "by", "defaults", "to"}
 
 _PUNCT = [
@@ -123,6 +133,7 @@ class Parser:
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
+        self.nesting = 0  # expression levels open at the current token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -390,7 +401,23 @@ class Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_or()
+        start = self.pos
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise self._too_deep(start)
+        expr = self.parse_or()
+        self.nesting -= 1
+        # each level of the tree takes a token of its own, so only an
+        # expression of more tokens than levels allowed can be too deep
+        if (not self.nesting and self.pos - start > MAX_DEPTH
+                and expr_depth(expr) > MAX_DEPTH):
+            raise self.error(f"expression tree is more than {MAX_DEPTH} "
+                             "levels deep", self.tokens[start])
+        return expr
+
+    def _too_deep(self, pos: int) -> SpecSyntaxError:
+        return self.error(f"expression nests more than {MAX_NESTING} "
+                          "levels deep", self.tokens[pos])
 
     def parse_or(self):
         left = self.parse_and()
@@ -429,12 +456,15 @@ class Parser:
         return left
 
     def parse_unary(self):
-        if self.at_punct("-"):
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        if self.at_punct("!"):
-            self.advance()
-            return Unary("not", self.parse_unary())
+        if self.at_punct("-") or self.at_punct("!"):
+            start = self.pos
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise self._too_deep(start)
+            op = "neg" if self.advance().text == "-" else "not"
+            expr = Unary(op, self.parse_unary())
+            self.nesting -= 1
+            return expr
         return self.parse_postfix()
 
     def parse_postfix(self):

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from .analysis import AnalyzedSpec
 from .ast import Expr, Pacing, conjoin
 from .engine import (
+    ABSENT,
     EvaluationModel,
     Violation,
     compile_expr,
@@ -250,16 +251,20 @@ class DecisionOracle:
         self.tasks = sorted(schedule.universe, key=task_key)
 
         # region truth per step, each distinct region decided once, in the
-        # one walk that also collects the present inputs
-        truth: dict = {}
+        # one walk that also collects the present inputs. Entry pacings are
+        # concrete (build_static_schedule rejects @any), and a region whose
+        # pacing no step of the model satisfies holds nowhere, so only the
+        # others are compiled.
+        truth: dict = {}  # region -> the steps it holds at
         for chain in schedule.entries.values():
             for entry in chain:
-                region = (entry.condition, entry.pacing)
-                if region not in truth:
-                    truth[region] = (compile_expr(entry.condition), [])
-        # entry pacings are concrete: build_static_schedule rejects @any
-        regions = [(p.inputs, cond, steps)
-                   for (_, p), (cond, steps) in truth.items()]
+                truth.setdefault((entry.condition, entry.pacing), [])
+        inputs = analyzed.spec.input_names()
+        seen = {frozenset(i for i, v in zip(inputs, row) if v is not ABSENT)
+                for row in zip(*(model.streams[i] for i in inputs))}
+        regions = [(p.inputs, compile_expr(c), steps)
+                   for (c, p), steps in truth.items()
+                   if any(p.inputs <= s for s in seen)]
         self.present = []
         for s, present, read, offset_read, now in replay(analyzed, model):
             self.present.append(present)
@@ -303,7 +308,7 @@ class DecisionOracle:
         self.true_steps: dict = {}
         self.current: dict = {}
         for task, chain in schedule.entries.items():
-            per_entry = [truth[(e.condition, e.pacing)][1] for e in chain]
+            per_entry = [truth[(e.condition, e.pacing)] for e in chain]
             self.true_steps[task] = per_entry
             holding: dict = {}  # step -> values of the regions holding there
             for entry, steps in zip(chain, per_entry):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import (ABSENT, EvaluationModel, MonitorState, Event,
-                     check_steps, eval_event)
+from .engine import (ABSENT, FOLD_ROWS, EvaluationModel, MonitorState,
+                     check_steps, eval_event, fold_rows)
 from .errors import PreconditionViolation, UniverseTooLarge
 from .schedule import (
     MODE_DEADLINE,
@@ -328,24 +328,32 @@ def run_scheduled(translation: Translation, source, horizon,
 
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
-    monitor = MonitorState(translation.plain)
-    streams = {name: [] for name in translation.plain.spec.stream_names()}
-    appends = [(name, col.append) for name, col in streams.items()]
-    ticks: list = []  # cycle k at k * period.numerator / period.denominator
+    # cycle k runs at tick k * period.numerator on the quantum
+    # period.denominator, and its exact time is built once, for the plan
+    # and the sensor queries
+    num, quantum = period.numerator, period.denominator
+    monitor = MonitorState(translation.plain, quantum)
+    names = translation.plain.spec.stream_names()
+    columns: list = [[] for _ in names]
+    ticks: list = []
+    rows: list = []
     triggers: list = []
     plans: list = []
 
     for k in range(cycles):
-        at = k * period
+        tick = k * num
+        at = Fraction(tick, quantum)
         plan = state.plan(at)
         plans.append(plan)
         if plan.flat:
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
-            current, fired = eval_event(monitor, Event(at, values))
+            current, fired = eval_event(monitor, tick, values)
             state.observe(current)
-            ticks.append(k * period.numerator)
-            for name, append in appends:
-                append(current[name])
+            ticks.append(tick)
+            rows.append(current)
+            if len(rows) == FOLD_ROWS:
+                fold_rows(columns, rows)
             triggers.extend(fired)
-    model = EvaluationModel(ticks, streams, period.denominator)
+    fold_rows(columns, rows)
+    model = EvaluationModel(ticks, dict(zip(names, columns)), quantum)
     return ScheduledRun(translation, model, triggers, plans, report)

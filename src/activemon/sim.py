@@ -21,8 +21,7 @@ from random import Random
 from typing import Optional
 
 from .analysis import AnalyzedSpec
-from .engine import (ABSENT, Event, EvaluationModel, check_steps,
-                     run_monitor_full)
+from .engine import ABSENT, EvaluationModel, check_steps, run_monitor_full
 from .errors import MismatchedTraces, OutOfRange, SensorUnavailable, SpecError
 
 GRID_HZ = 10  # sampling grid of generated traces
@@ -374,27 +373,28 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
         count = math.floor(trace.span()[1] * freq) + 1
     check_steps(count, f"a {float(freq)} Hz baseline")
 
-    # one tick per event, floor(at·quantum), bisected as `query` does; the
-    # sensors `query` would reject at `at` (no samples, the event before the
-    # first or after the last) go through it, so it raises its own error
-    den = period.denominator
-    step = period.numerator * trace.quantum
+    # event k runs at tick k * period.numerator on the quantum
+    # period.denominator. Each sensor is read at floor(at·trace quantum),
+    # bisected as `query` does; the sensors `query` would reject at `at` (no
+    # samples, the event before the first or after the last) go through it,
+    # so it raises its own error
+    num, den = period.numerator, period.denominator
+    step = num * trace.quantum
     sensors = [(s, trace.ticks.get(s), trace.values.get(s)) for s in inputs]
 
     def events():
         for k in range(count):
-            at = k * period
             scaled = k * step  # at·quantum·den
             tick = scaled // den
             values = {}
             for s, ticks, vals in sensors:
                 if ticks is None or tick < ticks[0] or scaled > ticks[-1] * den:
-                    values[s] = source.query(s, at)
+                    values[s] = source.query(s, Fraction(k * num, den))
                 else:
                     values[s] = vals[bisect_right(ticks, tick) - 1]
-            yield Event(at, values)
+            yield k * num, values
 
-    return BaselineRun(*run_monitor_full(analyzed, events()))
+    return BaselineRun(*run_monitor_full(analyzed, events(), den))
 
 
 # ---------------------------------------------------------------------------

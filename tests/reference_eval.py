@@ -1,17 +1,18 @@
 """Tree-walking expression evaluator and model reader, kept as test-only
 references.
 
-The engine compiles expressions into closures once per specification and
-shares them between the monitor, `verify_model` and the `DecisionOracle`,
-so a compiler bug would pass the engine's own membership oracle. This
-module is the direct recursive reading of the semantics that the
-differential tests compare the compiled form against.
+The engine generates Python source once per specification and shares the
+generator between the monitor, `verify_model` and the `DecisionOracle`'s
+conditions, so a generator bug would pass the engine's own membership
+oracle. This module is the direct recursive reading of the semantics that
+the differential tests compare the generated code against.
 
 `engine.replay` serves offsets from the monitor's bounded history as it
 walks a model forward. `ModelReader` is the random-access reading it is
 tested against: per-stream indexes of present steps over the whole model.
 `present_inputs` and `triggers_from_model` read a finished model for the
-tests; the latter walks `replay` with the compiled trigger conditions.
+tests; the latter evaluates the triggers with `eval_expr` through a
+`ModelReader`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from activemon.ast import (
     Binary, Const, Expr, MinMax, Now, OffsetAccess, OutputDecl, Proj,
     StreamRef, Unary,
 )
-from activemon.engine import (ABSENT, EvaluationModel, TriggerReport, replay,
-                              values_equal)
+from activemon.engine import ABSENT, EvaluationModel, TriggerReport, values_equal
 
 _NAN = float("nan")
 
@@ -185,10 +185,13 @@ def present_inputs(model: EvaluationModel, input_names,
 
 
 def triggers_from_model(analyzed, model: EvaluationModel) -> list:
-    """Every trigger evaluated over a finished model, walked by `replay`."""
+    """Every trigger evaluated by `eval_expr` over a finished model, read
+    through `ModelReader`, at the model's exact times."""
+    reader = ModelReader(model)
     reports: list[TriggerReport] = []
-    for t, _, read, offset_read, now in replay(analyzed, model):
-        for name, message, condition in analyzed.compiled.triggers:
-            if condition(read, offset_read, now) is True:
-                reports.append(TriggerReport(name, t, model.time_at(t), message))
+    for t, time in enumerate(model.times):
+        read, offset_read = reader.at_step(t)
+        for name, trig in zip(analyzed.trigger_names, analyzed.spec.triggers):
+            if eval_expr(trig.expr, read, offset_read, float(time)) is True:
+                reports.append(TriggerReport(name, t, time, trig.message))
     return reports

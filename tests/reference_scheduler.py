@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from activemon.engine import (ABSENT, Event, EvaluationModel, MonitorState,
+from activemon.engine import (ABSENT, EvaluationModel, MonitorState,
                               eval_event)
 from activemon.schedule import MODE_DEADLINE, MODE_PRIORITY, Task, task_key
 from activemon.scheduler import EventPlan, selected_tasks, take_event
@@ -136,7 +136,9 @@ def reference_run(translation: Translation, source, horizon, bound: int):
     period = translation.analyzed.config.period
     horizon = Fraction(horizon)
     state = ReferenceSchedulerState(translation, bound)
-    monitor = MonitorState(translation.plain)
+    # the monitor takes ticks; the period's denominator holds every cycle
+    quantum = period.denominator
+    monitor = MonitorState(translation.plain, quantum)
     names = translation.plain.spec.stream_names()
     streams: dict = {name: [] for name in names}
     times: list = []
@@ -148,7 +150,7 @@ def reference_run(translation: Translation, source, horizon, bound: int):
         plans.append(plan)
         if plan.flat:
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
-            current, _ = eval_event(monitor, Event(at, values))
+            current, _ = eval_event(monitor, int(at * quantum), values)
             state.observe(current, at)
             times.append(at)
             for name in names:

@@ -166,6 +166,22 @@ def test_baseline_queries_all_sensors(spec_dir, tmp_path, capsys,
     assert len((out / "model.csv").read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("rows", [
+    ["0,20.0,1.0"],  # a span of zero seconds
+    ["-2,20.0,1.0", "-1,20.0,1.0"],  # a trace wholly before time 0
+])
+def test_baseline_on_a_trace_that_ends_by_time_zero_is_a_usage_error(
+        spec_dir, tmp_path, capsys, rows):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(["time,a,b", *rows]) + "\n")
+    out = tmp_path / "base"
+    err = _usage_error(["baseline", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace), "--freq", "1",
+                        "--out-dir", str(out)], capsys)
+    assert "--horizon" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -307,6 +323,20 @@ def test_bad_spec_reports_the_parse_error(tmp_path, capsys):
     rc = main(["translate", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr,message", [
+    # the 101st level opens at column 113
+    ("(" * 189 + "a" + " + a)" * 189, "2:113: expression nests more than 100"),
+    # a chain is reported where it starts
+    (" + ".join(["a"] * 2000), "2:13: expression tree is more than 500"),
+])
+def test_too_deep_an_expression_is_a_usage_error(tmp_path, capsys, expr,
+                                                 message):
+    spec = tmp_path / "deep.lola"
+    spec.write_text(f"input a : Float64\noutput o := {expr}\n")
+    err = _usage_error(["translate", str(spec)], capsys)
+    assert f"deep.lola:{message} levels deep" in err
 
 
 def _usage_error(argv, capsys) -> str:

@@ -1,14 +1,22 @@
-"""Differential tests: the compiled evaluator against the tree-walking reference.
+"""Differential tests: the generated evaluator against the tree-walking
+reference.
 
-The monitor, `verify_model`, `triggers_from_model` and the `DecisionOracle`
-all evaluate through one compiled form, so they cannot catch a compiler bug
-by checking each other. These tests compare every path with
-`reference_eval`, which reads the expression tree directly.
+The monitor, `verify_model` and the `DecisionOracle` all evaluate through
+code from one source generator, so they cannot catch a generator bug by
+checking each other. These tests compare every path with `reference_eval`,
+which reads the expression tree directly.
 """
 
+import ast
+import io
+import keyword
 import math
-from collections import Counter
-from dataclasses import replace
+import os
+import re
+import subprocess
+import sys
+import tokenize
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from random import Random
 
@@ -21,11 +29,10 @@ import reference_eval
 from activemon.analysis import analyze
 from activemon.ast import (
     Binary, Const, EvalClause, MinMax, Now, OffsetAccess, OutputDecl, Pacing,
-    Proj, StreamRef, Unary,
+    Proj, StreamRef, Unary, expr_depth,
 )
 from activemon.engine import (
     ABSENT,
-    CompiledSpec,
     Event,
     EvaluationModel,
     MonitorState,
@@ -36,7 +43,8 @@ from activemon.engine import (
     values_equal,
     verify_model,
 )
-from activemon.parser import parse_spec
+from activemon.errors import SpecSyntaxError
+from activemon.parser import MAX_DEPTH, MAX_NESTING, parse_spec
 from activemon.schedule import DecisionOracle
 from activemon.translate import translate
 from reference_eval import ModelReader, present_inputs, triggers_from_model
@@ -173,7 +181,7 @@ def test_an_absent_when_makes_the_output_absent():
 
 
 # ---------------------------------------------------------------------------
-# activation plans
+# pacing-guarded evaluation
 
 # a `when` over an output that is absent at that step (x where a <= 0), a
 # conjunctive pacing with a guard, an @any output, and outputs of one input
@@ -215,8 +223,9 @@ def test_plans_match_the_reference_on_guards_over_absent_outputs():
 
 
 def test_plans_keep_any_clauses_after_paced_ones():
-    # analysis gives every clause of an output one pacing; a plan filters
-    # clause by clause, which this output with mixed pacings shows
+    # analysis gives every clause of an output one pacing; the generated
+    # code guards clause by clause, which this output with mixed pacings
+    # shows
     a, b = StreamRef("a"), StreamRef("b")
     mixed = OutputDecl("nb", (
         EvalClause(Pacing.of(["a", "b"]), Binary(">", a, Const(1.0)),
@@ -234,8 +243,14 @@ def test_plans_keep_any_clauses_after_paced_ones():
     model = _assert_matches_reference(analyzed, PLANNED_EVENTS)
     # each clause fires somewhere, the last @any one at step 2
     assert model.streams["nb"] == [3.5, 1.0, 9.0, -0.5, -2.0, 2.0, 7.0, 7.0]
-    plan = analyzed.compiled.plan(frozenset({"a"}))
-    assert sorted(name for name, _ in plan.outputs) == ["count", "nb", "x"]
+    # with a alone after 2 s, nb still reaches its @any clause past the
+    # clauses paced on b
+    state = MonitorState(analyzed)
+    current, _ = eval_event(state, 5, {"a": 0.5})
+    assert sorted(name for name, v in current.items()
+                  if v is not ABSENT and name not in ("a", "b")) == [
+        "count", "nb", "x"]
+    assert current["nb"] == 7.0
 
 
 def test_verify_flags_a_value_where_the_plan_leaves_an_output_out():
@@ -252,35 +267,33 @@ def test_an_undeclared_input_raises_on_every_event():
     state = MonitorState(analyzed)
     for t in range(3):
         with pytest.raises(ValueError, match=r"undeclared inputs: \['c'\]"):
-            eval_event(state, Event(Fraction(t), {"a": 1.0, "c": 2.0}))
+            eval_event(state, t, {"a": 1.0, "c": 2.0})
     assert state.step == 0
-    eval_event(state, Event(Fraction(0), {"a": 1.0}))
+    eval_event(state, 0, {"a": 1.0})
     assert state.step == 1
 
 
 def test_unactivated_outputs_cost_no_call():
-    analyzed = analyze(parse_spec(PLANNED))
-    calls = Counter()
+    # each output multiplies a's last value, a float that records every
+    # multiplication, by its own factor; pb and pab are paced on b, which
+    # the first four events lack
+    products = []
 
-    def counted(name, closure):
-        def call(*args):
-            calls[name] += 1
-            return closure(*args)
-        return call
+    class Recorded(float):
+        def __mul__(self, other):
+            products.append(other)
+            return float(self) * other
 
-    compiled = analyzed.compiled
-    state = MonitorState(analyzed)
-    state.compiled = CompiledSpec(tuple(
-        (name, tuple((inputs, when and counted(name, when),
-                      counted(name, expr)) for inputs, when, expr in clauses))
-        for name, clauses in compiled.outputs),
-        compiled.triggers, compiled.names, compiled.inputs)
+    text = ("input a : Float64\ninput b : Float64\n"
+            "output pa |@a| := a.offset(by:-1).defaults(to: 1.0) * 2.0\n"
+            "output pb |@b| := a.offset(by:-1).defaults(to: 1.0) * 3.0\n"
+            "output pab |@a && b| := a.offset(by:-1).defaults(to: 1.0) * 5.0\n")
+    state = MonitorState(analyze(parse_spec(text)))
     for t in range(4):
-        eval_event(state, Event(Fraction(t), {"a": 2.0}))
-    # with a alone, `both` (a && b) and `nb` (b) are never called
-    assert calls == {"x": 8, "count": 4}
-    eval_event(state, Event(Fraction(4), {"b": 2.0}))
-    assert calls == {"x": 8, "count": 5, "nb": 1}
+        eval_event(state, t, {"a": Recorded(2.0)})
+    assert products == [2.0] * 3  # step 0 multiplies the default
+    eval_event(state, 4, {"b": 2.0})
+    assert products == [2.0] * 3 + [3.0]
 
 
 def _same(form, env, offset_read=None, now=0.0):
@@ -292,8 +305,7 @@ def _same(form, env, offset_read=None, now=0.0):
 
 def test_every_operator_matches_the_reference_on_edge_values():
     a, b = StreamRef("a"), StreamRef("b")
-    # stream/stream, stream/constant and constant/stream compile to their
-    # own closures; a negated operand takes the general path
+    # operands that are streams, constants and a compound operand
     forms = [Binary(op, x, y) for op in BINARY_OPS
              for x, y in ((a, b), (a, Const(2)), (Const(2.5), b),
                           (Unary("neg", a), b))]
@@ -319,3 +331,251 @@ def test_leaf_forms_match_the_reference():
         for d in (0.5, ABSENT):
             _same(OffsetAccess(stream, k, StreamRef("d")), {"d": d}, offset_read)
     _same(Binary("-", Now(), Const(2)), {}, now=float(Fraction(7, 2)))
+
+
+# ---------------------------------------------------------------------------
+# generated source: names, constants, nesting
+
+
+def _rename(node, old, new):
+    """A copy of an AST with every string equal to `old` replaced."""
+    if isinstance(node, str):
+        return new if node == old else node
+    if isinstance(node, (tuple, frozenset)):
+        return type(node)(_rename(x, old, new) for x in node)
+    if is_dataclass(node):
+        return replace(node, **{f.name: _rename(getattr(node, f.name), old, new)
+                                for f in fields(node) if f.init})
+    return node
+
+
+def _events(rng, analyzed, n, mixed=True):
+    """Events in tenths, thirds and sevenths; Bool inputs get bools."""
+    events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), n, mixed)
+    bools = [name for name, t in analyzed.types.items() if str(t) == "Bool"]
+    for event in events:
+        for name in bools:
+            if name in event.values:
+                event.values[name] = event.values[name] > 0
+    return events
+
+
+# stream names that are Python keywords, names of the engine's runtime
+# (ABSENT, values_equal, len), the generator's own locals and parameters
+# (_v0, _w, _e, _bad, _c0, _h0, _p0, values, get, row, read, offset_read,
+# now), and names apart only by a suffix; `nowx` becomes `now` below,
+# since the parser reserves it
+CAPTURE = (
+    "input ABSENT : Float64\ninput None : Float64\ninput nowx : Float64\n"
+    "input ev : Bool\ninput x : Float64\ninput x_ : Float64\n"
+    "output _v0 |@ABSENT| := ABSENT + nowx.offset(by:-1).defaults(to: 1.0)\n"
+    "output lambda |@None && nowx| := "
+    "None * nowx - _v0.offset(by:-1).defaults(to: 0.5)\n"
+    "output if |@ev| := ev && lambda.offset(by:-1).defaults(to: 0.0) > 1.0\n"
+    "output values |@x| := x + x_.offset(by:-1).defaults(to: 0.0)\n"
+    "output x0 |@x_| := x_ * 2.0\n"
+    "output x00\n"
+    "    eval |@x| when values > 3.0 with x0.offset(by:-2).defaults(to: x)\n"
+    "    eval |@x| with values.offset(by:-1).defaults(to: -1.0)\n"
+    "output get |@any| := now\n"
+    "output _bad |@nowx| := nowx > get.offset(by:-1).defaults(to: 0.0)\n"
+    "output _w |@x| := x * 3.0\noutput _e |@x_| := x_ - 1.0\n"
+    "output read |@any| := _w.offset(by:-1).defaults(to: 2.5)\n"
+    "output offset_read |@any| := _e.offset(by:-1).defaults(to: 2.0)\n"
+    "output _c0 |@ev| := 5.0\noutput _p0 |@x && x_| := x + x_\n"
+    "output _h0 |@any| := _h0.offset(by:-1).defaults(to: 0) + 1\n"
+    "output row |@x && x_| := max(x, x_.offset(by:-1).defaults(to: x), _p0)\n"
+    "output len |@any| := values_equal.offset(by:-1).defaults(to: 0.0)\n"
+    "output values_equal |@None| := -None\n"
+    'trigger if "if fired"\ntrigger _bad\n'
+)
+
+_GENERATED = re.compile(r"_[vpqhcrt]\d+|_w|_e|_bad|_fired|_monitor|_verifier")
+_RUNTIME_NAMES = {
+    "ABSENT", "_div", "_sqrt", "_min", "_max", "_undeclared", "_inputs",
+    "values_equal", "abs", "len", "values", "get", "keys", "append", "now",
+    "row", "step", "check",
+}
+
+
+def _source_names(source):
+    """The NAME tokens and string literals of a generated source."""
+    names, strings = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME and not keyword.iskeyword(tok.string):
+            names.add(tok.string)
+        elif tok.type == tokenize.STRING:
+            strings.add(ast.literal_eval(tok.string))
+    return names, strings
+
+
+@given(SEEDS)
+@settings(max_examples=30, deadline=None)
+def test_stream_names_cannot_capture_generated_names(seed):
+    analyzed = analyze(_rename(parse_spec(CAPTURE), "nowx", "now"))
+    assert "now" in analyzed.spec.input_names()
+    events = _events(Random(seed), analyzed, 40)
+    _assert_matches_reference(analyzed, events)
+    model, reports = run_monitor_full(analyzed, events)
+    assert _as_tuples(triggers_from_model(analyzed, model)) == \
+        _as_tuples(reports)
+    # stream names occur only as string literals
+    source = analyzed.compiled.source
+    names, strings = _source_names(source)
+    assert all(_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES for n in names), \
+        sorted(n for n in names
+               if not (_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES))
+    assert strings <= set(analyzed.spec.stream_names())
+    assert strings == set(analyzed.spec.stream_names())
+
+
+def test_the_parser_reserves_now_as_a_stream_name():
+    with pytest.raises(SpecSyntaxError, match="'now' is reserved"):
+        parse_spec("input now : Float64\n")
+
+
+CONSTANTS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 2**63, 2**64 + 1,
+             -(2**80), True, False, 0, 1, 1.0)
+
+
+def test_constants_keep_their_value_and_type():
+    # outputs of constants, and of constants combined with a stream, over
+    # a spec with as many outputs; -0.0 and 0.0, 0 and False, 1, 1.0 and
+    # True are distinct constants
+    a = StreamRef("a")
+    forms = [Const(c) for c in CONSTANTS]
+    forms += [Binary("*", Const(c), a) for c in (math.inf, -0.0, math.nan)]
+    forms += [Binary("+", Const(2**64 + 1), Const(c)) for c in (1, True, -(2**80))]
+    forms += [Binary("/", Const(2**70), Const(c)) for c in (3, -7, 0)]
+    forms += [Binary("==", Const(c), Const(0)) for c in (-0.0, False, 0.0)]
+    forms += [MinMax("max", (Const(math.nan), a)), Unary("neg", Const(0.0)),
+              Unary("not", Const(False)), Unary("neg", Const(2**63))]
+    text = "input a : Float64\n" + "".join(
+        f"output o{i} |@a| := a\n" for i in range(len(forms)))
+    base = analyze(parse_spec(text))
+    outputs = tuple(
+        replace(o, clauses=(replace(o.clauses[0], expr=form),))
+        for o, form in zip(base.spec.outputs, forms))
+    analyzed = replace(base, spec=replace(base.spec, outputs=outputs))
+    events = [Event(Fraction(t), {"a": v})
+              for t, v in enumerate((2.0, -0.0, math.inf, -3.5))]
+    model, _ = run_monitor_full(analyzed, events)
+    columns, _ = reference_run(analyzed, events)
+    for i, form in enumerate(forms):
+        got, want = model.streams[f"o{i}"], columns[f"o{i}"]
+        assert [(type(v), repr(v)) for v in got] == \
+            [(type(v), repr(v)) for v in want], form
+    assert verify_model(analyzed, model) == []
+    for form in forms:
+        _same(form, {"a": -0.0})
+
+
+def _nested(shape, levels):
+    """An expression of `o` that nests exactly `levels` deep; `m` is
+    absent whenever a <= 0.5."""
+    n = levels - 1
+    if shape == "parens":
+        return "(" * n + "a" + " + m)" * n
+    if shape == "chain":
+        return " - ".join(["a"] + ["m"] * n)
+    if shape == "unary":
+        return "-" * n + "a"
+    # offset defaults, alternating a stream that is sometimes absent
+    streams = ("m", "o", "a")
+    return "".join(f"{streams[k % 3]}.offset(by:-{k % 2 + 1}).defaults(to: "
+                   for k in range(n)) + "m" + ")" * n
+
+
+@pytest.mark.parametrize("shape,cap,message", [
+    ("parens", MAX_NESTING, "nests more than 100"),
+    ("unary", MAX_NESTING, "nests more than 100"),
+    ("offsets", MAX_NESTING, "nests more than 100"),
+    ("chain", MAX_DEPTH, "tree is more than 500"),
+])
+def test_expressions_at_the_nesting_caps_evaluate_like_the_reference(
+        shape, cap, message):
+    def spec(levels):
+        return ("input a : Float64\ninput b : Float64\n"
+                "output m\n    eval |@a| when a > 0.5 with a\n"
+                f"output o |@a| := {_nested(shape, levels)}\n"
+                "output t |@a| := o > 1.0\ntrigger t\n")
+
+    with pytest.raises(SpecSyntaxError, match=message):
+        parse_spec(spec(cap + 1))
+    analyzed = analyze(parse_spec(spec(cap)))
+    assert expr_depth(analyzed.spec.output_decl("o").clauses[0].expr) == cap
+    events = _events(Random(7), analyzed, 40)
+    model = _assert_matches_reference(analyzed, events)
+    assert any(v is ABSENT for v in model.streams["o"][1:])
+    assert any(v is not ABSENT for v in model.streams["o"])
+
+
+def test_trees_deeper_than_the_caps_still_compile():
+    # translation builds trees the parser never sees, such as conjunctions
+    # over many clauses; the generator binds deep subtrees to temporaries
+    a, m, o = StreamRef("a"), StreamRef("m"), StreamRef("o")
+    chain = a
+    for k in range(MAX_DEPTH + 100):
+        chain = Binary("+" if k % 2 else "-", chain, m)
+    offsets = m
+    for k in range(250):
+        offsets = OffsetAccess(("m", "o", "a")[k % 3], k % 2 + 1, offsets)
+    conjunction = Binary("&&", Binary(">", a, Const(0.0)), Const(True))
+    for k in range(300):
+        conjunction = Binary("&&", conjunction, Binary("<", m, Const(float(k))))
+    base = analyze(parse_spec(
+        "input a : Float64\noutput m\n    eval |@a| when a > 0.5 with a\n"
+        "output o |@a| := a\noutput d |@a| := a\noutput c |@a| := a > 0.0\n"))
+    forms = {"o": chain, "d": offsets, "c": conjunction}
+    analyzed = analyze(replace(base.spec, outputs=tuple(
+        replace(out, clauses=(replace(out.clauses[0],
+                                      expr=forms.get(out.name, out.clauses[0].expr)),))
+        for out in base.spec.outputs)))
+    events = _events(Random(3), analyzed, 30)
+    model = _assert_matches_reference(analyzed, events)
+    assert {v is ABSENT for v in model.streams["o"]} == {True, False}
+    reader = ModelReader(model)
+    condition = compile_expr(conjunction)
+    for step in range(len(model)):
+        read, offset_read = reader.at_step(step)
+        now = float(model.times[step])
+        assert values_equal(
+            condition(read, offset_read, now),
+            reference_eval.eval_expr(conjunction, read, offset_read, now))
+
+
+def test_first_match_chains_of_many_clauses():
+    # CPython's compiler recurses per elif, so long chains restart
+    clauses = "".join(f"    eval |@a| when a < {k / 10} with {k}\n"
+                      for k in range(-250, 250))
+    analyzed = analyze(parse_spec(
+        "input a : Float64\noutput grade\n" + clauses +
+        "    eval |@a| with -1\n"))
+    events = [Event(Fraction(t), {"a": v})
+              for t, v in enumerate((-30.0, -24.95, 0.0, 19.96, 24.85, 30.0))]
+    model = _assert_matches_reference(analyzed, events)
+    assert model.streams["grade"] == [-250, -249, 1, 200, 249, -1]
+
+
+def test_the_generated_source_is_the_same_under_any_string_hash():
+    script = (
+        "import hashlib\n"
+        "from activemon.cli import SPEC_DIR\n"
+        "from activemon.parser import parse_spec\n"
+        "from activemon.analysis import analyze\n"
+        "from activemon.translate import translate\n"
+        "for name in ('drone_experiment', 'geofence_priority', "
+        "'priority_conflict'):\n"
+        "    a = analyze(parse_spec((SPEC_DIR / (name + '.lola')).read_text()))\n"
+        "    for mode in ('dp', 'priority'):\n"
+        "        source = translate(a, mode).plain.compiled.source\n"
+        "        print(name, mode, hashlib.sha256(source.encode()).hexdigest())\n")
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].splitlines()) == 6

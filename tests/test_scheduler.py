@@ -20,9 +20,10 @@ from activemon.scheduler import (
     split_bound_range,
     take_event,
 )
-from activemon.sim import FlightScenario, TraceSource, compute_metrics, generate_flight
+from activemon.sim import (FlightScenario, SensorTrace, TraceSource, compute_metrics,
+                          generate_flight)
 from activemon.translate import translate
-from reference_eval import present_inputs
+from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
 
 A = frozenset({"a"})
@@ -291,6 +292,8 @@ def _assert_matches_reference(tr, trace, horizon, bound):
     plans, model = reference_run(tr, TraceSource(trace), horizon, bound)
     assert run.plans == plans
     assert run.model.times == model.times
+    assert (run.model.ticks, run.model.quantum) == (model.ticks, model.quantum)
+    assert run.triggers == triggers_from_model(tr.plain, model)
     assert run.model.streams.keys() == model.streams.keys()
     for name, column in model.streams.items():
         assert all(values_equal(a, b)
@@ -350,3 +353,34 @@ def test_scheduler_matches_the_reference_on_a_drone_flight(drone_text):
     trace = generate_flight(FlightScenario(seed=42))
     for bound in (1, 2, 3):
         _assert_matches_reference(tr, trace, 60, bound)
+
+
+# cycles at 0.7, 3 and 7 Hz over samples in thirds, sevenths and tenths; the
+# trigger fires at exact cycle times
+MIXED_DP = (
+    '#![frequency="{freq}Hz"]\n'
+    '#[priority="high", deadline="1.2s"]\ninput x : Float64\n'
+    '#[priority="low", deadline="0.5s"]\ninput y : Float64\n'
+    '#[priority="medium"]\ninput z : Float64\n'
+    "output s |@x && y| := x + y + now\n"
+    "output late |@x| := x + now > 8.0\n"
+    'trigger late "late"\n'
+)
+MIXED_TRACE = SensorTrace.from_samples({
+    "x": [(Fraction(k, 3), float(k % 7)) for k in range(37)],
+    "y": [(Fraction(k, 7), float(k % 5)) for k in range(85)],
+    "z": [(Fraction(k, 10), k / 20) for k in range(121)],
+})
+
+
+@pytest.mark.parametrize("freq", ["0.7", "3", "7"])
+@pytest.mark.parametrize("mode,bound", [("dp", 1), ("dp", 2), ("priority", 2)])
+def test_scheduler_ticks_match_the_reference_on_mixed_denominators(
+        freq, mode, bound):
+    tr = _translated(MIXED_DP.format(freq=freq), mode)
+    _assert_matches_reference(tr, MIXED_TRACE, Fraction(23, 2), bound)
+    run = run_scheduled(tr, TraceSource(MIXED_TRACE), Fraction(23, 2), bound)
+    assert run.triggers
+    period = tr.analyzed.config.period
+    assert all(r.time == run.model.time_at(r.step) for r in run.triggers)
+    assert all(r.time / period == int(r.time / period) for r in run.triggers)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from activemon.analysis import analyze
-from activemon.engine import ABSENT, Event, EvaluationModel, TriggerReport
+from activemon.engine import (ABSENT, Event, EvaluationModel, TriggerReport,
+                              run_monitor_full)
 from activemon.errors import (MismatchedTraces, OutOfRange, SensorUnavailable,
                               TooManySteps)
 from activemon.parser import parse_spec
@@ -27,6 +28,7 @@ from activemon.sim import (
     _Profile,
 )
 from activemon.translate import translate
+from reference_eval import triggers_from_model
 
 HOLD = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
 SOURCE = TraceSource(HOLD)
@@ -349,6 +351,40 @@ def test_fixed_baseline_values_equal_per_event_queries(freq, horizon):
         assert base.model.streams[sensor] == [
             source.query(sensor, at) for at in base.model.times]
     assert len(set(base.model.streams["thirds"])) > len(base.model) // 2
+
+
+# samples in thirds, sevenths and tenths of a second, through 10 s
+_THIRDS_SEVENTHS_TENTHS = SensorTrace.from_samples({
+    "thirds": [(Fraction(k, 3), float(k)) for k in range(31)],
+    "sevenths": [(Fraction(k, 7), float(-k)) for k in range(71)],
+    "tenths": [(Fraction(k, 10), k / 10) for k in range(101)],
+})
+
+
+@pytest.mark.parametrize("freq", [0.7, 3, Fraction(7, 3), 7])
+@pytest.mark.parametrize("horizon", [None, 7.77])
+def test_fixed_baseline_matches_a_fraction_time_reference(freq, horizon):
+    # the baseline runs the monitor on ticks; the reference feeds it events
+    # at the Fraction times k / freq with per-event queries
+    spec = analyze(parse_spec(
+        "input thirds : Float64\ninput sevenths : Float64\n"
+        "input tenths : Float64\n"
+        "output at |@thirds && sevenths| := now + thirds + sevenths\n"
+        "output late |@tenths| := now > 5.0 && tenths > 4.0\n"
+        'trigger late "late"\n'))
+    trace = _THIRDS_SEVENTHS_TENTHS
+    base = run_fixed(spec, trace, freq, horizon)
+    source = TraceSource(trace)
+    times = _reference_event_times(freq, 10, horizon)
+    model, reports = run_monitor_full(spec, [
+        Event(at, {s: source.query(s, at) for s in trace.sensors()})
+        for at in times])
+    assert base.model.times == times
+    assert (base.model.ticks, base.model.quantum) == (model.ticks, model.quantum)
+    assert base.model.streams == model.streams
+    assert base.triggers == reports == triggers_from_model(spec, model)
+    assert base.triggers
+    assert [r.time for r in base.triggers] == [times[r.step] for r in reports]
 
 
 @pytest.mark.parametrize("inputs,horizon,error,message", [

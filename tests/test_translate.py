@@ -136,3 +136,17 @@ def test_schedule_stream_reports_active_region(geofence_text):
     model = run_monitor_full(tr.plain, events)[0]
     assert model.streams["schedule_lat_lon"] == [1, 10]
     assert model.streams["last_lat_lon"] == [0.0, 1.0]
+
+
+def test_translations_of_many_annotated_clauses_parse_again():
+    # each clause's region conjoins the negations of the clauses before
+    # it, so 150 clauses make a tree 151 deep: beyond the parser's nesting
+    # cap, within its depth cap
+    clauses = "".join(f'    #[priority="{k + 1}"]\n'
+                      f"    eval |@a| when a < {k}.0 with {k}.0\n"
+                      for k in range(150))
+    analyzed = analyze(parse_spec("input a : Float64\noutput o\n" + clauses
+                                  + "    eval |@a| with -1.0\n"))
+    for mode in ("priority", "dp"):
+        text = format_spec(translate(analyzed, mode).spec)
+        assert format_spec(parse_spec(text)) == text
