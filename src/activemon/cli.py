@@ -19,14 +19,14 @@ from .ast import format_spec
 from .engine import verify_model
 from .errors import OutOfRange, SpecError
 from .io import (read_json, read_model, read_trace, trigger_json,
-                 violation_json, write_json, write_model, write_plan_log,
+                 violation_lines, write_json, write_model, write_plan_log,
                  write_triggers)
 from .parser import parse_spec
 from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
 from .sim import (TraceSource, compute_metrics, generate_flight,
                   run_experiment, run_fixed, scenario_from_json,
-                  sensor_trace_from_events, trace_fingerprint)
+                  trace_fingerprint)
 from .translate import translate
 
 SPEC_DIR = Path(__file__).parent / "specs"
@@ -75,7 +75,7 @@ def _bandwidth(text: str) -> int:
     return bound
 
 
-def _emit(run, stream_names, metrics, out_dir):
+def _emit(run, analyzed, metrics, out_dir):
     """Triggers to stdout; triggers, model and metrics to out_dir if given,
     else the metrics to stderr."""
     for report in run.triggers:
@@ -86,7 +86,7 @@ def _emit(run, stream_names, metrics, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_triggers(out / "triggers.jsonl", run.triggers)
-    write_model(out / "model.csv", run.model, stream_names)
+    write_model(out / "model.csv", run.model, analyzed)
     write_json(out / "metrics.json", metrics.as_json())
 
 
@@ -109,8 +109,7 @@ def _source_for(args, analyzed):
         trace = generate_flight(scenario)
         horizon = args.horizon if args.horizon is not None else scenario.duration
     else:
-        events = read_trace(args.trace, analyzed)
-        trace = sensor_trace_from_events(events, analyzed.spec.input_names())
+        trace = read_trace(args.trace, analyzed)
         if args.horizon is not None:
             horizon = args.horizon
         else:
@@ -136,7 +135,7 @@ def cmd_run(args) -> int:
     metrics = compute_metrics(run.model, analyzed.spec.input_names(),
                               float(horizon),
                               fingerprint=trace_fingerprint(trace))
-    _emit(run, tr.plain.spec.stream_names(), metrics, args.out_dir)
+    _emit(run, tr.plain, metrics, args.out_dir)
     if args.out_dir:
         write_plan_log(Path(args.out_dir) / "plans.jsonl", run.plans, tr.mode)
     return 0
@@ -144,9 +143,8 @@ def cmd_run(args) -> int:
 
 def cmd_baseline(args) -> int:
     analyzed = _load(args.spec)
-    events = read_trace(args.trace, analyzed)
+    trace = read_trace(args.trace, analyzed)
     inputs = analyzed.spec.input_names()
-    trace = sensor_trace_from_events(events, inputs)
     if args.horizon is not None:
         span = args.horizon
     else:  # the events run from time 0 through the last sample
@@ -157,7 +155,7 @@ def cmd_baseline(args) -> int:
         span = float(last)
     base = run_fixed(analyzed, trace, args.freq, args.horizon)
     metrics = compute_metrics(base.model, inputs, span)
-    _emit(base, analyzed.spec.stream_names(), metrics, args.out_dir)
+    _emit(base, analyzed, metrics, args.out_dir)
     return 0
 
 
@@ -230,8 +228,7 @@ def cmd_check(args) -> int:
     else:
         model = read_model(args.model, analyzed)
         violations = verify_model(analyzed, model)
-    for v in violations:
-        print(violation_json(v))
+    sys.stdout.writelines(violation_lines(violations))
     if violations:
         return 1
     print("ok", file=sys.stderr)

@@ -85,14 +85,6 @@ def values_equal(a, b) -> bool:
 
 
 @dataclass(frozen=True)
-class Event:
-    """One timed bundle of input values; only present inputs are listed."""
-
-    time: Fraction
-    values: dict[str, object]
-
-
-@dataclass(frozen=True)
 class TriggerReport:
     trigger: str
     step: int
@@ -118,13 +110,6 @@ class EvaluationModel:
         if g != 1:
             self.quantum //= g
             self.ticks = [t // g for t in self.ticks]
-
-    @classmethod
-    def from_times(cls, times, streams: dict) -> EvaluationModel:
-        """A model at exact times, each an int or a Fraction."""
-        q = math.lcm(*{t.denominator for t in times})
-        return cls([t.numerator * (q // t.denominator) for t in times],
-                   streams, q)
 
     @property
     def times(self) -> list[Fraction]:
@@ -553,17 +538,11 @@ def fold_rows(columns: list, rows: list) -> None:
     rows.clear()
 
 
-def run_monitor_full(analyzed: AnalyzedSpec, events, quantum=None):
+def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int):
     """Execute the monitor over a whole trace: its model and triggers.
 
-    `events` are `Event`s at exact times or, given `quantum`, (tick,
-    values) pairs at tick / quantum seconds.
+    `events` are (tick, values) pairs at tick / quantum seconds.
     """
-    if quantum is None:
-        events = [(e.time, e.values) for e in events]
-        quantum = math.lcm(*{t.denominator for t, _ in events})
-        events = [(t.numerator * (quantum // t.denominator), values)
-                  for t, values in events]
     state = MonitorState(analyzed, quantum)
     names = analyzed.spec.stream_names()
     columns: list = [[] for _ in names]
@@ -647,7 +626,7 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
 
 
 __all__ = [
-    "ABSENT", "CompiledSpec", "Event", "EvaluationModel", "FOLD_ROWS",
+    "ABSENT", "CompiledSpec", "EvaluationModel", "FOLD_ROWS",
     "MAX_STEPS",
     "MonitorState", "TriggerReport", "Violation", "check_steps",
     "compile_expr", "compile_spec", "eval_event",

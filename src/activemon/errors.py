@@ -52,7 +52,7 @@ class MixedAnnotationKinds(SpecError):
 
 
 class NonMonotonicTime(SpecError):
-    """Event timestamps must be strictly increasing."""
+    """Timestamps must be strictly increasing."""
 
 
 class UniverseTooLarge(SpecError):

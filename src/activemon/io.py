@@ -4,14 +4,14 @@ Times are exact rationals serialized as decimal strings whenever they
 terminate (falling back to p/q), so reading a written file reproduces the
 values bit for bit. Empty CSV cells mean absent.
 
-Each column's cells go through one parser bound to the column's type once
-per file; `parse_value` calls the same parsers. A time cell is read into an
-exact numerator and denominator: a plain decimal directly, any other form
-through `Fraction`, which decides what is accepted. `read_model` puts the
-model's times on the lcm of those denominators as integer ticks, and
-`write_model` formats the ticks of a model whose quantum divides a power of
-ten at one decimal scale, each with its fewest digits, exactly as
-`format_time` formats the time.
+Both CSV readers share one block reader, which transposes up to BLOCK_ROWS
+rows at a time and parses each column with the parser bound once to its
+type. A time cell is read as an exact numerator and denominator (a plain
+decimal directly, any other form through `Fraction`), and the times go on
+the lcm of their denominators as integer ticks. The writers mirror this:
+`write_model` formats each column through one formatter bound once from
+its type, and the plan log and violation lines render the JSON that
+repeats from line to line once per distinct value.
 """
 
 from __future__ import annotations
@@ -20,12 +20,17 @@ import csv
 import json
 import math
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from operator import is_not, lt
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import BOOL, INT64, UINT64, TupleType, Type
-from .engine import ABSENT, Event, EvaluationModel, TriggerReport, Violation
+from .engine import ABSENT, EvaluationModel, TriggerReport
 from .errors import NonMonotonicTime, SpecSyntaxError
+from .sim import SensorTrace, tick_array
+
+BLOCK_ROWS = 1024  # CSV rows parsed per block
 
 
 # ---------------------------------------------------------------------------
@@ -74,49 +79,32 @@ def _time_parts(cell: str) -> tuple[int, int]:
     A plain decimal (an optional minus, ASCII digits, an optional point
     and more digits) is read directly; every other cell goes through
     Fraction(cell), so the cells accepted and their values are Fraction's.
+    A time beyond float range is rejected, since monitors read time as a
+    float.
     """
     negative = cell[:1] == "-"
     body = cell[1:] if negative else cell
     whole, point, frac = body.partition(".")
+    parts = None
     if body.isascii() and whole.isdigit() and (frac.isdigit() or not point):
         try:
             n = int(whole + frac)
         except ValueError:  # beyond int()'s digit limit; Fraction decides
             pass
         else:
-            return (-n if negative else n), 10 ** len(frac)
-    t = Fraction(cell)
-    return t.numerator, t.denominator
-
-
-def _parse_time(cell: str) -> tuple[int, int]:
-    """`_time_parts`, rejecting times beyond float range, since monitors
-    read time as a float."""
-    n, d = parts = _time_parts(cell)
+            parts = (-n if negative else n), 10 ** len(frac)
+    if parts is None:
+        t = Fraction(cell)
+        parts = t.numerator, t.denominator
     try:
-        n / d
+        parts[0] / parts[1]
     except OverflowError:
         raise ValueError(f"time {cell} is beyond float range") from None
     return parts
 
 
-def parse_time(cell: str) -> Fraction:
-    return Fraction(*_time_parts(cell))
-
-
-def format_value(v) -> str:
-    if v is ABSENT:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ";".join(format_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 _BOOLS = {"": ABSENT, "true": True, "false": False}
+_BOOL_CELLS = {value: cell for cell, value in _BOOLS.items()}
 
 
 def _parse_bool(cell: str):
@@ -156,125 +144,161 @@ def _cell_parser(ty: Type) -> Callable[[str], object]:
     return _parse_float
 
 
-def parse_value(cell: str, ty: Type):
-    return _cell_parser(ty)(cell)
+# a number column without empty cells converts all its cells in one pass
+_WHOLE = {_parse_float: float, _parse_int: int}
 
 
-def _parsed_rows(reader, names: list, types: dict, path):
-    """(line, cells) of every nonempty CSV row: the time's (numerator,
-    denominator), then a value or ABSENT per column, missing trailing cells
-    ABSENT.
+def _format_number(value) -> str:
+    return "" if value is ABSENT else repr(value)
 
-    A malformed cell, a time beyond float range or a row longer than the
-    header is a SpecSyntaxError naming its line and column.
-    """
-    parsers = [_parse_time, *(_cell_parser(types[name]) for name in names)]
+
+def _cell_formatter(ty: Type) -> Callable[[object], str]:
+    """The formatter of one column's values, the mirror of `_cell_parser`:
+    an empty cell for ABSENT, else text that parser reads back exactly."""
+    if isinstance(ty, TupleType):
+        parts = [_cell_formatter(el) for el in ty.elements]
+        return lambda value: "" if value is ABSENT else ";".join(
+            [fmt(v) for fmt, v in zip(parts, value)])
+    return _BOOL_CELLS.__getitem__ if ty == BOOL else _format_number
+
+
+# ---------------------------------------------------------------------------
+# the block reader
+
+
+def _header(reader, path, kind: str, what: str, known, complete: bool):
+    """The column names after `time` in a `kind` CSV: each once, each one
+    of the spec's `what`, `known`, and if `complete` all of them."""
+    header = next(reader, None)
+    if not header or header[0] != "time":
+        raise SpecSyntaxError(f"{kind} header must start with 'time'",
+                              str(path), 1, 1)
+    names = header[1:]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise SpecSyntaxError(f"{kind} header repeats column '{name}'",
+                                  str(path), 1, k + 2)
+    unknown = set(names) - set(known)
+    if unknown:
+        raise SpecSyntaxError(
+            f"{kind} columns are not spec {what}: {sorted(unknown)}",
+            str(path), 1, 1)
+    missing = set(known) - set(names) if complete else ()
+    if missing:
+        raise SpecSyntaxError(
+            f"{kind} lacks columns for spec {what}: {sorted(missing)}",
+            str(path), 1, 1)
+    return names
+
+
+def _parse_block(rows: list, lines, parsers: list, path) -> list:
+    """Each column's cells parsed, short rows padded with empty cells. A
+    row longer than the header or a malformed cell is a SpecSyntaxError
+    naming its line and column, the first in row order."""
     width = len(parsers)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    widths = set(map(len, rows))
+    if widths != {width}:
+        for row in rows:
+            row += [""] * (width - len(row))
+    if max(widths, default=0) <= width:
+        try:
+            return [list(map(_WHOLE.get(parse, parse) if "" not in cells
+                             else parse, cells))
+                    for parse, cells in zip(parsers, zip(*rows))]
+        except (ValueError, ZeroDivisionError):
+            pass
+    for line, row in zip(lines, rows):
         if len(row) > width:
             raise SpecSyntaxError(
                 f"row has {len(row)} cells, the header has {width}",
-                str(path), lineno, width + 1)
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        cells = []
-        append = cells.append
-        try:
-            for parse, cell in zip(parsers, row):
-                append(parse(cell))
-        except (ValueError, ZeroDivisionError) as err:
-            raise SpecSyntaxError(f"bad cell: {err}", str(path), lineno,
-                                  len(cells) + 1) from err
-        yield lineno, cells
+                str(path), line, width + 1)
+        for column, (parse, cell) in enumerate(zip(parsers, row), start=1):
+            try:
+                parse(cell)
+            except (ValueError, ZeroDivisionError) as err:
+                raise SpecSyntaxError(f"bad cell: {err}", str(path), line,
+                                      column) from err
+
+
+def _read_columns(path, kind: str, what: str, types: dict, known,
+                  complete: bool) -> tuple:
+    """(names, lines, quantum, ticks, columns) of a `kind` CSV, its header
+    checked by `_header`: the names after `time`; the line and the tick of
+    each nonempty row, its time on the lcm of all time denominators; and
+    each name's column of values, missing trailing cells ABSENT."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = _header(reader, path, kind, what, known, complete)
+        parsers = [_time_parts, *(_cell_parser(types[name]) for name in names)]
+        lines: list = []
+        times, *columns = parsed = [[] for _ in parsers]
+        start = 2
+        while block := list(islice(reader, BLOCK_ROWS)):
+            rows = [row for row in block if row]
+            lines.extend(n for n, row in enumerate(block, start) if row)
+            for column, cells in zip(parsed, _parse_block(
+                    rows, lines[len(lines) - len(rows):], parsers, path)):
+                column.extend(cells)
+            start += len(block)
+    quantum = math.lcm(*{d for _, d in times})
+    return (names, lines, quantum, [n * (quantum // d) for n, d in times],
+            columns)
 
 
 # ---------------------------------------------------------------------------
 # trace CSV (inputs only)
 
 
-def write_trace(path, events: list[Event], input_names) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *input_names])
-        for ev in events:
-            row = [format_time(ev.time)]
-            for name in input_names:
-                row.append(format_value(ev.values.get(name, ABSENT)))
-            writer.writerow(row)
-
-
-def read_trace(path, analyzed: AnalyzedSpec) -> list[Event]:
-    types = analyzed.types
-    known = set(analyzed.spec.input_names())
-    events: list[Event] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "time":
-            raise SpecSyntaxError("trace header must start with 'time'", str(path), 1, 1)
-        names = header[1:]
-        missing = set(names) - known
-        if missing:
-            raise SpecSyntaxError(
-                f"trace columns are not spec inputs: {sorted(missing)}",
-                str(path), 1, 1)
-        previous = None
-        for lineno, (time, *cells) in _parsed_rows(reader, names, types, path):
-            t = Fraction(*time)
-            if previous is not None and t <= previous:
-                raise NonMonotonicTime(
-                    f"{path}:{lineno}: time {t} does not advance past {previous}")
-            previous = t
-            values = {name: v for name, v in zip(names, cells) if v is not ABSENT}
-            if values:
-                events.append(Event(t, values))
-    if not events:
+def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
+    """Each input's non-absent samples, on the smallest quantum of their
+    times. Times must strictly increase over every nonempty row, an
+    all-empty one included; a column without samples is left out."""
+    inputs = analyzed.spec.input_names()
+    names, lines, quantum, ticks, columns = _read_columns(
+        path, "trace", "inputs", analyzed.types, inputs, complete=False)
+    if not all(map(lt, ticks, islice(ticks, 1, None))):
+        k = next(k for k in range(1, len(ticks)) if ticks[k] <= ticks[k - 1])
+        raise NonMonotonicTime(
+            f"{path}:{lines[k]}: time {Fraction(ticks[k], quantum)} does not "
+            f"advance past {Fraction(ticks[k - 1], quantum)}")
+    sampled, values = {}, {}
+    for name, column in zip(names, columns):
+        present = list(map(is_not, column, repeat(ABSENT)))
+        if any(present):
+            sampled[name] = list(compress(ticks, present))
+            values[name] = list(compress(column, present))
+    if not sampled:
         raise SpecSyntaxError("trace has no events", str(path), 1, 1)
-    return events
+    # the smallest quantum of the sampled times divides the lcm of all times
+    common = math.gcd(quantum, *(math.gcd(*seq) for seq in sampled.values()))
+    return SensorTrace(quantum // common, {
+        name: tick_array([t // common for t in seq] if common > 1 else seq)
+        for name, seq in sampled.items()}, values)
 
 
 # ---------------------------------------------------------------------------
 # model CSV (all streams)
 
 
-def write_model(path, model: EvaluationModel, stream_names) -> None:
+def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
+    """The model's columns of every stream of `analyzed`, in spec order."""
     q = model.quantum
     time = _decimal_format(q) or (lambda tick: format_time(Fraction(tick, q)))
-    columns = [model.streams[name] for name in stream_names]
+    names = analyzed.spec.stream_names()
+    cells = [map(_cell_formatter(analyzed.types[name]), model.streams[name])
+             for name in names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time", *stream_names])
-        writer.writerows([time(tick), *map(format_value, cells)]
-                         for tick, *cells in zip(model.ticks, *columns))
+        writer.writerow(["time", *names])
+        writer.writerows(zip(map(time, model.ticks), *cells))
 
 
 def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
-    types = analyzed.types
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "time":
-            raise SpecSyntaxError("model header must start with 'time'", str(path), 1, 1)
-        names = header[1:]
-        unknown = set(names) - set(types)
-        if unknown:
-            raise SpecSyntaxError(
-                f"model columns are not spec streams: {sorted(unknown)}",
-                str(path), 1, 1)
-        missing = set(types) - set(names)
-        if missing:
-            raise SpecSyntaxError(
-                f"model lacks columns for spec streams: {sorted(missing)}",
-                str(path), 1, 1)
-        rows = [cells for _, cells in _parsed_rows(reader, names, types, path)]
-    columns = zip(*rows)  # one column at a time
-    times = next(columns, ())
-    # one quantum for the whole model; EvaluationModel makes it canonical
-    q = math.lcm(*{d for _, d in times})
-    return EvaluationModel([n * (q // d) for n, d in times],
-                           {name: list(next(columns, ())) for name in names}, q)
+    names, _, quantum, ticks, columns = _read_columns(
+        path, "model", "streams", analyzed.types, analyzed.types,
+        complete=True)
+    # EvaluationModel makes the quantum canonical
+    return EvaluationModel(ticks, dict(zip(names, columns)), quantum)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +319,36 @@ def write_triggers(path, reports) -> None:
             fh.write(trigger_json(r) + "\n")
 
 
-def violation_json(v: Violation) -> str:
-    record = {"kind": v.kind, "step": v.step,
-              "time": float(v.time) if isinstance(v.time, Fraction) else v.time,
-              "detail": v.detail}
-    if v.stream is not None:
-        record["stream"] = v.stream
-    if v.task is not None:
-        record["task"] = list(v.task)
-    return json.dumps(record)
+def violation_lines(violations):
+    """One JSON line per violation, newline included: {kind, step, time,
+    detail, stream (if any), task (if any)}."""
+    parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
+    for v in violations:
+        key = (v.kind, v.detail, v.stream, v.task)
+        if key not in parts:
+            tail = {"detail": v.detail, "stream": v.stream, "task": v.task}
+            tail = {k: x for k, x in tail.items() if x is not None}
+            parts[key] = (f'{{"kind": {json.dumps(v.kind)}, "step": ',
+                          json.dumps(tail)[1:])
+        head, tail = parts[key]
+        # JSON writes a finite float as its repr
+        yield f'{head}{v.step}, "time": {float(v.time)!r}, {tail}\n'
 
 
 def write_plan_log(path, plans, mode) -> None:
     """Per-event audit records {time, queried, selected, mode}."""
+    tails: dict = {}  # (queried, selected) -> the record after its time
     with open(path, "w", encoding="utf-8") as fh:
         for p in plans:
-            fh.write(json.dumps({
-                "time": float(p.time),
-                "queried": sorted(p.flat),
-                "selected": [sorted(task) for task in
-                             sorted(p.selected, key=sorted)],
-                "mode": mode,
-            }) + "\n")
+            tail = tails.get((p.flat, p.selected))
+            if tail is None:
+                tail = tails[p.flat, p.selected] = json.dumps({
+                    "queried": sorted(p.flat),
+                    "selected": [sorted(task) for task in
+                                 sorted(p.selected, key=sorted)],
+                    "mode": mode,
+                })[1:]
+            fh.write(f'{{"time": {float(p.time)!r}, {tail}\n')
 
 
 def write_json(path, payload) -> None:
@@ -334,8 +366,7 @@ def read_json(path):
 
 
 __all__ = [
-    "format_time", "format_value", "parse_time", "parse_value", "read_json",
-    "read_model", "read_trace", "trigger_json", "violation_json",
-    "write_json", "write_model", "write_plan_log", "write_trace",
-    "write_triggers",
+    "BLOCK_ROWS", "format_time", "read_json", "read_model", "read_trace",
+    "trigger_json", "violation_lines", "write_json", "write_model",
+    "write_plan_log", "write_triggers",
 ]

@@ -53,7 +53,9 @@ class SensorTrace:
                 raise ValueError(f"sensor '{sensor}' has no samples")
         q = math.lcm(*{t.denominator for seq in samples.values()
                        for t, _ in seq})
-        ticks = {s: _ticks(seq, q) for s, seq in samples.items()}
+        ticks = {s: tick_array([t.numerator * (q // t.denominator)
+                                for t, _ in seq])
+                 for s, seq in samples.items()}
         for sensor, seq in ticks.items():
             if any(b <= a for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"sensor '{sensor}' times not increasing")
@@ -68,12 +70,12 @@ class SensorTrace:
         return Fraction(first, self.quantum), Fraction(last, self.quantum)
 
 
-def _ticks(seq, q: int):
-    """The sample times of `seq` times q, as int64s while they fit."""
+def tick_array(ticks: list):
+    """The ticks as an array('q') while they fit in 64 bits, else as is."""
     try:
-        return array("q", (t.numerator * (q // t.denominator) for t, _ in seq))
+        return array("q", ticks)
     except OverflowError:  # keep exact Python ints beyond 64 bits
-        return [t.numerator * (q // t.denominator) for t, _ in seq]
+        return ticks
 
 
 class TraceSource:
@@ -108,16 +110,6 @@ class TraceSource:
         if idx < 0:
             raise OutOfRange(f"t={at} precedes the first sample of '{sensor}'")
         return self._values[sensor][idx]
-
-
-def sensor_trace_from_events(events, input_names) -> SensorTrace:
-    """Collect each sensor's non-absent samples out of an event trace."""
-    samples = {name: [] for name in input_names}
-    for ev in events:
-        for name, value in ev.values.items():
-            if name in samples and value is not ABSENT:
-                samples[name].append((ev.time, value))
-    return SensorTrace.from_samples({k: v for k, v in samples.items() if v})
 
 
 def trace_fingerprint(trace: SensorTrace) -> str:
@@ -557,5 +549,5 @@ __all__ = [
     "GRID_HZ", "RunMetrics", "ScenarioResult", "SensorTrace", "TraceSource",
     "compare_runs", "compute_metrics", "flight_crossings", "generate_flight",
     "pool_metrics", "run_experiment", "run_fixed", "scenario_from_json",
-    "sensor_trace_from_events", "summarize", "trace_fingerprint",
+    "summarize", "tick_array", "trace_fingerprint",
 ]

@@ -11,9 +11,9 @@ from fractions import Fraction
 from random import Random
 
 from activemon.analysis import analyze
-from activemon.engine import Event
 from activemon.parser import parse_spec
 from activemon.sim import SensorTrace
+from events import Event
 
 LEVELS = ("high", "medium", "low")
 MODES = ("deadline", "priority", "dp")

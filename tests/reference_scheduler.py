@@ -15,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from activemon.engine import (ABSENT, EvaluationModel, MonitorState,
-                              eval_event)
+from activemon.engine import ABSENT, MonitorState, eval_event
 from activemon.schedule import MODE_DEADLINE, MODE_PRIORITY, Task, task_key
 from activemon.scheduler import EventPlan, selected_tasks, take_event
 from activemon.translate import Translation
+from events import model_at
 
 _NEVER = float("-inf")
 _UNRANKED = float("inf")
@@ -156,4 +156,4 @@ def reference_run(translation: Translation, source, horizon, bound: int):
             for name in names:
                 streams[name].append(current[name])
         k += 1
-    return plans, EvaluationModel.from_times(times, streams)
+    return plans, model_at(times, streams)

@@ -16,9 +16,9 @@ import gen_specs
 from activemon.analysis import analyze
 from activemon.ast import format_spec
 from activemon.cli import main
-from activemon.engine import ABSENT, run_monitor_full, values_equal, verify_model
+from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.errors import PreconditionViolation
-from activemon.io import read_json, write_trace
+from activemon.io import read_json
 from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model
 from activemon.scheduler import run_scheduled, split_bound_range
@@ -32,6 +32,7 @@ from activemon.sim import (
 )
 from activemon.translate import translate
 
+from events import Event, run_events, write_trace
 from test_translate import GOLDEN_PRIORITY
 
 
@@ -89,8 +90,8 @@ def test_criterion_2_translation_preserves_semantics():
         for _ in range(10):
             events = gen_specs.gen_trace(
                 rng, analyzed.spec.input_names(), rng.randint(1, 200))
-            base = run_monitor_full(analyzed, events)[0]
-            lowered = run_monitor_full(tr.plain, events)[0]
+            base = run_events(analyzed, events)[0]
+            lowered = run_events(tr.plain, events)[0]
             assert base.times == lowered.times
             for name in names:
                 assert all(
@@ -255,10 +256,9 @@ def test_criterion_8_conflict_resolution_and_precondition(
 
     # the same instance at bandwidth 1 fails b >= max|task| and the CLI
     # surfaces the unschedulable task
-    from activemon.engine import Event
     events = [Event(Fraction(t), {"a": 20.0, "b": 1.0}) for t in range(10)]
     trace_path = tmp_path / "trace.csv"
-    write_trace(trace_path, events, ("a", "b"))
+    write_trace(trace_path, events, tr.analyzed)
     rc = main(["run", str(spec_dir / "priority_conflict.lola"),
                "--trace", str(trace_path), "--mode", "priority",
                "--bound", "1"])
@@ -278,7 +278,7 @@ def test_criterion_9_models_verify_and_mutations_are_caught():
         inputs = analyzed.spec.input_names()
         for _ in range(10):
             events = gen_specs.gen_trace(rng, inputs, rng.randint(1, 30))
-            model = run_monitor_full(analyzed, events)[0]
+            model = run_events(analyzed, events)[0]
             assert verify_model(analyzed, model) == []
             pairs += 1
     assert pairs == 1000
@@ -292,7 +292,7 @@ def test_criterion_9_models_verify_and_mutations_are_caught():
         analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
         events = gen_specs.gen_trace(
             rng, analyzed.spec.input_names(), rng.randint(5, 30))
-        model = run_monitor_full(analyzed, events)[0]
+        model = run_events(analyzed, events)[0]
         cells = [(name, step)
                  for name in analyzed.spec.output_names()
                  for step in range(len(model))

@@ -11,12 +11,12 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.cli import main
-from activemon.engine import Event
-from activemon.io import write_model, write_trace
+from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
 from activemon.translate import translate
 
+from events import Event, run_events, write_trace
 from test_translate import GOLDEN_PRIORITY
 
 
@@ -33,7 +33,7 @@ def conflict_trace(tmp_path, conflict_text):
     analyzed = analyze(parse_spec(conflict_text))
     events = [Event(Fraction(t), {"a": 20.0, "b": 1.0}) for t in range(6)]
     path = tmp_path / "trace.csv"
-    write_trace(path, events, analyzed.spec.input_names())
+    write_trace(path, events, analyzed)
     return path
 
 
@@ -147,7 +147,7 @@ def test_run_trace_with_an_unsampled_input_is_a_usage_error(spec_dir,
     trace.write_text("time,a,b\n0,20.0,\n1,20.0,\n")
     err = _usage_error(["run", str(spec_dir / "priority_conflict.lola"),
                         "--trace", str(trace), "--mode", "priority"], capsys)
-    assert "'b'" in err
+    assert "sensor 'b' cannot be queried" in err
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def conflict_model(tmp_path, conflict_text):
     tr = translate(analyze(parse_spec(conflict_text)), "priority")
     run = run_scheduled(tr, ConstSource({"a": 20.0, "b": 1.0}), 10)
     path = tmp_path / "model.csv"
-    write_model(path, run.model, tr.plain.spec.stream_names())
+    write_model(path, run.model, tr.plain)
     return path
 
 
@@ -270,7 +270,7 @@ def test_check_on_a_model_without_the_helper_columns_is_a_usage_error(
     tr = translate(analyze(parse_spec(conflict_text)), "priority")
     run = run_scheduled(tr, ConstSource({"a": 20.0, "b": 1.0}), 10)
     path = tmp_path / "model.csv"
-    write_model(path, run.model, tr.analyzed.spec.stream_names())
+    write_model(path, run.model, tr.analyzed)
     rc = main(["check", str(spec_dir / "priority_conflict.lola"),
                "--model", str(path), "--mode", "priority"])
     assert rc == 2
@@ -286,10 +286,9 @@ def test_check_plain_spec_uses_the_semantic_oracle(tmp_path, capsys):
     spec.write_text("input s : Float64\noutput o := s + 1.0\n")
     analyzed = analyze(parse_spec(spec.read_text()))
     events = [Event(Fraction(0), {"s": 1.0}), Event(Fraction(1), {"s": 2.0})]
-    from activemon.engine import run_monitor_full
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     path = tmp_path / "model.csv"
-    write_model(path, model, analyzed.spec.stream_names())
+    write_model(path, model, analyzed)
     rc = main(["check", str(spec), "--model", str(path)])
     assert rc == 0
     assert capsys.readouterr().err.strip() == "ok"
@@ -380,6 +379,26 @@ def test_model_time_beyond_float_range_is_a_usage_error(spec_dir,
                         "--model", str(conflict_model), "--mode", "priority"],
                        capsys)
     assert f"model.csv:{len(rows)}:1" in err and "beyond float range" in err
+
+
+def test_a_repeated_trace_column_is_a_usage_error(spec_dir, tmp_path,
+                                                   capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,a,b\n0,1,2,3\n")
+    err = _usage_error(["baseline", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace), "--freq", "1",
+                        "--horizon", "1"], capsys)
+    assert "trace.csv:1:3: trace header repeats column 'a'" in err
+
+
+def test_a_repeated_model_column_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "plain.lola"
+    spec.write_text("input a : Float64\ninput b : Float64\n"
+                    "output c := a + b\n")
+    model = tmp_path / "model.csv"
+    model.write_text("time,a,a,b,c\n0,1,2,3,5\n")
+    err = _usage_error(["check", str(spec), "--model", str(model)], capsys)
+    assert "model.csv:1:3: model header repeats column 'a'" in err
 
 
 def test_unknown_scenario_key_is_a_usage_error(spec_dir, tmp_path, capsys):

@@ -33,13 +33,10 @@ from activemon.ast import (
 )
 from activemon.engine import (
     ABSENT,
-    Event,
-    EvaluationModel,
     MonitorState,
     compile_expr,
     eval_event,
     replay,
-    run_monitor_full,
     values_equal,
     verify_model,
 )
@@ -47,6 +44,7 @@ from activemon.errors import SpecSyntaxError
 from activemon.parser import MAX_DEPTH, MAX_NESTING, parse_spec
 from activemon.schedule import DecisionOracle
 from activemon.translate import translate
+from events import Event, model_at, run_events
 from reference_eval import ModelReader, present_inputs, triggers_from_model
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -107,15 +105,14 @@ def _generated(seed, annotate, off_grid=False):
 def test_compiled_paths_match_the_reference(seed, annotate):
     analyzed, tr, events = _generated(seed, annotate)
     for spec in (analyzed, tr.plain):
-        model, reports = run_monitor_full(spec, events)
+        model, reports = run_events(spec, events)
         columns, fired = reference_run(spec, events)
         for name, column in columns.items():
             assert all(values_equal(a, b)
                        for a, b in zip(model.streams[name], column, strict=True)), name
         assert _as_tuples(reports) == fired
         assert _as_tuples(triggers_from_model(spec, model)) == fired
-        reference = EvaluationModel.from_times([e.time for e in events],
-                                               columns)
+        reference = model_at([e.time for e in events], columns)
         assert verify_model(spec, reference) == []
 
 
@@ -123,7 +120,7 @@ def test_compiled_paths_match_the_reference(seed, annotate):
 @settings(max_examples=40, deadline=None)
 def test_oracle_region_truth_matches_the_reference(seed):
     _, tr, events = _generated(seed, annotate=True)
-    model, _ = run_monitor_full(tr.plain, events)
+    model, _ = run_events(tr.plain, events)
     oracle = DecisionOracle(tr.plain, tr.schedule, model)
     reader = ModelReader(model)
     inputs = tr.plain.spec.input_names()
@@ -148,7 +145,7 @@ def test_replay_matches_the_model_and_the_reference_reader(seed, annotate,
     analyzed, tr, events = _generated(seed, annotate, off_grid)
     times = [e.time for e in events]
     for spec in (analyzed, tr.plain):
-        model, _ = run_monitor_full(spec, events)
+        model, _ = run_events(spec, events)
         assert model.times == times
         assert model.quantum == math.lcm(*(t.denominator for t in times))
         inputs = spec.spec.input_names()
@@ -175,7 +172,7 @@ def test_an_absent_when_makes_the_output_absent():
     analyzed = analyze(parse_spec(text))
     events = [Event(Fraction(t), {"a": a})
               for t, a in enumerate((5.0, -1.0, 0.5))]
-    model, _ = run_monitor_full(analyzed, events)
+    model, _ = run_events(analyzed, events)
     columns, _ = reference_run(analyzed, events)
     assert model.streams["o"] == columns["o"] == [1.0, ABSENT, 2.0]
 
@@ -204,7 +201,7 @@ PLANNED_EVENTS = [
 
 
 def _assert_matches_reference(analyzed, events):
-    model, reports = run_monitor_full(analyzed, events)
+    model, reports = run_events(analyzed, events)
     columns, fired = reference_run(analyzed, events)
     for name, column in columns.items():
         assert all(values_equal(a, b)
@@ -255,7 +252,7 @@ def test_plans_keep_any_clauses_after_paced_ones():
 
 def test_verify_flags_a_value_where_the_plan_leaves_an_output_out():
     analyzed = analyze(parse_spec(PLANNED))
-    model, _ = run_monitor_full(analyzed, PLANNED_EVENTS)
+    model, _ = run_events(analyzed, PLANNED_EVENTS)
     model.streams["nb"][3] = 1.0  # step 3 carries a alone
     violations = verify_model(analyzed, model)
     assert [(v.kind, v.step, v.stream, v.detail) for v in violations] == [
@@ -416,7 +413,7 @@ def test_stream_names_cannot_capture_generated_names(seed):
     assert "now" in analyzed.spec.input_names()
     events = _events(Random(seed), analyzed, 40)
     _assert_matches_reference(analyzed, events)
-    model, reports = run_monitor_full(analyzed, events)
+    model, reports = run_events(analyzed, events)
     assert _as_tuples(triggers_from_model(analyzed, model)) == \
         _as_tuples(reports)
     # stream names occur only as string literals
@@ -459,7 +456,7 @@ def test_constants_keep_their_value_and_type():
     analyzed = replace(base, spec=replace(base.spec, outputs=outputs))
     events = [Event(Fraction(t), {"a": v})
               for t, v in enumerate((2.0, -0.0, math.inf, -3.5))]
-    model, _ = run_monitor_full(analyzed, events)
+    model, _ = run_events(analyzed, events)
     columns, _ = reference_run(analyzed, events)
     for i, form in enumerate(forms):
         got, want = model.streams[f"o{i}"], columns[f"o{i}"]

@@ -4,15 +4,15 @@ import math
 from fractions import Fraction
 
 from activemon.analysis import analyze
-from activemon.engine import (ABSENT, Event, run_monitor_full,
-                              values_equal, verify_model)
+from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.parser import parse_spec
+from events import Event, run_events
 from reference_eval import triggers_from_model
 
 
 def monitor(text, events):
     analyzed = analyze(parse_spec(text))
-    return analyzed, run_monitor_full(analyzed, events)[0]
+    return analyzed, run_events(analyzed, events)[0]
 
 
 def test_offset_difference_and_trigger():
@@ -26,7 +26,7 @@ def test_offset_difference_and_trigger():
     analyzed = analyze(parse_spec(text))
     events = [Event(Fraction(0), {"altitude": 5.0}),
               Event(Fraction(1), {"altitude": 15.0})]
-    model, reports = run_monitor_full(analyzed, events)
+    model, reports = run_events(analyzed, events)
     assert model.streams["alt_diff"] == [0.0, 10.0]
     assert model.streams["climb"] == [False, True]
     assert len(reports) == 1
@@ -167,7 +167,7 @@ def test_triggers_from_model_match_live_run():
             'trigger high "over"\n')
     analyzed = analyze(parse_spec(text))
     events = [Event(Fraction(k), {"a": float(k)}) for k in range(4)]
-    model, live = run_monitor_full(analyzed, events)
+    model, live = run_events(analyzed, events)
     replayed = triggers_from_model(analyzed, model)
     assert [(r.step, r.trigger) for r in replayed] == \
         [(r.step, r.trigger) for r in live]

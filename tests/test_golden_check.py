@@ -28,11 +28,11 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.cli import main
-from activemon.engine import Event, run_monitor_full
 from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.schedule import MODES
 from activemon.translate import translate
+from events import Event, run_events
 
 GOLDEN = Path(__file__).with_name("golden_check.json")
 BOUNDS = (1, 2, 3)
@@ -141,8 +141,8 @@ def _off_grid_models(spec: Path, mode: str, tmp: Path) -> dict:
     models = {}
     for name, time in OFF_GRID_TIMES.items():
         path = models[name] = tmp / f"{name}-{mode}-{spec.stem}.csv"
-        model = run_monitor_full(plain, _off_grid_events(time))[0]
-        write_model(path, model, plain.spec.stream_names())
+        model = run_events(plain, _off_grid_events(time))[0]
+        write_model(path, model, plain)
     lines = models["thirds"].read_text(encoding="utf-8").splitlines()
     assert lines[6].startswith("2,")
     lines[6] = "3/2" + lines[6][1:]

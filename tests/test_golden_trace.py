@@ -1,11 +1,11 @@
 """Golden `run --trace` and `baseline` outputs over replayed traces.
 
-Two bundled specs, one with a tuple input and triggers, replay traces whose times lie in tenths (written as
-decimals, some with a trailing zero), thirds and sevenths (written as p/q,
-some unreduced). Every trace has absent cells, a row whose cells are all
-empty and a blank line; its first and last rows carry every input, so a
-baseline from time 0 through the last row queries no sensor outside its
-samples. The exit code and the sha256 of every file each command writes
+Two bundled specs, one with a tuple input and triggers, replay traces
+whose times lie in tenths (written as decimals, some with a trailing zero),
+thirds and sevenths (written as p/q, some unreduced). Every trace has
+absent cells, a row whose cells are all empty and a blank line; its first
+and last rows carry every input, so a baseline from time 0 through the
+last row queries no sensor outside its samples. The exit code and the sha256 of every file each command writes
 (`model.csv`, `plans.jsonl`, `triggers.jsonl`, `metrics.json`) are
 compared with `golden_trace.json`.
 
@@ -52,7 +52,9 @@ BLANK_AFTER = 12  # a blank line follows this row
 
 
 def _cell(value) -> str:
-    return ";".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+    if isinstance(value, tuple):
+        return ";".join(map(repr, value))
+    return repr(value)
 
 
 def trace_csv(values: dict, rows: int, time) -> str:

@@ -7,22 +7,21 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.ast import BOOL, FLOAT64, INT64, UINT64, TupleType
-from activemon.engine import ABSENT, Event, Violation, run_monitor_full
+from activemon.engine import ABSENT, Violation
 from activemon.errors import NonMonotonicTime, SpecSyntaxError
 from activemon.parser import parse_spec
 from activemon.io import (
+    BLOCK_ROWS,
     format_time,
-    format_value,
-    parse_time,
-    parse_value,
     read_json,
     read_model,
     read_trace,
-    violation_json,
+    violation_lines,
     write_json,
     write_model,
-    write_trace,
 )
+from events import (Event, format_value, parse_time, parse_value, run_events,
+                    sensor_trace, write_trace)
 
 SPEC = ("input g : (Float64, Float64)\n"
         "input ok : Bool\n"
@@ -43,13 +42,13 @@ def test_time_cells_are_exact(t, cell):
 
 
 def test_value_cells_round_trip():
-    assert format_value(ABSENT) == ""
+    assert format_value(ABSENT, FLOAT64) == ""
     assert parse_value("", FLOAT64) is ABSENT
-    assert format_value(True) == "true"
+    assert format_value(True, BOOL) == "true"
     assert parse_value("false", BOOL) is False
-    assert parse_value(format_value(0.1), FLOAT64) == 0.1
+    assert parse_value(format_value(0.1, FLOAT64), FLOAT64) == 0.1
     pair = TupleType((FLOAT64, FLOAT64))
-    assert format_value((47.0, 9.5)) == "47.0;9.5"
+    assert format_value((47.0, 9.5), pair) == "47.0;9.5"
     assert parse_value("47.0;9.5", pair) == (47.0, 9.5)
 
 
@@ -68,6 +67,7 @@ _PAIR = TupleType((FLOAT64, BOOL))
 def test_value_cells_of_every_type(cell, ty, value):
     assert parse_value(cell, ty) == value
     assert type(parse_value(cell, ty)) is type(value)
+    assert parse_value(format_value(value, ty), ty) == value
 
 
 def test_float_cells_keep_nan():
@@ -104,8 +104,9 @@ def test_trace_round_trip_keeps_absences(tmp_path):
         Event(Fraction(2), {"g": (3.5, -1.0)}),
     ]
     path = tmp_path / "trace.csv"
-    write_trace(path, events, analyzed.spec.input_names())
-    assert read_trace(path, analyzed) == events
+    write_trace(path, events, analyzed)
+    assert read_trace(path, analyzed) == sensor_trace(
+        events, analyzed.spec.input_names())
 
 
 def test_trace_rejects_bad_header(tmp_path):
@@ -144,9 +145,9 @@ def test_model_round_trip(tmp_path):
         Event(Fraction(0), {"g": (1.0, 2.0), "ok": True}),
         Event(Fraction(1), {"ok": False}),
     ]
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     path = tmp_path / "model.csv"
-    write_model(path, model, analyzed.spec.stream_names())
+    write_model(path, model, analyzed)
     back = read_model(path, analyzed)
     assert back.times == model.times
     assert back.streams == model.streams
@@ -169,11 +170,11 @@ def _ok_events(times) -> list:
 ], ids=["sevenths", "thirds", "decimals", "mixed", "single", "empty"])
 def test_model_round_trip_keeps_ticks_and_quantum(tmp_path, times):
     analyzed = analyze(parse_spec(SPEC))
-    model = run_monitor_full(analyzed, _ok_events(times))[0]
+    model = run_events(analyzed, _ok_events(times))[0]
     assert model.times == times
     assert model.quantum == math.lcm(*(t.denominator for t in times))
     path = tmp_path / "model.csv"
-    write_model(path, model, analyzed.spec.stream_names())
+    write_model(path, model, analyzed)
     cells = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
     assert cells == [format_time(t) for t in times]
     back = read_model(path, analyzed)
@@ -248,14 +249,92 @@ def test_malformed_cells_name_their_line(tmp_path):
         read_trace(path, analyzed)
 
 
+AB = "input a : Float64\ninput b : Float64\n"
+
+
+def test_trace_all_empty_rows_take_part_in_the_time_order(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("time,a,b\n0,1,2\n2,,\n1,3,4\n")
+    with pytest.raises(NonMonotonicTime) as err:
+        read_trace(path, analyze(parse_spec(AB)))
+    assert str(err.value) == f"{path}:4: time 1 does not advance past 2"
+
+
+def test_trace_bad_cells_after_a_blank_line_name_their_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time,a,b\n0,1,2\n\n1,2,x\n")
+    with pytest.raises(SpecSyntaxError) as err:
+        read_trace(path, analyze(parse_spec(AB)))
+    assert str(err.value) == (f"{path}:4:3: bad cell: could not convert "
+                              "string to float: 'x'")
+
+
+def test_trace_columns_without_samples_are_dropped(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("time,a,b\n0,1,\n1,2,\n")
+    trace = read_trace(path, analyze(parse_spec(AB)))
+    assert list(trace.ticks) == ["a"]
+    assert trace.values == {"a": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("kind,header,row", [
+    ("trace", "time,a,a,b", "0,1,2,3"),
+    ("model", "time,a,a,b,c", "0,1,2,3,5"),
+])
+def test_headers_reject_a_repeated_column(tmp_path, kind, header, row):
+    analyzed = analyze(parse_spec(AB + "output c := a + b\n"))
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(SpecSyntaxError) as err:
+        (read_trace if kind == "trace" else read_model)(path, analyzed)
+    assert str(err.value) == f"{path}:1:3: {kind} header repeats column 'a'"
+
+
+def _long_events(rows: int) -> list:
+    # thirds, tenths and sevenths; every sixth row lacks a, every fourth b
+    return [Event(k + (Fraction(1, 3), Fraction(3, 10), Fraction(2, 7))[k % 3],
+                  {name: float(k) for name, skip in (("a", 6), ("b", 4))
+                   if k % skip})
+            for k in range(1, rows + 1)]
+
+
+def test_traces_longer_than_a_block_read_as_their_samples(tmp_path):
+    analyzed = analyze(parse_spec(AB))
+    events = _long_events(2 * BLOCK_ROWS + 5)
+    path = tmp_path / "trace.csv"
+    write_trace(path, events, analyzed)
+    assert read_trace(path, analyzed) == sensor_trace(events, ("a", "b"))
+
+
+def test_time_order_is_checked_across_blocks(tmp_path):
+    analyzed = analyze(parse_spec(AB))
+    path = tmp_path / "trace.csv"
+    write_trace(path, _long_events(BLOCK_ROWS + 5), analyzed)
+    lines = path.read_text().splitlines()
+    last = lines[BLOCK_ROWS].split(",")[0]
+    lines[BLOCK_ROWS + 1] = f"{last},1,1"  # the first row of block two
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonMonotonicTime) as err:
+        read_trace(path, analyzed)
+    assert str(err.value).startswith(f"{path}:{BLOCK_ROWS + 2}: time ")
+
+
+def test_a_long_row_before_a_bad_cell_is_reported_first(tmp_path):
+    analyzed = analyze(parse_spec(AB))
+    path = tmp_path / "trace.csv"
+    path.write_text("time,a,b\n1,1,1\n2,1,1,1\n3,x,1\n")
+    with pytest.raises(SpecSyntaxError, match=r"trace\.csv:3:4: row has 4"):
+        read_trace(path, analyzed)
+
+
 def test_violation_json_fields():
     semantic = Violation("semantic", 3, Fraction(3, 2), "wrong", stream="x")
-    assert violation_json(semantic) == (
+    assert list(violation_lines([semantic])) == [
         '{"kind": "semantic", "step": 3, "time": 1.5,'
-        ' "detail": "wrong", "stream": "x"}')
+        ' "detail": "wrong", "stream": "x"}\n']
     schedule = Violation("schedule", 1, Fraction(1), "missed",
                          task=("a", "b"))
-    assert '"task": ["a", "b"]' in violation_json(schedule)
+    assert '"task": ["a", "b"]' in next(violation_lines([schedule]))
 
 
 def test_json_round_trip(tmp_path):

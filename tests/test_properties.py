@@ -16,7 +16,6 @@ from activemon.ast import format_spec
 from activemon.engine import (
     ABSENT,
     compile_expr,
-    run_monitor_full,
     values_equal,
     verify_model,
 )
@@ -25,6 +24,7 @@ from activemon.schedule import check_scheduled_model
 from activemon.scheduler import run_scheduled
 from activemon.sim import TraceSource, compute_metrics
 from activemon.translate import translate
+from events import run_events
 from reference_eval import ModelReader
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -47,10 +47,10 @@ def test_monitor_models_pass_their_own_oracle(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     events = gen_specs.gen_trace(
         rng, analyzed.spec.input_names(), rng.randint(1, 40))
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     assert verify_model(analyzed, model) == []
     # evaluation is a pure function of the trace
-    again = run_monitor_full(analyzed, events)[0]
+    again = run_events(analyzed, events)[0]
     for name, column in model.streams.items():
         assert all(values_equal(a, b)
                    for a, b in zip(again.streams[name], column))
@@ -62,7 +62,7 @@ def test_single_cell_mutations_are_caught(seed):
     rng = Random(seed)
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 20)
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     cells = [
         (name, step)
         for name in analyzed.spec.output_names()
@@ -91,7 +91,7 @@ def test_metrics_count_exactly_the_present_cells(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_spec(rng)))
     inputs = analyzed.spec.input_names()
     events = gen_specs.gen_trace(rng, inputs, rng.randint(1, 30))
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     manual = sum(
         1 for name in inputs for v in model.streams[name] if v is not ABSENT)
     metrics = compute_metrics(model, inputs, 10.0)
@@ -105,7 +105,7 @@ def test_region_guards_are_mutually_exclusive(seed):
     mode = gen_specs.MODES[seed % 3]
     analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 25)
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     reader = ModelReader(model)
     for entries in analyzed.annotations.values():
         chained = [e for e in entries if e.clause_index >= 0]
@@ -164,8 +164,8 @@ def test_translation_preserves_every_original_stream(seed):
     analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
     tr = translate(analyzed, mode)
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 25)
-    base = run_monitor_full(analyzed, events)[0]
-    lowered = run_monitor_full(tr.plain, events)[0]
+    base = run_events(analyzed, events)[0]
+    lowered = run_events(tr.plain, events)[0]
     assert base.times == lowered.times
     for name in analyzed.spec.stream_names():
         assert all(values_equal(a, b) for a, b in

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import gen_specs
 from activemon.analysis import analyze
-from activemon.engine import Event, run_monitor_full
 from activemon.errors import MixedAnnotationKinds, PreconditionViolation
 from activemon.io import write_model
 from activemon.parser import parse_spec
@@ -25,6 +24,7 @@ from activemon.schedule import (DecisionOracle, build_static_schedule,
 from activemon.scheduler import run_scheduled
 from activemon.sim import FlightScenario, TraceSource, generate_flight
 from activemon.translate import translate
+from events import Event, run_events
 from reference_eval import present_inputs
 from reference_oracle import ReferenceOracle
 
@@ -199,7 +199,7 @@ output y := b
 def oracle_for(text, mode, events):
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, mode)
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     return DecisionOracle(analyzed, sched, model), sched, model, analyzed
 
 
@@ -290,7 +290,7 @@ def test_bandwidth_overrun_is_flagged():
             "input c : Float64\noutput s := a + b + c\n")
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, "priority")
-    model = run_monitor_full(analyzed, [
+    model = run_events(analyzed, [
         Event(Fraction(0), {"a": 1.0, "b": 1.0, "c": 1.0})])[0]
     violations = check_scheduled_model(analyzed, sched, 2, model)
     assert any(v.kind == "bandwidth" for v in violations)
@@ -339,7 +339,7 @@ def test_dp_bound_without_a_tracked_subtask_is_always_overdue():
     analyzed = analyze(parse_spec(DP_PAIR))
     sched = build_static_schedule(analyzed, "dp")
     sched = replace(sched, tracked=frozenset({frozenset({"x"})}))
-    model = run_monitor_full(analyzed, events)[0]
+    model = run_events(analyzed, events)[0]
     oracle = DecisionOracle(analyzed, sched, model)
     reference = ReferenceOracle(analyzed, sched, model)
     y = frozenset({"y"})
@@ -356,12 +356,12 @@ def test_check_lists_violations_by_step_then_sorted_task(tmp_path):
     # the inversion of test_priority_inversion_is_flagged: two violations
     # at step 1, printed in one order whatever the string hash
     tr = translate(analyze(parse_spec(PRIORITY_PAIR)), "priority")
-    model = run_monitor_full(tr.plain, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+    model = run_events(tr.plain, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
                                         Event(Fraction(1), {"b": 2.0})])[0]
     spec = tmp_path / "pair.lola"
     spec.write_text(PRIORITY_PAIR)
     path = tmp_path / "model.csv"
-    write_model(path, model, tr.plain.spec.stream_names())
+    write_model(path, model, tr.plain)
     argv = [sys.executable, "-m", "activemon.cli", "check", str(spec),
             "--model", str(path), "--mode", "priority", "--bound", "2"]
     outs = [subprocess.run(argv, capture_output=True, timeout=60,
@@ -398,7 +398,7 @@ def _differential_models(seed, mode, off_grid=False):
         yield tr, run_scheduled(tr, TraceSource(trace), horizon, b).model
     events = gen_specs.gen_trace(rng, tr.plain.spec.input_names(), 25,
                                  mixed=off_grid)
-    yield tr, run_monitor_full(tr.plain, events)[0]
+    yield tr, run_events(tr.plain, events)[0]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -450,7 +450,7 @@ def test_valid_tasks_requires_union_closure_selection():
     universe = frozenset(tasks("a", "b", "ab"))
     analyzed = analyze(parse_spec(
         "input a : Float64\ninput b : Float64\noutput s := a + b\n"))
-    model = run_monitor_full(analyzed, [Event(Fraction(0), {"a": 1.0, "b": 1.0})])[0]
+    model = run_events(analyzed, [Event(Fraction(0), {"a": 1.0, "b": 1.0})])[0]
     inputs = ("a", "b")
     full = frozenset(tasks("a", "b", "ab"))
     assert valid_tasks(universe, model, inputs, 0, full)

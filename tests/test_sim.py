@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from activemon.analysis import analyze
-from activemon.engine import (ABSENT, Event, EvaluationModel, TriggerReport,
-                              run_monitor_full)
+from activemon.engine import ABSENT, EvaluationModel, TriggerReport
 from activemon.errors import (MismatchedTraces, OutOfRange, SensorUnavailable,
                               TooManySteps)
+from activemon.io import read_trace
 from activemon.parser import parse_spec
 from activemon.sim import (
     GRID_HZ,
@@ -23,11 +23,11 @@ from activemon.sim import (
     generate_flight,
     run_experiment,
     run_fixed,
-    sensor_trace_from_events,
     trace_fingerprint,
     _Profile,
 )
 from activemon.translate import translate
+from events import Event, run_events
 from reference_eval import triggers_from_model
 
 HOLD = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
@@ -122,13 +122,11 @@ def test_trace_rejects_unsorted_samples():
         SensorTrace.from_samples({"s": []})
 
 
-def test_sensor_trace_from_events_drops_absent_cells():
-    events = [
-        Event(Fraction(0), {"a": 1.0, "b": ABSENT}),
-        Event(Fraction(1), {"a": 2.0}),
-        Event(Fraction(2), {"b": 3.0}),
-    ]
-    trace = sensor_trace_from_events(events, ("a", "b"))
+def test_read_trace_drops_absent_cells(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("time,a,b\n0,1.0,\n1,2.0\n2,,3.0\n")
+    trace = read_trace(path, analyze(parse_spec(
+        "input a : Float64\ninput b : Float64\n")))
     assert trace.quantum == 1
     assert {s: list(ticks) for s, ticks in trace.ticks.items()} == {
         "a": [0, 1], "b": [2]}
@@ -376,7 +374,7 @@ def test_fixed_baseline_matches_a_fraction_time_reference(freq, horizon):
     base = run_fixed(spec, trace, freq, horizon)
     source = TraceSource(trace)
     times = _reference_event_times(freq, 10, horizon)
-    model, reports = run_monitor_full(spec, [
+    model, reports = run_events(spec, [
         Event(at, {s: source.query(s, at) for s in trace.sensors()})
         for at in times])
     assert base.model.times == times

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 from activemon.analysis import analyze
 from activemon.ast import format_spec
-from activemon.engine import Event, run_monitor_full, values_equal
+from activemon.engine import values_equal
 from activemon.parser import parse_spec
 from activemon.translate import translate
+from events import Event, run_events
 
 GOLDEN_PRIORITY = """\
 input lat : Float64
@@ -119,8 +120,8 @@ def test_translation_preserves_original_streams(geofence_text):
         Event(Fraction(2), {"alt": 80.0}),
         Event(Fraction(3), {"lat": 2.0, "lon": 30.0, "alt": 1.0}),
     ]
-    base = run_monitor_full(analyzed, events)[0]
-    lowered = run_monitor_full(tr.plain, events)[0]
+    base = run_events(analyzed, events)[0]
+    lowered = run_events(tr.plain, events)[0]
     assert base.times == lowered.times
     for name in analyzed.spec.stream_names():
         assert all(values_equal(x, y) for x, y in
@@ -133,7 +134,7 @@ def test_schedule_stream_reports_active_region(geofence_text):
         Event(Fraction(0), {"lat": 25.0, "lon": 25.0}),   # deep inside
         Event(Fraction(1), {"lat": 47.5, "lon": 20.0}),   # near the bound
     ]
-    model = run_monitor_full(tr.plain, events)[0]
+    model = run_events(tr.plain, events)[0]
     assert model.streams["schedule_lat_lon"] == [1, 10]
     assert model.streams["last_lat_lon"] == [0.0, 1.0]
 
