@@ -5,29 +5,29 @@ either concrete or the ABSENT marker; absence propagates strictly through
 every expression form except offset accesses, whose defaults apply when the
 accessed history is too short.
 
-Each specification is generated once, on first use (`analyzed.compiled`),
-as straight-line Python source and compiled in one call: one local per
-stream, one presence flag per input, and each output as first-match
-conditionals guarded by its clauses' pacing flags, so an output whose
-pacing an event does not activate stays ABSENT without evaluating anything.
-Each expression runs its ABSENT checks in evaluation order before computing
-its value; offsets read the history deques directly, and triggers and
-history pushes are inline. The same generator emits two step functions,
-kept with their source on the `CompiledSpec`: the monitor's, over an
-event's values, and `verify_model`'s, which recomputes every output from a
-model row. `compile_expr` emits conditions for the `DecisionOracle` over
-`read`/`offset_read` callbacks.
+A specification runs as straight-line Python source, generated and
+compiled in one call: one local per stream, one presence flag per input,
+and each output as first-match conditionals guarded by its clauses' pacing
+flags, so an output whose pacing an event does not activate stays ABSENT
+without evaluating anything. Each expression runs its ABSENT checks in
+evaluation order before computing its value; offsets read the history
+deques directly, and triggers and history pushes are inline. One generator
+emits two step functions, each only where it is used: the monitor's
+(`compile_spec`, cached as `analyzed.compiled`), over an event's values,
+and the verifier's (`compile_verifier`), which recomputes every output from
+a model row and, behind their pacing flags, decides the annotation guards
+it is given.
 
 The monitor keeps time as integer ticks on a quantum fixed per run: a step
 at tick lies at tick / quantum seconds, passed to expressions as that
 correctly rounded float, and a trigger report builds its exact time only
 when the trigger fires.
 
-`replay` walks a finished model forward through a monitor's own bounded
-history, filled only with the model's rows; the `DecisionOracle` decides its
-region conditions through it. `verify_model` recomputes every output of the
-model the same way and is the membership oracle every scheduling test
-checks against.
+`walk_model` walks a finished model forward once through the verifier,
+whose history takes only the model's own rows. `verify_model` is that walk
+with no guards and is the membership oracle every scheduling test checks
+against; `schedule.check_scheduled_model` drives it with the schedule's
+guards and feeds each step to the `DecisionOracle`.
 """
 from __future__ import annotations
 
@@ -219,24 +219,58 @@ def _chain(tests) -> str:
 
 
 class _Source:
-    """Python source for the expressions of one specification.
+    """Python source for the step functions of one specification.
+
+    Each stream is a local (`local`: name -> local), and each input that a
+    clause's pacing, or one of `pacings`, names has a presence flag
+    (`flags`: pacing inputs -> flag, None for @any), set by the lines of
+    `presence`. Offsets read history deques, one per (stream, depth) of
+    `history`. `outputs` holds each output's clauses as (condition, value)
+    source, in evaluation order, and `pushes` the lines that push a step's
+    values into the deques. Constants are bound in `ns`, the namespace the
+    source runs in.
 
     An expression compiles to (tests, value, depth). `tests` lists, in
     evaluation order, checks that hold when a stream read is ABSENT; each
     is (guards, text) and runs only while its guards hold, so the reads of
     an offset default run only when history is short. `value` computes the
     expression once no test holds, and `depth` is its bracket nesting.
-    Streams are read from locals (`streams`: name -> local, with `history`:
-    name -> deque local) or, without them, through `read` and `offset_read`.
-    Constants are bound in `ns`, the namespace the source runs in.
     """
 
-    def __init__(self, streams=None, history=None):
-        self.streams = streams
-        self.history = history
+    def __init__(self, analyzed: AnalyzedSpec, pacings=()):
+        spec = analyzed.spec
+        self.inputs = spec.input_names()
+        self.history = tuple(
+            (n, d) for n, d in analyzed.max_offset.items() if d > 0)
+        self.local = {name: f"_v{i}" for i, name in enumerate(spec.stream_names())}
+        self._deque = {n: f"_h{j}" for j, (n, _) in enumerate(self.history)}
         self.ns = dict(_RUNTIME)
         self._bound: dict = {}
         self._temps = itertools.count()
+
+        # a presence flag per input some pacing names, and one per conjunction
+        decls = {o.name: o for o in spec.outputs}
+        outputs = [(name, decls[name].clauses) for name in analyzed.eval_order]
+        order = {name: i for i, name in enumerate(self.inputs)}
+        paced = {c.pacing.inputs for _, clauses in outputs for c in clauses}
+        paced.update(pacings)
+        self.flags: dict = {frozenset(): None}  # @any
+        self.presence = []
+        for name in sorted({n for p in paced for n in p}, key=order.get):
+            self.flags[frozenset([name])] = flag = f"_p{order[name]}"
+            self.presence.append(f"{flag} = {self.local[name]} is not ABSENT")
+        for p in sorted((p for p in paced if len(p) > 1),
+                        key=lambda p: sorted(map(order.get, p))):
+            self.flags[p] = flag = f"_q{len(self.presence)}"
+            self.presence.append(f"{flag} = " + " and ".join(
+                self.flags[frozenset([n])] for n in sorted(p, key=order.get)))
+
+        self.outputs = [(name, self._clauses(clauses))
+                        for name, clauses in outputs]
+        self.pushes = []
+        for n, h in self._deque.items():
+            self.pushes += [f"if {self.local[n]} is not ABSENT:",
+                            f"    {h}.append({self.local[n]})"]
 
     def bind(self, value, prefix: str = "_c") -> str:
         # repr tells -0.0 from 0.0 and NaN from itself; type tells 1 from True
@@ -263,11 +297,7 @@ class _Source:
         if isinstance(e, Now):
             return [], "now", 0
         if isinstance(e, StreamRef):
-            if self.streams is None:
-                temp = self._temp()
-                test = f"(({temp} := read({e.name!r})) is ABSENT)"
-                return [((), test)], temp, 0
-            local = self.streams[e.name]
+            local = self.local[e.name]
             return ([] if e.name in known else [((), f"{local} is ABSENT")],
                     local, 0)
         if isinstance(e, OffsetAccess):
@@ -295,20 +325,11 @@ class _Source:
     def _offset(self, e: OffsetAccess, known):
         # the default, and its tests, only when the history is too short
         tests, default, depth = self.expr(e.default, known)
-        k = e.offset
-        if self.streams is None:
-            past = self._temp()
-            short = f"{past} is None"
-            read = f"offset_read({e.stream!r}, {k})"
-            first = [((), f"(({past} := {read}) is ABSENT)")]
-            text = f"({default} if {short} else {past})"
-        else:
-            h = self.history[e.stream]
-            short = f"not {h}" if k == 1 else f"len({h}) < {k}"
-            first = []
-            text = f"({default} if {short} else {h}[-{k}])"
-        tests = first + [((short, *guards), t) for guards, t in tests]
-        return self._node(tests, text, depth + 1)
+        h, k = self._deque[e.stream], e.offset
+        short = f"not {h}" if k == 1 else f"len({h}) < {k}"
+        tests = [((short, *guards), t) for guards, t in tests]
+        return self._node(tests, f"({default} if {short} else {h}[-{k}])",
+                          depth + 1)
 
     def code(self, e: Expr, known: frozenset = frozenset()):
         """(source for the value of `e` or ABSENT, whether it can be
@@ -318,89 +339,16 @@ class _Source:
             return value, bool(tests)  # a stream read as it is
         return f"(ABSENT if {_chain(tests)} else {value})", True
 
-    def run(self, source: str) -> dict:
-        exec(compile(source, "<activemon spec>", "exec"), self.ns)
-        return self.ns
-
-
-def compile_expr(expr: Expr) -> Callable:
-    """Compile an expression into `f(read, offset_read, now)`.
-
-    `read(name)` gives the current-step value of a stream; `offset_read(name,
-    k)` gives the k-th previous non-absent value or None when history is too
-    short. The result is a value or ABSENT: absence propagates strictly
-    through every form except offset accesses, whose default applies when
-    history is missing. Division by zero and sqrt of negatives yield NaN, so
-    evaluation is total over numeric inputs.
-    """
-    source = _Source()
-    return source.run("def condition(read, offset_read, now):\n"
-                      f"    return {source.code(expr)[0]}\n")["condition"]
-
-
-@dataclass(frozen=True)
-class CompiledSpec:
-    """One specification as generated Python source, compiled once.
-
-    `monitor(*deques)` and `verifier(*deques)` each take one history deque
-    per entry of `history` ((stream, depth), in order) and return the
-    specification's step function over them. The monitor's
-    `step(values, now)` evaluates one event and returns (every stream's
-    value or ABSENT, in the spec's stream order, as a dict; the (trigger,
-    message) pairs that fired). The verifier's `check(row, now)` recomputes
-    every output from a model row and returns (stream, recomputed, held)
-    for each that disagrees. Both push each step's values into their
-    deques.
-    """
-
-    source: str
-    history: tuple
-    monitor: Callable
-    verifier: Callable
-
-
-def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
-    """Generate and compile the step functions of a specification; use
-    `analyzed.compiled`, which caches this.
-
-    Each stream is a local and each input has a presence flag; each output
-    is first-match conditionals guarded by its clauses' pacing flags, in
-    evaluation order, so an output whose pacing an event does not satisfy
-    is ABSENT without evaluating anything.
-    """
-    spec = analyzed.spec
-    names = spec.stream_names()
-    inputs = spec.input_names()
-    history = tuple((n, d) for n, d in analyzed.max_offset.items() if d > 0)
-    local = {name: f"_v{i}" for i, name in enumerate(names)}
-    source = _Source(local, {n: f"_h{j}" for j, (n, _) in enumerate(history)})
-    decls = {o.name: o for o in spec.outputs}
-    outputs = [(name, decls[name].clauses) for name in analyzed.eval_order]
-
-    # a presence flag per input some pacing names, and one per conjunction
-    order = {name: i for i, name in enumerate(inputs)}
-    paced = {c.pacing.inputs for _, clauses in outputs for c in clauses}
-    flags: dict = {frozenset(): None}  # @any
-    presence = []
-    for name in sorted({n for p in paced for n in p}, key=order.get):
-        flags[frozenset([name])] = flag = f"_p{order[name]}"
-        presence.append(f"{flag} = {local[name]} is not ABSENT")
-    for p in sorted((p for p in paced if len(p) > 1),
-                    key=lambda p: sorted(map(order.get, p))):
-        flags[p] = flag = f"_q{len(presence)}"
-        presence.append(f"{flag} = " + " and ".join(
-            flags[frozenset([n])] for n in sorted(p, key=order.get)))
-
-    def clauses_code(clauses) -> list:
+    def _clauses(self, clauses) -> list:
         """(condition, value) per clause, the condition None for a clause
         that always fires, after which no clause runs."""
         out = []
         for c in clauses:
             known = c.pacing.inputs
-            value, _ = source.code(c.expr, known)
-            cond = flags[known]
+            value, _ = self.code(c.expr, known)
+            cond = self.flags[known]
             if c.when is not None:
-                when, absent = source.code(c.when, known)
+                when, absent = self.code(c.when, known)
                 if absent:  # an ABSENT condition leaves the output ABSENT
                     test = f"((_w := {when}) is True or _w is ABSENT)"
                     value = f"ABSENT if _w is ABSENT else {value}"
@@ -412,54 +360,109 @@ def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
                 break
         return out
 
-    def first_match(target, coded) -> list:
-        out = []
-        for i, (cond, value) in enumerate(coded):
-            if cond is None:
-                return out + ([f"{target} = {value}"] if not i
-                              else ["else:", f"    {target} = {value}"])
-            if i and i % _CHAIN == 0:
-                out += ["else:", f"    {target} = None",
-                        f"if {target} is not None:", "    pass"]
-            out += [f"{'elif' if i else 'if'} {cond}:",
-                    f"    {target} = {value}"]
-        return out + ["else:", f"    {target} = ABSENT"]
+    def compile(self, name: str, params: str, body: list) -> CompiledSpec:
+        """`body` compiled as `step(params)`, made by `name` over the
+        history deques."""
+        deques = ", ".join(self._deque.values())
+        text = "\n".join([f"def {name}({deques}):", f"    def step({params}):",
+                          *_indent(body, 8), "    return step", ""])
+        exec(compile(text, "<activemon spec>", "exec"), self.ns)
+        return CompiledSpec(text, self.history, self.ns[name])
 
-    pushes = []
-    for j, (name, _) in enumerate(history):
-        pushes += [f"if {local[name]} is not ABSENT:",
-                   f"    _h{j}.append({local[name]})"]
-    monitor = ["if not values.keys() <= _inputs:",
-               "    _undeclared(values, _inputs)",
-               "get = values.get"]
-    monitor += [f"{local[n]} = get({n!r}, ABSENT)" for n in inputs]
-    monitor += presence
-    check = [f"{', '.join(local.values())}, = row", *presence, "_bad = []"]
-    for name, clauses in outputs:
-        v, coded = local[name], clauses_code(clauses)
-        monitor += [f"# {name!r}", *first_match(v, coded)]
-        check += [f"# {name!r}", *first_match("_e", coded),
+
+def _first_match(target, coded) -> list:
+    """Lines that set `target` by the first clause of `coded` that fires,
+    else to ABSENT."""
+    out = []
+    for i, (cond, value) in enumerate(coded):
+        if cond is None:
+            return out + ([f"{target} = {value}"] if not i
+                          else ["else:", f"    {target} = {value}"])
+        if i and i % _CHAIN == 0:
+            out += ["else:", f"    {target} = None",
+                    f"if {target} is not None:", "    pass"]
+        out += [f"{'elif' if i else 'if'} {cond}:",
+                f"    {target} = {value}"]
+    return out + ["else:", f"    {target} = ABSENT"]
+
+
+@dataclass(frozen=True)
+class CompiledSpec:
+    """One step function of a specification, as generated Python source
+    compiled once.
+
+    `make(*deques)` takes one history deque per entry of `history`
+    ((stream, depth), in order) and returns the step function over them,
+    which pushes each step's values into its deques. The monitor's
+    `step(values, now)` evaluates one event and returns (every stream's
+    value or ABSENT, in the spec's stream order, as a dict; the (trigger,
+    message) pairs that fired). The verifier's `step(row, now)` recomputes
+    every output from a model row and returns (the (stream, recomputed,
+    held) of each that disagrees; the inputs present, bit i for input i in
+    declaration order; the guards that hold, bit i for guard i).
+    """
+
+    source: str
+    history: tuple
+    make: Callable
+
+
+def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
+    """Generate and compile the monitor's step function; use
+    `analyzed.compiled`, which caches this.
+
+    Each stream is a local and each input has a presence flag; each output
+    is first-match conditionals guarded by its clauses' pacing flags, in
+    evaluation order, so an output whose pacing an event does not satisfy
+    is ABSENT without evaluating anything.
+    """
+    source = _Source(analyzed)
+    local, inputs = source.local, source.inputs
+    lines = ["if not values.keys() <= _inputs:",
+             "    _undeclared(values, _inputs)",
+             "get = values.get"]
+    lines += [f"{local[n]} = get({n!r}, ABSENT)" for n in inputs]
+    lines += source.presence
+    for name, coded in source.outputs:
+        lines += [f"# {name!r}", *_first_match(local[name], coded)]
+    lines.append("_fired = []")
+    for name, trig in zip(analyzed.trigger_names, analyzed.spec.triggers):
+        fired = source.bind((name, trig.message), "_r")
+        lines += [f"if {source.code(trig.expr)[0]} is True:",
+                  f"    _fired.append({fired})"]
+    lines += source.pushes
+    row = ", ".join(f"{n!r}: {v}" for n, v in local.items())
+    lines.append(f"return {{{row}}}, _fired")
+    source.ns["_inputs"] = frozenset(inputs)
+    return source.compile("_monitor", "values, now", lines)
+
+
+def compile_verifier(analyzed: AnalyzedSpec, guards=()) -> CompiledSpec:
+    """Generate and compile the verifier's step function.
+
+    It recomputes every output from a model row as the monitor computes it,
+    and decides each of `guards`, (condition, pacing) pairs: guard i holds,
+    and sets bit i of the holding mask, when its pacing's inputs are
+    present and its condition is True.
+    """
+    source = _Source(analyzed, (p.inputs for _, p in guards))
+    local = source.local
+    lines = [f"{', '.join(local.values())}, = row", *source.presence,
+             "_bad = []"]
+    for name, coded in source.outputs:
+        v = local[name]
+        lines += [f"# {name!r}", *_first_match("_e", coded),
                   f"if _e != {v} and not values_equal(_e, {v}):",
                   f"    _bad.append(({name!r}, _e, {v}))"]
-    monitor.append("_fired = []")
-    for name, trig in zip(analyzed.trigger_names, spec.triggers):
-        fired = source.bind((name, trig.message), "_r")
-        monitor += [f"if {source.code(trig.expr)[0]} is True:",
-                    f"    _fired.append({fired})"]
-    monitor += pushes
-    row = ", ".join(f"{n!r}: {v}" for n, v in local.items())
-    monitor.append(f"return {{{row}}}, _fired")
-    check += [*pushes, "return _bad"]
-
-    deques = ", ".join(f"_h{j}" for j in range(len(history)))
-    text = "\n".join(
-        [f"def _monitor({deques}):", "    def step(values, now):",
-         *_indent(monitor, 8), "    return step", "", "",
-         f"def _verifier({deques}):", "    def check(row, now):",
-         *_indent(check, 8), "    return check", ""])
-    source.ns["_inputs"] = frozenset(inputs)
-    ns = source.run(text)
-    return CompiledSpec(text, history, ns["_monitor"], ns["_verifier"])
+    lines.append("_g = 0")
+    for i, (condition, pacing) in enumerate(guards):
+        test = source.code(condition, pacing.inputs)[0]
+        lines += [f"if {source.flags[pacing.inputs]} and {test} is True:",
+                  f"    _g |= {1 << i}"]
+    present = " | ".join(f"({local[n]} is not ABSENT) << {i}"
+                         for i, n in enumerate(source.inputs))
+    lines += [f"_m = {present or 0}", *source.pushes, "return _bad, _m, _g"]
+    return source.compile("_verifier", "row, now", lines)
 
 
 def _indent(lines, n: int) -> list:
@@ -484,21 +487,8 @@ class MonitorState:
         self.tick = -math.inf  # the tick of the last step
         compiled = analyzed.compiled
         # history keeps only the non-absent values still reachable by offsets
-        self._history: dict[str, deque] = {
-            name: deque(maxlen=depth) for name, depth in compiled.history}
-        self.evaluate = compiled.monitor(*self._history.values())
-
-    def offset_read(self, name: str, k: int):
-        h = self._history.get(name)
-        if h is None or len(h) < k:
-            return None
-        return h[-k]
-
-    def _push_history(self, values: dict[str, object]) -> None:
-        for name, h in self._history.items():
-            v = values[name]
-            if v is not ABSENT:
-                h.append(v)
+        self.evaluate = compiled.make(
+            *(deque(maxlen=depth) for _, depth in compiled.history))
 
 
 def eval_event(state: MonitorState, tick: int, values: dict):
@@ -565,42 +555,17 @@ def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int):
 # the semantic oracle
 
 
-def replay(analyzed: AnalyzedSpec, model: EvaluationModel):
-    """Walk a finished model forward, one step at a time.
+def walk_model(analyzed: AnalyzedSpec, model: EvaluationModel,
+               violations: list, guards=()):
+    """Walk a finished model forward once, through the verifier.
 
-    Yields (step, present, read, offset_read, now): the inputs present at
-    the step, a read over the step's row, and its time as a float, rounded
-    once from the exact tick / quantum. Offsets
-    go through a `MonitorState` whose history takes each row after the step
-    is yielded, so it holds only the model's own values, kept as deep as
-    the spec's `max_offset`, as the monitor keeps them. That serves exactly
-    the offsets the spec's expressions use; the `DecisionOracle`'s region
-    conditions are built from the spec's own `when` guards, so they are
-    covered too. A deeper offset reads as missing history.
+    Appends the model's semantic violations to `violations`: the time-map
+    ones first, then, in step order, each output cell that the verifier
+    recomputes differently. The verifier's offsets read history deques that
+    take the model's own rows, kept as deep as the spec's `max_offset`, as
+    the monitor keeps them. Yields, per step, (present, holding): the
+    present inputs and the `guards` that hold, as the verifier's bit masks.
     """
-    state = MonitorState(analyzed)
-    inputs = analyzed.spec.input_names()
-    names = tuple(model.streams)
-    rows = zip(*model.streams.values())
-    q = model.quantum
-    for step, (tick, row) in enumerate(zip(model.ticks, rows)):
-        values = dict(zip(names, row))
-        present = frozenset(i for i in inputs if values[i] is not ABSENT)
-        yield step, present, values.__getitem__, state.offset_read, tick / q
-        state._push_history(values)
-
-
-def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violation]:
-    """Recompute every output at every step; report every disagreement.
-
-    An empty result means the model is a member of the specification's
-    semantics: timestamps strictly increase and each output cell equals the
-    first-match clause evaluation over the model itself, recomputed by the
-    specification's `verifier`, whose offsets read a history that takes the
-    model's own rows, as `replay` does. Time-map violations come first, then
-    the cells in step order.
-    """
-    violations: list[Violation] = []
     ticks = model.ticks
     for t in range(1, len(ticks)):
         if ticks[t] <= ticks[t - 1]:
@@ -610,18 +575,33 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
                 f"time map not strictly increasing: {time} after "
                 f"{model.time_at(t - 1)}"))
 
-    compiled = analyzed.compiled
-    check = compiled.verifier(*(deque(maxlen=d) for _, d in compiled.history))
+    compiled = compile_verifier(analyzed, guards)
+    check = compiled.make(*(deque(maxlen=d) for _, d in compiled.history))
     rows = zip(*(model.streams[name] for name in analyzed.spec.stream_names()))
     q = model.quantum
-    for t, (tick, row) in enumerate(zip(model.ticks, rows)):
-        wrong = check(row, tick / q)
+    for t, (tick, row) in enumerate(zip(ticks, rows)):
+        wrong, present, holding = check(row, tick / q)
         if wrong:
             time = model.time_at(t)
             violations.extend(Violation(
                 "semantic", t, time, f"stream '{name}' holds {actual!r}, "
                 f"recomputation gives {expected!r}", stream=name)
                 for name, expected, actual in wrong)
+        yield present, holding
+
+
+def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violation]:
+    """Recompute every output at every step; report every disagreement.
+
+    An empty result means the model is a member of the specification's
+    semantics: timestamps strictly increase and each output cell equals the
+    first-match clause evaluation over the model itself. This is
+    `walk_model` with no guards: time-map violations come first, then the
+    cells in step order.
+    """
+    violations: list[Violation] = []
+    for _ in walk_model(analyzed, model, violations):
+        pass
     return violations
 
 
@@ -629,6 +609,7 @@ __all__ = [
     "ABSENT", "CompiledSpec", "EvaluationModel", "FOLD_ROWS",
     "MAX_STEPS",
     "MonitorState", "TriggerReport", "Violation", "check_steps",
-    "compile_expr", "compile_spec", "eval_event",
-    "fold_rows", "replay", "run_monitor_full", "values_equal", "verify_model",
+    "compile_spec", "compile_verifier", "eval_event",
+    "fold_rows", "run_monitor_full", "values_equal", "verify_model",
+    "walk_model",
 ]

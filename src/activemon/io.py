@@ -144,8 +144,21 @@ def _cell_parser(ty: Type) -> Callable[[str], object]:
     return _parse_float
 
 
-# a number column without empty cells converts all its cells in one pass
-_WHOLE = {_parse_float: float, _parse_int: int}
+_NUMBERS = {_parse_float: float, _parse_int: int}
+
+
+def _parse_column(parse, cells) -> list:
+    """A column's cells parsed in one pass, a Bool column by one dict lookup
+    per cell and a number column with no Python call per cell; a malformed
+    cell raises ValueError or KeyError."""
+    if parse is _parse_bool:
+        return list(map(_BOOLS.__getitem__, cells))
+    number = _NUMBERS.get(parse)
+    if number is None:
+        return list(map(parse, cells))
+    if "" not in cells:
+        return list(map(number, cells))
+    return [number(c) if c else ABSENT for c in cells]
 
 
 def _format_number(value) -> str:
@@ -202,10 +215,9 @@ def _parse_block(rows: list, lines, parsers: list, path) -> list:
             row += [""] * (width - len(row))
     if max(widths, default=0) <= width:
         try:
-            return [list(map(_WHOLE.get(parse, parse) if "" not in cells
-                             else parse, cells))
+            return [_parse_column(parse, cells)
                     for parse, cells in zip(parsers, zip(*rows))]
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, KeyError):
             pass
     for line, row in zip(lines, rows):
         if len(row) > width:
@@ -323,6 +335,7 @@ def violation_lines(violations):
     """One JSON line per violation, newline included: {kind, step, time,
     detail, stream (if any), task (if any)}."""
     parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
+    time = text = None  # the last time rendered, shared by one step's lines
     for v in violations:
         key = (v.kind, v.detail, v.stream, v.task)
         if key not in parts:
@@ -331,8 +344,10 @@ def violation_lines(violations):
             parts[key] = (f'{{"kind": {json.dumps(v.kind)}, "step": ',
                           json.dumps(tail)[1:])
         head, tail = parts[key]
-        # JSON writes a finite float as its repr
-        yield f'{head}{v.step}, "time": {float(v.time)!r}, {tail}\n'
+        if v.time is not time:
+            # JSON writes a finite float as its repr
+            time, text = v.time, repr(float(v.time))
+        yield f'{head}{v.step}, "time": {text}, {tail}\n'
 
 
 def write_plan_log(path, plans, mode) -> None:

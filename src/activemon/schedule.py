@@ -1,28 +1,24 @@
 """Static scheduling tables and the per-step obligation oracle.
 
 Turns the annotations of an analyzed specification into a per-task table
-of (condition, value) regions, and answers, for a finished run, which
-tasks the scheduler was obliged to satisfy at each step.
+of (condition, value) regions, each the conjunction of annotation guards,
+and answers, one step of a finished run at a time, which tasks the
+scheduler was obliged to satisfy. `check_scheduled_model` walks the model
+once through the verifier, which decides each distinct guard behind its
+pacing flag, and feeds every step to a `DecisionOracle`, whose state does
+not grow with the run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import Expr, Pacing, conjoin
-from .engine import (
-    ABSENT,
-    EvaluationModel,
-    Violation,
-    compile_expr,
-    replay,
-    verify_model,
-)
+from .engine import EvaluationModel, Violation, walk_model
 from .errors import MixedAnnotationKinds, PreconditionViolation
 
 # a task is a nonempty set of input streams queried together
@@ -68,6 +64,9 @@ class StaticSchedule:
     bounds: dict  # Task -> Optional[Fraction], per-task staleness deadline
     tracked: frozenset  # direct tasks whose last satisfaction is observable
     joint: dict  # Task -> frozenset[Task], direct tasks covering its regions
+    # (stream, clause index) -> (condition, pacing) of each region source,
+    # in stream order
+    guards: dict
 
     def restrictive(self) -> Callable[[list], object]:
         """Combine same-step region values to the most restrictive one."""
@@ -220,6 +219,8 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
         bounds=bounds,
         tracked=tracked,
         joint=joint,
+        guards={(e.source, e.clause_index): (e.condition, e.pacing)
+                for kept in chains.values() for e, _ in kept},
     )
 
 
@@ -228,200 +229,179 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
 
 
 class DecisionOracle:
-    """Answers, per step of a finished model, which tasks had to be served.
+    """Decides, one step of a run at a time, which tasks had to be served.
 
-    Verdicts: "Y" means the task must be satisfied at the next step,
-    "M" means the scheduler may choose freely.
+    `decide` is fed each step of a model in order and returns the tasks
+    obliged at the step before: those the scheduler had to satisfy at the
+    step fed. Every other task was the scheduler's free choice.
+
+    The state is O(tasks) and does not grow with the run: the sticky current
+    value of each task (the most restrictive value among its regions that
+    held at the last step where any did), the tick of each tracked task's
+    last satisfaction and, in deadline mode, each task's expiry. That is
+    the least, over the task's regions, of a region's first onset since the
+    task's last satisfaction (that step included) plus the region's
+    deadline; a later onset of the same region cannot expire sooner, so
+    this one number decides the deadline rule. A region holds exactly when
+    every guard named in its sources holds, and each distinct guard is one
+    bit of the `holding` mask that the verifier computes for `guards`.
     """
 
     def __init__(self, analyzed: AnalyzedSpec, schedule: StaticSchedule,
-                 model: EvaluationModel):
-        self.analyzed = analyzed
+                 quantum: int):
         self.schedule = schedule
-        self.model = model
-        self.n = len(model)
-        self.period = analyzed.config.period
+        self.deadline = schedule.mode == MODE_DEADLINE
+        period = analyzed.config.period
         # exact time in ticks on a quantum that holds both the model's times
-        # and the period, so that steps past the end are ticks too
-        self.quantum = math.lcm(model.quantum, self.period.denominator)
-        scale = self.quantum // model.quantum
-        self.ticks = [t * scale for t in model.ticks]
-        self.period_ticks = int(self.period * self.quantum)
+        # (on `quantum`) and the period, so that steps past the end are
+        # ticks too
+        self.quantum = math.lcm(quantum, period.denominator)
+        self.scale = self.quantum // quantum
+        self.period_ticks = int(period * self.quantum)
+        self.inputs = analyzed.spec.input_names()
         # every per-step verdict and violation follows this one order
         self.tasks = sorted(schedule.universe, key=task_key)
 
-        # region truth per step, each distinct region decided once, in the
-        # one walk that also collects the present inputs. Entry pacings are
-        # concrete (build_static_schedule rejects @any), and a region whose
-        # pacing no step of the model satisfies holds nowhere, so only the
-        # others are compiled.
-        truth: dict = {}  # region -> the steps it holds at
-        for chain in schedule.entries.values():
-            for entry in chain:
-                truth.setdefault((entry.condition, entry.pacing), [])
-        inputs = analyzed.spec.input_names()
-        seen = {frozenset(i for i, v in zip(inputs, row) if v is not ABSENT)
-                for row in zip(*(model.streams[i] for i in inputs))}
-        regions = [(p.inputs, compile_expr(c), steps)
-                   for (c, p), steps in truth.items()
-                   if any(p.inputs <= s for s in seen)]
-        self.present = []
-        for s, present, read, offset_read, now in replay(analyzed, model):
-            self.present.append(present)
-            for inputs, cond, steps in regions:
-                if inputs <= present and cond(read, offset_read, now) is True:
-                    steps.append(s)
-
-        by_present: dict = {}  # the satisfied tasks per set of present inputs
-        self.sat_sets = []
-        for present in self.present:
-            if present not in by_present:
-                by_present[present] = frozenset(
-                    t for t in self.tasks if t <= present)
-            self.sat_sets.append(by_present[present])
-        self.sat_steps: dict = {task: [] for task in self.tasks}
-        for s, sat in enumerate(self.sat_sets):
-            for task in sat:
-                self.sat_steps[task].append(s)
+        # the distinct guards, in schedule order, and per task with regions
+        # its position and (guard mask, value) per region; in deadline mode
+        # the value is the deadline in whole ticks, since an age in ticks is
+        # an integer, so age > d exactly when age > floor(d * quantum)
+        self.guards = list(dict.fromkeys(schedule.guards.values()))
+        bit = {guard: 1 << i for i, guard in enumerate(self.guards)}
+        self.regions = [
+            (pos, [(sum({bit[schedule.guards[s]] for s in e.sources}),
+                    self._floor_ticks(e.value) if self.deadline else e.value)
+                   for e in chain])
+            for pos, task in enumerate(self.tasks)
+            if (chain := schedule.entries.get(task))]
 
         # staleness: the distinct bounds, and per task its position, its
         # bound's index and the tracked subtasks whose satisfaction
-        # refreshes it
-        self.staleness_bounds = sorted(
-            {b for b in schedule.bounds.values() if b is not None})
-        index = {b: i for i, b in enumerate(self.staleness_bounds)}
+        # refreshes it (a tuple, which is smaller than a set); an age <= b
+        # exactly when age <= floor(b * quantum)
+        bounds = sorted({b for b in schedule.bounds.values() if b is not None})
+        index = {b: i for i, b in enumerate(bounds)}
+        self.bound_ticks = [self._floor_ticks(b) for b in bounds]
         self.staleness = [
             (pos, index[schedule.bounds[task]],
-             frozenset(t for t in schedule.tracked if t <= task))
+             tuple(t for t in schedule.tracked if t <= task))
             for pos, task in enumerate(self.tasks)
             if schedule.bounds.get(task) is not None
         ]
-        self.position = {task: pos for pos, task in enumerate(self.tasks)}
-        # an age in ticks is an integer, so age <= b exactly when
-        # age <= floor(b * quantum), and age > d when age > floor(d * quantum)
-        self.bound_ticks = [self._floor_ticks(b) for b in self.staleness_bounds]
-        self._overdue: dict = {}  # fresh sets per bound -> overdue flags
 
-        # then the sticky current value per task, swept over the steps
-        # where one of its regions holds
-        combine = schedule.restrictive()
-        self.true_steps: dict = {}
-        self.current: dict = {}
-        for task, chain in schedule.entries.items():
-            per_entry = [truth[(e.condition, e.pacing)] for e in chain]
-            self.true_steps[task] = per_entry
-            holding: dict = {}  # step -> values of the regions holding there
-            for entry, steps in zip(chain, per_entry):
-                for s in steps:
-                    holding.setdefault(s, []).append(entry.value)
-            values: list = []
-            cur = None
-            for s in sorted(holding):
-                values += [cur] * (s - len(values))
-                cur = combine(holding[s])
-                values.append(cur)
-            values += [cur] * (self.n - len(values))
-            self.current[task] = values
-        self.deadline_ticks = {
-            task: [self._floor_ticks(e.value) for e in chain]
-            for task, chain in schedule.entries.items()
-        } if schedule.mode == MODE_DEADLINE else {}
-
-    # -- helpers ------------------------------------------------------------
+        self.tick: Optional[int] = None  # of the last step fed
+        self.current: list = [None] * len(self.tasks)
+        self.expiry: list = [None] * len(self.tasks)
+        self.last: dict = {}  # tracked task -> tick of its last satisfaction
+        self.satisfied: frozenset = frozenset()  # at the last step fed
+        # at the last step fed, in the priority modes
+        self.overdue = bytes(len(self.tasks))
+        # shared by every step with the same key
+        self._sat: dict = {}  # present mask -> satisfied tasks
+        self._holds: dict = {}  # holding mask -> (position, value) of tasks
+        self._overdue: dict = {}  # fresh subtasks per bound -> overdue flags
 
     def _floor_ticks(self, seconds) -> int:
         return math.floor(seconds * self.quantum)
 
-    def _time(self, step: int) -> int:
-        """The time of a step in ticks; steps past the model's end follow
-        its last one a period apart."""
-        if step < self.n:
-            return self.ticks[step]
-        return self.ticks[self.n - 1] + (step - self.n + 1) * self.period_ticks
+    def _satisfied(self, present: int) -> tuple:
+        """(satisfied tasks, their positions, the tracked ones) under a mask
+        of present inputs."""
+        got = self._sat.get(present)
+        if got is None:
+            inputs = frozenset(name for i, name in enumerate(self.inputs)
+                               if present >> i & 1)
+            positions = [pos for pos, t in enumerate(self.tasks) if t <= inputs]
+            sat = frozenset(self.tasks[pos] for pos in positions)
+            got = self._sat[present] = (sat, positions,
+                                        sat & self.schedule.tracked)
+        return got
 
-    def _last_sat(self, task: Task, upto: int) -> Optional[int]:
-        """Latest step <= upto at which task was satisfied, if any."""
-        steps = self.sat_steps[task]
-        i = bisect_right(steps, upto)
-        return steps[i - 1] if i else None
+    def _holding(self, holding: int) -> list:
+        """(position, most restrictive value) of each task some region of
+        which holds under a mask of holding guards."""
+        got = self._holds.get(holding)
+        if got is None:
+            combine = self.schedule.restrictive()
+            got = self._holds[holding] = [
+                (pos, combine(hold))
+                for pos, regions in self.regions
+                if (hold := [v for m, v in regions if holding & m == m])]
+        return got
 
-    def overdue_at(self, step: int) -> dict:
-        """Staleness of every task at `step`, from satisfactions strictly
-        before it: a bounded task is overdue unless one of its tracked
-        subtasks was last satisfied within its bound."""
-        return dict(zip(self.tasks, map(bool, self._overdue_flags(step))))
-
-    def _overdue_flags(self, step: int) -> bytes:
-        """`overdue_at` as one byte per task, in `tasks` order.
-
-        The flags depend only on the fresh subtasks per bound, so they are
-        built once per distinct tuple of those and shared by every step
-        with that tuple."""
-        now = self._time(step)
-        ticks = self.ticks
-        ages = []
-        for sub in self.schedule.tracked:
-            last = self._last_sat(sub, step - 1)
-            if last is not None:
-                ages.append((sub, now - ticks[last]))
-        fresh = tuple(frozenset(sub for sub, age in ages if age <= bound)
+    def _overdue_flags(self, now: int) -> bytes:
+        """One byte per task: whether it is stale at tick `now`. A bounded
+        task is overdue unless one of its tracked subtasks was last
+        satisfied within its bound. The flags depend only on the fresh
+        subtasks per bound, so they are built once per distinct tuple of
+        those."""
+        fresh = tuple(frozenset(sub for sub, last in self.last.items()
+                                if now - last <= bound)
                       for bound in self.bound_ticks)
         over = self._overdue.get(fresh)
         if over is None:
             flags = bytearray(len(self.tasks))
             for pos, i, subs in self.staleness:
-                flags[pos] = subs.isdisjoint(fresh[i])
+                flags[pos] = fresh[i].isdisjoint(subs)
             over = self._overdue[fresh] = bytes(flags)
         return over
 
-    # -- the three obligation rules -----------------------------------------
+    def decide(self, tick: int, present: int, holding: int,
+               next_tick: Optional[int] = None) -> list:
+        """Feed one step; return the tasks obliged at the step before.
 
-    def decide(self, step: int) -> dict:
-        """Verdicts for every universe task, given the model through step+1."""
-        if not 0 <= step <= self.n - 2:
-            raise ValueError(f"step {step} needs the model through {step + 2}")
-        if self.schedule.mode == MODE_DEADLINE:
-            return self._decide_deadline(step)
-        # priority mode sets no staleness bounds, so nothing is overdue there
-        return self._decide_priority(step, self._overdue_flags(step + 1))
+        `tick` is the step's time on the model's quantum, `present` and
+        `holding` the verifier's masks of present inputs and holding
+        guards, and `next_tick` the following step's tick, None after the
+        last step. Deadline verdicts look ahead to that tick, past the end
+        one period on. The first step has no step before it and obliges
+        nothing.
+        """
+        tick *= self.scale
+        self.satisfied, positions, tracked = self._satisfied(present)
+        obliged = []
+        if self.deadline:
+            if self.tick is not None:
+                horizon = (tick + self.period_ticks if next_tick is None
+                           else next_tick * self.scale)
+                obliged = [task for task, e in zip(self.tasks, self.expiry)
+                           if e is not None and e < horizon]
+        else:
+            # priority mode sets no staleness bounds: nothing is overdue
+            self.overdue = self._overdue_flags(tick)
+            if self.tick is not None:
+                obliged = self._priority(self.overdue, positions)
 
-    def _decide_deadline(self, step: int) -> dict:
-        out = {}
-        horizon = self._time(step + 2)
-        ticks = self.ticks
-        for task in self.tasks:
-            verdict = "M"
-            anchor = self._last_sat(task, step)
-            lo = anchor if anchor is not None else 0
-            for deadline, steps in zip(self.deadline_ticks[task],
-                                       self.true_steps[task]):
-                i = bisect_right(steps, lo - 1)
-                if i < len(steps) and steps[i] <= step:
-                    if horizon - ticks[steps[i]] > deadline:
-                        verdict = "Y"
-                        break
-            out[task] = verdict
-        return out
+        # then this step's satisfactions and regions
+        for task in tracked:
+            self.last[task] = tick
+        if self.deadline:
+            expiry = self.expiry
+            for pos in positions:
+                expiry[pos] = None
+            for pos, d in self._holding(holding):
+                if expiry[pos] is None or tick + d < expiry[pos]:
+                    expiry[pos] = tick + d
+        else:
+            for pos, value in self._holding(holding):
+                self.current[pos] = value
+        self.tick = tick
+        return obliged
 
-    def _decide_priority(self, step: int, over: bytes) -> dict:
+    def _priority(self, over: bytes, positions: list) -> list:
         """An unserved task is obliged when a fresh satisfied task has a
         strictly lower current priority, and an overdue task is obliged as
         soon as any fresh task is satisfied."""
-        sat = self.sat_sets[step + 1]
         current = self.current
-        position = self.position
-        fresh = [t for t in sat if not over[position[t]]]
-        floor = min((v for t in fresh if (v := current[t][step]) is not None),
+        fresh = [pos for pos in positions if not over[pos]]
+        if not fresh:
+            return []
+        floor = min((v for pos in fresh if (v := current[pos]) is not None),
                     default=None)
-        fresh_sat = bool(fresh)
-        out = {}
-        for task, overdue in zip(self.tasks, over):
-            p = current[task][step]
-            obliged = (fresh_sat and overdue) or (
-                floor is not None and p is not None and p > floor
-                and task not in sat)  # as is under a satisfied superset
-            out[task] = "Y" if obliged else "M"
-        return out
+        sat = self.satisfied
+        return [task for task, o, p in zip(self.tasks, over, current)
+                if o or (floor is not None and p is not None and p > floor
+                         and task not in sat)]  # as is under a satisfied superset
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +410,34 @@ class DecisionOracle:
 
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
                           bound: int, model: EvaluationModel) -> list:
-    """Semantic, bandwidth and obligation conformance of a finished run."""
-    violations = list(verify_model(analyzed, model))
-    oracle = DecisionOracle(analyzed, schedule, model)
-    for step, got in enumerate(oracle.present):
-        if len(got) > bound:
-            violations.append(Violation(
-                kind="bandwidth", step=step, time=model.time_at(step),
-                detail=f"{len(got)} inputs arrive at once, bound is {bound}"))
+    """Semantic, bandwidth and obligation conformance of a finished run.
+
+    One forward walk of the model through the verifier yields its semantic
+    violations and, per step, the present inputs and holding guards that
+    the `DecisionOracle` is fed. Semantic violations come first, then the
+    bandwidth ones, then the missed obligations by step and sorted task.
+    """
+    violations: list = []
+    bandwidth: list = []
+    missed: list = []
+    oracle = DecisionOracle(analyzed, schedule, model.quantum)
+    ticks = model.ticks
     keys = {task: task_key(task) for task in oracle.tasks}
-    for step in range(len(model) - 1):
-        sat = oracle.sat_sets[step + 1]
-        missed = [task for task, verdict in oracle.decide(step).items()
-                  if verdict == "Y" and task not in sat]
-        if missed:
-            time = model.time_at(step + 1)  # shared by the step's violations
-            violations.extend(Violation(
-                kind="schedule", step=step + 1, time=time,
+    walk = walk_model(analyzed, model, violations, oracle.guards)
+    for step, (present, holding) in enumerate(walk):
+        nxt = step + 1
+        obliged = oracle.decide(ticks[step], present, holding,
+                                ticks[nxt] if nxt < len(ticks) else None)
+        unserved = [task for task in obliged if task not in oracle.satisfied]
+        width = present.bit_count()
+        if unserved or width > bound:
+            time = model.time_at(step)  # shared by the step's violations
+            if width > bound:
+                bandwidth.append(Violation(
+                    kind="bandwidth", step=step, time=time,
+                    detail=f"{width} inputs arrive at once, bound is {bound}"))
+            missed.extend(Violation(
+                kind="schedule", step=step, time=time,
                 detail="obligated task left unsatisfied", task=keys[task])
-                for task in missed)
-    return violations
+                for task in unserved)
+    return violations + bandwidth + missed

@@ -1,13 +1,14 @@
 """Tree-walking expression evaluator and model reader, kept as test-only
 references.
 
-The engine generates Python source once per specification and shares the
-generator between the monitor, `verify_model` and the `DecisionOracle`'s
-conditions, so a generator bug would pass the engine's own membership
-oracle. This module is the direct recursive reading of the semantics that
-the differential tests compare the generated code against.
+The engine generates Python source per specification and shares the
+generator between the monitor and the verifier, which `verify_model` walks
+and which also decides the annotation guards of `check_scheduled_model`, so
+a generator bug would pass the engine's own membership oracle. This module
+is the direct recursive reading of the semantics that the differential
+tests compare the generated code against.
 
-`engine.replay` serves offsets from the monitor's bounded history as it
+`engine.walk_model` serves offsets from the verifier's bounded history as it
 walks a model forward. `ModelReader` is the random-access reading it is
 tested against: per-stream indexes of present steps over the whole model.
 `present_inputs` and `triggers_from_model` read a finished model for the

@@ -1,15 +1,20 @@
-"""Per-task decision rules, kept as a test-only reference.
+"""Per-task decision rules and model checks, kept as a test-only reference.
 
-`schedule.DecisionOracle` decides each step in one sweep: the staleness of
-every task from the tracked tasks' last satisfactions, the priority rule
-from the lowest current value among the satisfied tasks, and the deadline
-rule from per-region step lists bisected at the last satisfaction. This
-module is the direct reading of the three rules, one task at a time, that
-the differential tests compare the sweep against. The present inputs and
-satisfied sets are rebuilt here from the model's cells by a membership test
-per (task, step), and region truth by the tree-walking evaluator over
-`ModelReader`, independently of the oracle's own walk. Ages and deadline
-horizons are exact `Fraction` seconds, not the oracle's ticks.
+`schedule.DecisionOracle` is fed a model one step at a time and keeps
+O(tasks) state: sticky values, last satisfaction ticks and deadline
+expiries, with region truth read off the verifier's guard masks. This
+module is the direct reading of the three rules over the whole model, one
+task at a time, that the differential tests compare the oracle against. It
+shares no code with the oracle: the present inputs and satisfied sets are
+rebuilt from the model's cells by a membership test per (task, step), the
+sticky current values by a scan over the steps, and region truth by the
+tree-walking evaluator over `ModelReader`, applied to each region's
+conjoined condition. Ages and deadline horizons are exact `Fraction`
+seconds, not the oracle's ticks.
+
+`reference_violations` builds the whole violation list of
+`check_scheduled_model` the same way, with the semantic violations
+recomputed by `reference_eval.eval_clauses`.
 """
 
 from __future__ import annotations
@@ -17,16 +22,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
+from activemon.engine import Violation, values_equal
 from activemon.schedule import (
-    MODE_DEADLINE, MODE_PRIORITY, DecisionOracle, ScheduleEntry, Task,
+    MODE_DEADLINE, MODE_PRIORITY, ScheduleEntry, Task, task_key,
 )
-from reference_eval import ModelReader, eval_expr, present_inputs
+from reference_eval import ModelReader, eval_clauses, eval_expr, present_inputs
 
 
-class ReferenceOracle(DecisionOracle):
+class ReferenceOracle:
 
     def __init__(self, analyzed, schedule, model):
-        super().__init__(analyzed, schedule, model)
+        self.schedule = schedule
+        self.n = len(model)
+        self.period = analyzed.config.period
         inputs = analyzed.spec.input_names()
         self.present = [present_inputs(model, inputs, step)
                         for step in range(self.n)]
@@ -34,19 +42,33 @@ class ReferenceOracle(DecisionOracle):
             frozenset(t for t in schedule.universe if t <= self.present[step])
             for step in range(self.n)
         ]
-        self.sat_steps = {
-            task: [s for s in range(self.n) if task in self.sat_sets[s]]
-            for task in schedule.universe
-        }
         self.reader = ModelReader(model)
         self._truth: dict = {}  # (condition, pacing, step) -> bool
         self.times = model.times
+        # the most restrictive value among a task's regions that hold at
+        # the latest step where any does, None before the first
+        combine = schedule.restrictive()
+        self.current: dict = {}
+        for task in schedule.universe:
+            cur, values = None, []
+            for step in range(self.n):
+                held = [e.value for e in schedule.entries[task]
+                        if self._holds(e, step)]
+                if held:
+                    cur = combine(held)
+                values.append(cur)
+            self.current[task] = values
 
     def time(self, step: int) -> Fraction:
         """A step's exact time; past the end, a period apart."""
         if step < self.n:
             return self.times[step]
         return self.times[-1] + (step - self.n + 1) * self.period
+
+    def last_sat(self, task: Task, upto: int) -> Optional[int]:
+        """Latest step <= upto at which task was satisfied, if any."""
+        return max((s for s in range(upto + 1) if task in self.sat_sets[s]),
+                   default=None)
 
     def overdue(self, task: Task, step: int) -> bool:
         """Staleness at `step`, from satisfactions strictly before it."""
@@ -56,7 +78,7 @@ class ReferenceOracle(DecisionOracle):
         last: Optional[int] = None
         for sub in self.schedule.tracked:
             if sub <= task:
-                s = self._last_sat(sub, step - 1)
+                s = self.last_sat(sub, step - 1)
                 if s is not None and (last is None or s > last):
                     last = s
         if last is None:
@@ -134,3 +156,41 @@ class ReferenceOracle(DecisionOracle):
             else:
                 out[task] = "M"
         return out
+
+
+def reference_violations(analyzed, schedule, bound: int, model) -> list:
+    """`check_scheduled_model`'s violations, in its order: the time map,
+    then each cell that `eval_clauses` recomputes differently, by step and
+    evaluation order, then the bandwidth overruns, then the tasks that a
+    `ReferenceOracle` verdict obliged and the next step left unsatisfied,
+    by step and sorted task."""
+    times = model.times
+    spec = analyzed.spec
+    out = [Violation("semantic", t, times[t],
+                     f"time map not strictly increasing: {times[t]} after "
+                     f"{times[t - 1]}")
+           for t in range(1, len(times)) if times[t] <= times[t - 1]]
+    reader = ModelReader(model)
+    oracle = ReferenceOracle(analyzed, schedule, model)
+    for t, time in enumerate(times):
+        read, offset_read = reader.at_step(t)
+        for name in analyzed.eval_order:
+            expected = eval_clauses(spec.output_decl(name), oracle.present[t],
+                                    read, offset_read, float(time))
+            actual = read(name)
+            if not values_equal(expected, actual):
+                out.append(Violation(
+                    "semantic", t, time, f"stream '{name}' holds {actual!r}, "
+                    f"recomputation gives {expected!r}", stream=name))
+    out += [Violation("bandwidth", t, times[t],
+                      f"{len(got)} inputs arrive at once, bound is {bound}")
+            for t, got in enumerate(oracle.present) if len(got) > bound]
+    for step in range(len(times) - 1):
+        verdicts = oracle.decide(step)
+        out += [Violation("schedule", step + 1, times[step + 1],
+                          "obligated task left unsatisfied",
+                          task=task_key(task))
+                for task in sorted(verdicts, key=task_key)
+                if verdicts[task] == "Y"
+                and task not in oracle.sat_sets[step + 1]]
+    return out

@@ -6,10 +6,10 @@ import pytest
 
 from activemon.analysis import analyze, derive_annotation_map
 from activemon.ast import Const
-from activemon.engine import compile_expr
 from activemon.errors import (CyclicDependency, EmptyPacing, PacingConflict,
                               TypeError_)
 from activemon.parser import parse_spec
+from reference_eval import eval_expr
 
 
 def resolved_inputs(spec, name) -> frozenset:
@@ -141,7 +141,7 @@ def test_annotation_guards_stack_negations():
     def active(d):
         read = lambda name: d
         hits = [e.priority for e in chain
-                if compile_expr(e.condition)(read, None, 0.0) is True]
+                if eval_expr(e.condition, read, None, 0.0) is True]
         return hits
 
     # guards are exclusive: exactly one region claims any given value

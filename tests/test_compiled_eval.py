@@ -1,10 +1,11 @@
 """Differential tests: the generated evaluator against the tree-walking
 reference.
 
-The monitor, `verify_model` and the `DecisionOracle` all evaluate through
-code from one source generator, so they cannot catch a generator bug by
-checking each other. These tests compare every path with `reference_eval`,
-which reads the expression tree directly.
+The monitor, `verify_model` and the guards that `check_scheduled_model`
+feeds the `DecisionOracle` all evaluate through code from one source
+generator, so they cannot catch a generator bug by checking each other.
+These tests compare every path with `reference_eval`, which reads the
+expression tree directly.
 """
 
 import ast
@@ -16,6 +17,7 @@ import re
 import subprocess
 import sys
 import tokenize
+from collections import deque
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from random import Random
@@ -26,23 +28,23 @@ from hypothesis import strategies as st
 
 import gen_specs
 import reference_eval
-from activemon.analysis import analyze
+from activemon.analysis import analyze, offset_refs
 from activemon.ast import (
     Binary, Const, EvalClause, MinMax, Now, OffsetAccess, OutputDecl, Pacing,
     Proj, StreamRef, Unary, expr_depth,
 )
 from activemon.engine import (
     ABSENT,
+    EvaluationModel,
     MonitorState,
-    compile_expr,
+    compile_verifier,
     eval_event,
-    replay,
     values_equal,
     verify_model,
+    walk_model,
 )
 from activemon.errors import SpecSyntaxError
 from activemon.parser import MAX_DEPTH, MAX_NESTING, parse_spec
-from activemon.schedule import DecisionOracle
 from activemon.translate import translate
 from events import Event, model_at, run_events
 from reference_eval import ModelReader, present_inputs, triggers_from_model
@@ -118,14 +120,22 @@ def test_compiled_paths_match_the_reference(seed, annotate):
 
 @given(SEEDS)
 @settings(max_examples=40, deadline=None)
-def test_oracle_region_truth_matches_the_reference(seed):
+def test_region_truth_from_guards_matches_the_reference(seed):
+    # a region holds where every guard named in its sources holds; the
+    # verifier decides each distinct guard once, and the regions hold where
+    # the reference finds their pacing present and their conjoined
+    # condition True
     _, tr, events = _generated(seed, annotate=True)
     model, _ = run_events(tr.plain, events)
-    oracle = DecisionOracle(tr.plain, tr.schedule, model)
+    schedule = tr.schedule
+    guards = list(dict.fromkeys(schedule.guards.values()))
+    bit = {guard: 1 << i for i, guard in enumerate(guards)}
+    holding = [h for _, h in walk_model(tr.plain, model, [], guards)]
     reader = ModelReader(model)
     inputs = tr.plain.spec.input_names()
-    for task, chain in tr.schedule.entries.items():
-        for entry, steps in zip(chain, oracle.true_steps[task], strict=True):
+    for chain in schedule.entries.values():
+        for entry in chain:
+            mask = sum({bit[schedule.guards[s]] for s in entry.sources})
             expected = [
                 s for s in range(len(model))
                 if entry.pacing.satisfied_by(present_inputs(model, inputs, s))
@@ -133,15 +143,42 @@ def test_oracle_region_truth_matches_the_reference(seed):
                     entry.condition, *reader.at_step(s),
                     float(model.times[s])) is True
             ]
-            assert steps == expected
+            assert [s for s, h in enumerate(holding)
+                    if h & mask == mask] == expected
+
+
+def _probed(analyzed, model):
+    """The spec and model with one @any output per stream and offset
+    depth up to its `max_offset`, which reads that offset (the stream
+    itself while history is short), and one that reads `now`; the probe
+    cells are computed through `ModelReader` at the model's exact times."""
+    reader = ModelReader(model)
+    forms = {f"probe{j}": OffsetAccess(name, k, StreamRef(name))
+             for j, (name, k) in enumerate(
+                 (name, k) for name, depth in analyzed.max_offset.items()
+                 for k in range(1, depth + 1))}
+    forms["probe_now"] = Now()
+    columns = {name: [] for name in forms}
+    for step, time in enumerate(model.times):
+        read, offset_read = reader.at_step(step)
+        for name, form in forms.items():
+            columns[name].append(
+                reference_eval.eval_expr(form, read, offset_read, float(time)))
+    probes = tuple(OutputDecl(name, (EvalClause(Pacing.any_event(), None, form),))
+                   for name, form in forms.items())
+    spec = replace(analyzed, spec=replace(
+        analyzed.spec, outputs=analyzed.spec.outputs + probes),
+        eval_order=analyzed.eval_order + tuple(forms))
+    return spec, EvaluationModel(model.ticks, {**model.streams, **columns},
+                                 model.quantum)
 
 
 @given(SEEDS, st.booleans(), st.booleans())
 # times in tenths, thirds and sevenths, read as tick / quantum
 @example(5, True, True)
 @settings(max_examples=60, deadline=None)
-def test_replay_matches_the_model_and_the_reference_reader(seed, annotate,
-                                                          off_grid):
+def test_the_walk_matches_the_model_and_the_reference_reader(seed, annotate,
+                                                             off_grid):
     analyzed, tr, events = _generated(seed, annotate, off_grid)
     times = [e.time for e in events]
     for spec in (analyzed, tr.plain):
@@ -149,18 +186,16 @@ def test_replay_matches_the_model_and_the_reference_reader(seed, annotate,
         assert model.times == times
         assert model.quantum == math.lcm(*(t.denominator for t in times))
         inputs = spec.spec.input_names()
-        reader = ModelReader(model)
-        steps = []
-        for step, present, read, offset_read, now in replay(spec, model):
-            steps.append(step)
-            assert present == present_inputs(model, inputs, step)
-            assert now == float(times[step])
-            _, reference = reader.at_step(step)
-            for name, column in model.streams.items():
-                assert read(name) is column[step]
-                for k in range(1, spec.max_offset[name] + 1):
-                    assert offset_read(name, k) is reference(name, k), (name, k)
-        assert steps == list(range(len(model)))
+        violations = []
+        masks = [present for present, _ in walk_model(spec, model, violations)]
+        assert violations == []
+        assert masks == [
+            sum(1 << i for i, name in enumerate(inputs)
+                if name in present_inputs(model, inputs, step))
+            for step in range(len(model))]
+        # the verifier's history serves every offset the spec may read, and
+        # `now`, as the reference reader does
+        assert verify_model(*_probed(spec, model)) == []
 
 
 def test_an_absent_when_makes_the_output_absent():
@@ -293,11 +328,33 @@ def test_unactivated_outputs_cost_no_call():
     assert products == [2.0] * 3 + [3.0]
 
 
-def _same(form, env, offset_read=None, now=0.0):
-    read = env.__getitem__
-    got = compile_expr(form)(read, offset_read, now)
-    want = reference_eval.eval_expr(form, read, offset_read, now)
-    assert values_equal(got, want) and type(got) is type(want), (form, env, got, want)
+def _same(form, envs, history=None, now=0.0):
+    """`form`, the one clause of an @any output, evaluated by the generated
+    monitor at each env (input -> value, or ABSENT for none) with the
+    offsets' deques holding `history` (stream -> past values, oldest
+    first), equals the reference in value and type."""
+    history = history or {}
+    names = sorted({"z", *(n for env in envs for n in env), *history,
+                    *offset_refs(form)})
+    base = analyze(parse_spec("".join(f"input {n} : Float64\n" for n in names)
+                              + "output o := z\n"))
+    output = OutputDecl("o", (EvalClause(Pacing.any_event(), None, form),))
+    compiled = replace(base, spec=replace(base.spec, outputs=(output,)),
+                       max_offset={**base.max_offset, **offset_refs(form)}
+                       ).compiled
+
+    def offset_read(name, k):
+        past = history.get(name, ())
+        return past[-k] if len(past) >= k else None
+
+    for env in envs:
+        step = compiled.make(*(deque(history.get(n, ()), maxlen=d)
+                               for n, d in compiled.history))
+        present = {n: v for n, v in env.items() if v is not ABSENT}
+        got = step(present, now)[0]["o"]
+        want = reference_eval.eval_expr(form, env.__getitem__, offset_read, now)
+        assert values_equal(got, want) and type(got) is type(want), \
+            (form, env, got, want)
 
 
 def test_every_operator_matches_the_reference_on_edge_values():
@@ -308,26 +365,18 @@ def test_every_operator_matches_the_reference_on_edge_values():
                           (Unary("neg", a), b))]
     forms += [MinMax("min", (a, b)), MinMax("max", (a, Const(1.0), b))]
     for form in forms:
-        for x in EDGE_VALUES:
-            for y in EDGE_VALUES:
-                _same(form, {"a": x, "b": y})
+        _same(form, [{"a": x, "b": y} for x in EDGE_VALUES for y in EDGE_VALUES])
     for op in UNARY_OPS:
-        for x in EDGE_VALUES:
-            _same(Unary(op, a), {"a": x})
+        _same(Unary(op, a), [{"a": x} for x in EDGE_VALUES])
 
 
 def test_leaf_forms_match_the_reference():
-    history = {"h": 4.5}
-
-    def offset_read(name, k):
-        return history.get(name) if k == 1 else None
-
-    for x in ((1.0, -2.0), ABSENT):
-        _same(Proj(StreamRef("p"), 1), {"p": x})
+    history = {"h": [4.5]}
+    _same(Proj(StreamRef("p"), 1), [{"p": x} for x in ((1.0, -2.0), ABSENT)])
     for stream, k in (("h", 1), ("h", 2), ("g", 1)):
-        for d in (0.5, ABSENT):
-            _same(OffsetAccess(stream, k, StreamRef("d")), {"d": d}, offset_read)
-    _same(Binary("-", Now(), Const(2)), {}, now=float(Fraction(7, 2)))
+        _same(OffsetAccess(stream, k, StreamRef("d")),
+              [{"d": d} for d in (0.5, ABSENT)], history)
+    _same(Binary("-", Now(), Const(2)), [{}], now=float(Fraction(7, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +408,9 @@ def _events(rng, analyzed, n, mixed=True):
 
 # stream names that are Python keywords, names of the engine's runtime
 # (ABSENT, values_equal, len), the generator's own locals and parameters
-# (_v0, _w, _e, _bad, _c0, _h0, _p0, values, get, row, read, offset_read,
-# now), and names apart only by a suffix; `nowx` becomes `now` below,
-# since the parser reserves it
+# (_v0, _w, _e, _bad, _c0, _h0, _p0, values, get, row, now), other plain
+# names (read, offset_read), and names apart only by a suffix; `nowx`
+# becomes `now` below, since the parser reserves it
 CAPTURE = (
     "input ABSENT : Float64\ninput None : Float64\ninput nowx : Float64\n"
     "input ev : Bool\ninput x : Float64\ninput x_ : Float64\n"
@@ -387,11 +436,11 @@ CAPTURE = (
     'trigger if "if fired"\ntrigger _bad\n'
 )
 
-_GENERATED = re.compile(r"_[vpqhcrt]\d+|_w|_e|_bad|_fired|_monitor|_verifier")
+_GENERATED = re.compile(r"_[vpqhcrt]\d+|_w|_e|_g|_m|_bad|_fired|_monitor|_verifier")
 _RUNTIME_NAMES = {
     "ABSENT", "_div", "_sqrt", "_min", "_max", "_undeclared", "_inputs",
     "values_equal", "abs", "len", "values", "get", "keys", "append", "now",
-    "row", "step", "check",
+    "row", "step",
 }
 
 
@@ -416,14 +465,20 @@ def test_stream_names_cannot_capture_generated_names(seed):
     model, reports = run_events(analyzed, events)
     assert _as_tuples(triggers_from_model(analyzed, model)) == \
         _as_tuples(reports)
-    # stream names occur only as string literals
-    source = analyzed.compiled.source
-    names, strings = _source_names(source)
-    assert all(_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES for n in names), \
-        sorted(n for n in names
-               if not (_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES))
-    assert strings <= set(analyzed.spec.stream_names())
-    assert strings == set(analyzed.spec.stream_names())
+    # stream names occur only as string literals, in the monitor and in the
+    # verifier, here deciding the spec's when conditions as guards
+    guards = [(c.when, c.pacing) for o in analyzed.spec.outputs
+              for c in o.clauses if c.when is not None]
+    verifier = compile_verifier(analyzed, guards).source
+    assert verifier.count("_g |=") == len(guards) > 0
+    for source, named in ((analyzed.compiled.source, analyzed.spec.stream_names()),
+                          (verifier, analyzed.spec.output_names())):
+        names, strings = _source_names(source)
+        assert all(_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES
+                   for n in names), \
+            sorted(n for n in names
+                   if not (_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES))
+        assert strings == set(named)
 
 
 def test_the_parser_reserves_now_as_a_stream_name():
@@ -464,7 +519,7 @@ def test_constants_keep_their_value_and_type():
             [(type(v), repr(v)) for v in want], form
     assert verify_model(analyzed, model) == []
     for form in forms:
-        _same(form, {"a": -0.0})
+        _same(form, [{"a": -0.0}])
 
 
 def _nested(shape, levels):
@@ -531,14 +586,19 @@ def test_trees_deeper_than_the_caps_still_compile():
     events = _events(Random(3), analyzed, 30)
     model = _assert_matches_reference(analyzed, events)
     assert {v is ABSENT for v in model.streams["o"]} == {True, False}
+    # as an annotation guard, the conjunction and its negation hold where
+    # the reference finds it True and False, and neither where ABSENT
     reader = ModelReader(model)
-    condition = compile_expr(conjunction)
-    for step in range(len(model)):
+    a_paced = Pacing.of(["a"])
+    guards = [(conjunction, a_paced), (Unary("not", conjunction), a_paced)]
+    seen = set()
+    for step, (_, holding) in enumerate(walk_model(analyzed, model, [], guards)):
         read, offset_read = reader.at_step(step)
         now = float(model.times[step])
-        assert values_equal(
-            condition(read, offset_read, now),
-            reference_eval.eval_expr(conjunction, read, offset_read, now))
+        value = reference_eval.eval_expr(conjunction, read, offset_read, now)
+        assert holding == {True: 1, False: 2, ABSENT: 0}[value]
+        seen.add(holding)
+    assert len(seen) > 1
 
 
 def test_first_match_chains_of_many_clauses():
@@ -555,18 +615,27 @@ def test_first_match_chains_of_many_clauses():
 
 
 def test_the_generated_source_is_the_same_under_any_string_hash():
+    # the monitor's source, and the verifier's with the guards `check`
+    # gives it, which come from a schedule over a frozenset universe
     script = (
         "import hashlib\n"
         "from activemon.cli import SPEC_DIR\n"
+        "from activemon.engine import compile_verifier\n"
         "from activemon.parser import parse_spec\n"
         "from activemon.analysis import analyze\n"
+        "from activemon.schedule import DecisionOracle\n"
         "from activemon.translate import translate\n"
         "for name in ('drone_experiment', 'geofence_priority', "
         "'priority_conflict'):\n"
         "    a = analyze(parse_spec((SPEC_DIR / (name + '.lola')).read_text()))\n"
         "    for mode in ('dp', 'priority'):\n"
-        "        source = translate(a, mode).plain.compiled.source\n"
-        "        print(name, mode, hashlib.sha256(source.encode()).hexdigest())\n")
+        "        tr = translate(a, mode)\n"
+        "        guards = DecisionOracle(tr.plain, tr.schedule, 1).guards\n"
+        "        assert guards\n"
+        "        for source in (tr.plain.compiled.source,\n"
+        "                       compile_verifier(tr.plain, guards).source):\n"
+        "            print(name, mode,\n"
+        "                  hashlib.sha256(source.encode()).hexdigest())\n")
     outputs = []
     for seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -575,4 +644,4 @@ def test_the_generated_source_is_the_same_under_any_string_hash():
             [sys.executable, "-c", script], env=env, check=True,
             capture_output=True, text=True).stdout)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 12

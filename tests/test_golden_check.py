@@ -12,7 +12,7 @@ times in thirds and sevenths, and on a time map that goes backwards.
 
 The digests were recorded with the oracles reading models through
 per-stream bisect indexes (the reading of `reference_eval.ModelReader`),
-so they pin the forward replay of a model to that reading. To record them
+so they pin the forward walk of a model to that reading. To record them
 again, run `PYTHONPATH=src python3 tests/test_golden_check.py`.
 """
 

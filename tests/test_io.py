@@ -269,6 +269,23 @@ def test_trace_bad_cells_after_a_blank_line_name_their_line(tmp_path):
                               "string to float: 'x'")
 
 
+@pytest.mark.parametrize("spec,text,message", [
+    # a Bool column, and a number column with empty cells, parse a whole
+    # column at a time; a bad cell in either still names its place
+    (SPEC, "time,g,ok\n0,1.0;2.0,true\n1,,\n2,,yes\n",
+     "4:3: bad cell: invalid Bool cell 'yes'"),
+    (AB, "time,a,b\n0,1,\n1,,2\n2,x,\n",
+     "4:2: bad cell: could not convert string to float: 'x'"),
+])
+def test_bad_cells_in_column_parsed_types_name_their_place(tmp_path, spec,
+                                                           text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(SpecSyntaxError) as err:
+        read_trace(path, analyze(parse_spec(spec)))
+    assert str(err.value) == f"{path}:{message}"
+
+
 def test_trace_columns_without_samples_are_dropped(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time,a,b\n0,1,\n1,2,\n")

@@ -13,19 +13,14 @@ from hypothesis import strategies as st
 import gen_specs
 from activemon.analysis import analyze
 from activemon.ast import format_spec
-from activemon.engine import (
-    ABSENT,
-    compile_expr,
-    values_equal,
-    verify_model,
-)
+from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model
 from activemon.scheduler import run_scheduled
 from activemon.sim import TraceSource, compute_metrics
 from activemon.translate import translate
 from events import run_events
-from reference_eval import ModelReader
+from reference_eval import ModelReader, eval_expr
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -111,13 +106,12 @@ def test_region_guards_are_mutually_exclusive(seed):
         chained = [e for e in entries if e.clause_index >= 0]
         if len(chained) < 2:
             continue
-        conditions = [compile_expr(e.condition) for e in chained]
         for step in range(len(model)):
             read, offset_read = reader.at_step(step)
             now = float(model.time_at(step))
             hits = sum(
-                1 for cond in conditions
-                if cond(read, offset_read, now) is True)
+                1 for e in chained
+                if eval_expr(e.condition, read, offset_read, now) is True)
             assert hits <= 1
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import gen_specs
 from activemon.analysis import analyze
+from activemon.engine import walk_model
 from activemon.errors import MixedAnnotationKinds, PreconditionViolation
 from activemon.io import write_model
 from activemon.parser import parse_spec
@@ -26,7 +28,7 @@ from activemon.sim import FlightScenario, TraceSource, generate_flight
 from activemon.translate import translate
 from events import Event, run_events
 from reference_eval import present_inputs
-from reference_oracle import ReferenceOracle
+from reference_oracle import ReferenceOracle, reference_violations
 
 GL = "gps_lat_long"
 GA = "gps_altitude"
@@ -196,18 +198,43 @@ output y := b
 """
 
 
+def stream_oracle(analyzed, schedule, model):
+    """Feed a model to a `DecisionOracle` one step at a time, as
+    `check_scheduled_model` does, and record per step the satisfied set,
+    the overdue flags (priority modes) and the sticky current values, and
+    per step but the last the obliged tasks and every task's verdict."""
+    oracle = DecisionOracle(analyzed, schedule, model.quantum)
+    ticks = model.ticks
+    record = SimpleNamespace(oracle=oracle, sat_sets=[], overdue=[],
+                             current=[], obliged=[], verdicts=[])
+    walk = walk_model(analyzed, model, [], oracle.guards)
+    for step, (present, holding) in enumerate(walk):
+        nxt = ticks[step + 1] if step + 1 < len(ticks) else None
+        obliged = oracle.decide(ticks[step], present, holding, nxt)
+        if step:
+            record.obliged.append(obliged)
+            record.verdicts.append(
+                {t: "Y" if t in obliged else "M" for t in oracle.tasks})
+        else:
+            assert obliged == []
+        record.sat_sets.append(oracle.satisfied)
+        record.overdue.append(dict(zip(oracle.tasks, map(bool, oracle.overdue))))
+        record.current.append(dict(zip(oracle.tasks, oracle.current)))
+    return record
+
+
 def oracle_for(text, mode, events):
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, mode)
     model = run_events(analyzed, events)[0]
-    return DecisionOracle(analyzed, sched, model), sched, model, analyzed
+    return stream_oracle(analyzed, sched, model), sched, model, analyzed
 
 
 def test_priority_inversion_is_flagged():
     events = [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
               Event(Fraction(1), {"b": 2.0})]
     oracle, sched, model, analyzed = oracle_for(PRIORITY_PAIR, "priority", events)
-    verdicts = oracle.decide(0)
+    verdicts = oracle.verdicts[0]
     assert verdicts[frozenset({"a"})] == "Y"
     assert verdicts[frozenset({"a", "b"})] == "Y"
     assert verdicts[frozenset({"b"})] == "M"
@@ -220,7 +247,7 @@ def test_priority_serving_the_higher_task_is_clean():
     events = [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
               Event(Fraction(1), {"a": 2.0})]
     oracle, sched, model, analyzed = oracle_for(PRIORITY_PAIR, "priority", events)
-    assert all(v == "M" for v in oracle.decide(0).values())
+    assert all(v == "M" for v in oracle.verdicts[0].values())
     assert check_scheduled_model(analyzed, sched, 2, model) == []
 
 
@@ -248,8 +275,8 @@ def test_dp_staleness_claims_the_starved_task():
     oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
     # x was last served at 0; strictly past its 2s bound only at t=3,
     # and y is freshly satisfied there
-    assert oracle.decide(1)[frozenset({"x"})] == "M"
-    assert oracle.decide(2)[frozenset({"x"})] == "Y"
+    assert oracle.verdicts[1][frozenset({"x"})] == "M"
+    assert oracle.verdicts[2][frozenset({"x"})] == "Y"
     violations = check_scheduled_model(analyzed, sched, 1, model)
     assert {(v.task, v.step) for v in violations} == {(("x",), 3)}
 
@@ -269,8 +296,8 @@ def test_deadline_window_extrapolates_past_the_model():
         [Event(Fraction(t), {"y": 1.0}) for t in range(1, 4)]
     oracle, sched, model, analyzed = oracle_for(DEADLINE_PAIR, "deadline", events)
     x = frozenset({"x"})
-    assert oracle.decide(1)[x] == "M"  # refresh can still happen at t=3
-    assert oracle.decide(2)[x] == "Y"
+    assert oracle.verdicts[1][x] == "M"  # refresh can still happen at t=3
+    assert oracle.verdicts[2][x] == "Y"
     violations = check_scheduled_model(analyzed, sched, 2, model)
     assert {(v.task, v.step) for v in violations} == \
         {(("x",), 3), (("x", "y"), 3)}
@@ -302,9 +329,9 @@ def test_priority_tie_is_not_a_witness():
     events = [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
               Event(Fraction(1), {"b": 2.0})]
     oracle, sched, model, analyzed = oracle_for(text, "priority", events)
-    assert oracle.current[frozenset({"a"})][0] == \
-        oracle.current[frozenset({"b"})][0]
-    assert all(v == "M" for v in oracle.decide(0).values())
+    assert oracle.current[0][frozenset({"a"})] == \
+        oracle.current[0][frozenset({"b"})]
+    assert all(v == "M" for v in oracle.verdicts[0].values())
     assert check_scheduled_model(analyzed, sched, 2, model) == []
 
 
@@ -313,8 +340,8 @@ def test_dp_overdue_without_a_fresh_satisfied_task_is_free():
     # y, so nothing satisfied at step 1 is fresh and nothing is obliged
     events = [Event(Fraction(0), {"x": 1.0}), Event(Fraction(3), {"x": 2.0})]
     oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
-    assert all(oracle.overdue_at(1).values())
-    assert all(v == "M" for v in oracle.decide(0).values())
+    assert all(oracle.overdue[1].values())
+    assert all(v == "M" for v in oracle.verdicts[0].values())
     assert check_scheduled_model(analyzed, sched, 1, model) == []
 
 
@@ -323,11 +350,11 @@ def test_dp_task_never_served_since_step_0_is_overdue_throughout():
     oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
     x, y, xy = frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})
     for step in range(4):
-        over = oracle.overdue_at(step)
+        over = oracle.overdue[step]
         assert over[y]
         # the union is refreshed by its tracked subtask x from step 1 on
         assert over[xy] == over[x] == (step == 0)
-    assert all(oracle.decide(step)[y] == "Y" for step in range(3))
+    assert all(oracle.verdicts[step][y] == "Y" for step in range(3))
     violations = check_scheduled_model(analyzed, sched, 1, model)
     assert {(v.task, v.step) for v in violations} == \
         {(("y",), 1), (("y",), 2), (("y",), 3)}
@@ -340,16 +367,16 @@ def test_dp_bound_without_a_tracked_subtask_is_always_overdue():
     sched = build_static_schedule(analyzed, "dp")
     sched = replace(sched, tracked=frozenset({frozenset({"x"})}))
     model = run_events(analyzed, events)[0]
-    oracle = DecisionOracle(analyzed, sched, model)
+    oracle = stream_oracle(analyzed, sched, model)
     reference = ReferenceOracle(analyzed, sched, model)
     y = frozenset({"y"})
     assert sched.bounds[y] is not None
     for step in range(3):
-        assert oracle.overdue_at(step)[y]
-        assert oracle.overdue_at(step) == \
+        assert oracle.overdue[step][y]
+        assert oracle.overdue[step] == \
             {t: reference.overdue(t, step) for t in sched.universe}
     for step in range(2):
-        assert oracle.decide(step) == reference.decide(step)
+        assert oracle.verdicts[step] == reference.decide(step)
 
 
 def test_check_lists_violations_by_step_then_sorted_task(tmp_path):
@@ -379,10 +406,13 @@ def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
     tr = translate(analyzed, "dp")
     trace = generate_flight(FlightScenario(seed=3, duration=10.0))
     model = run_scheduled(tr, TraceSource(trace), 10, 2).model
-    oracle = DecisionOracle(tr.plain, tr.schedule, model)
+    oracle = stream_oracle(tr.plain, tr.schedule, model)
     expected = sorted(tr.schedule.universe, key=task_key)
-    assert all(list(oracle.decide(step)) == expected
-               for step in range(len(model) - 1))
+    assert oracle.oracle.tasks == expected
+    assert all(list(verdicts) == expected for verdicts in oracle.verdicts)
+    assert len(oracle.verdicts) == len(model) - 1
+    assert all(obliged == sorted(obliged, key=task_key)
+               for obliged in oracle.obliged)
 
 
 def _differential_models(seed, mode, off_grid=False):
@@ -417,12 +447,38 @@ def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
     for tr, model in _differential_models(seed, mode, off_grid):
         if len(model) < 2:
             continue
-        oracle = DecisionOracle(tr.plain, tr.schedule, model)
+        oracle = stream_oracle(tr.plain, tr.schedule, model)
         reference = ReferenceOracle(tr.plain, tr.schedule, model)
         assert oracle.sat_sets == reference.sat_sets
-        assert oracle.sat_steps == reference.sat_steps
+        for step in range(len(model)):
+            if mode != "deadline":
+                assert oracle.current[step] == \
+                    {t: reference.current[t][step] for t in oracle.oracle.tasks}
+            if mode == "dp":
+                assert oracle.overdue[step] == \
+                    {t: reference.overdue(t, step) for t in oracle.oracle.tasks}
         for step in range(len(model) - 1):
-            assert oracle.decide(step) == reference.decide(step)
+            assert oracle.verdicts[step] == reference.decide(step)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_check_matches_the_reference_violation_list(seed, mode, off_grid):
+    # some output cells take another step's value of their column, and a
+    # time may repeat the one before, so every kind of violation shows
+    rng = Random(-seed)
+    for tr, model in _differential_models(seed, mode, off_grid):
+        outputs = tr.plain.spec.output_names()
+        for _ in range(rng.randint(0, 3)):
+            column = model.streams[rng.choice(outputs)]
+            column[rng.randrange(len(column))] = rng.choice(column)
+        if len(model) > 1 and rng.random() < 0.2:
+            k = rng.randrange(1, len(model))
+            model.ticks[k] = model.ticks[k - 1]
+        for bound in (1, 2):
+            assert check_scheduled_model(tr.plain, tr.schedule, bound, model) \
+                == reference_violations(tr.plain, tr.schedule, bound, model)
 
 
 def valid_tasks(universe: frozenset, model, inputs, step: int,
