@@ -137,7 +137,8 @@ def cmd_run(args) -> int:
                               fingerprint=trace_fingerprint(trace))
     _emit(run, tr.plain, metrics, args.out_dir)
     if args.out_dir:
-        write_plan_log(Path(args.out_dir) / "plans.jsonl", run.plans, tr.mode)
+        write_plan_log(Path(args.out_dir) / "plans.jsonl", run.plans, tr.mode,
+                       tr.schedule.inputs)
     return 0
 
 

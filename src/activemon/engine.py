@@ -36,7 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import (
@@ -136,8 +136,9 @@ def check_steps(count: int, what: str) -> None:
                            f"cap of {MAX_STEPS}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """One finding of a check; a tuple, cheap to build in the thousands."""
+
     kind: str  # semantic | schedule | bandwidth
     step: int
     time: object

@@ -28,6 +28,7 @@ from .analysis import AnalyzedSpec
 from .ast import BOOL, INT64, UINT64, TupleType, Type
 from .engine import ABSENT, EvaluationModel, TriggerReport
 from .errors import NonMonotonicTime, SpecSyntaxError
+from .schedule import task_key
 from .sim import SensorTrace, tick_array
 
 BLOCK_ROWS = 1024  # CSV rows parsed per block
@@ -350,8 +351,9 @@ def violation_lines(violations):
         yield f'{head}{v.step}, "time": {text}, {tail}\n'
 
 
-def write_plan_log(path, plans, mode) -> None:
-    """Per-event audit records {time, queried, selected, mode}."""
+def write_plan_log(path, plans, mode, inputs) -> None:
+    """Per-event audit records {time, queried, selected, mode}; `inputs`
+    names the bits of the selected tasks."""
     tails: dict = {}  # (queried, selected) -> the record after its time
     with open(path, "w", encoding="utf-8") as fh:
         for p in plans:
@@ -359,8 +361,8 @@ def write_plan_log(path, plans, mode) -> None:
             if tail is None:
                 tail = tails[p.flat, p.selected] = json.dumps({
                     "queried": sorted(p.flat),
-                    "selected": [sorted(task) for task in
-                                 sorted(p.selected, key=sorted)],
+                    "selected": sorted(list(task_key(task, inputs))
+                                       for task in p.selected),
                     "mode": mode,
                 })[1:]
             fh.write(f'{{"time": {float(p.time)!r}, {tail}\n')

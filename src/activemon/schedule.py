@@ -1,19 +1,36 @@
 """Static scheduling tables and the per-step obligation oracle.
 
-Turns the annotations of an analyzed specification into a per-task table
-of (condition, value) regions, each the conjunction of annotation guards,
-and answers, one step of a finished run at a time, which tasks the
-scheduler was obliged to satisfy. `check_scheduled_model` walks the model
-once through the verifier, which decides each distinct guard behind its
-pacing flag, and feeds every step to a `DecisionOracle`, whose state does
-not grow with the run.
+A task is a nonempty set of input streams queried together, kept as an
+`int` bit mask over the inputs in declaration order: bit i is input i, the
+bit order of the present mask that the verifier yields. A task is
+satisfied under the present inputs p when `task & ~p == 0`, and two tasks
+unite as `a | b`.
+
+Each annotated stream has a chain of guarded entries, and the chain
+contributes to every task that contains the stream's pacing, its direct
+task. Only direct tasks get a literal region table: the product of their
+contributing chains, each region the conjunction of its entries' guards,
+which `translate` turns into `schedule_*` helpers. Every other task follows
+by rule from its contributing chains. A product region holds exactly when
+each of its guards holds, so a task has a holding region exactly when each
+contributing chain has a holding entry, and its most restrictive holding
+region has the max (in deadline mode, the min) of those chains' most
+restrictive holding values. A task's staleness bound is the least deadline
+among the annotations that contribute to it.
+
+`check_scheduled_model` walks the model once through the verifier, which
+decides each distinct guard behind its pacing flag, and feeds every step to
+a `DecisionOracle`. The oracle's state does not grow with the run, and a
+step visits only the tasks it can oblige.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
@@ -21,8 +38,9 @@ from .ast import Expr, Pacing, conjoin
 from .engine import EvaluationModel, Violation, walk_model
 from .errors import MixedAnnotationKinds, PreconditionViolation
 
-# a task is a nonempty set of input streams queried together
-Task = frozenset
+# a task is a nonempty set of input streams queried together, as a bit mask
+# over the inputs in declaration order
+Task = int
 
 MODE_DEADLINE = "deadline"
 MODE_PRIORITY = "priority"
@@ -30,18 +48,47 @@ MODE_DP = "dp"
 MODES = (MODE_DEADLINE, MODE_PRIORITY, MODE_DP)
 
 
-def task_key(task: Task) -> tuple:
-    """Deterministic sort key; shorter tasks precede their supersets."""
-    return tuple(sorted(task))
+def task_of(names, inputs) -> Task:
+    """The task of a collection of input names."""
+    return sum(1 << i for i, name in enumerate(inputs) if name in names)
 
 
-def format_task(task: Task) -> str:
-    return "{" + ",".join(sorted(task)) + "}"
+def task_names(task: Task, inputs) -> list:
+    """The inputs of a task, in declaration order."""
+    return [name for i, name in enumerate(inputs) if task >> i & 1]
+
+
+def task_key(task: Task, inputs) -> tuple:
+    """Deterministic sort key, the task's sorted input names; shorter tasks
+    precede their supersets."""
+    return tuple(sorted(task_names(task, inputs)))
+
+
+def format_task(task: Task, inputs) -> str:
+    return "{" + ",".join(task_key(task, inputs)) + "}"
+
+
+def submasks(keys, mask: int):
+    """The keys of `keys` (bit masks, zero allowed) that lie inside `mask`:
+    found through the submasks of `mask` when they are fewer than the keys,
+    else through the keys."""
+    if 1 << mask.bit_count() <= len(keys):
+        sub = mask
+        while True:
+            if sub in keys:
+                yield sub
+            if not sub:
+                return
+            sub = (sub - 1) & mask
+    else:
+        for key in keys:
+            if not key & ~mask:
+                yield key
 
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One region of a task's schedule table.
+    """One region of a direct task's schedule table.
 
     ``condition`` holds under ``pacing``; while it is the most recently
     satisfied region, ``value`` is the task's current priority (int) or
@@ -58,12 +105,16 @@ class ScheduleEntry:
 @dataclass(frozen=True)
 class StaticSchedule:
     mode: str
+    inputs: tuple  # input names; bit i of a task is inputs[i]
     universe: frozenset
     direct: tuple  # direct tasks, declaration order
-    entries: dict  # Task -> tuple[ScheduleEntry, ...], most restrictive first
+    entries: dict  # direct Task -> tuple[ScheduleEntry, ...], most restrictive first
+    # per direct task, the chains of the streams paced on it that carry a
+    # value in this mode, each a tuple of ((stream, clause index), value)
+    chains: tuple
+    inside: dict  # Task -> mask with bit k set when direct[k] lies inside it
     bounds: dict  # Task -> Optional[Fraction], per-task staleness deadline
     tracked: frozenset  # direct tasks whose last satisfaction is observable
-    joint: dict  # Task -> frozenset[Task], direct tasks covering its regions
     # (stream, clause index) -> (condition, pacing) of each region source,
     # in stream order
     guards: dict
@@ -71,6 +122,21 @@ class StaticSchedule:
     def restrictive(self) -> Callable[[list], object]:
         """Combine same-step region values to the most restrictive one."""
         return min if self.mode == MODE_DEADLINE else max
+
+    def key(self, task: Task) -> tuple:
+        return task_key(task, self.inputs)
+
+    @cached_property
+    def ordered(self) -> tuple:
+        """The universe in task_key order."""
+        return tuple(sorted(self.universe, key=self.key))
+
+    def joint(self, task: Task) -> tuple:
+        """The direct tasks whose chains contribute to a task's regions, in
+        declaration order; empty when it has no regions."""
+        inside = self.inside[task]
+        return tuple(sub for k, sub in enumerate(self.direct)
+                     if inside >> k & 1 and self.chains[k])
 
 
 def union_closure(base: set) -> frozenset:
@@ -84,14 +150,15 @@ def union_closure(base: set) -> frozenset:
 
 def build_task_universe(analyzed: AnalyzedSpec) -> frozenset:
     """Union closure of clause pacings and annotated-input singletons."""
+    inputs = analyzed.spec.input_names()
     base: set = set()
     for out in analyzed.spec.outputs:
         for clause in out.clauses:
             if clause.pacing is not None and not clause.pacing.is_any:
-                base.add(frozenset(clause.pacing.inputs))
-    for inp in analyzed.spec.inputs:
+                base.add(task_of(clause.pacing.inputs, inputs))
+    for i, inp in enumerate(analyzed.spec.inputs):
         if inp.annotation is not None and not inp.annotation.is_empty():
-            base.add(frozenset({inp.name}))
+            base.add(1 << i)
     return union_closure(base)
 
 
@@ -102,7 +169,7 @@ def _stream_order(analyzed: AnalyzedSpec) -> list:
 
 
 def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
-    """Derive the per-task region table for one scheduling mode.
+    """Derive the per-task scheduling data for one scheduling mode.
 
     Deadline mode consumes deadline annotations and rejects priorities;
     the priority-based modes consume priorities, allow deadlines on
@@ -135,8 +202,10 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
                         f"'{name}' puts a deadline on an output clause; "
                         "priority-based modes take deadlines on inputs only")
 
-    # region values for this mode, per stream
-    chains: dict = {}
+    inputs = tuple(analyzed.spec.input_names())
+    # per annotated stream, in stream order: its direct task (the pacing of
+    # its first entry) and its entries with their values in this mode
+    streams: list = []
     for name in _stream_order(analyzed):
         chain = ann.get(name)
         if not chain:
@@ -145,36 +214,34 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
             kept = [(e, e.deadline) for e in chain if e.deadline is not None]
         else:
             kept = [(e, e.priority) for e in chain if e.priority is not None]
-        if kept:
-            chains[name] = kept
+        streams.append((task_of(chain[0].pacing.inputs, inputs), chain, kept))
 
     universe = build_task_universe(analyzed)
+    direct = tuple(dict.fromkeys(task for task, _, _ in streams))
+    chains: list = [[] for _ in direct]
+    deadlines: list = [[] for _ in direct]
+    for task, chain, kept in streams:
+        k = direct.index(task)
+        if kept:
+            chains[k].append(
+                tuple(((e.source, e.clause_index), v) for e, v in kept))
+        deadlines[k] += [e.deadline for e in chain if e.deadline is not None]
 
-    direct: list = []
-    for name in _stream_order(analyzed):
-        if name in ann and ann[name]:
-            task = frozenset(ann[name][0].pacing.inputs)
-            if task and task not in direct:
-                direct.append(task)
-
+    # the regions of direct tasks, as the literal product of their
+    # contributing chains
     combine = min if mode == MODE_DEADLINE else max
     entries: dict = {}
-    joint: dict = {}
-    for task in universe:
-        contributors = [
-            name for name in chains
-            if ann[name][0].pacing.inputs <= task
-        ]
+    for task in direct:
+        contributing = [kept for sub, _, kept in streams
+                        if kept and not sub & ~task]
         regions = []
         # product of zero chains would yield one degenerate empty region
-        for combo in itertools.product(*(chains[n] for n in contributors)) \
-                if contributors else ():
-            condition = conjoin([e.condition for e, _ in combo])
+        for combo in itertools.product(*contributing) if contributing else ():
             pacing_inputs: set = set()
             for e, _ in combo:
                 pacing_inputs |= e.pacing.inputs
             regions.append(ScheduleEntry(
-                condition=condition,
+                condition=conjoin([e.condition for e, _ in combo]),
                 pacing=Pacing.of(pacing_inputs),
                 value=combine(v for _, v in combo),
                 sources=tuple((e.source, e.clause_index) for e, _ in combo),
@@ -182,50 +249,53 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
         reverse = mode != MODE_DEADLINE  # high priority first, short deadline first
         regions.sort(key=lambda r: r.value, reverse=reverse)
         entries[task] = tuple(regions)
-        joint[task] = frozenset(
-            frozenset(ann[n][0].pacing.inputs) for n in contributors)
 
+    # every task by rule: the direct tasks inside it, and the least deadline
+    # among their annotations, or the default if none has one; the direct
+    # tasks are tried least deadline first, so the first inside gives it
+    by_deadline = sorted(
+        ((sub, 1 << k, min(d) if d else None)
+         for k, (sub, d) in enumerate(zip(direct, deadlines))),
+        key=lambda x: (x[2] is None, x[2] or 0))
+    inside: dict = {}
     bounds: dict = {}
     for task in universe:
-        if mode == MODE_PRIORITY:
-            bounds[task] = None
-            continue
-        cands = [
-            e.deadline
-            for name, chain in ann.items()
-            if chain and chain[0].pacing.inputs <= task
-            for e in chain
-            if e.deadline is not None
-        ]
-        if cands:
-            bounds[task] = min(cands)
-        elif default_deadline is not None and any(
-                chain and chain[0].pacing.inputs <= task
-                for chain in ann.values()):
-            bounds[task] = default_deadline
-        else:
-            bounds[task] = None
+        mask = 0
+        bound = None
+        for sub, bit, least in by_deadline:
+            if not sub & ~task:
+                if not mask and mode != MODE_PRIORITY:
+                    bound = default_deadline if least is None else least
+                mask |= bit
+        inside[task] = mask
+        bounds[task] = bound
 
+    valued = sum(1 << k for k, c in enumerate(chains) if c)
     tracked = frozenset(
         t for t in direct
-        if entries.get(t) or (mode != MODE_PRIORITY and bounds.get(t) is not None)
+        if inside[t] & valued
+        or (mode != MODE_PRIORITY and bounds[t] is not None)
     )
 
     return StaticSchedule(
         mode=mode,
+        inputs=inputs,
         universe=universe,
-        direct=tuple(direct),
+        direct=direct,
         entries=entries,
+        chains=tuple(tuple(c) for c in chains),
+        inside=inside,
         bounds=bounds,
         tracked=tracked,
-        joint=joint,
         guards={(e.source, e.clause_index): (e.condition, e.pacing)
-                for kept in chains.values() for e, _ in kept},
+                for _, _, kept in streams for e, _ in kept},
     )
 
 
 # ---------------------------------------------------------------------------
 # per-step obligations
+
+_NOTHING = (frozenset(), ())  # no task is overdue, in order
 
 
 class DecisionOracle:
@@ -238,19 +308,27 @@ class DecisionOracle:
     The state is O(tasks) and does not grow with the run: the sticky current
     value of each task (the most restrictive value among its regions that
     held at the last step where any did), the tick of each tracked task's
-    last satisfaction and, in deadline mode, each task's expiry. That is
-    the least, over the task's regions, of a region's first onset since the
-    task's last satisfaction (that step included) plus the region's
-    deadline; a later onset of the same region cannot expire sooner, so
-    this one number decides the deadline rule. A region holds exactly when
-    every guard named in its sources holds, and each distinct guard is one
-    bit of the `holding` mask that the verifier computes for `guards`.
+    last satisfaction and, in deadline mode, each pending task's expiry.
+    That is the least, over the task's regions, of a region's first onset
+    since the task's last satisfaction (that step included) plus the
+    region's deadline; a later onset of the same region cannot expire
+    sooner, so this one number decides the deadline rule. A region holds
+    exactly when every guard named in its sources holds, and each distinct
+    guard is one bit of the `holding` mask that the verifier computes for
+    `guards`.
+
+    A step visits only the tasks that it can oblige or change: the
+    satisfied ones, the overdue ones, those whose current value lies above
+    the floor of the fresh satisfied tasks (the tasks are kept in buckets
+    by current value), those with a holding region and, in deadline mode,
+    the pending ones. Only the tasks it returns are put in task_key order.
     """
 
     def __init__(self, analyzed: AnalyzedSpec, schedule: StaticSchedule,
                  quantum: int):
         self.schedule = schedule
         self.deadline = schedule.mode == MODE_DEADLINE
+        self.combine = schedule.restrictive()
         period = analyzed.config.period
         # exact time in ticks on a quantum that holds both the model's times
         # (on `quantum`) and the period, so that steps past the end are
@@ -258,97 +336,138 @@ class DecisionOracle:
         self.quantum = math.lcm(quantum, period.denominator)
         self.scale = self.quantum // quantum
         self.period_ticks = int(period * self.quantum)
-        self.inputs = analyzed.spec.input_names()
-        # every per-step verdict and violation follows this one order
-        self.tasks = sorted(schedule.universe, key=task_key)
 
-        # the distinct guards, in schedule order, and per task with regions
-        # its position and (guard mask, value) per region; in deadline mode
-        # the value is the deadline in whole ticks, since an age in ticks is
-        # an integer, so age > d exactly when age > floor(d * quantum)
+        # the distinct guards, in schedule order, and per direct task k its
+        # chains of (guard bit, value); in deadline mode the value is the
+        # deadline in whole ticks, since an age in ticks is an integer, so
+        # age > d exactly when age > floor(d * quantum)
         self.guards = list(dict.fromkeys(schedule.guards.values()))
         bit = {guard: 1 << i for i, guard in enumerate(self.guards)}
-        self.regions = [
-            (pos, [(sum({bit[schedule.guards[s]] for s in e.sources}),
-                    self._floor_ticks(e.value) if self.deadline else e.value)
-                   for e in chain])
-            for pos, task in enumerate(self.tasks)
-            if (chain := schedule.entries.get(task))]
+        self.chains = [
+            [[(bit[schedule.guards[s]],
+               self._floor_ticks(v) if self.deadline else v) for s, v in chain]
+             for chain in chains]
+            for chains in schedule.chains]
+        valued = sum(1 << k for k, c in enumerate(schedule.chains) if c)
+        # the tracked tasks as (bit k of direct task k, task)
+        self.tracked = [(1 << k, t) for k, t in enumerate(schedule.direct)
+                        if t in schedule.tracked]
+        tracked = sum(b for b, _ in self.tracked)
 
-        # staleness: the distinct bounds, and per task its position, its
-        # bound's index and the tracked subtasks whose satisfaction
-        # refreshes it (a tuple, which is smaller than a set); an age <= b
-        # exactly when age <= floor(b * quantum)
-        bounds = sorted({b for b in schedule.bounds.values() if b is not None})
-        index = {b: i for i, b in enumerate(bounds)}
-        self.bound_ticks = [self._floor_ticks(b) for b in bounds]
-        self.staleness = [
-            (pos, index[schedule.bounds[task]],
-             tuple(t for t in schedule.tracked if t <= task))
-            for pos, task in enumerate(self.tasks)
-            if schedule.bounds.get(task) is not None
-        ]
+        # the tasks with regions by the mask of their contributing direct
+        # tasks; per staleness bound in whole ticks (age <= b exactly when
+        # age <= floor(b * quantum)), the bounded tasks by the mask of their
+        # tracked subtasks, whose satisfaction refreshes them
+        self.by_joint: dict = {}
+        stale: dict = {}
+        # id of a bound -> the bound in whole ticks; the bounds are a few
+        # shared objects, and hashing a Fraction for every task is slow
+        ticks: dict = {}
+        for task, inside in schedule.inside.items():
+            if inside & valued:
+                self.by_joint.setdefault(inside & valued, []).append(task)
+            b = schedule.bounds[task]
+            if b is not None:
+                if id(b) not in ticks:
+                    ticks[id(b)] = self._floor_ticks(b)
+                stale.setdefault(ticks[id(b)], {}).setdefault(
+                    inside & tracked, []).append(task)
+        self.bound_ticks = sorted(stale)
+        self.stale = [stale[b] for b in self.bound_ticks]
 
         self.tick: Optional[int] = None  # of the last step fed
-        self.current: list = [None] * len(self.tasks)
-        self.expiry: list = [None] * len(self.tasks)
-        self.last: dict = {}  # tracked task -> tick of its last satisfaction
+        self.current: dict = {}  # task -> current value, priority modes
+        self.buckets: dict = {}  # current value -> its tasks
+        self.expiry: dict = {}  # task -> expiry tick, deadline mode
+        # tick of the last satisfaction of each tracked task, None if never
+        self.last: list = [None] * len(self.tracked)
         self.satisfied: frozenset = frozenset()  # at the last step fed
-        # at the last step fed, in the priority modes
-        self.overdue = bytes(len(self.tasks))
+        self.overdue: frozenset = frozenset()  # at the last step fed
         # shared by every step with the same key
         self._sat: dict = {}  # present mask -> satisfied tasks
-        self._holds: dict = {}  # holding mask -> (position, value) of tasks
-        self._overdue: dict = {}  # fresh subtasks per bound -> overdue flags
+        self._holds: dict = {}  # holding mask -> (task, value) pairs
+        # fresh subtasks per bound -> [overdue tasks, the same in order]
+        self._overdue: dict = {}
+        self.keys: dict = {}  # task -> task_key, of every task returned
 
     def _floor_ticks(self, seconds) -> int:
         return math.floor(seconds * self.quantum)
 
+    def _in_order(self, tasks) -> list:
+        """Tasks in task_key order, their keys kept in `keys`."""
+        keys = self.keys
+        for task in tasks:
+            if task not in keys:
+                keys[task] = self.schedule.key(task)
+        return sorted(tasks, key=keys.__getitem__)
+
     def _satisfied(self, present: int) -> tuple:
-        """(satisfied tasks, their positions, the tracked ones) under a mask
-        of present inputs."""
+        """(satisfied tasks, indices of the tracked ones) under a mask of
+        present inputs."""
         got = self._sat.get(present)
         if got is None:
-            inputs = frozenset(name for i, name in enumerate(self.inputs)
-                               if present >> i & 1)
-            positions = [pos for pos, t in enumerate(self.tasks) if t <= inputs]
-            sat = frozenset(self.tasks[pos] for pos in positions)
-            got = self._sat[present] = (sat, positions,
-                                        sat & self.schedule.tracked)
+            got = self._sat[present] = (
+                frozenset(submasks(self.schedule.universe, present)),
+                [j for j, (_, t) in enumerate(self.tracked)
+                 if not t & ~present])
         return got
 
     def _holding(self, holding: int) -> list:
-        """(position, most restrictive value) of each task some region of
-        which holds under a mask of holding guards."""
+        """(task, most restrictive value) of each task some region of which
+        holds under a mask of holding guards, by rule: each of the task's
+        contributing chains has a holding entry, and the value combines the
+        chains' most restrictive holding values."""
         got = self._holds.get(holding)
         if got is None:
-            combine = self.schedule.restrictive()
-            got = self._holds[holding] = [
-                (pos, combine(hold))
-                for pos, regions in self.regions
-                if (hold := [v for m, v in regions if holding & m == m])]
+            combine = self.combine
+            values: dict = {}  # bit of a contributing direct task -> value
+            for k, chains in enumerate(self.chains):
+                held = []
+                for chain in chains:
+                    hold = [v for m, v in chain if holding & m]
+                    if not hold:
+                        break
+                    held.append(combine(hold))
+                else:
+                    if held:
+                        values[1 << k] = combine(held)
+            got = []
+            for mask in submasks(self.by_joint, sum(values)):
+                value = combine(v for b, v in values.items() if mask & b)
+                got += [(task, value) for task in self.by_joint[mask]]
+            self._holds[holding] = got
         return got
 
-    def _overdue_flags(self, now: int) -> bytes:
-        """One byte per task: whether it is stale at tick `now`. A bounded
-        task is overdue unless one of its tracked subtasks was last
-        satisfied within its bound. The flags depend only on the fresh
-        subtasks per bound, so they are built once per distinct tuple of
-        those."""
-        fresh = tuple(frozenset(sub for sub, last in self.last.items()
-                                if now - last <= bound)
-                      for bound in self.bound_ticks)
-        over = self._overdue.get(fresh)
-        if over is None:
-            flags = bytearray(len(self.tasks))
-            for pos, i, subs in self.staleness:
-                flags[pos] = fresh[i].isdisjoint(subs)
-            over = self._overdue[fresh] = bytes(flags)
-        return over
+    def _overdue_at(self, now: int) -> list:
+        """[the tasks that are stale at tick `now`, the same in task_key
+        order once asked for]; none in priority mode, which sets no
+        staleness bounds. A bounded task is overdue unless one of its
+        tracked subtasks was last satisfied within its bound. The tasks
+        depend only on the fresh subtasks per bound, which the index of the
+        least bound that each tracked task is fresh for decides, so they are
+        found once per distinct tuple of those indices."""
+        bounds = self.bound_ticks
+        if not bounds:
+            return _NOTHING
+        never = len(bounds)
+        fresh = tuple(never if last is None else bisect_left(bounds, now - last)
+                      for last in self.last)
+        got = self._overdue.get(fresh)
+        if got is None:
+            every = sum(b for b, _ in self.tracked)
+            tasks = []
+            for i, groups in enumerate(self.stale):
+                stale = every & ~sum(b for (b, _), least in
+                                     zip(self.tracked, fresh) if least <= i)
+                tasks += (task for subs in submasks(groups, stale)
+                          for task in groups[subs])
+            got = self._overdue[fresh] = [frozenset(tasks), None]
+        return got
 
     def decide(self, tick: int, present: int, holding: int,
                next_tick: Optional[int] = None) -> list:
-        """Feed one step; return the tasks obliged at the step before.
+        """Feed one step; return the tasks obliged at the step before, in
+        task_key order.
 
         `tick` is the step's time on the model's quantum, `present` and
         `holding` the verifier's masks of present inputs and holding
@@ -358,54 +477,68 @@ class DecisionOracle:
         nothing.
         """
         tick *= self.scale
-        self.satisfied, positions, tracked = self._satisfied(present)
+        self.satisfied, tracked = self._satisfied(present)
         obliged = []
         if self.deadline:
             if self.tick is not None:
                 horizon = (tick + self.period_ticks if next_tick is None
                            else next_tick * self.scale)
-                obliged = [task for task, e in zip(self.tasks, self.expiry)
-                           if e is not None and e < horizon]
+                obliged = self._in_order([task for task, e in
+                                          self.expiry.items() if e < horizon])
         else:
-            # priority mode sets no staleness bounds: nothing is overdue
-            self.overdue = self._overdue_flags(tick)
+            over = self._overdue_at(tick)
+            self.overdue = over[0]
             if self.tick is not None:
-                obliged = self._priority(self.overdue, positions)
+                obliged = self._priority(over)
 
         # then this step's satisfactions and regions
-        for task in tracked:
-            self.last[task] = tick
+        for j in tracked:
+            self.last[j] = tick
         if self.deadline:
             expiry = self.expiry
-            for pos in positions:
-                expiry[pos] = None
-            for pos, d in self._holding(holding):
-                if expiry[pos] is None or tick + d < expiry[pos]:
-                    expiry[pos] = tick + d
+            for task in self.satisfied:
+                expiry.pop(task, None)
+            for task, d in self._holding(holding):
+                if task not in expiry or tick + d < expiry[task]:
+                    expiry[task] = tick + d
         else:
-            for pos, value in self._holding(holding):
-                self.current[pos] = value
+            current, buckets = self.current, self.buckets
+            for task, value in self._holding(holding):
+                old = current.get(task)
+                if old != value:
+                    if old is not None:
+                        buckets[old].discard(task)
+                    buckets.setdefault(value, set()).add(task)
+                    current[task] = value
         self.tick = tick
         return obliged
 
-    def _priority(self, over: bytes, positions: list) -> list:
+    def _priority(self, over: list) -> list:
         """An unserved task is obliged when a fresh satisfied task has a
         strictly lower current priority, and an overdue task is obliged as
         soon as any fresh task is satisfied."""
-        current = self.current
-        fresh = [pos for pos in positions if not over[pos]]
+        stale, sat = over[0], self.satisfied
+        fresh = [task for task in sat if task not in stale]
         if not fresh:
             return []
-        floor = min((v for pos in fresh if (v := current[pos]) is not None),
+        current = self.current
+        floor = min((v for task in fresh if (v := current.get(task)) is not None),
                     default=None)
-        sat = self.satisfied
-        return [task for task, o, p in zip(self.tasks, over, current)
-                if o or (floor is not None and p is not None and p > floor
-                         and task not in sat)]  # as is under a satisfied superset
+        # as is under a satisfied superset
+        above = [] if floor is None else [
+            task for value, group in self.buckets.items() if value > floor
+            for task in group if task not in sat]
+        if above:
+            return self._in_order(stale.union(above))
+        if over[1] is None:
+            over[1] = self._in_order(stale)
+        return list(over[1])
 
 
 # ---------------------------------------------------------------------------
 # model-level checks
+
+_MISSED = "obligated task left unsatisfied"
 
 
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
@@ -422,22 +555,19 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
     missed: list = []
     oracle = DecisionOracle(analyzed, schedule, model.quantum)
     ticks = model.ticks
-    keys = {task: task_key(task) for task in oracle.tasks}
     walk = walk_model(analyzed, model, violations, oracle.guards)
     for step, (present, holding) in enumerate(walk):
         nxt = step + 1
         obliged = oracle.decide(ticks[step], present, holding,
                                 ticks[nxt] if nxt < len(ticks) else None)
-        unserved = [task for task in obliged if task not in oracle.satisfied]
+        unserved = [task for task in obliged if task & ~present]
         width = present.bit_count()
         if unserved or width > bound:
             time = model.time_at(step)  # shared by the step's violations
             if width > bound:
                 bandwidth.append(Violation(
-                    kind="bandwidth", step=step, time=time,
-                    detail=f"{width} inputs arrive at once, bound is {bound}"))
-            missed.extend(Violation(
-                kind="schedule", step=step, time=time,
-                detail="obligated task left unsatisfied", task=keys[task])
-                for task in unserved)
+                    "bandwidth", step, time,
+                    f"{width} inputs arrive at once, bound is {bound}"))
+            missed += [Violation("schedule", step, time, _MISSED, None,
+                                 oracle.keys[task]) for task in unserved]
     return violations + bandwidth + missed

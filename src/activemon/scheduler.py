@@ -2,9 +2,14 @@
 
 Each cycle the scheduler ranks all affordable tasks by mode-specific
 urgency, packs a maximal prefix into the bandwidth budget, queries
-exactly those sensors and feeds the event to the monitor.  Urgency is
-read back from the generated ``schedule_*``/``last_*`` helper streams,
-so the loop needs no second interpretation of the annotations.
+exactly those sensors and feeds the event to the monitor.  Tasks are the
+schedule's bit masks over the inputs: a task is affordable when its
+popcount is within the bound, packing unites masks with ``|``, and the
+tasks an event satisfies are the universe's submasks of its inputs.
+Urgency is read back from the generated ``schedule_*``/``last_*`` helper
+streams of the direct tasks, and a joint task's value combines its
+sources' values when all of them fire together, so the loop needs no
+second interpretation of the annotations.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .schedule import (
     MODE_PRIORITY,
     StaticSchedule,
     format_task,
+    submasks,
     task_key,
+    task_names,
 )
 from .translate import Translation
 
@@ -38,22 +45,25 @@ class EventPlan:
     selected: frozenset  # universe tasks the event satisfies
 
 
-def take_event(ordered: list, bound: int) -> frozenset:
-    """Pack a prefix of the ranked tasks into the bandwidth budget.
+def take_event(ordered: list, bound: int) -> int:
+    """Pack a prefix of the ranked tasks into the bandwidth budget; return
+    the mask of the inputs to query.
 
     Greedy and skip-free: packing stops at the first task that does not
     fit, so a lower-ranked task can never jump an unserved higher one.
     """
-    flat: set = set()
+    flat = 0
     for task in ordered:
-        if len(flat | task) > bound:
+        union = flat | task
+        if union.bit_count() > bound:
             break
-        flat |= task
-    return frozenset(flat)
+        flat = union
+    return flat
 
 
-def selected_tasks(universe: frozenset, flat: frozenset) -> frozenset:
-    return frozenset(t for t in universe if t <= flat)
+def selected_tasks(universe: frozenset, flat: int) -> frozenset:
+    """The universe tasks inside a mask of queried inputs."""
+    return frozenset(submasks(universe, flat))
 
 
 class SchedulerState:
@@ -70,10 +80,10 @@ class SchedulerState:
     def __init__(self, translation: Translation, bound: int):
         schedule = translation.schedule
         self.universe = schedule.universe
+        self.inputs = schedule.inputs
         self.period = translation.analyzed.config.period
         self.bound = bound
-        self.working = sorted(
-            (t for t in schedule.universe if len(t) <= bound), key=task_key)
+        self.working = [t for t in schedule.ordered if t.bit_count() <= bound]
         self.deadline = schedule.mode == MODE_DEADLINE
         self.values: dict = {}  # Task -> current schedule value, exact
         self.seen: dict = {}  # working Task -> cycle of its last satisfaction
@@ -89,25 +99,27 @@ class SchedulerState:
             exact = {float(e.value) if self.deadline else e.value: e.value
                      for e in schedule.entries[task]}
             last = kinds.get("last")
-            refreshed = tuple(t for t in self.working if task <= t) if last else ()
+            refreshed = tuple(t for t in self.working if not task & ~t) \
+                if last else ()
             self._rows.append((task, kinds.get("schedule"), exact, last, refreshed))
         # each joint task under one of its sources: its value can change
         # only in a step in which all of them fired
         self._joint: dict = {}  # direct Task -> [(joint Task, sources)]
         for t in self.working:
-            if t not in direct and schedule.joint.get(t):
-                sources = schedule.joint[t]
-                self._joint.setdefault(min(sources, key=task_key), []).append(
+            sources = schedule.joint(t)
+            if t not in direct and sources:
+                self._joint.setdefault(min(sources, key=schedule.key), []).append(
                     (t, sources))
         # the static part of each rank key; the index in `working` breaks
         # ties in task_key order
         stale = schedule.mode != MODE_PRIORITY
         self._static = [
-            (i, task, bool(schedule.entries.get(task)), task in direct,
+            (i, task, bool(schedule.joint(task)), task in direct,
              schedule.bounds[task] // self.period
              if stale and schedule.bounds.get(task) is not None else None)
             for i, task in enumerate(self.working)]
-        self._selected: dict = {}  # flat -> the universe tasks it satisfies
+        # mask of queried inputs -> (their names, the tasks they satisfy)
+        self._events: dict = {}
 
     def observe(self, current: dict) -> None:
         """Fold the evaluated step of the cycle last planned into the caches."""
@@ -177,10 +189,12 @@ class SchedulerState:
         keys = self._deadline_keys() if self.deadline else self._priority_keys()
         flat = take_event([self.working[key[-1]] for key in sorted(keys)],
                           self.bound)
-        selected = self._selected.get(flat)
-        if selected is None:
-            selected = self._selected[flat] = selected_tasks(self.universe, flat)
-        return EventPlan(at, flat, selected)
+        event = self._events.get(flat)
+        if event is None:
+            event = self._events[flat] = (
+                frozenset(task_names(flat, self.inputs)),
+                selected_tasks(self.universe, flat))
+        return EventPlan(at, *event)
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +203,31 @@ class SchedulerState:
 
 def _splits(seq: list, bound: int) -> int:
     count = 1
-    flat: set = set()
+    flat = 0
     i = 0
     while i < len(seq):
         task = seq[i]
-        if len(flat | task) > bound:
+        if (flat | task).bit_count() > bound:
             count += 1
-            flat = set()
+            flat = 0
         else:
             flat |= task
             i += 1
     return count
 
 
-def split_bound_range(universe, bound: int) -> tuple:
+def split_bound_range(universe, bound: int, inputs) -> tuple:
     """(min, max) of the per-permutation event counts needed to satisfy
-    every task once."""
-    tasks = sorted(universe, key=task_key)
-    if len(tasks) > 8:
+    every task once; `inputs` names the tasks' bits."""
+    if len(universe) > 8:
         raise UniverseTooLarge(
-            f"{len(tasks)} tasks; split bounds are searched over "
+            f"{len(universe)} tasks; split bounds are searched over "
             "permutations and are capped at 8 tasks")
+    tasks = sorted(universe, key=lambda t: task_key(t, inputs))
     for task in tasks:
-        if len(task) > bound:
+        if task.bit_count() > bound:
             raise PreconditionViolation(
-                f"task {format_task(task)} exceeds bandwidth {bound}; "
+                f"task {format_task(task, inputs)} exceeds bandwidth {bound}; "
                 "the split bound diverges")
     lo = math.inf
     hi = 0
@@ -235,12 +249,13 @@ class PreconditionReport:
     split_error: Optional[str]
     deadline_warnings: tuple
     ok: bool
+    inputs: tuple  # names of the tasks' bits
 
     def lines(self) -> list:
         out = [f"mode={self.mode} bound={self.bound} "
                f"max_task_size={self.max_task_size} ok={self.ok}"]
         for task in self.oversized:
-            out.append(f"unschedulable task {format_task(task)}: "
+            out.append(f"unschedulable task {format_task(task, self.inputs)}: "
                        f"wider than bandwidth {self.bound}")
         if self.split_error:
             out.append(f"split bound unavailable: {self.split_error}")
@@ -255,33 +270,40 @@ class PreconditionReport:
 
 def build_precondition_report(schedule: StaticSchedule, bound: int,
                               period: Fraction) -> PreconditionReport:
-    tasks = sorted(schedule.universe, key=task_key)
-    max_size = max((len(t) for t in tasks), default=0)
-    oversized = tuple(t for t in tasks if len(t) > bound)
+    inputs = schedule.inputs
+    tasks = schedule.ordered
+    max_size = max((t.bit_count() for t in tasks), default=0)
+    oversized = tuple(t for t in tasks if t.bit_count() > bound)
     split_min = split_max = None
     split_error = None
     try:
-        split_min, split_max = split_bound_range(schedule.universe, bound)
+        split_min, split_max = split_bound_range(schedule.universe, bound,
+                                                 inputs)
     except (UniverseTooLarge, PreconditionViolation) as e:
         split_error = str(e)
     warnings: list = []
     if split_max is not None:
         window = split_max * period
         if schedule.mode == MODE_DEADLINE:
+            # a task's shortest region deadline is the shortest deadline of
+            # its contributing chains
             for task in tasks:
-                for entry in schedule.entries[task]:
-                    if entry.value <= window:
-                        warnings.append(
-                            f"deadline {float(entry.value)}s on "
-                            f"{format_task(task)} is within the worst-case "
-                            f"round of {float(window)}s; it can be missed")
-                        break
+                least = min((v for k, chains in enumerate(schedule.chains)
+                             if schedule.inside[task] >> k & 1
+                             for chain in chains for _, v in chain),
+                            default=None)
+                if least is not None and least <= window:
+                    warnings.append(
+                        f"deadline {float(least)}s on "
+                        f"{format_task(task, inputs)} is within the worst-case "
+                        f"round of {float(window)}s; it can be missed")
         else:
             for task in tasks:
                 b = schedule.bounds.get(task)
                 if b is not None and b <= window:
                     warnings.append(
-                        f"staleness bound {float(b)}s on {format_task(task)} "
+                        f"staleness bound {float(b)}s on "
+                        f"{format_task(task, inputs)} "
                         f"is within the worst-case round of {float(window)}s")
     return PreconditionReport(
         mode=schedule.mode,
@@ -293,6 +315,7 @@ def build_precondition_report(schedule: StaticSchedule, bound: int,
         split_error=split_error,
         deadline_warnings=tuple(warnings),
         ok=not oversized,
+        inputs=inputs,
     )
 
 

@@ -1,12 +1,16 @@
 """Lowering of annotated specifications to plain monitoring specs.
 
 Annotations are compiled away into ordinary helper streams: one
-``schedule_*`` stream per annotated task carrying its current value, a
-``last_*`` timestamp stream per observable task, and in the staleness
-modes an ``overdue_*`` stream per bounded task.  The original streams
-are kept verbatim (with their inferred pacings made explicit), so every
-model of the lowered spec restricted to the original streams is a model
-of the input spec.
+``schedule_*`` stream per annotated direct task carrying its current
+value, a ``last_*`` timestamp stream per observable task, and in the
+staleness modes an ``overdue_*`` stream per bounded task.  Tasks are the
+schedule's bit masks over the inputs, and helpers are named after a
+task's inputs in declaration order, so neither the names nor the order of
+the helpers depends on set iteration.  Only direct tasks get helpers,
+from their literal region tables; every other task's value is derived by
+rule where it is needed.  The original streams are kept verbatim (with
+their inferred pacings made explicit), so every model of the lowered spec
+restricted to the original streams is a model of the input spec.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .schedule import (
     StaticSchedule,
     Task,
     build_static_schedule,
+    task_names,
 )
 
 # stands in for "never satisfied" in generated overdue streams
@@ -52,10 +57,6 @@ class Translation:
     schedule: StaticSchedule
     names: dict  # Task -> {"schedule"|"last"|"overdue": stream name}
     task_table: dict
-
-
-def _task_base(task: Task, input_order: list) -> str:
-    return "_".join(n for n in input_order if n in task)
 
 
 def _fresh(base: str, used: set) -> str:
@@ -112,8 +113,8 @@ def _schedule_clauses(mode: str, regions: tuple,
 
 def _overdue_expr(task: Task, bound: Fraction, schedule: StaticSchedule,
                   names: dict) -> Expr:
-    subs = sorted((s for s in schedule.tracked if s <= task),
-                  key=lambda s: tuple(sorted(s)))
+    subs = sorted((s for s in schedule.tracked if not s & ~task),
+                  key=schedule.key)
     reads = [
         OffsetAccess(names[s]["last"], 1, NEVER)
         for s in subs
@@ -127,12 +128,12 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
     """Lower an annotated spec to a plain one plus its task table."""
     schedule = build_static_schedule(analyzed, mode)
     spec = analyzed.spec
-    input_order = [i.name for i in spec.inputs]
+    inputs = schedule.inputs
 
     used = set(spec.input_names()) | set(spec.output_names())
     names: dict = {}
     for task in schedule.direct:
-        base = _task_base(task, input_order)
+        base = "_".join(task_names(task, inputs))
         kinds: dict = {}
         if schedule.entries.get(task):
             kinds["schedule"] = _fresh(f"schedule_{base}", used)
@@ -152,7 +153,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
                 _schedule_clauses(mode, schedule.entries[task], spec)))
         if "last" in kinds:
             helpers.append(OutputDecl(kinds["last"], (
-                EvalClause(Pacing.of(task), None, Now()),)))
+                EvalClause(Pacing.of(task_names(task, inputs)), None, Now()),)))
         if "overdue" in kinds:
             helpers.append(OutputDecl(kinds["overdue"], (
                 EvalClause(Pacing.any_event(), None,
@@ -177,7 +178,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
         "default_deadline": _json_deadline(analyzed.config.default_deadline),
         "tasks": [
             {
-                "inputs": [n for n in input_order if n in task],
+                "inputs": task_names(task, inputs),
                 "schedule": names[task].get("schedule"),
                 "last": names[task].get("last"),
                 "overdue": names[task].get("overdue"),

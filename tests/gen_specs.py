@@ -209,7 +209,7 @@ def gen_instance(rng: Random, mode: str, deadlines=(9, 20),
                     off_grid=off_grid)
     analyzed = analyze(parse_spec(text))
     universe = build_task_universe(analyzed)
-    widest = max((len(t) for t in universe), default=1)
+    widest = max((t.bit_count() for t in universe), default=1)
     bound = widest + rng.randint(0, 1)
     horizon = Fraction(rng.randint(8, 15))
     trace = gen_source_trace(rng, analyzed.spec.input_names(), horizon)

@@ -2,15 +2,20 @@
 
 `schedule.DecisionOracle` is fed a model one step at a time and keeps
 O(tasks) state: sticky values, last satisfaction ticks and deadline
-expiries, with region truth read off the verifier's guard masks. This
-module is the direct reading of the three rules over the whole model, one
-task at a time, that the differential tests compare the oracle against. It
-shares no code with the oracle: the present inputs and satisfied sets are
-rebuilt from the model's cells by a membership test per (task, step), the
-sticky current values by a scan over the steps, and region truth by the
-tree-walking evaluator over `ModelReader`, applied to each region's
-conjoined condition. Ages and deadline horizons are exact `Fraction`
-seconds, not the oracle's ticks.
+expiries, with region truth read off the verifier's guard masks and the
+regions of all but the direct tasks derived by rule. This module is the
+direct reading of the three rules over the whole model, one task at a
+time, that the differential tests compare the oracle against. It shares no
+code with the schedule or the oracle. `reference_schedule` builds its own
+tables from `analyzed.annotations`, with tasks as frozensets of input
+names: the union closure of the base tasks, the staleness bounds, the
+tracked tasks and, for every task, the literal product of its contributing
+annotation chains, each region with its conjoined condition. The present
+inputs and satisfied sets are rebuilt from the model's cells by a
+membership test per (task, step), the sticky current values by a scan over
+the steps, and region truth by the tree-walking evaluator over
+`ModelReader`, applied to each region's conjoined condition. Ages and
+deadline horizons are exact `Fraction` seconds, not the oracle's ticks.
 
 `reference_violations` builds the whole violation list of
 `check_scheduled_model` the same way, with the semantic violations
@@ -19,17 +24,127 @@ recomputed by `reference_eval.eval_clauses`.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from activemon.ast import Expr, Pacing, conjoin
 from activemon.engine import Violation, values_equal
-from activemon.schedule import (
-    MODE_DEADLINE, MODE_PRIORITY, ScheduleEntry, Task, task_key,
-)
 from reference_eval import ModelReader, eval_clauses, eval_expr, present_inputs
+
+MODE_DEADLINE = "deadline"
+MODE_PRIORITY = "priority"
+
+
+def key(task: frozenset) -> tuple:
+    return tuple(sorted(task))
+
+
+@dataclass(frozen=True)
+class Region:
+    condition: Expr
+    pacing: Pacing
+    value: object
+    sources: tuple
+
+
+@dataclass(frozen=True)
+class ReferenceSchedule:
+    mode: str
+    universe: frozenset  # frozensets of input names
+    direct: tuple
+    entries: dict  # task -> tuple[Region, ...], most restrictive first
+    bounds: dict  # task -> Optional[Fraction]
+    tracked: frozenset
+    joint: dict  # task -> frozenset of the direct tasks covering its regions
+
+    def restrictive(self) -> Callable:
+        return min if self.mode == MODE_DEADLINE else max
+
+
+def reference_universe(analyzed) -> frozenset:
+    """Every nonempty union of clause pacings and annotated-input
+    singletons, by adding one base task at a time."""
+    base = {frozenset(c.pacing.inputs) for o in analyzed.spec.outputs
+            for c in o.clauses if c.pacing is not None and not c.pacing.is_any}
+    base |= {frozenset({i.name}) for i in analyzed.spec.inputs
+             if i.annotation is not None and not i.annotation.is_empty()}
+    tasks: set = set()
+    for b in base:
+        tasks |= {b} | {t | b for t in tasks}
+    return frozenset(tasks)
+
+
+def reference_schedule(analyzed, mode: str) -> ReferenceSchedule:
+    """The tables of one mode for every task of the universe: each task's
+    regions the product of the chains of the annotated streams paced inside
+    it. The spec must pass `build_static_schedule`'s checks."""
+    ann = analyzed.annotations
+    order = [i.name for i in analyzed.spec.inputs] + \
+        [o.name for o in analyzed.spec.outputs]
+    chains: dict = {}
+    for name in order:
+        chain = ann.get(name)
+        if not chain:
+            continue
+        if mode == MODE_DEADLINE:
+            kept = [(e, e.deadline) for e in chain if e.deadline is not None]
+        else:
+            kept = [(e, e.priority) for e in chain if e.priority is not None]
+        if kept:
+            chains[name] = kept
+    universe = reference_universe(analyzed)
+    direct: list = []
+    for name in order:
+        if ann.get(name):
+            task = frozenset(ann[name][0].pacing.inputs)
+            if task not in direct:
+                direct.append(task)
+
+    combine = min if mode == MODE_DEADLINE else max
+    entries: dict = {}
+    joint: dict = {}
+    for task in universe:
+        contributors = [name for name in chains
+                        if ann[name][0].pacing.inputs <= task]
+        regions = []
+        for combo in itertools.product(*(chains[n] for n in contributors)) \
+                if contributors else ():
+            pacing: set = set()
+            for e, _ in combo:
+                pacing |= e.pacing.inputs
+            regions.append(Region(
+                conjoin([e.condition for e, _ in combo]), Pacing.of(pacing),
+                combine(v for _, v in combo),
+                tuple((e.source, e.clause_index) for e, _ in combo)))
+        regions.sort(key=lambda r: r.value, reverse=mode != MODE_DEADLINE)
+        entries[task] = tuple(regions)
+        joint[task] = frozenset(
+            frozenset(ann[n][0].pacing.inputs) for n in contributors)
+
+    default = analyzed.config.default_deadline
+    bounds: dict = {}
+    for task in universe:
+        inside = [chain for chain in ann.values()
+                  if chain and chain[0].pacing.inputs <= task]
+        cands = [e.deadline for chain in inside for e in chain
+                 if e.deadline is not None]
+        if mode == MODE_PRIORITY:
+            bounds[task] = None
+        elif cands:
+            bounds[task] = min(cands)
+        else:
+            bounds[task] = default if inside else None
+    tracked = frozenset(
+        t for t in direct
+        if entries.get(t) or (mode != MODE_PRIORITY and bounds[t] is not None))
+    return ReferenceSchedule(mode, universe, tuple(direct), entries, bounds,
+                             tracked, joint)
 
 
 class ReferenceOracle:
+    """The three rules over a `ReferenceSchedule` and a whole model."""
 
     def __init__(self, analyzed, schedule, model):
         self.schedule = schedule
@@ -65,12 +180,12 @@ class ReferenceOracle:
             return self.times[step]
         return self.times[-1] + (step - self.n + 1) * self.period
 
-    def last_sat(self, task: Task, upto: int) -> Optional[int]:
+    def last_sat(self, task: frozenset, upto: int) -> Optional[int]:
         """Latest step <= upto at which task was satisfied, if any."""
         return max((s for s in range(upto + 1) if task in self.sat_sets[s]),
                    default=None)
 
-    def overdue(self, task: Task, step: int) -> bool:
+    def overdue(self, task: frozenset, step: int) -> bool:
         """Staleness at `step`, from satisfactions strictly before it."""
         bound = self.schedule.bounds.get(task)
         if bound is None:
@@ -97,7 +212,7 @@ class ReferenceOracle:
             }
         return self._decide_dp(step)
 
-    def _holds(self, entry: ScheduleEntry, step: int) -> bool:
+    def _holds(self, entry: Region, step: int) -> bool:
         """Whether a region's pacing and condition hold at `step`."""
         key = (entry.condition, entry.pacing, step)
         if key not in self._truth:
@@ -127,8 +242,8 @@ class ReferenceOracle:
             out[task] = verdict
         return out
 
-    def _priority_witness(self, task: Task, step: int,
-                          extra: Optional[Callable[[Task], bool]] = None) -> bool:
+    def _priority_witness(self, task: frozenset, step: int,
+                          extra: Optional[Callable] = None) -> bool:
         """A strictly lower-priority satisfied task while this one is unserved."""
         p1 = self.current[task][step]
         if p1 is None:
@@ -158,7 +273,8 @@ class ReferenceOracle:
         return out
 
 
-def reference_violations(analyzed, schedule, bound: int, model) -> list:
+def reference_violations(analyzed, schedule: ReferenceSchedule, bound: int,
+                         model) -> list:
     """`check_scheduled_model`'s violations, in its order: the time map,
     then each cell that `eval_clauses` recomputes differently, by step and
     evaluation order, then the bandwidth overruns, then the tasks that a
@@ -189,8 +305,8 @@ def reference_violations(analyzed, schedule, bound: int, model) -> list:
         verdicts = oracle.decide(step)
         out += [Violation("schedule", step + 1, times[step + 1],
                           "obligated task left unsatisfied",
-                          task=task_key(task))
-                for task in sorted(verdicts, key=task_key)
+                          task=key(task))
+                for task in sorted(verdicts, key=key)
                 if verdicts[task] == "Y"
                 and task not in oracle.sat_sets[step + 1]]
     return out

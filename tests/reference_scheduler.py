@@ -5,9 +5,9 @@ cycle of each tracked task's satisfaction on its working supersets and
 compares whole cycles against each staleness bound. This module is the
 direct reading of the same rules in exact `Fraction` seconds: the last
 satisfaction of a task is a scan over its tracked subtasks, and a task is
-overdue when the time since then exceeds its bound. The differential tests
-drive both through the same closed loop and require identical plans and
-models.
+overdue when the time since then exceeds its bound. Tasks are the
+schedule's bit masks. The differential tests drive both through the same
+closed loop and require identical plans and models.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from activemon.engine import ABSENT, MonitorState, eval_event
-from activemon.schedule import MODE_DEADLINE, MODE_PRIORITY, Task, task_key
+from activemon.schedule import MODE_DEADLINE, MODE_PRIORITY, Task, task_names
 from activemon.scheduler import EventPlan, selected_tasks, take_event
 from activemon.translate import Translation
 from events import model_at
@@ -33,8 +33,8 @@ class ReferenceSchedulerState:
         self.names = translation.names
         self.bound = bound
         self.working = sorted(
-            (t for t in self.schedule.universe if len(t) <= bound),
-            key=task_key)
+            (t for t in self.schedule.universe if t.bit_count() <= bound),
+            key=self.schedule.key)
         self._direct = frozenset(self.schedule.direct)
         self.values: dict = {}  # Task -> current schedule value, exact
         self.last: dict = {}  # tracked direct Task -> last satisfaction time
@@ -64,7 +64,7 @@ class ReferenceSchedulerState:
             if lname is not None and current.get(lname, ABSENT) is not ABSENT:
                 self.last[task] = time
         for task in self.working:
-            joint = self.schedule.joint.get(task, frozenset())
+            joint = self.schedule.joint(task)
             if task in self.schedule.direct or not joint:
                 continue
             if all(src in fired for src in joint):
@@ -73,7 +73,7 @@ class ReferenceSchedulerState:
     def last_satisfied(self, task: Task) -> Optional[Fraction]:
         best = None
         for sub in self.schedule.tracked:
-            if sub <= task:
+            if not sub & ~task:
                 t = self.last.get(sub)
                 if t is not None and (best is None or t > best):
                     best = t
@@ -89,11 +89,11 @@ class ReferenceSchedulerState:
         return at - seen > bound
 
     def _key(self, task: Task, at: Fraction):
-        ranked = bool(self.schedule.entries.get(task))
+        ranked = bool(self.schedule.joint(task))
         value = self.values.get(task)
         seen = self.last_satisfied(task)
         age = seen if seen is not None else _NEVER
-        lex = task_key(task)
+        lex = self.schedule.key(task)
         mode = self.schedule.mode
         if mode == MODE_DEADLINE:
             # deadlines never conflict through side satisfactions, so
@@ -127,7 +127,8 @@ class ReferenceSchedulerState:
     def plan(self, at: Fraction) -> EventPlan:
         ordered = sorted(self.working, key=lambda t: self._key(t, at))
         flat = take_event(ordered, self.bound)
-        return EventPlan(at, flat, selected_tasks(self.schedule.universe, flat))
+        return EventPlan(at, frozenset(task_names(flat, self.schedule.inputs)),
+                         selected_tasks(self.schedule.universe, flat))
 
 
 def reference_run(translation: Translation, source, horizon, bound: int):

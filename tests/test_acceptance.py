@@ -20,7 +20,7 @@ from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.errors import PreconditionViolation
 from activemon.io import read_json
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model
+from activemon.schedule import check_scheduled_model, task_of
 from activemon.scheduler import run_scheduled, split_bound_range
 from activemon.sim import (
     FlightScenario,
@@ -112,10 +112,11 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
         mode = gen_specs.MODES[i % 3]
         text, bound, horizon, trace = gen_specs.gen_instance(rng, mode)
         tr = translate(analyze(parse_spec(text)), mode)
-        assert max(len(t) for t in tr.schedule.universe) <= bound
+        assert max(t.bit_count() for t in tr.schedule.universe) <= bound
         if mode == "deadline":
             # every deadline exceeds the worst-case split round
-            n = split_bound_range(tr.schedule.universe, bound)[1]
+            n = split_bound_range(tr.schedule.universe, bound,
+                                  tr.schedule.inputs)[1]
             window = n * tr.analyzed.config.period
             for entries in tr.schedule.entries.values():
                 assert all(e.value > window for e in entries)
@@ -130,7 +131,7 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
 
 def _brute_force_split_range(universe, bound):
     """Minimal contiguous segmentations over every permutation."""
-    tasks = sorted(universe, key=lambda t: tuple(sorted(t)))
+    tasks = sorted(universe)
 
     def min_segments(seq):
         best = {len(seq): 0}
@@ -138,11 +139,11 @@ def _brute_force_split_range(universe, bound):
         def solve(i):
             if i in best:
                 return best[i]
-            flat = set()
+            flat = 0
             out = None
             for j in range(i, len(seq)):
                 flat |= seq[j]
-                if len(flat) > bound:
+                if flat.bit_count() > bound:
                     break
                 tail = 1 + solve(j + 1)
                 out = tail if out is None or tail < out else out
@@ -158,24 +159,22 @@ def _brute_force_split_range(universe, bound):
 def test_criterion_4_split_bound_matches_brute_force():
     clock = _Clock(10.0)
     ground = ("a", "b", "c")
-    atoms = [frozenset(s) for r in (1, 2, 3)
-             for s in itertools.combinations(ground, r)]
+    # every nonempty subset of the ground set, as a mask over it
+    atoms = range(1, 8)
     cases = 0
     for size in (1, 2, 3, 4):
         for family in itertools.combinations(atoms, size):
             universe = frozenset(family)
             for bound in (1, 2, 3):
-                if any(len(t) > bound for t in universe):
+                if any(t.bit_count() > bound for t in universe):
                     with pytest.raises(PreconditionViolation):
-                        split_bound_range(universe, bound)
+                        split_bound_range(universe, bound, ground)
                     continue
-                assert split_bound_range(universe, bound) == \
+                assert split_bound_range(universe, bound, ground) == \
                     _brute_force_split_range(universe, bound)
                 cases += 1
-    assert split_bound_range(frozenset({frozenset("a"), frozenset("b")}), 1) \
-        == (2, 2)
-    assert split_bound_range(frozenset({frozenset("a"), frozenset("b")}), 2) \
-        == (1, 1)
+    assert split_bound_range(frozenset({0b01, 0b10}), 1, ground) == (2, 2)
+    assert split_bound_range(frozenset({0b01, 0b10}), 2, ground) == (1, 1)
     elapsed = clock.done()
     _pass(4, f"split bounds equal the brute-force oracle on {cases} "
              f"universes ({elapsed:.1f}s)")
@@ -249,7 +248,7 @@ def test_criterion_8_conflict_resolution_and_precondition(
 
     tr = translate(analyze(parse_spec(conflict_text)), "priority")
     run = run_scheduled(tr, Source(), 10, 2)
-    union = frozenset({"a", "b"})
+    union = task_of("ab", tr.schedule.inputs)
     assert run.report.ok
     assert all(union in p.selected for p in run.plans)
     assert check_scheduled_model(tr.plain, tr.schedule, 2, run.model) == []

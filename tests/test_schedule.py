@@ -6,7 +6,9 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from random import Random
 from types import SimpleNamespace
 
@@ -22,13 +24,14 @@ from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.schedule import (DecisionOracle, build_static_schedule,
                                 build_task_universe, check_scheduled_model,
-                                task_key, union_closure)
+                                task_names, task_of, union_closure)
 from activemon.scheduler import run_scheduled
 from activemon.sim import FlightScenario, TraceSource, generate_flight
 from activemon.translate import translate
 from events import Event, run_events
 from reference_eval import present_inputs
-from reference_oracle import ReferenceOracle, reference_violations
+from reference_oracle import (ReferenceOracle, reference_schedule,
+                              reference_violations)
 
 GL = "gps_lat_long"
 GA = "gps_altitude"
@@ -45,40 +48,50 @@ def tasks(*groups):
     return {frozenset(g) for g in groups}
 
 
+def named(masks, inputs):
+    """Mask tasks as frozensets of input names."""
+    return {frozenset(task_names(t, inputs)) for t in masks}
+
+
+def mask(sched, *names):
+    return task_of(names, sched.inputs)
+
+
 # -- universe ----------------------------------------------------------------
 
 
 def test_union_closure():
-    base = {frozenset("a"), frozenset("b")}
-    assert union_closure(base) == tasks("a", "b", "ab")
-    assert union_closure({frozenset("ab"), frozenset("bc")}) == \
-        tasks("ab", "bc", "abc")
+    assert union_closure({0b01, 0b10}) == {0b01, 0b10, 0b11}
+    assert union_closure({0b011, 0b110}) == {0b011, 0b110, 0b111}
 
 
-@given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=6))
+@given(st.lists(st.integers(min_value=0, max_value=31), max_size=6))
 def test_union_closure_is_every_union_of_base_tasks(base):
-    expected = {frozenset().union(*subset)
+    expected = {reduce(or_, subset)
                 for k in range(1, len(base) + 1)
-                for subset in combinations(base, k)} - {frozenset()}
+                for subset in combinations(base, k)} - {0}
     assert union_closure(set(base)) == expected
 
 
 def test_geofence_universe(geofence_text):
     analyzed = analyze(parse_spec(geofence_text))
-    assert build_task_universe(analyzed) == tasks(
+    inputs = analyzed.spec.input_names()
+    assert named(build_task_universe(analyzed), inputs) == tasks(
         ("lat", "lon"), ("alt",), ("lat", "lon", "alt"))
 
 
 def test_conflict_universe(conflict_text):
     analyzed = analyze(parse_spec(conflict_text))
-    assert build_task_universe(analyzed) == tasks("a", "b", "ab")
+    inputs = analyzed.spec.input_names()
+    assert named(build_task_universe(analyzed), inputs) == \
+        tasks("a", "b", "ab")
 
 
 def test_drone_universe_is_full_closure(drone_text):
     analyzed = analyze(parse_spec(drone_text))
     universe = build_task_universe(analyzed)
     assert len(universe) == 15  # every nonempty subset of four singletons
-    assert frozenset({GL, GA, BP, BA}) in universe
+    assert task_of({GL, GA, BP, BA}, analyzed.spec.input_names()) in universe
 
 
 # -- static schedule construction ---------------------------------------------
@@ -87,16 +100,17 @@ def test_drone_universe_is_full_closure(drone_text):
 def test_conflict_region_values(conflict_text):
     _, sched = schedule_for(conflict_text, "priority")
     values = {t: [e.value for e in es] for t, es in sched.entries.items()}
-    assert values[frozenset({"a"})] == [10]
-    assert values[frozenset({"b"})] == [5]
+    a, b = mask(sched, "a"), mask(sched, "b")
+    assert values[a] == [10]
+    assert values[b] == [5]
     # the union region combines all three contributors at max priority
-    assert values[frozenset({"a", "b"})] == [10]
+    assert values[a | b] == [10]
+    assert sched.joint(a | b) == (a, b, a | b)
 
 
 def test_drone_direct_tasks_and_bounds(drone_text):
     analyzed, sched = schedule_for(drone_text, "dp")
-    assert sched.direct == (
-        frozenset({GL}), frozenset({GA}), frozenset({BP}), frozenset({BA}))
+    assert sched.direct == tuple(mask(sched, n) for n in (GL, GA, BP, BA))
     assert all(sched.bounds[t] == Fraction(3) for t in sched.universe)
     assert sched.tracked == frozenset(sched.direct)
 
@@ -106,20 +120,26 @@ def test_drone_direct_tasks_and_bounds(drone_text):
 
 def test_drone_gps_singleton_regions(drone_text):
     _, sched = schedule_for(drone_text, "dp")
-    chain = sched.entries[frozenset({GL})]
+    chain = sched.entries[mask(sched, GL)]
     assert [e.value for e in chain] == [10, 5, 1]  # most urgent first
     assert chain[0].sources == (("scheduled_geofence", 2),)
     assert chain[-1].sources == (("scheduled_geofence", 0),)
 
 
 def test_drone_union_regions_cross_product(drone_text):
-    _, sched = schedule_for(drone_text, "dp")
-    quad = sched.entries[frozenset({GL, GA})]
+    analyzed, sched = schedule_for(drone_text, "dp")
+    # the literal product of the two chains, which the schedule derives by
+    # rule and does not build for a task that is not direct
+    quad = reference_schedule(analyzed, "dp").entries[frozenset({GL, GA})]
     expected = sorted(
         (max(g, a) for g, a in product([1, 5, 10], repeat=2)), reverse=True)
     assert [e.value for e in quad] == expected
     assert len(quad) == 9
-    assert sched.joint[frozenset({GL, GA})] == tasks((GL,), (GA,))
+    gl, ga = mask(sched, GL), mask(sched, GA)
+    assert gl | ga not in sched.entries
+    assert sched.joint(gl | ga) == (gl, ga)
+    k = sched.direct.index(gl)
+    assert [[v for _, v in chain] for chain in sched.chains[k]] == [[1, 5, 10]]
     # distinct regions never share their full source signature
     signatures = [e.sources for e in quad]
     assert len(set(signatures)) == len(signatures)
@@ -129,18 +149,40 @@ def test_deadline_mode_combines_by_min():
     text = ('#[deadline="3s"]\ninput x : Float64\n'
             '#[deadline="100s"]\ninput y : Float64\n'
             "output s := x + y\n")
-    _, sched = schedule_for(text, "deadline")
-    pair = sched.entries[frozenset({"x", "y"})]
+    analyzed, sched = schedule_for(text, "deadline")
+    pair = reference_schedule(analyzed, "deadline").entries[frozenset("xy")]
     assert [e.value for e in pair] == [Fraction(3)]
-    assert sched.bounds[frozenset({"x", "y"})] == Fraction(3)
+    xy = mask(sched, "x", "y")
+    assert sched.bounds[xy] == Fraction(3)
+    # the pair's region holds while both guards do, at the lesser deadline
+    oracle = DecisionOracle(analyzed, sched, 1)
+    oracle.decide(0, xy, (1 << len(oracle.guards)) - 1)
+    assert oracle.expiry[xy] == 3 * oracle.quantum
 
 
 def test_unannotated_pacing_has_no_regions():
     text = ('#[priority="high"]\ninput a : Float64\ninput u : Float64\n'
             "output x := a\noutput y := u\n")
     _, sched = schedule_for(text, "priority")
-    assert sched.entries[frozenset({"u"})] == ()
-    assert sched.entries[frozenset({"a", "u"})] != ()
+    a, u = mask(sched, "a"), mask(sched, "u")
+    assert u in sched.universe and sched.joint(u) == ()
+    assert sched.entries.get(u, ()) == ()
+    assert sched.joint(a | u) == (a,)
+
+
+def test_deadline_only_input_bounds_its_tasks_without_regions():
+    text = ('#[priority="high"]\ninput a : Float64\n'
+            '#[deadline="2s"]\ninput u : Float64\n'
+            "output x := a + u\n")
+    _, sched = schedule_for(text, "dp")
+    a, u = mask(sched, "a"), mask(sched, "u")
+    assert sched.direct == (a, u)
+    assert sched.entries[u] == () and sched.joint(u) == ()
+    assert sched.joint(a | u) == (a,)
+    assert sched.bounds[u] == sched.bounds[a | u] == Fraction(2)
+    assert sched.bounds[a] is None
+    # a through its regions, u through its staleness bound
+    assert sched.tracked == {a, u}
 
 
 def test_deadline_mode_rejects_priorities(drone_text):
@@ -165,7 +207,7 @@ def test_priority_mode_allows_input_deadlines():
             "output x := a\n")
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, "priority")
-    assert sched.bounds[frozenset({"a"})] is None  # staleness is ignored here
+    assert sched.bounds[mask(sched, "a")] is None  # staleness is ignored here
 
 
 def test_any_paced_annotation_rejected():
@@ -183,7 +225,52 @@ def test_default_deadline_fills_missing_bounds():
             "output x := a\n")
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, "dp")
-    assert sched.bounds[frozenset({"a"})] == Fraction(5)
+    assert sched.bounds[mask(sched, "a")] == Fraction(5)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES))
+@settings(max_examples=150, deadline=None)
+def test_mask_schedule_matches_the_reference_schedule(seed, mode):
+    # every mask maps one to one onto the reference's frozenset of input
+    # names: the universe, the bounds, the joint sources of the tasks with
+    # regions, the tracked set and the direct tasks' literal tables; and the
+    # value by rule under any set of holding guards is the literal product's
+    # most restrictive holding region
+    rng = Random(seed)
+    analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
+    sched = build_static_schedule(analyzed, mode)
+    ref = reference_schedule(analyzed, mode)
+    names = {t: frozenset(task_names(t, sched.inputs)) for t in sched.universe}
+    assert len(set(names.values())) == len(names)
+    assert set(names.values()) == ref.universe
+    assert {names[t]: b for t, b in sched.bounds.items()} == ref.bounds
+    assert {names[t]: frozenset(names[s] for s in sources)
+            for t in sched.universe if (sources := sched.joint(t))} == \
+        {t: sources for t, sources in ref.joint.items() if sources}
+    assert {names[t] for t in sched.tracked} == ref.tracked
+    assert tuple(names[t] for t in sched.direct) == ref.direct
+    assert {names[t]: [(e.condition, e.pacing, e.value, e.sources)
+                       for e in regions]
+            for t, regions in sched.entries.items()} == \
+        {t: [(r.condition, r.pacing, r.value, r.sources) for r in ref.entries[t]]
+         for t in ref.direct}
+
+    combine = sched.restrictive()
+    for _ in range(4):
+        oracle = DecisionOracle(analyzed, sched, 1)
+        held = {g for g in oracle.guards if rng.random() < 0.6}
+        oracle.decide(0, 0, sum(1 << i for i, g in enumerate(oracle.guards)
+                                if g in held))
+        for task in sched.universe:
+            hold = [r.value for r in ref.entries[names[task]]
+                    if all(sched.guards[s] in held for s in r.sources)]
+            if mode == "deadline":
+                expected = min(hold) * oracle.quantum // 1 if hold else None
+                assert oracle.expiry.get(task) == expected
+            else:
+                assert oracle.current.get(task) == \
+                    (combine(hold) if hold else None)
 
 
 # -- the decision oracle -------------------------------------------------------
@@ -202,24 +289,31 @@ def stream_oracle(analyzed, schedule, model):
     """Feed a model to a `DecisionOracle` one step at a time, as
     `check_scheduled_model` does, and record per step the satisfied set,
     the overdue flags (priority modes) and the sticky current values, and
-    per step but the last the obliged tasks and every task's verdict."""
+    per step but the last the obliged tasks and every task's verdict; the
+    tasks as frozensets of input names, in the oracle's order."""
     oracle = DecisionOracle(analyzed, schedule, model.quantum)
     ticks = model.ticks
-    record = SimpleNamespace(oracle=oracle, sat_sets=[], overdue=[],
-                             current=[], obliged=[], verdicts=[])
+    names = {t: frozenset(task_names(t, schedule.inputs))
+             for t in schedule.ordered}
+    order = [names[t] for t in schedule.ordered]
+    record = SimpleNamespace(oracle=oracle, tasks=order, sat_sets=[],
+                             overdue=[], current=[], obliged=[], verdicts=[])
     walk = walk_model(analyzed, model, [], oracle.guards)
     for step, (present, holding) in enumerate(walk):
         nxt = ticks[step + 1] if step + 1 < len(ticks) else None
-        obliged = oracle.decide(ticks[step], present, holding, nxt)
+        obliged = [names[t] for t in
+                   oracle.decide(ticks[step], present, holding, nxt)]
         if step:
             record.obliged.append(obliged)
             record.verdicts.append(
-                {t: "Y" if t in obliged else "M" for t in oracle.tasks})
+                {t: "Y" if t in obliged else "M" for t in order})
         else:
             assert obliged == []
-        record.sat_sets.append(oracle.satisfied)
-        record.overdue.append(dict(zip(oracle.tasks, map(bool, oracle.overdue))))
-        record.current.append(dict(zip(oracle.tasks, oracle.current)))
+        record.sat_sets.append(frozenset(names[t] for t in oracle.satisfied))
+        record.overdue.append({names[t]: t in oracle.overdue
+                               for t in schedule.ordered})
+        record.current.append({names[t]: oracle.current.get(t)
+                               for t in schedule.ordered})
     return record
 
 
@@ -365,16 +459,18 @@ def test_dp_bound_without_a_tracked_subtask_is_always_overdue():
     events = [Event(Fraction(t), {"x": 1.0, "y": 1.0}) for t in range(3)]
     analyzed = analyze(parse_spec(DP_PAIR))
     sched = build_static_schedule(analyzed, "dp")
-    sched = replace(sched, tracked=frozenset({frozenset({"x"})}))
+    sched = replace(sched, tracked=frozenset({mask(sched, "x")}))
+    ref = replace(reference_schedule(analyzed, "dp"),
+                  tracked=frozenset({frozenset({"x"})}))
     model = run_events(analyzed, events)[0]
     oracle = stream_oracle(analyzed, sched, model)
-    reference = ReferenceOracle(analyzed, sched, model)
+    reference = ReferenceOracle(analyzed, ref, model)
     y = frozenset({"y"})
-    assert sched.bounds[y] is not None
+    assert sched.bounds[mask(sched, "y")] is not None
     for step in range(3):
         assert oracle.overdue[step][y]
         assert oracle.overdue[step] == \
-            {t: reference.overdue(t, step) for t in sched.universe}
+            {t: reference.overdue(t, step) for t in ref.universe}
     for step in range(2):
         assert oracle.verdicts[step] == reference.decide(step)
 
@@ -401,17 +497,36 @@ def test_check_lists_violations_by_step_then_sorted_task(tmp_path):
         [(1, ["a"]), (1, ["a", "b"])]
 
 
+def test_overdue_tasks_are_obliged_in_sorted_order():
+    # declared c, b, a, so the masks of {a}, {a,b} and {b} do not follow
+    # their sorted order; all three go stale while only c is served
+    text = ('#![frequency="1Hz"]\n'
+            '#[priority="low", deadline="1s"]\ninput c : Float64\n'
+            '#[priority="low", deadline="1s"]\ninput b : Float64\n'
+            '#[priority="low", deadline="1s"]\ninput a : Float64\n'
+            "output s := a + b\n")
+    events = [Event(Fraction(t), {"c": 1.0}) for t in range(3)]
+    oracle, sched, model, analyzed = oracle_for(text, "dp", events)
+    stale = [frozenset("a"), frozenset("ab"), frozenset("b")]
+    assert oracle.obliged == [stale, stale]
+    violations = check_scheduled_model(analyzed, sched, 1, model)
+    assert [(v.step, v.task) for v in violations] == [
+        (step, task) for step in (1, 2) for task in (("a",), ("a", "b"), ("b",))]
+
+
 def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
     analyzed = analyze(parse_spec(drone_text))
     tr = translate(analyzed, "dp")
     trace = generate_flight(FlightScenario(seed=3, duration=10.0))
     model = run_scheduled(tr, TraceSource(trace), 10, 2).model
     oracle = stream_oracle(tr.plain, tr.schedule, model)
-    expected = sorted(tr.schedule.universe, key=task_key)
-    assert oracle.oracle.tasks == expected
-    assert all(list(verdicts) == expected for verdicts in oracle.verdicts)
+    expected = sorted(tr.schedule.universe, key=tr.schedule.key)
+    assert list(tr.schedule.ordered) == expected
+    named_order = sorted(oracle.tasks, key=sorted)
+    assert oracle.tasks == named_order
+    assert all(list(verdicts) == named_order for verdicts in oracle.verdicts)
     assert len(oracle.verdicts) == len(model) - 1
-    assert all(obliged == sorted(obliged, key=task_key)
+    assert all(obliged == sorted(obliged, key=sorted)
                for obliged in oracle.obliged)
 
 
@@ -448,15 +563,16 @@ def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
         if len(model) < 2:
             continue
         oracle = stream_oracle(tr.plain, tr.schedule, model)
-        reference = ReferenceOracle(tr.plain, tr.schedule, model)
+        reference = ReferenceOracle(
+            tr.plain, reference_schedule(tr.analyzed, mode), model)
         assert oracle.sat_sets == reference.sat_sets
         for step in range(len(model)):
             if mode != "deadline":
                 assert oracle.current[step] == \
-                    {t: reference.current[t][step] for t in oracle.oracle.tasks}
+                    {t: reference.current[t][step] for t in oracle.tasks}
             if mode == "dp":
                 assert oracle.overdue[step] == \
-                    {t: reference.overdue(t, step) for t in oracle.oracle.tasks}
+                    {t: reference.overdue(t, step) for t in oracle.tasks}
         for step in range(len(model) - 1):
             assert oracle.verdicts[step] == reference.decide(step)
 
@@ -476,9 +592,10 @@ def test_check_matches_the_reference_violation_list(seed, mode, off_grid):
         if len(model) > 1 and rng.random() < 0.2:
             k = rng.randrange(1, len(model))
             model.ticks[k] = model.ticks[k - 1]
+        reference = reference_schedule(tr.analyzed, mode)
         for bound in (1, 2):
             assert check_scheduled_model(tr.plain, tr.schedule, bound, model) \
-                == reference_violations(tr.plain, tr.schedule, bound, model)
+                == reference_violations(tr.plain, reference, bound, model)
 
 
 def valid_tasks(universe: frozenset, model, inputs, step: int,

@@ -12,7 +12,7 @@ from activemon.analysis import analyze
 from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model
+from activemon.schedule import check_scheduled_model, task_of
 from activemon.scheduler import (
     build_precondition_report,
     run_scheduled,
@@ -26,10 +26,10 @@ from activemon.translate import translate
 from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
 
-A = frozenset({"a"})
-B = frozenset({"b"})
-C = frozenset({"c"})
-AB = frozenset({"a", "b"})
+# tasks over the inputs a, b, c
+INPUTS = ("a", "b", "c")
+A, B, C = 0b001, 0b010, 0b100
+AB = A | B
 
 
 class ConstSource:
@@ -51,22 +51,24 @@ def _translated(text, mode):
 
 
 def test_take_event_packs_prefix():
-    assert take_event([AB, A, B], 2) == {"a", "b"}
+    assert take_event([AB, A, B], 2) == AB
 
 
 def test_take_event_is_skip_free():
     # b fits after the break point, but packing must not jump the queue
-    assert take_event([A, frozenset({"b", "c"}), B], 2) == {"a"}
+    assert take_event([A, B | C, B], 2) == A
 
 
 def test_take_event_oversized_head_blocks_everything():
-    assert take_event([frozenset({"a", "b", "c"}), A], 2) == frozenset()
+    assert take_event([A | B | C, A], 2) == 0
 
 
 def test_selected_tasks_upward_closure():
     universe = frozenset({A, B, AB})
-    assert selected_tasks(universe, frozenset({"a", "b"})) == {A, B, AB}
-    assert selected_tasks(universe, frozenset({"a"})) == {A}
+    assert selected_tasks(universe, AB) == {A, B, AB}
+    assert selected_tasks(universe, A) == {A}
+    # through the universe as well as through the submasks of the event
+    assert selected_tasks(frozenset({A}), A | B | C) == {A}
 
 
 # ---------------------------------------------------------------------------
@@ -80,22 +82,22 @@ def test_selected_tasks_upward_closure():
     ({A, B, C, AB}, 2, (2, 3)),
 ])
 def test_split_bound_range(universe, bound, expected):
-    assert split_bound_range(frozenset(universe), bound) == expected
+    assert split_bound_range(frozenset(universe), bound, INPUTS) == expected
 
 
 def test_split_bound_is_worst_case():
-    assert split_bound_range(frozenset({A, B, C, AB}), 2)[1] == 3
+    assert split_bound_range(frozenset({A, B, C, AB}), 2, INPUTS)[1] == 3
 
 
 def test_split_bound_rejects_oversized_task():
-    with pytest.raises(PreconditionViolation):
-        split_bound_range(frozenset({A, B, AB}), 1)
+    with pytest.raises(PreconditionViolation, match=r"task \{a,b\} exceeds"):
+        split_bound_range(frozenset({A, B, AB}), 1, INPUTS)
 
 
 def test_split_bound_caps_universe_size():
-    singles = frozenset(frozenset({f"s{i}"}) for i in range(9))
+    singles = frozenset(1 << i for i in range(9))
     with pytest.raises(UniverseTooLarge):
-        split_bound_range(singles, 2)
+        split_bound_range(singles, 2, tuple(f"s{i}" for i in range(9)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +210,23 @@ def test_deadline_report_warns_on_tight_deadline():
     assert report.ok  # warnings do not invalidate the run
 
 
+def test_deadline_report_warns_on_a_union_at_its_least_deadline():
+    text = ('#![frequency="1Hz"]\n'
+            '#[deadline="1s"]\ninput x : Float64\n'
+            '#[deadline="5s"]\ninput y : Float64\n'
+            "output s := x + y\n")
+    tr = _translated(text, "deadline")
+    report = build_precondition_report(tr.schedule, 2, Fraction(1))
+    assert (report.split_min, report.split_max) == (1, 1)
+    # {x,y} has no table of its own; its shortest region deadline is x's
+    assert [w.split(" is ")[0] for w in report.deadline_warnings] == [
+        "deadline 1.0s on {x}", "deadline 1.0s on {x,y}"]
+
+
 def test_report_skips_warnings_without_split_bound():
     tr = _translated(DEADLINE_PAIR, "deadline")
     report = build_precondition_report(tr.schedule, 1, Fraction(1))
-    assert report.oversized == (frozenset({"x", "y"}),)
+    assert report.oversized == (task_of("xy", tr.schedule.inputs),)
     assert report.split_error is not None
     assert report.deadline_warnings == ()
     assert not report.ok

@@ -64,7 +64,7 @@ def test_deadline_translation_emits_overdue_streams():
     assert "output schedule_x\n    eval |@x| with 3.0" in out
     assert ("output overdue_x\n    eval |@any| with "
             "now - last_x.offset(by:-1).defaults(to: -1e+18) > 3.0") in out
-    x = frozenset({"x"})
+    x = 0b01  # the first input
     assert tr.names[x] == {
         "schedule": "schedule_x", "last": "last_x", "overdue": "overdue_x"}
 
@@ -106,7 +106,7 @@ def test_helper_names_dodge_collisions():
     text = ('#[priority="high"]\ninput a : Float64\n'
             "output schedule_a := a\noutput last_a := a + 1.0\n")
     tr = translate(analyze(parse_spec(text)), "priority")
-    kinds = tr.names[frozenset({"a"})]
+    kinds = tr.names[0b1]
     assert kinds["schedule"] == "schedule_a_1"
     assert kinds["last"] == "last_a_1"
 
