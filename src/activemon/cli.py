@@ -24,9 +24,9 @@ from .io import (read_json, read_model, read_trace, trigger_json,
 from .parser import parse_spec
 from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
-from .sim import (TraceSource, compute_metrics, generate_flight,
-                  run_experiment, run_fixed, scenario_from_json,
-                  trace_fingerprint)
+from .sim import (CROSSING_KINDS, TraceSource, compute_metrics,
+                  generate_flight, run_experiment, run_fixed,
+                  scenario_from_json, trace_fingerprint)
 from .translate import translate
 
 SPEC_DIR = Path(__file__).parent / "specs"
@@ -205,9 +205,32 @@ def _read_config(config_path: Path) -> tuple:
     return config, spec_path
 
 
+def _check_config_names(config_path: Path, config: dict,
+                        analyzed: AnalyzedSpec) -> None:
+    """SpecError if `groups` or `trigger_kinds` name an input, a trigger or
+    a crossing kind that does not exist; the unknown names are sorted."""
+    groups = config.get("groups") or {}
+    kinds = config.get("trigger_kinds") or {}
+    unknown = (
+        ("groups", "inputs the spec lacks",
+         {m for members in groups.values() for m in members}
+         - set(analyzed.spec.input_names())),
+        ("trigger_kinds", "triggers the spec lacks",
+         set(kinds) - set(analyzed.trigger_names)),
+        ("trigger_kinds", "kinds other than " + ", ".join(CROSSING_KINDS),
+         set(kinds.values()) - set(CROSSING_KINDS)),
+    )
+    for key, what, names in unknown:
+        if names:
+            raise SpecError(f"{config_path}: \"{key}\" names {what}: "
+                            + ", ".join(sorted(names)))
+
+
 def cmd_compare(args) -> int:
-    config, spec_path = _read_config(Path(args.config))
+    config_path = Path(args.config)
+    config, spec_path = _read_config(config_path)
     analyzed = _load(spec_path)
+    _check_config_names(config_path, config, analyzed)
     tr = translate(analyzed, config.get("mode", "dp"))
     result = run_experiment(config, analyzed, tr)
     out = Path(args.out_dir)

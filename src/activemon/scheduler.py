@@ -1,23 +1,28 @@
 """Bandwidth-bounded active scheduling in closed loop with the monitor.
 
-Each cycle the scheduler ranks all affordable tasks by mode-specific
-urgency, packs a maximal prefix into the bandwidth budget, queries
-exactly those sensors and feeds the event to the monitor.  Tasks are the
-schedule's bit masks over the inputs: a task is affordable when its
-popcount is within the bound, packing unites masks with ``|``, and the
-tasks an event satisfies are the universe's submasks of its inputs.
-Urgency is read back from the generated ``schedule_*``/``last_*`` helper
-streams of the direct tasks, and a joint task's value combines its
-sources' values when all of them fire together, so the loop needs no
-second interpretation of the annotations.
+Each cycle the scheduler packs a maximal prefix of the affordable tasks,
+ranked by mode-specific urgency, into the bandwidth budget, queries
+exactly those sensors and feeds the event to the monitor.  The rank order
+is kept between cycles: a task's key moves only when its value changes,
+when it is refreshed while its key carries its age, or when it reaches its
+staleness limit, so a cycle re-keys only the tasks that one of these
+moved.  Tasks are the schedule's bit masks over the inputs: a task is
+affordable when its popcount is within the bound, packing unites masks
+with ``|``, and the tasks an event satisfies are the universe's submasks
+of its inputs.  Urgency is read back from the generated
+``schedule_*``/``last_*`` helper streams of the direct tasks, and a joint
+task's value combines its sources' values when all of them fire together,
+so the loop needs no second interpretation of the annotations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .engine import (ABSENT, FOLD_ROWS, EvaluationModel, MonitorState,
@@ -25,7 +30,7 @@ from .engine import (ABSENT, FOLD_ROWS, EvaluationModel, MonitorState,
 from .errors import PreconditionViolation, UniverseTooLarge
 from .schedule import (
     MODE_DEADLINE,
-    MODE_PRIORITY,
+    MODE_DP,
     StaticSchedule,
     format_task,
     submasks,
@@ -45,7 +50,7 @@ class EventPlan:
     selected: frozenset  # universe tasks the event satisfies
 
 
-def take_event(ordered: list, bound: int) -> int:
+def take_event(ordered, bound: int) -> int:
     """Pack a prefix of the ranked tasks into the bandwidth budget; return
     the mask of the inputs to query.
 
@@ -67,7 +72,7 @@ def selected_tasks(universe: frozenset, flat: int) -> frozenset:
 
 
 class SchedulerState:
-    """Urgency caches, kept exact and refreshed from each step's values.
+    """Urgency caches and the rank order, kept exact between cycles.
 
     Time in the loop is the cycle index: `plan` is called once per cycle,
     at k * period for k = 0, 1, ..., and counts it; `observe` records, on
@@ -75,6 +80,18 @@ class SchedulerState:
     fired, the cycle at which it did. A task with staleness bound b is then
     overdue at cycle k iff k - seen > floor(b / period), which is exact
     because both sides are integers.
+
+    `order` holds one rank key per working task, sorted; a key ends in the
+    task's index in `working`, which breaks ties in task_key order, and in
+    the task itself. A key can move for three reasons only: the task's
+    value changed; the task was refreshed while its key carries its age
+    (an overdue or unranked key, or any key in deadline mode); or the task
+    reaches its staleness limit, at cycle seen + limit + 1. `observe` marks
+    the tasks of the first two, and a calendar by that cycle gives those of
+    the third; a task refreshed since it went on the calendar goes back on
+    it at its new limit instead of being re-keyed. `plan` re-keys only the
+    marked tasks, moving each changed key with bisect, and packs by walking
+    `order` from the front.
     """
 
     def __init__(self, translation: Translation, bound: int):
@@ -99,8 +116,8 @@ class SchedulerState:
             exact = {float(e.value) if self.deadline else e.value: e.value
                      for e in schedule.entries[task]}
             last = kinds.get("last")
-            refreshed = tuple(t for t in self.working if not task & ~t) \
-                if last else ()
+            refreshed = frozenset(t for t in self.working if not task & ~t) \
+                if last else frozenset()
             self._rows.append((task, kinds.get("schedule"), exact, last, refreshed))
         # each joint task under one of its sources: its value can change
         # only in a step in which all of them fired
@@ -110,91 +127,137 @@ class SchedulerState:
             if t not in direct and sources:
                 self._joint.setdefault(min(sources, key=schedule.key), []).append(
                     (t, sources))
-        # the static part of each rank key; the index in `working` breaks
-        # ties in task_key order
-        stale = schedule.mode != MODE_PRIORITY
-        self._static = [
-            (i, task, bool(schedule.joint(task)), task in direct,
-             schedule.bounds[task] // self.period
-             if stale and schedule.bounds.get(task) is not None else None)
-            for i, task in enumerate(self.working)]
-        # mask of queried inputs -> (their names, the tasks they satisfy)
+        # the static part of each rank key: the task's index in `working`,
+        # whether it has regions, whether it is direct, and its staleness
+        # limit in whole cycles (dp mode only)
+        stale = schedule.mode == MODE_DP
+        self._static = {
+            task: (i, bool(schedule.joint(task)), task in direct,
+                   schedule.bounds[task] // self.period
+                   if stale and schedule.bounds[task] is not None else None)
+            for i, task in enumerate(self.working)}
+        self._keys = {task: self._key(task) for task in self.working}
+        self.order = sorted(self._keys.values())
+        # the tasks whose key carries the age, re-keyed when refreshed
+        self._aging = {task for task, key in self._keys.items()
+                       if self._ages(key)}
+        self._moved: set = set()  # tasks to re-key at the next plan
+        self._calendar: dict = {}  # cycle -> tasks that may reach their limit
+        # mask of queried inputs -> (their names, the tasks they satisfy,
+        # the names in query order)
         self._events: dict = {}
+        self.queried: tuple = ()  # the names of the last plan, in query order
+
+    def _ages(self, key: tuple) -> bool:
+        return self.deadline or key[0] in (0, 3)
+
+    def _key(self, task) -> tuple:
+        """The task's rank key at the cycle being planned.
+
+        Deadline mode: deadlines never conflict through side satisfactions,
+        so every task ranks on its own urgency, and a task never seen ranks
+        as most urgent. Priority-based modes: overdue tasks go first, since
+        serving stale tasks never counts as an inversion against anyone.
+        Then direct tasks in strict observed-priority order with a stable
+        tie break; rotating ties would rotate which side unions fire and
+        leave stale union claims behind. Unknown-value tasks follow
+        (serving them can satisfy low-priority side tasks, which is an
+        inversion while any known higher-priority task is pending), then
+        plain fillers. Non-overdue union tasks come dead last: they are
+        satisfied for free whenever their parts are packed, and packing
+        them directly would inject their weakest member into the event.
+        """
+        i, ranked, direct, limit = self._static[task]
+        seen = self.seen.get(task)
+        value = self.values.get(task)
+        age = seen if seen is not None else _NEVER
+        if self.deadline:
+            if not ranked:
+                return (3, 0, age, i, task)
+            if value is None or seen is None:
+                return (0, 0, age, i, task)
+            return (1, seen * self.period + value, 0, i, task)
+        urgency = -(value if value is not None else _UNRANKED)
+        if limit is not None and (seen is None or self.cycle - seen > limit):
+            return (0, urgency, age, i, task)
+        if not ranked:
+            return (3, 0, age, i, task)
+        if not direct:
+            return (4, urgency, 0, i, task)
+        if value is not None:
+            return (1, -value, 0, i, task)
+        return (2, 0, 0, i, task)
+
+    def _rekey(self, task) -> None:
+        old = self._keys[task]
+        new = self._key(task)
+        if new == old:
+            return
+        order = self.order
+        del order[bisect_left(order, old)]
+        insort(order, new)
+        self._keys[task] = new
+        if self._ages(new):
+            self._aging.add(task)
+        else:
+            self._aging.discard(task)
+        if old[0] == 0 and new[0] != 0:
+            # no longer overdue: due again at its staleness limit
+            limit = self._static[task][3]
+            if limit is not None:
+                self._calendar.setdefault(
+                    self.seen[task] + limit + 1, []).append(task)
 
     def observe(self, current: dict) -> None:
         """Fold the evaluated step of the cycle last planned into the caches."""
         fired: dict = {}
         values, seen, cycle = self.values, self.seen, self.cycle
+        moved, aging = self._moved, self._aging
         for task, name, exact, last, refreshed in self._rows:
             if name is not None:
                 raw = current.get(name, ABSENT)
                 if raw is not ABSENT:
-                    fired[task] = values[task] = exact.get(raw, raw)
+                    value = fired[task] = exact.get(raw, raw)
+                    if values.get(task) != value:
+                        values[task] = value
+                        moved.add(task)
             if last is not None and current.get(last, ABSENT) is not ABSENT:
                 for sup in refreshed:
                     seen[sup] = cycle
+                moved |= aging & refreshed
         for src in fired:
             for task, joint in self._joint.get(src, ()):
                 if all(s in fired for s in joint):
-                    values[task] = self.combine(fired[s] for s in joint)
-
-    def _deadline_keys(self) -> list:
-        # deadlines never conflict through side satisfactions, so
-        # every task ranks on its own urgency
-        keys = []
-        for i, task, ranked, _, _ in self._static:
-            seen = self.seen.get(task)
-            age = seen if seen is not None else _NEVER
-            value = self.values.get(task)
-            if not ranked:
-                keys.append((3, 0, age, i))
-            elif value is None or seen is None:
-                keys.append((0, 0, age, i))  # bootstrap: rank as most urgent
-            else:
-                keys.append((1, seen * self.period + value, 0, i))
-        return keys
-
-    def _priority_keys(self) -> list:
-        # Overdue tasks go first: serving stale tasks never counts as an
-        # inversion against anyone. Then direct tasks in strict
-        # observed-priority order with a stable tie break; rotating ties
-        # would rotate which side unions fire and leave stale union claims
-        # behind. Unknown-value tasks follow (serving them can satisfy
-        # low-priority side tasks, which is an inversion while any known
-        # higher-priority task is pending), then plain fillers. Non-overdue
-        # union tasks come dead last: they are satisfied for free whenever
-        # their parts are packed, and packing them directly would inject
-        # their weakest member into the event.
-        keys = []
-        cycle = self.cycle
-        for i, task, ranked, direct, limit in self._static:
-            seen = self.seen.get(task)
-            value = self.values.get(task)
-            if limit is not None and (seen is None or cycle - seen > limit):
-                urgency = -(value if value is not None else _UNRANKED)
-                keys.append((0, urgency, seen if seen is not None else _NEVER, i))
-            elif not ranked:
-                keys.append((3, 0, seen if seen is not None else _NEVER, i))
-            elif not direct:
-                keys.append((4, -(value if value is not None else _UNRANKED), 0, i))
-            elif value is not None:
-                keys.append((1, -value, 0, i))
-            else:
-                keys.append((2, 0, 0, i))
-        return keys
+                    value = self.combine(fired[s] for s in joint)
+                    if values.get(task) != value:
+                        values[task] = value
+                        moved.add(task)
 
     def plan(self, at: Fraction) -> EventPlan:
         """The event of the next cycle, which runs at `at`."""
-        self.cycle += 1
-        keys = self._deadline_keys() if self.deadline else self._priority_keys()
-        flat = take_event([self.working[key[-1]] for key in sorted(keys)],
-                          self.bound)
+        self.cycle = cycle = self.cycle + 1
+        moved = self._moved
+        for task in self._calendar.pop(cycle, ()):
+            due = self.seen[task] + self._static[task][3] + 1
+            if due > cycle:  # refreshed since: not yet stale
+                self._calendar.setdefault(due, []).append(task)
+            else:
+                moved.add(task)
+        if moved:
+            keys = self._keys
+            for task in moved:
+                if task in keys:  # a direct task wider than the bound has none
+                    self._rekey(task)
+            moved.clear()
+        flat = take_event(map(itemgetter(-1), self.order), self.bound)
         event = self._events.get(flat)
         if event is None:
+            names = task_names(flat, self.inputs)
             event = self._events[flat] = (
-                frozenset(task_names(flat, self.inputs)),
-                selected_tasks(self.universe, flat))
-        return EventPlan(at, *event)
+                frozenset(names), selected_tasks(self.universe, flat),
+                tuple(sorted(names)))
+        self.queried = event[2]
+        return EventPlan(at, event[0], event[1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +432,7 @@ def run_scheduled(translation: Translation, source, horizon,
         plan = state.plan(at)
         plans.append(plan)
         if plan.flat:
-            values = {s: source.query(s, at) for s in sorted(plan.flat)}
+            values = {s: source.query(s, at) for s in state.queried}
             current, fired = eval_event(monitor, tick, values)
             state.observe(current)
             ticks.append(tick)

@@ -269,8 +269,12 @@ def generate_flight(scenario: FlightScenario) -> SensorTrace:
     return SensorTrace(GRID_HZ, dict.fromkeys(values, ticks), values)
 
 
+# the kinds of ground-truth crossing a synthetic flight has
+CROSSING_KINDS = ("altitude", "geofence")
+
+
 def flight_crossings(scenario: FlightScenario) -> dict:
-    """Closed-form ground-truth violation onsets, by kind."""
+    """Closed-form ground-truth violation onsets, by kind (CROSSING_KINDS)."""
     prof = _Profile(scenario)
     return {"geofence": [prof.geofence_cross],
             "altitude": [prof.altitude_cross]}
@@ -545,9 +549,10 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
 
 
 __all__ = [
-    "BaselineRun", "ComparisonReport", "ExperimentResult", "FlightScenario",
-    "GRID_HZ", "RunMetrics", "ScenarioResult", "SensorTrace", "TraceSource",
-    "compare_runs", "compute_metrics", "flight_crossings", "generate_flight",
-    "pool_metrics", "run_experiment", "run_fixed", "scenario_from_json",
-    "summarize", "tick_array", "trace_fingerprint",
+    "BaselineRun", "CROSSING_KINDS", "ComparisonReport", "ExperimentResult",
+    "FlightScenario", "GRID_HZ", "RunMetrics", "ScenarioResult",
+    "SensorTrace", "TraceSource", "compare_runs", "compute_metrics",
+    "flight_crossings", "generate_flight", "pool_metrics", "run_experiment",
+    "run_fixed", "scenario_from_json", "summarize", "tick_array",
+    "trace_fingerprint",
 ]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from activemon.analysis import analyze
-from activemon.cli import main
+from activemon.cli import _check_config_names, _load, _read_config, main
 from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
@@ -504,6 +504,51 @@ def test_invalid_compare_config_field_is_a_usage_error(tmp_path, capsys,
                         "--out-dir", str(tmp_path / "out")], capsys)
     assert f'"{key}"' in err
     assert not (tmp_path / "out").exists()
+
+
+BUNDLED_GROUPS = {"safety": ["gps_lat_long", "gps_altitude"],
+                  "experiment": ["barometer_pressure", "barometer_altitude"]}
+BUNDLED_KINDS = {"scheduled_geofence": "geofence",
+                 "scheduled_altitude_bound": "altitude"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # a misspelt member would count nothing towards its group's bandwidth
+    ("groups", dict(BUNDLED_GROUPS, safety=["gps_lat_long", "gps_altitud"]),
+     '"groups" names inputs the spec lacks: gps_altitud'),
+    ("groups", {"safety": ["zz", "gps_altitude", "aa"], "none": ["zz"]},
+     '"groups" names inputs the spec lacks: aa, zz'),
+    # a misspelt trigger would leave every crossing of its kind missed
+    ("trigger_kinds", {"geofence_violation_typo": "geofence",
+                       "scheduled_altitude_bound": "altitude"},
+     '"trigger_kinds" names triggers the spec lacks: geofence_violation_typo'),
+    ("trigger_kinds", {"z_trigger": "geofence", "a_trigger": "altitude",
+                       "scheduled_geofence": "geofence"},
+     '"trigger_kinds" names triggers the spec lacks: a_trigger, z_trigger'),
+    ("trigger_kinds", dict(BUNDLED_KINDS, scheduled_geofence="speed"),
+     '"trigger_kinds" names kinds other than altitude, geofence: speed'),
+    ("trigger_kinds", {"scheduled_geofence": "zone",
+                       "scheduled_altitude_bound": "height"},
+     '"trigger_kinds" names kinds other than altitude, geofence: height, zone'),
+])
+def test_compare_config_naming_what_the_spec_lacks_is_a_usage_error(
+        tmp_path, capsys, key, value, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({
+        "spec": "drone_experiment.lola", "scenarios": [{"seed": 101}],
+        "groups": BUNDLED_GROUPS, "trigger_kinds": BUNDLED_KINDS,
+        key: value}))
+    err = _usage_error(["compare", "--config", str(config),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_bundled_config_names_only_what_its_spec_has(spec_dir):
+    path = spec_dir / "experiment.json"
+    config, spec_path = _read_config(path)
+    assert config["groups"] and config["trigger_kinds"]
+    _check_config_names(path, config, _load(spec_path))  # raises nothing
 
 
 def test_module_entry_point_smoke(spec_dir):

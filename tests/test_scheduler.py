@@ -1,19 +1,23 @@
 """Bandwidth packing, split bounds, and closed-loop scheduling runs."""
 
+import math
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen_specs
+from activemon import scheduler
 from activemon.analysis import analyze
 from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
 from activemon.schedule import check_scheduled_model, task_of
 from activemon.scheduler import (
+    SchedulerState,
     build_precondition_report,
     run_scheduled,
     selected_tasks,
@@ -25,6 +29,7 @@ from activemon.sim import (FlightScenario, SensorTrace, TraceSource, compute_met
 from activemon.translate import translate
 from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
+from test_golden_translate import wide_text
 
 # tasks over the inputs a, b, c
 INPUTS = ("a", "b", "c")
@@ -399,3 +404,144 @@ def test_scheduler_ticks_match_the_reference_on_mixed_denominators(
     period = tr.analyzed.config.period
     assert all(r.time == run.model.time_at(r.step) for r in run.triggers)
     assert all(r.time / period == int(r.time / period) for r in run.triggers)
+
+
+# ---------------------------------------------------------------------------
+# the kept rank order against a full re-sort
+
+
+def _keys_from_scratch(state, schedule) -> list:
+    """Every working task's rank key, from the state's values, satisfaction
+    cycles and current cycle alone, sorted."""
+    period = state.period
+    direct = set(schedule.direct)
+    keys = []
+    for i, task in enumerate(state.working):
+        ranked = bool(schedule.joint(task))
+        value = state.values.get(task)
+        seen = state.seen.get(task)
+        age = seen if seen is not None else -math.inf
+        urgency = -(value if value is not None else math.inf)
+        bound = schedule.bounds[task]
+        if schedule.mode == "deadline":
+            if not ranked:
+                key = (3, 0, age)
+            elif value is None or seen is None:
+                key = (0, 0, age)
+            else:
+                key = (1, seen * period + value, 0)
+        elif (schedule.mode == "dp" and bound is not None
+              and (seen is None or state.cycle - seen > bound // period)):
+            key = (0, urgency, age)
+        elif not ranked:
+            key = (3, 0, age)
+        elif task not in direct:
+            key = (4, urgency, 0)
+        elif value is not None:
+            key = (1, -value, 0)
+        else:
+            key = (2, 0, 0)
+        keys.append(key + (i, task))
+    return sorted(keys)
+
+
+def _run_checking_order(tr, source, horizon, bound):
+    """`run_scheduled`, with the kept rank order compared after every plan
+    with a full re-sort of keys computed from scratch; (the run, the number
+    of times a task was overdue at a plan after it had been served)."""
+    states = []
+    stale = [0]
+
+    class Checked(SchedulerState):
+        def __init__(self, translation, bound):
+            super().__init__(translation, bound)
+            states.append(self)
+
+        def plan(self, at):
+            event = super().plan(at)
+            full = _keys_from_scratch(self, tr.schedule)
+            assert self.order == full, f"cycle {self.cycle}"
+            stale[0] += sum(1 for key in full
+                            if key[0] == 0 and key[2] != -math.inf)
+            return event
+
+    with mock.patch.object(scheduler, "SchedulerState", Checked):
+        run = run_scheduled(tr, source, horizon, bound)
+    assert len(states) == 1 and states[0].cycle == len(run.plans) - 1
+    return run, stale[0]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES),
+       st.sampled_from([(9, 20), (1, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_kept_order_equals_a_full_resort_on_generated_specs(seed, mode,
+                                                            deadlines):
+    text, bound, horizon, trace = gen_specs.gen_instance(
+        Random(seed), mode, deadlines)
+    tr = _translated(text, mode)
+    for b in range(1, bound + 1):
+        _run_checking_order(tr, TraceSource(trace), horizon, b)
+
+
+@pytest.mark.parametrize("mode", ["dp", "priority"])
+def test_kept_order_equals_a_full_resort_on_a_drone_flight(drone_text, mode):
+    tr = _translated(drone_text, mode)
+    trace = generate_flight(FlightScenario(seed=42))
+    for bound in (1, 2, 3):
+        run, stale = _run_checking_order(tr, TraceSource(trace), 60, bound)
+        assert stale > 0 or mode == "priority"
+
+
+# at 2 Hz a 0.3 s staleness bound is 0 whole cycles: x is overdue again at
+# the cycle after each of its satisfactions
+SUB_PERIOD_DP = (
+    '#![frequency="2Hz"]\n'
+    '#[priority="low", deadline="0.3s"]\ninput x : Float64\n'
+    '#[priority="high", deadline="2s"]\ninput y : Float64\n'
+    '#[priority="medium"]\ninput z : Float64\n'
+    "output s\n"
+    '    #[priority="medium"]\n'
+    "    eval |@x && y| when x > 0.0 with x + y\n"
+)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_kept_order_with_a_staleness_bound_below_one_period(bound):
+    tr = _translated(SUB_PERIOD_DP, "dp")
+    x = task_of(["x"], tr.schedule.inputs)
+    assert tr.schedule.bounds[x] // tr.analyzed.config.period == 0
+    trace = gen_specs.gen_source_trace(Random(bound), ("x", "y", "z"),
+                                       Fraction(20))
+    run, stale = _run_checking_order(tr, TraceSource(trace), 20, bound)
+    assert stale > 0
+    assert sum("x" in p.flat for p in run.plans) > len(run.plans) // 2
+    _assert_matches_reference(tr, trace, 20, bound)
+
+
+def _random_walk(rng: Random, sensors, seconds: int, hz: int = 10):
+    """A mean-reverting random walk per sensor (stationary std 1), `hz`
+    samples a second over [0, seconds]."""
+    samples = {}
+    for sensor in sensors:
+        x = rng.gauss(0.0, 1.0)
+        points = []
+        for k in range(seconds * hz + 1):
+            points.append((Fraction(k, hz), round(x, 4)))
+            x += -0.02 * x + 0.2 * rng.gauss(0.0, 1.0)
+        samples[sensor] = tuple(points)
+    return SensorTrace.from_samples(samples)
+
+
+# deadline mode rejects the wide spec's priorities
+@pytest.mark.parametrize("mode", ["priority", "dp"])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_wide_spec_matches_the_reference_over_a_long_walk(mode, bound):
+    tr = _translated(wide_text(), mode)
+    assert len([t for t in tr.schedule.universe if t.bit_count() <= 2]) == 45
+    trace = _random_walk(Random(f"wide-walk:{bound}"), tr.schedule.inputs,
+                         150)
+    _assert_matches_reference(tr, trace, 150, bound)
+    run, stale = _run_checking_order(tr, TraceSource(trace), 150, bound)
+    assert len(run.plans) == 300
+    assert stale > 0 or mode == "priority"

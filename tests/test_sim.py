@@ -13,6 +13,7 @@ from activemon.errors import (MismatchedTraces, OutOfRange, SensorUnavailable,
 from activemon.io import read_trace
 from activemon.parser import parse_spec
 from activemon.sim import (
+    CROSSING_KINDS,
     GRID_HZ,
     FlightScenario,
     SensorTrace,
@@ -225,6 +226,7 @@ def test_crossings_match_the_sampled_trajectory(seed):
     scenario = FlightScenario(seed=seed)
     trace = generate_flight(scenario)
     crossings = flight_crossings(scenario)
+    assert tuple(sorted(crossings)) == CROSSING_KINDS
     (tg,) = crossings["geofence"]
     (ta,) = crossings["altitude"]
     assert 0 < tg < 60 and 0 < ta < 60
