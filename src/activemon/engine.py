@@ -395,12 +395,13 @@ class CompiledSpec:
     `make(*deques)` takes one history deque per entry of `history`
     ((stream, depth), in order) and returns the step function over them,
     which pushes each step's values into its deques. The monitor's
-    `step(values, now)` evaluates one event and returns (every stream's
-    value or ABSENT, in the spec's stream order, as a dict; the (trigger,
-    message) pairs that fired). The verifier's `step(row, now)` recomputes
-    every output from a model row and returns (the (stream, recomputed,
-    held) of each that disagrees; the inputs present, bit i for input i in
-    declaration order; the guards that hold, bit i for guard i).
+    `step(values, now)` evaluates one event and returns (its row tuple in
+    stream order: every stream's value or ABSENT, in the order of
+    `stream_names()`; the (trigger, message) pairs that fired). The
+    verifier's `step(row, now)` recomputes every output from a model row
+    and returns (the (stream, recomputed, held) of each that disagrees; the
+    inputs present, bit i for input i in declaration order; the guards that
+    hold, bit i for guard i).
     """
 
     source: str
@@ -432,8 +433,8 @@ def compile_spec(analyzed: AnalyzedSpec) -> CompiledSpec:
         lines += [f"if {source.code(trig.expr)[0]} is True:",
                   f"    _fired.append({fired})"]
     lines += source.pushes
-    row = ", ".join(f"{n!r}: {v}" for n, v in local.items())
-    lines.append(f"return {{{row}}}, _fired")
+    row = "".join(f"{v}, " for v in local.values())
+    lines.append(f"return ({row}), _fired")
     source.ns["_inputs"] = frozenset(inputs)
     return source.compile("_monitor", "values, now", lines)
 
@@ -495,9 +496,10 @@ class MonitorState:
 def eval_event(state: MonitorState, tick: int, values: dict):
     """Advance the monitor one step, to tick / state.quantum seconds.
 
-    `values` maps each present input to its value. Returns (values,
-    reports): the value or ABSENT of every stream at this step, and the
-    triggers that fired. The state is updated in place.
+    `values` maps each present input to its value. Returns (row,
+    reports): the row tuple in stream order, the value or ABSENT of every
+    stream at this step in the order of `stream_names()`, and the triggers
+    that fired. The state is updated in place.
     """
     if tick <= state.tick:
         q = state.quantum
@@ -517,14 +519,14 @@ def eval_event(state: MonitorState, tick: int, values: dict):
 
 
 # rows a run keeps before folding them into its columns: each row is a
-# dict of every stream, so keeping many would raise a long run's peak memory
+# tuple of every stream, so keeping many would raise a long run's peak memory
 FOLD_ROWS = 32
 
 
 def fold_rows(columns: list, rows: list) -> None:
-    """Append each row dict's values (in column order) to the columns, in
-    one transpose, and empty `rows`."""
-    for column, values in zip(columns, zip(*map(dict.values, rows))):
+    """Append each row tuple (in column order) to the columns, in one
+    transpose, and empty `rows`."""
+    for column, values in zip(columns, zip(*rows)):
         column.extend(values)
     rows.clear()
 

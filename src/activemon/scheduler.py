@@ -107,9 +107,12 @@ class SchedulerState:
         self.cycle = -1  # the cycle last planned
         self.combine = schedule.restrictive()
         direct = frozenset(schedule.direct)
-        # per direct task: its schedule stream with the map from the
-        # stream's payload back to the exact value (deadline streams carry
-        # floats), and its last stream with the working tasks it refreshes
+        # per direct task: the column of its schedule stream in the
+        # monitor's row, with the map from the stream's payload back to the
+        # exact value (deadline streams carry floats), and the column of its
+        # last stream with the working tasks it refreshes
+        column = {n: i for i, n in
+                  enumerate(translation.plain.spec.stream_names())}
         self._rows = []
         for task in schedule.direct:
             kinds = translation.names[task]
@@ -118,15 +121,16 @@ class SchedulerState:
             last = kinds.get("last")
             refreshed = frozenset(t for t in self.working if not task & ~t) \
                 if last else frozenset()
-            self._rows.append((task, kinds.get("schedule"), exact, last, refreshed))
+            self._rows.append((task, column.get(kinds.get("schedule")), exact,
+                               column.get(last), refreshed))
         # each joint task under one of its sources: its value can change
         # only in a step in which all of them fired
-        self._joint: dict = {}  # direct Task -> [(joint Task, sources)]
+        self._joint: dict = {}  # direct Task -> [(joint Task, sources, set)]
         for t in self.working:
             sources = schedule.joint(t)
             if t not in direct and sources:
                 self._joint.setdefault(min(sources, key=schedule.key), []).append(
-                    (t, sources))
+                    (t, sources, frozenset(sources)))
         # the static part of each rank key: the task's index in `working`,
         # whether it has regions, whether it is direct, and its staleness
         # limit in whole cycles (dp mode only)
@@ -208,27 +212,29 @@ class SchedulerState:
                 self._calendar.setdefault(
                     self.seen[task] + limit + 1, []).append(task)
 
-    def observe(self, current: dict) -> None:
-        """Fold the evaluated step of the cycle last planned into the caches."""
+    def observe(self, row: tuple) -> None:
+        """Fold the evaluated step of the cycle last planned, the monitor's
+        row tuple in stream order, into the caches."""
         fired: dict = {}
         values, seen, cycle = self.values, self.seen, self.cycle
         moved, aging = self._moved, self._aging
         for task, name, exact, last, refreshed in self._rows:
             if name is not None:
-                raw = current.get(name, ABSENT)
+                raw = row[name]
                 if raw is not ABSENT:
                     value = fired[task] = exact.get(raw, raw)
                     if values.get(task) != value:
                         values[task] = value
                         moved.add(task)
-            if last is not None and current.get(last, ABSENT) is not ABSENT:
+            if last is not None and row[last] is not ABSENT:
                 for sup in refreshed:
                     seen[sup] = cycle
                 moved |= aging & refreshed
+        done = fired.keys()
         for src in fired:
-            for task, joint in self._joint.get(src, ()):
-                if all(s in fired for s in joint):
-                    value = self.combine(fired[s] for s in joint)
+            for task, joint, members in self._joint.get(src, ()):
+                if done >= members:
+                    value = self.combine([fired[s] for s in joint])
                     if values.get(task) != value:
                         values[task] = value
                         moved.add(task)
@@ -433,10 +439,10 @@ def run_scheduled(translation: Translation, source, horizon,
         plans.append(plan)
         if plan.flat:
             values = {s: source.query(s, at) for s in state.queried}
-            current, fired = eval_event(monitor, tick, values)
-            state.observe(current)
+            row, fired = eval_event(monitor, tick, values)
+            state.observe(row)
             ticks.append(tick)
-            rows.append(current)
+            rows.append(row)
             if len(rows) == FOLD_ROWS:
                 fold_rows(columns, rows)
             triggers.extend(fired)

@@ -4,6 +4,12 @@ A trace keeps time as integer ticks on a quantum (tick n is n/quantum s);
 the sensor model is zero-order hold over its samples. Anything with a
 ``query(sensor, at)`` method can stand in for TraceSource, so a live
 simulator backend can be plugged into the scheduler without touching it.
+
+A synthetic flight is synthesized column by column: each sensor's samples
+come from one list comprehension per leg of the trajectory, whose
+boundaries are found by bisecting the grid times, and all its sensors
+share one tick array, which the fixed-frequency baseline bisects once per
+event for all of them.
 """
 
 from __future__ import annotations
@@ -170,7 +176,8 @@ def _dodge_grid(t: float, period: float = 0.5, margin: float = 0.06) -> bool:
 
 
 class _Profile:
-    """Closed-form piecewise-linear trajectory for one scenario.
+    """The parameters of one scenario's closed-form piecewise-linear
+    trajectory, which `generate_flight` samples.
 
     The drone holds at the start, flies a straight outbound leg through the
     geofence, turns and comes home; independently it climbs through the
@@ -180,7 +187,6 @@ class _Profile:
 
     def __init__(self, sc: FlightScenario):
         rng = Random(sc.seed)
-        self.sc = sc
         self.bearing = rng.uniform(0.0, 2.0 * math.pi)
 
         move = rng.uniform(2.0, 4.0)
@@ -198,7 +204,6 @@ class _Profile:
         if self.return_start + (self.r_peak - 1.0) / v_ret > latest:
             v_ret = (self.r_peak - 1.0) / (latest - self.return_start)
         self.v_ret = v_ret
-        self.home = self.return_start + (self.r_peak - 1.0) / v_ret
 
         climb = rng.uniform(6.0, 10.0)
         v_climb = rng.uniform(0.36, 0.44)
@@ -220,51 +225,50 @@ class _Profile:
         self.phase2 = rng.uniform(0.0, 2.0 * math.pi)
         self.phase3 = rng.uniform(0.0, 2.0 * math.pi)
 
-    def distance(self, t: float) -> float:
-        if t <= self.move_start:
-            return 0.0
-        if t <= self.turn:
-            return self.v_out * (t - self.move_start)
-        if t <= self.return_start:
-            return self.r_peak
-        return max(1.0, self.r_peak - self.v_ret * (t - self.return_start))
 
-    def above_ground(self, t: float) -> float:
-        if t <= self.climb_start:
-            return 0.0
-        if t <= self.level:
-            return self.v_climb * (t - self.climb_start)
-        if t <= self.descend_start:
-            return self.a_peak
-        return max(2.0, self.a_peak - self.v_desc * (t - self.descend_start))
+def _legs(times, start: float, top: float, hold_end: float, speed: float,
+          peak: float, back: float, floor: float) -> list:
+    """One trajectory coordinate at each of the sorted `times`: 0.0 up to
+    `start`, rising at `speed` up to `top`, `peak` up to `hold_end`, then
+    falling at `back` but never below `floor`.
 
-    def lat_long(self, t: float):
-        d = self.distance(t) / 10000.0
-        return (self.sc.start_lat + d * math.cos(self.bearing),
-                self.sc.start_long + d * math.sin(self.bearing))
-
-    def altitude(self, t: float) -> float:
-        return self.sc.ground_altitude + self.above_ground(t)
-
-    def pressure(self, t: float) -> float:
-        return (1013.25 - self.p_drift * t
-                + 0.8 * math.sin(2.0 * math.pi * t / 37.0 + self.phase1)
-                + 0.3 * math.sin(2.0 * math.pi * t / 11.0 + self.phase2))
-
-    def baro_altitude(self, t: float) -> float:
-        return self.altitude(t) + 0.15 * math.sin(
-            2.0 * math.pi * t / 13.0 + self.phase3)
+    Each boundary is inclusive, as `t <= boundary` is: bisect_right counts
+    the times at or before it, from where the previous leg ended.
+    """
+    a = bisect_right(times, start)
+    b = bisect_right(times, top, a)
+    c = bisect_right(times, hold_end, b)
+    return ([0.0] * a + [speed * (t - start) for t in times[a:b]]
+            + [peak] * (c - b)
+            + [max(floor, peak - back * (t - hold_end)) for t in times[c:]])
 
 
 def generate_flight(scenario: FlightScenario) -> SensorTrace:
-    """Sample the scenario's trajectory on the fixed grid."""
+    """Sample the scenario's trajectory on the fixed grid, one sensor
+    column at a time."""
     prof = _Profile(scenario)
     steps = int(round(scenario.duration * GRID_HZ))
     times = [k / GRID_HZ for k in range(steps + 1)]
-    values = {"gps_lat_long": [prof.lat_long(t) for t in times],
-              "gps_altitude": [prof.altitude(t) for t in times],
-              "barometer_pressure": [prof.pressure(t) for t in times],
-              "barometer_altitude": [prof.baro_altitude(t) for t in times]}
+    sin, tau = math.sin, 2.0 * math.pi
+    distance = _legs(times, prof.move_start, prof.turn, prof.return_start,
+                     prof.v_out, prof.r_peak, prof.v_ret, 1.0)
+    lat, lon = scenario.start_lat, scenario.start_long
+    cos_b, sin_b = math.cos(prof.bearing), math.sin(prof.bearing)
+    ground = scenario.ground_altitude
+    altitude = [ground + h for h in _legs(
+        times, prof.climb_start, prof.level, prof.descend_start,
+        prof.v_climb, prof.a_peak, prof.v_desc, 2.0)]
+    drift, phase1, phase2, phase3 = (prof.p_drift, prof.phase1, prof.phase2,
+                                     prof.phase3)
+    values = {
+        "gps_lat_long": [(lat + d / 10000.0 * cos_b, lon + d / 10000.0 * sin_b)
+                         for d in distance],
+        "gps_altitude": altitude,
+        "barometer_pressure": [
+            1013.25 - drift * t + 0.8 * sin(tau * t / 37.0 + phase1)
+            + 0.3 * sin(tau * t / 11.0 + phase2) for t in times],
+        "barometer_altitude": [a + 0.15 * sin(tau * t / 13.0 + phase3)
+                               for a, t in zip(altitude, times)]}
     ticks = array("q", range(steps + 1))
     return SensorTrace(GRID_HZ, dict.fromkeys(values, ticks), values)
 
@@ -323,7 +327,7 @@ def compute_metrics(model: EvaluationModel, input_names, horizon: float,
     counts = {}
     for name in input_names:
         column = model.streams.get(name, [])
-        counts[name] = sum(1 for v in column if v is not ABSENT)
+        counts[name] = len(column) - column.count(ABSENT)
     grouped = {}
     for gname, members in (groups or {}).items():
         grouped[gname] = sum(counts.get(m, 0) for m in members)
@@ -371,23 +375,38 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
 
     # event k runs at tick k * period.numerator on the quantum
     # period.denominator. Each sensor is read at floor(at·trace quantum),
-    # bisected as `query` does; the sensors `query` would reject at `at` (no
-    # samples, the event before the first or after the last) go through it,
-    # so it raises its own error
+    # bisected as `query` does, once per tick array: the inputs are grouped
+    # by the array they read, and a synthesized flight shares one among all
+    # its sensors. An event at which some input has no samples, or lies
+    # before the first or after the last of its array's, queries every
+    # input in declaration order instead, so the first failing input raises
+    # the error `query` gives
     num, den = period.numerator, period.denominator
     step = num * trace.quantum
-    sensors = [(s, trace.ticks.get(s), trace.values.get(s)) for s in inputs]
+    groups: dict = {}  # id of a tick array -> (the array, [(input, values)])
+    for s in inputs:
+        ticks = trace.ticks.get(s)
+        if ticks is not None:
+            groups.setdefault(id(ticks), (ticks, []))[1].append(
+                (s, trace.values[s]))
+    arrays = list(groups.values())
+    complete = all(s in trace.ticks for s in inputs)
 
     def events():
         for k in range(count):
             scaled = k * step  # at·quantum·den
             tick = scaled // den
             values = {}
-            for s, ticks, vals in sensors:
-                if ticks is None or tick < ticks[0] or scaled > ticks[-1] * den:
-                    values[s] = source.query(s, Fraction(k * num, den))
-                else:
-                    values[s] = vals[bisect_right(ticks, tick) - 1]
+            for ticks, members in arrays:
+                if tick < ticks[0] or scaled > ticks[-1] * den:
+                    values = None
+                    break
+                i = bisect_right(ticks, tick) - 1
+                for s, vals in members:
+                    values[s] = vals[i]
+            if values is None or not complete:
+                time = Fraction(k * num, den)
+                values = {s: source.query(s, time) for s in inputs}
             yield k * num, values
 
     return BaselineRun(*run_monitor_full(analyzed, events(), den))

@@ -151,7 +151,8 @@ def reference_run(translation: Translation, source, horizon, bound: int):
         plans.append(plan)
         if plan.flat:
             values = {s: source.query(s, at) for s in sorted(plan.flat)}
-            current, _ = eval_event(monitor, int(at * quantum), values)
+            row, _ = eval_event(monitor, int(at * quantum), values)
+            current = dict(zip(names, row))
             state.observe(current, at)
             times.append(at)
             for name in names:

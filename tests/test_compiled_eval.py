@@ -278,7 +278,8 @@ def test_plans_keep_any_clauses_after_paced_ones():
     # with a alone after 2 s, nb still reaches its @any clause past the
     # clauses paced on b
     state = MonitorState(analyzed)
-    current, _ = eval_event(state, 5, {"a": 0.5})
+    row, _ = eval_event(state, 5, {"a": 0.5})
+    current = dict(zip(spec.stream_names(), row))
     assert sorted(name for name, v in current.items()
                   if v is not ABSENT and name not in ("a", "b")) == [
         "count", "nb", "x"]
@@ -339,7 +340,8 @@ def _same(form, envs, history=None, now=0.0):
     base = analyze(parse_spec("".join(f"input {n} : Float64\n" for n in names)
                               + "output o := z\n"))
     output = OutputDecl("o", (EvalClause(Pacing.any_event(), None, form),))
-    compiled = replace(base, spec=replace(base.spec, outputs=(output,)),
+    spec = replace(base.spec, outputs=(output,))
+    compiled = replace(base, spec=spec,
                        max_offset={**base.max_offset, **offset_refs(form)}
                        ).compiled
 
@@ -351,7 +353,7 @@ def _same(form, envs, history=None, now=0.0):
         step = compiled.make(*(deque(history.get(n, ()), maxlen=d)
                                for n, d in compiled.history))
         present = {n: v for n, v in env.items() if v is not ABSENT}
-        got = step(present, now)[0]["o"]
+        got = dict(zip(spec.stream_names(), step(present, now)[0]))["o"]
         want = reference_eval.eval_expr(form, env.__getitem__, offset_read, now)
         assert values_equal(got, want) and type(got) is type(want), \
             (form, env, got, want)
@@ -465,13 +467,14 @@ def test_stream_names_cannot_capture_generated_names(seed):
     model, reports = run_events(analyzed, events)
     assert _as_tuples(triggers_from_model(analyzed, model)) == \
         _as_tuples(reports)
-    # stream names occur only as string literals, in the monitor and in the
+    # stream names occur only as string literals, in the monitor (which
+    # names only the inputs it reads, its row being a tuple) and in the
     # verifier, here deciding the spec's when conditions as guards
     guards = [(c.when, c.pacing) for o in analyzed.spec.outputs
               for c in o.clauses if c.when is not None]
     verifier = compile_verifier(analyzed, guards).source
     assert verifier.count("_g |=") == len(guards) > 0
-    for source, named in ((analyzed.compiled.source, analyzed.spec.stream_names()),
+    for source, named in ((analyzed.compiled.source, analyzed.spec.input_names()),
                           (verifier, analyzed.spec.output_names())):
         names, strings = _source_names(source)
         assert all(_GENERATED.fullmatch(n) or n in _RUNTIME_NAMES

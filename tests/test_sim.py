@@ -1,11 +1,16 @@
 """Sensor traces, synthetic flights, baselines, and run comparison."""
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from activemon import engine, scheduler, sim
 from activemon.analysis import analyze
 from activemon.engine import ABSENT, EvaluationModel, TriggerReport
 from activemon.errors import (MismatchedTraces, OutOfRange, SensorUnavailable,
@@ -25,6 +30,7 @@ from activemon.sim import (
     run_experiment,
     run_fixed,
     trace_fingerprint,
+    _legs,
     _Profile,
 )
 from activemon.translate import translate
@@ -180,10 +186,54 @@ def test_flight_samples_the_full_grid():
     assert trace.span() == (Fraction(0), Fraction(60))
 
 
+class _ReferenceProfile(_Profile):
+    """The trajectory sampled one time at a time, by the closed form that
+    `generate_flight` evaluates a column at a time."""
+
+    def __init__(self, sc: FlightScenario):
+        super().__init__(sc)
+        self.sc = sc
+
+    def distance(self, t: float) -> float:
+        if t <= self.move_start:
+            return 0.0
+        if t <= self.turn:
+            return self.v_out * (t - self.move_start)
+        if t <= self.return_start:
+            return self.r_peak
+        return max(1.0, self.r_peak - self.v_ret * (t - self.return_start))
+
+    def above_ground(self, t: float) -> float:
+        if t <= self.climb_start:
+            return 0.0
+        if t <= self.level:
+            return self.v_climb * (t - self.climb_start)
+        if t <= self.descend_start:
+            return self.a_peak
+        return max(2.0, self.a_peak - self.v_desc * (t - self.descend_start))
+
+    def lat_long(self, t: float):
+        d = self.distance(t) / 10000.0
+        return (self.sc.start_lat + d * math.cos(self.bearing),
+                self.sc.start_long + d * math.sin(self.bearing))
+
+    def altitude(self, t: float) -> float:
+        return self.sc.ground_altitude + self.above_ground(t)
+
+    def pressure(self, t: float) -> float:
+        return (1013.25 - self.p_drift * t
+                + 0.8 * math.sin(2.0 * math.pi * t / 37.0 + self.phase1)
+                + 0.3 * math.sin(2.0 * math.pi * t / 11.0 + self.phase2))
+
+    def baro_altitude(self, t: float) -> float:
+        return self.altitude(t) + 0.15 * math.sin(
+            2.0 * math.pi * t / 13.0 + self.phase3)
+
+
 def _reference_flight(scenario):
     """The flight as (Fraction time, value) pairs on the grid, sampled one
     grid point at a time."""
-    prof = _Profile(scenario)
+    prof = _ReferenceProfile(scenario)
     samples = {"gps_lat_long": [], "gps_altitude": [],
                "barometer_pressure": [], "barometer_altitude": []}
     for k in range(int(round(scenario.duration * GRID_HZ)) + 1):
@@ -196,14 +246,55 @@ def _reference_flight(scenario):
     return samples
 
 
+# flights short enough that the return and the descent are sped up (or, at
+# a few seconds, reversed) to end by three seconds before the end
+_SHORT = [FlightScenario(seed=seed, duration=duration)
+          for seed in (2, 41, 977) for duration in (0.1, 5.0, 12.34, 33.3)]
+
+
 @pytest.mark.parametrize("scenario", [
     FlightScenario(seed=1), FlightScenario(seed=137, duration=12.34),
-    FlightScenario(seed=588, duration=1800.0)])
+    FlightScenario(seed=588, duration=1800.0),
+    *_SHORT,
+    *(FlightScenario(seed=seed, duration=duration)
+      for seed in (3, 101, 523) for duration in (47.5, 60.0, 98.76)),
+    FlightScenario(seed=7, duration=1800.0),
+    FlightScenario(seed=8, duration=1799.99, geofence_radius=3.5,
+                   altitude_ceiling=4.25, start_lat=-33.9, start_long=-0.0,
+                   ground_altitude=-12.5)])
 def test_flight_matches_the_pairwise_reference(scenario):
     trace = generate_flight(scenario)
     reference = SensorTrace.from_samples(_reference_flight(scenario))
     assert trace == reference
     assert trace_fingerprint(trace) == trace_fingerprint(reference)
+
+
+@pytest.mark.parametrize("scenario", _SHORT)
+def test_short_flights_clamp_their_return_and_descent(scenario):
+    prof = _Profile(scenario)
+    assert not 0.55 <= prof.v_ret <= 0.75
+    assert not 0.50 <= prof.v_desc <= 0.70
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.5, 1.2, 2.0),  # each boundary on a grid point
+    (0.0, 0.0, 3.0),  # the first grid point, twice, and the last
+    (-1.0, 0.7, 0.7),  # before the grid, and an empty hold
+    (1.5, 0.3, 2.5),  # a top before the start
+    (2.9, 3.5, 9.0),  # past the last grid point
+])
+def test_legs_keep_each_boundary_inclusive(bounds):
+    times = [k / GRID_HZ for k in range(31)]
+    prof = _ReferenceProfile(FlightScenario(seed=1))
+    prof.move_start, prof.turn, prof.return_start = bounds
+    legs = _legs(times, *bounds, prof.v_out, prof.r_peak, prof.v_ret, 1.0)
+    assert legs == [prof.distance(t) for t in times]
+    start, top, hold_end = bounds
+    for t, value in zip(times, legs):
+        if t == start:
+            assert value == 0.0
+        elif t == hold_end and start < top < hold_end:
+            assert value == prof.r_peak
 
 
 def test_the_step_cap_admits_exactly_a_million_steps():
@@ -267,6 +358,75 @@ def test_metrics_count_present_input_cells():
     assert metrics.values_per_second == 2.0
     assert metrics.per_sensor == {"a": 1.0, "b": 1.0}
     assert metrics.groups == {"gps": 1.0, "both": 2.0}
+
+
+def test_metrics_count_cells_as_the_per_cell_rule_does():
+    # NaN equals nothing, not even itself, and a tuple or a bool compares
+    # unequal to ABSENT, so counting ABSENT cells misses no present one
+    nan = float("nan")
+    columns = {
+        "nan": [nan, ABSENT, nan, float("-nan"), ABSENT],
+        "tuple": [(1.0, 2.0), ABSENT, (nan, ABSENT), (), ABSENT, ABSENT],
+        "bool": [True, False, ABSENT, False, 0, 1, 0.0, -0.0],
+        "absent": [ABSENT] * 4,
+        "empty": []}
+    model = EvaluationModel(ticks=[0], streams=columns)
+    counts = compute_metrics(model, [*columns, "missing"], 1.0).counts
+    assert counts == {name: sum(1 for v in columns.get(name, [])
+                                if v is not ABSENT)
+                      for name in [*columns, "missing"]}
+    assert counts == {"nan": 3, "tuple": 3, "bool": 7, "absent": 0,
+                      "empty": 0, "missing": 0}
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    """Count the calls of `module.name` through every activemon module
+    attribute bound to it, as the benchmark's tracer counts them."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("activemon") \
+                and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
+    # the benchmark's traced gate counts engine.eval_event once per model
+    # row of every scheduled and fixed-frequency run, SchedulerState.plan
+    # once per cycle and sim.trace_fingerprint once per scenario
+    analyzed = analyze(parse_spec(drone_text))
+    calls = Counter()
+    _count_calls(monkeypatch, engine, "eval_event", calls)
+    _count_calls(monkeypatch, sim, "trace_fingerprint", calls)
+    plan = scheduler.SchedulerState.plan
+
+    def counted_plan(self, at):
+        calls["plan"] += 1
+        return plan(self, at)
+
+    monkeypatch.setattr(scheduler.SchedulerState, "plan", counted_plan)
+    trace = generate_flight(FlightScenario(seed=137))
+    base = run_fixed(analyzed, trace, 2, horizon=60.0)
+    assert len(base.model) == 120
+    assert calls == {"eval_event": 120}
+    calls.clear()
+    run = scheduler.run_scheduled(translate(analyzed, "dp"), TraceSource(trace),
+                                  60.0, 2)
+    assert calls == {"eval_event": len(run.model), "plan": len(run.plans)}
+    assert 0 < len(run.model) <= len(run.plans) == 120
+    calls.clear()
+    config = {"bound": 2, "horizon": 30.0, "baselines": [1.0, 4.0],
+              "scenarios": [{"seed": 101}, {"seed": 137}]}
+    result = run_experiment(config, analyzed, translate(analyzed, "dp"))
+    scheduled = [r.scheduled_run for r in result.results]
+    assert sum(len(r.plans) for r in scheduled) == 2 * 60
+    assert calls == {
+        "eval_event": sum(len(r.model) for r in scheduled) + 2 * (30 + 120),
+        "plan": 2 * 60, "trace_fingerprint": 2}
 
 
 def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
@@ -398,6 +558,49 @@ def test_fixed_baseline_raises_what_the_query_raises(inputs, horizon, error,
     spec = analyze(parse_spec(inputs + f"output o := {first}\n"))
     with pytest.raises(error, match=message):
         run_fixed(spec, _FROM_ZERO, 4, horizon)
+
+
+# a sensor that starts late, one that ends early, and two that share one
+# tick array, through 10 s
+_SHARED = array("q", range(0, 101, 5))
+_GROUPED = SensorTrace(10, {"late": array("q", [7, 100]),
+                            "early": array("q", [0, 50]),
+                            "x": _SHARED, "y": _SHARED},
+                       {"late": [0.5, 1.5], "early": [2.5, 3.5],
+                        "x": [float(k) for k in range(21)],
+                        "y": [-float(k) for k in range(21)]})
+
+
+@pytest.mark.parametrize("inputs,horizon,error,message", [
+    ("gone late", None, SensorUnavailable, "gone"),
+    ("late gone", None, OutOfRange, "precedes the first sample of 'late'"),
+    ("x gone late", None, SensorUnavailable, "gone"),
+    ("x late y", None, OutOfRange, "precedes the first sample of 'late'"),
+    ("x early y", None, OutOfRange, "past the last sample of 'early'"),
+    ("y x", 10.5, OutOfRange, "past the last sample of 'y'"),
+    ("x y", 10.5, OutOfRange, "past the last sample of 'x'"),
+])
+def test_fixed_baseline_raises_for_the_first_failing_input(inputs, horizon,
+                                                           error, message):
+    names = inputs.split()
+    spec = analyze(parse_spec("".join(f"input {n} : Float64\n" for n in names)
+                              + f"output o := {names[-1]}\n"))
+    with pytest.raises(error, match=message):
+        run_fixed(spec, _GROUPED, 4, horizon)
+
+
+@pytest.mark.parametrize("freq", [0.7, 3, 4])
+def test_fixed_baseline_reads_a_shared_tick_array_as_queries_do(freq):
+    spec = analyze(parse_spec("input x : Float64\ninput late : Float64\n"
+                              "input y : Float64\noutput o := x + y\n"))
+    trace = replace(_GROUPED, ticks={**_GROUPED.ticks, "late": _SHARED},
+                    values={**_GROUPED.values, "late": list(range(21))})
+    base = run_fixed(spec, trace, freq)
+    source = TraceSource(trace)
+    assert len(base.model) == int(10 * freq) + 1
+    for sensor in ("x", "late", "y"):
+        assert base.model.streams[sensor] == [
+            source.query(sensor, at) for at in base.model.times]
 
 
 def test_fixed_baseline_rejects_bad_frequency():
