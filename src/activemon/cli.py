@@ -117,9 +117,7 @@ def _source_for(args, analyzed):
             # input still covers; at least one, so a trace that covers none
             # fails on its first query
             period = analyzed.config.period
-            covered = Fraction(min(seq[-1] for seq in trace.ticks.values()),
-                               trace.quantum)
-            horizon = max(math.floor(covered / period) + 1, 1) * period
+            horizon = max(math.floor(trace.covered() / period) + 1, 1) * period
     return trace, horizon
 
 
@@ -147,14 +145,18 @@ def cmd_baseline(args) -> int:
     trace = read_trace(args.trace, analyzed)
     inputs = analyzed.spec.input_names()
     if args.horizon is not None:
-        span = args.horizon
-    else:  # the events run from time 0 through the last sample
-        last = trace.span()[1]
-        if last <= 0:
-            raise OutOfRange(f"the trace ends at t={last}, so a baseline "
-                             "from time 0 covers no time; give --horizon")
-        span = float(last)
-    base = run_fixed(analyzed, trace, args.freq, args.horizon)
+        span = horizon = args.horizon
+    else:
+        # the events k / freq from time 0 through the last time that every
+        # sampled input still covers, as `run`'s cycles stop there
+        covered = trace.covered()
+        if covered <= 0:
+            raise OutOfRange(f"the trace's inputs are all covered only up to "
+                             f"t={covered}, so a baseline from time 0 covers "
+                             "no time; give --horizon")
+        span = float(covered)
+        horizon = (math.floor(covered * args.freq) + 1) / args.freq
+    base = run_fixed(analyzed, trace, args.freq, horizon)
     metrics = compute_metrics(base.model, inputs, span)
     _emit(base, analyzed, metrics, args.out_dir)
     return 0

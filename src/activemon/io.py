@@ -365,7 +365,8 @@ def write_plan_log(path, plans, mode, inputs) -> None:
                                        for task in p.selected),
                     "mode": mode,
                 })[1:]
-            fh.write(f'{{"time": {float(p.time)!r}, {tail}\n')
+            # int / int is correctly rounded, as float(Fraction) is
+            fh.write(f'{{"time": {p.tick / p.quantum!r}, {tail}\n')
 
 
 def write_json(path, payload) -> None:

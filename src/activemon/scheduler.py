@@ -22,8 +22,9 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Optional
+from functools import reduce
+from operator import itemgetter, or_
+from typing import NamedTuple, Optional
 
 from .engine import (ABSENT, FOLD_ROWS, EvaluationModel, MonitorState,
                      check_steps, eval_event, fold_rows)
@@ -43,11 +44,17 @@ _NEVER = float("-inf")
 _UNRANKED = float("inf")
 
 
-@dataclass(frozen=True)
-class EventPlan:
-    time: Fraction
+class EventPlan(NamedTuple):
+    """One cycle's event; a tuple, cheap to build once per cycle."""
+
+    tick: int  # the cycle runs at tick / quantum seconds
+    quantum: int
     flat: frozenset  # input streams queried this cycle
     selected: frozenset  # universe tasks the event satisfies
+
+    @property
+    def time(self) -> Fraction:
+        return Fraction(self.tick, self.quantum)
 
 
 def take_event(ordered, bound: int) -> int:
@@ -91,7 +98,14 @@ class SchedulerState:
     the third; a task refreshed since it went on the calendar goes back on
     it at its new limit instead of being re-keyed. `plan` re-keys only the
     marked tasks, moving each changed key with bisect, and packs by walking
-    `order` from the front.
+    `order` from the front; while no key has moved since the last pack, the
+    order and so the event are the same, and the last event is reused.
+
+    A direct task's `schedule_*` and `last_*` helpers are paced by exactly
+    its inputs, so they can fire only in an event that queries all of
+    them: `observe` reads the helpers of the direct tasks inside the event
+    last planned, and combines only the joint tasks whose sources are all
+    inside it.
     """
 
     def __init__(self, translation: Translation, bound: int):
@@ -99,6 +113,8 @@ class SchedulerState:
         self.universe = schedule.universe
         self.inputs = schedule.inputs
         self.period = translation.analyzed.config.period
+        # cycle k runs at tick k * period.numerator on this quantum
+        self.quantum = self.period.denominator
         self.bound = bound
         self.working = [t for t in schedule.ordered if t.bit_count() <= bound]
         self.deadline = schedule.mode == MODE_DEADLINE
@@ -123,14 +139,11 @@ class SchedulerState:
                 if last else frozenset()
             self._rows.append((task, column.get(kinds.get("schedule")), exact,
                                column.get(last), refreshed))
-        # each joint task under one of its sources: its value can change
-        # only in a step in which all of them fired
-        self._joint: dict = {}  # direct Task -> [(joint Task, sources, set)]
-        for t in self.working:
-            sources = schedule.joint(t)
-            if t not in direct and sources:
-                self._joint.setdefault(min(sources, key=schedule.key), []).append(
-                    (t, sources, frozenset(sources)))
+        # each joint task with its sources and the mask of their inputs:
+        # its value can change only in a step in which all of them fired
+        self._joint = [(t, sources, frozenset(sources), reduce(or_, sources))
+                       for t in self.working
+                       if t not in direct and (sources := schedule.joint(t))]
         # the static part of each rank key: the task's index in `working`,
         # whether it has regions, whether it is direct, and its staleness
         # limit in whole cycles (dp mode only)
@@ -148,9 +161,12 @@ class SchedulerState:
         self._moved: set = set()  # tasks to re-key at the next plan
         self._calendar: dict = {}  # cycle -> tasks that may reach their limit
         # mask of queried inputs -> (their names, the tasks they satisfy,
-        # the names in query order)
+        # the names in query order, the `_rows` of the direct tasks inside
+        # and the `_joint` entries whose sources are all inside)
         self._events: dict = {}
+        self._event: Optional[tuple] = None  # the last one packed, while valid
         self.queried: tuple = ()  # the names of the last plan, in query order
+        self._observed: tuple = ((), ())  # what the last plan's event can fire
 
     def _ages(self, key: tuple) -> bool:
         return self.deadline or key[0] in (0, 3)
@@ -201,6 +217,7 @@ class SchedulerState:
         del order[bisect_left(order, old)]
         insort(order, new)
         self._keys[task] = new
+        self._event = None
         if self._ages(new):
             self._aging.add(task)
         else:
@@ -218,7 +235,8 @@ class SchedulerState:
         fired: dict = {}
         values, seen, cycle = self.values, self.seen, self.cycle
         moved, aging = self._moved, self._aging
-        for task, name, exact, last, refreshed in self._rows:
+        rows, joints = self._observed
+        for task, name, exact, last, refreshed in rows:
             if name is not None:
                 raw = row[name]
                 if raw is not ABSENT:
@@ -231,16 +249,15 @@ class SchedulerState:
                     seen[sup] = cycle
                 moved |= aging & refreshed
         done = fired.keys()
-        for src in fired:
-            for task, joint, members in self._joint.get(src, ()):
-                if done >= members:
-                    value = self.combine([fired[s] for s in joint])
-                    if values.get(task) != value:
-                        values[task] = value
-                        moved.add(task)
+        for task, joint, members, _ in joints:
+            if done >= members:
+                value = self.combine([fired[s] for s in joint])
+                if values.get(task) != value:
+                    values[task] = value
+                    moved.add(task)
 
-    def plan(self, at: Fraction) -> EventPlan:
-        """The event of the next cycle, which runs at `at`."""
+    def plan(self, tick: int) -> EventPlan:
+        """The event of the next cycle, which runs at tick / quantum s."""
         self.cycle = cycle = self.cycle + 1
         moved = self._moved
         for task in self._calendar.pop(cycle, ()):
@@ -255,15 +272,21 @@ class SchedulerState:
                 if task in keys:  # a direct task wider than the bound has none
                     self._rekey(task)
             moved.clear()
-        flat = take_event(map(itemgetter(-1), self.order), self.bound)
-        event = self._events.get(flat)
+        event = self._event
         if event is None:
-            names = task_names(flat, self.inputs)
-            event = self._events[flat] = (
-                frozenset(names), selected_tasks(self.universe, flat),
-                tuple(sorted(names)))
+            flat = take_event(map(itemgetter(-1), self.order), self.bound)
+            event = self._events.get(flat)
+            if event is None:
+                names = task_names(flat, self.inputs)
+                event = self._events[flat] = (
+                    frozenset(names), selected_tasks(self.universe, flat),
+                    tuple(sorted(names)),
+                    ([row for row in self._rows if not row[0] & ~flat],
+                     [j for j in self._joint if not j[3] & ~flat]))
+            self._event = event
         self.queried = event[2]
-        return EventPlan(at, event[0], event[1])
+        self._observed = event[3]
+        return EventPlan(tick, self.quantum, event[0], event[1])
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +444,9 @@ def run_scheduled(translation: Translation, source, horizon,
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
     # cycle k runs at tick k * period.numerator on the quantum
-    # period.denominator, and its exact time is built once, for the plan
-    # and the sensor queries
+    # period.denominator; the plan and the sensor queries take the tick
     num, quantum = period.numerator, period.denominator
+    query, plan_at, observe = source.query, state.plan, state.observe
     monitor = MonitorState(translation.plain, quantum)
     names = translation.plain.spec.stream_names()
     columns: list = [[] for _ in names]
@@ -434,13 +457,12 @@ def run_scheduled(translation: Translation, source, horizon,
 
     for k in range(cycles):
         tick = k * num
-        at = Fraction(tick, quantum)
-        plan = state.plan(at)
+        plan = plan_at(tick)
         plans.append(plan)
         if plan.flat:
-            values = {s: source.query(s, at) for s in state.queried}
+            values = {s: query(s, tick, quantum) for s in state.queried}
             row, fired = eval_event(monitor, tick, values)
-            state.observe(row)
+            observe(row)
             ticks.append(tick)
             rows.append(row)
             if len(rows) == FOLD_ROWS:

@@ -1,9 +1,11 @@
 """Synthetic flight traces, fixed-frequency baselines, and run comparison.
 
 A trace keeps time as integer ticks on a quantum (tick n is n/quantum s);
-the sensor model is zero-order hold over its samples. Anything with a
-``query(sensor, at)`` method can stand in for TraceSource, so a live
-simulator backend can be plugged into the scheduler without touching it.
+the sensor model is zero-order hold over its samples. A caller names a
+time the same way, as a tick on its own quantum: anything with a
+``query(sensor, tick, quantum)`` method can stand in for TraceSource, so a
+live simulator backend can be plugged into the scheduler without touching
+it.
 
 A synthetic flight is synthesized column by column: each sensor's samples
 come from one list comprehension per leg of the trajectory, whose
@@ -75,6 +77,11 @@ class SensorTrace:
         last = max(seq[-1] for seq in self.ticks.values())
         return Fraction(first, self.quantum), Fraction(last, self.quantum)
 
+    def covered(self) -> Fraction:
+        """The last time that every sensor's samples still cover."""
+        return Fraction(min(seq[-1] for seq in self.ticks.values()),
+                        self.quantum)
+
 
 def tick_array(ticks: list):
     """The ticks as an array('q') while they fit in 64 bits, else as is."""
@@ -87,10 +94,11 @@ def tick_array(ticks: list):
 class TraceSource:
     """Sensor source over a trace; the scheduler's query endpoint.
 
-    `query` gives the value of the latest sample at or before `at`
-    (zero-order hold). It bisects the trace's integer ticks with
-    floor(at·quantum), which is exact for any rational `at` because the
-    ticks are integers.
+    `query(sensor, tick, quantum)` gives the value of the latest sample at
+    or before tick / quantum seconds (zero-order hold). It bisects the
+    trace's ticks with floor(tick·q / quantum) for the trace's quantum q,
+    in integers only, which is exact because the sample ticks are integers.
+    The time is built as a Fraction only for an error message.
     """
 
     def __init__(self, trace: SensorTrace):
@@ -99,22 +107,18 @@ class TraceSource:
         self._ticks = trace.ticks
         self._values = trace.values
 
-    def query(self, sensor: str, at):
+    def query(self, sensor: str, tick: int, quantum: int):
         ticks = self._ticks.get(sensor)
         if ticks is None:
-            raise SensorUnavailable(sensor, at)
-        try:
-            num, den = at.numerator, at.denominator
-        except AttributeError:  # a float time, exact as its integer ratio
-            if not math.isfinite(at):
-                raise OutOfRange(f"t={at} is not a finite time") from None
-            num, den = at.as_integer_ratio()
-        num *= self._quantum
-        if num > ticks[-1] * den:
-            raise OutOfRange(f"t={at} is past the last sample of '{sensor}'")
-        idx = bisect_right(ticks, num // den) - 1
+            raise SensorUnavailable(sensor, Fraction(tick, quantum))
+        scaled = tick * self._quantum
+        if scaled > ticks[-1] * quantum:
+            raise OutOfRange(f"t={Fraction(tick, quantum)} is past the last "
+                             f"sample of '{sensor}'")
+        idx = bisect_right(ticks, scaled // quantum) - 1
         if idx < 0:
-            raise OutOfRange(f"t={at} precedes the first sample of '{sensor}'")
+            raise OutOfRange(f"t={Fraction(tick, quantum)} precedes the first "
+                             f"sample of '{sensor}'")
         return self._values[sensor][idx]
 
 
@@ -405,8 +409,7 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
                 for s, vals in members:
                     values[s] = vals[i]
             if values is None or not complete:
-                time = Fraction(k * num, den)
-                values = {s: source.query(s, time) for s in inputs}
+                values = {s: source.query(s, k * num, den) for s in inputs}
             yield k * num, values
 
     return BaselineRun(*run_monitor_full(analyzed, events(), den))

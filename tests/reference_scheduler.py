@@ -32,6 +32,8 @@ class ReferenceSchedulerState:
         self.schedule = translation.schedule
         self.names = translation.names
         self.bound = bound
+        # plans carry their time as a tick on the period's denominator
+        self.quantum = translation.analyzed.config.period.denominator
         self.working = sorted(
             (t for t in self.schedule.universe if t.bit_count() <= bound),
             key=self.schedule.key)
@@ -127,7 +129,8 @@ class ReferenceSchedulerState:
     def plan(self, at: Fraction) -> EventPlan:
         ordered = sorted(self.working, key=lambda t: self._key(t, at))
         flat = take_event(ordered, self.bound)
-        return EventPlan(at, frozenset(task_names(flat, self.schedule.inputs)),
+        return EventPlan(int(at * self.quantum), self.quantum,
+                         frozenset(task_names(flat, self.schedule.inputs)),
                          selected_tasks(self.schedule.universe, flat))
 
 
@@ -150,8 +153,10 @@ def reference_run(translation: Translation, source, horizon, bound: int):
         plan = state.plan(at)
         plans.append(plan)
         if plan.flat:
-            values = {s: source.query(s, at) for s in sorted(plan.flat)}
-            row, _ = eval_event(monitor, int(at * quantum), values)
+            tick = int(at * quantum)
+            values = {s: source.query(s, tick, quantum)
+                      for s in sorted(plan.flat)}
+            row, _ = eval_event(monitor, tick, values)
             current = dict(zip(names, row))
             state.observe(current, at)
             times.append(at)

@@ -243,7 +243,7 @@ def test_criterion_7_safety_tasks_never_go_stale(experiment):
 def test_criterion_8_conflict_resolution_and_precondition(
         spec_dir, conflict_text, tmp_path, capsys):
     class Source:
-        def query(self, sensor, at):
+        def query(self, sensor, tick, quantum):
             return 20.0 if sensor == "a" else 1.0
 
     tr = translate(analyze(parse_spec(conflict_text)), "priority")

@@ -24,7 +24,7 @@ class ConstSource:
     def __init__(self, values):
         self.values = values
 
-    def query(self, sensor, at):
+    def query(self, sensor, tick, quantum):
         return self.values[sensor]
 
 
@@ -164,6 +164,24 @@ def test_baseline_queries_all_sensors(spec_dir, tmp_path, capsys,
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["total_values"] == 12
     assert len((out / "model.csv").read_text().splitlines()) == 7
+
+
+def test_baseline_stops_at_the_last_time_every_input_covers(
+        spec_dir, tmp_path, capsys):
+    # b's last sample is at 1.5 and a's at 2: at 3 Hz the events run through
+    # 4/3, and the metrics span the 1.5 s that both inputs cover
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,1.0\n1.5,20.0,2.0\n2,21.0,\n")
+    out = tmp_path / "base"
+    rc = main(["baseline", str(spec_dir / "priority_conflict.lola"),
+               "--trace", str(trace), "--freq", "3", "--out-dir", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    model = (out / "model.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in model[1:]] == \
+        ["0", "1/3", "2/3", "1", "4/3"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["horizon"] == 1.5
+    assert metrics["total_values"] == 10
 
 
 @pytest.mark.parametrize("rows", [

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import gen_specs
 from activemon import scheduler
 from activemon.analysis import analyze
+from activemon.ast import Pacing
 from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model, task_of
+from activemon.schedule import check_scheduled_model, task_names, task_of
 from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
@@ -38,12 +39,13 @@ AB = A | B
 
 
 class ConstSource:
-    """Minimal sensor backend; anything with query(sensor, at) works."""
+    """Minimal sensor backend; anything with query(sensor, tick, quantum)
+    works."""
 
     def __init__(self, values):
         self.values = values
 
-    def query(self, sensor, at):
+    def query(self, sensor, tick, quantum):
         return self.values[sensor]
 
 
@@ -407,6 +409,52 @@ def test_scheduler_ticks_match_the_reference_on_mixed_denominators(
 
 
 # ---------------------------------------------------------------------------
+# observe reads only the direct tasks inside the event
+
+
+def _assert_direct_helpers_paced_by_their_inputs(tr):
+    """Each direct task's `schedule_*` and `last_*` helpers fire exactly
+    when all the task's inputs are present, and so only in an event that
+    queries them all."""
+    inputs = tr.schedule.inputs
+    checked = 0
+    for task in tr.schedule.direct:
+        own = Pacing.of(task_names(task, inputs))
+        for kind in ("schedule", "last"):
+            name = tr.names[task].get(kind)
+            if name is not None:
+                pacings = {c.pacing for c in tr.plain.spec.output_decl(name).clauses}
+                assert pacings == {own}, (name, pacings)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("spec", ["drone_experiment.lola", "geofence_priority.lola",
+                                  "priority_conflict.lola", "wide"])
+@pytest.mark.parametrize("mode", ["priority", "dp"])
+def test_direct_helpers_are_paced_by_the_task_inputs_on_bundled_specs(
+        spec_dir, spec, mode):
+    # the bundled specs carry priorities, which deadline mode rejects
+    text = wide_text() if spec == "wide" else (spec_dir / spec).read_text()
+    assert _assert_direct_helpers_paced_by_their_inputs(_translated(text, mode))
+
+
+@pytest.mark.parametrize("text", [FRACTIONAL_DEADLINE, DEADLINE_PAIR])
+def test_direct_helpers_are_paced_by_the_task_inputs_in_deadline_mode(text):
+    assert _assert_direct_helpers_paced_by_their_inputs(
+        _translated(text, "deadline"))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES))
+@settings(max_examples=100, deadline=None)
+def test_direct_helpers_are_paced_by_the_task_inputs_on_generated_specs(
+        seed, mode):
+    text, _, _, _ = gen_specs.gen_instance(Random(seed), mode)
+    _assert_direct_helpers_paced_by_their_inputs(_translated(text, mode))
+
+
+# ---------------------------------------------------------------------------
 # the kept rank order against a full re-sort
 
 
@@ -447,8 +495,10 @@ def _keys_from_scratch(state, schedule) -> list:
 
 def _run_checking_order(tr, source, horizon, bound):
     """`run_scheduled`, with the kept rank order compared after every plan
-    with a full re-sort of keys computed from scratch; (the run, the number
-    of times a task was overdue at a plan after it had been served)."""
+    with a full re-sort of keys computed from scratch, and the planned event
+    (reused or packed afresh) with a packing of that re-sort; (the run, the
+    number of times a task was overdue at a plan after it had been
+    served)."""
     states = []
     stale = [0]
 
@@ -457,10 +507,13 @@ def _run_checking_order(tr, source, horizon, bound):
             super().__init__(translation, bound)
             states.append(self)
 
-        def plan(self, at):
-            event = super().plan(at)
+        def plan(self, tick):
+            event = super().plan(tick)
             full = _keys_from_scratch(self, tr.schedule)
             assert self.order == full, f"cycle {self.cycle}"
+            flat = take_event([key[-1] for key in full], self.bound)
+            assert event.flat == frozenset(task_names(flat, tr.schedule.inputs)), \
+                f"cycle {self.cycle}"
             stale[0] += sum(1 for key in full
                             if key[0] == 0 and key[2] != -math.inf)
             return event

@@ -41,27 +41,55 @@ HOLD = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
 SOURCE = TraceSource(HOLD)
 
 
+def _query(source, sensor, at):
+    """`source.query` at the exact time `at` (an int, a Fraction or a finite
+    float), as a tick on the time's own denominator."""
+    at = Fraction(at)
+    return source.query(sensor, at.numerator, at.denominator)
+
+
 # ---------------------------------------------------------------------------
 # zero-order hold
 
 
 def test_query_holds_last_sample():
-    assert SOURCE.query("s", Fraction(1, 2)) == 1.0
-    assert SOURCE.query("s", Fraction(9, 10)) == 1.0
-    assert SOURCE.query("s", Fraction(1)) == 2.0
-    assert SOURCE.query("s", Fraction(0)) == 1.0
+    assert SOURCE.query("s", 1, 2) == 1.0
+    assert SOURCE.query("s", 9, 10) == 1.0
+    assert SOURCE.query("s", 1, 1) == 2.0
+    assert SOURCE.query("s", 0, 1) == 1.0
+
+
+def test_query_reads_a_tick_on_any_quantum():
+    # the same time on several quanta, reduced or not, reads one sample
+    for tick, quantum in [(7, 10), (14, 20), (21, 30), (7 * 2**70, 10 * 2**70)]:
+        assert SOURCE.query("s", tick, quantum) == 1.0
+    for tick, quantum in [(1, 1), (2, 2), (10, 10), (2**70, 2**70)]:
+        assert SOURCE.query("s", tick, quantum) == 2.0
 
 
 def test_query_rejects_out_of_range_times():
     with pytest.raises(OutOfRange):
-        SOURCE.query("s", Fraction(3, 2))
+        SOURCE.query("s", 3, 2)
     with pytest.raises(OutOfRange):
-        SOURCE.query("s", Fraction(-1, 2))
+        SOURCE.query("s", -1, 2)
+
+
+@pytest.mark.parametrize("tick,quantum,message", [
+    (10, 6, "t=5/3 is past the last sample of 's'"),
+    (4, 2, "t=2 is past the last sample of 's'"),
+    (-3, 9, "t=-1/3 precedes the first sample of 's'"),
+])
+def test_query_errors_name_the_exact_time(tick, quantum, message):
+    with pytest.raises(OutOfRange) as err:
+        SOURCE.query("s", tick, quantum)
+    assert str(err.value) == message
 
 
 def test_query_rejects_unknown_sensor():
-    with pytest.raises(SensorUnavailable):
-        SOURCE.query("nope", Fraction(0))
+    with pytest.raises(SensorUnavailable) as err:
+        SOURCE.query("nope", 6, 4)
+    assert err.value.time == Fraction(3, 2)
+    assert "t=3/2" in str(err.value)
 
 
 # samples on thirds and on tenths of a second, one sensor with both
@@ -102,7 +130,7 @@ _QUERIES = [
 @pytest.mark.parametrize("at", _QUERIES)
 def test_query_matches_a_fraction_bisect(sensor, at):
     assert MIXED.quantum == 30
-    assert TraceSource(MIXED).query(sensor, at) == \
+    assert _query(TraceSource(MIXED), sensor, at) == \
         _bisect_reference(MIXED, sensor, at)
 
 
@@ -110,16 +138,17 @@ def test_query_matches_a_fraction_bisect(sensor, at):
                                 Fraction(5), 9.99, Fraction(10), 10])
 def test_query_beyond_int64_ticks_stays_exact(at):
     assert HUGE.quantum > 2**63 // 10
-    assert TraceSource(HUGE).query("s", at) == _bisect_reference(HUGE, "s", at)
+    assert _query(TraceSource(HUGE), "s", at) == _bisect_reference(HUGE, "s", at)
 
 
+# the times far past and far before are ticks beyond 64 bits
 @pytest.mark.parametrize("sensor", ["thirds", "tenths", "both"])
 @pytest.mark.parametrize("at", [Fraction(10) + _EPS, 10.000001, 11,
-                                math.inf, Fraction(1, 7), 0.0, -1, -math.inf,
-                                math.nan])
+                                Fraction(2**70, 3), Fraction(1, 7), 0.0, -1,
+                                Fraction(-(2**70), 3), Fraction(-1, 2**70)])
 def test_query_outside_the_samples_is_out_of_range(sensor, at):
     with pytest.raises(OutOfRange):
-        TraceSource(MIXED).query(sensor, at)
+        _query(TraceSource(MIXED), sensor, at)
 
 
 def test_trace_rejects_unsorted_samples():
@@ -324,13 +353,13 @@ def test_crossings_match_the_sampled_trajectory(seed):
 
     source = TraceSource(trace)
     start = trace.values["gps_lat_long"][0]
-    before = source.query("gps_lat_long", Fraction(int((tg - 0.2) * 10), 10))
-    after = source.query("gps_lat_long", Fraction(int((tg + 0.3) * 10), 10))
+    before = source.query("gps_lat_long", int((tg - 0.2) * 10), 10)
+    after = source.query("gps_lat_long", int((tg + 0.3) * 10), 10)
     assert _distance(before, start) < 8.0 <= _distance(after, start)
 
     ground = trace.values["gps_altitude"][0]
-    low = source.query("gps_altitude", Fraction(int((ta - 0.2) * 10), 10))
-    high = source.query("gps_altitude", Fraction(int((ta + 0.3) * 10), 10))
+    low = source.query("gps_altitude", int((ta - 0.2) * 10), 10)
+    high = source.query("gps_altitude", int((ta + 0.3) * 10), 10)
     assert low - ground < 10.0 <= high - ground
 
 
@@ -397,18 +426,25 @@ def _count_calls(monkeypatch, module, name, counter):
 def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     # the benchmark's traced gate counts engine.eval_event once per model
     # row of every scheduled and fixed-frequency run, SchedulerState.plan
-    # once per cycle and sim.trace_fingerprint once per scenario
+    # once per cycle and sim.trace_fingerprint once per scenario; the
+    # scheduled loop calls TraceSource.query once per queried sensor, and
+    # a baseline over a whole flight never
     analyzed = analyze(parse_spec(drone_text))
     calls = Counter()
     _count_calls(monkeypatch, engine, "eval_event", calls)
     _count_calls(monkeypatch, sim, "trace_fingerprint", calls)
-    plan = scheduler.SchedulerState.plan
+    plan, query = scheduler.SchedulerState.plan, TraceSource.query
 
-    def counted_plan(self, at):
+    def counted_plan(self, tick):
         calls["plan"] += 1
-        return plan(self, at)
+        return plan(self, tick)
+
+    def counted_query(self, sensor, tick, quantum):
+        calls["query"] += 1
+        return query(self, sensor, tick, quantum)
 
     monkeypatch.setattr(scheduler.SchedulerState, "plan", counted_plan)
+    monkeypatch.setattr(TraceSource, "query", counted_query)
     trace = generate_flight(FlightScenario(seed=137))
     base = run_fixed(analyzed, trace, 2, horizon=60.0)
     assert len(base.model) == 120
@@ -416,7 +452,8 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     calls.clear()
     run = scheduler.run_scheduled(translate(analyzed, "dp"), TraceSource(trace),
                                   60.0, 2)
-    assert calls == {"eval_event": len(run.model), "plan": len(run.plans)}
+    assert calls == {"eval_event": len(run.model), "plan": len(run.plans),
+                     "query": sum(len(p.flat) for p in run.plans)}
     assert 0 < len(run.model) <= len(run.plans) == 120
     calls.clear()
     config = {"bound": 2, "horizon": 30.0, "baselines": [1.0, 4.0],
@@ -426,7 +463,8 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     assert sum(len(r.plans) for r in scheduled) == 2 * 60
     assert calls == {
         "eval_event": sum(len(r.model) for r in scheduled) + 2 * (30 + 120),
-        "plan": 2 * 60, "trace_fingerprint": 2}
+        "plan": 2 * 60, "trace_fingerprint": 2,
+        "query": sum(len(p.flat) for r in scheduled for p in r.plans)}
 
 
 def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
@@ -509,7 +547,8 @@ def test_fixed_baseline_values_equal_per_event_queries(freq, horizon):
     source = TraceSource(_FROM_ZERO)
     for sensor in ("thirds", "tenths"):
         assert base.model.streams[sensor] == [
-            source.query(sensor, at) for at in base.model.times]
+            source.query(sensor, tick, base.model.quantum)
+            for tick in base.model.ticks]
     assert len(set(base.model.streams["thirds"])) > len(base.model) // 2
 
 
@@ -537,7 +576,7 @@ def test_fixed_baseline_matches_a_fraction_time_reference(freq, horizon):
     source = TraceSource(trace)
     times = _reference_event_times(freq, 10, horizon)
     model, reports = run_events(spec, [
-        Event(at, {s: source.query(s, at) for s in trace.sensors()})
+        Event(at, {s: _query(source, s, at) for s in trace.sensors()})
         for at in times])
     assert base.model.times == times
     assert (base.model.ticks, base.model.quantum) == (model.ticks, model.quantum)
@@ -600,7 +639,8 @@ def test_fixed_baseline_reads_a_shared_tick_array_as_queries_do(freq):
     assert len(base.model) == int(10 * freq) + 1
     for sensor in ("x", "late", "y"):
         assert base.model.streams[sensor] == [
-            source.query(sensor, at) for at in base.model.times]
+            source.query(sensor, tick, base.model.quantum)
+            for tick in base.model.ticks]
 
 
 def test_fixed_baseline_rejects_bad_frequency():
