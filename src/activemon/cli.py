@@ -52,8 +52,9 @@ def _positive(value) -> bool:
     return type(value) in (int, float) and 0 < value < math.inf
 
 
-def _seconds(text: str) -> float:
-    """argparse type for a run length: a positive finite number of seconds."""
+def _seconds(text: str) -> Fraction:
+    """argparse type for a run length: a positive finite number of seconds,
+    read exactly, so 0.1 is 1/10 and not the binary float nearest it."""
     try:
         seconds = float(text)
     except ValueError:
@@ -61,7 +62,7 @@ def _seconds(text: str) -> float:
     if not _positive(seconds):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number: {text!r}")
-    return seconds
+    return Fraction(text)
 
 
 def _bandwidth(text: str) -> int:
@@ -104,29 +105,24 @@ def cmd_translate(args) -> int:
 
 
 def _source_for(args, analyzed):
+    """The trace to run over and the run's horizon: --horizon, else the
+    scenario's duration or the cycles that the trace covers."""
     if args.scenario:
         scenario = scenario_from_json(read_json(args.scenario))
         trace = generate_flight(scenario)
-        horizon = args.horizon if args.horizon is not None else scenario.duration
+        default = Fraction(str(scenario.duration))
     else:
         trace = read_trace(args.trace, analyzed)
-        if args.horizon is not None:
-            horizon = args.horizon
-        else:
-            # the cycles k * period up to the last time that every sampled
-            # input still covers; at least one, so a trace that covers none
-            # fails on its first query
-            period = analyzed.config.period
-            horizon = max(math.floor(trace.covered() / period) + 1, 1) * period
-    return trace, horizon
+        default = trace.through(analyzed.config.period,
+                                analyzed.spec.input_names())
+    return trace, default if args.horizon is None else args.horizon
 
 
 def cmd_run(args) -> int:
     analyzed = _load(args.spec)
     tr = translate(analyzed, args.mode)
     trace, horizon = _source_for(args, analyzed)
-    bound = args.bound if args.bound is not None else analyzed.config.bandwidth
-    run = run_scheduled(tr, TraceSource(trace), horizon, bound)
+    run = run_scheduled(tr, TraceSource(trace), horizon, args.bound)
     if not run.report.ok or run.report.deadline_warnings:
         for line in run.report.lines():
             print(line, file=sys.stderr)
@@ -144,20 +140,16 @@ def cmd_baseline(args) -> int:
     analyzed = _load(args.spec)
     trace = read_trace(args.trace, analyzed)
     inputs = analyzed.spec.input_names()
-    if args.horizon is not None:
-        span = horizon = args.horizon
-    else:
-        # the events k / freq from time 0 through the last time that every
-        # sampled input still covers, as `run`'s cycles stop there
+    horizon = args.horizon
+    if horizon is None:
         covered = trace.covered()
         if covered <= 0:
             raise OutOfRange(f"the trace's inputs are all covered only up to "
                              f"t={covered}, so a baseline from time 0 covers "
                              "no time; give --horizon")
-        span = float(covered)
-        horizon = (math.floor(covered * args.freq) + 1) / args.freq
+        horizon = trace.through(1 / args.freq, inputs)
     base = run_fixed(analyzed, trace, args.freq, horizon)
-    metrics = compute_metrics(base.model, inputs, span)
+    metrics = compute_metrics(base.model, inputs, float(horizon))
     _emit(base, analyzed, metrics, args.out_dir)
     return 0
 

@@ -21,7 +21,10 @@ it is given.
 The monitor keeps time as integer ticks on a quantum fixed per run: a step
 at tick lies at tick / quantum seconds, passed to expressions as that
 correctly rounded float, and a trigger report builds its exact time only
-when the trigger fires.
+when the trigger fires. `run_monitor_full` is the one loop that evaluates
+and records a run: the fixed-frequency baseline hands it its events, and
+the closed loop a generator that plans each cycle, with the scheduler's
+`observe`, which takes each row before the next event is drawn.
 
 `walk_model` walks a finished model forward once through the verifier,
 whose history takes only the model's own rows. `verify_model` is that walk
@@ -531,10 +534,13 @@ def fold_rows(columns: list, rows: list) -> None:
     rows.clear()
 
 
-def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int):
+def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int,
+                     observe: Optional[Callable] = None):
     """Execute the monitor over a whole trace: its model and triggers.
 
-    `events` are (tick, values) pairs at tick / quantum seconds.
+    `events` are (tick, values) pairs at tick / quantum seconds. Each row
+    goes to `observe`, when given, before the next event is drawn, so a
+    closed loop can plan its next event from the rows so far.
     """
     state = MonitorState(analyzed, quantum)
     names = analyzed.spec.stream_names()
@@ -544,6 +550,8 @@ def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int):
     reports: list[TriggerReport] = []
     for tick, values in events:
         current, fired = eval_event(state, tick, values)
+        if observe is not None:
+            observe(current)
         ticks.append(tick)
         rows.append(current)
         if len(rows) == FOLD_ROWS:
@@ -609,10 +617,8 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
 
 
 __all__ = [
-    "ABSENT", "CompiledSpec", "EvaluationModel", "FOLD_ROWS",
-    "MAX_STEPS",
+    "ABSENT", "CompiledSpec", "EvaluationModel", "MAX_STEPS",
     "MonitorState", "TriggerReport", "Violation", "check_steps",
-    "compile_spec", "compile_verifier", "eval_event",
-    "fold_rows", "run_monitor_full", "values_equal", "verify_model",
-    "walk_model",
+    "compile_spec", "compile_verifier", "eval_event", "run_monitor_full",
+    "values_equal", "verify_model", "walk_model",
 ]

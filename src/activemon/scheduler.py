@@ -26,8 +26,7 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import NamedTuple, Optional
 
-from .engine import (ABSENT, FOLD_ROWS, EvaluationModel, MonitorState,
-                     check_steps, eval_event, fold_rows)
+from .engine import ABSENT, EvaluationModel, check_steps, run_monitor_full
 from .errors import PreconditionViolation, UniverseTooLarge
 from .schedule import (
     MODE_DEADLINE,
@@ -429,6 +428,8 @@ def run_scheduled(translation: Translation, source, horizon,
     """Drive the scheduler against a sensor source for `horizon` seconds.
 
     Cycles run at the configured event frequency starting at time zero.
+    `run_monitor_full` evaluates and records each cycle's event and hands
+    its row to `SchedulerState.observe` before the next cycle is planned.
     The run proceeds even when the precondition report is negative;
     tasks wider than the bandwidth are simply never scheduled. More than
     MAX_STEPS cycles raise TooManySteps before any cycle runs.
@@ -446,28 +447,19 @@ def run_scheduled(translation: Translation, source, horizon,
     # cycle k runs at tick k * period.numerator on the quantum
     # period.denominator; the plan and the sensor queries take the tick
     num, quantum = period.numerator, period.denominator
-    query, plan_at, observe = source.query, state.plan, state.observe
-    monitor = MonitorState(translation.plain, quantum)
-    names = translation.plain.spec.stream_names()
-    columns: list = [[] for _ in names]
-    ticks: list = []
-    rows: list = []
-    triggers: list = []
+    query, plan_at = source.query, state.plan
     plans: list = []
 
-    for k in range(cycles):
-        tick = k * num
-        plan = plan_at(tick)
-        plans.append(plan)
-        if plan.flat:
-            values = {s: query(s, tick, quantum) for s in state.queried}
-            row, fired = eval_event(monitor, tick, values)
-            observe(row)
-            ticks.append(tick)
-            rows.append(row)
-            if len(rows) == FOLD_ROWS:
-                fold_rows(columns, rows)
-            triggers.extend(fired)
-    fold_rows(columns, rows)
-    model = EvaluationModel(ticks, dict(zip(names, columns)), quantum)
+    def events():
+        # the monitor folds each event's row into the state before it draws
+        # the next event, whose plan reads it
+        for k in range(cycles):
+            tick = k * num
+            plan = plan_at(tick)
+            plans.append(plan)
+            if plan.flat:
+                yield tick, {s: query(s, tick, quantum) for s in state.queried}
+
+    model, triggers = run_monitor_full(translation.plain, events(), quantum,
+                                       state.observe)
     return ScheduledRun(translation, model, triggers, plans, report)

@@ -52,35 +52,26 @@ class SensorTrace:
     ticks: dict  # sensor -> ticks
     values: dict  # sensor -> list of values, one per tick
 
-    @classmethod
-    def from_samples(cls, samples: dict) -> SensorTrace:
-        """A trace from exact (time, value) pairs per sensor, times int or
-        Fraction; the quantum is the lcm of all their denominators."""
-        for sensor, seq in samples.items():
-            if not seq:
-                raise ValueError(f"sensor '{sensor}' has no samples")
-        q = math.lcm(*{t.denominator for seq in samples.values()
-                       for t, _ in seq})
-        ticks = {s: tick_array([t.numerator * (q // t.denominator)
-                                for t, _ in seq])
-                 for s, seq in samples.items()}
-        for sensor, seq in ticks.items():
-            if any(b <= a for a, b in zip(seq, seq[1:])):
-                raise ValueError(f"sensor '{sensor}' times not increasing")
-        return cls(q, ticks, {s: [v for _, v in seq] for s, seq in samples.items()})
-
     def sensors(self):
         return sorted(self.ticks)
-
-    def span(self):
-        first = min(seq[0] for seq in self.ticks.values())
-        last = max(seq[-1] for seq in self.ticks.values())
-        return Fraction(first, self.quantum), Fraction(last, self.quantum)
 
     def covered(self) -> Fraction:
         """The last time that every sensor's samples still cover."""
         return Fraction(min(seq[-1] for seq in self.ticks.values()),
                         self.quantum)
+
+    def through(self, period: Fraction, inputs) -> Fraction:
+        """The horizon of the events k * period, k = 0, 1, ..., through the
+        last time that every sampled one of `inputs` still covers.
+
+        It spans at least one period, so a run over inputs that cover no
+        time still fails on its first query.
+        """
+        last = [self.ticks[s][-1] for s in inputs if s in self.ticks]
+        if not last:
+            return period
+        covered = Fraction(min(last), self.quantum)
+        return max(math.floor(covered / period) + 1, 1) * period
 
 
 def tick_array(ticks: list):
@@ -362,8 +353,9 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
               horizon: Optional[float] = None) -> BaselineRun:
     """Query every sensor each 1/freq seconds and feed the monitor.
 
-    Events run up to `horizon` (exclusive) or else through the last sample;
-    more than MAX_STEPS of them raise TooManySteps before the first.
+    Events run up to `horizon` (exclusive), by default `trace.through` the
+    last time that every sampled input covers, as a scheduled run's cycles
+    do; more than MAX_STEPS of them raise TooManySteps before the first.
     """
     freq = Fraction(str(freq)) if isinstance(freq, float) else Fraction(freq)
     if freq <= 0:
@@ -371,10 +363,9 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     period = 1 / freq
     source = TraceSource(trace)
     inputs = analyzed.spec.input_names()
-    if horizon is not None:  # events k * period < horizon
-        count = math.ceil(Fraction(horizon) * freq)
-    else:  # events k * period <= the last sample
-        count = math.floor(trace.span()[1] * freq) + 1
+    if horizon is None:
+        horizon = trace.through(period, inputs)
+    count = math.ceil(Fraction(horizon) * freq)  # events k * period < horizon
     check_steps(count, f"a {float(freq)} Hz baseline")
 
     # event k runs at tick k * period.numerator on the quantum
@@ -531,7 +522,7 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
 
     mode = translation.schedule.mode
     bound = int(config.get("bound", 2))
-    horizon = float(config.get("horizon", 60.0))
+    horizon = Fraction(str(config.get("horizon", 60.0)))
     window = float(config.get("window", 5.0))
     groups = config.get("groups") or {}
     kinds = config.get("trigger_kinds") or {}
@@ -554,7 +545,7 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
             (f"fixed_{float(f):g}hz", run_fixed(analyzed, trace, f, horizon))
             for f in baselines]
         runs = [(name, run.triggers, compute_metrics(
-                    run.model, inputs, horizon, groups, fingerprint))
+                    run.model, inputs, float(horizon), groups, fingerprint))
                 for name, run in named]
 
         report = compare_runs(runs, truth, window)

@@ -4,10 +4,11 @@ The monitor runs on integer ticks and the CLI reads traces straight into
 ticks; tests state their inputs as `Event`s at exact `Fraction` times and
 go through these helpers: `run_events` runs the monitor on the lcm
 quantum of the events' times, `write_trace` writes them as a trace CSV,
-`sensor_trace` collects each sensor's non-absent samples as a
-`SensorTrace`, and `model_at` builds a model at exact times. `parse_time`
-and `parse_value` read a cell of a file as the readers do, and
-`format_value` writes a value as `write_model` does.
+`trace_from_samples` builds a `SensorTrace` from exact (time, value)
+pairs, `sensor_trace` collects each sensor's non-absent samples into one,
+and `model_at` builds a model at exact times. `parse_time` and
+`parse_value` read a cell of a file as the readers do, and `format_value`
+writes a value as `write_model` does.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from activemon.engine import ABSENT, EvaluationModel, run_monitor_full
 from activemon.io import _cell_formatter, _cell_parser, _time_parts, format_time
-from activemon.sim import SensorTrace
+from activemon.sim import SensorTrace, tick_array
 
 
 @dataclass(frozen=True)
@@ -78,4 +79,20 @@ def sensor_trace(events, input_names) -> SensorTrace:
         for name, value in ev.values.items():
             if name in samples and value is not ABSENT:
                 samples[name].append((ev.time, value))
-    return SensorTrace.from_samples({k: v for k, v in samples.items() if v})
+    return trace_from_samples({k: v for k, v in samples.items() if v})
+
+
+def trace_from_samples(samples: dict) -> SensorTrace:
+    """A trace from exact (time, value) pairs per sensor, times int or
+    Fraction; the quantum is the lcm of all their denominators."""
+    for sensor, seq in samples.items():
+        if not seq:
+            raise ValueError(f"sensor '{sensor}' has no samples")
+    q = math.lcm(*{t.denominator for seq in samples.values() for t, _ in seq})
+    ticks = {s: tick_array([t.numerator * (q // t.denominator) for t, _ in seq])
+             for s, seq in samples.items()}
+    for sensor, seq in ticks.items():
+        if any(b <= a for a, b in zip(seq, seq[1:])):
+            raise ValueError(f"sensor '{sensor}' times not increasing")
+    return SensorTrace(q, ticks, {s: [v for _, v in seq]
+                                  for s, seq in samples.items()})

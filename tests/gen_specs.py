@@ -13,7 +13,7 @@ from random import Random
 from activemon.analysis import analyze
 from activemon.parser import parse_spec
 from activemon.sim import SensorTrace
-from events import Event
+from events import Event, trace_from_samples
 
 LEVELS = ("high", "medium", "low")
 MODES = ("deadline", "priority", "dp")
@@ -189,7 +189,7 @@ def gen_source_trace(rng: Random, sensors, horizon: Fraction) -> SensorTrace:
             pts.append((t, round(rng.uniform(-10.0, 10.0), 3)))
             t += Fraction(1, 2)
         samples[s] = tuple(pts)
-    return SensorTrace.from_samples(samples)
+    return trace_from_samples(samples)
 
 
 def gen_instance(rng: Random, mode: str, deadlines=(9, 20),

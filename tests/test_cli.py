@@ -16,7 +16,7 @@ from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
 from activemon.translate import translate
 
-from events import Event, run_events, write_trace
+from events import Event, parse_time, run_events, write_trace
 from test_translate import GOLDEN_PRIORITY
 
 
@@ -169,7 +169,7 @@ def test_baseline_queries_all_sensors(spec_dir, tmp_path, capsys,
 def test_baseline_stops_at_the_last_time_every_input_covers(
         spec_dir, tmp_path, capsys):
     # b's last sample is at 1.5 and a's at 2: at 3 Hz the events run through
-    # 4/3, and the metrics span the 1.5 s that both inputs cover
+    # 4/3, and the metrics span the five events' 5/3 s
     trace = tmp_path / "trace.csv"
     trace.write_text("time,a,b\n0,20.0,1.0\n1.5,20.0,2.0\n2,21.0,\n")
     out = tmp_path / "base"
@@ -180,7 +180,7 @@ def test_baseline_stops_at_the_last_time_every_input_covers(
     assert [row.split(",")[0] for row in model[1:]] == \
         ["0", "1/3", "2/3", "1", "4/3"]
     metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["horizon"] == 1.5
+    assert metrics["horizon"] == 5 / 3
     assert metrics["total_values"] == 10
 
 
@@ -198,6 +198,59 @@ def test_baseline_on_a_trace_that_ends_by_time_zero_is_a_usage_error(
                         "--out-dir", str(out)], capsys)
     assert "--horizon" in err
     assert not out.exists()
+
+
+def test_run_and_baseline_share_one_default_span(spec_dir, tmp_path, capsys):
+    # b's last sample is at 1.5 and a's at 2.5: at the spec's own frequency
+    # both commands run the events at 0 and 1, and span those two periods
+    spec = spec_dir / "priority_conflict.lola"
+    freq = 1 / _load(spec).config.period
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,20.0,1.0\n1.5,20.0,2.0\n2.5,21.0,\n")
+    assert main(["run", str(spec), "--trace", str(trace), "--mode",
+                 "priority", "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["baseline", str(spec), "--trace", str(trace), "--freq",
+                 str(freq), "--out-dir", str(tmp_path / "base")]) == 0, \
+        capsys.readouterr().err
+    cycles = (tmp_path / "run" / "plans.jsonl").read_text().splitlines()
+    events = (tmp_path / "base" / "model.csv").read_text().splitlines()[1:]
+    assert len(cycles) == len(events) == 2
+    run, base = (json.loads((tmp_path / d / "metrics.json").read_text())
+                 for d in ("run", "base"))
+    assert run["horizon"] == base["horizon"] == 2 / freq
+    assert base["per_sensor"] == {"a": freq, "b": freq}
+
+
+def _ten_hz_spec(spec_dir, tmp_path) -> Path:
+    text = (spec_dir / "priority_conflict.lola").read_text(encoding="utf-8")
+    path = tmp_path / "ten_hz.lola"
+    path.write_text(text.replace('frequency="1Hz"', 'frequency="10Hz"'),
+                    encoding="utf-8")
+    return path
+
+
+# the binary floats nearest 0.1 and 0.2 lie above them; 0.7's lies below
+@pytest.mark.parametrize("horizon,events", [
+    ("0.1", 1), ("1e-1", 1), ("0.2", 2), ("0.7", 7)])
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_a_horizon_is_read_exactly(spec_dir, tmp_path, capsys, command,
+                                   horizon, events):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n" + "".join(
+        f"{k}/10,20.0,1.0\n" for k in range(11)))
+    out = tmp_path / "out"
+    argv = {"run": ["run", str(_ten_hz_spec(spec_dir, tmp_path)),
+                    "--mode", "priority"],
+            "baseline": ["baseline", str(spec_dir / "priority_conflict.lola"),
+                         "--freq", "10"]}[command]
+    argv += ["--trace", str(trace), "--horizon", horizon,
+             "--out-dir", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    model = (out / "model.csv").read_text().splitlines()[1:]
+    assert [parse_time(row.split(",")[0]) for row in model] == \
+        [Fraction(k, 10) for k in range(events)]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["horizon"] == float(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +532,8 @@ def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
     ("run", "--horizon", "inf"), ("run", "--horizon", "nan"),
     ("run", "--horizon", "0"), ("run", "--horizon", "-1"),
     ("run", "--horizon", "abc"), ("baseline", "--horizon", "-1"),
-    ("baseline", "--horizon", "0"), ("run", "--bound", "0"),
+    ("baseline", "--horizon", "0"), ("run", "--horizon", "3/10"),
+    ("baseline", "--horizon", "1/10"), ("run", "--bound", "0"),
     ("run", "--bound", "-1"), ("check", "--bound", "-3"),
     ("check", "--bound", "2.5"),
 ])

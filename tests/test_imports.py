@@ -1,0 +1,48 @@
+"""Every name a module of the package imports is used in it.
+
+No linter is assumed; this walks each module's syntax tree with `ast`. A
+name counts as used when the module reads it anywhere (annotations
+included) or lists it in `__all__`, as a re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import activemon
+
+MODULES = sorted(Path(activemon.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """The names that `source` imports and never uses, sorted."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_a_module_uses_every_name_it_imports(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_unused_imports_finds_what_is_never_read():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport math as m\n"
+              "from .engine import ABSENT, eval_event, fold_rows\n"
+              "__all__ = ['fold_rows']\n"
+              "def f(x: m.Real):\n    return x is ABSENT\n")
+    assert unused_imports(source) == ["eval_event", "os"]

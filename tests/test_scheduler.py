@@ -25,9 +25,10 @@ from activemon.scheduler import (
     split_bound_range,
     take_event,
 )
-from activemon.sim import (FlightScenario, SensorTrace, TraceSource, compute_metrics,
+from activemon.sim import (FlightScenario, TraceSource, compute_metrics,
                           generate_flight)
 from activemon.translate import translate
+from events import trace_from_samples
 from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
 from test_golden_translate import wide_text
@@ -388,7 +389,7 @@ MIXED_DP = (
     "output late |@x| := x + now > 8.0\n"
     'trigger late "late"\n'
 )
-MIXED_TRACE = SensorTrace.from_samples({
+MIXED_TRACE = trace_from_samples({
     "x": [(Fraction(k, 3), float(k % 7)) for k in range(37)],
     "y": [(Fraction(k, 7), float(k % 5)) for k in range(85)],
     "z": [(Fraction(k, 10), k / 20) for k in range(121)],
@@ -583,7 +584,7 @@ def _random_walk(rng: Random, sensors, seconds: int, hz: int = 10):
             points.append((Fraction(k, hz), round(x, 4)))
             x += -0.02 * x + 0.2 * rng.gauss(0.0, 1.0)
         samples[sensor] = tuple(points)
-    return SensorTrace.from_samples(samples)
+    return trace_from_samples(samples)
 
 
 # deadline mode rejects the wide spec's priorities

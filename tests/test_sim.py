@@ -34,10 +34,10 @@ from activemon.sim import (
     _Profile,
 )
 from activemon.translate import translate
-from events import Event, run_events
+from events import Event, run_events, trace_from_samples
 from reference_eval import triggers_from_model
 
-HOLD = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
+HOLD = trace_from_samples({"s": [(Fraction(0), 1.0), (Fraction(1), 2.0)]})
 SOURCE = TraceSource(HOLD)
 
 
@@ -95,14 +95,14 @@ def test_query_rejects_unknown_sensor():
 # samples on thirds and on tenths of a second, one sensor with both
 _THIRDS = [Fraction(k, 3) for k in range(1, 31)]
 _TENTHS = [Fraction(k, 10) for k in range(2, 101)]
-MIXED = SensorTrace.from_samples({
+MIXED = trace_from_samples({
     "thirds": [(t, float(i)) for i, t in enumerate(_THIRDS)],
     "tenths": [(t, float(i)) for i, t in enumerate(_TENTHS)],
     "both": [(t, float(i)) for i, t in enumerate(sorted(set(_THIRDS + _TENTHS)))],
 })
 # beyond 64 bits: the quantum (2**61 - 1) * 3 times 10 s overflows int64
-HUGE = SensorTrace.from_samples({"s": [(Fraction(1, 2**61 - 1), 1.0),
-                                       (Fraction(1, 3), 2.0), (Fraction(10), 3.0)]})
+HUGE = trace_from_samples({"s": [(Fraction(1, 2**61 - 1), 1.0),
+                                 (Fraction(1, 3), 2.0), (Fraction(10), 3.0)]})
 _EPS = Fraction(1, 10**12)
 
 
@@ -153,9 +153,9 @@ def test_query_outside_the_samples_is_out_of_range(sensor, at):
 
 def test_trace_rejects_unsorted_samples():
     with pytest.raises(ValueError):
-        SensorTrace.from_samples({"s": [(Fraction(1), 1.0), (Fraction(1), 2.0)]})
+        trace_from_samples({"s": [(Fraction(1), 1.0), (Fraction(1), 2.0)]})
     with pytest.raises(ValueError):
-        SensorTrace.from_samples({"s": []})
+        trace_from_samples({"s": []})
 
 
 def test_read_trace_drops_absent_cells(tmp_path):
@@ -184,16 +184,16 @@ def _small_samples(sensor="s", tick=1, value=2.0):
 
 @pytest.mark.parametrize("changed", [{"tick": 3}, {"value": 2.5}, {"sensor": "u"}])
 def test_fingerprint_tells_one_changed_sample_apart(changed):
-    base = trace_fingerprint(SensorTrace.from_samples(_small_samples()))
-    assert trace_fingerprint(SensorTrace.from_samples(_small_samples())) == base
+    base = trace_fingerprint(trace_from_samples(_small_samples()))
+    assert trace_fingerprint(trace_from_samples(_small_samples())) == base
     assert trace_fingerprint(
-        SensorTrace.from_samples(_small_samples(**changed))) != base
+        trace_from_samples(_small_samples(**changed))) != base
 
 
 def test_fingerprint_ignores_which_value_objects_are_shared():
     shared = float("2.5")
-    one = SensorTrace.from_samples({"s": [(0, shared), (1, shared)]})
-    two = SensorTrace.from_samples({"s": [(0, float("2.5")), (1, float("2.5"))]})
+    one = trace_from_samples({"s": [(0, shared), (1, shared)]})
+    two = trace_from_samples({"s": [(0, float("2.5")), (1, float("2.5"))]})
     assert one == two
     assert trace_fingerprint(one) == trace_fingerprint(two)
 
@@ -212,7 +212,7 @@ def test_flight_samples_the_full_grid():
         ticks = trace.ticks[sensor]
         assert len(ticks) == len(trace.values[sensor]) == 601
         assert ticks[0] == 0 and ticks[-1] == 600
-    assert trace.span() == (Fraction(0), Fraction(60))
+    assert trace.covered() == Fraction(60)
 
 
 class _ReferenceProfile(_Profile):
@@ -293,7 +293,7 @@ _SHORT = [FlightScenario(seed=seed, duration=duration)
                    ground_altitude=-12.5)])
 def test_flight_matches_the_pairwise_reference(scenario):
     trace = generate_flight(scenario)
-    reference = SensorTrace.from_samples(_reference_flight(scenario))
+    reference = trace_from_samples(_reference_flight(scenario))
     assert trace == reference
     assert trace_fingerprint(trace) == trace_fingerprint(reference)
 
@@ -522,7 +522,7 @@ def _reference_event_times(freq, last, horizon):
 @pytest.mark.parametrize("horizon", [None, "last", 1.0])
 def test_fixed_baseline_counts_events_like_a_per_event_test(freq, last, horizon):
     spec = analyze(parse_spec("input s : Float64\noutput o := s + 1.0\n"))
-    trace = SensorTrace.from_samples({"s": [(Fraction(0), 1.0), (last, 2.0)]})
+    trace = trace_from_samples({"s": [(Fraction(0), 1.0), (last, 2.0)]})
     if horizon == "last":
         horizon = float(last)
     base = run_fixed(spec, trace, freq, horizon)
@@ -531,7 +531,7 @@ def test_fixed_baseline_counts_events_like_a_per_event_test(freq, last, horizon)
 
 
 # thirds and tenths from 0 s through 10 s, and a sensor that starts late
-_FROM_ZERO = SensorTrace.from_samples({
+_FROM_ZERO = trace_from_samples({
     "thirds": [(Fraction(k, 3), float(k)) for k in range(31)],
     "tenths": [(Fraction(k, 10), -float(k)) for k in range(101)],
     "late": [(Fraction(1, 3), 0.5), (Fraction(10), 1.5)],
@@ -553,7 +553,7 @@ def test_fixed_baseline_values_equal_per_event_queries(freq, horizon):
 
 
 # samples in thirds, sevenths and tenths of a second, through 10 s
-_THIRDS_SEVENTHS_TENTHS = SensorTrace.from_samples({
+_THIRDS_SEVENTHS_TENTHS = trace_from_samples({
     "thirds": [(Fraction(k, 3), float(k)) for k in range(31)],
     "sevenths": [(Fraction(k, 7), float(-k)) for k in range(71)],
     "tenths": [(Fraction(k, 10), k / 10) for k in range(101)],
@@ -615,7 +615,7 @@ _GROUPED = SensorTrace(10, {"late": array("q", [7, 100]),
     ("late gone", None, OutOfRange, "precedes the first sample of 'late'"),
     ("x gone late", None, SensorUnavailable, "gone"),
     ("x late y", None, OutOfRange, "precedes the first sample of 'late'"),
-    ("x early y", None, OutOfRange, "past the last sample of 'early'"),
+    ("x early y", 7.0, OutOfRange, "past the last sample of 'early'"),
     ("y x", 10.5, OutOfRange, "past the last sample of 'y'"),
     ("x y", 10.5, OutOfRange, "past the last sample of 'x'"),
 ])
@@ -626,6 +626,14 @@ def test_fixed_baseline_raises_for_the_first_failing_input(inputs, horizon,
                               + f"output o := {names[-1]}\n"))
     with pytest.raises(error, match=message):
         run_fixed(spec, _GROUPED, 4, horizon)
+
+
+def test_fixed_baseline_defaults_to_where_every_input_covers():
+    # 'early' ends at 5 s and 'x' at 10 s: the events run through 5 s
+    spec = analyze(parse_spec("input x : Float64\ninput early : Float64\n"
+                              "output o := x + early\n"))
+    base = run_fixed(spec, _GROUPED, 4)
+    assert base.model.times == [Fraction(k, 4) for k in range(21)]
 
 
 @pytest.mark.parametrize("freq", [0.7, 3, 4])
