@@ -242,12 +242,14 @@ def cmd_check(args) -> int:
         tr = translate(analyzed, args.mode)
         model = read_model(args.model, tr.plain)
         bound = args.bound if args.bound is not None else analyzed.config.bandwidth
-        violations = check_scheduled_model(tr.plain, tr.schedule, bound, model)
+        violations, missed = check_scheduled_model(tr.plain, tr.schedule,
+                                                   bound, model)
+        inputs = tr.schedule.inputs
     else:
         model = read_model(args.model, analyzed)
-        violations = verify_model(analyzed, model)
-    sys.stdout.writelines(violation_lines(violations))
-    if violations:
+        violations, missed, inputs = verify_model(analyzed, model), (), ()
+    sys.stdout.writelines(violation_lines(violations, missed, model, inputs))
+    if violations or missed:
         return 1
     print("ok", file=sys.stderr)
     return 0

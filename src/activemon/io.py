@@ -332,9 +332,16 @@ def write_triggers(path, reports) -> None:
             fh.write(trigger_json(r) + "\n")
 
 
-def violation_lines(violations):
+# the detail of a missed obligation
+MISSED = "obligated task left unsatisfied"
+
+
+def violation_lines(violations, missed=(), model=None, inputs=()):
     """One JSON line per violation, newline included: {kind, step, time,
-    detail, stream (if any), task (if any)}."""
+    detail, stream (if any), task (if any)}; then one "schedule" line per
+    missed obligation. `missed` holds (step, task) pairs flat, as
+    `check_scheduled_model` spools them: a miss is timed by its step in
+    `model`, and `inputs` names the bits of its task."""
     parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
     time = text = None  # the last time rendered, shared by one step's lines
     for v in violations:
@@ -349,6 +356,22 @@ def violation_lines(violations):
             # JSON writes a finite float as its repr
             time, text = v.time, repr(float(v.time))
         yield f'{head}{v.step}, "time": {text}, {tail}\n'
+    if not missed:
+        return
+    ticks, q = model.ticks, model.quantum
+    tails: dict = {}  # task -> the line after its step's time
+    last = None
+    pairs = iter(missed)
+    for step, task in zip(pairs, pairs):
+        if step != last:
+            # int / int is correctly rounded, as float(Fraction) is
+            last, head = step, (f'{{"kind": "schedule", "step": {step}, '
+                                f'"time": {ticks[step] / q!r}, ')
+        tail = tails.get(task)
+        if tail is None:
+            tail = tails[task] = json.dumps(
+                {"detail": MISSED, "task": task_key(task, inputs)})[1:] + "\n"
+        yield head + tail
 
 
 def write_plan_log(path, plans, mode, inputs) -> None:
@@ -384,7 +407,7 @@ def read_json(path):
 
 
 __all__ = [
-    "BLOCK_ROWS", "format_time", "read_json", "read_model", "read_trace",
-    "trigger_json", "violation_lines", "write_json", "write_model",
-    "write_plan_log", "write_triggers",
+    "BLOCK_ROWS", "MISSED", "format_time", "read_json", "read_model",
+    "read_trace", "trigger_json", "violation_lines", "write_json",
+    "write_model", "write_plan_log", "write_triggers",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -322,6 +323,14 @@ class DecisionOracle:
     the floor of the fresh satisfied tasks (the tasks are kept in buckets
     by current value), those with a holding region and, in deadline mode,
     the pending ones. Only the tasks it returns are put in task_key order.
+
+    In the priority modes a verdict depends only on the present mask, the
+    overdue tasks and the current values, and the current values move at
+    few steps. So a verdict is kept per (present mask, overdue tasks) and
+    reused until a holding update changes some task's current value, and a
+    step whose holding mask is the one applied last skips the update, which
+    could change nothing since current values are sticky. Deadline mode
+    decides every step afresh, as its expiries move with the tick.
     """
 
     def __init__(self, analyzed: AnalyzedSpec, schedule: StaticSchedule,
@@ -388,18 +397,22 @@ class DecisionOracle:
         self._holds: dict = {}  # holding mask -> (task, value) pairs
         # fresh subtasks per bound -> [overdue tasks, the same in order]
         self._overdue: dict = {}
+        # priority modes: (present mask, overdue tasks) -> verdict, while no
+        # current value changes, and the holding mask applied last
+        self._verdicts: dict = {}
+        self._held: Optional[int] = None
         self.keys: dict = {}  # task -> task_key, of every task returned
 
     def _floor_ticks(self, seconds) -> int:
         return math.floor(seconds * self.quantum)
 
-    def _in_order(self, tasks) -> list:
+    def _in_order(self, tasks) -> tuple:
         """Tasks in task_key order, their keys kept in `keys`."""
         keys = self.keys
         for task in tasks:
             if task not in keys:
                 keys[task] = self.schedule.key(task)
-        return sorted(tasks, key=keys.__getitem__)
+        return tuple(sorted(tasks, key=keys.__getitem__))
 
     def _satisfied(self, present: int) -> tuple:
         """(satisfied tasks, indices of the tracked ones) under a mask of
@@ -465,9 +478,9 @@ class DecisionOracle:
         return got
 
     def decide(self, tick: int, present: int, holding: int,
-               next_tick: Optional[int] = None) -> list:
+               next_tick: Optional[int] = None) -> tuple:
         """Feed one step; return the tasks obliged at the step before, in
-        task_key order.
+        task_key order, as a tuple that steps with the same verdict share.
 
         `tick` is the step's time on the model's quantum, `present` and
         `holding` the verifier's masks of present inputs and holding
@@ -478,7 +491,7 @@ class DecisionOracle:
         """
         tick *= self.scale
         self.satisfied, tracked = self._satisfied(present)
-        obliged = []
+        obliged = ()
         if self.deadline:
             if self.tick is not None:
                 horizon = (tick + self.period_ticks if next_tick is None
@@ -489,7 +502,10 @@ class DecisionOracle:
             over = self._overdue_at(tick)
             self.overdue = over[0]
             if self.tick is not None:
-                obliged = self._priority(over)
+                key = (present, over[0])
+                obliged = self._verdicts.get(key)
+                if obliged is None:
+                    obliged = self._verdicts[key] = self._priority(over)
 
         # then this step's satisfactions and regions
         for j in tracked:
@@ -501,7 +517,8 @@ class DecisionOracle:
             for task, d in self._holding(holding):
                 if task not in expiry or tick + d < expiry[task]:
                     expiry[task] = tick + d
-        else:
+        elif holding != self._held:
+            self._held = holding
             current, buckets = self.current, self.buckets
             for task, value in self._holding(holding):
                 old = current.get(task)
@@ -510,17 +527,18 @@ class DecisionOracle:
                         buckets[old].discard(task)
                     buckets.setdefault(value, set()).add(task)
                     current[task] = value
+                    self._verdicts.clear()
         self.tick = tick
         return obliged
 
-    def _priority(self, over: list) -> list:
+    def _priority(self, over: list) -> tuple:
         """An unserved task is obliged when a fresh satisfied task has a
         strictly lower current priority, and an overdue task is obliged as
         soon as any fresh task is satisfied."""
         stale, sat = over[0], self.satisfied
         fresh = [task for task in sat if task not in stale]
         if not fresh:
-            return []
+            return ()
         current = self.current
         floor = min((v for task in fresh if (v := current.get(task)) is not None),
                     default=None)
@@ -532,42 +550,42 @@ class DecisionOracle:
             return self._in_order(stale.union(above))
         if over[1] is None:
             over[1] = self._in_order(stale)
-        return list(over[1])
+        return over[1]
 
 
 # ---------------------------------------------------------------------------
 # model-level checks
 
-_MISSED = "obligated task left unsatisfied"
-
 
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
-                          bound: int, model: EvaluationModel) -> list:
+                          bound: int, model: EvaluationModel) -> tuple:
     """Semantic, bandwidth and obligation conformance of a finished run.
 
     One forward walk of the model through the verifier yields its semantic
     violations and, per step, the present inputs and holding guards that
-    the `DecisionOracle` is fed. Semantic violations come first, then the
-    bandwidth ones, then the missed obligations by step and sorted task.
+    the `DecisionOracle` is fed. Returns (violations, missed): the semantic
+    violations and then the bandwidth ones, as `Violation`s, and the missed
+    obligations spooled as ints, the step then the task of each, by step
+    and sorted task. They come after the violations in `check`'s output;
+    `io.violation_lines` renders both. `missed` is an array('q') while every
+    task mask fits in 64 bits, else a list of ints.
     """
     violations: list = []
     bandwidth: list = []
-    missed: list = []
+    missed = array("q") if max(schedule.universe, default=0) < 1 << 63 else []
     oracle = DecisionOracle(analyzed, schedule, model.quantum)
+    decide = oracle.decide
     ticks = model.ticks
     walk = walk_model(analyzed, model, violations, oracle.guards)
-    for step, (present, holding) in enumerate(walk):
-        nxt = step + 1
-        obliged = oracle.decide(ticks[step], present, holding,
-                                ticks[nxt] if nxt < len(ticks) else None)
-        unserved = [task for task in obliged if task & ~present]
+    nexts = itertools.chain(itertools.islice(ticks, 1, None), (None,))
+    for step, (present, holding), tick, nxt in zip(itertools.count(), walk,
+                                                   ticks, nexts):
+        for task in decide(tick, present, holding, nxt):
+            if task & ~present:
+                missed.extend((step, task))
         width = present.bit_count()
-        if unserved or width > bound:
-            time = model.time_at(step)  # shared by the step's violations
-            if width > bound:
-                bandwidth.append(Violation(
-                    "bandwidth", step, time,
-                    f"{width} inputs arrive at once, bound is {bound}"))
-            missed += [Violation("schedule", step, time, _MISSED, None,
-                                 oracle.keys[task]) for task in unserved]
-    return violations + bandwidth + missed
+        if width > bound:
+            bandwidth.append(Violation(
+                "bandwidth", step, model.time_at(step),
+                f"{width} inputs arrive at once, bound is {bound}"))
+    return violations + bandwidth, missed

@@ -18,7 +18,8 @@ the steps, and region truth by the tree-walking evaluator over
 deadline horizons are exact `Fraction` seconds, not the oracle's ticks.
 
 `reference_violations` builds the whole violation list of
-`check_scheduled_model` the same way, with the semantic violations
+`check_scheduled_model`, its spooled misses expanded as
+`checks.check_violations` does, the same way, with the semantic violations
 recomputed by `reference_eval.eval_clauses`.
 """
 

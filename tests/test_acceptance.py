@@ -20,7 +20,7 @@ from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.errors import PreconditionViolation
 from activemon.io import read_json
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model, task_of
+from activemon.schedule import task_of
 from activemon.scheduler import run_scheduled, split_bound_range
 from activemon.sim import (
     FlightScenario,
@@ -32,6 +32,7 @@ from activemon.sim import (
 )
 from activemon.translate import translate
 
+from checks import check_violations
 from events import Event, run_events, write_trace
 from test_translate import GOLDEN_PRIORITY
 
@@ -122,7 +123,7 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
                 assert all(e.value > window for e in entries)
         run = run_scheduled(tr, TraceSource(trace), horizon, bound)
         violations += len(
-            check_scheduled_model(tr.plain, tr.schedule, bound, run.model))
+            check_violations(tr.plain, tr.schedule, bound, run.model))
     assert violations == 0
     elapsed = clock.done()
     _pass(3, f"100 randomized instances across all modes, zero violations "
@@ -251,7 +252,7 @@ def test_criterion_8_conflict_resolution_and_precondition(
     union = task_of("ab", tr.schedule.inputs)
     assert run.report.ok
     assert all(union in p.selected for p in run.plans)
-    assert check_scheduled_model(tr.plain, tr.schedule, 2, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, 2, run.model) == []
 
     # the same instance at bandwidth 1 fails b >= max|task| and the CLI
     # surfaces the unschedulable task

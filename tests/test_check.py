@@ -1,0 +1,276 @@
+"""`check` on an annotated spec: reused verdicts and spooled misses.
+
+In the priority modes the `DecisionOracle` keeps a verdict per (present
+mask, overdue tasks) until some task's current value changes, and skips a
+holding update whose mask it applied last. `RecomputingOracle` decides
+every step afresh, and the two must give the same verdicts at every step.
+
+`check_scheduled_model` spools each missed obligation as a (step, task)
+pair of ints. The lines that `violation_lines` renders from the spool must
+equal the lines of the spool expanded into `Violation`s, each at its step's
+exact time.
+"""
+
+import json
+from fractions import Fraction
+from itertools import product
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gen_specs
+from activemon.analysis import analyze
+from activemon.cli import main
+from activemon.engine import walk_model
+from activemon.io import read_model, violation_lines
+from activemon.parser import parse_spec
+from activemon.schedule import (DecisionOracle, build_static_schedule,
+                                check_scheduled_model)
+from activemon.scheduler import run_scheduled
+from activemon.sim import FlightScenario, TraceSource, generate_flight
+from activemon.translate import translate
+from checks import missed_violations
+from events import Event, run_events
+from test_golden_check import BOUNDS, SPECS, _off_grid_models, _source
+from test_schedule import _differential_models
+
+
+class RecomputingOracle(DecisionOracle):
+    """A `DecisionOracle` that reuses no verdict and applies every step's
+    holding update: each priority verdict comes from `_priority` afresh."""
+
+    def decide(self, tick, present, holding, next_tick=None):
+        self._verdicts.clear()
+        self._held = None
+        return super().decide(tick, present, holding, next_tick)
+
+
+def same_verdicts(analyzed, schedule, model) -> int:
+    """Feed `model` to a `DecisionOracle` and a `RecomputingOracle` in
+    step, require the same verdicts and current values at every step, and
+    return how many verdicts the oracle decided afresh."""
+    oracle = DecisionOracle(analyzed, schedule, model.quantum)
+    fresh = RecomputingOracle(analyzed, schedule, model.quantum)
+    decided = 0
+    priority = oracle._priority
+
+    def counted(over):
+        nonlocal decided
+        decided += 1
+        return priority(over)
+
+    oracle._priority = counted
+    ticks = model.ticks
+    walk = walk_model(analyzed, model, [], oracle.guards)
+    for step, (present, holding) in enumerate(walk):
+        nxt = ticks[step + 1] if step + 1 < len(ticks) else None
+        assert oracle.decide(ticks[step], present, holding, nxt) == \
+            fresh.decide(ticks[step], present, holding, nxt), step
+        assert oracle.current == fresh.current, step
+        assert oracle.expiry == fresh.expiry, step
+    return decided
+
+
+# -- reused verdicts ---------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_reused_verdicts_equal_recomputed_ones(seed, mode, off_grid):
+    for tr, model in _differential_models(seed, mode, off_grid):
+        same_verdicts(tr.plain, tr.schedule, model)
+
+
+def _golden_models(spec_dir, tmp_path):
+    """(translation, model) of each model that golden_check's `run`s write
+    and of each off-grid model, the spec with a 2/3 s default deadline
+    included, in the mode that wrote it."""
+    for spec in SPECS:
+        source = _source(spec, tmp_path)
+        analyzed = analyze(parse_spec((spec_dir / spec).read_text()))
+        for mode, bound in product(("priority", "dp"), BOUNDS):
+            out = tmp_path / f"{spec}-{mode}-{bound}"
+            assert main(["run", str(spec_dir / spec), *source, "--mode", mode,
+                         "--bound", str(bound), "--out-dir", str(out)]) == 0
+            tr = translate(analyzed, mode)
+            yield tr, read_model(out / "model.csv", tr.plain)
+    conflict = spec_dir / "priority_conflict.lola"
+    stale = tmp_path / "stale.lola"
+    stale.write_text(conflict.read_text().replace(
+        'bound="2"]', 'bound="2", deadline="2/3s"]'))
+    for spec, mode in product((conflict, stale), ("priority", "dp")):
+        tr = translate(analyze(parse_spec(spec.read_text())), mode)
+        for path in _off_grid_models(spec, mode, tmp_path).values():
+            yield tr, read_model(path, tr.plain)
+
+
+def test_reused_verdicts_on_the_bundled_specs(spec_dir, tmp_path):
+    for tr, model in _golden_models(spec_dir, tmp_path):
+        same_verdicts(tr.plain, tr.schedule, model)
+
+
+@pytest.mark.parametrize("mode", ["priority", "dp"])
+def test_reused_verdicts_over_a_long_drone_flight(drone_text, mode):
+    tr = translate(analyze(parse_spec(drone_text)), mode)
+    trace = generate_flight(FlightScenario(seed=7, duration=1800.0))
+    model = run_scheduled(tr, TraceSource(trace), Fraction(1800), 2).model
+    assert len(model) == 3600
+    decided = same_verdicts(tr.plain, tr.schedule, model)
+    # the current values move at few steps, so few verdicts are decided
+    assert decided * 10 < len(model)
+
+
+REGIONS = """\
+input a : Float64
+input b : Float64
+output x
+    #[priority="high"]
+    eval |@a| when a > 10.0 with a
+    #[priority="low"]
+    eval |@a| when a <= 10.0 with a
+output y
+    #[priority="medium"]
+    eval |@b| with b
+"""
+
+
+@pytest.mark.parametrize("mode", ["priority", "dp"])
+def test_a_value_change_between_equal_keys_is_decided_again(mode):
+    # steps 1 and 3 serve b alone, with nothing overdue; a's value climbs
+    # from low to high at step 2, between them, so only step 3 obliges a
+    analyzed = analyze(parse_spec(REGIONS))
+    sched = build_static_schedule(analyzed, mode)
+    model = run_events(analyzed, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+                                  Event(Fraction(1), {"b": 2.0}),
+                                  Event(Fraction(2), {"a": 20.0}),
+                                  Event(Fraction(3), {"b": 3.0})])[0]
+    oracle = DecisionOracle(analyzed, sched, model.quantum)
+    a = 1
+    keys, verdicts, values = [], [], []
+    walk = walk_model(analyzed, model, [], oracle.guards)
+    for step, (present, holding) in enumerate(walk):
+        verdicts.append(oracle.decide(model.ticks[step], present, holding))
+        keys.append((present, oracle.overdue))
+        values.append(oracle.current[a])
+    assert keys[1] == keys[3]
+    assert values[1] < values[2] == values[3]
+    assert a not in verdicts[1] and a in verdicts[3]
+    assert same_verdicts(analyzed, sched, model) == 3
+    violations, missed = check_scheduled_model(analyzed, sched, 2, model)
+    assert violations == [] and (3, a) in zip(*[iter(missed)] * 2)
+
+
+# -- spooled misses ----------------------------------------------------------
+
+
+def rendered(analyzed, schedule, bound, model) -> tuple:
+    """The lines rendered from the spool, and from the spool expanded into
+    `Violation`s; and the violations and misses."""
+    violations, missed = check_scheduled_model(analyzed, schedule, bound,
+                                               model)
+    expanded = violations + missed_violations(missed, model, schedule.inputs)
+    return (list(violation_lines(violations, missed, model, schedule.inputs)),
+            list(violation_lines(expanded)), violations, missed)
+
+
+def test_spooled_lines_equal_the_expanded_ones_on_the_golden_models(
+        spec_dir, tmp_path):
+    kinds = set()
+    for tr, model in _golden_models(spec_dir, tmp_path):
+        for bound in BOUNDS:
+            spooled, expanded, _, _ = rendered(tr.plain, tr.schedule, bound,
+                                               model)
+            assert spooled == expanded
+            kinds |= {json.loads(line)["kind"] for line in spooled}
+    assert kinds == {"semantic", "bandwidth", "schedule"}
+
+
+TRIPLE = """\
+#[priority="high"]
+input a : Float64
+#[priority="medium"]
+input b : Float64
+#[priority="low"]
+input c : Float64
+output x := a
+output y := b
+output z := c
+"""
+
+
+def test_a_step_with_a_bandwidth_finding_and_misses():
+    # b and c arrive at step 1 over a bound of 1 while a is unserved
+    analyzed = analyze(parse_spec(TRIPLE))
+    sched = build_static_schedule(analyzed, "priority")
+    model = run_events(analyzed, [
+        Event(Fraction(0), {"a": 1.0, "b": 1.0, "c": 1.0}),
+        Event(Fraction(1), {"b": 2.0, "c": 2.0})])[0]
+    spooled, expanded, violations, missed = rendered(analyzed, sched, 1,
+                                                     model)
+    assert spooled == expanded
+    assert [(v.kind, v.step) for v in violations] == \
+        [("bandwidth", 0), ("bandwidth", 1)]
+    lines = [json.loads(line) for line in spooled]
+    assert {line["kind"] for line in lines if line["step"] == 1} == \
+        {"bandwidth", "schedule"}
+    assert [line["kind"] for line in lines][-1] == "schedule"
+
+
+PAIR = """\
+#[priority="high"]
+input a : Float64
+#[priority="medium"]
+input b : Float64
+output x := a
+output y := b
+"""
+
+
+def test_miss_times_above_2_53_on_a_quantum_of_thirds():
+    # float(n) / 3 rounds twice; n / 3 rounds once, as float(Fraction) does
+    n = next(n for n in range(2**55, 2**55 + 100)
+             if n % 3 and float(n) / 3 != n / 3)
+    assert n / 3 == float(Fraction(n, 3))
+    analyzed = analyze(parse_spec(PAIR))
+    sched = build_static_schedule(analyzed, "priority")
+    model = run_events(analyzed, [
+        Event(Fraction(n - 3, 3), {"a": 1.0, "b": 1.0}),
+        Event(Fraction(n, 3), {"b": 2.0})])[0]
+    assert (model.quantum, model.ticks[1]) == (3, n)
+    spooled, expanded, _, missed = rendered(analyzed, sched, 2, model)
+    assert len(missed) == 4  # {a} and {a, b} at step 1
+    assert spooled == expanded
+    assert {json.loads(line)["time"] for line in spooled} == {n / 3}
+
+
+def test_tasks_beyond_64_bits_spool_as_python_ints():
+    # 63 unannotated inputs put a and b at bits 63 and 64
+    fillers = "".join(f"input u{i} : Float64\n" for i in range(63))
+    analyzed = analyze(parse_spec(fillers + PAIR))
+    sched = build_static_schedule(analyzed, "priority")
+    model = run_events(analyzed, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+                                  Event(Fraction(1), {"b": 2.0})])[0]
+    spooled, expanded, _, missed = rendered(analyzed, sched, 2, model)
+    assert list(missed) == [1, 1 << 63, 1, 3 << 63]
+    assert spooled == expanded
+    assert [json.loads(line)["task"] for line in spooled] == \
+        [["a"], ["a", "b"]]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_spooled_lines_equal_the_expanded_ones_on_generated_models(
+        seed, mode, off_grid):
+    rng = Random(-seed)
+    for tr, model in _differential_models(seed, mode, off_grid):
+        if len(model) > 1 and rng.random() < 0.3:
+            k = rng.randrange(1, len(model))
+            model.ticks[k] = model.ticks[k - 1]
+        for bound in (1, 2):
+            spooled, expanded, _, _ = rendered(tr.plain, tr.schedule, bound,
+                                               model)
+            assert spooled == expanded

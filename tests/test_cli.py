@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -621,6 +622,48 @@ def test_the_bundled_config_names_only_what_its_spec_has(spec_dir):
     config, spec_path = _read_config(path)
     assert config["groups"] and config["trigger_kinds"]
     _check_config_names(path, config, _load(spec_path))  # raises nothing
+
+
+PAIR_TEXT = """\
+#[priority="high"]
+input a : Float64
+#[priority="medium"]
+input b : Float64
+output x := a
+output y := b
+"""
+
+
+@pytest.mark.parametrize("case, code", [("clean", 0), ("misses", 1),
+                                        ("bound 0", 2)])
+def test_python_m_activemon_check_exits_with_its_code(
+        spec_dir, tmp_path, conflict_model, case, code):
+    # the package runs as a module with only src on the path, installed or not
+    spec, model = spec_dir / "priority_conflict.lola", conflict_model
+    if case == "misses":
+        # b served alone at 1 s while a holds the higher priority
+        spec = tmp_path / "pair.lola"
+        spec.write_text(PAIR_TEXT)
+        tr = translate(analyze(parse_spec(PAIR_TEXT)), "priority")
+        model = tmp_path / "pair.csv"
+        write_model(model, run_events(tr.plain, [
+            Event(Fraction(0), {"a": 1.0, "b": 1.0}),
+            Event(Fraction(1), {"b": 2.0})])[0], tr.plain)
+    argv = ["check", str(spec), "--model", str(model), "--mode", "priority",
+            "--bound", "0" if case == "bound 0" else "2"]
+    src = Path(__file__).parent.parent / "src"
+    result = subprocess.run([sys.executable, "-m", "activemon", *argv],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 1:
+        assert [json.loads(line)["kind"] for line in
+                result.stdout.splitlines()] == ["schedule", "schedule"]
+    else:
+        assert result.stdout == ""
+    if code == 2:
+        assert "--bound: must be at least 1: '0'" in result.stderr
 
 
 def test_module_entry_point_smoke(spec_dir):

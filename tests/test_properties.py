@@ -15,10 +15,10 @@ from activemon.analysis import analyze
 from activemon.ast import format_spec
 from activemon.engine import ABSENT, values_equal, verify_model
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model
 from activemon.scheduler import run_scheduled
 from activemon.sim import TraceSource, compute_metrics
 from activemon.translate import translate
+from checks import check_violations
 from events import run_events
 from reference_eval import ModelReader, eval_expr
 
@@ -123,7 +123,7 @@ def test_scheduler_is_valid_at_generous_bounds(seed):
     text, bound, horizon, trace = gen_specs.gen_instance(rng, mode)
     tr = translate(analyze(parse_spec(text)), mode)
     run = run_scheduled(tr, TraceSource(trace), horizon, bound)
-    assert check_scheduled_model(tr.plain, tr.schedule, bound, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, bound, run.model) == []
 
 
 @given(SEEDS)
@@ -147,7 +147,7 @@ def test_dp_uniform_priorities_are_safe_at_minimum_bandwidth(seed):
         rng, tr.plain.spec.input_names(), horizon)
     run = run_scheduled(tr, TraceSource(trace), horizon, 1)
     assert len(run.model) == int(horizon)
-    assert check_scheduled_model(tr.plain, tr.schedule, 1, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, 1, run.model) == []
 
 
 @given(SEEDS)

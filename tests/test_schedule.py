@@ -23,11 +23,12 @@ from activemon.errors import MixedAnnotationKinds, PreconditionViolation
 from activemon.io import write_model
 from activemon.parser import parse_spec
 from activemon.schedule import (DecisionOracle, build_static_schedule,
-                                build_task_universe, check_scheduled_model,
-                                task_names, task_of, union_closure)
+                                build_task_universe, task_names, task_of,
+                                union_closure)
 from activemon.scheduler import run_scheduled
 from activemon.sim import FlightScenario, TraceSource, generate_flight
 from activemon.translate import translate
+from checks import check_violations
 from events import Event, run_events
 from reference_eval import present_inputs
 from reference_oracle import (ReferenceOracle, reference_schedule,
@@ -332,7 +333,7 @@ def test_priority_inversion_is_flagged():
     assert verdicts[frozenset({"a"})] == "Y"
     assert verdicts[frozenset({"a", "b"})] == "Y"
     assert verdicts[frozenset({"b"})] == "M"
-    violations = check_scheduled_model(analyzed, sched, 2, model)
+    violations = check_violations(analyzed, sched, 2, model)
     flagged = {(v.task, v.step) for v in violations}
     assert flagged == {(("a",), 1), (("a", "b"), 1)}
 
@@ -342,7 +343,7 @@ def test_priority_serving_the_higher_task_is_clean():
               Event(Fraction(1), {"a": 2.0})]
     oracle, sched, model, analyzed = oracle_for(PRIORITY_PAIR, "priority", events)
     assert all(v == "M" for v in oracle.verdicts[0].values())
-    assert check_scheduled_model(analyzed, sched, 2, model) == []
+    assert check_violations(analyzed, sched, 2, model) == []
 
 
 DP_PAIR = """\
@@ -360,7 +361,7 @@ def test_dp_alternation_within_staleness_is_clean():
     events = [Event(Fraction(t), {"x": 1.0} if t % 2 == 0 else {"y": 1.0})
               for t in range(4)]
     oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
-    assert check_scheduled_model(analyzed, sched, 1, model) == []
+    assert check_violations(analyzed, sched, 1, model) == []
 
 
 def test_dp_staleness_claims_the_starved_task():
@@ -371,7 +372,7 @@ def test_dp_staleness_claims_the_starved_task():
     # and y is freshly satisfied there
     assert oracle.verdicts[1][frozenset({"x"})] == "M"
     assert oracle.verdicts[2][frozenset({"x"})] == "Y"
-    violations = check_scheduled_model(analyzed, sched, 1, model)
+    violations = check_violations(analyzed, sched, 1, model)
     assert {(v.task, v.step) for v in violations} == {(("x",), 3)}
 
 
@@ -392,7 +393,7 @@ def test_deadline_window_extrapolates_past_the_model():
     x = frozenset({"x"})
     assert oracle.verdicts[1][x] == "M"  # refresh can still happen at t=3
     assert oracle.verdicts[2][x] == "Y"
-    violations = check_scheduled_model(analyzed, sched, 2, model)
+    violations = check_violations(analyzed, sched, 2, model)
     assert {(v.task, v.step) for v in violations} == \
         {(("x",), 3), (("x", "y"), 3)}
 
@@ -403,7 +404,7 @@ def test_deadline_served_in_time_is_clean():
               Event(Fraction(2), {"y": 1.0}),
               Event(Fraction(3), {"x": 1.0, "y": 1.0})]
     _, sched, model, analyzed = oracle_for(DEADLINE_PAIR, "deadline", events)
-    assert check_scheduled_model(analyzed, sched, 2, model) == []
+    assert check_violations(analyzed, sched, 2, model) == []
 
 
 def test_bandwidth_overrun_is_flagged():
@@ -413,7 +414,7 @@ def test_bandwidth_overrun_is_flagged():
     sched = build_static_schedule(analyzed, "priority")
     model = run_events(analyzed, [
         Event(Fraction(0), {"a": 1.0, "b": 1.0, "c": 1.0})])[0]
-    violations = check_scheduled_model(analyzed, sched, 2, model)
+    violations = check_violations(analyzed, sched, 2, model)
     assert any(v.kind == "bandwidth" for v in violations)
 
 
@@ -426,7 +427,7 @@ def test_priority_tie_is_not_a_witness():
     assert oracle.current[0][frozenset({"a"})] == \
         oracle.current[0][frozenset({"b"})]
     assert all(v == "M" for v in oracle.verdicts[0].values())
-    assert check_scheduled_model(analyzed, sched, 2, model) == []
+    assert check_violations(analyzed, sched, 2, model) == []
 
 
 def test_dp_overdue_without_a_fresh_satisfied_task_is_free():
@@ -436,7 +437,7 @@ def test_dp_overdue_without_a_fresh_satisfied_task_is_free():
     oracle, sched, model, analyzed = oracle_for(DP_PAIR, "dp", events)
     assert all(oracle.overdue[1].values())
     assert all(v == "M" for v in oracle.verdicts[0].values())
-    assert check_scheduled_model(analyzed, sched, 1, model) == []
+    assert check_violations(analyzed, sched, 1, model) == []
 
 
 def test_dp_task_never_served_since_step_0_is_overdue_throughout():
@@ -449,7 +450,7 @@ def test_dp_task_never_served_since_step_0_is_overdue_throughout():
         # the union is refreshed by its tracked subtask x from step 1 on
         assert over[xy] == over[x] == (step == 0)
     assert all(oracle.verdicts[step][y] == "Y" for step in range(3))
-    violations = check_scheduled_model(analyzed, sched, 1, model)
+    violations = check_violations(analyzed, sched, 1, model)
     assert {(v.task, v.step) for v in violations} == \
         {(("y",), 1), (("y",), 2), (("y",), 3)}
 
@@ -509,7 +510,7 @@ def test_overdue_tasks_are_obliged_in_sorted_order():
     oracle, sched, model, analyzed = oracle_for(text, "dp", events)
     stale = [frozenset("a"), frozenset("ab"), frozenset("b")]
     assert oracle.obliged == [stale, stale]
-    violations = check_scheduled_model(analyzed, sched, 1, model)
+    violations = check_violations(analyzed, sched, 1, model)
     assert [(v.step, v.task) for v in violations] == [
         (step, task) for step in (1, 2) for task in (("a",), ("a", "b"), ("b",))]
 
@@ -594,7 +595,7 @@ def test_check_matches_the_reference_violation_list(seed, mode, off_grid):
             model.ticks[k] = model.ticks[k - 1]
         reference = reference_schedule(tr.analyzed, mode)
         for bound in (1, 2):
-            assert check_scheduled_model(tr.plain, tr.schedule, bound, model) \
+            assert check_violations(tr.plain, tr.schedule, bound, model) \
                 == reference_violations(tr.plain, reference, bound, model)
 
 

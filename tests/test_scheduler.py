@@ -16,7 +16,7 @@ from activemon.ast import Pacing
 from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
-from activemon.schedule import check_scheduled_model, task_names, task_of
+from activemon.schedule import task_names, task_of
 from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
@@ -28,6 +28,7 @@ from activemon.scheduler import (
 from activemon.sim import (FlightScenario, TraceSource, compute_metrics,
                           generate_flight)
 from activemon.translate import translate
+from checks import check_violations
 from events import trace_from_samples
 from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
@@ -141,7 +142,7 @@ def test_dp_queue_preempts_on_staleness():
     run = run_scheduled(tr, ConstSource({"x": 1.0, "y": 1.0}), 6, bound=1)
     # equal priorities tie toward x; y jumps the queue when 2s stale
     assert _queried(run) == [["x"], ["y"], ["x"], ["x"], ["y"], ["x"]]
-    checked = check_scheduled_model(tr.plain, tr.schedule, 1, run.model)
+    checked = check_violations(tr.plain, tr.schedule, 1, run.model)
     assert checked == []
 
 
@@ -170,7 +171,7 @@ def test_conflict_union_scheduled_at_full_bandwidth(conflict_text):
     assert run.report.ok
     assert all(p.flat == {"a", "b"} for p in run.plans)
     assert all(AB in p.selected for p in run.plans)
-    assert check_scheduled_model(tr.plain, tr.schedule, 2, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, 2, run.model) == []
 
 
 def test_conflict_starves_cleanly_below_bandwidth(conflict_text):
@@ -180,7 +181,7 @@ def test_conflict_starves_cleanly_below_bandwidth(conflict_text):
     assert run.report.oversized == (AB,)
     # the high-priority singleton wins every cycle; no inversion results
     assert all(p.flat == {"a"} for p in run.plans)
-    assert check_scheduled_model(tr.plain, tr.schedule, 1, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, 1, run.model) == []
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def test_hover_flight_is_fully_clean(drone_text):
     run = run_scheduled(tr, source, 60)
     assert len(run.model) == 120
     assert run.triggers == []
-    assert check_scheduled_model(tr.plain, tr.schedule, 2, run.model) == []
+    assert check_violations(tr.plain, tr.schedule, 2, run.model) == []
 
 
 def test_gps_tasks_never_starve(drone_text):
