@@ -1,11 +1,18 @@
-"""Static analysis passes over parsed specifications.
+"""Static analysis of parsed specifications.
 
-Three passes run before anything can be scheduled or evaluated:
+Three passes run before anything can be scheduled or evaluated, each over
+every expression once:
 
-* pacing inference fills in the event pattern each eval clause reacts to,
+* pacing inference fills in the event pattern each eval clause reacts to
+  and orders the outputs so that synchronous reads resolve,
 * type checking assigns every stream a scalar or pair type,
 * annotation extraction turns #[...] markers into guarded entries that the
   static schedule builder consumes.
+
+One walk of each expression beforehand collects the streams it reads and
+its offsets, which the passes share. `analyze` runs them over a whole
+specification; `extend_analysis` runs them over the outputs that a
+specification adds to one already analysed, as translation does.
 """
 
 from __future__ import annotations
@@ -30,69 +37,94 @@ from .errors import (
 # expression walks
 
 
-def _nodes(expr: Expr):
-    """Every node of the expression, in preorder."""
-    yield expr
-    for child in children(expr):
-        yield from _nodes(child)
+def _collect(expr: Expr, names: set, offsets: dict) -> None:
+    """Add to `names` the streams that `expr` reads at the current step, and
+    to `offsets` the deepest offset it uses against each stream.
 
-
-def sync_refs(expr: Expr) -> set[str]:
-    """Streams read at the current step.
-
-    Offset targets are excluded (they read history), offset defaults are
-    included (they evaluate at the current step when history is missing).
+    Offset targets are not read at the current step (they read history),
+    offset defaults are (they evaluate when history is missing).
     """
-    return {e.name for e in _nodes(expr) if isinstance(e, StreamRef)}
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if type(e) is StreamRef:
+            names.add(e.name)
+        elif type(e) is OffsetAccess:
+            if e.offset > offsets.get(e.stream, 0):
+                offsets[e.stream] = e.offset
+            stack.append(e.default)
+        else:
+            stack.extend(children(e))
 
 
 def offset_refs(expr: Expr) -> dict[str, int]:
     """Map of stream name to the deepest offset used against it."""
-    acc: dict[str, int] = {}
-    for e in _nodes(expr):
-        if isinstance(e, OffsetAccess):
-            acc[e.stream] = max(acc.get(e.stream, 0), e.offset)
-    return acc
+    offsets: dict[str, int] = {}
+    _collect(expr, set(), offsets)
+    return offsets
 
 
 def _clause_exprs(clause: EvalClause) -> list[Expr]:
     return [clause.expr] if clause.when is None else [clause.when, clause.expr]
 
 
+def _read_outputs(outputs) -> tuple[dict, dict, dict]:
+    """One walk of every expression of `outputs`.
+
+    Returns, per output, the streams each clause reads at the current step
+    in the order pacing inference visits them (each expression's, sorted,
+    the when condition's first); per output, every stream its expressions
+    read, now or through an offset, on which its type depends; and the
+    deepest offset used against each stream.
+    """
+    visits: dict[str, list] = {}
+    reads: dict[str, tuple] = {}
+    offsets: dict[str, int] = {}
+    for out in outputs:
+        clause_visits = []
+        read: set[str] = set()
+        deepest: dict[str, int] = {}
+        for clause in out.clauses:
+            visit: list[str] = []
+            for e in _clause_exprs(clause):
+                names: set[str] = set()
+                _collect(e, names, deepest)
+                visit += sorted(names)
+                read |= names
+            clause_visits.append(visit)
+        visits[out.name] = clause_visits
+        read.update(deepest)
+        reads[out.name] = tuple(read)
+        _deepen(offsets, deepest)
+    return visits, reads, offsets
+
+
+def _deepen(offsets: dict[str, int], more: dict[str, int]) -> None:
+    for name, depth in more.items():
+        if depth > offsets.get(name, 0):
+            offsets[name] = depth
+
+
 # ---------------------------------------------------------------------------
 # pacing inference
 
 
-def _union_pacing(parts: list[Pacing]) -> Pacing:
-    names: set[str] = set()
-    for p in parts:
-        if not p.is_any:
-            names |= p.inputs
-    return Pacing.of(names) if names else Pacing.any_event()
-
-
-def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]]:
+def _resolve_pacing(outputs, resolved: dict[str, Pacing],
+                    visits: dict) -> tuple[tuple[OutputDecl, ...], tuple[str, ...]]:
     """Fill in every eval clause pacing and sort outputs for evaluation.
 
     A clause's requirement is the union of the resolved pacings of every
     stream it reads synchronously. Explicit pacings must cover their
     requirement; missing pacings are inferred as exactly the requirement.
     The order lists outputs so synchronous dependencies come first.
+    `resolved` holds the pacing of every stream settled before, the inputs
+    at least, and gains those of `outputs`; `visits` is `_read_outputs`'.
     """
-    inputs = set(spec.input_names())
-    out_decls = {o.name: o for o in spec.outputs}
-    resolved: dict[str, Pacing] = {i: Pacing.of([i]) for i in inputs}
+    out_decls = {o.name: o for o in outputs}
     filled: dict[str, OutputDecl] = {}
     state: dict[str, int] = {}  # 1 visiting, 2 done
     stack: list[str] = []
     order: list[str] = []
-
-    def requirement(name: str, exprs: list[Expr]) -> set[str]:
-        req: set[str] = set()
-        for e in exprs:
-            for dep in sorted(sync_refs(e)):
-                req |= resolve(dep).inputs  # any-paced deps contribute nothing
-        return req
 
     def resolve(name: str) -> Pacing:
         if name in resolved:
@@ -104,8 +136,10 @@ def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]
         stack.append(name)
         decl = out_decls[name]
         new_clauses: list[EvalClause] = []
-        for idx, clause in enumerate(decl.clauses):
-            req = requirement(name, _clause_exprs(clause))
+        for idx, (clause, visit) in enumerate(zip(decl.clauses, visits[name])):
+            req: set[str] = set()
+            for dep in visit:
+                req |= resolve(dep).inputs  # any-paced deps contribute nothing
             if clause.pacing is None:
                 if not req:
                     raise EmptyPacing(
@@ -131,51 +165,56 @@ def _resolve_pacing(spec: Specification) -> tuple[Specification, tuple[str, ...]
                 f"'{name}' clauses resolve to different pacings; "
                 "split the output or align the clause pacings")
         filled[name] = OutputDecl(name, tuple(new_clauses))
-        resolved[name] = _union_pacing([c.pacing for c in new_clauses])
+        resolved[name] = new_clauses[0].pacing
         state[name] = 2
         stack.pop()
         order.append(name)
         return resolved[name]
 
-    for out in spec.outputs:
+    for out in outputs:
         resolve(out.name)
-
-    new_spec = replace(spec, outputs=tuple(filled[o.name] for o in spec.outputs))
-    return new_spec, tuple(order)
+    return tuple(filled[o.name] for o in outputs), tuple(order)
 
 
 # ---------------------------------------------------------------------------
 # type checking
 
 
-def _unify(a: Optional[Type], b: Optional[Type], ctx: str) -> Optional[Type]:
+def _unify(a: Optional[Type], b: Optional[Type], ctx: str,
+           arg: str) -> Optional[Type]:
+    """The type that both `a` and `b` settle on. A mismatch names its
+    context, `ctx` formatted with `arg` only then."""
     if a is None:
         return b
-    if b is None:
-        return a
-    if a == b:
+    if b is None or a == b:
         return a
     if a == INTLIT and b in NUMERIC:
         return b
     if b == INTLIT and a in NUMERIC:
         return a
-    raise TypeError_(f"type mismatch in {ctx}: {a} vs {b}")
+    raise TypeError_(f"type mismatch in {ctx.format(arg)}: {a} vs {b}")
 
 
 def _finalize(ty: Optional[Type]) -> Optional[Type]:
     return INT64 if ty == INTLIT else ty
 
 
-def type_check(spec: Specification) -> dict[str, Type]:
-    """Infer a type for every stream; raise TypeError_ on any inconsistency.
+def _infer_types(known: dict[str, Type], outputs, triggers,
+                 reads: dict) -> dict[str, Type]:
+    """`known` and a type for every output; raise TypeError_ on any
+    inconsistency in `outputs` or `triggers`.
 
     Integer literals unify with any numeric type and settle to Int64 when
     nothing constrains them. Output types may refer to themselves through
-    offset accesses, so inference runs to a fixed point.
+    offset accesses, so inference runs to a fixed point. An output's clauses
+    are walked again only when a stream they read (`reads`, from
+    `_read_outputs`) has changed its type since their last walk.
     """
-    types: dict[str, Optional[Type]] = {i.name: i.type for i in spec.inputs}
-    for o in spec.outputs:
+    types: dict[str, Optional[Type]] = dict(known)
+    for o in outputs:
         types[o.name] = None
+    walked: dict[str, tuple] = {}  # output -> (types it read, clause types)
+    unknown = False  # whether a walk of this pass read an unknown type
 
     def expr_type(e: Expr, strict: bool) -> Optional[Type]:
         if isinstance(e, Const):
@@ -194,7 +233,7 @@ def type_check(spec: Specification) -> dict[str, Type]:
             if base is None and strict:
                 raise TypeError_(f"cannot infer a type for stream '{e.stream}'")
             dflt = expr_type(e.default, strict)
-            return _unify(base, dflt, f"offset access on '{e.stream}'")
+            return _unify(base, dflt, "offset access on '{}'", e.stream)
         if isinstance(e, Proj):
             ty = expr_type(e.operand, strict)
             if ty is None:
@@ -226,49 +265,62 @@ def type_check(spec: Specification) -> dict[str, Type]:
                         raise TypeError_(f"'{e.op}' needs Bool operands, got {side}")
                 return BOOL
             if e.op in ("<", "<=", ">", ">=", "==", "!="):
-                merged = _unify(lt, rt, f"comparison '{e.op}'")
+                merged = _unify(lt, rt, "comparison '{}'", e.op)
                 if e.op in ("==", "!="):
                     if merged is not None and merged not in NUMERIC and merged != BOOL:
                         raise TypeError_(f"'{e.op}' cannot compare {merged} values")
                 elif merged is not None and merged not in NUMERIC:
                     raise TypeError_(f"'{e.op}' needs numeric operands, got {merged}")
                 return BOOL
-            merged = _unify(lt, rt, f"operator '{e.op}'")
+            merged = _unify(lt, rt, "operator '{}'", e.op)
             if merged is not None and merged not in NUMERIC:
                 raise TypeError_(f"'{e.op}' needs numeric operands, got {merged}")
             return merged
         if isinstance(e, MinMax):
             merged: Optional[Type] = None
             for a in e.args:
-                merged = _unify(merged, expr_type(a, strict), f"{e.op}(...)")
+                merged = _unify(merged, expr_type(a, strict), "{}(...)",
+                                e.op)
             if merged is not None and merged not in NUMERIC:
                 raise TypeError_(f"{e.op} needs numeric arguments, got {merged}")
             return merged
         raise TypeError_(f"unsupported expression {e!r}")
 
     def output_type(decl: OutputDecl, strict: bool) -> Optional[Type]:
+        # a walk is a function of the types it reads, and a strict walk
+        # differs from a lenient one only where one of them is unknown
+        nonlocal unknown
+        seen = tuple(types[r] for r in reads[decl.name])
+        blind = None in seen
+        unknown = unknown or blind
+        last = walked.get(decl.name)
+        again = last is None or last[0] != seen or strict and blind
         merged = types[decl.name]
-        for clause in decl.clauses:
-            merged = _unify(merged, expr_type(clause.expr, strict),
-                            f"clauses of '{decl.name}'")
+        clause_types = []
+        for k, clause in enumerate(decl.clauses):
+            ty = expr_type(clause.expr, strict) if again else last[1][k]
+            clause_types.append(ty)
+            merged = _unify(merged, ty, "clauses of '{}'", decl.name)
+        walked[decl.name] = (seen, clause_types)
         return merged
 
-    # fixed point over self-referential outputs; each pass can only refine
-    for _ in range(len(spec.outputs) + 1):
-        changed = False
-        for decl in spec.outputs:
+    # fixed point over outputs that read one another before their types
+    # are known, through offsets or ahead of their declaration; each pass
+    # can only refine. A first pass that read only known types has reached
+    # it.
+    for rounds in range(len(outputs) + 1):
+        changed = unknown = False
+        for decl in outputs:
             ty = output_type(decl, strict=False)
             if ty != types[decl.name]:
                 types[decl.name] = ty
                 changed = True
-        if not changed:
+        if not changed or rounds == 0 and not unknown:
             break
 
     # strict pass: everything must now be known and consistent
-    final: dict[str, Type] = {}
-    for i in spec.inputs:
-        final[i.name] = i.type
-    for decl in spec.outputs:
+    final: dict[str, Type] = dict(known)
+    for decl in outputs:
         ty = _finalize(output_type(decl, strict=True))
         if ty is None:
             raise TypeError_(f"cannot infer a type for stream '{decl.name}'")
@@ -280,7 +332,7 @@ def type_check(spec: Specification) -> dict[str, Type]:
                 if wt != BOOL:
                     raise TypeError_(
                         f"when condition of '{decl.name}' must be Bool, got {wt}")
-    for idx, trig in enumerate(spec.triggers):
+    for idx, trig in enumerate(triggers):
         tt = expr_type(trig.expr, strict=True)
         if tt != BOOL:
             raise TypeError_(f"trigger {idx} condition must be Bool, got {tt}")
@@ -327,12 +379,12 @@ def derive_annotation_map(spec: Specification) -> dict[str, tuple[AnnEntry, ...]
         chain: list[Expr] = []
         collected: list[AnnEntry] = []
         for idx, clause in enumerate(out.clauses):
-            parts = [] if clause.when is None else [clause.when]
-            parts.extend(negate(w) for w in reversed(chain))
             ann = clause.annotation
             if ann is not None and not ann.is_empty():
                 if clause.pacing is None:
                     raise ValueError("annotation map needs a pacing-filled spec")
+                parts = [] if clause.when is None else [clause.when]
+                parts.extend(negate(w) for w in reversed(chain))
                 collected.append(AnnEntry(
                     clause.pacing, conjoin(parts), ann.priority, ann.deadline,
                     out.name, idx))
@@ -377,22 +429,21 @@ class AnalyzedSpec:
 
 def analyze(spec: Specification) -> AnalyzedSpec:
     """Run every static pass; raise the first error encountered."""
-    filled, order = _resolve_pacing(spec)
-    types = type_check(filled)
-    max_offset: dict[str, int] = {name: 0 for name in filled.stream_names()}
-    for out in filled.outputs:
-        for clause in out.clauses:
-            for e in _clause_exprs(clause):
-                for name, depth in offset_refs(e).items():
-                    max_offset[name] = max(max_offset[name], depth)
-    for trig in filled.triggers:
-        for name, depth in offset_refs(trig.expr).items():
-            max_offset[name] = max(max_offset[name], depth)
+    visits, reads, offsets = _read_outputs(spec.outputs)
+    outputs, order = _resolve_pacing(
+        spec.outputs, {i: Pacing.of([i]) for i in spec.input_names()}, visits)
+    filled = replace(spec, outputs=outputs)
+    types = _infer_types({i.name: i.type for i in spec.inputs}, outputs,
+                         spec.triggers, reads)
+    for trig in spec.triggers:
+        _collect(trig.expr, set(), offsets)
+    max_offset: dict[str, int] = {name: 0 for name in spec.stream_names()}
+    max_offset.update(offsets)
 
     # a trigger on a bare stream is reported under that stream's name
     used: set[str] = set()
     trigger_names: list[str] = []
-    for idx, trig in enumerate(filled.triggers):
+    for idx, trig in enumerate(spec.triggers):
         if isinstance(trig.expr, StreamRef):
             name = trig.expr.name
         else:
@@ -402,12 +453,35 @@ def analyze(spec: Specification) -> AnalyzedSpec:
         used.add(name)
         trigger_names.append(name)
 
-    annotations = derive_annotation_map(filled)
-    return AnalyzedSpec(filled, types, order, max_offset, annotations,
-                        tuple(trigger_names))
+    return AnalyzedSpec(filled, types, order, max_offset,
+                        derive_annotation_map(filled), tuple(trigger_names))
+
+
+def extend_analysis(analyzed: AnalyzedSpec, spec: Specification) -> AnalyzedSpec:
+    """`analyze(spec)` for a spec that adds outputs to `analyzed.spec`.
+
+    `spec` has the inputs, outputs and triggers of `analyzed.spec` in the
+    same order, with the same types, pacings and expressions (annotations
+    may differ), and then its new outputs. Only the new outputs are walked;
+    what `analyzed` holds of the others is reused.
+    """
+    known = len(analyzed.spec.outputs)
+    added = spec.outputs[known:]
+    resolved = {i: Pacing.of([i]) for i in spec.input_names()}
+    for out in analyzed.spec.outputs:
+        resolved[out.name] = out.clauses[0].pacing
+    visits, reads, offsets = _read_outputs(added)
+    outputs, order = _resolve_pacing(added, resolved, visits)
+    filled = replace(spec, outputs=spec.outputs[:known] + outputs)
+    types = _infer_types(analyzed.types, outputs, (), reads)
+    max_offset = dict(analyzed.max_offset)
+    max_offset.update((out.name, 0) for out in added)
+    _deepen(max_offset, offsets)
+    return AnalyzedSpec(filled, types, analyzed.eval_order + order, max_offset,
+                        derive_annotation_map(filled), analyzed.trigger_names)
 
 
 __all__ = [
     "AnalyzedSpec", "AnnEntry", "analyze", "derive_annotation_map",
-    "offset_refs", "sync_refs", "type_check",
+    "extend_analysis", "offset_refs",
 ]

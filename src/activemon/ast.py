@@ -289,7 +289,8 @@ def negate(expr: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # pretty printer
 
-_PREC = {
+# binding power of each binary operator, shared with the parser
+BINARY_PREC = {
     "||": 1,
     "&&": 2,
     "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
@@ -316,19 +317,28 @@ def format_expr(expr: Expr, parent_prec: int = 0) -> str:
                 f".defaults(to: {format_expr(expr.default)})")
     if isinstance(expr, Proj):
         base = format_expr(expr.operand, _POSTFIX_PREC)
+        # an index after an integer or another index would scan as a number
+        if isinstance(expr.operand, Proj) or (
+                isinstance(expr.operand, Const) and type(expr.operand.value) is int):
+            base = f"({base})"
         return f"{base}.{expr.index}"
     if isinstance(expr, Unary):
         if expr.op in ("abs", "sqrt"):
             return f"{expr.op}({format_expr(expr.operand)})"
         sym = "-" if expr.op == "neg" else "!"
         inner = format_expr(expr.operand, _UNARY_PREC)
+        if _UNARY_PREC < parent_prec:
+            return f"({sym}{inner})"
         return f"{sym}{inner}"
     if isinstance(expr, MinMax):
         return f"{expr.op}(" + ", ".join(format_expr(a) for a in expr.args) + ")"
     if isinstance(expr, Binary):
-        prec = _PREC[expr.op]
-        left = format_expr(expr.left, prec)
-        # left-associative: right child needs parens at equal precedence
+        prec = BINARY_PREC[expr.op]
+        # left-associative: the right child needs parens at equal
+        # precedence, and so does a comparison's left child, since
+        # comparisons do not chain
+        left = format_expr(expr.left,
+                           prec + 1 if prec == BINARY_PREC["<"] else prec)
         right = format_expr(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"
         if prec < parent_prec:
@@ -410,6 +420,6 @@ __all__ = [
     "MinMax", "Expr", "TRUE",
     "Pacing", "Annotation", "GlobalConfig", "PRIORITY_LEVELS",
     "InputDecl", "EvalClause", "OutputDecl", "TriggerDecl", "Specification",
-    "children", "conjoin", "expr_depth", "negate", "format_expr",
+    "BINARY_PREC", "children", "conjoin", "expr_depth", "negate", "format_expr",
     "format_pacing", "format_spec",
 ]

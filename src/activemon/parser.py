@@ -1,17 +1,27 @@
-"""Scanner and recursive-descent parser for the specification language.
+"""Scanner and parser for the specification language.
 
 The surface grammar covers stream declarations with eval clauses, scheduling
 annotations (#[...] on inputs and clauses, #![...] for the global header),
 offset accesses with defaults, tuple types and projections, and triggers
 with optional messages.
+
+The scanner is one compiled regular expression, matched over the whole text
+before parsing starts. Declarations and operands are parsed by recursive
+descent, binary operators by one binding-power loop (Pratt, "Top Down
+Operator Precedence", 1973) over the precedence table that the printer
+shares: comparisons do not chain, and every other operator associates to
+the left.
 """
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from fractions import Fraction
 
 from .ast import (
-    BOOL, FLOAT64, INT64, UINT64,
+    BINARY_PREC, BOOL, FLOAT64, INT64, UINT64,
     Annotation, Binary, Const, EvalClause, GlobalConfig, InputDecl, MinMax,
     Now, OffsetAccess, OutputDecl, Pacing, Proj, Specification,
     StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS, children,
@@ -36,12 +46,21 @@ _BUILTIN_FUNCS = {"min", "max", "abs", "sqrt"}
 MAX_NESTING = 100
 MAX_DEPTH = 500
 _RESERVED = _KEYWORDS | _BUILTIN_FUNCS | {"offset", "by", "defaults", "to"}
+_COMPARISON = BINARY_PREC["<"]
+_TIGHTEST = max(BINARY_PREC.values())
 
-_PUNCT = [
-    "#![", "#[", ":=", "|@", "&&", "||", "==", "!=", "<=", ">=",
-    "(", ")", "[", "]", ",", ":", ".", "|", "!", "=", "<", ">",
-    "+", "-", "*", "/",
-]
+# Blanks, then one alternative per token kind, tried in order. A NUMBER has
+# only the decimal digits that int() and float() read, so a word that starts
+# with another digit, such as ², starts no token; nor does a `bad`
+# character: the quote of an unterminated string, or an unexpected one.
+# Every position after the blanks matches one alternative, `end` the end of
+# the text, so the blanks are never given back.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<IDENT>\w+)"
+    r'|(?P<STRING>"[^"\n]*")'
+    r"|(?P<PUNCT>#!\[|#\[|:=|\|@|&&|\|\||[=!<>]=|[()\[\],:.|!=<>+\-*/])"
+    r"|(?P<end>\Z)|(?P<bad>.))")
 
 
 class Token:
@@ -59,86 +78,45 @@ class Token:
 
 def _tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start, comment = 1, 0, -1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            comment = m.start(kind)
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise SpecSyntaxError("unterminated string", filename, line, col)
-                j += 1
-            if j >= n:
-                raise SpecSyntaxError("unterminated string", filename, line, col)
-            tokens.append(Token("STRING", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("PUNCT", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise SpecSyntaxError(f"unexpected character {c!r}", filename, line, col)
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "end":
+            break
+        word = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "STRING":
+            word = word[1:-1]
+        elif kind == "bad" or kind == "IDENT" and not (
+                word[0].isalpha() or word[0] == "_"):
+            message = ("unterminated string" if word == '"'
+                       else f"unexpected character {word[0]!r}")
+            raise SpecSyntaxError(message, filename, line, col)
+        tokens.append(Token(kind, word, line, col))
+    # a text that ends in a comment ends where the comment starts
+    end = comment if comment >= line_start else len(text)
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
 class Parser:
     def __init__(self, text: str, filename: str = "<spec>"):
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
+        self.tokens = _tokenize(text, filename)  # ends with the EOF token
         self.pos = 0
         self.nesting = 0  # expression levels open at the current token
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -147,24 +125,26 @@ class Parser:
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def at_punct(self, text: str) -> bool:
-        return self.at("PUNCT", text)
+        tok = self.tokens[self.pos]
+        return tok.kind == "PUNCT" and tok.text == text
 
     def at_ident(self, text: str) -> bool:
-        return self.at("IDENT", text)
+        tok = self.tokens[self.pos]
+        return tok.kind == "IDENT" and tok.text == text
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise self.error(f"expected {want!r}, found {tok.text or tok.kind!r}", tok)
         return self.advance()
 
     def error(self, message: str, tok: Token | None = None) -> SpecSyntaxError:
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         return SpecSyntaxError(message, self.filename, tok.line, tok.col)
 
     # -- top level ---------------------------------------------------------
@@ -405,7 +385,7 @@ class Parser:
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise self._too_deep(start)
-        expr = self.parse_or()
+        expr = self.parse_binary(1)
         self.nesting -= 1
         # each level of the tree takes a token of its own, so only an
         # expression of more tokens than levels allowed can be too deep
@@ -419,55 +399,39 @@ class Parser:
         return self.error(f"expression nests more than {MAX_NESTING} "
                           "levels deep", self.tokens[pos])
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at_punct("||"):
-            self.advance()
-            left = Binary("||", left, self.parse_and())
-        return left
+    def parse_binary(self, min_prec: int):
+        """Operands joined by operators of precedence `min_prec` or higher.
 
-    def parse_and(self):
-        left = self.parse_cmp()
-        while self.at_punct("&&"):
-            self.advance()
-            left = Binary("&&", left, self.parse_cmp())
-        return left
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        for op in ("<=", ">=", "==", "!=", "<", ">"):
-            if self.at_punct(op):
-                self.advance()
-                return Binary(op, left, self.parse_add())
-        return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            left = Binary(op, left, self.parse_mul())
-        return left
-
-    def parse_mul(self):
+        An operator's right operand takes every operator that binds more
+        tightly. After an operator, the loop takes only operators of its
+        precedence or lower, and after a comparison only lower ones, so that
+        a second comparison is left for the caller to reject.
+        """
         left = self.parse_unary()
-        while self.at_punct("*") or self.at_punct("/"):
-            op = self.advance().text
-            left = Binary(op, left, self.parse_unary())
-        return left
+        tokens = self.tokens
+        limit = _TIGHTEST
+        while True:
+            tok = tokens[self.pos]
+            prec = BINARY_PREC.get(tok.text, 0) if tok.kind == "PUNCT" else 0
+            if prec < min_prec or prec > limit:
+                return left
+            self.pos += 1
+            left = Binary(tok.text, left, self.parse_binary(prec + 1))
+            limit = prec - 1 if prec == _COMPARISON else prec
 
     def parse_unary(self):
-        if self.at_punct("-") or self.at_punct("!"):
+        """Prefix operators, then an atom with its postfix projections and
+        offset accesses."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "PUNCT" and (tok.text == "-" or tok.text == "!"):
             start = self.pos
             self.nesting += 1
             if self.nesting > MAX_NESTING:
                 raise self._too_deep(start)
-            op = "neg" if self.advance().text == "-" else "not"
-            expr = Unary(op, self.parse_unary())
+            self.pos += 1
+            expr = Unary("neg" if tok.text == "-" else "not", self.parse_unary())
             self.nesting -= 1
             return expr
-        return self.parse_postfix()
-
-    def parse_postfix(self):
         expr = self.parse_atom()
         while self.at_punct("."):
             dot = self.advance()
@@ -509,12 +473,21 @@ class Parser:
         return OffsetAccess(target.name, count, default)
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "NUMBER":
-            self.advance()
-            if "." in tok.text or "e" in tok.text or "E" in tok.text:
-                return Const(float(tok.text), is_float=True)
-            return Const(int(tok.text))
+            self.pos += 1
+            text = tok.text
+            if "." in text or "e" in text or "E" in text:
+                value = float(text)
+                if value == math.inf:
+                    raise self.error("float literal is beyond float range", tok)
+                return Const(value, is_float=True)
+            try:
+                return Const(int(text))
+            except ValueError:  # more digits than int() reads
+                raise self.error("integer literal has more than "
+                                 f"{sys.get_int_max_str_digits()} digits",
+                                 tok) from None
         if tok.kind == "IDENT":
             if tok.text == "true":
                 self.advance()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import AnalyzedSpec, analyze
+from .analysis import AnalyzedSpec, extend_analysis
 from .ast import (
     TRUE,
     Binary,
@@ -171,7 +171,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
         inputs=plain_inputs,
         outputs=plain_outputs + tuple(helpers),
     )
-    plain = analyze(plain_spec)
+    plain = extend_analysis(analyzed, plain_spec)
 
     table = {
         "mode": mode,

@@ -410,6 +410,24 @@ def test_too_deep_an_expression_is_a_usage_error(tmp_path, capsys, expr,
     assert f"deep.lola:{message} levels deep" in err
 
 
+@pytest.mark.parametrize("literal,message", [
+    ("2²", "2:18: unexpected character '²'"),
+    ("9" * 5000, "2:17: integer literal has more than"),
+    ("1e400", "2:17: float literal is beyond float range"),
+])
+@pytest.mark.parametrize("command", [
+    ["translate"], ["run", "--trace", "trace.csv"],
+    ["check", "--model", "model.csv"],
+])
+def test_a_number_literal_no_number_type_holds_is_a_usage_error(
+        tmp_path, capsys, literal, message, command):
+    spec = tmp_path / "lit.lola"
+    spec.write_text(f"input a : Float64\noutput b := a + {literal}\n",
+                    encoding="utf-8")
+    err = _usage_error([command[0], str(spec), *command[1:]], capsys)
+    assert f"error: {spec}:{message}" in err
+
+
 def _usage_error(argv, capsys) -> str:
     """Run the CLI, require exit 2 without a traceback; return stderr."""
     try:

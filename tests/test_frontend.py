@@ -162,6 +162,17 @@ def test_edited_specs_that_parse_round_trip(name):
         assert parse_spec(format_spec(spec)) == spec, text
 
 
+@pytest.mark.parametrize("expr", [
+    "(a < b) == (a > b)", "(a < b) < a", "(g.0).1", "(1).0", "(-a).0",
+    "-(1).0",
+])
+def test_nested_comparisons_and_projections_round_trip(expr):
+    spec = parse_spec("input a : Float64\ninput b : Float64\n"
+                      "input g : (Float64, Float64)\n"
+                      f"output o |@a| := {expr}\n")
+    assert parse_spec(format_spec(spec)) == spec
+
+
 def _error(text: str) -> SpecSyntaxError:
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec(text, "lit.lola")
