@@ -115,9 +115,6 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
@@ -193,13 +190,12 @@ class Parser:
                     message = self.advance().text
                 triggers.append(TriggerDecl(expr, message))
                 continue
-            raise self.error(f"unexpected token {self.peek().text!r}")
+            raise self.error(f"unexpected token {self.tokens[self.pos].text!r}")
 
         if pending is not None:
             raise self.error("annotation not attached to a declaration")
         if not inputs and not outputs and not triggers:
-            tok = self.peek()
-            raise SpecSyntaxError("empty specification", self.filename, tok.line, tok.col)
+            raise self.error("empty specification")
 
         spec = Specification(config, tuple(imports), tuple(inputs),
                              tuple(outputs), tuple(triggers))
