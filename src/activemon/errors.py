@@ -17,16 +17,24 @@ class SpecSyntaxError(SpecError):
         super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
-class DuplicateStream(SpecError):
-    def __init__(self, name: str):
+class DuplicateStream(SpecSyntaxError):
+    """A stream declared again, at the name of its second declaration."""
+
+    def __init__(self, name: str, filename: str = "<spec>", line: int = 0,
+                 col: int = 0):
         self.name = name
-        super().__init__(f"stream '{name}' declared more than once")
+        super().__init__(f"stream '{name}' declared more than once",
+                         filename, line, col)
 
 
-class UnknownStream(SpecError):
-    def __init__(self, name: str):
+class UnknownStream(SpecSyntaxError):
+    """A name that no stream declares, at the token that uses it."""
+
+    def __init__(self, name: str, filename: str = "<spec>", line: int = 0,
+                 col: int = 0):
         self.name = name
-        super().__init__(f"reference to undeclared stream '{name}'")
+        super().__init__(f"reference to undeclared stream '{name}'",
+                         filename, line, col)
 
 
 class TypeError_(SpecError):

@@ -9,9 +9,11 @@ rows at a time and parses each column with the parser bound once to its
 type. A time cell is read as an exact numerator and denominator (a plain
 decimal directly, any other form through `Fraction`), and the times go on
 the lcm of their denominators as integer ticks. The writers mirror this:
-`write_model` formats each column through one formatter bound once from
-its type, and the plan log and violation lines render the JSON that
-repeats from line to line once per distinct value.
+`write_model` formats BLOCK_ROWS rows at a time, each column through one
+formatter bound once from its type, and joins the cells into CSV rows
+itself rather than through `csv.writer`, since no model cell ever needs
+quoting. The plan log and violation lines render the JSON that repeats
+from line to line once per distinct value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import NonMonotonicTime, SpecSyntaxError
 from .schedule import task_key
 from .sim import SensorTrace, tick_array
 
-BLOCK_ROWS = 1024  # CSV rows parsed per block
+BLOCK_ROWS = 1024  # CSV rows parsed or written per block
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +164,29 @@ def _parse_column(parse, cells) -> list:
     return [number(c) if c else ABSENT for c in cells]
 
 
-def _format_number(value) -> str:
-    return "" if value is ABSENT else repr(value)
+def _format_numbers(values) -> list:
+    return [repr(v) if v is not ABSENT else "" for v in values]
 
 
-def _cell_formatter(ty: Type) -> Callable[[object], str]:
-    """The formatter of one column's values, the mirror of `_cell_parser`:
-    an empty cell for ABSENT, else text that parser reads back exactly."""
+def _column_formatter(ty: Type) -> Callable[[list], list]:
+    """The formatter of a run of one column's values, bound once per type,
+    the mirror of `_cell_parser`: an empty cell for ABSENT, else text that
+    parser reads back exactly. A tuple column formats each part's column of
+    its present values at once and joins them with ';'."""
     if isinstance(ty, TupleType):
-        parts = [_cell_formatter(el) for el in ty.elements]
-        return lambda value: "" if value is ABSENT else ";".join(
-            [fmt(v) for fmt, v in zip(parts, value)])
-    return _BOOL_CELLS.__getitem__ if ty == BOOL else _format_number
+        parts = [_column_formatter(el) for el in ty.elements]
+
+        def format_tuples(values) -> list:
+            present = [v for v in values if v is not ABSENT]
+            cells = map(";".join, zip(*[
+                fmt(column) for fmt, column in zip(parts, zip(*present))]))
+            if len(present) == len(values):
+                return list(cells)
+            return [next(cells) if v is not ABSENT else "" for v in values]
+        return format_tuples
+    if ty == BOOL:
+        return lambda values: list(map(_BOOL_CELLS.__getitem__, values))
+    return _format_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +307,27 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
 
 
 def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
-    """The model's columns of every stream of `analyzed`, in spec order."""
+    """The model's columns of every stream of `analyzed`, in spec order.
+
+    The rows are the ones `csv.writer` writes, joined directly: no cell
+    ever needs quoting, since names are identifiers, numbers are written by
+    `repr`, Bools as true/false, tuples as ';'-joined parts and times as
+    decimals or p/q. They are formatted and written BLOCK_ROWS at a time.
+    """
     q = model.quantum
     time = _decimal_format(q) or (lambda tick: format_time(Fraction(tick, q)))
     names = analyzed.spec.stream_names()
-    cells = [map(_cell_formatter(analyzed.types[name]), model.streams[name])
-             for name in names]
+    columns = [(_column_formatter(analyzed.types[name]), model.streams[name])
+               for name in names]
+    ticks = model.ticks
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *names])
-        writer.writerows(zip(map(time, model.ticks), *cells))
+        fh.write(",".join(["time", *names]) + "\r\n")
+        for lo in range(0, len(ticks), BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            cells = [fmt(values[lo:hi]) for fmt, values in columns]
+            fh.write("\r\n".join(map(",".join, zip(map(time, ticks[lo:hi]),
+                                                   *cells))))
+            fh.write("\r\n")
 
 
 def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:

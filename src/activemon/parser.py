@@ -24,7 +24,7 @@ from .ast import (
     BINARY_PREC, BOOL, FLOAT64, INT64, UINT64,
     Annotation, Binary, Const, EvalClause, GlobalConfig, InputDecl, MinMax,
     Now, OffsetAccess, OutputDecl, Pacing, Proj, Specification,
-    StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS, children,
+    StreamRef, TriggerDecl, TupleType, Unary, PRIORITY_LEVELS,
     expr_depth,
 )
 from .errors import DuplicateStream, SpecSyntaxError, UnknownStream
@@ -112,6 +112,10 @@ class Parser:
         self.tokens = _tokenize(text, filename)  # ends with the EOF token
         self.pos = 0
         self.nesting = 0  # expression levels open at the current token
+        # name tokens in source order: each declared stream's, and each
+        # stream name used, with whether a pacing uses it
+        self.declared: list[Token] = []
+        self.used: list[tuple[Token, bool]] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -298,6 +302,7 @@ class Parser:
         tok = self.expect("IDENT")
         if tok.text in _RESERVED:
             raise self.error(f"{tok.text!r} is reserved and cannot name a stream", tok)
+        self.declared.append(tok)
         return tok.text
 
     def parse_type(self):
@@ -362,17 +367,22 @@ class Parser:
             self.advance()
             self.expect("PUNCT", "|")
             return Pacing.any_event()
-        names = [self.expect("IDENT").text]
+        names = [self.pacing_name()]
         while True:
             if self.at_punct("&&"):
                 self.advance()
-                names.append(self.expect("IDENT").text)
+                names.append(self.pacing_name())
                 continue
             if self.at_punct("||"):
                 raise self.error("disjunctive pacing is not supported; use |@any| or a conjunction")
             break
         self.expect("PUNCT", "|")
         return Pacing.of(names)
+
+    def pacing_name(self) -> str:
+        tok = self.expect("IDENT")
+        self.used.append((tok, True))
+        return tok.text
 
     # -- expressions -------------------------------------------------------
 
@@ -512,6 +522,7 @@ class Parser:
             self.advance()
             if self.at_punct("("):
                 raise self.error(f"unknown function {tok.text!r}", tok)
+            self.used.append((tok, False))
             return StreamRef(tok.text)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.advance()
@@ -523,40 +534,22 @@ class Parser:
     # -- name checks -------------------------------------------------------
 
     def check_names(self, spec: Specification) -> None:
-        seen: set[str] = set()
-        for name in spec.stream_names():
-            if name in seen:
-                raise DuplicateStream(name)
-            seen.add(name)
+        """Each stream is declared once, each name used is declared, and a
+        pacing names inputs only. The first repeated declaration in source
+        order is reported, else the first name used against a rule, each at
+        its token."""
+        declared: set[str] = set()
+        for tok in self.declared:
+            if tok.text in declared:
+                raise DuplicateStream(tok.text, self.filename, tok.line, tok.col)
+            declared.add(tok.text)
         inputs = set(spec.input_names())
-
-        def check_expr(expr) -> None:
-            if isinstance(expr, StreamRef) and expr.name not in seen:
-                raise UnknownStream(expr.name)
-            if isinstance(expr, OffsetAccess) and expr.stream not in seen:
-                raise UnknownStream(expr.stream)
-            for child in children(expr):
-                check_expr(child)
-
-        def check_pacing(pacing: Pacing | None) -> None:
-            if pacing is None or pacing.is_any:
-                return
-            for name in pacing.inputs:
-                if name not in seen:
-                    raise UnknownStream(name)
-                if name not in inputs:
-                    raise SpecSyntaxError(
-                        f"pacing may only name input streams, not '{name}'",
-                        self.filename, 0, 0)
-
-        for out in spec.outputs:
-            for clause in out.clauses:
-                check_pacing(clause.pacing)
-                if clause.when is not None:
-                    check_expr(clause.when)
-                check_expr(clause.expr)
-        for trig in spec.triggers:
-            check_expr(trig.expr)
+        for tok, paces in self.used:
+            if tok.text not in declared:
+                raise UnknownStream(tok.text, self.filename, tok.line, tok.col)
+            if paces and tok.text not in inputs:
+                raise self.error(
+                    f"pacing may only name input streams, not '{tok.text}'", tok)
 
 
 def parse_spec(text: str, filename: str = "<spec>") -> Specification:

@@ -397,6 +397,20 @@ class DecisionOracle:
         self._holds: dict = {}  # holding mask -> (task, value) pairs
         # fresh subtasks per bound -> [overdue tasks, the same in order]
         self._overdue: dict = {}
+        # per tracked task: the index of the least bound that it is fresh
+        # for (len(bound_ticks) if none), and the tick from which that index
+        # grows (its last satisfaction plus that bound plus one); `_until`
+        # is at most the least of those ticks, and `_over` the overdue tasks
+        # of the current indices, None once one moved
+        never = len(self.bound_ticks)
+        self._fresh = [never] * len(self.tracked)
+        self._moves: list = [math.inf] * len(self.tracked)
+        self._until = math.inf
+        self._over: Optional[list] = None
+        # the index of a task just satisfied, and its `_moves` from then
+        self._reset = bisect_left(self.bound_ticks, 0)
+        self._reset_moves = (self.bound_ticks[self._reset] + 1
+                             if self._reset < never else math.inf)
         # priority modes: (present mask, overdue tasks) -> verdict, while no
         # current value changes, and the holding mask applied last
         self._verdicts: dict = {}
@@ -458,23 +472,35 @@ class DecisionOracle:
         tracked subtasks was last satisfied within its bound. The tasks
         depend only on the fresh subtasks per bound, which the index of the
         least bound that each tracked task is fresh for decides, so they are
-        found once per distinct tuple of those indices."""
+        found once per distinct tuple of those indices. An index moves only
+        when its task is satisfied (`decide` resets it) or its age passes
+        its bound, so only those indices are found again."""
         bounds = self.bound_ticks
         if not bounds:
             return _NOTHING
-        never = len(bounds)
-        fresh = tuple(never if last is None else bisect_left(bounds, now - last)
-                      for last in self.last)
-        got = self._overdue.get(fresh)
+        if now >= self._until:
+            never = len(bounds)
+            fresh, moves = self._fresh, self._moves
+            for j, last in enumerate(self.last):
+                if moves[j] <= now:
+                    fresh[j] = i = bisect_left(bounds, now - last)
+                    moves[j] = last + bounds[i] + 1 if i < never else math.inf
+            self._until = min(moves)
+            self._over = None
+        got = self._over
         if got is None:
-            every = sum(b for b, _ in self.tracked)
-            tasks = []
-            for i, groups in enumerate(self.stale):
-                stale = every & ~sum(b for (b, _), least in
-                                     zip(self.tracked, fresh) if least <= i)
-                tasks += (task for subs in submasks(groups, stale)
-                          for task in groups[subs])
-            got = self._overdue[fresh] = [frozenset(tasks), None]
+            key = tuple(self._fresh)
+            got = self._overdue.get(key)
+            if got is None:
+                every = sum(b for b, _ in self.tracked)
+                tasks = []
+                for i, groups in enumerate(self.stale):
+                    stale = every & ~sum(b for (b, _), least in
+                                         zip(self.tracked, key) if least <= i)
+                    tasks += (task for subs in submasks(groups, stale)
+                              for task in groups[subs])
+                got = self._overdue[key] = [frozenset(tasks), None]
+            self._over = got
         return got
 
     def decide(self, tick: int, present: int, holding: int,
@@ -508,8 +534,16 @@ class DecisionOracle:
                     obliged = self._verdicts[key] = self._priority(over)
 
         # then this step's satisfactions and regions
-        for j in tracked:
-            self.last[j] = tick
+        if tracked:
+            moves = tick + self._reset_moves
+            for j in tracked:
+                self.last[j] = tick
+                self._moves[j] = moves
+                if self._fresh[j] != self._reset:
+                    self._fresh[j] = self._reset
+                    self._over = None
+            if moves < self._until:
+                self._until = moves
         if self.deadline:
             expiry = self.expiry
             for task in self.satisfied:

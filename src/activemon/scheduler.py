@@ -309,24 +309,32 @@ def _splits(seq: list, bound: int) -> int:
 
 def split_bound_range(universe, bound: int, inputs) -> tuple:
     """(min, max) of the per-permutation event counts needed to satisfy
-    every task once; `inputs` names the tasks' bits."""
-    if len(universe) > 8:
-        raise UniverseTooLarge(
-            f"{len(universe)} tasks; split bounds are searched over "
-            "permutations and are capped at 8 tasks")
+    every task once; `inputs` names the tasks' bits.
+
+    A task wider than the bound makes it diverge. When the union of all
+    tasks fits the bound, every permutation packs into one event; this is
+    every union-closed universe whose tasks all fit. Any other family is
+    searched over its permutations, up to 8 tasks.
+    """
     tasks = sorted(universe, key=lambda t: task_key(t, inputs))
     for task in tasks:
         if task.bit_count() > bound:
             raise PreconditionViolation(
                 f"task {format_task(task, inputs)} exceeds bandwidth {bound}; "
                 "the split bound diverges")
+    if reduce(or_, tasks, 0).bit_count() <= bound:
+        return (1, 1)
+    if len(tasks) > 8:
+        raise UniverseTooLarge(
+            f"{len(tasks)} tasks; split bounds are searched over "
+            "permutations and are capped at 8 tasks")
     lo = math.inf
     hi = 0
     for perm in itertools.permutations(tasks):
         n = _splits(list(perm), bound)
         lo = min(lo, n)
         hi = max(hi, n)
-    return (int(lo) if tasks else 1, hi if tasks else 1)
+    return (lo, hi)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ A synthetic flight is synthesized column by column: each sensor's samples
 come from one list comprehension per leg of the trajectory, whose
 boundaries are found by bisecting the grid times, and all its sensors
 share one tick array, which the fixed-frequency baseline bisects once per
-event for all of them.
+event for all of them. Once the drone is home and landed, the return and
+the descent stay at their floors: that settled tail is bisected too, and
+its positions and altitudes are one repeated value each, so a long flight
+computes per sample only the barometer's noise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import marshal
 import math
 import statistics
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -222,42 +225,59 @@ class _Profile:
 
 
 def _legs(times, start: float, top: float, hold_end: float, speed: float,
-          peak: float, back: float, floor: float) -> list:
-    """One trajectory coordinate at each of the sorted `times`: 0.0 up to
-    `start`, rising at `speed` up to `top`, `peak` up to `hold_end`, then
-    falling at `back` but never below `floor`.
+          peak: float, back: float, floor: float) -> tuple:
+    """(values, settled): one trajectory coordinate at each of the sorted
+    `times`, 0.0 up to `start`, rising at `speed` up to `top`, `peak` up to
+    `hold_end`, then falling at `back` but never below `floor`; and the
+    index from which every value is `floor`, len(times) if none is.
 
     Each boundary is inclusive, as `t <= boundary` is: bisect_right counts
-    the times at or before it, from where the previous leg ended.
+    the times at or before it, from where the previous leg ended. With
+    `back` > 0 the falling leg never rises again, since IEEE subtraction
+    and multiplication are monotone, so the first time at which it reaches
+    `floor` is bisected and every later value is `floor`. A return that
+    does not fall (a short flight's reversed one) is computed throughout.
     """
     a = bisect_right(times, start)
     b = bisect_right(times, top, a)
     c = bisect_right(times, hold_end, b)
+    n = len(times)
+    settled = n if back <= 0 else bisect_left(
+        times, True, c, key=lambda t: not peak - back * (t - hold_end) > floor)
     return ([0.0] * a + [speed * (t - start) for t in times[a:b]]
             + [peak] * (c - b)
-            + [max(floor, peak - back * (t - hold_end)) for t in times[c:]])
+            + [max(floor, peak - back * (t - hold_end))
+               for t in times[c:settled]]
+            + [floor] * (n - settled)), settled
 
 
 def generate_flight(scenario: FlightScenario) -> SensorTrace:
     """Sample the scenario's trajectory on the fixed grid, one sensor
-    column at a time."""
+    column at a time; the positions and altitudes of the settled tail,
+    where the drone has come home and landed, are one repeated value."""
     prof = _Profile(scenario)
     steps = int(round(scenario.duration * GRID_HZ))
     times = [k / GRID_HZ for k in range(steps + 1)]
     sin, tau = math.sin, 2.0 * math.pi
-    distance = _legs(times, prof.move_start, prof.turn, prof.return_start,
-                     prof.v_out, prof.r_peak, prof.v_ret, 1.0)
+    distance, home = _legs(times, prof.move_start, prof.turn,
+                           prof.return_start, prof.v_out, prof.r_peak,
+                           prof.v_ret, 1.0)
     lat, lon = scenario.start_lat, scenario.start_long
     cos_b, sin_b = math.cos(prof.bearing), math.sin(prof.bearing)
+    # each column up to its first settled sample, which the rest repeat
+    gps = [(lat + d / 10000.0 * cos_b, lon + d / 10000.0 * sin_b)
+           for d in distance[:home + 1]]
+    gps += gps[-1:] * (steps - home)
+    above, landed = _legs(times, prof.climb_start, prof.level,
+                          prof.descend_start, prof.v_climb, prof.a_peak,
+                          prof.v_desc, 2.0)
     ground = scenario.ground_altitude
-    altitude = [ground + h for h in _legs(
-        times, prof.climb_start, prof.level, prof.descend_start,
-        prof.v_climb, prof.a_peak, prof.v_desc, 2.0)]
+    altitude = [ground + h for h in above[:landed + 1]]
+    altitude += altitude[-1:] * (steps - landed)
     drift, phase1, phase2, phase3 = (prof.p_drift, prof.phase1, prof.phase2,
                                      prof.phase3)
     values = {
-        "gps_lat_long": [(lat + d / 10000.0 * cos_b, lon + d / 10000.0 * sin_b)
-                         for d in distance],
+        "gps_lat_long": gps,
         "gps_altitude": altitude,
         "barometer_pressure": [
             1013.25 - drift * t + 0.8 * sin(tau * t / 37.0 + phase1)

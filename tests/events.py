@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from activemon.engine import ABSENT, EvaluationModel, run_monitor_full
-from activemon.io import _cell_formatter, _cell_parser, _time_parts, format_time
+from activemon.io import (_cell_parser, _column_formatter, _time_parts,
+                          format_time)
 from activemon.sim import SensorTrace, tick_array
 
 
@@ -57,7 +58,7 @@ def parse_value(cell: str, ty):
 
 def format_value(value, ty) -> str:
     """A value as a column of type `ty` in a written model holds it."""
-    return _cell_formatter(ty)(value)
+    return _column_formatter(ty)([value])[0]
 
 
 def write_trace(path, events, analyzed) -> None:

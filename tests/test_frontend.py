@@ -5,7 +5,10 @@
 the generated specs of `gen_specs` and seeded random edits of all of them.
 Both must give equal specifications, or the same exception type and
 message, line and column included. They differ on purpose only in three
-number literals that the reference gets wrong, each with a test of its own.
+number literals that the reference gets wrong, each with a test of its own,
+and in name errors: the reference reports them without a place, walking
+the names by kind and in hash order, while `parse_spec` reports the first
+in source order at its token (pinned in `test_parser.py`).
 Every edited text that parses also survives a round trip through
 `format_spec`, and the plain analysis that `translate` builds equals
 `analyze` of the plain spec, field by field, in every mode.
@@ -24,7 +27,8 @@ import reference_parser
 from activemon.analysis import analyze
 from activemon.ast import (Const, Specification, StreamRef, Unary,
                            format_spec)
-from activemon.errors import SpecError, SpecSyntaxError
+from activemon.errors import (DuplicateStream, SpecError, SpecSyntaxError,
+                              UnknownStream)
 from activemon.parser import parse_spec
 from activemon.schedule import MODES
 from activemon.translate import translate
@@ -103,9 +107,30 @@ def reference_numbers(text: str) -> list:
     return [t.text for t in tokens if t.kind == "NUMBER"]
 
 
+def name_error(outcome) -> bool:
+    return isinstance(outcome, tuple) and (
+        outcome[0] in (DuplicateStream, UnknownStream)
+        or "pacing may only name input streams" in outcome[1])
+
+
+def named_at_its_token(text: str, message: str) -> bool:
+    """The name that an error message quotes starts at its line and column
+    and is a whole word there."""
+    place, _, rest = message.partition(": ")
+    line, col = map(int, place.split(":")[-2:])
+    name = rest.split("'")[1]
+    source = text.split("\n")[line - 1]
+    return source[col - 1:].startswith(name) and not (
+        source[col - 1 + len(name):col + len(name)].isidentifier()
+        or source[col - 2:col - 1].isidentifier())
+
+
 def differs_on_purpose(text: str, ref, new) -> bool:
     """One of the three literals that the reference gets wrong, which
-    `parse_spec` rejects as a syntax error."""
+    `parse_spec` rejects as a syntax error, or a name error, which the
+    reference reports without a place."""
+    if name_error(ref) and name_error(new):
+        return named_at_its_token(text, new[1])
     if not (isinstance(new, tuple) and new[0] is SpecSyntaxError):
         return False
     numbers = reference_numbers(text)

@@ -1,13 +1,18 @@
 """Exact round trips for the trace, model, and JSON file formats."""
 
+import csv
+import io
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activemon.analysis import analyze
 from activemon.ast import BOOL, FLOAT64, INT64, UINT64, TupleType
-from activemon.engine import ABSENT, Violation
+from activemon.engine import ABSENT, EvaluationModel, Violation
 from activemon.errors import NonMonotonicTime, SpecSyntaxError
 from activemon.parser import parse_spec
 from activemon.io import (
@@ -20,8 +25,8 @@ from activemon.io import (
     write_json,
     write_model,
 )
-from events import (Event, format_value, parse_time, parse_value, run_events,
-                    sensor_trace, write_trace)
+from events import (Event, format_value, model_at, parse_time, parse_value,
+                    run_events, sensor_trace, write_trace)
 
 SPEC = ("input g : (Float64, Float64)\n"
         "input ok : Bool\n"
@@ -181,6 +186,80 @@ def test_model_round_trip_keeps_ticks_and_quantum(tmp_path, times):
     assert (back.quantum, back.ticks) == (model.quantum, model.ticks)
     assert back.streams == model.streams
     assert back == model
+
+
+# every column type, a nested tuple included, over inputs and an output
+WIDE = ("input f : Float64\ninput i : Int64\ninput u : UInt64\n"
+        "input b : Bool\ninput p : (Float64, Bool)\n"
+        "input n : ((Int64, Float64), Bool)\n"
+        "output o := f + 1.0\n")
+_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, -2.5, 1e300,
+           5e-324, 1e16, 123456789.125)
+_INTS = (0, -1, 7, -2**63, 2**63 - 1)
+
+
+def _reference_cell(value, ty) -> str:
+    if value is ABSENT:
+        return ""
+    if isinstance(ty, TupleType):
+        return ";".join(_reference_cell(v, el)
+                        for v, el in zip(value, ty.elements))
+    if ty == BOOL:
+        return "true" if value else "false"
+    return repr(value)
+
+
+def _reference_model_text(model, analyzed) -> str:
+    """The model as csv.writer writes it, one cell at a time."""
+    names = analyzed.spec.stream_names()
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["time", *names])
+    for step, time in enumerate(model.times):
+        writer.writerow([format_time(time), *(
+            _reference_cell(model.streams[name][step], analyzed.types[name])
+            for name in names)])
+    return out.getvalue()
+
+
+def _random_value(rng: Random, ty):
+    if isinstance(ty, TupleType):
+        return tuple(ABSENT if rng.random() < 0.1 else _random_value(rng, el)
+                     for el in ty.elements)
+    if ty == BOOL:
+        return rng.random() < 0.5
+    if ty == FLOAT64:
+        return rng.choice(_FLOATS) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+    if ty == UINT64:
+        return rng.choice((0, 1, 2**64 - 1, rng.randrange(2**64)))
+    return rng.choice(_INTS) if rng.random() < 0.5 else rng.randrange(-10**9, 10**9)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       rows=st.one_of(st.integers(0, 5),
+                      st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS,
+                                       BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])),
+       quantum=st.sampled_from([1, 2, 10, 8, 3, 7, 6, 1000]))
+@settings(max_examples=25, deadline=None)
+def test_written_models_are_what_csv_writer_writes(tmp_path_factory, seed,
+                                                   rows, quantum):
+    analyzed = analyze(parse_spec(WIDE))
+    rng = Random(seed)
+    tick = rng.randrange(-50, 50)
+    times = []
+    for _ in range(rows):
+        times.append(Fraction(tick, quantum))
+        tick += rng.randrange(1, 5)
+    streams = {}
+    for name in analyzed.spec.stream_names():
+        ty = analyzed.types[name]
+        absent = rng.choice((0.0, 0.3, 1.0))
+        streams[name] = [ABSENT if rng.random() < absent
+                         else _random_value(rng, ty) for _ in times]
+    model = model_at(times, streams) if times else EvaluationModel([], streams, quantum)
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    write_model(path, model, analyzed)
+    assert path.read_bytes() == _reference_model_text(model, analyzed).encode()
 
 
 @pytest.mark.parametrize("cell", [

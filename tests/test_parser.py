@@ -126,6 +126,48 @@ def test_unknown_stream():
         parse_spec("input a : Float64\noutput x := missing\n")
 
 
+def _name_error(text: str) -> str:
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text, filename="q.lola")
+    return str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    # two undeclared names in one pacing, whatever the string-hash seed
+    ("input a : Float64\noutput x\n    eval |@qq && zz| with a\n",
+     "q.lola:3:12: reference to undeclared stream 'qq'"),
+    ("input a : Float64\noutput x\n    eval |@zz && qq| with a\n",
+     "q.lola:3:12: reference to undeclared stream 'zz'"),
+    # a pacing that names an output, at that name
+    ("input a : Float64\noutput y := a\noutput x\n"
+     "    eval |@a && y| with a\n",
+     "q.lola:4:17: pacing may only name input streams, not 'y'"),
+    # a trigger before the output that also uses an undeclared name
+    ("input a : Float64\ntrigger b > 1.0\noutput x := c\n",
+     "q.lola:2:9: reference to undeclared stream 'b'"),
+    # an offset's stream, then a name in its default
+    ("input a : Float64\noutput x := m.offset(by: -1).defaults(to: n)\n",
+     "q.lola:2:13: reference to undeclared stream 'm'"),
+    # the second declaration, even when an output comes first
+    ("output x := a\ninput a : Float64\ninput x : Float64\n",
+     "q.lola:3:7: stream 'x' declared more than once"),
+    ("input a, b, a : Float64\noutput x := zz\n",
+     "q.lola:1:13: stream 'a' declared more than once"),
+])
+def test_name_errors_report_the_first_name_at_its_token(text, message):
+    assert _name_error(text) == message
+
+
+def test_name_errors_carry_their_place():
+    with pytest.raises(UnknownStream) as err:
+        parse_spec("input a : Float64\noutput x := missing\n", "m.lola")
+    assert (err.value.name, err.value.filename, err.value.line,
+            err.value.col) == ("missing", "m.lola", 2, 13)
+    with pytest.raises(DuplicateStream) as err:
+        parse_spec("input a : Float64\noutput a := 1.0\n", "m.lola")
+    assert (err.value.name, err.value.line, err.value.col) == ("a", 2, 8)
+
+
 def test_syntax_error_has_location():
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec("input a : Float64\noutput := a\n", filename="bad.lola")

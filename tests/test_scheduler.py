@@ -16,7 +16,7 @@ from activemon.ast import Pacing
 from activemon.engine import values_equal
 from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
-from activemon.schedule import task_names, task_of
+from activemon.schedule import task_names, task_of, union_closure
 from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
@@ -109,6 +109,16 @@ def test_split_bound_caps_universe_size():
         split_bound_range(singles, 2, tuple(f"s{i}" for i in range(9)))
 
 
+def test_split_bound_checks_widths_before_the_cap():
+    names = tuple(f"s{i}" for i in range(9))
+    singles = frozenset(1 << i for i in range(9))
+    with pytest.raises(PreconditionViolation, match="diverges"):
+        split_bound_range(singles | {0b111}, 2, names)
+    # a union-closed universe whose union fits packs into one event
+    assert split_bound_range(union_closure({1, 2, 4, 8}), 4, names) == (1, 1)
+    assert split_bound_range(singles, 9, names) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # mode-specific queue orders, frozen against hand-simulated runs
 
@@ -194,7 +204,10 @@ def test_drone_report_flags_oversized_unions(drone_text):
     assert not report.ok
     assert report.max_task_size == 4
     assert len(report.oversized) == 5  # the 3- and 4-sensor unions
-    assert report.split_error is not None and "15 tasks" in report.split_error
+    # the widest union, not the 15-task permutation cap, rules the bound out
+    assert report.split_error == (
+        "task {barometer_altitude,barometer_pressure,gps_altitude} exceeds "
+        "bandwidth 2; the split bound diverges")
     assert any("split bound unavailable" in line for line in report.lines())
     assert "deadline and staleness warnings skipped: they need the split " \
         "bound" in report.lines()
@@ -205,6 +218,7 @@ def test_drone_report_ok_once_bound_covers_tasks(drone_text):
     report = build_precondition_report(tr.schedule, 4, Fraction(1, 2))
     assert report.ok
     assert report.oversized == ()
+    assert (report.split_min, report.split_max) == (1, 1)
 
 
 def test_deadline_report_warns_on_tight_deadline():

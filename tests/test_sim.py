@@ -9,6 +9,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from activemon import engine, scheduler, sim
 from activemon.analysis import analyze
@@ -311,12 +313,14 @@ def test_short_flights_clamp_their_return_and_descent(scenario):
     (-1.0, 0.7, 0.7),  # before the grid, and an empty hold
     (1.5, 0.3, 2.5),  # a top before the start
     (2.9, 3.5, 9.0),  # past the last grid point
+    (0.2, 0.4, 0.6),  # settled well before the last grid point
 ])
 def test_legs_keep_each_boundary_inclusive(bounds):
     times = [k / GRID_HZ for k in range(31)]
     prof = _ReferenceProfile(FlightScenario(seed=1))
     prof.move_start, prof.turn, prof.return_start = bounds
-    legs = _legs(times, *bounds, prof.v_out, prof.r_peak, prof.v_ret, 1.0)
+    legs, settled = _legs(times, *bounds, prof.v_out, prof.r_peak,
+                          prof.v_ret, 1.0)
     assert legs == [prof.distance(t) for t in times]
     start, top, hold_end = bounds
     for t, value in zip(times, legs):
@@ -324,6 +328,36 @@ def test_legs_keep_each_boundary_inclusive(bounds):
             assert value == 0.0
         elif t == hold_end and start < top < hold_end:
             assert value == prof.r_peak
+    # the settled tail starts at the first falling time that is at floor
+    falling = bisect_right(times, max(bounds))
+    assert settled == next((k for k in range(falling, len(times))
+                            if legs[k] == 1.0), len(times))
+
+
+@pytest.mark.parametrize("back", [0.0, -0.25])
+def test_legs_settle_only_on_a_falling_return(back):
+    times = [k / GRID_HZ for k in range(31)]
+    legs, settled = _legs(times, 0.2, 0.4, 0.6, 2.0, 0.5, back, 1.0)
+    assert settled == len(times)
+    assert legs[7:] == [max(1.0, 0.5 - back * (t - 0.6)) for t in times[7:]]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       duration=st.one_of(st.floats(0.1, 40.0), st.floats(40.0, 1800.0)),
+       radius=st.floats(-20.0, 20.0), ceiling=st.floats(-20.0, 20.0),
+       ground=st.floats(-100.0, 100.0))
+@example(seed=41, duration=5.0, radius=8.0, ceiling=10.0, ground=1.0)
+@example(seed=977, duration=1800.0, radius=-3.5, ceiling=-1.0, ground=-12.5)
+@settings(max_examples=30, deadline=None)
+def test_generated_flights_match_the_pairwise_reference(seed, duration, radius,
+                                                        ceiling, ground):
+    scenario = FlightScenario(seed=seed, duration=duration,
+                              geofence_radius=radius, altitude_ceiling=ceiling,
+                              ground_altitude=ground)
+    trace = generate_flight(scenario)
+    reference = trace_from_samples(_reference_flight(scenario))
+    assert trace == reference
+    assert trace_fingerprint(trace) == trace_fingerprint(reference)
 
 
 def test_the_step_cap_admits_exactly_a_million_steps():
