@@ -126,9 +126,6 @@ class Pacing:
         if not self.is_any and not self.inputs:
             raise ValueError("conjunctive pacing needs at least one input")
 
-    def satisfied_by(self, present: frozenset[str]) -> bool:
-        return True if self.is_any else self.inputs <= present
-
     @staticmethod
     def any_event() -> "Pacing":
         return Pacing(frozenset(), True)

@@ -487,7 +487,6 @@ class MonitorState:
     """
 
     def __init__(self, analyzed: AnalyzedSpec, quantum: int = 1):
-        self.analyzed = analyzed
         self.quantum = quantum
         self.step = 0
         self.tick = -math.inf  # the tick of the last step

@@ -63,10 +63,6 @@ class NonMonotonicTime(SpecError):
     """Timestamps must be strictly increasing."""
 
 
-class UniverseTooLarge(SpecError):
-    """Task universe exceeds the size supported by the exact split bound."""
-
-
 class PreconditionViolation(SpecError):
     """A scheduler validity precondition does not hold."""
 

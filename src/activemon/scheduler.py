@@ -12,12 +12,14 @@ with ``|``, and the tasks an event satisfies are the universe's submasks
 of its inputs.  Urgency is read back from the generated
 ``schedule_*``/``last_*`` helper streams of the direct tasks, and a joint
 task's value combines its sources' values when all of them fire together,
-so the loop needs no second interpretation of the annotations.
+so the loop needs no second interpretation of the annotations.  Before the
+first cycle `build_precondition_report` states whether every task fits
+the bandwidth, which, the universe being union-closed, is whether its
+widest task does.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -27,14 +29,12 @@ from operator import itemgetter, or_
 from typing import NamedTuple, Optional
 
 from .engine import ABSENT, EvaluationModel, check_steps, run_monitor_full
-from .errors import PreconditionViolation, UniverseTooLarge
 from .schedule import (
     MODE_DEADLINE,
     MODE_DP,
     StaticSchedule,
     format_task,
     submasks,
-    task_key,
     task_names,
 )
 from .translate import Translation
@@ -292,63 +292,28 @@ class SchedulerState:
 # static preconditions
 
 
-def _splits(seq: list, bound: int) -> int:
-    count = 1
-    flat = 0
-    i = 0
-    while i < len(seq):
-        task = seq[i]
-        if (flat | task).bit_count() > bound:
-            count += 1
-            flat = 0
-        else:
-            flat |= task
-            i += 1
-    return count
-
-
-def split_bound_range(universe, bound: int, inputs) -> tuple:
-    """(min, max) of the per-permutation event counts needed to satisfy
-    every task once; `inputs` names the tasks' bits.
-
-    A task wider than the bound makes it diverge. When the union of all
-    tasks fits the bound, every permutation packs into one event; this is
-    every union-closed universe whose tasks all fit. Any other family is
-    searched over its permutations, up to 8 tasks.
-    """
-    tasks = sorted(universe, key=lambda t: task_key(t, inputs))
-    for task in tasks:
-        if task.bit_count() > bound:
-            raise PreconditionViolation(
-                f"task {format_task(task, inputs)} exceeds bandwidth {bound}; "
-                "the split bound diverges")
-    if reduce(or_, tasks, 0).bit_count() <= bound:
-        return (1, 1)
-    if len(tasks) > 8:
-        raise UniverseTooLarge(
-            f"{len(tasks)} tasks; split bounds are searched over "
-            "permutations and are capped at 8 tasks")
-    lo = math.inf
-    hi = 0
-    for perm in itertools.permutations(tasks):
-        n = _splits(list(perm), bound)
-        lo = min(lo, n)
-        hi = max(hi, n)
-    return (lo, hi)
-
-
 @dataclass(frozen=True)
 class PreconditionReport:
+    """What `run` states about a schedule before its first cycle.
+
+    The universe is union-closed, so its widest task is the union of all
+    the others. When that task fits the bandwidth every task fits one
+    event, the split bound is one event, and deadlines and staleness
+    bounds are compared with a round of one period; otherwise the split
+    bound diverges at the first oversized task and the comparison is
+    skipped.
+    """
+
     mode: str
     bound: int
     max_task_size: int
     oversized: tuple  # tasks wider than the bandwidth, never schedulable
-    split_min: Optional[int]
-    split_max: Optional[int]
-    split_error: Optional[str]
     deadline_warnings: tuple
-    ok: bool
     inputs: tuple  # names of the tasks' bits
+
+    @property
+    def ok(self) -> bool:
+        return not self.oversized
 
     def lines(self) -> list:
         out = [f"mode={self.mode} bound={self.bound} "
@@ -356,64 +321,44 @@ class PreconditionReport:
         for task in self.oversized:
             out.append(f"unschedulable task {format_task(task, self.inputs)}: "
                        f"wider than bandwidth {self.bound}")
-        if self.split_error:
-            out.append(f"split bound unavailable: {self.split_error}")
+        if self.oversized:
+            out.append("split bound unavailable: task "
+                       f"{format_task(self.oversized[0], self.inputs)} exceeds "
+                       f"bandwidth {self.bound}; the split bound diverges")
             out.append("deadline and staleness warnings skipped: "
                        "they need the split bound")
-        elif self.split_max is not None:
-            out.append(f"split bound: worst {self.split_max}, "
-                       f"best {self.split_min}")
+        else:
+            out.append("split bound: worst 1, best 1")
         out.extend(self.deadline_warnings)
         return out
 
 
 def build_precondition_report(schedule: StaticSchedule, bound: int,
                               period: Fraction) -> PreconditionReport:
+    """Oversized tasks in task_key order and, when there are none, the
+    bounds within one period. A task's bound is its staleness deadline; in
+    deadline mode, which takes no priorities, a task has one exactly when
+    it has regions, and it is the least deadline of its contributing
+    chains."""
     inputs = schedule.inputs
     tasks = schedule.ordered
-    max_size = max((t.bit_count() for t in tasks), default=0)
     oversized = tuple(t for t in tasks if t.bit_count() > bound)
-    split_min = split_max = None
-    split_error = None
-    try:
-        split_min, split_max = split_bound_range(schedule.universe, bound,
-                                                 inputs)
-    except (UniverseTooLarge, PreconditionViolation) as e:
-        split_error = str(e)
     warnings: list = []
-    if split_max is not None:
-        window = split_max * period
-        if schedule.mode == MODE_DEADLINE:
-            # a task's shortest region deadline is the shortest deadline of
-            # its contributing chains
-            for task in tasks:
-                least = min((v for k, chains in enumerate(schedule.chains)
-                             if schedule.inside[task] >> k & 1
-                             for chain in chains for _, v in chain),
-                            default=None)
-                if least is not None and least <= window:
-                    warnings.append(
-                        f"deadline {float(least)}s on "
-                        f"{format_task(task, inputs)} is within the worst-case "
-                        f"round of {float(window)}s; it can be missed")
-        else:
-            for task in tasks:
-                b = schedule.bounds.get(task)
-                if b is not None and b <= window:
-                    warnings.append(
-                        f"staleness bound {float(b)}s on "
-                        f"{format_task(task, inputs)} "
-                        f"is within the worst-case round of {float(window)}s")
+    if not oversized:
+        kind, tail = ("deadline", "; it can be missed") \
+            if schedule.mode == MODE_DEADLINE else ("staleness bound", "")
+        for task in tasks:
+            b = schedule.bounds[task]
+            if b is not None and b <= period:
+                warnings.append(
+                    f"{kind} {float(b)}s on {format_task(task, inputs)} is "
+                    f"within the worst-case round of {float(period)}s{tail}")
     return PreconditionReport(
         mode=schedule.mode,
         bound=bound,
-        max_task_size=max_size,
+        max_task_size=max((t.bit_count() for t in tasks), default=0),
         oversized=oversized,
-        split_min=split_min,
-        split_max=split_max,
-        split_error=split_error,
         deadline_warnings=tuple(warnings),
-        ok=not oversized,
         inputs=inputs,
     )
 

@@ -160,6 +160,17 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
     return "\n".join(lines) + "\n"
 
 
+def paced_spec(tasks, inputs=("a", "b", "c")) -> str:
+    """A spec over the Float64 `inputs` with one output explicitly paced on
+    each task, a bit mask over them, so that its task universe is their
+    union closure."""
+    lines = [f"input {name} : Float64" for name in inputs]
+    for k, task in enumerate(sorted(tasks)):
+        pacing = " && ".join(n for i, n in enumerate(inputs) if task >> i & 1)
+        lines += [f"output o{k}", f"    eval |@{pacing}| with 0.0"]
+    return "\n".join(lines) + "\n"
+
+
 def gen_annotated_spec(rng: Random, mode: str) -> str:
     return gen_spec(rng, mode, annotate=True)
 

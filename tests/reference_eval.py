@@ -11,6 +11,7 @@ tests compare the generated code against.
 `engine.walk_model` serves offsets from the verifier's bounded history as it
 walks a model forward. `ModelReader` is the random-access reading it is
 tested against: per-stream indexes of present steps over the whole model.
+`satisfied_by` reads a pacing against the inputs present at a step.
 `present_inputs` and `triggers_from_model` read a finished model for the
 tests; the latter evaluates the triggers with `eval_expr` through a
 `ModelReader`.
@@ -23,7 +24,7 @@ from bisect import bisect_left
 from typing import Callable
 
 from activemon.ast import (
-    Binary, Const, Expr, MinMax, Now, OffsetAccess, OutputDecl, Proj,
+    Binary, Const, Expr, MinMax, Now, OffsetAccess, OutputDecl, Pacing, Proj,
     StreamRef, Unary,
 )
 from activemon.engine import ABSENT, EvaluationModel, TriggerReport, values_equal
@@ -128,6 +129,11 @@ def eval_expr(expr: Expr, read: Callable, offset_read: Callable, now: float):
     return ev(expr)
 
 
+def satisfied_by(pacing: Pacing, present: frozenset[str]) -> bool:
+    """Whether a pacing holds when exactly the `present` inputs arrive."""
+    return True if pacing.is_any else pacing.inputs <= present
+
+
 def eval_clauses(decl: OutputDecl, present: frozenset[str], read, offset_read,
                  now: float):
     """First-match clause evaluation for one output at one step.
@@ -138,7 +144,7 @@ def eval_clauses(decl: OutputDecl, present: frozenset[str], read, offset_read,
     decided false.
     """
     for clause in decl.clauses:
-        if clause.pacing is None or not clause.pacing.satisfied_by(present):
+        if clause.pacing is None or not satisfied_by(clause.pacing, present):
             continue
         if clause.when is not None:
             w = eval_expr(clause.when, read, offset_read, now)

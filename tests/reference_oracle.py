@@ -32,7 +32,8 @@ from typing import Callable, Optional
 
 from activemon.ast import Expr, Pacing, conjoin
 from activemon.engine import Violation, values_equal
-from reference_eval import ModelReader, eval_clauses, eval_expr, present_inputs
+from reference_eval import (ModelReader, eval_clauses, eval_expr,
+                            present_inputs, satisfied_by)
 
 MODE_DEADLINE = "deadline"
 MODE_PRIORITY = "priority"
@@ -217,7 +218,7 @@ class ReferenceOracle:
         """Whether a region's pacing and condition hold at `step`."""
         key = (entry.condition, entry.pacing, step)
         if key not in self._truth:
-            self._truth[key] = entry.pacing.satisfied_by(self.present[step]) \
+            self._truth[key] = satisfied_by(entry.pacing, self.present[step]) \
                 and eval_expr(entry.condition, *self.reader.at_step(step),
                               float(self.times[step])) is True
         return self._truth[key]

@@ -5,7 +5,6 @@ under pytest -s) and enforces its own wall-clock budget.
 """
 
 import itertools
-import json
 import time
 from fractions import Fraction
 from random import Random
@@ -17,11 +16,10 @@ from activemon.analysis import analyze
 from activemon.ast import format_spec
 from activemon.cli import main
 from activemon.engine import ABSENT, values_equal, verify_model
-from activemon.errors import PreconditionViolation
 from activemon.io import read_json
 from activemon.parser import parse_spec
-from activemon.schedule import task_of
-from activemon.scheduler import run_scheduled, split_bound_range
+from activemon.schedule import task_names, task_of, union_closure
+from activemon.scheduler import build_precondition_report, run_scheduled
 from activemon.sim import (
     FlightScenario,
     TraceSource,
@@ -115,10 +113,9 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
         tr = translate(analyze(parse_spec(text)), mode)
         assert max(t.bit_count() for t in tr.schedule.universe) <= bound
         if mode == "deadline":
-            # every deadline exceeds the worst-case split round
-            n = split_bound_range(tr.schedule.universe, bound,
-                                  tr.schedule.inputs)[1]
-            window = n * tr.analyzed.config.period
+            # every deadline exceeds the worst-case round: the universe is
+            # union-closed and fits the bound, so a round is one period
+            window = tr.analyzed.config.period
             for entries in tr.schedule.entries.values():
                 assert all(e.value > window for e in entries)
         run = run_scheduled(tr, TraceSource(trace), horizon, bound)
@@ -131,8 +128,11 @@ def test_criterion_3_scheduler_validity_when_preconditions_hold():
 
 
 def _brute_force_split_range(universe, bound):
-    """Minimal contiguous segmentations over every permutation."""
+    """Minimal contiguous segmentations over every permutation; None when a
+    task is wider than the bound, where the split bound diverges."""
     tasks = sorted(universe)
+    if any(t.bit_count() > bound for t in tasks):
+        return None
 
     def min_segments(seq):
         best = {len(seq): 0}
@@ -160,25 +160,43 @@ def _brute_force_split_range(universe, bound):
 def test_criterion_4_split_bound_matches_brute_force():
     clock = _Clock(10.0)
     ground = ("a", "b", "c")
-    # every nonempty subset of the ground set, as a mask over it
+    # every family of 1-4 nonempty subsets of the ground set, as masks over
+    # it, each written as one explicitly paced output per task; the
+    # universe is the family's union closure
     atoms = range(1, 8)
-    cases = 0
+    oracle: dict = {}
+    cases = fits = 0
     for size in (1, 2, 3, 4):
         for family in itertools.combinations(atoms, size):
-            universe = frozenset(family)
+            universe = union_closure(family)
+            tr = translate(analyze(parse_spec(
+                gen_specs.paced_spec(family, ground))), "dp")
+            assert tr.schedule.universe == universe
             for bound in (1, 2, 3):
-                if any(t.bit_count() > bound for t in universe):
-                    with pytest.raises(PreconditionViolation):
-                        split_bound_range(universe, bound, ground)
-                    continue
-                assert split_bound_range(universe, bound, ground) == \
-                    _brute_force_split_range(universe, bound)
+                if (universe, bound) not in oracle:
+                    oracle[universe, bound] = _brute_force_split_range(
+                        universe, bound)
+                lines = build_precondition_report(
+                    tr.schedule, bound, Fraction(1)).lines()
+                if oracle[universe, bound] == (1, 1):
+                    assert "split bound: worst 1, best 1" in lines
+                    fits += 1
+                else:
+                    first = min((t for t in universe if t.bit_count() > bound),
+                                key=lambda t: sorted(task_names(t, ground)))
+                    assert (
+                        f"split bound unavailable: task "
+                        f"{{{','.join(task_names(first, ground))}}} exceeds "
+                        f"bandwidth {bound}; the split bound diverges"
+                    ) in lines
+                    assert not any(line.startswith("split bound:")
+                                   for line in lines)
                 cases += 1
-    assert split_bound_range(frozenset({0b01, 0b10}), 1, ground) == (2, 2)
-    assert split_bound_range(frozenset({0b01, 0b10}), 2, ground) == (1, 1)
     elapsed = clock.done()
+    assert 0 < fits < cases
     _pass(4, f"split bounds equal the brute-force oracle on {cases} "
-             f"universes ({elapsed:.1f}s)")
+             f"union-closed universes, {fits} within the bound "
+             f"({elapsed:.1f}s)")
 
 
 def test_criterion_5_scheduled_bandwidth_halves_the_fast_baseline(drone_text):

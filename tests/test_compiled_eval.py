@@ -47,7 +47,8 @@ from activemon.errors import SpecSyntaxError
 from activemon.parser import MAX_DEPTH, MAX_NESTING, parse_spec
 from activemon.translate import translate
 from events import Event, model_at, run_events
-from reference_eval import ModelReader, present_inputs, triggers_from_model
+from reference_eval import (ModelReader, present_inputs, satisfied_by,
+                            triggers_from_model)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -138,7 +139,7 @@ def test_region_truth_from_guards_matches_the_reference(seed):
             mask = sum({bit[schedule.guards[s]] for s in entry.sources})
             expected = [
                 s for s in range(len(model))
-                if entry.pacing.satisfied_by(present_inputs(model, inputs, s))
+                if satisfied_by(entry.pacing, present_inputs(model, inputs, s))
                 and reference_eval.eval_expr(
                     entry.condition, *reader.at_step(s),
                     float(model.times[s])) is True

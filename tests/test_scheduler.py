@@ -1,4 +1,4 @@
-"""Bandwidth packing, split bounds, and closed-loop scheduling runs."""
+"""Bandwidth packing, precondition reports, and closed-loop scheduling runs."""
 
 import math
 from fractions import Fraction
@@ -14,15 +14,14 @@ from activemon import scheduler
 from activemon.analysis import analyze
 from activemon.ast import Pacing
 from activemon.engine import values_equal
-from activemon.errors import PreconditionViolation, UniverseTooLarge
 from activemon.parser import parse_spec
-from activemon.schedule import task_names, task_of, union_closure
+from activemon.schedule import (MODE_DEADLINE, build_static_schedule,
+                                task_names, task_of, union_closure)
 from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
     run_scheduled,
     selected_tasks,
-    split_bound_range,
     take_event,
 )
 from activemon.sim import (FlightScenario, TraceSource, compute_metrics,
@@ -81,42 +80,41 @@ def test_selected_tasks_upward_closure():
 
 
 # ---------------------------------------------------------------------------
-# split bounds
+# split bounds: the universe is union-closed, so the split bound is one event
+# when its widest task fits and diverges at the first oversized task
+
+ONE_EVENT = "split bound: worst 1, best 1"
+
+
+def _paced_report(tasks, bound):
+    tr = _translated(gen_specs.paced_spec(tasks, INPUTS), "dp")
+    return build_precondition_report(tr.schedule, bound, Fraction(1))
+
+
+def _diverges(task, bound):
+    return [f"unschedulable task {task}: wider than bandwidth {bound}",
+            f"split bound unavailable: task {task} exceeds bandwidth {bound}; "
+            "the split bound diverges",
+            "deadline and staleness warnings skipped: they need the split "
+            "bound"]
 
 
 @pytest.mark.parametrize("universe,bound,expected", [
-    ({A, B}, 1, (2, 2)),
-    ({A, B}, 2, (1, 1)),
-    ({A, B, AB}, 2, (1, 1)),
-    ({A, B, C, AB}, 2, (2, 3)),
+    ({A, B}, 1, _diverges("{a,b}", 1)),
+    ({A, B}, 2, [ONE_EVENT]),
+    ({A, B, AB}, 2, [ONE_EVENT]),
+    ({A, B, C, AB}, 2, _diverges("{a,b,c}", 2)),
 ])
 def test_split_bound_range(universe, bound, expected):
-    assert split_bound_range(frozenset(universe), bound, INPUTS) == expected
-
-
-def test_split_bound_is_worst_case():
-    assert split_bound_range(frozenset({A, B, C, AB}), 2, INPUTS)[1] == 3
+    # the paced tasks span their union closure, which the report reads
+    assert _paced_report(universe, bound).lines()[1:] == expected
 
 
 def test_split_bound_rejects_oversized_task():
-    with pytest.raises(PreconditionViolation, match=r"task \{a,b\} exceeds"):
-        split_bound_range(frozenset({A, B, AB}), 1, INPUTS)
-
-
-def test_split_bound_caps_universe_size():
-    singles = frozenset(1 << i for i in range(9))
-    with pytest.raises(UniverseTooLarge):
-        split_bound_range(singles, 2, tuple(f"s{i}" for i in range(9)))
-
-
-def test_split_bound_checks_widths_before_the_cap():
-    names = tuple(f"s{i}" for i in range(9))
-    singles = frozenset(1 << i for i in range(9))
-    with pytest.raises(PreconditionViolation, match="diverges"):
-        split_bound_range(singles | {0b111}, 2, names)
-    # a union-closed universe whose union fits packs into one event
-    assert split_bound_range(union_closure({1, 2, 4, 8}), 4, names) == (1, 1)
-    assert split_bound_range(singles, 9, names) == (1, 1)
+    report = _paced_report({A, B, AB}, 1)
+    assert report.oversized == (AB,)
+    assert not report.ok
+    assert report.lines()[1:] == _diverges("{a,b}", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +202,13 @@ def test_drone_report_flags_oversized_unions(drone_text):
     assert not report.ok
     assert report.max_task_size == 4
     assert len(report.oversized) == 5  # the 3- and 4-sensor unions
-    # the widest union, not the 15-task permutation cap, rules the bound out
-    assert report.split_error == (
-        "task {barometer_altitude,barometer_pressure,gps_altitude} exceeds "
-        "bandwidth 2; the split bound diverges")
-    assert any("split bound unavailable" in line for line in report.lines())
+    # the first oversized task in task_key order names the divergence
+    lines = report.lines()
+    assert "split bound unavailable: task {barometer_altitude," \
+        "barometer_pressure,gps_altitude} exceeds bandwidth 2; the split " \
+        "bound diverges" in lines
     assert "deadline and staleness warnings skipped: they need the split " \
-        "bound" in report.lines()
+        "bound" in lines
 
 
 def test_drone_report_ok_once_bound_covers_tasks(drone_text):
@@ -218,7 +216,7 @@ def test_drone_report_ok_once_bound_covers_tasks(drone_text):
     report = build_precondition_report(tr.schedule, 4, Fraction(1, 2))
     assert report.ok
     assert report.oversized == ()
-    assert (report.split_min, report.split_max) == (1, 1)
+    assert ONE_EVENT in report.lines()
 
 
 def test_deadline_report_warns_on_tight_deadline():
@@ -227,7 +225,7 @@ def test_deadline_report_warns_on_tight_deadline():
     tr = _translated(text, "deadline")
     report = build_precondition_report(tr.schedule, 1, Fraction(1))
     # a deadline inside one worst-case round can always be missed
-    assert (report.split_min, report.split_max) == (1, 1)
+    assert ONE_EVENT in report.lines()
     assert any("deadline 1.0s" in w for w in report.deadline_warnings)
     assert not any("skipped" in line for line in report.lines())
     assert report.ok  # warnings do not invalidate the run
@@ -240,7 +238,7 @@ def test_deadline_report_warns_on_a_union_at_its_least_deadline():
             "output s := x + y\n")
     tr = _translated(text, "deadline")
     report = build_precondition_report(tr.schedule, 2, Fraction(1))
-    assert (report.split_min, report.split_max) == (1, 1)
+    assert ONE_EVENT in report.lines()
     # {x,y} has no table of its own; its shortest region deadline is x's
     assert [w.split(" is ")[0] for w in report.deadline_warnings] == [
         "deadline 1.0s on {x}", "deadline 1.0s on {x,y}"]
@@ -250,9 +248,103 @@ def test_report_skips_warnings_without_split_bound():
     tr = _translated(DEADLINE_PAIR, "deadline")
     report = build_precondition_report(tr.schedule, 1, Fraction(1))
     assert report.oversized == (task_of("xy", tr.schedule.inputs),)
-    assert report.split_error is not None
+    assert report.lines()[2:] == [
+        "split bound unavailable: task {x,y} exceeds bandwidth 1; the split "
+        "bound diverges",
+        "deadline and staleness warnings skipped: they need the split bound"]
     assert report.deadline_warnings == ()
     assert not report.ok
+
+
+def test_deadline_report_skips_a_task_without_regions():
+    # {y} is paced but unannotated: it has no regions and so no deadline,
+    # and the header's default, which is within the period, is not its
+    # bound; {x} and the union {x,y} warn at x's deadline
+    text = ('#![frequency="1Hz", deadline="1s"]\n'
+            '#[deadline="1s"]\ninput x : Float64\n'
+            "input y : Float64\n"
+            "output o\n    eval |@y| with y\n")
+    tr = _translated(text, "deadline")
+    schedule = tr.schedule
+    y = task_of("y", schedule.inputs)
+    assert schedule.bounds[y] is None and schedule.joint(y) == ()
+    report = build_precondition_report(schedule, 2, Fraction(1))
+    assert report.lines() == [
+        "mode=deadline bound=2 max_task_size=2 ok=True",
+        ONE_EVENT,
+        "deadline 1.0s on {x} is within the worst-case round of 1.0s; it can "
+        "be missed",
+        "deadline 1.0s on {x,y} is within the worst-case round of 1.0s; it "
+        "can be missed"]
+
+
+def _reference_report_lines(schedule, bound, period):
+    """The report as the split-bound search and the per-chain deadline scan
+    defined it, for a universe whose union fits or that has an oversized
+    task (every union-closed one)."""
+    inputs = schedule.inputs
+    tasks = sorted(schedule.universe,
+                   key=lambda t: sorted(task_names(t, inputs)))
+
+    def fmt(task):
+        return "{" + ",".join(sorted(task_names(task, inputs))) + "}"
+
+    oversized = [t for t in tasks if t.bit_count() > bound]
+    lines = [f"mode={schedule.mode} bound={bound} max_task_size="
+             f"{max((t.bit_count() for t in tasks), default=0)} "
+             f"ok={not oversized}"]
+    lines += [f"unschedulable task {fmt(t)}: wider than bandwidth {bound}"
+              for t in oversized]
+    if oversized:
+        return lines + [
+            f"split bound unavailable: task {fmt(oversized[0])} exceeds "
+            f"bandwidth {bound}; the split bound diverges",
+            "deadline and staleness warnings skipped: they need the split "
+            "bound"]
+    union = 0
+    for task in tasks:
+        union |= task
+    assert union.bit_count() <= bound
+    window = 1 * period  # the union fits: every task in one event
+    lines.append("split bound: worst 1, best 1")
+    for task in tasks:
+        if schedule.mode == MODE_DEADLINE:
+            least = min((v for k, chains in enumerate(schedule.chains)
+                         if schedule.inside[task] >> k & 1
+                         for chain in chains for _, v in chain),
+                        default=None)
+            if least is not None and least <= window:
+                lines.append(
+                    f"deadline {float(least)}s on {fmt(task)} is within the "
+                    f"worst-case round of {float(window)}s; it can be missed")
+        else:
+            b = schedule.bounds.get(task)
+            if b is not None and b <= window:
+                lines.append(
+                    f"staleness bound {float(b)}s on {fmt(task)} is within "
+                    f"the worst-case round of {float(window)}s")
+    return lines
+
+
+def test_report_matches_the_split_bound_and_chain_scan_definitions():
+    warned = 0
+    for seed in range(50):
+        for mode in gen_specs.MODES:
+            for off_grid in (False, True):
+                rng = Random(f"{seed} {mode} {off_grid}")
+                analyzed = analyze(parse_spec(gen_specs.gen_spec(
+                    rng, mode, annotate=True, deadlines=(1, 2),
+                    off_grid=off_grid)))
+                schedule = build_static_schedule(analyzed, mode)
+                assert union_closure(schedule.universe) == schedule.universe
+                period = analyzed.config.period
+                for bound in range(1, 5):
+                    report = build_precondition_report(schedule, bound,
+                                                       period)
+                    assert report.lines() == _reference_report_lines(
+                        schedule, bound, period), (seed, mode, off_grid)
+                    warned += len(report.deadline_warnings)
+    assert warned > 100
 
 
 # ---------------------------------------------------------------------------
