@@ -18,7 +18,7 @@ from .analysis import AnalyzedSpec, analyze
 from .ast import format_spec
 from .engine import verify_model
 from .errors import OutOfRange, SpecError
-from .io import (read_json, read_model, read_trace, trigger_json,
+from .io import (read_json, read_model, read_text, read_trace, trigger_json,
                  violation_lines, write_json, write_model, write_plan_log,
                  write_triggers)
 from .parser import parse_spec
@@ -33,8 +33,7 @@ SPEC_DIR = Path(__file__).parent / "specs"
 
 
 def _load(path) -> AnalyzedSpec:
-    text = Path(path).read_text(encoding="utf-8")
-    return analyze(parse_spec(text, filename=str(path)))
+    return analyze(parse_spec(read_text(path), filename=str(path)))
 
 
 def _frequency(text: str) -> Fraction:

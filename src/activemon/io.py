@@ -14,6 +14,10 @@ formatter bound once from its type, and joins the cells into CSV rows
 itself rather than through `csv.writer`, since no model cell ever needs
 quoting. The plan log and violation lines render the JSON that repeats
 from line to line once per distinct value.
+
+Every reader reports a file that is not UTF-8, and a CSV row that `csv`
+cannot split (a cell over its field size limit), as a SpecSyntaxError at
+the file's line.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from operator import is_not, lt
+from pathlib import Path
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
@@ -190,6 +196,36 @@ def _column_formatter(ty: Type) -> Callable[[list], list]:
 
 
 # ---------------------------------------------------------------------------
+# text files
+
+
+@contextmanager
+def _utf8(path):
+    """Reads of `path` within: a byte that is not UTF-8 becomes a
+    SpecSyntaxError at its line and its column in bytes."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            at = err.start
+            line = data.count(b"\n", 0, at) + 1
+            column = at - data.rfind(b"\n", 0, at)
+            raise SpecSyntaxError(
+                f"not UTF-8 text: {err.reason} 0x{data[at]:02x}", str(path),
+                line, column) from None
+        raise
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents."""
+    with _utf8(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # the block reader
 
 
@@ -252,20 +288,25 @@ def _read_columns(path, kind: str, what: str, types: dict, known,
     checked by `_header`: the names after `time`; the line and the tick of
     each nonempty row, its time on the lcm of all time denominators; and
     each name's column of values, missing trailing cells ABSENT."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        names = _header(reader, path, kind, what, known, complete)
-        parsers = [_time_parts, *(_cell_parser(types[name]) for name in names)]
-        lines: list = []
-        times, *columns = parsed = [[] for _ in parsers]
-        start = 2
-        while block := list(islice(reader, BLOCK_ROWS)):
-            rows = [row for row in block if row]
-            lines.extend(n for n, row in enumerate(block, start) if row)
-            for column, cells in zip(parsed, _parse_block(
-                    rows, lines[len(lines) - len(rows):], parsers, path)):
-                column.extend(cells)
-            start += len(block)
+        try:
+            names = _header(reader, path, kind, what, known, complete)
+            parsers = [_time_parts,
+                       *(_cell_parser(types[name]) for name in names)]
+            lines: list = []
+            times, *columns = parsed = [[] for _ in parsers]
+            start = 2
+            while block := list(islice(reader, BLOCK_ROWS)):
+                rows = [row for row in block if row]
+                lines.extend(n for n, row in enumerate(block, start) if row)
+                for column, cells in zip(parsed, _parse_block(
+                        rows, lines[len(lines) - len(rows):], parsers, path)):
+                    column.extend(cells)
+                start += len(block)
+        except csv.Error as err:
+            raise SpecSyntaxError(str(err), str(path), reader.line_num,
+                                  1) from None
     quantum = math.lcm(*{d for _, d in times})
     return (names, lines, quantum, [n * (quantum // d) for n, d in times],
             columns)
@@ -423,7 +464,7 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as err:
@@ -432,6 +473,6 @@ def read_json(path):
 
 __all__ = [
     "BLOCK_ROWS", "MISSED", "format_time", "read_json", "read_model",
-    "read_trace", "trigger_json", "violation_lines", "write_json",
-    "write_model", "write_plan_log", "write_triggers",
+    "read_text", "read_trace", "trigger_json", "violation_lines",
+    "write_json", "write_model", "write_plan_log", "write_triggers",
 ]

@@ -16,7 +16,14 @@ each of its guards holds, so a task has a holding region exactly when each
 contributing chain has a holding entry, and its most restrictive holding
 region has the max (in deadline mode, the min) of those chains' most
 restrictive holding values. A task's staleness bound is the least deadline
-among the annotations that contribute to it.
+among the annotations that contribute to it, or the header's default when
+none of them has one; priority mode sets none.
+
+Nothing is tabulated per task of the universe. The direct tasks are kept
+least deadline first, and `StaticSchedule.inside` and `bound` derive a
+task's direct subtasks and its bound from them when asked: `translate` asks
+for the direct tasks, the scheduler for the tasks within the bandwidth, and
+the oracle for each task once.
 
 `check_scheduled_model` walks the model once through the verifier, which
 decides each distinct guard behind its pacing flag, and feeds every step to
@@ -31,7 +38,8 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
@@ -107,14 +115,20 @@ class ScheduleEntry:
 class StaticSchedule:
     mode: str
     inputs: tuple  # input names; bit i of a task is inputs[i]
+    # every task: the union closure of the base tasks; no table is kept per
+    # task of it but the cached `ordered`
     universe: frozenset
     direct: tuple  # direct tasks, declaration order
     entries: dict  # direct Task -> tuple[ScheduleEntry, ...], most restrictive first
     # per direct task, the chains of the streams paced on it that carry a
     # value in this mode, each a tuple of ((stream, clause index), value)
     chains: tuple
-    inside: dict  # Task -> mask with bit k set when direct[k] lies inside it
-    bounds: dict  # Task -> Optional[Fraction], per-task staleness deadline
+    # per direct task k, least deadline first (ties in declaration order):
+    # (direct[k], 1 << k, the staleness bound it gives the tasks that
+    # contain it: its least deadline, else the header's default; None in
+    # priority mode)
+    by_deadline: tuple
+    widest: Task  # the union of the base tasks, the widest task of universe
     tracked: frozenset  # direct tasks whose last satisfaction is observable
     # (stream, clause index) -> (condition, pacing) of each region source,
     # in stream order
@@ -132,10 +146,27 @@ class StaticSchedule:
         """The universe in task_key order."""
         return tuple(sorted(self.universe, key=self.key))
 
+    def inside(self, task: Task) -> int:
+        """The mask with bit k set when direct[k] lies inside a task."""
+        mask = 0
+        for sub, bit, _ in self.by_deadline:
+            if not sub & ~task:
+                mask |= bit
+        return mask
+
+    def bound(self, task: Task):
+        """A task's staleness bound, Optional[Fraction]: the one that the
+        first direct task inside it, least deadline first, gives (see
+        `by_deadline`); None when it contains no direct task."""
+        for sub, _, bound in self.by_deadline:
+            if not sub & ~task:
+                return bound
+        return None
+
     def joint(self, task: Task) -> tuple:
         """The direct tasks whose chains contribute to a task's regions, in
         declaration order; empty when it has no regions."""
-        inside = self.inside[task]
+        inside = self.inside(task)
         return tuple(sub for k, sub in enumerate(self.direct)
                      if inside >> k & 1 and self.chains[k])
 
@@ -149,18 +180,24 @@ def union_closure(base: set) -> frozenset:
     return frozenset(tasks)
 
 
-def build_task_universe(analyzed: AnalyzedSpec) -> frozenset:
-    """Union closure of clause pacings and annotated-input singletons."""
+def _base_tasks(analyzed: AnalyzedSpec) -> set:
+    """Clause pacings and annotated-input singletons."""
     inputs = analyzed.spec.input_names()
-    base: set = set()
-    for out in analyzed.spec.outputs:
-        for clause in out.clauses:
-            if clause.pacing is not None and not clause.pacing.is_any:
-                base.add(task_of(clause.pacing.inputs, inputs))
+    # each distinct pacing once, in order of first appearance
+    pacings = dict.fromkeys(
+        clause.pacing.inputs for out in analyzed.spec.outputs
+        for clause in out.clauses
+        if clause.pacing is not None and not clause.pacing.is_any)
+    base = {task_of(p, inputs) for p in pacings}
     for i, inp in enumerate(analyzed.spec.inputs):
         if inp.annotation is not None and not inp.annotation.is_empty():
             base.add(1 << i)
-    return union_closure(base)
+    return base
+
+
+def build_task_universe(analyzed: AnalyzedSpec) -> frozenset:
+    """Union closure of clause pacings and annotated-input singletons."""
+    return union_closure(_base_tasks(analyzed))
 
 
 def _stream_order(analyzed: AnalyzedSpec) -> list:
@@ -251,32 +288,22 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
         regions.sort(key=lambda r: r.value, reverse=reverse)
         entries[task] = tuple(regions)
 
-    # every task by rule: the direct tasks inside it, and the least deadline
-    # among their annotations, or the default if none has one; the direct
-    # tasks are tried least deadline first, so the first inside gives it
-    by_deadline = sorted(
-        ((sub, 1 << k, min(d) if d else None)
-         for k, (sub, d) in enumerate(zip(direct, deadlines))),
-        key=lambda x: (x[2] is None, x[2] or 0))
-    inside: dict = {}
-    bounds: dict = {}
-    for task in universe:
-        mask = 0
-        bound = None
-        for sub, bit, least in by_deadline:
-            if not sub & ~task:
-                if not mask and mode != MODE_PRIORITY:
-                    bound = default_deadline if least is None else least
-                mask |= bit
-        inside[task] = mask
-        bounds[task] = bound
-
-    valued = sum(1 << k for k, c in enumerate(chains) if c)
-    tracked = frozenset(
-        t for t in direct
-        if inside[t] & valued
-        or (mode != MODE_PRIORITY and bounds[t] is not None)
-    )
+    # per direct task, the bound that it gives the tasks that contain it;
+    # they are kept least deadline first, so the first inside a task gives
+    # its bound
+    least = [min(d) if d else None for d in deadlines]
+    bounds = [None if mode == MODE_PRIORITY
+              else default_deadline if d is None else d for d in least]
+    by_deadline = tuple(
+        (direct[k], 1 << k, bounds[k])
+        for k in sorted(range(len(direct)),
+                        key=lambda k: (least[k] is None, least[k] or 0)))
+    # a direct task is tracked when a direct task inside it has regions or
+    # gives a bound
+    marked = [sub for sub, c, b in zip(direct, chains, bounds)
+              if c or b is not None]
+    tracked = frozenset(t for t in direct
+                        if any(not sub & ~t for sub in marked))
 
     return StaticSchedule(
         mode=mode,
@@ -285,8 +312,8 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
         direct=direct,
         entries=entries,
         chains=tuple(tuple(c) for c in chains),
-        inside=inside,
-        bounds=bounds,
+        by_deadline=by_deadline,
+        widest=reduce(or_, _base_tasks(analyzed), 0),
         tracked=tracked,
         guards={(e.source, e.clause_index): (e.condition, e.pacing)
                 for _, _, kept in streams for e, _ in kept},
@@ -372,10 +399,12 @@ class DecisionOracle:
         # id of a bound -> the bound in whole ticks; the bounds are a few
         # shared objects, and hashing a Fraction for every task is slow
         ticks: dict = {}
-        for task, inside in schedule.inside.items():
+        inside_of, bound_of = schedule.inside, schedule.bound
+        for task in schedule.universe:
+            inside = inside_of(task)
             if inside & valued:
                 self.by_joint.setdefault(inside & valued, []).append(task)
-            b = schedule.bounds[task]
+            b = bound_of(task)
             if b is not None:
                 if id(b) not in ticks:
                     ticks[id(b)] = self._floor_ticks(b)
@@ -606,7 +635,7 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
     """
     violations: list = []
     bandwidth: list = []
-    missed = array("q") if max(schedule.universe, default=0) < 1 << 63 else []
+    missed = array("q") if schedule.widest < 1 << 63 else []
     oracle = DecisionOracle(analyzed, schedule, model.quantum)
     decide = oracle.decide
     ticks = model.ticks

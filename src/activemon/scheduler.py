@@ -140,17 +140,18 @@ class SchedulerState:
                                column.get(last), refreshed))
         # each joint task with its sources and the mask of their inputs:
         # its value can change only in a step in which all of them fired
+        joint = {t: schedule.joint(t) for t in self.working}
         self._joint = [(t, sources, frozenset(sources), reduce(or_, sources))
-                       for t in self.working
-                       if t not in direct and (sources := schedule.joint(t))]
+                       for t, sources in joint.items()
+                       if sources and t not in direct]
         # the static part of each rank key: the task's index in `working`,
         # whether it has regions, whether it is direct, and its staleness
         # limit in whole cycles (dp mode only)
         stale = schedule.mode == MODE_DP
         self._static = {
-            task: (i, bool(schedule.joint(task)), task in direct,
-                   schedule.bounds[task] // self.period
-                   if stale and schedule.bounds[task] is not None else None)
+            task: (i, bool(joint[task]), task in direct,
+                   b // self.period if stale
+                   and (b := schedule.bound(task)) is not None else None)
             for i, task in enumerate(self.working)}
         self._keys = {task: self._key(task) for task in self.working}
         self.order = sorted(self._keys.values())
@@ -348,7 +349,7 @@ def build_precondition_report(schedule: StaticSchedule, bound: int,
         kind, tail = ("deadline", "; it can be missed") \
             if schedule.mode == MODE_DEADLINE else ("staleness bound", "")
         for task in tasks:
-            b = schedule.bounds[task]
+            b = schedule.bound(task)
             if b is not None and b <= period:
                 warnings.append(
                     f"{kind} {float(b)}s on {format_task(task, inputs)} is "

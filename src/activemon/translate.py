@@ -140,7 +140,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
         if task in schedule.tracked:
             kinds["last"] = _fresh(f"last_{base}", used)
         if (mode != MODE_PRIORITY and task in schedule.tracked
-                and schedule.bounds.get(task) is not None):
+                and schedule.bound(task) is not None):
             kinds["overdue"] = _fresh(f"overdue_{base}", used)
         names[task] = kinds
 
@@ -157,7 +157,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
         if "overdue" in kinds:
             helpers.append(OutputDecl(kinds["overdue"], (
                 EvalClause(Pacing.any_event(), None,
-                           _overdue_expr(task, schedule.bounds[task],
+                           _overdue_expr(task, schedule.bound(task),
                                          schedule, names)),)))
 
     plain_inputs = tuple(
@@ -182,7 +182,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
                 "schedule": names[task].get("schedule"),
                 "last": names[task].get("last"),
                 "overdue": names[task].get("overdue"),
-                "deadline": _json_deadline(schedule.bounds.get(task)),
+                "deadline": _json_deadline(schedule.bound(task)),
             }
             for task in schedule.direct
         ],

@@ -60,13 +60,17 @@ def _guard(rng: Random, avail: list) -> str:
     return f"{rng.choice(avail)} {op} {_literal(rng)}"
 
 
-def _input_annotation(rng: Random, mode: str, deadline) -> str:
+def _input_annotation(rng: Random, mode: str, deadline,
+                      bounds: bool = False) -> str:
     dl = f'deadline="{deadline()}"'
     if mode == "deadline":
         return f"#[{dl}]"
     prio = f'priority="{rng.choice(LEVELS)}"'
-    if rng.random() < 0.5:
+    draw = rng.random()
+    if draw < 0.5:
         return f"#[{prio}, {dl}]"
+    if bounds and draw < 0.75:
+        return f"#[{dl}]"
     return f"#[{prio}]"
 
 
@@ -78,14 +82,17 @@ def _clause_annotation(rng: Random, mode: str, deadline) -> str:
 
 def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
              max_paced: int = 4, deadlines=(9, 20),
-             off_grid: bool = False) -> str:
+             off_grid: bool = False, bounds: bool = False) -> str:
     """One well-formed spec as source text.
 
     With annotate=True at least one stream carries a scheduling
     annotation legal for `mode`, and only the first `max_paced` inputs
     appear in pacings so the task universe stays small. Deadlines are
     whole seconds within `deadlines`; with off_grid=True they come from
-    OFF_GRID_DEADLINES instead, and the frequency may be 3 Hz.
+    OFF_GRID_DEADLINES instead, and the frequency may be 3 Hz. With
+    bounds=True the header may set a default deadline, and in the priority
+    modes an input annotation may carry a deadline only; without it the
+    same seed gives the same spec as before either existed.
     """
     if off_grid:
         def deadline():
@@ -98,9 +105,14 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
     paced = inputs[:max_paced]
     lines = []
     header = rng.random()
+    keys = []
     if header < 0.4:
         freq = rng.choice(OFF_GRID_FREQUENCIES if off_grid else ["1Hz", "2Hz"])
-        lines.append(f'#![frequency="{freq}", bound="2"]')
+        keys += [f'frequency="{freq}"', 'bound="2"']
+    if bounds and rng.random() < 0.5:
+        keys.append(f'deadline="{deadline()}"')
+    if keys:
+        lines.append(f"#![{', '.join(keys)}]")
     if rng.random() < 0.5:
         lines.append("import math")
 
@@ -109,7 +121,7 @@ def gen_spec(rng: Random, mode: str | None = None, annotate: bool = False,
         annotated_inputs = rng.sample(paced, rng.randint(1, len(paced)))
     for name in inputs:
         if name in annotated_inputs:
-            lines.append(_input_annotation(rng, mode, deadline))
+            lines.append(_input_annotation(rng, mode, deadline, bounds))
         lines.append(f"input {name} : Float64")
 
     # float stream name -> the inputs its value depends on synchronously
@@ -204,7 +216,7 @@ def gen_source_trace(rng: Random, sensors, horizon: Fraction) -> SensorTrace:
 
 
 def gen_instance(rng: Random, mode: str, deadlines=(9, 20),
-                 off_grid: bool = False):
+                 off_grid: bool = False, bounds: bool = False):
     """A (spec text, bound, horizon, source trace) scheduling instance.
 
     The bound covers the widest universe task, and with the default
@@ -212,12 +224,12 @@ def gen_instance(rng: Random, mode: str, deadlines=(9, 20),
     worst-case split round at the generated frequencies, so a correct
     scheduler has a valid schedule to find. Shorter deadlines make
     staleness bounds expire within the 8-15 s horizon. `off_grid` is
-    passed to `gen_spec`.
+    and `bounds` are passed to `gen_spec`.
     """
     from activemon.schedule import build_task_universe
 
     text = gen_spec(rng, mode, annotate=True, max_paced=3, deadlines=deadlines,
-                    off_grid=off_grid)
+                    off_grid=off_grid, bounds=bounds)
     analyzed = analyze(parse_spec(text))
     universe = build_task_universe(analyzed)
     widest = max((t.bit_count() for t in universe), default=1)

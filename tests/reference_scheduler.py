@@ -82,7 +82,7 @@ class ReferenceSchedulerState:
         return best
 
     def overdue(self, task: Task, at: Fraction) -> bool:
-        bound = self.schedule.bounds.get(task)
+        bound = self.schedule.bound(task)
         if bound is None:
             return False
         seen = self.last_satisfied(task)

@@ -491,6 +491,80 @@ def test_a_repeated_model_column_is_a_usage_error(tmp_path, capsys):
     assert "model.csv:1:3: model header repeats column 'a'" in err
 
 
+NOT_UTF8 = "not UTF-8 text: invalid start byte 0xff"
+
+
+@pytest.mark.parametrize("command", [
+    ["translate"], ["run", "--trace", "trace.csv"],
+    ["check", "--model", "model.csv"],
+])
+def test_a_spec_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    spec = tmp_path / "spec.lola"
+    spec.write_bytes(b"input a : Float64\n// caf\xff\noutput b := a\n")
+    argv = [command[0], str(spec),
+            *(str(tmp_path / arg) if arg.endswith(".csv") else arg
+              for arg in command[1:])]
+    err = _usage_error(argv, capsys)
+    assert f"error: {spec}:2:7: {NOT_UTF8}" in err
+
+
+def test_a_trace_that_is_not_utf8_is_a_usage_error(spec_dir, tmp_path,
+                                                    capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"time,a,b\n0,20.0,1.0\n1,\xff,1.0\n")
+    err = _usage_error(["run", str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace)], capsys)
+    assert f"error: {trace}:3:3: {NOT_UTF8}" in err
+
+
+def test_a_model_that_is_not_utf8_is_a_usage_error(spec_dir, conflict_model,
+                                                    capsys):
+    data = conflict_model.read_bytes()
+    conflict_model.write_bytes(data + b"\xff\r\n")
+    line = data.count(b"\n") + 1
+    err = _usage_error(["check", str(spec_dir / "priority_conflict.lola"),
+                        "--model", str(conflict_model), "--mode", "priority"],
+                       capsys)
+    assert f"error: {conflict_model}:{line}:1: {NOT_UTF8}" in err
+
+
+def test_a_scenario_that_is_not_utf8_is_a_usage_error(spec_dir, tmp_path,
+                                                      capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(b'{"seed": 1,\n "name": "\xff"}')
+    err = _usage_error(["run", str(spec_dir / "drone_experiment.lola"),
+                        "--scenario", str(scenario)], capsys)
+    assert f"error: {scenario}:2:11: {NOT_UTF8}" in err
+
+
+# one past the csv module's default field size limit
+HUGE_CELL = "1" * (131072 + 1)
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_a_trace_cell_over_the_csv_field_limit_is_a_usage_error(
+        spec_dir, tmp_path, capsys, command):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"time,a,b\n0,20.0,1.0\n1,{HUGE_CELL},1.0\n")
+    extra = ["--freq", "1"] if command == "baseline" else []
+    err = _usage_error([command, str(spec_dir / "priority_conflict.lola"),
+                        "--trace", str(trace), *extra], capsys)
+    assert f"error: {trace}:3:1: field larger than field limit" in err
+
+
+def test_a_model_cell_over_the_csv_field_limit_is_a_usage_error(
+        spec_dir, conflict_model, capsys):
+    with open(conflict_model, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][1] = HUGE_CELL
+    with open(conflict_model, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    err = _usage_error(["check", str(spec_dir / "priority_conflict.lola"),
+                        "--model", str(conflict_model), "--mode", "priority"],
+                       capsys)
+    assert f"error: {conflict_model}:3:1: field larger than field limit" in err
+
+
 def test_unknown_scenario_key_is_a_usage_error(spec_dir, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"seed": 1, "speed": 3.0}))

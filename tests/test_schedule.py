@@ -112,11 +112,11 @@ def test_conflict_region_values(conflict_text):
 def test_drone_direct_tasks_and_bounds(drone_text):
     analyzed, sched = schedule_for(drone_text, "dp")
     assert sched.direct == tuple(mask(sched, n) for n in (GL, GA, BP, BA))
-    assert all(sched.bounds[t] == Fraction(3) for t in sched.universe)
+    assert all(sched.bound(t) == Fraction(3) for t in sched.universe)
     assert sched.tracked == frozenset(sched.direct)
 
     prio = build_static_schedule(analyzed, "priority")
-    assert all(prio.bounds[t] is None for t in prio.universe)
+    assert all(prio.bound(t) is None for t in prio.universe)
 
 
 def test_drone_gps_singleton_regions(drone_text):
@@ -154,7 +154,7 @@ def test_deadline_mode_combines_by_min():
     pair = reference_schedule(analyzed, "deadline").entries[frozenset("xy")]
     assert [e.value for e in pair] == [Fraction(3)]
     xy = mask(sched, "x", "y")
-    assert sched.bounds[xy] == Fraction(3)
+    assert sched.bound(xy) == Fraction(3)
     # the pair's region holds while both guards do, at the lesser deadline
     oracle = DecisionOracle(analyzed, sched, 1)
     oracle.decide(0, xy, (1 << len(oracle.guards)) - 1)
@@ -180,8 +180,8 @@ def test_deadline_only_input_bounds_its_tasks_without_regions():
     assert sched.direct == (a, u)
     assert sched.entries[u] == () and sched.joint(u) == ()
     assert sched.joint(a | u) == (a,)
-    assert sched.bounds[u] == sched.bounds[a | u] == Fraction(2)
-    assert sched.bounds[a] is None
+    assert sched.bound(u) == sched.bound(a | u) == Fraction(2)
+    assert sched.bound(a) is None
     # a through its regions, u through its staleness bound
     assert sched.tracked == {a, u}
 
@@ -208,7 +208,7 @@ def test_priority_mode_allows_input_deadlines():
             "output x := a\n")
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, "priority")
-    assert sched.bounds[mask(sched, "a")] is None  # staleness is ignored here
+    assert sched.bound(mask(sched, "a")) is None  # staleness is ignored here
 
 
 def test_any_paced_annotation_rejected():
@@ -226,7 +226,25 @@ def test_default_deadline_fills_missing_bounds():
             "output x := a\n")
     analyzed = analyze(parse_spec(text))
     sched = build_static_schedule(analyzed, "dp")
-    assert sched.bounds[mask(sched, "a")] == Fraction(5)
+    assert sched.bound(mask(sched, "a")) == Fraction(5)
+
+
+def test_union_bound_is_its_first_direct_task_least_deadline_first():
+    # the header's default applies only where no contained direct task has
+    # a deadline of its own: {a,b} takes b's 7 s, not min(5, 7)
+    text = ('#![frequency="1Hz", deadline="5s"]\n'
+            '#[priority="low"]\ninput a : Float64\n'
+            '#[deadline="7s"]\ninput b : Float64\n'
+            "output x := a\noutput y := b\noutput z := a + b\n")
+    analyzed = analyze(parse_spec(text))
+    sched = build_static_schedule(analyzed, "dp")
+    a, b = mask(sched, "a"), mask(sched, "b")
+    assert sched.universe == {a, b, a | b}
+    assert {t: sched.bound(t) for t in sched.universe} == \
+        {a: Fraction(5), b: Fraction(7), a | b: Fraction(7)}
+    prio = build_static_schedule(analyzed, "priority")
+    assert {t: prio.bound(t) for t in prio.universe} == \
+        {a: None, b: None, a | b: None}
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -234,18 +252,23 @@ def test_default_deadline_fills_missing_bounds():
 @settings(max_examples=150, deadline=None)
 def test_mask_schedule_matches_the_reference_schedule(seed, mode):
     # every mask maps one to one onto the reference's frozenset of input
-    # names: the universe, the bounds, the joint sources of the tasks with
+    # names: the universe, the bounds, the direct tasks inside each task
+    # (by subset test on the names), the joint sources of the tasks with
     # regions, the tracked set and the direct tasks' literal tables; and the
     # value by rule under any set of holding guards is the literal product's
     # most restrictive holding region
     rng = Random(seed)
-    analyzed = analyze(parse_spec(gen_specs.gen_annotated_spec(rng, mode)))
+    analyzed = analyze(parse_spec(gen_specs.gen_spec(rng, mode, annotate=True,
+                                                     bounds=True)))
     sched = build_static_schedule(analyzed, mode)
     ref = reference_schedule(analyzed, mode)
     names = {t: frozenset(task_names(t, sched.inputs)) for t in sched.universe}
     assert len(set(names.values())) == len(names)
     assert set(names.values()) == ref.universe
-    assert {names[t]: b for t, b in sched.bounds.items()} == ref.bounds
+    assert {names[t]: sched.bound(t) for t in sched.universe} == ref.bounds
+    assert {names[t]: sched.inside(t) for t in sched.universe} == \
+        {t: sum(1 << k for k, sub in enumerate(ref.direct) if sub <= t)
+         for t in ref.universe}
     assert {names[t]: frozenset(names[s] for s in sources)
             for t in sched.universe if (sources := sched.joint(t))} == \
         {t: sources for t, sources in ref.joint.items() if sources}
@@ -467,7 +490,7 @@ def test_dp_bound_without_a_tracked_subtask_is_always_overdue():
     oracle = stream_oracle(analyzed, sched, model)
     reference = ReferenceOracle(analyzed, ref, model)
     y = frozenset({"y"})
-    assert sched.bounds[mask(sched, "y")] is not None
+    assert sched.bound(mask(sched, "y")) is not None
     for step in range(3):
         assert oracle.overdue[step][y]
         assert oracle.overdue[step] == \
@@ -531,14 +554,16 @@ def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
                for obliged in oracle.obliged)
 
 
-def _differential_models(seed, mode, off_grid=False):
+def _differential_models(seed, mode, off_grid=False, bounds=False):
     """Models of one generated instance: scheduled at bound 1 and at the
     instance bound, and one monitor run over a free generated trace. Off
     the grid, the spec may run at 3 Hz with deadlines that are not whole
-    seconds, and the free trace mixes tenths, thirds and sevenths."""
+    seconds, and the free trace mixes tenths, thirds and sevenths. With
+    `bounds`, the header may set a default deadline and an input may carry
+    a deadline only."""
     rng = Random(seed)
-    text, bound, horizon, trace = gen_specs.gen_instance(rng, mode,
-                                                         off_grid=off_grid)
+    text, bound, horizon, trace = gen_specs.gen_instance(
+        rng, mode, off_grid=off_grid, bounds=bounds)
     tr = translate(analyze(parse_spec(text)), mode)
     for b in (1, bound):
         yield tr, run_scheduled(tr, TraceSource(trace), horizon, b).model
@@ -560,7 +585,21 @@ def _differential_models(seed, mode, off_grid=False):
 @example(114, "deadline", True)
 @settings(max_examples=100, deadline=None)
 def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
-    for tr, model in _differential_models(seed, mode, off_grid):
+    _assert_oracle_matches_the_reference(seed, mode, off_grid)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_the_reference_under_default_and_input_deadlines(
+        seed, mode, off_grid):
+    # the staleness bounds that the header's default and deadline-only
+    # inputs give, which the oracle groups its bounded tasks by
+    _assert_oracle_matches_the_reference(seed, mode, off_grid, bounds=True)
+
+
+def _assert_oracle_matches_the_reference(seed, mode, off_grid, bounds=False):
+    for tr, model in _differential_models(seed, mode, off_grid, bounds):
         if len(model) < 2:
             continue
         oracle = stream_oracle(tr.plain, tr.schedule, model)

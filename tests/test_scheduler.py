@@ -267,7 +267,7 @@ def test_deadline_report_skips_a_task_without_regions():
     tr = _translated(text, "deadline")
     schedule = tr.schedule
     y = task_of("y", schedule.inputs)
-    assert schedule.bounds[y] is None and schedule.joint(y) == ()
+    assert schedule.bound(y) is None and schedule.joint(y) == ()
     report = build_precondition_report(schedule, 2, Fraction(1))
     assert report.lines() == [
         "mode=deadline bound=2 max_task_size=2 ok=True",
@@ -310,7 +310,7 @@ def _reference_report_lines(schedule, bound, period):
     for task in tasks:
         if schedule.mode == MODE_DEADLINE:
             least = min((v for k, chains in enumerate(schedule.chains)
-                         if schedule.inside[task] >> k & 1
+                         if schedule.inside(task) >> k & 1
                          for chain in chains for _, v in chain),
                         default=None)
             if least is not None and least <= window:
@@ -318,7 +318,7 @@ def _reference_report_lines(schedule, bound, period):
                     f"deadline {float(least)}s on {fmt(task)} is within the "
                     f"worst-case round of {float(window)}s; it can be missed")
         else:
-            b = schedule.bounds.get(task)
+            b = schedule.bound(task)
             if b is not None and b <= window:
                 lines.append(
                     f"staleness bound {float(b)}s on {fmt(task)} is within "
@@ -578,7 +578,7 @@ def _keys_from_scratch(state, schedule) -> list:
         seen = state.seen.get(task)
         age = seen if seen is not None else -math.inf
         urgency = -(value if value is not None else math.inf)
-        bound = schedule.bounds[task]
+        bound = schedule.bound(task)
         if schedule.mode == "deadline":
             if not ranked:
                 key = (3, 0, age)
@@ -671,7 +671,7 @@ SUB_PERIOD_DP = (
 def test_kept_order_with_a_staleness_bound_below_one_period(bound):
     tr = _translated(SUB_PERIOD_DP, "dp")
     x = task_of(["x"], tr.schedule.inputs)
-    assert tr.schedule.bounds[x] // tr.analyzed.config.period == 0
+    assert tr.schedule.bound(x) // tr.analyzed.config.period == 0
     trace = gen_specs.gen_source_trace(Random(bound), ("x", "y", "z"),
                                        Fraction(20))
     run, stale = _run_checking_order(tr, TraceSource(trace), 20, bound)
