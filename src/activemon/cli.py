@@ -36,19 +36,25 @@ def _load(path) -> AnalyzedSpec:
     return analyze(parse_spec(read_text(path), filename=str(path)))
 
 
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
 def _frequency(text: str) -> Fraction:
-    """argparse type for a sampling frequency: a positive number of Hz."""
+    """argparse type for a sampling frequency: a number of Hz, read
+    exactly, whose float and whose period's float are positive and finite."""
     try:
         freq = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if freq <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    try:
+        finite = _positive(float(freq)) and _positive(float(1 / freq))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number with a finite period: {text!r}")
     return freq
-
-
-def _positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
 
 
 def _seconds(text: str) -> Fraction:

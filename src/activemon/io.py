@@ -319,7 +319,9 @@ def _read_columns(path, kind: str, what: str, types: dict, known,
 def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
     """Each input's non-absent samples, on the smallest quantum of their
     times. Times must strictly increase over every nonempty row, an
-    all-empty one included; a column without samples is left out."""
+    all-empty one included; a column without samples is left out. The
+    columns sampled at every row share one tick array, and keep their
+    parsed values as they are."""
     inputs = analyzed.spec.input_names()
     names, lines, quantum, ticks, columns = _read_columns(
         path, "trace", "inputs", analyzed.types, inputs, complete=False)
@@ -328,19 +330,31 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
         raise NonMonotonicTime(
             f"{path}:{lines[k]}: time {Fraction(ticks[k], quantum)} does not "
             f"advance past {Fraction(ticks[k - 1], quantum)}")
-    sampled, values = {}, {}
+    sparse, values = {}, {}
     for name, column in zip(names, columns):
+        if ABSENT not in column:
+            values[name] = column
+            continue
         present = list(map(is_not, column, repeat(ABSENT)))
         if any(present):
-            sampled[name] = list(compress(ticks, present))
+            sparse[name] = list(compress(ticks, present))
             values[name] = list(compress(column, present))
-    if not sampled:
+    # a header-only trace has empty columns, which hold no ABSENT either
+    if not ticks or not values:
         raise SpecSyntaxError("trace has no events", str(path), 1, 1)
-    # the smallest quantum of the sampled times divides the lcm of all times
-    common = math.gcd(quantum, *(math.gcd(*seq) for seq in sampled.values()))
+    # the smallest quantum of the sampled times divides the lcm of all
+    # times; a column sampled at every row has all of them
+    dense = len(values) > len(sparse)
+    seqs = [ticks] if dense else sparse.values()
+    common = math.gcd(quantum, *(math.gcd(*seq) for seq in seqs))
+
+    def scaled(seq):
+        return tick_array([t // common for t in seq] if common > 1 else seq)
+
+    every = scaled(ticks) if dense else None
     return SensorTrace(quantum // common, {
-        name: tick_array([t // common for t in seq] if common > 1 else seq)
-        for name, seq in sampled.items()}, values)
+        name: scaled(sparse[name]) if name in sparse else every
+        for name in values}, values)
 
 
 # ---------------------------------------------------------------------------

@@ -382,8 +382,10 @@ def run_scheduled(translation: Translation, source, horizon,
     """Drive the scheduler against a sensor source for `horizon` seconds.
 
     Cycles run at the configured event frequency starting at time zero.
-    `run_monitor_full` evaluates and records each cycle's event and hands
-    its row to `SchedulerState.observe` before the next cycle is planned.
+    A cycle that queries anything asks the source for the planned sensors
+    in one `source.read(sensors, tick, quantum)` request. `run_monitor_full`
+    evaluates and records each cycle's event and hands its row to
+    `SchedulerState.observe` before the next cycle is planned.
     The run proceeds even when the precondition report is negative;
     tasks wider than the bandwidth are simply never scheduled. More than
     MAX_STEPS cycles raise TooManySteps before any cycle runs.
@@ -399,9 +401,9 @@ def run_scheduled(translation: Translation, source, horizon,
     report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
     # cycle k runs at tick k * period.numerator on the quantum
-    # period.denominator; the plan and the sensor queries take the tick
+    # period.denominator; the plan and the sensor read take the tick
     num, quantum = period.numerator, period.denominator
-    query, plan_at = source.query, state.plan
+    read, plan_at = source.read, state.plan
     plans: list = []
 
     def events():
@@ -412,7 +414,7 @@ def run_scheduled(translation: Translation, source, horizon,
             plan = plan_at(tick)
             plans.append(plan)
             if plan.flat:
-                yield tick, {s: query(s, tick, quantum) for s in state.queried}
+                yield tick, read(state.queried, tick, quantum)
 
     model, triggers = run_monitor_full(translation.plain, events(), quantum,
                                        state.observe)

@@ -2,19 +2,21 @@
 
 A trace keeps time as integer ticks on a quantum (tick n is n/quantum s);
 the sensor model is zero-order hold over its samples. A caller names a
-time the same way, as a tick on its own quantum: anything with a
-``query(sensor, tick, quantum)`` method can stand in for TraceSource, so a
-live simulator backend can be plugged into the scheduler without touching
-it.
+time the same way, as a tick on its own quantum, and asks for all the
+sensors it wants at that time in one request: anything with a
+``read(sensors, tick, quantum) -> {sensor: value}`` method can stand in for
+TraceSource, so a live simulator backend, which answers one request per
+cycle, can be plugged into the scheduler without touching it. The
+scheduler and the fixed-frequency baseline sample through the same `read`.
 
 A synthetic flight is synthesized column by column: each sensor's samples
 come from one list comprehension per leg of the trajectory, whose
 boundaries are found by bisecting the grid times, and all its sensors
-share one tick array, which the fixed-frequency baseline bisects once per
-event for all of them. Once the drone is home and landed, the return and
-the descent stay at their floors: that settled tail is bisected too, and
-its positions and altitudes are one repeated value each, so a long flight
-computes per sample only the barometer's noise.
+share one tick array, which `read` bisects once for all of them. Once the
+drone is home and landed, the return and the descent stay at their floors:
+that settled tail is bisected too, and its positions and altitudes are one
+repeated value each, so a long flight computes per sample only the
+barometer's noise.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ GRID_HZ = 10  # sampling grid of generated traces
 
 
 # ---------------------------------------------------------------------------
-# traces and zero-order-hold queries
+# traces and zero-order-hold reads
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ class SensorTrace:
     Sample i of a sensor lies at ticks[sensor][i] / quantum seconds and
     holds values[sensor][i]. Ticks are strictly increasing per sensor, as
     an array('q') while they fit in 64 bits, else as a list of ints.
+    Sensors sampled at the same times may share one tick array.
     """
 
     quantum: int
@@ -86,13 +89,20 @@ def tick_array(ticks: list):
 
 
 class TraceSource:
-    """Sensor source over a trace; the scheduler's query endpoint.
+    """Sensor source over a trace; the read endpoint of the scheduler and
+    the fixed-frequency baseline.
 
-    `query(sensor, tick, quantum)` gives the value of the latest sample at
-    or before tick / quantum seconds (zero-order hold). It bisects the
-    trace's ticks with floor(tick·q / quantum) for the trace's quantum q,
-    in integers only, which is exact because the sample ticks are integers.
-    The time is built as a Fraction only for an error message.
+    `read(sensors, tick, quantum)` gives {sensor: value} for a tuple of
+    sensors, each the value of its latest sample at or before tick /
+    quantum seconds (zero-order hold). The sensors are grouped by the tick
+    array they share, once per sensors tuple, and each array is bisected
+    once with floor(tick·q / quantum) for the trace's quantum q, in
+    integers only, which is exact because the sample ticks are integers.
+    Only when some sensor has no samples, or no sample of some array lies
+    at or before the time, or the time is past its last, does `read` ask
+    `query` for each sensor in the order given, so the first failing
+    sensor raises its error. `query(sensor, tick, quantum)` reads one
+    sensor; it builds the time as a Fraction only for an error message.
     """
 
     def __init__(self, trace: SensorTrace):
@@ -100,6 +110,38 @@ class TraceSource:
         self._quantum = trace.quantum
         self._ticks = trace.ticks
         self._values = trace.values
+        # sensors tuple -> [(tick array, [(sensor, values)])], None when
+        # some sensor has no samples
+        self._groups: dict = {}
+
+    def _group(self, sensors: tuple) -> Optional[list]:
+        groups: dict = {}  # id of a tick array -> (the array, members)
+        for s in sensors:
+            ticks = self._ticks.get(s)
+            if ticks is None:
+                return None
+            groups.setdefault(id(ticks), (ticks, []))[1].append(
+                (s, self._values[s]))
+        return list(groups.values())
+
+    def read(self, sensors: tuple, tick: int, quantum: int) -> dict:
+        try:
+            groups = self._groups[sensors]
+        except KeyError:
+            groups = self._groups[sensors] = self._group(sensors)
+        if groups is not None:
+            scaled = tick * self._quantum
+            at = scaled // quantum
+            values = {}
+            for ticks, members in groups:
+                if at < ticks[0] or scaled > ticks[-1] * quantum:
+                    break
+                i = bisect_right(ticks, at) - 1
+                for s, vals in members:
+                    values[s] = vals[i]
+            else:
+                return values
+        return {s: self.query(s, tick, quantum) for s in sensors}
 
     def query(self, sensor: str, tick: int, quantum: int):
         ticks = self._ticks.get(sensor)
@@ -371,7 +413,7 @@ class BaselineRun:
 
 def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
               horizon: Optional[float] = None) -> BaselineRun:
-    """Query every sensor each 1/freq seconds and feed the monitor.
+    """Read every sensor each 1/freq seconds and feed the monitor.
 
     Events run up to `horizon` (exclusive), by default `trace.through` the
     last time that every sampled input covers, as a scheduled run's cycles
@@ -381,7 +423,6 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     if freq <= 0:
         raise ValueError("frequency must be positive")
     period = 1 / freq
-    source = TraceSource(trace)
     inputs = analyzed.spec.input_names()
     if horizon is None:
         horizon = trace.through(period, inputs)
@@ -389,41 +430,12 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     check_steps(count, f"a {float(freq)} Hz baseline")
 
     # event k runs at tick k * period.numerator on the quantum
-    # period.denominator. Each sensor is read at floor(at·trace quantum),
-    # bisected as `query` does, once per tick array: the inputs are grouped
-    # by the array they read, and a synthesized flight shares one among all
-    # its sensors. An event at which some input has no samples, or lies
-    # before the first or after the last of its array's, queries every
-    # input in declaration order instead, so the first failing input raises
-    # the error `query` gives
+    # period.denominator and reads every input in declaration order
     num, den = period.numerator, period.denominator
-    step = num * trace.quantum
-    groups: dict = {}  # id of a tick array -> (the array, [(input, values)])
-    for s in inputs:
-        ticks = trace.ticks.get(s)
-        if ticks is not None:
-            groups.setdefault(id(ticks), (ticks, []))[1].append(
-                (s, trace.values[s]))
-    arrays = list(groups.values())
-    complete = all(s in trace.ticks for s in inputs)
-
-    def events():
-        for k in range(count):
-            scaled = k * step  # at·quantum·den
-            tick = scaled // den
-            values = {}
-            for ticks, members in arrays:
-                if tick < ticks[0] or scaled > ticks[-1] * den:
-                    values = None
-                    break
-                i = bisect_right(ticks, tick) - 1
-                for s, vals in members:
-                    values[s] = vals[i]
-            if values is None or not complete:
-                values = {s: source.query(s, k * num, den) for s in inputs}
-            yield k * num, values
-
-    return BaselineRun(*run_monitor_full(analyzed, events(), den))
+    read = TraceSource(trace).read
+    events = ((tick, read(inputs, tick, den))
+              for tick in range(0, count * num, num))
+    return BaselineRun(*run_monitor_full(analyzed, events, den))
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,8 @@ def test_criterion_7_safety_tasks_never_go_stale(experiment):
 def test_criterion_8_conflict_resolution_and_precondition(
         spec_dir, conflict_text, tmp_path, capsys):
     class Source:
-        def query(self, sensor, tick, quantum):
-            return 20.0 if sensor == "a" else 1.0
+        def read(self, sensors, tick, quantum):
+            return {s: 20.0 if s == "a" else 1.0 for s in sensors}
 
     tr = translate(analyze(parse_spec(conflict_text)), "priority")
     run = run_scheduled(tr, Source(), 10, 2)

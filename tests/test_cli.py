@@ -22,11 +22,13 @@ from test_translate import GOLDEN_PRIORITY
 
 
 class ConstSource:
+    """A sensor backend that answers each read with constant values."""
+
     def __init__(self, values):
         self.values = values
 
-    def query(self, sensor, tick, quantum):
-        return self.values[sensor]
+    def read(self, sensors, tick, quantum):
+        return {s: self.values[s] for s in sensors}
 
 
 @pytest.fixture()
@@ -613,12 +615,14 @@ def test_a_run_beyond_the_step_cap_is_a_usage_error(spec_dir, tmp_path,
     assert f"{count} steps, more than the cap of 1000000" in result.stderr
 
 
-@pytest.mark.parametrize("freq", ["0", "abc"])
+# 1e400 Hz has no float, and neither has the period of 1e-400 or 1e-320 Hz
+@pytest.mark.parametrize("freq", ["0", "abc", "-2", "1e400", "1e-400",
+                                  "1e-320"])
 def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
                                                  capsys, freq):
     err = _usage_error(["baseline", str(spec_dir / "priority_conflict.lola"),
                         "--trace", str(conflict_trace), "--freq", freq], capsys)
-    assert "--freq" in err
+    assert "argument --freq: " in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -25,6 +25,7 @@ from activemon.io import (
     write_json,
     write_model,
 )
+from activemon.sim import TraceSource
 from events import (Event, format_value, model_at, parse_time, parse_value,
                     run_events, sensor_trace, write_trace)
 
@@ -371,6 +372,35 @@ def test_trace_columns_without_samples_are_dropped(tmp_path):
     trace = read_trace(path, analyze(parse_spec(AB)))
     assert list(trace.ticks) == ["a"]
     assert trace.values == {"a": [1.0, 2.0]}
+
+
+ABCD = AB + "input c : Bool\ninput d : Float64\n"
+
+
+@pytest.mark.parametrize("times,quantum,ticks", [
+    (("0.5", "1", "1.5"), 2, [1, 2, 3]),
+    # ticks beyond 64 bits stay a list of ints, shared too
+    (("1e-30", "5", "10"), 10**30, [1, 5 * 10**30, 10**31]),
+])
+def test_trace_columns_sampled_at_every_row_share_one_tick_array(
+        tmp_path, times, quantum, ticks):
+    path = tmp_path / "trace.csv"
+    t0, t1, t2 = times
+    path.write_text(f"time,a,b,c,d\n{t0},1,2,,\n{t1},3,4,true,\n"
+                    f"{t2},5,6,,\n")
+    trace = read_trace(path, analyze(parse_spec(ABCD)))
+    assert trace.quantum == quantum
+    assert list(trace.ticks) == ["a", "b", "c"]
+    assert trace.ticks["a"] is trace.ticks["b"]
+    assert trace.ticks["c"] is not trace.ticks["a"]
+    assert list(trace.ticks["a"]) == ticks
+    assert list(trace.ticks["c"]) == ticks[1:2]
+    assert trace.values == {"a": [1.0, 3.0, 5.0], "b": [2.0, 4.0, 6.0],
+                            "c": [True]}
+    source = TraceSource(trace)
+    for tick, sensors in zip(ticks, [("b", "a"), ("c", "b", "a"), ("a",)]):
+        assert source.read(sensors, tick, quantum) == {
+            s: source.query(s, tick, quantum) for s in sensors}
 
 
 @pytest.mark.parametrize("kind,header,row", [

@@ -40,14 +40,14 @@ AB = A | B
 
 
 class ConstSource:
-    """Minimal sensor backend; anything with query(sensor, tick, quantum)
-    works."""
+    """Minimal sensor backend; anything with read(sensors, tick, quantum)
+    works, and a live one answers that one request per cycle."""
 
     def __init__(self, values):
         self.values = values
 
-    def query(self, sensor, tick, quantum):
-        return self.values[sensor]
+    def read(self, sensors, tick, quantum):
+        return {s: self.values[s] for s in sensors}
 
 
 def _translated(text, mode):
@@ -432,11 +432,16 @@ def _assert_matches_reference(tr, trace, horizon, bound):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from(gen_specs.MODES),
-       st.sampled_from([(9, 20), (1, 4)]))
+       st.sampled_from([(9, 20), (1, 4)]), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_scheduler_matches_the_time_based_reference(seed, mode, deadlines):
+def test_scheduler_matches_the_time_based_reference(seed, mode, deadlines,
+                                                    bounds):
+    # `bounds` adds a header default deadline and deadline-only inputs,
+    # whose direct tasks take their staleness limit from `bound(task)`
+    # without regions; the reference samples through the per-sensor
+    # `query`, so this also compares `read` with `query`
     text, bound, horizon, trace = gen_specs.gen_instance(
-        Random(seed), mode, deadlines)
+        Random(seed), mode, deadlines, bounds=bounds)
     tr = _translated(text, mode)
     # bound 1 ranks singletons only and the instance bound packs every
     # task, so the bounds between are where unions compete for the event
@@ -634,12 +639,12 @@ def _run_checking_order(tr, source, horizon, bound):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from(gen_specs.MODES),
-       st.sampled_from([(9, 20), (1, 4)]))
+       st.sampled_from([(9, 20), (1, 4)]), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_kept_order_equals_a_full_resort_on_generated_specs(seed, mode,
-                                                            deadlines):
+                                                            deadlines, bounds):
     text, bound, horizon, trace = gen_specs.gen_instance(
-        Random(seed), mode, deadlines)
+        Random(seed), mode, deadlines, bounds=bounds)
     tr = _translated(text, mode)
     for b in range(1, bound + 1):
         _run_checking_order(tr, TraceSource(trace), horizon, b)

@@ -160,6 +160,98 @@ def test_trace_rejects_unsorted_samples():
         trace_from_samples({"s": []})
 
 
+# ---------------------------------------------------------------------------
+# one read per request against one query per sensor
+
+# a flight shares one tick array among its four sensors; SPARSE shares one
+# between its columns sampled every 0.2 s, as read_trace does, and keeps
+# its own for `c`, which starts later and ends earlier; MIXED and HUGE keep
+# one array per sensor
+FLIGHT = generate_flight(FlightScenario(seed=7, duration=4.0))
+_EVERY = array("q", range(0, 11))
+SPARSE = SensorTrace(5, {"a": _EVERY, "b": _EVERY,
+                         "c": array("q", [2, 3, 7])},
+                     {"a": [float(k) for k in _EVERY], "b": list(_EVERY),
+                      "c": [True, False, True]})
+_READ_TRACES = {"flight": FLIGHT, "sparse": SPARSE, "mixed": MIXED,
+                "huge": HUGE}
+
+
+def _outcome(call):
+    """The value of `call()`, or the type and message of what it raised."""
+    try:
+        return call()
+    except (OutOfRange, SensorUnavailable) as err:
+        return type(err), str(err)
+
+
+def _assert_read_is_one_query_per_sensor(trace, sensors, tick, quantum):
+    source = TraceSource(trace)
+    expected = _outcome(
+        lambda: {s: source.query(s, tick, quantum) for s in sensors})
+    # the first read groups the sensors, the second reuses the grouping
+    for _ in range(2):
+        assert _outcome(lambda: source.read(sensors, tick, quantum)) == \
+            expected
+
+
+_READ_TIMES = _QUERIES + [
+    0, Fraction(1, 5), Fraction(2, 5), Fraction(7, 5), Fraction(3, 2), 2,
+    Fraction(11, 5), Fraction(1, 3), Fraction(1, 2**61 - 1), Fraction(-1, 3),
+    Fraction(10) + _EPS, Fraction(2**70, 3), Fraction(-(2**70), 3)]
+
+
+@pytest.mark.parametrize("name,sensors", [
+    ("sparse", ("nope", "c")), ("sparse", ("c", "nope")),
+    ("sparse", ("a", "c", "b")), ("sparse", ("b", "a")), ("sparse", ()),
+    ("flight", ("gps_altitude", "nope", "gps_lat_long")),
+    ("flight", ("barometer_altitude", "gps_lat_long")),
+    ("mixed", ("tenths", "both", "thirds")), ("huge", ("s",)),
+])
+def test_read_equals_one_query_per_sensor_at_the_edges(name, sensors):
+    for at in map(Fraction, _READ_TIMES):
+        for scale in (1, 3, 2**70):
+            _assert_read_is_one_query_per_sensor(
+                _READ_TRACES[name], sensors, at.numerator * scale,
+                at.denominator * scale)
+
+
+@given(st.sampled_from(sorted(_READ_TRACES)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_read_equals_one_query_per_sensor(name, data):
+    # values, or the first failing sensor's error in the order asked: a
+    # missing sensor, a time before the first or after the last sample of
+    # a shared or an own array, on reduced and unreduced quanta, beyond
+    # 64 bits too
+    trace = _READ_TRACES[name]
+    sensors = tuple(data.draw(st.lists(
+        st.sampled_from(trace.sensors() + ["nope"]), unique=True)))
+    at = Fraction(data.draw(st.one_of(
+        st.sampled_from(_READ_TIMES),
+        st.fractions(min_value=-1, max_value=12, max_denominator=30))))
+    scale = data.draw(st.sampled_from([1, 3, 2**70]))
+    _assert_read_is_one_query_per_sensor(
+        trace, sensors, at.numerator * scale, at.denominator * scale)
+
+
+def test_read_bisects_each_shared_tick_array_once(monkeypatch):
+    calls = Counter()
+
+    def counted(ticks, at):
+        calls[id(ticks)] += 1
+        return bisect_right(ticks, at)
+
+    monkeypatch.setattr(sim, "bisect_right", counted)
+    flight = TraceSource(FLIGHT)
+    assert flight.read(tuple(FLIGHT.sensors()), 7, 2) == {
+        s: FLIGHT.values[s][35] for s in FLIGHT.sensors()}
+    assert calls == {id(FLIGHT.ticks["gps_altitude"]): 1}
+    calls.clear()
+    assert TraceSource(SPARSE).read(("c", "a", "b"), 6, 5) == {
+        "a": 6.0, "b": 6, "c": False}
+    assert calls == {id(_EVERY): 1, id(SPARSE.ticks["c"]): 1}
+
+
 def test_read_trace_drops_absent_cells(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time,a,b\n0,1.0,\n1,2.0\n2,,3.0\n")
@@ -461,33 +553,40 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     # the benchmark's traced gate counts engine.eval_event once per model
     # row of every scheduled and fixed-frequency run, SchedulerState.plan
     # once per cycle and sim.trace_fingerprint once per scenario; the
-    # scheduled loop calls TraceSource.query once per queried sensor, and
-    # a baseline over a whole flight never
+    # scheduled loop calls TraceSource.read once per cycle that queries
+    # anything, a baseline once per event, and neither calls
+    # TraceSource.query over a whole flight
     analyzed = analyze(parse_spec(drone_text))
     calls = Counter()
     _count_calls(monkeypatch, engine, "eval_event", calls)
     _count_calls(monkeypatch, sim, "trace_fingerprint", calls)
-    plan, query = scheduler.SchedulerState.plan, TraceSource.query
+    plan, read, query = (scheduler.SchedulerState.plan, TraceSource.read,
+                         TraceSource.query)
 
     def counted_plan(self, tick):
         calls["plan"] += 1
         return plan(self, tick)
+
+    def counted_read(self, sensors, tick, quantum):
+        calls["read"] += 1
+        return read(self, sensors, tick, quantum)
 
     def counted_query(self, sensor, tick, quantum):
         calls["query"] += 1
         return query(self, sensor, tick, quantum)
 
     monkeypatch.setattr(scheduler.SchedulerState, "plan", counted_plan)
+    monkeypatch.setattr(TraceSource, "read", counted_read)
     monkeypatch.setattr(TraceSource, "query", counted_query)
     trace = generate_flight(FlightScenario(seed=137))
     base = run_fixed(analyzed, trace, 2, horizon=60.0)
     assert len(base.model) == 120
-    assert calls == {"eval_event": 120}
+    assert calls == {"eval_event": 120, "read": 120}
     calls.clear()
     run = scheduler.run_scheduled(translate(analyzed, "dp"), TraceSource(trace),
                                   60.0, 2)
     assert calls == {"eval_event": len(run.model), "plan": len(run.plans),
-                     "query": sum(len(p.flat) for p in run.plans)}
+                     "read": sum(1 for p in run.plans if p.flat)}
     assert 0 < len(run.model) <= len(run.plans) == 120
     calls.clear()
     config = {"bound": 2, "horizon": 30.0, "baselines": [1.0, 4.0],
@@ -495,10 +594,11 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     result = run_experiment(config, analyzed, translate(analyzed, "dp"))
     scheduled = [r.scheduled_run for r in result.results]
     assert sum(len(r.plans) for r in scheduled) == 2 * 60
+    fixed = 2 * (30 + 120)
     assert calls == {
-        "eval_event": sum(len(r.model) for r in scheduled) + 2 * (30 + 120),
+        "eval_event": sum(len(r.model) for r in scheduled) + fixed,
         "plan": 2 * 60, "trace_fingerprint": 2,
-        "query": sum(len(p.flat) for r in scheduled for p in r.plans)}
+        "read": sum(1 for r in scheduled for p in r.plans if p.flat) + fixed}
 
 
 def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
