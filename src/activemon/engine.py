@@ -521,45 +521,34 @@ def eval_event(state: MonitorState, tick: int, values: dict):
     return current, fired
 
 
-# rows a run keeps before folding them into its columns: each row is a
-# tuple of every stream, so keeping many would raise a long run's peak memory
-FOLD_ROWS = 32
-
-
-def fold_rows(columns: list, rows: list) -> None:
-    """Append each row tuple (in column order) to the columns, in one
-    transpose, and empty `rows`."""
-    for column, values in zip(columns, zip(*rows)):
-        column.extend(values)
-    rows.clear()
-
-
 def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int,
                      observe: Optional[Callable] = None):
     """Execute the monitor over a whole trace: its model and triggers.
 
     `events` are (tick, values) pairs at tick / quantum seconds. Each row
     goes to `observe`, when given, before the next event is drawn, so a
-    closed loop can plan its next event from the rows so far.
+    closed loop can plan its next event from the rows so far. An event
+    only evaluates, observes and records its tick, its row's cells and its
+    trigger reports. The cells go into one flat list, row after row, and
+    become the model's columns by strided slices once the events run out,
+    so no cycle pays for a transpose and no row tuple outlives its event.
     """
     state = MonitorState(analyzed, quantum)
-    names = analyzed.spec.stream_names()
-    columns: list = [[] for _ in names]
     ticks: list = []
-    rows: list = []
+    cells: list = []
     reports: list[TriggerReport] = []
     for tick, values in events:
         current, fired = eval_event(state, tick, values)
         if observe is not None:
             observe(current)
         ticks.append(tick)
-        rows.append(current)
-        if len(rows) == FOLD_ROWS:
-            fold_rows(columns, rows)
+        cells.extend(current)
         if fired:
             reports.extend(fired)
-    fold_rows(columns, rows)
-    return EvaluationModel(ticks, dict(zip(names, columns)), quantum), reports
+    names = analyzed.spec.stream_names()
+    width = len(names)
+    streams = {name: cells[i::width] for i, name in enumerate(names)}
+    return EvaluationModel(ticks, streams, quantum), reports
 
 
 # ---------------------------------------------------------------------------

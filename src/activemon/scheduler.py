@@ -407,7 +407,7 @@ def run_scheduled(translation: Translation, source, horizon,
     plans: list = []
 
     def events():
-        # the monitor folds each event's row into the state before it draws
+        # the monitor hands each event's row to `observe` before it draws
         # the next event, whose plan reads it
         for k in range(cycles):
             tick = k * num

@@ -114,6 +114,29 @@ def test_run_trace_replays_a_recorded_flight(spec_dir, tmp_path, capsys,
     assert metrics["total_values"] == 12
 
 
+def test_a_run_that_never_queries_writes_a_header_only_model(tmp_path,
+                                                            capsys):
+    # the only task, {a,b}, is wider than bandwidth 1: no cycle queries, so
+    # the model has no step, yet every stream keeps its column
+    spec = tmp_path / "pair.lola"
+    spec.write_text('#![frequency="1Hz"]\ninput a : Float64\n'
+                    "input b : Float64\noutput z\n"
+                    '    #[priority="low"]\n    eval |@a && b| with a + b\n',
+                    encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,1.0,2.0\n1,1.0,2.0\n2,1.0,2.0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--trace", str(trace), "--bound", "1",
+                 "--out-dir", str(out)]) == 0
+    assert "unschedulable task {a,b}" in capsys.readouterr().err
+    assert (out / "model.csv").read_text() == \
+        "time,a,b,z,schedule_a_b,last_a_b\n"
+    assert len((out / "plans.jsonl").read_text().splitlines()) == 3
+    assert main(["check", str(spec), "--model", str(out / "model.csv"),
+                 "--bound", "1"]) == 0
+    assert capsys.readouterr().err == "ok\n"
+
+
 def test_run_metrics_go_to_stderr_without_out_dir(spec_dir, tmp_path, capsys,
                                                   conflict_trace):
     rc = main(["run", str(spec_dir / "priority_conflict.lola"),

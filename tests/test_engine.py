@@ -1,10 +1,14 @@
 """Evaluation engine tests against hand-computed step tables."""
 
 import math
+import sys
 from fractions import Fraction
 
+import pytest
+
 from activemon.analysis import analyze
-from activemon.engine import ABSENT, values_equal, verify_model
+from activemon.engine import (ABSENT, MonitorState, eval_event,
+                              run_monitor_full, values_equal, verify_model)
 from activemon.parser import parse_spec
 from events import Event, run_events
 from reference_eval import triggers_from_model
@@ -172,3 +176,74 @@ def test_triggers_from_model_match_live_run():
     assert [(r.step, r.trigger) for r in replayed] == \
         [(r.step, r.trigger) for r in live]
     assert [r.step for r in live] == [2, 3]
+
+
+# a sync sum that is absent without b, an offset into b's own history and a
+# trigger, so the rows mix values, ABSENT cells and reports
+LOOP_TEXT = ("input a : Float64\ninput b : Float64\n"
+             "output s := a + b\n"
+             "output prev_b |@b| := b.offset(by:-1).defaults(to: -1.0)\n"
+             "output high := a > 5.0\n"
+             'trigger high "over"\n')
+
+
+def loop_events(count):
+    """`count` events at ticks 0, 2, 4, ..., with b on every third."""
+    return [(2 * k, {"a": float(k % 11), "b": float(k)} if k % 3 == 0
+             else {"a": float(k % 11)}) for k in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 1025, 3079])
+def test_model_columns_equal_the_rows_of_each_event(count):
+    analyzed = analyze(parse_spec(LOOP_TEXT))
+    events = loop_events(count)
+    model, reports = run_monitor_full(analyzed, events, 2)
+
+    state = MonitorState(analyzed, 2)
+    rows, fired = [], []
+    for tick, values in events:
+        row, now = eval_event(state, tick, values)
+        rows.append(row)
+        fired.extend(now)
+    names = analyzed.spec.stream_names()
+    # every stream has a column, an empty one when no event ran
+    assert model.streams == {name: [row[i] for row in rows]
+                             for i, name in enumerate(names)}
+    assert len(model) == count
+    assert model.times == [Fraction(k) for k in range(count)]
+    assert reports == fired
+
+
+def test_an_event_only_evaluates_observes_and_records():
+    # from the first event drawn until the events run out, the loop calls
+    # nothing but the events, eval_event, observe and the list appends, so
+    # no cycle of a closed loop pays for building the model's columns
+    analyzed = analyze(parse_spec(LOOP_TEXT))
+    loop = run_monitor_full.__code__
+    looping = False
+    called = set()
+
+    def events():
+        nonlocal looping
+        looping = True
+        yield from loop_events(100)
+        looping = False
+
+    def observe(row):
+        pass
+
+    def profile(frame, event, arg):
+        if not looping:
+            return
+        if event == "call" and frame.f_back.f_code is loop:
+            called.add(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is loop:
+            called.add(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        model, _ = run_monitor_full(analyzed, events(), 2, observe)
+    finally:
+        sys.setprofile(None)
+    assert len(model) == 100
+    assert called == {"events", "eval_event", "observe", "append", "extend"}

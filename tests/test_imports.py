@@ -42,7 +42,7 @@ def test_a_module_uses_every_name_it_imports(module):
 def test_unused_imports_finds_what_is_never_read():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport math as m\n"
-              "from .engine import ABSENT, eval_event, fold_rows\n"
-              "__all__ = ['fold_rows']\n"
+              "from .engine import ABSENT, eval_event, run_monitor_full\n"
+              "__all__ = ['run_monitor_full']\n"
               "def f(x: m.Real):\n    return x is ABSENT\n")
     assert unused_imports(source) == ["eval_event", "os"]
