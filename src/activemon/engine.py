@@ -34,6 +34,7 @@ guards and feeds each step to the `DecisionOracle`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -110,7 +111,8 @@ class EvaluationModel:
     quantum: int = 1
 
     def __post_init__(self):
-        g = math.gcd(self.quantum, *self.ticks)
+        # gcd(quantum, *ticks) would first copy the ticks into a tuple
+        g = functools.reduce(math.gcd, self.ticks, self.quantum)
         if g != 1:
             self.quantum //= g
             self.ticks = [t // g for t in self.ticks]
@@ -447,20 +449,31 @@ def compile_verifier(analyzed: AnalyzedSpec, guards=()) -> CompiledSpec:
     """Generate and compile the verifier's step function.
 
     It recomputes every output from a model row as the monitor computes it,
-    and decides each of `guards`, (condition, pacing) pairs: guard i holds,
-    and sets bit i of the holding mask, when its pacing's inputs are
-    present and its condition is True.
+    each into a temporary, and decides each of `guards`, (condition,
+    pacing) pairs: guard i holds, and sets bit i of the holding mask, when
+    its pacing's inputs are present and its condition is True.
+
+    A step compares the tuple of recomputed outputs with the tuple of the
+    row's recorded ones once. Tuple equality tries identity before `==`,
+    so equal tuples mean that `values_equal` holds for every output; only
+    when they differ is each output compared by `values_equal`, in
+    evaluation order.
     """
     source = _Source(analyzed, (p.inputs for _, p in guards))
     local = source.local
-    lines = [f"{', '.join(local.values())}, = row", *source.presence,
-             "_bad = []"]
+    lines = [f"{', '.join(local.values())}, = row", *source.presence]
+    cells = []  # (name, its recomputation, its recorded value)
     for name, coded in source.outputs:
-        v = local[name]
-        lines += [f"# {name!r}", *_first_match("_e", coded),
-                  f"if _e != {v} and not values_equal(_e, {v}):",
-                  f"    _bad.append(({name!r}, _e, {v}))"]
-    lines.append("_g = 0")
+        temp = source._temp()
+        cells.append((name, temp, local[name]))
+        lines += _first_match(temp, coded)
+    recomputed = "".join(f"{t}, " for _, t, _ in cells)
+    recorded = "".join(f"{v}, " for _, _, v in cells)
+    lines += [f"if ({recomputed}) == ({recorded}):", "    _bad = ()",
+              "else:", "    _bad = [_e for _e in (",
+              *(f"        ({name!r}, {t}, {v})," for name, t, v in cells),
+              "    ) if not values_equal(_e[1], _e[2])]",
+              "_g = 0"]
     for i, (condition, pacing) in enumerate(guards):
         test = source.code(condition, pacing.inputs)[0]
         lines += [f"if {source.flags[pacing.inputs]} and {test} is True:",

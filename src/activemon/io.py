@@ -4,11 +4,17 @@ Times are exact rationals serialized as decimal strings whenever they
 terminate (falling back to p/q), so reading a written file reproduces the
 values bit for bit. Empty CSV cells mean absent.
 
-Both CSV readers share one block reader, which transposes up to BLOCK_ROWS
-rows at a time and parses each column with the parser bound once to its
-type. A time cell is read as an exact numerator and denominator (a plain
-decimal directly, any other form through `Fraction`), and the times go on
-the lcm of their denominators as integer ticks. The writers mirror this:
+Both CSV readers share one block reader, which holds up to BLOCK_ROWS raw
+rows at a time, transposes them and parses each column with the parser
+bound once to its type. A time cell is read as an exact numerator and
+denominator (a plain decimal directly, any other form through `Fraction`),
+and each block's times become integer ticks on the least quantum of that
+block. A reader keeps every tick on the lcm of the blocks' quanta so far
+and scales what it holds only when that lcm grows. Line numbers live only
+as long as their block, as a range when the block has no blank row, so
+nothing per row outlives its block but the values and ticks kept; a bad
+cell, or a time that does not advance, takes its line from there. The
+writers mirror this:
 `write_model` formats BLOCK_ROWS rows at a time, each column through one
 formatter bound once from its type, and joins the cells into CSV rows
 itself rather than through `csv.writer`, since no model cell ever needs
@@ -25,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress, islice, repeat
@@ -39,7 +46,7 @@ from .errors import NonMonotonicTime, SpecSyntaxError
 from .schedule import task_key
 from .sim import SensorTrace, tick_array
 
-BLOCK_ROWS = 1024  # CSV rows parsed or written per block
+BLOCK_ROWS = 256  # CSV rows parsed or written per block
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +289,80 @@ def _parse_block(rows: list, lines, parsers: list, path) -> list:
                                       column) from err
 
 
-def _read_columns(path, kind: str, what: str, types: dict, known,
-                  complete: bool) -> tuple:
-    """(names, lines, quantum, ticks, columns) of a `kind` CSV, its header
-    checked by `_header`: the names after `time`; the line and the tick of
-    each nonempty row, its time on the lcm of all time denominators; and
-    each name's column of values, missing trailing cells ABSENT."""
+def _ticks(times: list) -> tuple:
+    """(quantum, ticks): the least quantum on which every (numerator,
+    denominator) of `times` is an integer, and each time as a tick on it."""
+    quantum = math.lcm(*{d for _, d in times})
+    ticks = [n * (quantum // d) for n, d in times]
+    common = math.gcd(quantum, *ticks)
+    if common > 1:
+        quantum //= common
+        ticks = [t // common for t in ticks]
+    return quantum, ticks
+
+
+def _blocks(reader, parsers: list, path):
+    """Per block of up to BLOCK_ROWS raw rows that has a nonempty one,
+    (lines, quantum, ticks, columns): the line of each nonempty row, a
+    range when none is blank; the block's times as ticks on their least
+    quantum; and each later column's cells parsed. Only the block being
+    parsed holds raw rows, and nothing per row is kept between blocks."""
+    start = 2
+    while block := list(islice(reader, BLOCK_ROWS)):
+        lines = range(start, start + len(block))
+        start += len(block)
+        if not all(block):
+            lines = [line for line, row in zip(lines, block) if row]
+            block = [row for row in block if row]
+        if block:
+            columns = _parse_block(block, lines, parsers, path)
+            block = None  # so that the next block's rows replace these
+            yield (lines, *_ticks(columns.pop(0)), columns)
+
+
+@contextmanager
+def _read_blocks(path, kind: str, what: str, types: dict, known,
+                 complete: bool):
+    """(names, blocks) of a `kind` CSV: the names after `time`, the header
+    checked by `_header`, and `_blocks` over its rows, each name's cells
+    parsed by its type's parser."""
     with _utf8(path), open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             names = _header(reader, path, kind, what, known, complete)
             parsers = [_time_parts,
                        *(_cell_parser(types[name]) for name in names)]
-            lines: list = []
-            times, *columns = parsed = [[] for _ in parsers]
-            start = 2
-            while block := list(islice(reader, BLOCK_ROWS)):
-                rows = [row for row in block if row]
-                lines.extend(n for n, row in enumerate(block, start) if row)
-                for column, cells in zip(parsed, _parse_block(
-                        rows, lines[len(lines) - len(rows):], parsers, path)):
-                    column.extend(cells)
-                start += len(block)
+            yield names, _blocks(reader, parsers, path)
         except csv.Error as err:
             raise SpecSyntaxError(str(err), str(path), reader.line_num,
                                   1) from None
-    quantum = math.lcm(*{d for _, d in times})
-    return (names, lines, quantum, [n * (quantum // d) for n, d in times],
-            columns)
+
+
+def _backwards(lines, quantum: int, ticks: list, before) -> Optional[tuple]:
+    """(line, time, time before) of the first row of a block whose time
+    does not advance past the row before it, `before` being the time of
+    the row before the block (None for the first block); else None."""
+    first = Fraction(ticks[0], quantum)
+    if before is not None and first <= before:
+        return lines[0], first, before
+    if all(map(lt, ticks, islice(ticks, 1, None))):
+        return None
+    k = next(k for k in range(1, len(ticks)) if ticks[k] <= ticks[k - 1])
+    return (lines[k], Fraction(ticks[k], quantum),
+            Fraction(ticks[k - 1], quantum))
+
+
+def _extend(seq, ticks: list):
+    """`seq` with `ticks` appended, an array('q') while every tick fits in
+    64 bits, else a list, as `tick_array` keeps them."""
+    if isinstance(seq, array):
+        try:
+            seq.extend(array("q", ticks))
+            return seq
+        except OverflowError:
+            seq = list(seq)
+    seq.extend(ticks)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -321,40 +374,62 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
     times. Times must strictly increase over every nonempty row, an
     all-empty one included; a column without samples is left out. The
     columns sampled at every row share one tick array, and keep their
-    parsed values as they are."""
+    parsed values as they are.
+
+    Each block's samples join the columns as it is read. A column shares
+    the ticks of every row until a block lacks one of its cells, and then
+    gets a copy of them as its own. The quantum is the lcm of the blocks'
+    sampled ones, and the ticks kept are scaled up only when it grows.
+    """
     inputs = analyzed.spec.input_names()
-    names, lines, quantum, ticks, columns = _read_columns(
-        path, "trace", "inputs", analyzed.types, inputs, complete=False)
-    if not all(map(lt, ticks, islice(ticks, 1, None))):
-        k = next(k for k in range(1, len(ticks)) if ticks[k] <= ticks[k - 1])
-        raise NonMonotonicTime(
-            f"{path}:{lines[k]}: time {Fraction(ticks[k], quantum)} does not "
-            f"advance past {Fraction(ticks[k - 1], quantum)}")
-    sparse, values = {}, {}
-    for name, column in zip(names, columns):
-        if ABSENT not in column:
-            values[name] = column
-            continue
-        present = list(map(is_not, column, repeat(ABSENT)))
-        if any(present):
-            sparse[name] = list(compress(ticks, present))
-            values[name] = list(compress(column, present))
-    # a header-only trace has empty columns, which hold no ABSENT either
-    if not ticks or not values:
+    with _read_blocks(path, "trace", "inputs", analyzed.types, inputs,
+                      complete=False) as (names, blocks):
+        quantum, last, backwards = 1, None, None
+        values: list = [[] for _ in names]
+        own: list = [None] * len(names)  # ticks of a column lacking a row
+        every = array("q")  # of every row, while some column has them all
+        for lines, q, ticks, columns in blocks:
+            if backwards is None:
+                backwards = _backwards(lines, q, ticks, last)
+                last = Fraction(ticks[-1], q)
+            # per column, the rows that it has; None when it has them all
+            present = [list(map(is_not, column, repeat(ABSENT)))
+                       if ABSENT in column else None for column in columns]
+            if None not in present:
+                # a row without samples leaves the quantum out; the ticks
+                # of such rows are not kept, so they may lose exactness
+                common = math.gcd(q, *compress(ticks, map(any, zip(*present))))
+                q //= common
+                ticks = [t // common for t in ticks]
+            grow = q // math.gcd(quantum, q)
+            if grow > 1:
+                quantum *= grow
+                every = every and tick_array([t * grow for t in every])
+                own = [seq and tick_array([t * grow for t in seq])
+                       for seq in own]
+            if quantum > q:
+                ticks = [t * (quantum // q) for t in ticks]
+            for k, (column, rows) in enumerate(zip(columns, present)):
+                if rows is None:
+                    values[k].extend(column)
+                    if own[k] is not None:
+                        own[k] = _extend(own[k], ticks)
+                    continue
+                if own[k] is None:
+                    own[k] = every[:]
+                values[k].extend(compress(column, rows))
+                own[k] = _extend(own[k], list(compress(ticks, rows)))
+            every = _extend(every, ticks) if None in own else None
+    if backwards is not None:
+        line, time, before = backwards
+        raise NonMonotonicTime(f"{path}:{line}: time {time} does not "
+                               f"advance past {before}")
+    if not any(values):
         raise SpecSyntaxError("trace has no events", str(path), 1, 1)
-    # the smallest quantum of the sampled times divides the lcm of all
-    # times; a column sampled at every row has all of them
-    dense = len(values) > len(sparse)
-    seqs = [ticks] if dense else sparse.values()
-    common = math.gcd(quantum, *(math.gcd(*seq) for seq in seqs))
-
-    def scaled(seq):
-        return tick_array([t // common for t in seq] if common > 1 else seq)
-
-    every = scaled(ticks) if dense else None
-    return SensorTrace(quantum // common, {
-        name: scaled(sparse[name]) if name in sparse else every
-        for name in values}, values)
+    return SensorTrace(quantum, {
+        name: every if seq is None else seq
+        for name, seq, column in zip(names, own, values) if column}, {
+        name: column for name, column in zip(names, values) if column})
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +461,22 @@ def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
 
 
 def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
-    names, _, quantum, ticks, columns = _read_columns(
-        path, "model", "streams", analyzed.types, analyzed.types,
-        complete=True)
+    """Every stream's column and every row's tick, each block's on the
+    quantum of the rows so far, which the ticks kept are scaled up to
+    only when it grows."""
+    with _read_blocks(path, "model", "streams", analyzed.types,
+                      analyzed.types, complete=True) as (names, blocks):
+        quantum, ticks = 1, []
+        columns: list = [[] for _ in names]
+        for _, q, more, cells in blocks:
+            grow = q // math.gcd(quantum, q)
+            if grow > 1:
+                quantum *= grow
+                ticks = [t * grow for t in ticks]
+            ticks.extend(more if q == quantum
+                         else [t * (quantum // q) for t in more])
+            for column, part in zip(columns, cells):
+                column.extend(part)
     # EvaluationModel makes the quantum canonical
     return EvaluationModel(ticks, dict(zip(names, columns)), quantum)
 

@@ -436,10 +436,12 @@ class DecisionOracle:
         self._moves: list = [math.inf] * len(self.tracked)
         self._until = math.inf
         self._over: Optional[list] = None
-        # the index of a task just satisfied, and its `_moves` from then
+        # the index of a task just satisfied, and the ticks after which
+        # that index moves (None if it never does); ticks stay integers,
+        # which may lie beyond float range
         self._reset = bisect_left(self.bound_ticks, 0)
         self._reset_moves = (self.bound_ticks[self._reset] + 1
-                             if self._reset < never else math.inf)
+                             if self._reset < never else None)
         # priority modes: (present mask, overdue tasks) -> verdict, while no
         # current value changes, and the holding mask applied last
         self._verdicts: dict = {}
@@ -564,7 +566,8 @@ class DecisionOracle:
 
         # then this step's satisfactions and regions
         if tracked:
-            moves = tick + self._reset_moves
+            moves = (math.inf if self._reset_moves is None
+                     else tick + self._reset_moves)
             for j in tracked:
                 self.last[j] = tick
                 self._moves[j] = moves

@@ -9,9 +9,15 @@ every step afresh, and the two must give the same verdicts at every step.
 pair of ints. The lines that `violation_lines` renders from the spool must
 equal the lines of the spool expanded into `Violation`s, each at its step's
 exact time.
+
+The verifier compares each step's recomputed outputs with the recorded
+ones as two tuples, once; only when they differ does it compare each
+output by `values_equal`. Its findings must be those of `values_equal` on
+every output, in the same order.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -23,7 +29,7 @@ from hypothesis import strategies as st
 import gen_specs
 from activemon.analysis import analyze
 from activemon.cli import main
-from activemon.engine import walk_model
+from activemon.engine import ABSENT, values_equal, verify_model, walk_model
 from activemon.io import read_model, violation_lines
 from activemon.parser import parse_spec
 from activemon.schedule import (DecisionOracle, build_static_schedule,
@@ -274,3 +280,65 @@ def test_spooled_lines_equal_the_expanded_ones_on_generated_models(
             spooled, expanded, _, _ = rendered(tr.plain, tr.schedule, bound,
                                                model)
             assert spooled == expanded
+
+
+# -- one comparison per step -------------------------------------------------
+
+
+CELLS = """\
+input s : Float64
+input g : (Float64, Float64)
+input n : Int64
+output k |@s| := s + 1.0
+output f := s
+output t := g
+output i := n
+"""
+
+# s is NaN at step 0, -0.0 at step 1, absent at step 2 and 4.0 at step 3
+CELL_EVENTS = [
+    Event(Fraction(0), {"s": math.nan, "g": (math.nan, 1.0), "n": 1}),
+    Event(Fraction(1), {"s": -0.0, "n": 2}),
+    Event(Fraction(2), {"g": (2.0, 3.0)}),
+    Event(Fraction(3), {"s": 4.0, "n": 5}),
+]
+
+
+def per_output(analyzed, model, recomputed) -> list:
+    """(step, stream, detail) where `values_equal` fails on a recomputed
+    and a recorded cell, by step and then in evaluation order."""
+    outputs = [name for name in analyzed.eval_order
+               if name in analyzed.spec.output_names()]
+    return [(step, name, f"stream '{name}' holds {held!r}, "
+             f"recomputation gives {again!r}")
+            for step in range(len(model)) for name in outputs
+            if not values_equal(again := recomputed[name][step],
+                                held := model.streams[name][step])]
+
+
+@pytest.mark.parametrize("edits,wrong", [
+    # a recomputed NaN against a distinct recorded NaN
+    ({("f", 0): float("nan")}, []),
+    ({("f", 1): 0.0}, []),  # -0.0 recomputed, 0.0 recorded
+    ({("i", 0): True}, []),  # 1 recomputed
+    ({("k", 2): 5.0}, [(2, "k")]),  # ABSENT recomputed
+    ({("k", 3): ABSENT}, [(3, "k")]),
+    ({("t", 0): (float("nan"), 1.0)}, []),
+    ({("t", 0): (float("nan"), 2.0)}, [(0, "t")]),
+    # two wrong cells in one row come in evaluation order
+    ({("i", 3): 4, ("f", 3): 1.0}, [(3, "f"), (3, "i")]),
+    ({("t", 2): ABSENT, ("k", 1): -0.0, ("f", 2): math.nan},
+     [(1, "k"), (2, "f"), (2, "t")]),
+], ids=["nan", "signed-zero", "int-bool", "absent-value", "value-absent",
+        "tuple-nan", "tuple-wrong", "two-in-a-row", "three-rows"])
+def test_one_comparison_per_step_finds_what_values_equal_finds(edits, wrong):
+    analyzed = analyze(parse_spec(CELLS))
+    # no output reads another, so the monitor's cells are the recomputation
+    recomputed = run_events(analyzed, CELL_EVENTS)[0].streams
+    model = run_events(analyzed, CELL_EVENTS)[0]
+    for (name, step), value in edits.items():
+        model.streams[name][step] = value
+    found = [(v.step, v.stream, v.detail)
+             for v in verify_model(analyzed, model)]
+    assert found == per_output(analyzed, model, recomputed)
+    assert [(step, name) for step, name, _ in found] == wrong

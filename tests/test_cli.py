@@ -361,6 +361,31 @@ def test_check_flags_a_mutated_cell(spec_dir, conflict_model, capsys):
     assert violation["step"] == 2
 
 
+@pytest.mark.parametrize("mode", ["priority", "dp"])
+def test_check_reads_a_model_time_finer_than_float_resolution(
+        spec_dir, tmp_path, capsys, mode):
+    # `run --trace` takes such a time; on the model's quantum, 10^400, the
+    # oracle's ticks lie beyond float range
+    spec = str(spec_dir / "priority_conflict.lola")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,a,b\n0,1.0,-1.0\n1,2.0,2.0\n2,3.0,-3.0\n"
+                     "3,4.0,4.0\n")
+    out = tmp_path / "out"
+    assert main(["run", spec, "--trace", str(trace), "--mode", mode,
+                 "--out-dir", str(out)]) == 0
+    rows = (out / "model.csv").read_text().splitlines()
+    rows[2] = "1e-400" + rows[2][rows[2].index(","):]
+    model = tmp_path / "model.csv"
+    model.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    rc = main(["check", spec, "--model", str(model), "--mode", mode])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert rc == (1 if lines else 0)
+    assert all(json.loads(line)["kind"] for line in lines)
+    assert "Traceback" not in captured.err
+
+
 def test_check_on_a_model_without_the_helper_columns_is_a_usage_error(
         tmp_path, spec_dir, conflict_text, capsys):
     # a model of the annotated spec lacks the translation's helper streams

@@ -1,8 +1,10 @@
 """Exact round trips for the trace, model, and JSON file formats."""
 
 import csv
+import gc
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -432,6 +434,49 @@ def test_traces_longer_than_a_block_read_as_their_samples(tmp_path):
     assert read_trace(path, analyzed) == sensor_trace(events, ("a", "b"))
 
 
+def _growing_events(empty_rows: bool) -> list:
+    """A block of whole seconds, one of thirds and one of sevenths, so that
+    the quantum grows from block to block. a and d have every row and b
+    lacks every fifth from the second block on; with `empty_rows`, a lacks
+    every fourth row of the last block and d every twentieth, and each
+    twentieth has no sample at all but lies at an eleventh."""
+    events, t = [], Fraction(0)
+    for block, step in enumerate((Fraction(1), Fraction(1, 3),
+                                  Fraction(2, 7))):
+        for k in range(BLOCK_ROWS):
+            values = {"a": float(k), "b": -float(k), "d": k / 4}
+            if block and k % 5 == 0:
+                del values["b"]
+            if empty_rows and block == 2 and k % 4 == 0:
+                del values["a"]
+                if k % 20 == 0:
+                    events.append(Event(t + Fraction(1, 11), {}))
+                    values.pop("d")
+            t += step
+            if values:
+                events.append(Event(t, values))
+    return events
+
+
+@pytest.mark.parametrize("empty_rows", [False, True])
+def test_reads_whose_quantum_grows_from_block_to_block(tmp_path,
+                                                       empty_rows):
+    analyzed = analyze(parse_spec(AB + "input d : Float64\n"
+                                       "output c := a + b\n"))
+    events = _growing_events(empty_rows)
+    path = tmp_path / "trace.csv"
+    write_trace(path, events, analyzed)
+    trace = read_trace(path, analyzed)
+    # the rows without samples leave the quantum
+    assert trace == sensor_trace(events, ("a", "b", "d"))
+    assert trace.quantum == 21
+    assert (trace.ticks["a"] is trace.ticks["d"]) != empty_rows
+    assert trace.ticks["b"] is not trace.ticks["a"]
+    model = run_events(analyzed, [e for e in events if e.values])[0]
+    write_model(path, model, analyzed)
+    assert read_model(path, analyzed) == model
+
+
 def test_time_order_is_checked_across_blocks(tmp_path):
     analyzed = analyze(parse_spec(AB))
     path = tmp_path / "trace.csv"
@@ -443,6 +488,44 @@ def test_time_order_is_checked_across_blocks(tmp_path):
     with pytest.raises(NonMonotonicTime) as err:
         read_trace(path, analyzed)
     assert str(err.value).startswith(f"{path}:{BLOCK_ROWS + 2}: time ")
+
+
+def _transient(read, path, analyzed) -> int:
+    """The tracemalloc peak of one `read` above the memory its result
+    keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = read(path, analyzed)  # alive while its memory is measured
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - current
+
+
+def test_reads_hold_no_memory_per_row_beyond_what_they_keep(tmp_path):
+    # a and b lack rows, so every block has gaps in them, and d has none;
+    # what a read holds beyond its result is one block's worth, so it is
+    # the same at 4N rows as at N
+    analyzed = analyze(parse_spec(AB + "input d : Float64\n"
+                                       "output c := a + b\n"))
+    rows = 4 * BLOCK_ROWS
+    transient = {}
+    for n in (rows, 4 * rows):
+        events = _long_events(n)
+        for k, event in enumerate(events):
+            event.values["d"] = k / 8
+        trace, model = tmp_path / f"trace{n}.csv", tmp_path / f"model{n}.csv"
+        write_trace(trace, events, analyzed)
+        write_model(model, run_events(analyzed, events)[0], analyzed)
+        transient[n] = (_transient(read_trace, trace, analyzed),
+                        _transient(read_model, model, analyzed))
+    for short, long in zip(transient[rows], transient[4 * rows]):
+        # less than a pointer per added row; a reader that kept each row's
+        # time as a (numerator, denominator) pair and its line number until
+        # the end of the file held about 150 bytes per row
+        assert long - short < 8 * 3 * rows, transient
 
 
 def test_a_long_row_before_a_bad_cell_is_reported_first(tmp_path):
