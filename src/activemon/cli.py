@@ -18,9 +18,9 @@ from .analysis import AnalyzedSpec, analyze
 from .ast import format_spec
 from .engine import verify_model
 from .errors import OutOfRange, SpecError
-from .io import (read_json, read_model, read_text, read_trace, trigger_json,
-                 violation_lines, write_json, write_model, write_plan_log,
-                 write_triggers)
+from .io import (read_json, read_model_blocks, read_text, read_trace,
+                 trigger_json, violation_lines, write_json, write_model,
+                 write_plan_log, write_triggers)
 from .parser import parse_spec
 from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
@@ -242,18 +242,24 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Verify a model in one forward pass over model.csv: each block is
+    checked as it is read, and the lines are written once the walk is done,
+    so a bad cell exits 2 with nothing on stdout."""
     analyzed = _load(args.spec)
-    if analyzed.annotations:
-        tr = translate(analyzed, args.mode)
-        model = read_model(args.model, tr.plain)
-        bound = args.bound if args.bound is not None else analyzed.config.bandwidth
-        violations, missed = check_scheduled_model(tr.plain, tr.schedule,
-                                                   bound, model)
-        inputs = tr.schedule.inputs
-    else:
-        model = read_model(args.model, analyzed)
-        violations, missed, inputs = verify_model(analyzed, model), (), ()
-    sys.stdout.writelines(violation_lines(violations, missed, model, inputs))
+    tr = translate(analyzed, args.mode) if analyzed.annotations else None
+    plain = tr.plain if tr else analyzed
+    with read_model_blocks(args.model, plain) as blocks:
+        if tr:
+            bound = (args.bound if args.bound is not None
+                     else analyzed.config.bandwidth)
+            violations, missed, ticks, quantum = check_scheduled_model(
+                plain, tr.schedule, bound, blocks)
+            inputs = tr.schedule.inputs
+        else:
+            violations = verify_model(analyzed, blocks)
+            missed, ticks, quantum, inputs = (), (), 1, ()
+    sys.stdout.writelines(violation_lines(violations, missed, ticks, quantum,
+                                          inputs))
     if violations or missed:
         return 1
     print("ok", file=sys.stderr)

@@ -27,16 +27,21 @@ the closed loop a generator that plans each cycle, with the scheduler's
 `observe`, which takes each row before the next event is drawn.
 
 `walk_model` walks a finished model forward once through the verifier,
-whose history takes only the model's own rows. `verify_model` is that walk
-with no guards and is the membership oracle every scheduling test checks
-against; `schedule.check_scheduled_model` drives it with the schedule's
-guards and feeds each step to the `DecisionOracle`.
+whose history takes only the model's own rows. It takes the model a block
+of rows at a time, as `io.read_model_blocks` parses them from `model.csv`,
+and verifies each block as it is drawn; a model held in memory is one
+block. `verify_model` is that walk with no guards and is the membership
+oracle every scheduling test checks against; `schedule.check_scheduled_model`
+drives it with the schedule's guards, keeps each step's tick on a
+`Timeline` and its two masks, and feeds them to the `DecisionOracle` once
+the walk is done.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,7 +134,55 @@ class EvaluationModel:
         return len(self.ticks)
 
 
-# models and traces are held in memory whole, which bounds a run's length
+def model_blocks(analyzed: AnalyzedSpec, model):
+    """The blocks that `walk_model` takes: an EvaluationModel as its one
+    block, any other model (already blocks) as it is."""
+    if not isinstance(model, EvaluationModel):
+        return model
+    names = analyzed.spec.stream_names()
+    return [(model.quantum, model.ticks, [model.streams[n] for n in names])]
+
+
+def extend_ticks(seq, ticks):
+    """`seq` with `ticks` appended: an array('q') while every tick fits in
+    64 bits, else a list."""
+    if isinstance(seq, array):
+        try:
+            seq.extend(array("q", ticks))
+            return seq
+        except OverflowError:
+            seq = list(seq)
+    seq.extend(ticks)
+    return seq
+
+
+class Timeline:
+    """Every step's tick, kept block by block on the lcm of the blocks'
+    quanta so far, as `extend_ticks` keeps them. The ticks kept are scaled
+    up only when that lcm grows."""
+
+    def __init__(self):
+        self.quantum = 1
+        self.ticks = array("q")
+
+    def extend(self, quantum: int, ticks) -> None:
+        grow = quantum // math.gcd(self.quantum, quantum)
+        if grow > 1:
+            self.quantum *= grow
+            self.ticks = extend_ticks(array("q"),
+                                      [t * grow for t in self.ticks])
+        if self.quantum > quantum:
+            ticks = [t * (self.quantum // quantum) for t in ticks]
+        self.ticks = extend_ticks(self.ticks, ticks)
+
+    def follow(self, blocks):
+        """`blocks` as they are, each one's ticks kept as it passes."""
+        for block in blocks:
+            self.extend(block[0], block[1])
+            yield block
+
+
+# a run's model and trace are held in memory whole, which bounds its length
 MAX_STEPS = 10**6
 
 
@@ -379,7 +432,10 @@ class _Source:
 
 def _first_match(target, coded) -> list:
     """Lines that set `target` by the first clause of `coded` that fires,
-    else to ABSENT."""
+    else to ABSENT: one conditional expression for one conditional clause."""
+    if len(coded) == 1 and coded[0][0] is not None:
+        cond, value = coded[0]
+        return [f"{target} = ({value}) if {cond} else ABSENT"]
     out = []
     for i, (cond, value) in enumerate(coded):
         if cond is None:
@@ -568,50 +624,64 @@ def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int,
 # the semantic oracle
 
 
-def walk_model(analyzed: AnalyzedSpec, model: EvaluationModel,
-               violations: list, guards=()):
+def walk_model(analyzed: AnalyzedSpec, model, violations: list,
+               guards=()):
     """Walk a finished model forward once, through the verifier.
 
-    Appends the model's semantic violations to `violations`: the time-map
-    ones first, then, in step order, each output cell that the verifier
-    recomputes differently. The verifier's offsets read history deques that
-    take the model's own rows, kept as deep as the spec's `max_offset`, as
-    the monitor keeps them. Yields, per step, (present, holding): the
-    present inputs and the `guards` that hold, as the verifier's bit masks.
-    """
-    ticks = model.ticks
-    if not all(map(lt, ticks, itertools.islice(ticks, 1, None))):
-        for t in range(1, len(ticks)):
-            if ticks[t] <= ticks[t - 1]:
-                time = model.time_at(t)
-                violations.append(Violation(
-                    "semantic", t, time,
-                    f"time map not strictly increasing: {time} after "
-                    f"{model.time_at(t - 1)}"))
+    `model` is an EvaluationModel, walked as one block, or an iterable of
+    blocks (quantum, ticks, columns) in step order, as `io.read_model_blocks`
+    parses them: each block's ticks on its quantum, and its column of every
+    stream in the order of `stream_names()`. Each block is verified as it is
+    drawn; only the verifier's history deques and the last step's time
+    outlive it. Those deques take the model's own rows, kept as deep as the
+    spec's `max_offset`, as the monitor keeps them.
 
+    Yields, per step, (present, holding): the present inputs and the
+    `guards` that hold, as the verifier's bit masks. Once the walk is
+    exhausted, `violations` has the model's semantic violations appended:
+    the time-map ones first, then, in step order, each output cell that the
+    verifier recomputes differently.
+    """
     compiled = compile_verifier(analyzed, guards)
     check = compiled.make(*(deque(maxlen=d) for _, d in compiled.history))
-    rows = zip(*(model.streams[name] for name in analyzed.spec.stream_names()))
-    q = model.quantum
-    for t, (tick, row) in enumerate(zip(ticks, rows)):
-        wrong, present, holding = check(row, tick / q)
-        if wrong:
-            time = model.time_at(t)
-            violations.extend(Violation(
-                "semantic", t, time, f"stream '{name}' holds {actual!r}, "
-                f"recomputation gives {expected!r}", stream=name)
-                for name, expected, actual in wrong)
-        yield present, holding
+    start = len(violations)
+    timemap: list = []
+    step, before = 0, None  # the time of the step before the block
+    for quantum, ticks, columns in model_blocks(analyzed, model):
+        if not ticks:
+            continue
+        if (before is not None and Fraction(ticks[0], quantum) <= before
+                or not all(map(lt, ticks, itertools.islice(ticks, 1, None)))):
+            for k, tick in enumerate(ticks):
+                time = Fraction(tick, quantum)
+                if before is not None and time <= before:
+                    timemap.append(Violation(
+                        "semantic", step + k, time,
+                        f"time map not strictly increasing: {time} after "
+                        f"{before}"))
+                before = time
+        before = Fraction(ticks[-1], quantum)
+        for t, tick, row in zip(itertools.count(step), ticks, zip(*columns)):
+            wrong, present, holding = check(row, tick / quantum)
+            if wrong:
+                time = Fraction(tick, quantum)
+                violations.extend(Violation(
+                    "semantic", t, time, f"stream '{name}' holds {actual!r}, "
+                    f"recomputation gives {expected!r}", stream=name)
+                    for name, expected, actual in wrong)
+            yield present, holding
+        step += len(ticks)
+    violations[start:start] = timemap
 
 
-def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violation]:
+def verify_model(analyzed: AnalyzedSpec, model) -> list[Violation]:
     """Recompute every output at every step; report every disagreement.
 
     An empty result means the model is a member of the specification's
     semantics: timestamps strictly increase and each output cell equals the
     first-match clause evaluation over the model itself. This is
-    `walk_model` with no guards: time-map violations come first, then the
-    cells in step order.
+    `walk_model` with no guards, over an EvaluationModel or its blocks:
+    time-map violations come first, then the cells in step order.
     """
     violations: list[Violation] = []
     for _ in walk_model(analyzed, model, violations):
@@ -621,7 +691,8 @@ def verify_model(analyzed: AnalyzedSpec, model: EvaluationModel) -> list[Violati
 
 __all__ = [
     "ABSENT", "CompiledSpec", "EvaluationModel", "MAX_STEPS",
-    "MonitorState", "TriggerReport", "Violation", "check_steps",
-    "compile_spec", "compile_verifier", "eval_event", "run_monitor_full",
-    "values_equal", "verify_model", "walk_model",
+    "MonitorState", "Timeline", "TriggerReport", "Violation", "check_steps",
+    "compile_spec", "compile_verifier", "eval_event", "extend_ticks",
+    "model_blocks", "run_monitor_full", "values_equal", "verify_model",
+    "walk_model",
 ]

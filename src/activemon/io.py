@@ -6,15 +6,19 @@ values bit for bit. Empty CSV cells mean absent.
 
 Both CSV readers share one block reader, which holds up to BLOCK_ROWS raw
 rows at a time, transposes them and parses each column with the parser
-bound once to its type. A time cell is read as an exact numerator and
-denominator (a plain decimal directly, any other form through `Fraction`),
-and each block's times become integer ticks on the least quantum of that
-block. A reader keeps every tick on the lcm of the blocks' quanta so far
-and scales what it holds only when that lcm grows. Line numbers live only
-as long as their block, as a range when the block has no blank row, so
-nothing per row outlives its block but the values and ticks kept; a bad
-cell, or a time that does not advance, takes its line from there. The
-writers mirror this:
+bound once to its type, a tuple column once per distinct cell. A block
+whose time cells are all unsigned plain ASCII decimals becomes integer
+ticks on 10**(its most fraction digits) at once; any other block reads
+each time cell as an exact numerator and denominator through `Fraction`'s
+rules. Either way each block's times become integer ticks on the least
+quantum of that block. A reader keeps every tick on the lcm of the blocks'
+quanta so far and scales what it holds only when that lcm grows. Line
+numbers live only as long as their block, as a range when the block has
+no blank row, so nothing per row outlives its block but the values and
+ticks kept; a bad cell, or a time that does not advance, takes its line
+from there. `read_model_blocks` hands a model's blocks out as they are
+parsed, for `check` to verify each one as it is read; `read_model` keeps
+them all. The writers mirror this:
 `write_model` formats BLOCK_ROWS rows at a time, each column through one
 formatter bound once from its type, and joins the cells into CSV rows
 itself rather than through `csv.writer`, since no model cell ever needs
@@ -31,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
@@ -41,7 +46,8 @@ from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import BOOL, INT64, UINT64, TupleType, Type
-from .engine import ABSENT, EvaluationModel, TriggerReport
+from .engine import (ABSENT, EvaluationModel, Timeline, TriggerReport,
+                     extend_ticks)
 from .errors import NonMonotonicTime, SpecSyntaxError
 from .schedule import task_key
 from .sim import SensorTrace, tick_array
@@ -165,13 +171,15 @@ _NUMBERS = {_parse_float: float, _parse_int: int}
 
 def _parse_column(parse, cells) -> list:
     """A column's cells parsed in one pass, a Bool column by one dict lookup
-    per cell and a number column with no Python call per cell; a malformed
-    cell raises ValueError or KeyError."""
+    per cell, a number column with no Python call per cell, and a tuple
+    column once per distinct cell, equal cells sharing one value; a
+    malformed cell raises ValueError or KeyError."""
     if parse is _parse_bool:
         return list(map(_BOOLS.__getitem__, cells))
     number = _NUMBERS.get(parse)
     if number is None:
-        return list(map(parse, cells))
+        values = {cell: parse(cell) for cell in set(cells)}
+        return list(map(values.__getitem__, cells))
     if "" not in cells:
         return list(map(number, cells))
     return [number(c) if c else ABSENT for c in cells]
@@ -261,19 +269,22 @@ def _header(reader, path, kind: str, what: str, known, complete: bool):
     return names
 
 
-def _parse_block(rows: list, lines, parsers: list, path) -> list:
-    """Each column's cells parsed, short rows padded with empty cells. A
-    row longer than the header or a malformed cell is a SpecSyntaxError
-    naming its line and column, the first in row order."""
+def _parse_block(rows: list, lines, parsers: list, path) -> tuple:
+    """(quantum, ticks, columns) of a block: its times by `_block_ticks`,
+    and each later column's cells parsed, short rows padded with empty
+    cells. A row longer than the header or a malformed cell is a
+    SpecSyntaxError naming its line and column, the first in row order."""
     width = len(parsers)
     widths = set(map(len, rows))
     if widths != {width}:
         for row in rows:
             row += [""] * (width - len(row))
     if max(widths, default=0) <= width:
+        cells = zip(*rows)
         try:
-            return [_parse_column(parse, cells)
-                    for parse, cells in zip(parsers, zip(*rows))]
+            return (*_block_ticks(next(cells)),
+                    [_parse_column(parse, column)
+                     for parse, column in zip(parsers[1:], cells)])
         except (ValueError, ZeroDivisionError, KeyError):
             pass
     for line, row in zip(lines, rows):
@@ -289,11 +300,38 @@ def _parse_block(rows: list, lines, parsers: list, path) -> list:
                                       column) from err
 
 
-def _ticks(times: list) -> tuple:
-    """(quantum, ticks): the least quantum on which every (numerator,
-    denominator) of `times` is an integer, and each time as a tick on it."""
-    quantum = math.lcm(*{d for _, d in times})
-    ticks = [n * (quantum // d) for n, d in times]
+# a block's time cells joined by commas, each an unsigned plain decimal
+_PLAIN_TIMES = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:,[0-9]+(?:\.[0-9]+)?)*")
+
+
+def _block_ticks(cells) -> tuple:
+    """(quantum, ticks): the least quantum on which every time cell of a
+    block is an integer, and each time as a tick on it.
+
+    A block whose cells are all unsigned plain ASCII decimals is read on
+    10**(its most fraction digits) at once. Any other block, or one whose
+    ticks read that way pass int()'s digit limit or float range, goes
+    through `_time_parts` cell by cell, which keeps each cell's exact value
+    and raises ValueError at the first bad one.
+    """
+    text = ",".join(cells)
+    ticks = None
+    if _PLAIN_TIMES.fullmatch(text) and text.count(",") == len(cells) - 1:
+        parts = [cell.partition(".") for cell in cells]
+        lengths = {len(frac) for _, _, frac in parts}
+        digits = max(lengths)
+        quantum = 10 ** digits
+        pad = {k: "0" * (digits - k) for k in lengths}
+        try:
+            ticks = [int(whole + frac + pad[len(frac)])
+                     for whole, _, frac in parts]
+            max(ticks) / quantum
+        except (ValueError, OverflowError):
+            ticks = None
+    if ticks is None:
+        times = list(map(_time_parts, cells))
+        quantum = math.lcm(*{d for _, d in times})
+        ticks = [n * (quantum // d) for n, d in times]
     common = math.gcd(quantum, *ticks)
     if common > 1:
         quantum //= common
@@ -315,9 +353,9 @@ def _blocks(reader, parsers: list, path):
             lines = [line for line, row in zip(lines, block) if row]
             block = [row for row in block if row]
         if block:
-            columns = _parse_block(block, lines, parsers, path)
+            parsed = _parse_block(block, lines, parsers, path)
             block = None  # so that the next block's rows replace these
-            yield (lines, *_ticks(columns.pop(0)), columns)
+            yield (lines, *parsed)
 
 
 @contextmanager
@@ -350,19 +388,6 @@ def _backwards(lines, quantum: int, ticks: list, before) -> Optional[tuple]:
     k = next(k for k in range(1, len(ticks)) if ticks[k] <= ticks[k - 1])
     return (lines[k], Fraction(ticks[k], quantum),
             Fraction(ticks[k - 1], quantum))
-
-
-def _extend(seq, ticks: list):
-    """`seq` with `ticks` appended, an array('q') while every tick fits in
-    64 bits, else a list, as `tick_array` keeps them."""
-    if isinstance(seq, array):
-        try:
-            seq.extend(array("q", ticks))
-            return seq
-        except OverflowError:
-            seq = list(seq)
-    seq.extend(ticks)
-    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +438,13 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
                 if rows is None:
                     values[k].extend(column)
                     if own[k] is not None:
-                        own[k] = _extend(own[k], ticks)
+                        own[k] = extend_ticks(own[k], ticks)
                     continue
                 if own[k] is None:
                     own[k] = every[:]
                 values[k].extend(compress(column, rows))
-                own[k] = _extend(own[k], list(compress(ticks, rows)))
-            every = _extend(every, ticks) if None in own else None
+                own[k] = extend_ticks(own[k], list(compress(ticks, rows)))
+            every = extend_ticks(every, ticks) if None in own else None
     if backwards is not None:
         line, time, before = backwards
         raise NonMonotonicTime(f"{path}:{line}: time {time} does not "
@@ -436,6 +461,26 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
 # model CSV (all streams)
 
 
+def _time_cells(quantum: int) -> Callable[[list], list]:
+    """`format_time` of tick / quantum for a run of ticks. When the quantum
+    divides a power of ten, a tick's cell is its whole seconds and the
+    suffix of its remainder, found once per distinct remainder, so no
+    Python function runs per tick; a negative tick goes through
+    `_decimal_format`."""
+    decimal = _decimal_format(quantum)
+    if decimal is None:
+        return lambda ticks: [format_time(Fraction(t, quantum)) for t in ticks]
+    suffixes: dict = {}  # remainder -> "" or "." and its digits
+
+    def cells(ticks) -> list:
+        pairs = list(map(divmod, ticks, repeat(quantum)))
+        for r in {r for _, r in pairs} - suffixes.keys():
+            suffixes[r] = decimal(r)[1:]
+        return [str(whole) + suffixes[r] if whole >= 0
+                else decimal(whole * quantum + r) for whole, r in pairs]
+    return cells
+
+
 def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
     """The model's columns of every stream of `analyzed`, in spec order.
 
@@ -444,8 +489,7 @@ def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
     `repr`, Bools as true/false, tuples as ';'-joined parts and times as
     decimals or p/q. They are formatted and written BLOCK_ROWS at a time.
     """
-    q = model.quantum
-    time = _decimal_format(q) or (lambda tick: format_time(Fraction(tick, q)))
+    times = _time_cells(model.quantum)
     names = analyzed.spec.stream_names()
     columns = [(_column_formatter(analyzed.types[name]), model.streams[name])
                for name in names]
@@ -455,30 +499,39 @@ def write_model(path, model: EvaluationModel, analyzed: AnalyzedSpec) -> None:
         for lo in range(0, len(ticks), BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
             cells = [fmt(values[lo:hi]) for fmt, values in columns]
-            fh.write("\r\n".join(map(",".join, zip(map(time, ticks[lo:hi]),
+            fh.write("\r\n".join(map(",".join, zip(times(ticks[lo:hi]),
                                                    *cells))))
             fh.write("\r\n")
 
 
-def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
-    """Every stream's column and every row's tick, each block's on the
-    quantum of the rows so far, which the ticks kept are scaled up to
-    only when it grows."""
+@contextmanager
+def read_model_blocks(path, analyzed: AnalyzedSpec):
+    """The blocks of a model CSV, parsed one at a time as they are drawn,
+    for `engine.walk_model`: per block of up to BLOCK_ROWS rows, (quantum,
+    ticks, columns), its times as ticks on the block's least quantum and
+    every stream's column in the order of `stream_names()`. The file stays
+    open within, and a bad cell raises SpecSyntaxError when its block is
+    drawn."""
     with _read_blocks(path, "model", "streams", analyzed.types,
                       analyzed.types, complete=True) as (names, blocks):
-        quantum, ticks = 1, []
-        columns: list = [[] for _ in names]
-        for _, q, more, cells in blocks:
-            grow = q // math.gcd(quantum, q)
-            if grow > 1:
-                quantum *= grow
-                ticks = [t * grow for t in ticks]
-            ticks.extend(more if q == quantum
-                         else [t * (quantum // q) for t in more])
+        at = [names.index(name) for name in analyzed.spec.stream_names()]
+        yield ((quantum, ticks, [columns[k] for k in at])
+               for _, quantum, ticks, columns in blocks)
+
+
+def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
+    """Every stream's column and every row's tick, the blocks' ticks kept
+    on a `Timeline`."""
+    timeline = Timeline()
+    names = analyzed.spec.stream_names()
+    columns: list = [[] for _ in names]
+    with read_model_blocks(path, analyzed) as blocks:
+        for _, _, cells in timeline.follow(blocks):
             for column, part in zip(columns, cells):
                 column.extend(part)
     # EvaluationModel makes the quantum canonical
-    return EvaluationModel(ticks, dict(zip(names, columns)), quantum)
+    return EvaluationModel(list(timeline.ticks), dict(zip(names, columns)),
+                           timeline.quantum)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +556,12 @@ def write_triggers(path, reports) -> None:
 MISSED = "obligated task left unsatisfied"
 
 
-def violation_lines(violations, missed=(), model=None, inputs=()):
+def violation_lines(violations, missed=(), ticks=(), quantum=1, inputs=()):
     """One JSON line per violation, newline included: {kind, step, time,
     detail, stream (if any), task (if any)}; then one "schedule" line per
     missed obligation. `missed` holds (step, task) pairs flat, as
-    `check_scheduled_model` spools them: a miss is timed by its step in
-    `model`, and `inputs` names the bits of its task."""
+    `check_scheduled_model` spools them: a miss is timed by its step's tick
+    in `ticks`, on `quantum`, and `inputs` names the bits of its task."""
     parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
     time = text = None  # the last time rendered, shared by one step's lines
     for v in violations:
@@ -523,9 +576,6 @@ def violation_lines(violations, missed=(), model=None, inputs=()):
             # JSON writes a finite float as its repr
             time, text = v.time, repr(float(v.time))
         yield f'{head}{v.step}, "time": {text}, {tail}\n'
-    if not missed:
-        return
-    ticks, q = model.ticks, model.quantum
     tails: dict = {}  # task -> the line after its step's time
     last = None
     pairs = iter(missed)
@@ -533,7 +583,7 @@ def violation_lines(violations, missed=(), model=None, inputs=()):
         if step != last:
             # int / int is correctly rounded, as float(Fraction) is
             last, head = step, (f'{{"kind": "schedule", "step": {step}, '
-                                f'"time": {ticks[step] / q!r}, ')
+                                f'"time": {ticks[step] / quantum!r}, ')
         tail = tails.get(task)
         if tail is None:
             tail = tails[task] = json.dumps(
@@ -575,6 +625,7 @@ def read_json(path):
 
 __all__ = [
     "BLOCK_ROWS", "MISSED", "format_time", "read_json", "read_model",
-    "read_text", "read_trace", "trigger_json", "violation_lines",
-    "write_json", "write_model", "write_plan_log", "write_triggers",
+    "read_model_blocks", "read_text", "read_trace", "trigger_json",
+    "violation_lines", "write_json", "write_model", "write_plan_log",
+    "write_triggers",
 ]

@@ -25,10 +25,12 @@ task's direct subtasks and its bound from them when asked: `translate` asks
 for the direct tasks, the scheduler for the tasks within the bandwidth, and
 the oracle for each task once.
 
-`check_scheduled_model` walks the model once through the verifier, which
-decides each distinct guard behind its pacing flag, and feeds every step to
-a `DecisionOracle`. The oracle's state does not grow with the run, and a
-step visits only the tasks it can oblige.
+`check_scheduled_model` walks the model once through the verifier, a block
+at a time as it is read, which decides each distinct guard behind its
+pacing flag; it keeps each step's tick and its masks of present inputs and
+holding guards, and feeds them to a `DecisionOracle` once the walk has fixed
+the quantum. The oracle's state does not grow with the run, and a step
+visits only the tasks it can oblige.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import Expr, Pacing, conjoin
-from .engine import EvaluationModel, Violation, walk_model
+from .engine import Timeline, Violation, model_blocks, walk_model
 from .errors import MixedAnnotationKinds, PreconditionViolation
 
 # a task is a nonempty set of input streams queried together, as a bit mask
@@ -140,6 +143,12 @@ class StaticSchedule:
 
     def key(self, task: Task) -> tuple:
         return task_key(task, self.inputs)
+
+    @cached_property
+    def distinct_guards(self) -> tuple:
+        """The distinct guards of `guards`, in schedule order; guard i is
+        bit i of the holding mask that the verifier decides for them."""
+        return tuple(dict.fromkeys(self.guards.values()))
 
     @cached_property
     def ordered(self) -> tuple:
@@ -377,7 +386,7 @@ class DecisionOracle:
         # chains of (guard bit, value); in deadline mode the value is the
         # deadline in whole ticks, since an age in ticks is an integer, so
         # age > d exactly when age > floor(d * quantum)
-        self.guards = list(dict.fromkeys(schedule.guards.values()))
+        self.guards = schedule.distinct_guards
         bit = {guard: 1 << i for i, guard in enumerate(self.guards)}
         self.chains = [
             [[(bit[schedule.guards[s]],
@@ -624,34 +633,53 @@ class DecisionOracle:
 
 
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
-                          bound: int, model: EvaluationModel) -> tuple:
+                          bound: int, model) -> tuple:
     """Semantic, bandwidth and obligation conformance of a finished run.
 
-    One forward walk of the model through the verifier yields its semantic
-    violations and, per step, the present inputs and holding guards that
-    the `DecisionOracle` is fed. Returns (violations, missed): the semantic
-    violations and then the bandwidth ones, as `Violation`s, and the missed
-    obligations spooled as ints, the step then the task of each, by step
-    and sorted task. They come after the violations in `check`'s output;
-    `io.violation_lines` renders both. `missed` is an array('q') while every
-    task mask fits in 64 bits, else a list of ints.
+    `model` is an EvaluationModel or its blocks, as `walk_model` takes
+    them. One forward walk through the verifier yields its semantic
+    violations and, per step, the present inputs and holding guards; the
+    walk keeps those two masks and the step's tick, on the lcm of the
+    blocks' quanta, and nothing else per step. Once the walk is done the
+    quantum is final, and the `DecisionOracle` is fed every step.
+
+    Returns (violations, missed, ticks, quantum): the semantic violations
+    and then the bandwidth ones, as `Violation`s; the missed obligations
+    spooled as ints, the step then the task of each, by step and sorted
+    task; and every step's tick on `quantum`, which times the misses. They
+    come after the violations in `check`'s output; `io.violation_lines`
+    renders both. `missed` is an array('q') while every task mask fits in
+    64 bits, else a list of ints, and so are the masks kept per step.
     """
     violations: list = []
-    bandwidth: list = []
-    missed = array("q") if schedule.widest < 1 << 63 else []
-    oracle = DecisionOracle(analyzed, schedule, model.quantum)
-    decide = oracle.decide
-    ticks = model.ticks
-    walk = walk_model(analyzed, model, violations, oracle.guards)
+    guards = schedule.distinct_guards
+    present = _masks(len(schedule.inputs))
+    holding = _masks(len(guards))
+    timeline = Timeline()
+    for p, h in walk_model(analyzed,
+                           timeline.follow(model_blocks(analyzed, model)),
+                           violations, guards):
+        present.append(p)
+        holding.append(h)
+
+    q, ticks = timeline.quantum, timeline.ticks
+    missed = _masks(schedule.widest.bit_length())
+    decide = DecisionOracle(analyzed, schedule, q).decide
     nexts = itertools.chain(itertools.islice(ticks, 1, None), (None,))
-    for step, (present, holding), tick, nxt in zip(itertools.count(), walk,
-                                                   ticks, nexts):
-        for task in decide(tick, present, holding, nxt):
-            if task & ~present:
+    for step, tick, nxt, p, h in zip(itertools.count(), ticks, nexts,
+                                     present, holding):
+        for task in decide(tick, p, h, nxt):
+            if task & ~p:
                 missed.extend((step, task))
-        width = present.bit_count()
+        width = p.bit_count()
         if width > bound:
-            bandwidth.append(Violation(
-                "bandwidth", step, model.time_at(step),
+            violations.append(Violation(
+                "bandwidth", step, Fraction(tick, q),
                 f"{width} inputs arrive at once, bound is {bound}"))
-    return violations + bandwidth, missed
+    return violations, missed, ticks, q
+
+
+def _masks(bits: int):
+    """An empty sequence of ints below 2**bits: array('q') for up to 63
+    bits, else a list."""
+    return array("q") if bits < 64 else []

@@ -25,6 +25,6 @@ def missed_violations(missed, model, inputs) -> list:
 
 def check_violations(analyzed, schedule, bound: int, model) -> list:
     """`check_scheduled_model`'s violations, then its misses expanded."""
-    violations, missed = check_scheduled_model(analyzed, schedule, bound,
-                                               model)
+    violations, missed, _, _ = check_scheduled_model(analyzed, schedule,
+                                                     bound, model)
     return violations + missed_violations(missed, model, schedule.inputs)

@@ -14,10 +14,18 @@ The verifier compares each step's recomputed outputs with the recorded
 ones as two tuples, once; only when they differ does it compare each
 output by `values_equal`. Its findings must be those of `values_equal` on
 every output, in the same order.
+
+`check` verifies each block of model.csv as it is read. Its lines and exit
+code must be those of the model read whole and walked as one block, and
+what it holds per step must be a few words.
 """
 
+import contextlib
+import gc
 import json
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -30,7 +38,8 @@ import gen_specs
 from activemon.analysis import analyze
 from activemon.cli import main
 from activemon.engine import ABSENT, values_equal, verify_model, walk_model
-from activemon.io import read_model, violation_lines
+from activemon.errors import SpecSyntaxError
+from activemon.io import BLOCK_ROWS, read_model, violation_lines, write_model
 from activemon.parser import parse_spec
 from activemon.schedule import (DecisionOracle, build_static_schedule,
                                 check_scheduled_model)
@@ -165,7 +174,8 @@ def test_a_value_change_between_equal_keys_is_decided_again(mode):
     assert values[1] < values[2] == values[3]
     assert a not in verdicts[1] and a in verdicts[3]
     assert same_verdicts(analyzed, sched, model) == 3
-    violations, missed = check_scheduled_model(analyzed, sched, 2, model)
+    violations, missed, _, _ = check_scheduled_model(analyzed, sched, 2,
+                                                     model)
     assert violations == [] and (3, a) in zip(*[iter(missed)] * 2)
 
 
@@ -175,10 +185,11 @@ def test_a_value_change_between_equal_keys_is_decided_again(mode):
 def rendered(analyzed, schedule, bound, model) -> tuple:
     """The lines rendered from the spool, and from the spool expanded into
     `Violation`s; and the violations and misses."""
-    violations, missed = check_scheduled_model(analyzed, schedule, bound,
-                                               model)
+    violations, missed, ticks, quantum = check_scheduled_model(
+        analyzed, schedule, bound, model)
     expanded = violations + missed_violations(missed, model, schedule.inputs)
-    return (list(violation_lines(violations, missed, model, schedule.inputs)),
+    return (list(violation_lines(violations, missed, ticks, quantum,
+                                 schedule.inputs)),
             list(violation_lines(expanded)), violations, missed)
 
 
@@ -342,3 +353,148 @@ def test_one_comparison_per_step_finds_what_values_equal_finds(edits, wrong):
              for v in verify_model(analyzed, model)]
     assert found == per_output(analyzed, model, recomputed)
     assert [(step, name) for step, name, _ in found] == wrong
+
+
+# -- one forward pass over model.csv -----------------------------------------
+
+
+STREAMED = """\
+#[priority="high"]
+input a : Float64
+#[priority="medium"]
+input b : (Float64, Float64)
+output x := a
+output y := b.0
+output s |@a| := s.offset(by:-1).defaults(to: 0.0) + a
+"""
+
+
+def _streamed_model(path, blocks) -> list:
+    """A model of STREAMED written to `path`, BLOCK_ROWS rows per block,
+    each block's times a step of its own (1, 1/2, 1/3, ...) so that the
+    quantum grows from block to block; returns the file's lines."""
+    tr = translate(analyze(parse_spec(STREAMED)), "dp")
+    events, t = [], Fraction(0)
+    for block, step in enumerate(blocks):
+        for k in range(BLOCK_ROWS):
+            values = {}
+            if k % 3 != 1:
+                values["a"] = float(k % 7)
+            if k % 3 != 2:
+                values["b"] = (float(block), -float(k))
+            events.append(Event(t, values))
+            t += step
+    write_model(path, run_events(tr.plain, events)[0], tr.plain)
+    return path.read_text().splitlines()
+
+
+def _set_cell(lines, row: int, name: str, cell: str) -> None:
+    """Cell `name` of data row `row` (0 the first) of a model's lines."""
+    at = lines[0].split(",").index(name)
+    cells = lines[row + 1].split(",")
+    cells[at] = cell
+    lines[row + 1] = ",".join(cells)
+
+
+def _in_memory_check(spec, path) -> tuple:
+    """`check`'s stdout and exit code through `read_model`, the model then
+    walked as one block."""
+    tr = translate(analyze(parse_spec(spec.read_text())), "dp")
+    model = read_model(path, tr.plain)
+    violations, missed, ticks, quantum = check_scheduled_model(
+        tr.plain, tr.schedule, 2, model)
+    return ("".join(violation_lines(violations, missed, ticks, quantum,
+                                    tr.schedule.inputs)),
+            1 if violations or missed else 0)
+
+
+def _check(spec, path) -> list:
+    return ["check", str(spec), "--model", str(path), "--mode", "dp",
+            "--bound", "2"]
+
+
+def test_streaming_check_prints_what_the_in_memory_check_prints(
+        tmp_path, capsys):
+    spec = tmp_path / "streamed.lola"
+    spec.write_text(STREAMED)
+    path = tmp_path / "model.csv"
+    lines = _streamed_model(path, (Fraction(1), Fraction(1, 2),
+                                   Fraction(1, 3)))
+    assert [line.split(",")[0] for line in lines[BLOCK_ROWS:BLOCK_ROWS + 3]
+            ] == ["255", "256", "256.5"]
+    last = BLOCK_ROWS + Fraction(BLOCK_ROWS, 2) + Fraction(BLOCK_ROWS - 2, 3)
+    assert lines[-2].startswith(f"{last.numerator}/3,")
+    # the first row of the second block at the time of the last of the first
+    _set_cell(lines, BLOCK_ROWS, "time", "255")
+    # two wrong cells in the last block, one of them read by an offset later
+    _set_cell(lines, 2 * BLOCK_ROWS + 3, "x", "99.0")
+    _set_cell(lines, 3 * BLOCK_ROWS - 9, "s", "-1.0")
+    path.write_text("\n".join(lines) + "\n")
+
+    expected, code = _in_memory_check(spec, path)
+    assert main(_check(spec, path)) == code == 1
+    assert capsys.readouterr().out == expected
+    found = [json.loads(line) for line in expected.splitlines()]
+    semantic = [(v["step"], v.get("stream")) for v in found
+                if v["kind"] == "semantic"]
+    assert semantic[0] == (BLOCK_ROWS, None)  # the time map's, first
+    assert (2 * BLOCK_ROWS + 3, "x") in semantic
+    assert (3 * BLOCK_ROWS - 9, "s") in semantic
+    assert {v["kind"] for v in found} == {"semantic", "schedule"}
+
+
+def test_a_bad_cell_in_the_last_block_exits_2_with_no_line(tmp_path,
+                                                           capsys):
+    spec = tmp_path / "streamed.lola"
+    spec.write_text(STREAMED)
+    path = tmp_path / "model.csv"
+    lines = _streamed_model(path, (Fraction(1), Fraction(1, 2),
+                                   Fraction(1, 3)))
+    _set_cell(lines, 0, "x", "99.0")  # a semantic violation at step 0
+    _set_cell(lines, 3 * BLOCK_ROWS - 2, "y", "nope")
+    path.write_text("\n".join(lines) + "\n")
+    tr = translate(analyze(parse_spec(STREAMED)), "dp")
+    with pytest.raises(SpecSyntaxError) as err:
+        read_model(path, tr.plain)
+    assert main(_check(spec, path)) == 2
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert stderr == f"error: {err.value}\n"
+    column = lines[0].split(",").index("y") + 1
+    assert f":{3 * BLOCK_ROWS}:{column}: bad cell" in stderr
+
+
+def _check_transient(argv) -> int:
+    """The tracemalloc peak of one `check` above the memory it leaves,
+    its stdout written to the null device as it is rendered."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            assert main(argv) == 1
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_check_holds_a_few_words_per_step_beyond_one_block(tmp_path):
+    # what `check` holds per step is its tick, its two masks and its
+    # misses; a check that held the model's columns held hundreds of
+    # bytes per step
+    spec = tmp_path / "streamed.lola"
+    spec.write_text(STREAMED)
+    transient, misses = {}, {}
+    for blocks in (4, 16):
+        path = tmp_path / f"model{blocks}.csv"
+        _streamed_model(path, [Fraction(1, 2)] * blocks)
+        out, _ = _in_memory_check(spec, path)
+        misses[blocks] = out.count('"schedule"')
+        transient[blocks] = _check_transient(_check(spec, path))
+    rows = 12 * BLOCK_ROWS
+    # three arrays of 8-byte ints per step and two per miss, each grown by
+    # at most an eighth
+    need = 8 * (3 * rows + 2 * (misses[16] - misses[4])) * 9 // 8
+    assert transient[16] - transient[4] < need + 4096, (transient, misses)

@@ -19,6 +19,9 @@ from activemon.errors import NonMonotonicTime, SpecSyntaxError
 from activemon.parser import parse_spec
 from activemon.io import (
     BLOCK_ROWS,
+    _block_ticks,
+    _time_cells,
+    _time_parts,
     format_time,
     read_json,
     read_model,
@@ -293,6 +296,73 @@ def test_malformed_model_times_name_line_and_column(tmp_path, cell, message):
     with pytest.raises(SpecSyntaxError) as err:
         read_model(path, analyzed)
     assert str(err.value) == f"{path}:3:1: {message}"
+
+
+# cells that are not unsigned plain decimals, each read by `_time_parts`
+_OTHER_TIMES = ("+1", " 1", "1e3", "1/3", "-0.5", "1e-400", "-12", "5.",
+                ".5", "1_0", "2.5E1", "007.50", "-0")
+_PLAIN_TIME = st.builds(
+    lambda whole, frac: f"{whole}.{frac}" if frac else str(whole),
+    st.integers(0, 10**12), st.text("0123456789", max_size=8))
+_BAD_TIMES = ("nan", "x", "", "1/0", "1e400", "1.2.3", "1,5", "²")
+
+
+def _cell_error(cell: str) -> str:
+    try:
+        _time_parts(cell)
+    except (ValueError, ZeroDivisionError) as err:
+        return f"bad cell: {err}"
+    raise AssertionError(f"{cell!r} is not a bad time cell")
+
+
+@given(rows=st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+       cells=st.lists(_PLAIN_TIME, min_size=BLOCK_ROWS + 1,
+                      max_size=BLOCK_ROWS + 1),
+       others=st.lists(st.tuples(st.integers(0, BLOCK_ROWS),
+                                 st.sampled_from(_OTHER_TIMES)), max_size=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_block_time_parse_is_time_parts_per_cell(rows, cells, others):
+    cells = cells[:rows]
+    for k, cell in others:
+        cells[k % rows] = cell
+    quantum, ticks = _block_ticks(cells)
+    times = [Fraction(*_time_parts(cell)) for cell in cells]
+    assert [Fraction(t, quantum) for t in ticks] == times
+    # the least quantum on which every time is an integer
+    assert quantum == math.lcm(*(t.denominator for t in times))
+
+
+@given(rows=st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+       cells=st.lists(_PLAIN_TIME, min_size=BLOCK_ROWS + 1,
+                      max_size=BLOCK_ROWS + 1),
+       other=st.sampled_from(("",) + _OTHER_TIMES),
+       bad=st.sampled_from(_BAD_TIMES), at=st.integers(0, BLOCK_ROWS),
+       before=st.integers(0, BLOCK_ROWS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_bad_time_cell_is_reported_as_the_cell_parse_reports_it(
+        tmp_path_factory, rows, cells, other, bad, at, before):
+    # one bad cell at a random row, after an optional other form of time
+    cells = cells[:rows]
+    if other:
+        cells[before % rows] = other
+    cells[at % rows] = bad
+    analyzed = analyze(parse_spec(SPEC))
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    path.write_text("time,g,ok,first\n" + "".join(
+        f'"{cell}",,true,\n' for cell in cells))
+    with pytest.raises(SpecSyntaxError) as err:
+        read_model(path, analyzed)
+    assert str(err.value) == f"{path}:{at % rows + 2}:1: {_cell_error(bad)}"
+
+
+@pytest.mark.parametrize("quantum", [1, 2, 4, 5, 8, 10, 16, 125, 1000, 3])
+def test_time_cells_are_format_time_per_tick(quantum):
+    ticks = [*range(-3 * quantum - 2, 3 * quantum + 3), 10**20 + 1,
+             -(10**20) - 1, 2**63 - 1, -(2**63)]
+    times = _time_cells(quantum)
+    expected = [format_time(Fraction(t, quantum)) for t in ticks]
+    assert times(ticks) == expected
+    assert times(ticks[::-1]) == expected[::-1]  # suffixes found before
 
 
 def test_model_pads_short_rows_with_absent(tmp_path):
