@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,7 @@ from .errors import OutOfRange, SpecError
 from .io import (read_json, read_model_blocks, read_text, read_trace,
                  trigger_json, violation_lines, write_json, write_model,
                  write_plan_log, write_triggers)
-from .parser import parse_spec
+from .parser import parse_spec, positive_finite
 from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
 from .sim import (CROSSING_KINDS, TraceSource, compute_metrics,
@@ -37,7 +36,8 @@ def _load(path) -> AnalyzedSpec:
 
 
 def _positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
+    """A JSON number whose float is positive and finite."""
+    return type(value) in (int, float) and positive_finite(value)
 
 
 def _frequency(text: str) -> Fraction:
@@ -47,11 +47,7 @@ def _frequency(text: str) -> Fraction:
         freq = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    try:
-        finite = _positive(float(freq)) and _positive(float(1 / freq))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not (positive_finite(freq) and positive_finite(1 / freq)):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number with a finite period: {text!r}")
     return freq

@@ -20,11 +20,12 @@ it is given.
 
 The monitor keeps time as integer ticks on a quantum fixed per run: a step
 at tick lies at tick / quantum seconds, passed to expressions as that
-correctly rounded float, and a trigger report builds its exact time only
-when the trigger fires. `run_monitor_full` is the one loop that evaluates
-and records a run: the fixed-frequency baseline hands it its events, and
-the closed loop a generator that plans each cycle, with the scheduler's
-`observe`, which takes each row before the next event is drawn.
+correctly rounded float, and a trigger report keeps that tick and quantum
+and builds its exact time only when it is read. `run_monitor_full` is the
+one loop that evaluates and records a run: the fixed-frequency baseline
+hands it its events, and the closed loop a generator that plans each
+cycle, with the scheduler's `observe`, which takes each row before the
+next event is drawn.
 
 `walk_model` walks a finished model forward once through the verifier,
 whose history takes only the model's own rows. It takes the model a block
@@ -94,12 +95,30 @@ def values_equal(a, b) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class TriggerReport:
+class TriggerReport(NamedTuple):
+    """A trigger that fired at a step, which lies at tick / quantum seconds.
+
+    Build one with `at`, which reduces the pair by its gcd, so two reports
+    are equal exactly when their triggers, steps, exact times and messages
+    are. The exact time is built only when `time` is read; `tick /
+    quantum` is its float, correctly rounded, as `float(time)` is.
+    """
+
     trigger: str
     step: int
-    time: Fraction
+    tick: int
+    quantum: int
     message: Optional[str]
+
+    @classmethod
+    def at(cls, trigger: str, step: int, tick: int, quantum: int,
+           message: Optional[str]) -> "TriggerReport":
+        g = math.gcd(tick, quantum)
+        return cls(trigger, step, tick // g, quantum // g, message)
+
+    @property
+    def time(self) -> Fraction:
+        return Fraction(self.tick, self.quantum)
 
 
 @dataclass
@@ -571,7 +590,8 @@ def eval_event(state: MonitorState, tick: int, values: dict):
     `values` maps each present input to its value. Returns (row,
     reports): the row tuple in stream order, the value or ABSENT of every
     stream at this step in the order of `stream_names()`, and the triggers
-    that fired. The state is updated in place.
+    that fired, each a TriggerReport on the step's reduced tick and
+    quantum, so no exact time is built. The state is updated in place.
     """
     if tick <= state.tick:
         q = state.quantum
@@ -579,13 +599,18 @@ def eval_event(state: MonitorState, tick: int, values: dict):
                                f"advance past {Fraction(state.tick, q)}")
     if not values:
         raise ValueError("an event must carry at least one input value")
-    current, fired = state.evaluate(values, tick / state.quantum)
+    quantum = state.quantum
+    current, fired = state.evaluate(values, tick / quantum)
     step = state.step
     state.step = step + 1
     state.tick = tick
     if fired:
-        time = Fraction(tick, state.quantum)
-        fired = [TriggerReport(name, step, time, message)
+        # TriggerReport.at's reduction, once for the step's reports, each
+        # built by _make, which skips the keyword-handling constructor
+        g = math.gcd(tick, quantum)
+        tick //= g
+        quantum //= g
+        fired = [TriggerReport._make((name, step, tick, quantum, message))
                  for name, message in fired]
     return current, fired
 

@@ -36,6 +36,7 @@ import csv
 import json
 import math
 import re
+import sys
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
@@ -541,7 +542,7 @@ def read_model(path, analyzed: AnalyzedSpec) -> EvaluationModel:
 def trigger_json(report: TriggerReport) -> str:
     return json.dumps({
         "trigger": report.trigger,
-        "time": float(report.time),
+        "time": report.tick / report.quantum,
         "message": report.message,
     })
 
@@ -615,12 +616,28 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+# a JSON string, or an integer that is not part of a float
+_JSON_INT = re.compile(
+    r'"(?:[^"\\]|\\.)*"|(?<![0-9.eE+-])-?([0-9]+)(?![.eE0-9])')
+
+
 def read_json(path):
-    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SpecSyntaxError(err.msg, str(path), err.lineno, err.colno) from err
+    """A JSON file's value; a SpecSyntaxError at its line and column when
+    it is not JSON, or holds an integer of more digits than int() reads."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SpecSyntaxError(err.msg, str(path), err.lineno, err.colno) from err
+    except ValueError:
+        # json read every value before the first such integer, so the
+        # strings before it are whole and its digits lie outside them
+        limit = sys.get_int_max_str_digits()
+        at = next((m.start() for m in _JSON_INT.finditer(text)
+                   if m.group(1) and len(m.group(1)) > limit), 0)
+        raise SpecSyntaxError(
+            f"integer has more than {limit} digits", str(path),
+            text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)) from None
 
 
 __all__ = [

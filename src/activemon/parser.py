@@ -250,6 +250,11 @@ class Parser:
             freq = Fraction(body)
         except (ValueError, ZeroDivisionError):
             raise self.error(f"invalid frequency {value!r}", tok)
+        # a frequency that is not positive is GlobalConfig's to reject
+        if freq > 0 and not (positive_finite(freq)
+                             and positive_finite(1 / freq)):
+            raise self.error(f"frequency {value!r} must be a positive finite "
+                             "number with a finite period", tok)
         return freq
 
     def parse_seconds(self, value: str, tok: Token) -> Fraction:
@@ -260,6 +265,13 @@ class Parser:
             raise self.error(f"invalid duration {value!r}", tok)
         if sec <= 0:
             raise self.error(f"duration must be positive, got {value!r}", tok)
+        # a duration finer than float resolution is kept, as it is exact;
+        # one beyond float range has no float to compare or report with
+        try:
+            float(sec)
+        except OverflowError:
+            raise self.error(f"duration {value!r} is beyond float range",
+                             tok) from None
         return sec
 
     def parse_annotation(self) -> Annotation:
@@ -552,9 +564,18 @@ class Parser:
                     f"pacing may only name input streams, not '{tok.text}'", tok)
 
 
+def positive_finite(value) -> bool:
+    """Whether `value`, an int, float or Fraction, has a positive finite
+    float; a value beyond float range has none."""
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 def parse_spec(text: str, filename: str = "<spec>") -> Specification:
     """Parse specification source text into an AST."""
     return Parser(text, filename).parse()
 
 
-__all__ = ["parse_spec", "Parser"]
+__all__ = ["parse_spec", "Parser", "positive_finite"]

@@ -105,6 +105,14 @@ class SchedulerState:
     them: `observe` reads the helpers of the direct tasks inside the event
     last planned, and combines only the joint tasks whose sources are all
     inside it.
+
+    A state holds only what one run changes. The tables that depend only
+    on the translation and the bound (the working tasks, the rows and
+    joints `observe` reads, the static part of each key, the initial keys,
+    order and aging set, and the events by mask) are built by the first
+    state at that bound and cached on the translation, as
+    `translation.scheduler_tables`; later states share them, and copy the
+    initial keys, order and aging set, which a run changes.
     """
 
     def __init__(self, translation: Translation, bound: int):
@@ -115,12 +123,36 @@ class SchedulerState:
         # cycle k runs at tick k * period.numerator on this quantum
         self.quantum = self.period.denominator
         self.bound = bound
-        self.working = [t for t in schedule.ordered if t.bit_count() <= bound]
         self.deadline = schedule.mode == MODE_DEADLINE
         self.values: dict = {}  # Task -> current schedule value, exact
         self.seen: dict = {}  # working Task -> cycle of its last satisfaction
         self.cycle = -1  # the cycle last planned
         self.combine = schedule.restrictive()
+        tables = translation.scheduler_tables.get(bound)
+        if tables is None:
+            tables = translation.scheduler_tables[bound] = self._tables(
+                translation)
+        (self.working, self._rows, self._joint, self._static, keys, order,
+         aging, self._events) = tables
+        # each run re-keys its own copies of the initial rank order
+        self._keys = dict(keys)
+        self.order = list(order)
+        # the tasks whose key carries the age, re-keyed when refreshed
+        self._aging = set(aging)
+        self._moved: set = set()  # tasks to re-key at the next plan
+        self._calendar: dict = {}  # cycle -> tasks that may reach their limit
+        self._event: Optional[tuple] = None  # the last one packed, while valid
+        self.queried: tuple = ()  # the names of the last plan, in query order
+        self._observed: tuple = ((), ())  # what the last plan's event can fire
+
+    def _tables(self, translation: Translation) -> tuple:
+        """What depends only on the translation and the bound, built
+        once per bound and then shared by every run: the working tasks,
+        the rows and joints that `observe` reads, the static part of each
+        rank key, the initial keys, order and aging set, and the table of
+        events by mask, which the runs fill as they pack."""
+        schedule = translation.schedule
+        working = [t for t in schedule.ordered if t.bit_count() <= self.bound]
         direct = frozenset(schedule.direct)
         # per direct task: the column of its schedule stream in the
         # monitor's row, with the map from the stream's payload back to the
@@ -128,45 +160,40 @@ class SchedulerState:
         # last stream with the working tasks it refreshes
         column = {n: i for i, n in
                   enumerate(translation.plain.spec.stream_names())}
-        self._rows = []
+        rows = []
         for task in schedule.direct:
             kinds = translation.names[task]
             exact = {float(e.value) if self.deadline else e.value: e.value
                      for e in schedule.entries[task]}
             last = kinds.get("last")
-            refreshed = frozenset(t for t in self.working if not task & ~t) \
+            refreshed = frozenset(t for t in working if not task & ~t) \
                 if last else frozenset()
-            self._rows.append((task, column.get(kinds.get("schedule")), exact,
-                               column.get(last), refreshed))
+            rows.append((task, column.get(kinds.get("schedule")), exact,
+                         column.get(last), refreshed))
         # each joint task with its sources and the mask of their inputs:
         # its value can change only in a step in which all of them fired
-        joint = {t: schedule.joint(t) for t in self.working}
-        self._joint = [(t, sources, frozenset(sources), reduce(or_, sources))
-                       for t, sources in joint.items()
-                       if sources and t not in direct]
+        joint = {t: schedule.joint(t) for t in working}
+        joints = [(t, sources, frozenset(sources), reduce(or_, sources))
+                  for t, sources in joint.items()
+                  if sources and t not in direct]
         # the static part of each rank key: the task's index in `working`,
         # whether it has regions, whether it is direct, and its staleness
-        # limit in whole cycles (dp mode only)
+        # limit in whole cycles (dp mode only); `_key` reads it
         stale = schedule.mode == MODE_DP
         self._static = {
             task: (i, bool(joint[task]), task in direct,
                    b // self.period if stale
                    and (b := schedule.bound(task)) is not None else None)
-            for i, task in enumerate(self.working)}
-        self._keys = {task: self._key(task) for task in self.working}
-        self.order = sorted(self._keys.values())
-        # the tasks whose key carries the age, re-keyed when refreshed
-        self._aging = {task for task, key in self._keys.items()
-                       if self._ages(key)}
-        self._moved: set = set()  # tasks to re-key at the next plan
-        self._calendar: dict = {}  # cycle -> tasks that may reach their limit
+            for i, task in enumerate(working)}
+        keys = {task: self._key(task) for task in working}
         # mask of queried inputs -> (their names, the tasks they satisfy,
         # the names in query order, the `_rows` of the direct tasks inside
         # and the `_joint` entries whose sources are all inside)
-        self._events: dict = {}
-        self._event: Optional[tuple] = None  # the last one packed, while valid
-        self.queried: tuple = ()  # the names of the last plan, in query order
-        self._observed: tuple = ((), ())  # what the last plan's event can fire
+        events: dict = {}
+        return (working, rows, joints, self._static, keys,
+                sorted(keys.values()),
+                frozenset(t for t, key in keys.items() if self._ages(key)),
+                events)
 
     def _ages(self, key: tuple) -> bool:
         return self.deadline or key[0] in (0, 3)

@@ -171,6 +171,15 @@ def trace_fingerprint(trace: SensorTrace) -> str:
 # synthetic drone flights
 
 
+def _finite(value) -> bool:
+    """Whether a number's float is finite; an int beyond float range has
+    none."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class FlightScenario:
     """Seeded flight profile; every derived quantity is deterministic."""
@@ -186,8 +195,10 @@ class FlightScenario:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name == "seed" and type(value) is int:
+                continue  # random.Random takes any integer
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+                    or not _finite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -385,9 +396,14 @@ def compute_metrics(model: EvaluationModel, input_names, horizon: float,
     for name in input_names:
         column = model.streams.get(name, [])
         counts[name] = len(column) - column.count(ABSENT)
-    grouped = {}
-    for gname, members in (groups or {}).items():
-        grouped[gname] = sum(counts.get(m, 0) for m in members)
+    return _counted(counts, horizon, groups, fingerprint)
+
+
+def _counted(counts: dict, horizon: float, groups: Optional[dict],
+             fingerprint: Optional[str]) -> RunMetrics:
+    """RunMetrics of the values received per input, `counts`."""
+    grouped = {gname: sum(counts.get(m, 0) for m in members)
+               for gname, members in (groups or {}).items()}
     return RunMetrics(horizon, counts, grouped, fingerprint)
 
 
@@ -497,7 +513,9 @@ def compare_runs(runs, ground_truth: dict, window: float = 5.0) -> ComparisonRep
 
     `runs` is a list of (name, trigger_reports, metrics). A detection
     belongs to a ground-truth crossing when it falls within `window`
-    seconds after it; delays are relative to the earliest detector.
+    seconds after it; delays are relative to the earliest detector. A
+    report's time is taken as the float tick / quantum, which is
+    float(report.time) without building the Fraction.
     """
     prints = {m.fingerprint for _, _, m in runs if m.fingerprint is not None}
     if len(prints) > 1:
@@ -505,11 +523,19 @@ def compare_runs(runs, ground_truth: dict, window: float = 5.0) -> ComparisonRep
 
     detections = {}
     for name, reports, _ in runs:
+        # each report's float time, tick / quantum, under its trigger
+        fired: dict = {trigger: [] for trigger in ground_truth}
+        for r in reports:
+            times = fired.get(r.trigger)
+            if times is not None:
+                times.append(r.tick / r.quantum)
         for trigger, crossings in ground_truth.items():
-            times = sorted(float(r.time) for r in reports if r.trigger == trigger)
+            times = sorted(fired[trigger])
             for ci in crossings:
-                hit = next((t for t in times if ci <= t <= ci + window), None)
-                detections[(name, trigger, ci)] = hit
+                # the first detection at or after the crossing, if in window
+                i = bisect_left(times, ci)
+                detections[(name, trigger, ci)] = times[i] if (
+                    i < len(times) and times[i] <= ci + window) else None
 
     rows = []
     for trigger, crossings in ground_truth.items():
@@ -549,7 +575,13 @@ class ExperimentResult:
 
 def run_experiment(config: dict, analyzed: AnalyzedSpec,
                    translation) -> ExperimentResult:
-    """Run the scheduled monitor and every baseline over each scenario."""
+    """Run the scheduled monitor and every baseline over each scenario.
+
+    The scheduled runs of all scenarios share `translation`, and so the
+    scheduler's tables cached on it. A baseline's bandwidth is its step
+    count per input, since `run_fixed` reads every input at every event;
+    only the scheduled run's model is scanned by `compute_metrics`.
+    """
     from .scheduler import run_scheduled  # deferred: scheduler stays sim-free
 
     mode = translation.schedule.mode
@@ -573,12 +605,13 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
                  for trigger, kind in kinds.items()}
 
         sched = run_scheduled(translation, TraceSource(trace), horizon, bound)
-        named = [(f"scheduled_{mode}", sched)] + [
-            (f"fixed_{float(f):g}hz", run_fixed(analyzed, trace, f, horizon))
-            for f in baselines]
-        runs = [(name, run.triggers, compute_metrics(
-                    run.model, inputs, float(horizon), groups, fingerprint))
-                for name, run in named]
+        runs = [(f"scheduled_{mode}", sched.triggers, compute_metrics(
+            sched.model, inputs, float(horizon), groups, fingerprint))]
+        for f in baselines:
+            base = run_fixed(analyzed, trace, f, horizon)
+            counts = dict.fromkeys(inputs, len(base.model))
+            runs.append((f"fixed_{float(f):g}hz", base.triggers, _counted(
+                counts, float(horizon), groups, fingerprint)))
 
         report = compare_runs(runs, truth, window)
         for name, _, m in runs:

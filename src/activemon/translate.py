@@ -16,6 +16,7 @@ restricted to the original streams is a model of the input spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -57,6 +58,13 @@ class Translation:
     schedule: StaticSchedule
     names: dict  # Task -> {"schedule"|"last"|"overdue": stream name}
     task_table: dict
+
+    @cached_property
+    def scheduler_tables(self) -> dict:
+        """Bound -> the scheduler's tables that depend only on this
+        translation and the bound, built by the first `SchedulerState` at
+        that bound and shared by every later one."""
+        return {}
 
 
 def _fresh(base: str, used: set) -> str:

@@ -196,9 +196,10 @@ def triggers_from_model(analyzed, model: EvaluationModel) -> list:
     through `ModelReader`, at the model's exact times."""
     reader = ModelReader(model)
     reports: list[TriggerReport] = []
-    for t, time in enumerate(model.times):
+    for t, (time, tick) in enumerate(zip(model.times, model.ticks)):
         read, offset_read = reader.at_step(t)
         for name, trig in zip(analyzed.trigger_names, analyzed.spec.triggers):
             if eval_expr(trig.expr, read, offset_read, float(time)) is True:
-                reports.append(TriggerReport(name, t, time, trig.message))
+                reports.append(TriggerReport.at(name, t, tick, model.quantum,
+                                                trig.message))
     return reports

@@ -818,3 +818,107 @@ def test_module_entry_point_smoke(spec_dir):
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stdout == GOLDEN_PRIORITY + "\n"
+
+
+# ---------------------------------------------------------------------------
+# numbers beyond float range in specs and JSON inputs
+
+SPEC_COMMANDS = [["translate"], ["run", "--trace", "trace.csv"],
+                 ["check", "--model", "model.csv"]]
+
+
+@pytest.mark.parametrize("text, message", [
+    # the period of 1e-310 Hz, and the frequency 1e400 Hz, have no float
+    ('#![frequency="1e-310Hz"]\n', "1:4: frequency '1e-310Hz' must be a "
+     "positive finite number with a finite period"),
+    ('#![frequency="1e400Hz"]\n', "1:4: frequency '1e400Hz' must be a "
+     "positive finite number with a finite period"),
+    ('#![deadline="1e400s"]\n', "1:4: duration '1e400s' is beyond float range"),
+    ('#[deadline="1e400s"]\n', "3:3: duration '1e400s' is beyond float range"),
+])
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_a_spec_quantity_beyond_float_range_is_a_usage_error(
+        tmp_path, capsys, text, message, command):
+    spec = tmp_path / "far.lola"
+    if text.startswith("#!"):
+        spec.write_text(text + "input a : Float64\noutput b := a\n",
+                        encoding="utf-8")
+    else:  # the annotation of b, on line 3
+        spec.write_text("#![bound=\"1\"]\ninput a : Float64\n" + text
+                        + "output b := a\n", encoding="utf-8")
+    err = _usage_error([command[0], str(spec), *command[1:]], capsys)
+    assert err.startswith(f"error: {spec}:{message}\n")
+
+
+def test_a_duration_finer_than_float_resolution_is_kept(tmp_path, capsys):
+    spec = tmp_path / "fine.lola"
+    spec.write_text('#![deadline="1e-400s"]\ninput a : Float64\n'
+                    '#[priority="high"]\noutput b := a\n', encoding="utf-8")
+    assert main(["translate", str(spec)]) == 0
+    assert _load(spec).config.default_deadline == Fraction(1, 10**400)
+
+
+HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon", HUGE_INT), ("window", HUGE_INT), ("baselines", [1, HUGE_INT]),
+])
+def test_a_compare_config_number_beyond_float_range_is_a_usage_error(
+        tmp_path, capsys, key, value):
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                  "scenarios": [{"seed": 1}], key: value}))
+    err = _usage_error(["compare", "--config", str(config),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert err.startswith(f'error: {config}: "{key}" must be ')
+    assert not (tmp_path / "out").exists()
+
+
+def _scenario_argv(spec_dir, tmp_path, command, scenario) -> list:
+    """`run --scenario` or `compare` over one short scenario."""
+    if command == "run":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        return ["run", str(spec_dir / "drone_experiment.lola"),
+                "--scenario", str(path), "--horizon", "5"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                "horizon": 5, "scenarios": [scenario]}))
+    return ["compare", "--config", str(path),
+            "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("key", ["duration", "geofence_radius",
+                                 "altitude_ceiling", "start_lat",
+                                 "start_long", "ground_altitude"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_scenario_number_beyond_float_range_is_a_usage_error(
+        spec_dir, tmp_path, capsys, key, command):
+    scenario = {"seed": 1, "duration": 5.0, key: HUGE_INT}
+    err = _usage_error(_scenario_argv(spec_dir, tmp_path, command, scenario),
+                       capsys)
+    assert err.startswith(f"error: invalid scenario: {key} must be a finite "
+                          "number, got 1000")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_any_integer_seed_is_accepted(spec_dir, tmp_path, capsys, command):
+    # random.Random takes an integer of any size
+    scenario = {"seed": HUGE_INT, "duration": 5.0}
+    assert main(_scenario_argv(spec_dir, tmp_path, command, scenario)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_json_integer_beyond_the_digit_limit_is_a_usage_error(
+        spec_dir, tmp_path, capsys, command):
+    argv = _scenario_argv(spec_dir, tmp_path, command, {"seed": 1})
+    path = Path(argv[argv.index("--scenario" if command == "run"
+                                else "--config") + 1])
+    # a long digit run inside a string, and a long float, come first
+    path.write_text('{"note": "' + "7" * 5001 + '", "x": 1.' + "7" * 5001
+                    + ',\n  "seed": ' + "9" * 5001 + "}")
+    err = _usage_error(argv, capsys)
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {path}:2:11: integer has more than {limit} digits\n"

@@ -37,6 +37,7 @@ from activemon.engine import (
     ABSENT,
     EvaluationModel,
     MonitorState,
+    TriggerReport,
     compile_verifier,
     eval_event,
     values_equal,
@@ -59,7 +60,7 @@ EDGE_VALUES = (0, 3, -7, 2, 2.5, -4.0, 0.0, -0.0, math.nan, math.inf,
 
 
 def reference_run(analyzed, events):
-    """Columns and trigger tuples computed with the reference evaluator.
+    """Columns and trigger reports computed with the reference evaluator.
 
     Offsets read the k-th previous non-absent cell of the columns built so
     far, independently of the monitor's bounded history.
@@ -83,14 +84,12 @@ def reference_run(analyzed, events):
                 spec.output_decl(name), present, read, offset_read, now)
         for name, trig in zip(analyzed.trigger_names, spec.triggers):
             if reference_eval.eval_expr(trig.expr, read, offset_read, now) is True:
-                fired.append((name, step, event.time, trig.message))
+                fired.append(TriggerReport.at(
+                    name, step, event.time.numerator, event.time.denominator,
+                    trig.message))
         for name in names:
             columns[name].append(current[name])
     return columns, fired
-
-
-def _as_tuples(reports):
-    return [(r.trigger, r.step, r.time, r.message) for r in reports]
 
 
 def _generated(seed, annotate, off_grid=False):
@@ -113,8 +112,8 @@ def test_compiled_paths_match_the_reference(seed, annotate):
         for name, column in columns.items():
             assert all(values_equal(a, b)
                        for a, b in zip(model.streams[name], column, strict=True)), name
-        assert _as_tuples(reports) == fired
-        assert _as_tuples(triggers_from_model(spec, model)) == fired
+        assert reports == fired
+        assert triggers_from_model(spec, model) == fired
         reference = model_at([e.time for e in events], columns)
         assert verify_model(spec, reference) == []
 
@@ -242,7 +241,7 @@ def _assert_matches_reference(analyzed, events):
     for name, column in columns.items():
         assert all(values_equal(a, b)
                    for a, b in zip(model.streams[name], column, strict=True)), name
-    assert _as_tuples(reports) == fired
+    assert reports == fired
     assert verify_model(analyzed, model) == []
     return model
 
@@ -466,8 +465,7 @@ def test_stream_names_cannot_capture_generated_names(seed):
     events = _events(Random(seed), analyzed, 40)
     _assert_matches_reference(analyzed, events)
     model, reports = run_events(analyzed, events)
-    assert _as_tuples(triggers_from_model(analyzed, model)) == \
-        _as_tuples(reports)
+    assert triggers_from_model(analyzed, model) == reports
     # stream names occur only as string literals, in the monitor (which
     # names only the inputs it reads, its row being a tuple) and in the
     # verifier, here deciding the spec's when conditions as guards

@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from activemon.analysis import analyze
-from activemon.engine import (ABSENT, MonitorState, eval_event,
+from activemon.engine import (ABSENT, MonitorState, TriggerReport, eval_event,
                               run_monitor_full, values_equal, verify_model)
 from activemon.parser import parse_spec
 from events import Event, run_events
@@ -247,3 +249,67 @@ def test_an_event_only_evaluates_observes_and_records():
         sys.setprofile(None)
     assert len(model) == 100
     assert called == {"events", "eval_event", "observe", "append", "extend"}
+
+
+# ---------------------------------------------------------------------------
+# trigger reports
+
+# ticks and quanta up to and beyond 64 bits, and pairs with a common factor
+TICKS = st.one_of(st.integers(-2**70, 2**70), st.integers(-10**400, 10**400))
+QUANTA = st.one_of(st.integers(1, 2**70), st.integers(1, 10**400))
+FACTORS = st.sampled_from([1, 2, 6, 10**3, 2**64, 3**50])
+REPORTS = st.builds(
+    lambda trigger, step, tick, quantum, factor, message: (
+        trigger, step, tick * factor, quantum * factor, message),
+    st.sampled_from(["t", "u"]), st.integers(0, 3), TICKS, QUANTA, FACTORS,
+    st.sampled_from([None, "m"]))
+
+
+def _float_or_overflow(f):
+    try:
+        return f()
+    except OverflowError:
+        return OverflowError
+
+
+@given(REPORTS)
+@example(("t", 0, 6, 4, None))
+@example(("t", 0, 10**400, 3, None))
+@example(("t", 0, 1, 10**400, None))
+@example(("t", 0, -(2**64) * 3, 2**64, "m"))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_a_report_keeps_its_exact_time_and_float(fields):
+    trigger, step, tick, quantum, message = fields
+    report = TriggerReport.at(trigger, step, tick, quantum, message)
+    exact = Fraction(tick, quantum)
+    assert report.time == exact
+    assert (report.tick, report.quantum) == (exact.numerator,
+                                             exact.denominator)
+    assert _float_or_overflow(lambda: report.tick / report.quantum) == \
+        _float_or_overflow(lambda: float(exact))
+
+
+@given(REPORTS, REPORTS, st.tuples(*[st.booleans()] * 4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_reports_are_equal_exactly_when_what_they_report_is(a, b, keep):
+    # b takes a's trigger, step, time (on another multiple of a's pair) and
+    # message where `keep` says so
+    b = (a[0] if keep[0] else b[0], a[1] if keep[1] else b[1],
+         *((a[2] * 7, a[3] * 7) if keep[2] else b[2:4]),
+         a[4] if keep[3] else b[4])
+    x, y = TriggerReport.at(*a), TriggerReport.at(*b)
+    same = (a[0], a[1], Fraction(a[2], a[3]), a[4]) == \
+        (b[0], b[1], Fraction(b[2], b[3]), b[4])
+    assert (x == y) is same
+    assert (hash(x) == hash(y)) or not same
+
+
+@pytest.mark.parametrize("quantum", [1, 6, 2**64 * 3])
+def test_eval_event_reports_equal_reports_built_at_their_time(quantum):
+    analyzed = analyze(parse_spec(
+        "input a : Float64\noutput high := a > 1.0\ntrigger high \"high\"\n"))
+    state = MonitorState(analyzed, quantum)
+    for step, tick in enumerate(sorted({0, 2, 3, quantum + 3, 4 * quantum})):
+        _, fired = eval_event(state, tick, {"a": 2.0})
+        assert fired == [TriggerReport.at("high", step, tick, quantum, "high")]
+        assert fired[0].time == Fraction(tick, quantum)

@@ -1,6 +1,8 @@
 """Bandwidth packing, precondition reports, and closed-loop scheduling runs."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from random import Random
 from unittest import mock
@@ -657,6 +659,67 @@ def test_kept_order_equals_a_full_resort_on_a_drone_flight(drone_text, mode):
     for bound in (1, 2, 3):
         run, stale = _run_checking_order(tr, TraceSource(trace), 60, bound)
         assert stale > 0 or mode == "priority"
+
+
+def _assert_same_run(a, b):
+    assert a.plans == b.plans
+    assert (a.model.ticks, a.model.quantum) == (b.model.ticks, b.model.quantum)
+    assert all(values_equal(x, y) for name, column in a.model.streams.items()
+               for x, y in zip(column, b.model.streams[name], strict=True))
+    assert a.triggers == b.triggers
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_a_run_plans_alike_on_a_shared_and_a_fresh_translation(seed, mode,
+                                                               tight):
+    # the scheduler's tables are cached on the translation per bound; a run
+    # after three others on different traces plans as one on a translation
+    # that has served no run
+    rng = Random(seed)
+    text, bound, horizon, trace = gen_specs.gen_instance(
+        rng, mode, (1, 4) if tight else (9, 20))
+    shared = _translated(text, mode)
+    inputs = shared.analyzed.spec.input_names()
+    for b in range(1, bound + 1):
+        for _ in range(3):
+            other = gen_specs.gen_source_trace(rng, inputs, horizon)
+            run_scheduled(shared, TraceSource(other), horizon, b)
+        _assert_same_run(
+            run_scheduled(shared, TraceSource(trace), horizon, b),
+            run_scheduled(_translated(text, mode), TraceSource(trace),
+                          horizon, b))
+
+
+@pytest.mark.parametrize("mode", ["dp", "priority"])
+def test_a_drone_run_plans_alike_on_a_shared_and_a_fresh_translation(
+        drone_text, mode):
+    shared = _translated(drone_text, mode)
+    flights = [generate_flight(FlightScenario(seed=s)) for s in (3, 5, 7, 9)]
+    for trace in flights[:3]:
+        run_scheduled(shared, TraceSource(trace), 60, 2)
+    _assert_same_run(
+        run_scheduled(shared, TraceSource(flights[3]), 60, 2),
+        run_scheduled(_translated(drone_text, mode),
+                      TraceSource(flights[3]), 60, 2))
+    # the runs shared the static tables, each re-keying its own copies
+    a, b = SchedulerState(shared, 2), SchedulerState(shared, 2)
+    assert a._static is b._static and a._events is b._events
+    assert a.order == b.order and a.order is not b.order
+    assert a._keys is not b._keys and a._aging is not b._aging
+
+
+def test_a_translation_dies_after_its_runs(drone_text):
+    # the tables live on the translation: no cache outside it keeps it alive
+    tr = _translated(drone_text, "dp")
+    trace = generate_flight(FlightScenario(seed=3, duration=10.0))
+    runs = [run_scheduled(tr, TraceSource(trace), 10, b) for b in (1, 2, 2)]
+    assert set(tr.scheduler_tables) == {1, 2}
+    dead = weakref.ref(tr)
+    del tr, runs
+    gc.collect()
+    assert dead() is None
 
 
 # at 2 Hz a 0.3 s staleness bound is 0 whole cycles: x is overdue again at

@@ -619,6 +619,55 @@ def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
             sum(b["per_sensor"][sensor] for b in per_scenario) / 2)
 
 
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+       freqs=st.lists(st.sampled_from([0.5, 0.7, 1, 2.5, 3, 8]), min_size=1,
+                      max_size=3, unique=True),
+       duration=st.sampled_from([3.0, 12.5, 30.0]))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_experiment_baseline_counts_equal_metrics_over_their_models(
+        drone_text, seeds, freqs, duration):
+    # run_experiment counts a baseline's steps per input instead of
+    # scanning its model: each baseline's bandwidth equals compute_metrics
+    # over the model of the same run_fixed run
+    analyzed = analyze(parse_spec(drone_text))
+    groups = {"safety": ["gps_lat_long", "gps_altitude"],
+              "all": list(analyzed.spec.input_names())}
+    config = {"bound": 2, "horizon": duration, "baselines": freqs,
+              "groups": groups,
+              "scenarios": [{"seed": s, "duration": duration} for s in seeds]}
+    result = run_experiment(config, analyzed, translate(analyzed, "dp"))
+    for r in result.results:
+        trace = generate_flight(r.scenario)
+        for f in freqs:
+            model = run_fixed(analyzed, trace, f, duration).model
+            expected = compute_metrics(model, analyzed.spec.input_names(),
+                                       duration, groups)
+            name = f"fixed_{float(f):g}hz"
+            assert r.report.summary[name]["bandwidth"] == expected.as_json()
+
+
+@pytest.mark.parametrize("freq", [0.7, 1, 3, Fraction(7, 3)])
+def test_a_baseline_over_sparse_columns_reads_every_input_at_every_event(
+        tmp_path, freq):
+    # zero-order hold fills the gaps of a sparse column, so each input's
+    # count is the step count that run_experiment takes for it
+    spec = analyze(parse_spec("input a : Float64\ninput b : Float64\n"
+                              "input c : Float64\noutput o := a + b + c\n"))
+    rows = ["time,a,b,c"]
+    for k in range(31):
+        cells = [f"{k}.5" if k % m == 0 or k == 30 else ""
+                 for m in (1, 4, 7)]
+        rows.append(f"{k}/3," + ",".join(cells))
+    path = tmp_path / "sparse.csv"
+    path.write_text("\n".join(rows) + "\n")
+    trace = read_trace(path, spec)
+    assert len(trace.ticks["c"]) < len(trace.ticks["b"]) < len(trace.ticks["a"])
+    base = run_fixed(spec, trace, freq)
+    counts = compute_metrics(base.model, ("a", "b", "c"), 10.0).counts
+    assert len(base.model) >= 7
+    assert counts == dict.fromkeys(("a", "b", "c"), len(base.model))
+
+
 def test_fixed_baseline_queries_every_sensor(drone_text):
     analyzed = analyze(parse_spec(drone_text))
     trace = generate_flight(FlightScenario(seed=137))
@@ -796,7 +845,8 @@ def test_fixed_baseline_rejects_bad_frequency():
 
 
 def _report(trigger, time):
-    return TriggerReport(trigger, 0, Fraction(str(time)), None)
+    time = Fraction(str(time))
+    return TriggerReport.at(trigger, 0, time.numerator, time.denominator, None)
 
 
 def _metrics(fingerprint):
