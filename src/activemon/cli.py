@@ -23,8 +23,8 @@ from .io import (read_json, read_model_blocks, read_text, read_trace,
 from .parser import parse_spec, positive_finite
 from .schedule import MODES, check_scheduled_model
 from .scheduler import run_scheduled
-from .sim import (CROSSING_KINDS, TraceSource, compute_metrics,
-                  generate_flight, run_experiment, run_fixed,
+from .sim import (CROSSING_KINDS, TraceSource, baseline_name,
+                  compute_metrics, generate_flight, run_experiment, run_fixed,
                   scenario_from_json, trace_fingerprint)
 from .translate import translate
 
@@ -197,6 +197,13 @@ def _read_config(config_path: Path) -> tuple:
         if key in config and not ok(config[key]):
             raise SpecError(f"{config_path}: \"{key}\" must be {what}, "
                             f"got {config[key]!r}")
+    named: dict = {}  # run name -> the first baselines entry that gives it
+    for freq in config.get("baselines", ()):
+        name = baseline_name(freq)
+        if name in named:
+            raise SpecError(f"{config_path}: \"baselines\" entries "
+                            f"{named[name]!r} and {freq!r} both run as {name}")
+        named[name] = freq
     return config, spec_path
 
 

@@ -427,13 +427,25 @@ class BaselineRun:
     triggers: list
 
 
+def baseline_events(freq: Fraction, horizon) -> int:
+    """The count of a baseline's events k / freq < horizon."""
+    return math.ceil(Fraction(horizon) * freq)
+
+
 def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
-              horizon: Optional[float] = None) -> BaselineRun:
+              horizon: Optional[float] = None,
+              through: float = math.inf) -> BaselineRun:
     """Read every sensor each 1/freq seconds and feed the monitor.
 
     Events run up to `horizon` (exclusive), by default `trace.through` the
     last time that every sampled input covers, as a scheduled run's cycles
     do; more than MAX_STEPS of them raise TooManySteps before the first.
+    Only the events whose float time tick / quantum is at most `through`
+    run, unless a read of a later one would fail: then all of them run, so
+    the error is the one the first failing event raises. Since a read
+    succeeds over one interval of time, reading the first skipped event
+    and the last tells. The monitor is causal and its evaluation total, so
+    the events that run report what they would in a full run.
     """
     freq = Fraction(str(freq)) if isinstance(freq, float) else Fraction(freq)
     if freq <= 0:
@@ -442,15 +454,22 @@ def run_fixed(analyzed: AnalyzedSpec, trace: SensorTrace, freq,
     inputs = analyzed.spec.input_names()
     if horizon is None:
         horizon = trace.through(period, inputs)
-    count = math.ceil(Fraction(horizon) * freq)  # events k * period < horizon
+    count = baseline_events(freq, horizon)
     check_steps(count, f"a {float(freq)} Hz baseline")
 
     # event k runs at tick k * period.numerator on the quantum
     # period.denominator and reads every input in declaration order
     num, den = period.numerator, period.denominator
     read = TraceSource(trace).read
+    cut = bisect_right(range(count), through, key=lambda k: k * num / den)
+    if cut < count:
+        try:
+            read(inputs, cut * num, den)
+            read(inputs, (count - 1) * num, den)
+        except (OutOfRange, SensorUnavailable):
+            cut = count
     events = ((tick, read(inputs, tick, den))
-              for tick in range(0, count * num, num))
+              for tick in range(0, cut * num, num))
     return BaselineRun(*run_monitor_full(analyzed, events, den))
 
 
@@ -573,14 +592,24 @@ class ExperimentResult:
         return _csv_lines(self.rows, ("seed",) + _COLUMNS)
 
 
+def baseline_name(freq) -> str:
+    """The run name of the baseline at `freq` Hz."""
+    return f"fixed_{float(freq):g}hz"
+
+
 def run_experiment(config: dict, analyzed: AnalyzedSpec,
                    translation) -> ExperimentResult:
     """Run the scheduled monitor and every baseline over each scenario.
 
     The scheduled runs of all scenarios share `translation`, and so the
-    scheduler's tables cached on it. A baseline's bandwidth is its step
-    count per input, since `run_fixed` reads every input at every event;
-    only the scheduled run's model is scanned by `compute_metrics`.
+    scheduler's tables cached on it. A baseline runs only through the last
+    detection window of its scenario, the largest crossing + window that
+    `compare_runs` tests, since no later report can be a detection; with
+    no crossing it runs no event. `run_fixed` still checks the step cap on
+    the whole horizon and runs in full when a later read would fail. A
+    baseline's bandwidth is its step count per input over the whole
+    horizon (`baseline_events`), since it reads every input at every
+    event; only the scheduled run's model is scanned by `compute_metrics`.
     """
     from .scheduler import run_scheduled  # deferred: scheduler stays sim-free
 
@@ -603,14 +632,16 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
         crossings = flight_crossings(scenario)
         truth = {trigger: crossings.get(kind, [])
                  for trigger, kind in kinds.items()}
+        last_window = max((ci + window for cs in truth.values() for ci in cs),
+                          default=-math.inf)
 
         sched = run_scheduled(translation, TraceSource(trace), horizon, bound)
         runs = [(f"scheduled_{mode}", sched.triggers, compute_metrics(
             sched.model, inputs, float(horizon), groups, fingerprint))]
         for f in baselines:
-            base = run_fixed(analyzed, trace, f, horizon)
-            counts = dict.fromkeys(inputs, len(base.model))
-            runs.append((f"fixed_{float(f):g}hz", base.triggers, _counted(
+            base = run_fixed(analyzed, trace, f, horizon, last_window)
+            counts = dict.fromkeys(inputs, baseline_events(f, horizon))
+            runs.append((baseline_name(f), base.triggers, _counted(
                 counts, float(horizon), groups, fingerprint)))
 
         report = compare_runs(runs, truth, window)
@@ -629,7 +660,8 @@ def run_experiment(config: dict, analyzed: AnalyzedSpec,
 __all__ = [
     "BaselineRun", "CROSSING_KINDS", "ComparisonReport", "ExperimentResult",
     "FlightScenario", "GRID_HZ", "RunMetrics", "ScenarioResult",
-    "SensorTrace", "TraceSource", "compare_runs", "compute_metrics",
+    "SensorTrace", "TraceSource", "baseline_events", "baseline_name",
+    "compare_runs", "compute_metrics",
     "flight_crossings", "generate_flight", "pool_metrics", "run_experiment",
     "run_fixed", "scenario_from_json", "summarize", "tick_array",
     "trace_fingerprint",

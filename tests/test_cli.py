@@ -723,6 +723,24 @@ def test_invalid_compare_config_field_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("baselines, first, second", [
+    ([1.0, 1], "1.0", "1"), ([1, 1], "1", "1"),
+    ([2, 1.000001, 4, 1.000002], "1.000001", "1.000002"),
+])
+def test_baselines_that_share_a_run_name_are_a_usage_error(
+        tmp_path, capsys, baselines, first, second):
+    # both would report as fixed_1hz, pooled into one doubled summary entry
+    config = tmp_path / "twice.json"
+    config.write_text(json.dumps({"spec": "drone_experiment.lola",
+                                  "scenarios": [{"seed": 101}],
+                                  "baselines": baselines}))
+    err = _usage_error(["compare", "--config", str(config),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert err == (f'error: {config}: "baselines" entries {first} and '
+                   f"{second} both run as fixed_1hz\n")
+    assert not (tmp_path / "out").exists()
+
+
 BUNDLED_GROUPS = {"safety": ["gps_lat_long", "gps_altitude"],
                   "experiment": ["barometer_pressure", "barometer_altitude"]}
 BUNDLED_KINDS = {"scheduled_geofence": "geofence",

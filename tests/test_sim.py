@@ -554,7 +554,7 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
     # row of every scheduled and fixed-frequency run, SchedulerState.plan
     # once per cycle and sim.trace_fingerprint once per scenario; the
     # scheduled loop calls TraceSource.read once per cycle that queries
-    # anything, a baseline once per event, and neither calls
+    # anything, a baseline once per event it runs, and neither calls
     # TraceSource.query over a whole flight
     analyzed = analyze(parse_spec(drone_text))
     calls = Counter()
@@ -589,16 +589,24 @@ def test_every_model_row_is_one_eval_event_call(drone_text, monkeypatch):
                      "read": sum(1 for p in run.plans if p.flat)}
     assert 0 < len(run.model) <= len(run.plans) == 120
     calls.clear()
-    config = {"bound": 2, "horizon": 30.0, "baselines": [1.0, 4.0],
+    config = {"bound": 2, "horizon": 30.0, "window": 5.0,
+              "baselines": [1.0, 4.0],
+              "trigger_kinds": {"scheduled_geofence": "geofence"},
               "scenarios": [{"seed": 101}, {"seed": 137}]}
     result = run_experiment(config, analyzed, translate(analyzed, "dp"))
     scheduled = [r.scheduled_run for r in result.results]
     assert sum(len(r.plans) for r in scheduled) == 2 * 60
-    fixed = 2 * (30 + 120)
+    # each baseline runs its events through the last detection window,
+    # crossing + window, and reads its first skipped event and its last
+    fixed = sum(sum(1 for k in range(30 * f)
+                    if k / f <= r.crossings["geofence"][0] + 5.0)
+                for r in result.results for f in (1, 4))
+    assert fixed == 28 + 111 + 28 + 112 < 2 * (30 + 120)
     assert calls == {
         "eval_event": sum(len(r.model) for r in scheduled) + fixed,
         "plan": 2 * 60, "trace_fingerprint": 2,
-        "read": sum(1 for r in scheduled for p in r.plans if p.flat) + fixed}
+        "read": sum(1 for r in scheduled for p in r.plans if p.flat)
+        + fixed + 2 * 2 * 2}
 
 
 def test_experiment_summary_pools_bandwidth_over_scenarios(drone_text):
@@ -644,6 +652,124 @@ def test_experiment_baseline_counts_equal_metrics_over_their_models(
                                        duration, groups)
             name = f"fixed_{float(f):g}hz"
             assert r.report.summary[name]["bandwidth"] == expected.as_json()
+
+
+def _full_experiment(config: dict, analyzed, translation) -> tuple:
+    """(rows, summary) of run_experiment with every baseline run over the
+    whole horizon and its bandwidth counted over its model."""
+    horizon = Fraction(str(config["horizon"]))
+    window = float(config["window"])
+    kinds = config.get("trigger_kinds") or {}
+    inputs = analyzed.spec.input_names()
+    rows, metrics, scenarios = [], {}, []
+    for entry in config["scenarios"]:
+        scenario = FlightScenario(**entry)
+        trace = generate_flight(scenario)
+        fingerprint = trace_fingerprint(trace)
+        crossings = flight_crossings(scenario)
+        sched = scheduler.run_scheduled(translation, TraceSource(trace),
+                                        horizon, config["bound"])
+        runs = [(f"scheduled_{translation.schedule.mode}", sched.triggers,
+                 compute_metrics(sched.model, inputs, float(horizon), None,
+                                 fingerprint))]
+        for f in config["baselines"]:
+            base = run_fixed(analyzed, trace, Fraction(str(f)), horizon)
+            runs.append((f"fixed_{float(Fraction(str(f))):g}hz",
+                         base.triggers,
+                         compute_metrics(base.model, inputs, float(horizon),
+                                         None, fingerprint)))
+        report = compare_runs(
+            runs, {t: crossings[k] for t, k in kinds.items()}, window)
+        for name, _, m in runs:
+            metrics.setdefault(name, []).append(m)
+        rows += [dict(row, seed=scenario.seed) for row in report.rows]
+        scenarios.append({"seed": scenario.seed, **crossings})
+    return rows, {"window": window, "monitors": sim.summarize(rows, metrics),
+                  "scenarios": scenarios}
+
+
+def _outcome(run, *args):
+    """What `run(*args)` gives: ("ok", its result), or ("error", the
+    exception's type and message)."""
+    try:
+        return "ok", run(*args)
+    except Exception as err:  # any error, to be matched by type and text
+        return "error", (type(err), str(err))
+
+
+_TRIGGER_KINDS = st.sampled_from([
+    {"scheduled_geofence": "geofence", "scheduled_altitude_bound": "altitude"},
+    {"scheduled_geofence": "geofence"},
+    {"scheduled_altitude_bound": "altitude"},
+    {"scheduled_geofence": "altitude", "scheduled_altitude_bound": "geofence"},
+    {}])
+
+
+@given(horizon=st.one_of(st.just(60.0),
+                        st.integers(20, 180).map(lambda h: h / 2)),
+       # each flight's seed and its duration's excess over the horizon
+       flights=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.one_of(
+           st.just(0.0), st.integers(-300, 300).map(lambda d: d / 10))),
+           min_size=1, max_size=2),
+       window=st.one_of(st.sampled_from([5.0, 0.01, 100.0]),
+                        st.floats(0.001, 60.0)),
+       freqs=st.lists(st.sampled_from([0.3, 0.5, 0.7, 1, 1.5, 2, 3, 8]),
+                      min_size=1, max_size=3, unique=True),
+       kinds=_TRIGGER_KINDS)
+@example(horizon=60.0, flights=[(5, -0.4)], window=5.0, freqs=[1, 4],
+         kinds={})
+@example(horizon=60.0, flights=[(5, 0.0)], window=5.0, freqs=[0.7, 3],
+         kinds={"scheduled_geofence": "geofence",
+                "scheduled_altitude_bound": "altitude"})
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_experiment_through_the_last_window_equals_full_baseline_runs(
+        drone_text, horizon, flights, window, freqs, kinds):
+    # baselines cut after the last detection window give the rows and the
+    # summary of baselines run over the whole horizon, or the same error
+    analyzed = analyze(parse_spec(drone_text))
+    translation = translate(analyzed, "dp")
+    scenarios = [{"seed": seed, "duration": max(horizon + excess, 10.0)}
+                 for seed, excess in flights]
+    config = {"bound": 2, "horizon": horizon, "window": window,
+              "baselines": freqs, "trigger_kinds": kinds,
+              "scenarios": scenarios}
+
+    def experiment(config, analyzed, translation):
+        result = run_experiment(config, analyzed, translation)
+        return result.rows, result.summary
+
+    assert _outcome(experiment, config, analyzed, translation) == _outcome(
+        _full_experiment, config, analyzed, translation)
+
+
+@pytest.mark.parametrize("freq", [1, 0.7, 3])
+def test_a_detection_at_the_end_of_the_last_window_is_kept(drone_text, freq):
+    # the window is chosen so that crossing + window is the float time of
+    # the baseline's first detection: that event still runs
+    analyzed = analyze(parse_spec(drone_text))
+    scenario = FlightScenario(seed=5)
+    crossing = flight_crossings(scenario)["geofence"][0]
+    reports = run_fixed(analyzed, generate_flight(scenario),
+                        Fraction(str(freq)), 60).triggers
+    hit = min(r.tick / r.quantum for r in reports
+              if r.trigger == "scheduled_geofence"
+              and r.tick / r.quantum >= crossing)
+    window = hit - crossing
+    while crossing + window < hit:
+        window = math.nextafter(window, math.inf)
+    while crossing + window > hit:
+        window = math.nextafter(window, -math.inf)
+    assert crossing + window == hit
+    config = {"bound": 2, "horizon": 60.0, "window": window,
+              "baselines": [freq],
+              "trigger_kinds": {"scheduled_geofence": "geofence"},
+              "scenarios": [{"seed": 5}]}
+    translation = translate(analyzed, "dp")
+    result = run_experiment(config, analyzed, translation)
+    assert [r["detection"] for r in result.rows
+            if r["run"] == f"fixed_{freq:g}hz"] == [hit]
+    assert (result.rows, result.summary) == _full_experiment(
+        config, analyzed, translation)
 
 
 @pytest.mark.parametrize("freq", [0.7, 1, 3, Fraction(7, 3)])
@@ -733,6 +859,34 @@ def test_fixed_baseline_values_equal_per_event_queries(freq, horizon):
             source.query(sensor, tick, base.model.quantum)
             for tick in base.model.ticks]
     assert len(set(base.model.streams["thirds"])) > len(base.model) // 2
+
+
+@pytest.mark.parametrize("other", ["tenths", "late", "missing"])
+@pytest.mark.parametrize("freq,horizon", [(3, None), (0.7, None), (3, 12.0)])
+@pytest.mark.parametrize("through", [-math.inf, 0.0, 10 / 3, 9.9, math.inf])
+def test_a_baseline_through_a_time_runs_a_prefix_or_fails_in_full(
+        other, freq, horizon, through):
+    # the events whose float time is at most `through` run, and report what
+    # they report in a full run; a read that fails in the skipped tail (a
+    # sensor that starts late or ends early, or has no samples) fails as
+    # the full run does
+    spec = analyze(parse_spec(
+        f"input thirds : Float64\ninput {other} : Float64\n"
+        f"output big := thirds + {other} > 4.0\ntrigger big \"big\"\n"))
+    full = _outcome(run_fixed, spec, _FROM_ZERO, freq, horizon)
+    cut = _outcome(run_fixed, spec, _FROM_ZERO, freq, horizon, through)
+    if full[0] == "error" or cut[0] == "error":
+        assert cut == full
+        return
+    full, cut = full[1], cut[1]
+    n = sum(1 for tick in full.model.ticks
+            if tick / full.model.quantum <= through)
+    assert len(cut.model) == n
+    assert cut.model.times == full.model.times[:n]
+    assert cut.model.streams == {
+        name: column[:n] for name, column in full.model.streams.items()}
+    assert cut.triggers == [r for r in full.triggers
+                            if r.tick / r.quantum <= through]
 
 
 # samples in thirds, sevenths and tenths of a second, through 10 s
