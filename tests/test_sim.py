@@ -659,6 +659,7 @@ def _full_experiment(config: dict, analyzed, translation) -> tuple:
     whole horizon and its bandwidth counted over its model."""
     horizon = Fraction(str(config["horizon"]))
     window = float(config["window"])
+    groups = config["groups"]
     kinds = config.get("trigger_kinds") or {}
     inputs = analyzed.spec.input_names()
     rows, metrics, scenarios = [], {}, []
@@ -670,14 +671,14 @@ def _full_experiment(config: dict, analyzed, translation) -> tuple:
         sched = scheduler.run_scheduled(translation, TraceSource(trace),
                                         horizon, config["bound"])
         runs = [(f"scheduled_{translation.schedule.mode}", sched.triggers,
-                 compute_metrics(sched.model, inputs, float(horizon), None,
+                 compute_metrics(sched.model, inputs, float(horizon), groups,
                                  fingerprint))]
         for f in config["baselines"]:
             base = run_fixed(analyzed, trace, Fraction(str(f)), horizon)
             runs.append((f"fixed_{float(Fraction(str(f))):g}hz",
                          base.triggers,
                          compute_metrics(base.model, inputs, float(horizon),
-                                         None, fingerprint)))
+                                         groups, fingerprint)))
         report = compare_runs(
             runs, {t: crossings[k] for t, k in kinds.items()}, window)
         for name, _, m in runs:
@@ -686,15 +687,6 @@ def _full_experiment(config: dict, analyzed, translation) -> tuple:
         scenarios.append({"seed": scenario.seed, **crossings})
     return rows, {"window": window, "monitors": sim.summarize(rows, metrics),
                   "scenarios": scenarios}
-
-
-def _outcome(run, *args):
-    """What `run(*args)` gives: ("ok", its result), or ("error", the
-    exception's type and message)."""
-    try:
-        return "ok", run(*args)
-    except Exception as err:  # any error, to be matched by type and text
-        return "error", (type(err), str(err))
 
 
 _TRIGGER_KINDS = st.sampled_from([
@@ -732,14 +724,15 @@ def test_experiment_through_the_last_window_equals_full_baseline_runs(
                  for seed, excess in flights]
     config = {"bound": 2, "horizon": horizon, "window": window,
               "baselines": freqs, "trigger_kinds": kinds,
+              "groups": {"safety": ["gps_lat_long", "gps_altitude"]},
               "scenarios": scenarios}
 
-    def experiment(config, analyzed, translation):
+    def experiment():
         result = run_experiment(config, analyzed, translation)
         return result.rows, result.summary
 
-    assert _outcome(experiment, config, analyzed, translation) == _outcome(
-        _full_experiment, config, analyzed, translation)
+    assert _outcome(experiment) == _outcome(
+        lambda: _full_experiment(config, analyzed, translation))
 
 
 @pytest.mark.parametrize("freq", [1, 0.7, 3])
@@ -761,7 +754,7 @@ def test_a_detection_at_the_end_of_the_last_window_is_kept(drone_text, freq):
         window = math.nextafter(window, -math.inf)
     assert crossing + window == hit
     config = {"bound": 2, "horizon": 60.0, "window": window,
-              "baselines": [freq],
+              "baselines": [freq], "groups": {},
               "trigger_kinds": {"scheduled_geofence": "geofence"},
               "scenarios": [{"seed": 5}]}
     translation = translate(analyzed, "dp")
@@ -873,12 +866,12 @@ def test_a_baseline_through_a_time_runs_a_prefix_or_fails_in_full(
     spec = analyze(parse_spec(
         f"input thirds : Float64\ninput {other} : Float64\n"
         f"output big := thirds + {other} > 4.0\ntrigger big \"big\"\n"))
-    full = _outcome(run_fixed, spec, _FROM_ZERO, freq, horizon)
-    cut = _outcome(run_fixed, spec, _FROM_ZERO, freq, horizon, through)
-    if full[0] == "error" or cut[0] == "error":
+    full = _outcome(lambda: run_fixed(spec, _FROM_ZERO, freq, horizon))
+    cut = _outcome(lambda: run_fixed(spec, _FROM_ZERO, freq, horizon,
+                                     through))
+    if isinstance(full, tuple) or isinstance(cut, tuple):
         assert cut == full
         return
-    full, cut = full[1], cut[1]
     n = sum(1 for tick in full.model.ticks
             if tick / full.model.quantum <= through)
     assert len(cut.model) == n
