@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .analysis import AnalyzedSpec, analyze
 from .ast import format_spec
-from .engine import verify_model
 from .errors import OutOfRange, SpecError
 from .io import (read_json, read_model_blocks, read_text, read_trace,
                  trigger_json, violation_lines, write_json, write_model,
@@ -247,22 +246,16 @@ def cmd_compare(args) -> int:
 def cmd_check(args) -> int:
     """Verify a model in one forward pass over model.csv: each block is
     checked as it is read, and the lines are written once the walk is done,
-    so a bad cell exits 2 with nothing on stdout."""
+    so a bad cell exits 2 with nothing on stdout. An unannotated spec's
+    schedule obliges nothing, but its bandwidth is checked all the same."""
     analyzed = _load(args.spec)
-    tr = translate(analyzed, args.mode) if analyzed.annotations else None
-    plain = tr.plain if tr else analyzed
-    with read_model_blocks(args.model, plain) as blocks:
-        if tr:
-            bound = (args.bound if args.bound is not None
-                     else analyzed.config.bandwidth)
-            violations, missed, ticks, quantum = check_scheduled_model(
-                plain, tr.schedule, bound, blocks)
-            inputs = tr.schedule.inputs
-        else:
-            violations = verify_model(analyzed, blocks)
-            missed, ticks, quantum, inputs = (), (), 1, ()
+    tr = translate(analyzed, args.mode)
+    bound = args.bound if args.bound is not None else analyzed.config.bandwidth
+    with read_model_blocks(args.model, tr.plain) as blocks:
+        violations, missed, ticks, quantum = check_scheduled_model(
+            tr.plain, tr.schedule, bound, blocks)
     sys.stdout.writelines(violation_lines(violations, missed, ticks, quantum,
-                                          inputs))
+                                          tr.schedule.inputs))
     if violations or missed:
         return 1
     print("ok", file=sys.stderr)

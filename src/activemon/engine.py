@@ -31,7 +31,9 @@ next event is drawn.
 whose history takes only the model's own rows. It takes the model a block
 of rows at a time, as `io.read_model_blocks` parses them from `model.csv`,
 and verifies each block as it is drawn; a model held in memory is one
-block. `verify_model` is that walk with no guards and is the membership
+block. `backward_rows` finds the rows whose time does not advance, which
+are the walk's time-map violations and `io.read_trace`'s error.
+`verify_model` is that walk with no guards and is the membership
 oracle every scheduling test checks against; `schedule.check_scheduled_model`
 drives it with the schedule's guards, keeps each step's tick on a
 `Timeline` and its two masks, and feeds them to the `DecisionOracle` once
@@ -649,6 +651,20 @@ def run_monitor_full(analyzed: AnalyzedSpec, events, quantum: int,
 # the semantic oracle
 
 
+def backward_rows(quantum: int, ticks, before: Optional[Fraction]):
+    """(k, time, time before) of each row k of a nonempty block whose time
+    does not advance past the row before it, `before` being the time of the
+    row before the block (None for the first block)."""
+    if ((before is None or Fraction(ticks[0], quantum) > before)
+            and all(map(lt, ticks, itertools.islice(ticks, 1, None)))):
+        return
+    for k, tick in enumerate(ticks):
+        time = Fraction(tick, quantum)
+        if before is not None and time <= before:
+            yield k, time, before
+        before = time
+
+
 def walk_model(analyzed: AnalyzedSpec, model, violations: list,
                guards=()):
     """Walk a finished model forward once, through the verifier.
@@ -675,16 +691,10 @@ def walk_model(analyzed: AnalyzedSpec, model, violations: list,
     for quantum, ticks, columns in model_blocks(analyzed, model):
         if not ticks:
             continue
-        if (before is not None and Fraction(ticks[0], quantum) <= before
-                or not all(map(lt, ticks, itertools.islice(ticks, 1, None)))):
-            for k, tick in enumerate(ticks):
-                time = Fraction(tick, quantum)
-                if before is not None and time <= before:
-                    timemap.append(Violation(
-                        "semantic", step + k, time,
-                        f"time map not strictly increasing: {time} after "
-                        f"{before}"))
-                before = time
+        timemap += (Violation("semantic", step + k, time,
+                              f"time map not strictly increasing: {time} "
+                              f"after {prior}")
+                    for k, time, prior in backward_rows(quantum, ticks, before))
         before = Fraction(ticks[-1], quantum)
         for t, tick, row in zip(itertools.count(step), ticks, zip(*columns)):
             wrong, present, holding = check(row, tick / quantum)
@@ -716,8 +726,8 @@ def verify_model(analyzed: AnalyzedSpec, model) -> list[Violation]:
 
 __all__ = [
     "ABSENT", "CompiledSpec", "EvaluationModel", "MAX_STEPS",
-    "MonitorState", "Timeline", "TriggerReport", "Violation", "check_steps",
-    "compile_spec", "compile_verifier", "eval_event", "extend_ticks",
-    "model_blocks", "run_monitor_full", "values_equal", "verify_model",
-    "walk_model",
+    "MonitorState", "Timeline", "TriggerReport", "Violation", "backward_rows",
+    "check_steps", "compile_spec", "compile_verifier", "eval_event",
+    "extend_ticks", "model_blocks", "run_monitor_full", "values_equal",
+    "verify_model", "walk_model",
 ]

@@ -9,16 +9,16 @@ rows at a time, transposes them and parses each column with the parser
 bound once to its type, a tuple column once per distinct cell. A block
 whose time cells are all unsigned plain ASCII decimals becomes integer
 ticks on 10**(its most fraction digits) at once; any other block reads
-each time cell as an exact numerator and denominator through `Fraction`'s
-rules. Either way each block's times become integer ticks on the least
-quantum of that block. A reader keeps every tick on the lcm of the blocks'
-quanta so far and scales what it holds only when that lcm grows. Line
-numbers live only as long as their block, as a range when the block has
-no blank row, so nothing per row outlives its block but the values and
-ticks kept; a bad cell, or a time that does not advance, takes its line
-from there. `read_model_blocks` hands a model's blocks out as they are
-parsed, for `check` to verify each one as it is read; `read_model` keeps
-them all. The writers mirror this:
+each time cell through `Fraction(cell)`. Either way each block's times
+become integer ticks on the least quantum of that block. A reader keeps
+every tick on the lcm of the blocks' quanta so far and scales what it holds
+only when that lcm grows. Line numbers live only as long as their block, as
+a range when the block has no blank row, so nothing per row outlives its
+block but the values and ticks kept; a bad cell, or a time that does not
+advance (`engine.backward_rows`, which `check` shares), takes its line from
+there. `read_model_blocks` hands a model's blocks out as they are parsed,
+for `check` to verify each one as it is read; `read_model` keeps them all.
+The writers mirror this:
 `write_model` formats BLOCK_ROWS rows at a time, each column through one
 formatter bound once from its type, and joins the cells into CSV rows
 itself rather than through `csv.writer`, since no model cell ever needs
@@ -41,14 +41,14 @@ from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress, islice, repeat
-from operator import is_not, lt
+from operator import is_not
 from pathlib import Path
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
 from .ast import BOOL, INT64, UINT64, TupleType, Type
 from .engine import (ABSENT, EvaluationModel, Timeline, TriggerReport,
-                     extend_ticks)
+                     backward_rows, extend_ticks)
 from .errors import NonMonotonicTime, SpecSyntaxError
 from .schedule import task_key
 from .sim import SensorTrace, tick_array
@@ -97,33 +97,15 @@ def format_time(t: Fraction) -> str:
 
 
 def _time_parts(cell: str) -> tuple[int, int]:
-    """(numerator, denominator) of a time cell, exact but not reduced.
-
-    A plain decimal (an optional minus, ASCII digits, an optional point
-    and more digits) is read directly; every other cell goes through
-    Fraction(cell), so the cells accepted and their values are Fraction's.
-    A time beyond float range is rejected, since monitors read time as a
-    float.
-    """
-    negative = cell[:1] == "-"
-    body = cell[1:] if negative else cell
-    whole, point, frac = body.partition(".")
-    parts = None
-    if body.isascii() and whole.isdigit() and (frac.isdigit() or not point):
-        try:
-            n = int(whole + frac)
-        except ValueError:  # beyond int()'s digit limit; Fraction decides
-            pass
-        else:
-            parts = (-n if negative else n), 10 ** len(frac)
-    if parts is None:
-        t = Fraction(cell)
-        parts = t.numerator, t.denominator
+    """(numerator, denominator) of a time cell, read by Fraction(cell), so
+    the cells accepted and their values are Fraction's. A time beyond float
+    range is rejected, since monitors read time as a float."""
+    t = Fraction(cell)
     try:
-        parts[0] / parts[1]
+        float(t)
     except OverflowError:
         raise ValueError(f"time {cell} is beyond float range") from None
-    return parts
+    return t.numerator, t.denominator
 
 
 _BOOLS = {"": ABSENT, "true": True, "false": False}
@@ -377,20 +359,6 @@ def _read_blocks(path, kind: str, what: str, types: dict, known,
                                   1) from None
 
 
-def _backwards(lines, quantum: int, ticks: list, before) -> Optional[tuple]:
-    """(line, time, time before) of the first row of a block whose time
-    does not advance past the row before it, `before` being the time of
-    the row before the block (None for the first block); else None."""
-    first = Fraction(ticks[0], quantum)
-    if before is not None and first <= before:
-        return lines[0], first, before
-    if all(map(lt, ticks, islice(ticks, 1, None))):
-        return None
-    k = next(k for k in range(1, len(ticks)) if ticks[k] <= ticks[k - 1])
-    return (lines[k], Fraction(ticks[k], quantum),
-            Fraction(ticks[k - 1], quantum))
-
-
 # ---------------------------------------------------------------------------
 # trace CSV (inputs only)
 
@@ -416,7 +384,8 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
         every = array("q")  # of every row, while some column has them all
         for lines, q, ticks, columns in blocks:
             if backwards is None:
-                backwards = _backwards(lines, q, ticks, last)
+                backwards = next(((lines[k], time, before) for k, time, before
+                                  in backward_rows(q, ticks, last)), None)
                 last = Fraction(ticks[-1], q)
             # per column, the rows that it has; None when it has them all
             present = [list(map(is_not, column, repeat(ABSENT)))

@@ -394,9 +394,10 @@ class DecisionOracle:
              for chain in chains]
             for chains in schedule.chains]
         valued = sum(1 << k for k, c in enumerate(schedule.chains) if c)
-        # the tracked tasks as (bit k of direct task k, task)
+        # the tracked tasks as (bit k of direct task k, task); none in
+        # deadline mode, which reads no staleness
         self.tracked = [(1 << k, t) for k, t in enumerate(schedule.direct)
-                        if t in schedule.tracked]
+                        if t in schedule.tracked and not self.deadline]
         tracked = sum(b for b, _ in self.tracked)
 
         # the tasks with regions by the mask of their contributing direct
@@ -413,7 +414,7 @@ class DecisionOracle:
             inside = inside_of(task)
             if inside & valued:
                 self.by_joint.setdefault(inside & valued, []).append(task)
-            b = bound_of(task)
+            b = None if self.deadline else bound_of(task)
             if b is not None:
                 if id(b) not in ticks:
                     ticks[id(b)] = self._floor_ticks(b)

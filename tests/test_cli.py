@@ -12,7 +12,8 @@ import pytest
 
 from activemon.analysis import analyze
 from activemon.cli import _check_config_names, _load, _read_config, main
-from activemon.io import write_model
+from activemon.engine import verify_model
+from activemon.io import read_model, violation_lines, write_model
 from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
 from activemon.translate import translate
@@ -414,6 +415,69 @@ def test_check_plain_spec_uses_the_semantic_oracle(tmp_path, capsys):
     rc = main(["check", str(spec), "--model", str(path)])
     assert rc == 0
     assert capsys.readouterr().err.strip() == "ok"
+
+
+TWO_INPUTS = "input a : Float64\ninput b : Float64\noutput s := a + b\n"
+
+
+@pytest.fixture()
+def two_input_model(tmp_path):
+    """An unannotated two-input spec and its model: both inputs at steps 0
+    and 1, only `a` at step 2."""
+    spec = tmp_path / "two.lola"
+    spec.write_text(TWO_INPUTS)
+    events = [Event(Fraction(0), {"a": 1.0, "b": 2.0}),
+              Event(Fraction(1, 2), {"a": 3.0, "b": 4.0}),
+              Event(Fraction(1), {"a": 5.0})]
+    analyzed = analyze(parse_spec(TWO_INPUTS))
+    path = tmp_path / "model.csv"
+    write_model(path, run_events(analyzed, events)[0], analyzed)
+    return spec, path
+
+
+@pytest.mark.parametrize("header,bound", [
+    ("", ["--bound", "1"]), ("", []), ('#![bound="2"]\n', ["--bound", "1"]),
+])
+def test_check_plain_spec_measures_bandwidth(two_input_model, capsys, header,
+                                             bound):
+    # --bound, else the header's bound, which is 1 by default
+    spec, model = two_input_model
+    spec.write_text(header + TWO_INPUTS)
+    rc = main(["check", str(spec), "--model", str(model), *bound])
+    assert rc == 1
+    assert [json.loads(line) for line in
+            capsys.readouterr().out.splitlines()] == [
+        {"kind": "bandwidth", "step": step, "time": time,
+         "detail": "2 inputs arrive at once, bound is 1"}
+        for step, time in ((0, 0.0), (1, 0.5))]
+
+
+@pytest.mark.parametrize("header,bound", [
+    ("", ["--bound", "2"]), ('#![bound="2"]\n', []),
+])
+def test_check_plain_spec_within_the_bound_is_ok(two_input_model, capsys,
+                                                 header, bound):
+    spec, model = two_input_model
+    spec.write_text(header + TWO_INPUTS)
+    rc = main(["check", str(spec), "--model", str(model), *bound])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (0, "", "ok\n")
+
+
+def test_check_plain_spec_reports_what_verify_model_reports(
+        two_input_model, capsys):
+    spec, model = two_input_model
+    rows = model.read_text().splitlines()
+    rows[2] = rows[2].replace(",7.0", ",8.0")  # s at step 1 is 3.0 + 4.0
+    # step 0 at 0.75, which step 1's 0.5 does not advance past
+    rows[1] = "0.75" + rows[1][rows[1].index(","):]
+    model.write_text("\n".join(rows) + "\n")
+    analyzed = _load(spec)
+    expected = verify_model(analyzed, read_model(model, analyzed))
+    assert [v.kind for v in expected] == ["semantic"] * 2
+    rc = main(["check", str(spec), "--model", str(model), "--bound", "2"])
+    assert rc == 1
+    assert capsys.readouterr().out == "".join(violation_lines(expected))
 
 
 # ---------------------------------------------------------------------------

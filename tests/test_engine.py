@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activemon.analysis import analyze
-from activemon.engine import (ABSENT, MonitorState, TriggerReport, eval_event,
-                              run_monitor_full, values_equal, verify_model)
+from activemon.engine import (ABSENT, MonitorState, TriggerReport,
+                              backward_rows, eval_event, run_monitor_full,
+                              values_equal, verify_model)
 from activemon.parser import parse_spec
 from events import Event, run_events
 from reference_eval import triggers_from_model
@@ -166,6 +167,32 @@ def test_verify_model_flags_wrong_presence():
     analyzed, model = monitor(text, [Event(Fraction(0), {"b": 1.0})])
     model.streams["x"][0] = 1.0  # pacing says this step must be absent
     assert verify_model(analyzed, model)
+
+
+def reference_backward_rows(quantum, ticks, before):
+    """Each row's time as a Fraction, compared with the time before it."""
+    times = [Fraction(t, quantum) for t in ticks]
+    return [(k, time, prior) for k, (time, prior)
+            in enumerate(zip(times, [before, *times[:-1]]))
+            if prior is not None and time <= prior]
+
+
+@given(quantum=st.sampled_from([1, 3, 10, 2**64 * 3]),
+       ticks=st.lists(st.integers(-4, 12), min_size=1, max_size=12),
+       shape=st.sampled_from(["as drawn", "sorted", "strictly increasing"]),
+       before=st.none() | st.fractions(-5, 5, max_denominator=6))
+@example(quantum=2, ticks=[1, 2, 2, 1, 3], shape="as drawn",
+         before=Fraction(1, 2))
+@example(quantum=1, ticks=[1, 2], shape="as drawn", before=Fraction(2))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_backward_rows_compares_each_row_with_the_one_before(
+        quantum, ticks, shape, before):
+    # sorted blocks have ties; strictly increasing ones only their first row
+    # can fall behind `before`
+    if shape != "as drawn":
+        ticks = sorted(set(ticks) if shape == "strictly increasing" else ticks)
+    assert list(backward_rows(quantum, ticks, before)) == \
+        reference_backward_rows(quantum, ticks, before)
 
 
 def test_triggers_from_model_match_live_run():

@@ -315,6 +315,19 @@ def _cell_error(cell: str) -> str:
     raise AssertionError(f"{cell!r} is not a bad time cell")
 
 
+@pytest.mark.parametrize("cell", ["-0.50", "007.5", "10"])
+def test_time_parts_are_the_parts_of_fraction(cell):
+    time = Fraction(cell)
+    assert _time_parts(cell) == (time.numerator, time.denominator)
+
+
+def test_a_time_of_more_digits_than_int_reads_is_a_bad_cell():
+    cell = "1" * 5000
+    assert _cell_error(cell).startswith("bad cell: ")
+    with pytest.raises(ValueError):
+        _block_ticks([cell])
+
+
 @given(rows=st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
        cells=st.lists(_PLAIN_TIME, min_size=BLOCK_ROWS + 1,
                       max_size=BLOCK_ROWS + 1),
