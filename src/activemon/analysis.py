@@ -57,13 +57,6 @@ def _collect(expr: Expr, names: set, offsets: dict) -> None:
             stack.extend(children(e))
 
 
-def offset_refs(expr: Expr) -> dict[str, int]:
-    """Map of stream name to the deepest offset used against it."""
-    offsets: dict[str, int] = {}
-    _collect(expr, set(), offsets)
-    return offsets
-
-
 def _clause_exprs(clause: EvalClause) -> list[Expr]:
     return [clause.expr] if clause.when is None else [clause.when, clause.expr]
 
@@ -483,5 +476,5 @@ def extend_analysis(analyzed: AnalyzedSpec, spec: Specification) -> AnalyzedSpec
 
 __all__ = [
     "AnalyzedSpec", "AnnEntry", "analyze", "derive_annotation_map",
-    "extend_analysis", "offset_refs",
+    "extend_analysis",
 ]

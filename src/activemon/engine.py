@@ -148,9 +148,6 @@ class EvaluationModel:
         """Every step's time as an exact Fraction, for reports and tests."""
         return [Fraction(t, self.quantum) for t in self.ticks]
 
-    def time_at(self, step: int) -> Fraction:
-        return Fraction(self.ticks[step], self.quantum)
-
     def __len__(self) -> int:
         return len(self.ticks)
 

@@ -51,7 +51,7 @@ from .engine import (ABSENT, EvaluationModel, Timeline, TriggerReport,
                      backward_rows, extend_ticks)
 from .errors import NonMonotonicTime, SpecSyntaxError
 from .schedule import task_key
-from .sim import SensorTrace, tick_array
+from .sim import SensorTrace
 
 BLOCK_ROWS = 256  # CSV rows parsed or written per block
 
@@ -399,8 +399,9 @@ def read_trace(path, analyzed: AnalyzedSpec) -> SensorTrace:
             grow = q // math.gcd(quantum, q)
             if grow > 1:
                 quantum *= grow
-                every = every and tick_array([t * grow for t in every])
-                own = [seq and tick_array([t * grow for t in seq])
+                every = every and extend_ticks(array("q"),
+                                               [t * grow for t in every])
+                own = [seq and extend_ticks(array("q"), [t * grow for t in seq])
                        for seq in own]
             if quantum > q:
                 ticks = [t * (quantum // q) for t in ticks]

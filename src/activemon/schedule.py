@@ -19,11 +19,16 @@ restrictive holding values. A task's staleness bound is the least deadline
 among the annotations that contribute to it, or the header's default when
 none of them has one; priority mode sets none.
 
-Nothing is tabulated per task of the universe. The direct tasks are kept
-least deadline first, and `StaticSchedule.inside` and `bound` derive a
-task's direct subtasks and its bound from them when asked: `translate` asks
-for the direct tasks, the scheduler for the tasks within the bandwidth, and
-the oracle for each task once.
+The schedule keeps the base tasks, the clause pacings and the
+annotated-input singletons, and no table per task: the tasks inside a mask
+of inputs are the unions of the base tasks inside it, which
+`StaticSchedule.tasks` enumerates for the mask and width asked, never
+growing a union already too wide. The scheduler asks for the tasks within
+the bandwidth, and the oracle for those that the present inputs satisfy;
+the whole union closure, `universe`, is built only for the precondition
+report and for an oracle over direct tasks. The direct tasks are kept
+least deadline first, and `inside` and `bound` derive a task's direct
+subtasks and its bound from them when asked.
 
 `check_scheduled_model` walks the model once through the verifier, a block
 at a time as it is read, which decides each distinct guard behind its
@@ -41,8 +46,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Callable, Optional
 
 from .analysis import AnalyzedSpec
@@ -118,9 +122,7 @@ class ScheduleEntry:
 class StaticSchedule:
     mode: str
     inputs: tuple  # input names; bit i of a task is inputs[i]
-    # every task: the union closure of the base tasks; no table is kept per
-    # task of it but the cached `ordered`
-    universe: frozenset
+    base: frozenset  # clause pacings and annotated-input singletons
     direct: tuple  # direct tasks, declaration order
     entries: dict  # direct Task -> tuple[ScheduleEntry, ...], most restrictive first
     # per direct task, the chains of the streams paced on it that carry a
@@ -131,7 +133,6 @@ class StaticSchedule:
     # contain it: its least deadline, else the header's default; None in
     # priority mode)
     by_deadline: tuple
-    widest: Task  # the union of the base tasks, the widest task of universe
     tracked: frozenset  # direct tasks whose last satisfaction is observable
     # (stream, clause index) -> (condition, pacing) of each region source,
     # in stream order
@@ -150,10 +151,16 @@ class StaticSchedule:
         bit i of the holding mask that the verifier decides for them."""
         return tuple(dict.fromkeys(self.guards.values()))
 
+    def tasks(self, within: int = -1, width: Optional[int] = None) -> frozenset:
+        """The tasks inside a mask of inputs (every task by default), at
+        most `width` inputs wide when given: the unions of the base tasks
+        inside the mask."""
+        return union_closure([b for b in self.base if not b & ~within], width)
+
     @cached_property
-    def ordered(self) -> tuple:
-        """The universe in task_key order."""
-        return tuple(sorted(self.universe, key=self.key))
+    def universe(self) -> frozenset:
+        """Every task, the union closure of the base tasks."""
+        return self.tasks()
 
     def inside(self, task: Task) -> int:
         """The mask with bit k set when direct[k] lies inside a task."""
@@ -180,12 +187,15 @@ class StaticSchedule:
                      if inside >> k & 1 and self.chains[k])
 
 
-def union_closure(base: set) -> frozenset:
-    """Every nonempty union of a subset of `base`, one base task at a time."""
+def union_closure(base, width: Optional[int] = None) -> frozenset:
+    """Every nonempty union of a subset of `base`, one base task at a time,
+    at most `width` inputs wide when given. A union only grows, so one too
+    wide is never extended."""
+    limit = math.inf if width is None else width
     tasks: set = set()
     for b in base:
-        if b:
-            tasks |= {b} | {t | b for t in tasks}
+        if b and b.bit_count() <= limit:
+            tasks |= {b} | {u for t in tasks if (u := t | b).bit_count() <= limit}
     return frozenset(tasks)
 
 
@@ -263,7 +273,6 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
             kept = [(e, e.priority) for e in chain if e.priority is not None]
         streams.append((task_of(chain[0].pacing.inputs, inputs), chain, kept))
 
-    universe = build_task_universe(analyzed)
     direct = tuple(dict.fromkeys(task for task, _, _ in streams))
     chains: list = [[] for _ in direct]
     deadlines: list = [[] for _ in direct]
@@ -317,12 +326,11 @@ def build_static_schedule(analyzed: AnalyzedSpec, mode: str) -> StaticSchedule:
     return StaticSchedule(
         mode=mode,
         inputs=inputs,
-        universe=universe,
+        base=frozenset(_base_tasks(analyzed)),
         direct=direct,
         entries=entries,
         chains=tuple(tuple(c) for c in chains),
         by_deadline=by_deadline,
-        widest=reduce(or_, _base_tasks(analyzed), 0),
         tracked=tracked,
         guards={(e.source, e.clause_index): (e.condition, e.pacing)
                 for _, _, kept in streams for e, _ in kept},
@@ -410,7 +418,8 @@ class DecisionOracle:
         # shared objects, and hashing a Fraction for every task is slow
         ticks: dict = {}
         inside_of, bound_of = schedule.inside, schedule.bound
-        for task in schedule.universe:
+        # without direct tasks no task has regions or a bound
+        for task in schedule.universe if schedule.direct else ():
             inside = inside_of(task)
             if inside & valued:
                 self.by_joint.setdefault(inside & valued, []).append(task)
@@ -475,7 +484,7 @@ class DecisionOracle:
         got = self._sat.get(present)
         if got is None:
             got = self._sat[present] = (
-                frozenset(submasks(self.schedule.universe, present)),
+                self.schedule.tasks(present),
                 [j for j, (_, t) in enumerate(self.tracked)
                  if not t & ~present])
         return got
@@ -664,7 +673,7 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
         holding.append(h)
 
     q, ticks = timeline.quantum, timeline.ticks
-    missed = _masks(schedule.widest.bit_length())
+    missed = _masks(max(schedule.base, default=0).bit_length())
     decide = DecisionOracle(analyzed, schedule, q).decide
     nexts = itertools.chain(itertools.islice(ticks, 1, None), (None,))
     for step, tick, nxt, p, h in zip(itertools.count(), ticks, nexts,

@@ -6,16 +6,16 @@ exactly those sensors and feeds the event to the monitor.  The rank order
 is kept between cycles: a task's key moves only when its value changes,
 when it is refreshed while its key carries its age, or when it reaches its
 staleness limit, so a cycle re-keys only the tasks that one of these
-moved.  Tasks are the schedule's bit masks over the inputs: a task is
-affordable when its popcount is within the bound, packing unites masks
-with ``|``, and the tasks an event satisfies are the universe's submasks
-of its inputs.  Urgency is read back from the generated
-``schedule_*``/``last_*`` helper streams of the direct tasks, and a joint
-task's value combines its sources' values when all of them fire together,
-so the loop needs no second interpretation of the annotations.  Before the
-first cycle `build_precondition_report` states whether every task fits
-the bandwidth, which, the universe being union-closed, is whether its
-widest task does.
+moved.  Tasks are the schedule's bit masks over the inputs: the working
+tasks are those within the bound, `StaticSchedule.tasks` at that width,
+packing unites masks with ``|``, and the tasks an event satisfies are
+the working tasks inside its inputs, since the event fits the bound.  Urgency is read
+back from the generated ``schedule_*``/``last_*`` helper streams of the
+direct tasks, and a joint task's value combines its sources' values when
+all of them fire together, so the loop needs no second interpretation of
+the annotations.  Before the first cycle `build_precondition_report`
+states whether every task fits the bandwidth, which, the tasks being
+union-closed, is whether the widest, the union of them all, does.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class EventPlan(NamedTuple):
     tick: int  # the cycle runs at tick / quantum seconds
     quantum: int
     flat: frozenset  # input streams queried this cycle
-    selected: frozenset  # universe tasks the event satisfies
+    selected: frozenset  # the tasks the event satisfies
 
     @property
     def time(self) -> Fraction:
@@ -70,11 +70,6 @@ def take_event(ordered, bound: int) -> int:
             break
         flat = union
     return flat
-
-
-def selected_tasks(universe: frozenset, flat: int) -> frozenset:
-    """The universe tasks inside a mask of queried inputs."""
-    return frozenset(submasks(universe, flat))
 
 
 class SchedulerState:
@@ -117,7 +112,6 @@ class SchedulerState:
 
     def __init__(self, translation: Translation, bound: int):
         schedule = translation.schedule
-        self.universe = schedule.universe
         self.inputs = schedule.inputs
         self.period = translation.analyzed.config.period
         # cycle k runs at tick k * period.numerator on this quantum
@@ -152,7 +146,7 @@ class SchedulerState:
         rank key, the initial keys, order and aging set, and the table of
         events by mask, which the runs fill as they pack."""
         schedule = translation.schedule
-        working = [t for t in schedule.ordered if t.bit_count() <= self.bound]
+        working = sorted(schedule.tasks(width=self.bound), key=schedule.key)
         direct = frozenset(schedule.direct)
         # per direct task: the column of its schedule stream in the
         # monitor's row, with the map from the stream's payload back to the
@@ -305,8 +299,10 @@ class SchedulerState:
             event = self._events.get(flat)
             if event is None:
                 names = task_names(flat, self.inputs)
+                # the event fits the bound, so the tasks inside it are
+                # working tasks
                 event = self._events[flat] = (
-                    frozenset(names), selected_tasks(self.universe, flat),
+                    frozenset(names), frozenset(submasks(self._static, flat)),
                     tuple(sorted(names)),
                     ([row for row in self._rows if not row[0] & ~flat],
                      [j for j in self._joint if not j[3] & ~flat]))
@@ -324,8 +320,8 @@ class SchedulerState:
 class PreconditionReport:
     """What `run` states about a schedule before its first cycle.
 
-    The universe is union-closed, so its widest task is the union of all
-    the others. When that task fits the bandwidth every task fits one
+    The tasks are union-closed, so the widest is the union of all the
+    others. When that task fits the bandwidth every task fits one
     event, the split bound is one event, and deadlines and staleness
     bounds are compared with a round of one period; otherwise the split
     bound diverges at the first oversized task and the comparison is
@@ -369,7 +365,7 @@ def build_precondition_report(schedule: StaticSchedule, bound: int,
     it has regions, and it is the least deadline of its contributing
     chains."""
     inputs = schedule.inputs
-    tasks = schedule.ordered
+    tasks = sorted(schedule.universe, key=schedule.key)
     oversized = tuple(t for t in tasks if t.bit_count() > bound)
     warnings: list = []
     if not oversized:

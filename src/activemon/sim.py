@@ -80,14 +80,6 @@ class SensorTrace:
         return max(math.floor(covered / period) + 1, 1) * period
 
 
-def tick_array(ticks: list):
-    """The ticks as an array('q') while they fit in 64 bits, else as is."""
-    try:
-        return array("q", ticks)
-    except OverflowError:  # keep exact Python ints beyond 64 bits
-        return ticks
-
-
 class TraceSource:
     """Sensor source over a trace; the read endpoint of the scheduler and
     the fixed-frequency baseline.
@@ -663,6 +655,6 @@ __all__ = [
     "SensorTrace", "TraceSource", "baseline_events", "baseline_name",
     "compare_runs", "compute_metrics",
     "flight_crossings", "generate_flight", "pool_metrics", "run_experiment",
-    "run_fixed", "scenario_from_json", "summarize", "tick_array",
+    "run_fixed", "scenario_from_json", "summarize",
     "trace_fingerprint",
 ]

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from activemon.engine import ABSENT, EvaluationModel, run_monitor_full
+from activemon.engine import (ABSENT, EvaluationModel, extend_ticks,
+                              run_monitor_full)
 from activemon.io import (_cell_parser, _column_formatter, _time_parts,
                           format_time)
-from activemon.sim import SensorTrace, tick_array
+from activemon.sim import SensorTrace
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ def trace_from_samples(samples: dict) -> SensorTrace:
         if not seq:
             raise ValueError(f"sensor '{sensor}' has no samples")
     q = math.lcm(*{t.denominator for seq in samples.values() for t, _ in seq})
-    ticks = {s: tick_array([t.numerator * (q // t.denominator) for t, _ in seq])
+    ticks = {s: extend_ticks(array("q"), [t.numerator * (q // t.denominator)
+                                          for t, _ in seq])
              for s, seq in samples.items()}
     for sensor, seq in ticks.items():
         if any(b <= a for a, b in zip(seq, seq[1:])):

@@ -17,7 +17,7 @@ from typing import Optional
 
 from activemon.engine import ABSENT, MonitorState, eval_event
 from activemon.schedule import MODE_DEADLINE, MODE_PRIORITY, Task, task_names
-from activemon.scheduler import EventPlan, selected_tasks, take_event
+from activemon.scheduler import EventPlan, take_event
 from activemon.translate import Translation
 from events import model_at
 
@@ -131,7 +131,8 @@ class ReferenceSchedulerState:
         flat = take_event(ordered, self.bound)
         return EventPlan(int(at * self.quantum), self.quantum,
                          frozenset(task_names(flat, self.schedule.inputs)),
-                         selected_tasks(self.schedule.universe, flat))
+                         frozenset(t for t in self.schedule.universe
+                                   if not t & ~flat))
 
 
 def reference_run(translation: Translation, source, horizon, bound: int):

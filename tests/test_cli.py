@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from activemon import schedule
 from activemon.analysis import analyze
 from activemon.cli import _check_config_names, _load, _read_config, main
 from activemon.engine import verify_model
@@ -478,6 +479,38 @@ def test_check_plain_spec_reports_what_verify_model_reports(
     rc = main(["check", str(spec), "--model", str(model), "--bound", "2"])
     assert rc == 1
     assert capsys.readouterr().out == "".join(violation_lines(expected))
+
+
+def test_check_plain_spec_builds_no_task_universe(tmp_path, capsys,
+                                                  monkeypatch):
+    # 18 inputs, each paced by its own output: 2**18 - 1 tasks, none of
+    # which has regions or a bound, so `check` needs only those inside each
+    # step's inputs
+    names = [f"x{i}" for i in range(18)]
+    text = "".join(f"input {n} : Float64\n" for n in names) + "".join(
+        f"output o{n} |@{n}| := {n} + 1.0\n" for n in names)
+    spec = tmp_path / "wide.lola"
+    spec.write_text(text)
+    analyzed = analyze(parse_spec(text))
+    events = [Event(Fraction(k, 2), {names[k % 18]: float(k)})
+              for k in range(200)]
+    model = tmp_path / "model.csv"
+    write_model(model, run_events(analyzed, events)[0], analyzed)
+
+    built = []  # the size of every union closure that check builds
+
+    def union_closure(*args):
+        tasks = closure(*args)
+        built.append(len(tasks))
+        return tasks
+
+    closure = schedule.union_closure
+    monkeypatch.setattr(schedule, "union_closure", union_closure)
+    rc = main(["check", str(spec), "--model", str(model)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (0, "", "ok\n")
+    # each step has one input, which satisfies its one task
+    assert built and max(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import gen_specs
 import reference_eval
-from activemon.analysis import analyze, offset_refs
+from activemon.analysis import analyze
 from activemon.ast import (
     Binary, Const, EvalClause, MinMax, Now, OffsetAccess, OutputDecl, Pacing,
     Proj, StreamRef, Unary, expr_depth,
@@ -47,6 +47,7 @@ from activemon.engine import (
 from activemon.errors import SpecSyntaxError
 from activemon.parser import MAX_DEPTH, MAX_NESTING, parse_spec
 from activemon.translate import translate
+from checks import offset_refs
 from events import Event, model_at, run_events
 from reference_eval import (ModelReader, present_inputs, satisfied_by,
                             triggers_from_model)

@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+name it exports is bound in it.
 
 No linter is assumed; this walks each module's syntax tree with `ast`. A
 name counts as used when the module reads it anywhere (annotations
-included) or lists it in `__all__`, as a re-export.
+included) or lists it in `__all__`, as a re-export. So a name removed from
+a module must leave its `__all__` too, which the imported module shows.
 """
 
 import ast
+import importlib
+import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 import activemon
 
 MODULES = sorted(Path(activemon.__file__).parent.glob("*.py"))
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(activemon.__path__))
 
 
 def unused_imports(source: str) -> list:
@@ -46,3 +52,22 @@ def test_unused_imports_finds_what_is_never_read():
               "__all__ = ['run_monitor_full']\n"
               "def f(x: m.Real):\n    return x is ABSENT\n")
     assert unused_imports(source) == ["eval_event", "os"]
+
+
+def unbound_exports(module) -> list:
+    """The names in a module's `__all__` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_a_module_binds_every_name_it_exports(name):
+    module = importlib.import_module(f"activemon.{name}")
+    assert unbound_exports(module) == []
+
+
+def test_unbound_exports_finds_a_removed_name():
+    module = types.ModuleType("removed")
+    exec("def kept():\n    pass\n__all__ = ['kept', 'gone']\n",
+         module.__dict__)
+    assert unbound_exports(module) == ["gone"]

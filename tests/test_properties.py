@@ -18,7 +18,7 @@ from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
 from activemon.sim import TraceSource, compute_metrics
 from activemon.translate import translate
-from checks import check_violations
+from checks import check_violations, time_at
 from events import run_events
 from reference_eval import ModelReader, eval_expr
 
@@ -108,7 +108,7 @@ def test_region_guards_are_mutually_exclusive(seed):
             continue
         for step in range(len(model)):
             read, offset_read = reader.at_step(step)
-            now = float(model.time_at(step))
+            now = float(time_at(model, step))
             hits = sum(
                 1 for e in chained
                 if eval_expr(e.condition, read, offset_read, now) is True)

@@ -66,12 +66,36 @@ def test_union_closure():
     assert union_closure({0b011, 0b110}) == {0b011, 0b110, 0b111}
 
 
-@given(st.lists(st.integers(min_value=0, max_value=31), max_size=6))
-def test_union_closure_is_every_union_of_base_tasks(base):
-    expected = {reduce(or_, subset)
-                for k in range(1, len(base) + 1)
-                for subset in combinations(base, k)} - {0}
-    assert union_closure(set(base)) == expected
+@given(st.lists(st.integers(min_value=0, max_value=31), max_size=6),
+       st.none() | st.integers(min_value=0, max_value=5))
+def test_union_closure_is_every_union_of_base_tasks(base, width):
+    every = {reduce(or_, subset)
+             for k in range(1, len(base) + 1)
+             for subset in combinations(base, k)} - {0}
+    assert union_closure(set(base)) == every
+    # with a width, the closure that never grows a too wide union is the
+    # full closure filtered by width
+    assert union_closure(set(base), width) == {
+        t for t in every if width is None or t.bit_count() <= width}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(gen_specs.MODES), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_tasks_by_rule_are_the_universe_inside_a_mask(seed, mode, annotate,
+                                                      data):
+    analyzed = analyze(parse_spec(gen_specs.gen_spec(
+        Random(seed), mode, annotate=annotate, bounds=True)))
+    sched = build_static_schedule(analyzed, mode)
+    universe = build_task_universe(analyzed)
+    assert sched.universe == universe
+    n = len(sched.inputs)
+    within = data.draw(st.integers(min_value=0, max_value=2**n - 1))
+    width = data.draw(st.none() | st.integers(min_value=0, max_value=n))
+    assert sched.tasks(within, width) == {
+        t for t in universe if not t & ~within
+        and (width is None or t.bit_count() <= width)}
+    assert sched.tasks(width=width) == sched.tasks(2**n - 1, width)
 
 
 def test_geofence_universe(geofence_text):
@@ -317,9 +341,9 @@ def stream_oracle(analyzed, schedule, model):
     tasks as frozensets of input names, in the oracle's order."""
     oracle = DecisionOracle(analyzed, schedule, model.quantum)
     ticks = model.ticks
-    names = {t: frozenset(task_names(t, schedule.inputs))
-             for t in schedule.ordered}
-    order = [names[t] for t in schedule.ordered]
+    ordered = sorted(schedule.universe, key=schedule.key)
+    names = {t: frozenset(task_names(t, schedule.inputs)) for t in ordered}
+    order = [names[t] for t in ordered]
     record = SimpleNamespace(oracle=oracle, tasks=order, sat_sets=[],
                              overdue=[], current=[], obliged=[], verdicts=[])
     walk = walk_model(analyzed, model, [], oracle.guards)
@@ -335,9 +359,9 @@ def stream_oracle(analyzed, schedule, model):
             assert obliged == []
         record.sat_sets.append(frozenset(names[t] for t in oracle.satisfied))
         record.overdue.append({names[t]: t in oracle.overdue
-                               for t in schedule.ordered})
+                               for t in ordered})
         record.current.append({names[t]: oracle.current.get(t)
-                               for t in schedule.ordered})
+                               for t in ordered})
     return record
 
 
@@ -544,8 +568,6 @@ def test_oracle_verdicts_follow_the_sorted_universe(drone_text):
     trace = generate_flight(FlightScenario(seed=3, duration=10.0))
     model = run_scheduled(tr, TraceSource(trace), 10, 2).model
     oracle = stream_oracle(tr.plain, tr.schedule, model)
-    expected = sorted(tr.schedule.universe, key=tr.schedule.key)
-    assert list(tr.schedule.ordered) == expected
     named_order = sorted(oracle.tasks, key=sorted)
     assert oracle.tasks == named_order
     assert all(list(verdicts) == named_order for verdicts in oracle.verdicts)

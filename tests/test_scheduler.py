@@ -23,13 +23,12 @@ from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
     run_scheduled,
-    selected_tasks,
     take_event,
 )
 from activemon.sim import (FlightScenario, TraceSource, compute_metrics,
                           generate_flight)
 from activemon.translate import translate
-from checks import check_violations
+from checks import check_violations, time_at
 from events import trace_from_samples
 from reference_eval import present_inputs, triggers_from_model
 from reference_scheduler import reference_run
@@ -74,11 +73,14 @@ def test_take_event_oversized_head_blocks_everything():
 
 
 def test_selected_tasks_upward_closure():
-    universe = frozenset({A, B, AB})
-    assert selected_tasks(universe, AB) == {A, B, AB}
-    assert selected_tasks(universe, A) == {A}
-    # through the universe as well as through the submasks of the event
-    assert selected_tasks(frozenset({A}), A | B | C) == {A}
+    # an event selects the tasks inside its inputs: the unions of the base
+    # tasks inside them
+    schedule = _translated(gen_specs.paced_spec([A, B], INPUTS), "dp").schedule
+    assert schedule.tasks(AB) == {A, B, AB}
+    assert schedule.tasks(A) == {A}
+    assert schedule.tasks(A | B | C) == {A, B, AB}
+    assert _translated(gen_specs.paced_spec([A], INPUTS),
+                       "dp").schedule.tasks(A | B | C) == {A}
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +521,7 @@ def test_scheduler_ticks_match_the_reference_on_mixed_denominators(
     run = run_scheduled(tr, TraceSource(MIXED_TRACE), Fraction(23, 2), bound)
     assert run.triggers
     period = tr.analyzed.config.period
-    assert all(r.time == run.model.time_at(r.step) for r in run.triggers)
+    assert all(r.time == time_at(run.model, r.step) for r in run.triggers)
     assert all(r.time / period == int(r.time / period) for r in run.triggers)
 
 
