@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -247,16 +248,26 @@ def cmd_check(args) -> int:
     """Verify a model in one forward pass over model.csv: each block is
     checked as it is read, and the lines are written once the walk is done,
     so a bad cell exits 2 with nothing on stdout. An unannotated spec's
-    schedule obliges nothing, but its bandwidth is checked all the same."""
+    schedule obliges nothing, but its bandwidth is checked all the same.
+    Lines are written only when something was found, so a reader that
+    stops early (`check ... | head`) leaves the verdict, exit 1."""
     analyzed = _load(args.spec)
     tr = translate(analyzed, args.mode)
     bound = args.bound if args.bound is not None else analyzed.config.bandwidth
     with read_model_blocks(args.model, tr.plain) as blocks:
-        violations, missed, ticks, quantum = check_scheduled_model(
+        violations, steps, missed, ticks, quantum = check_scheduled_model(
             tr.plain, tr.schedule, bound, blocks)
-    sys.stdout.writelines(violation_lines(violations, missed, ticks, quantum,
-                                          tr.schedule.inputs))
-    if violations or missed:
+    try:
+        sys.stdout.writelines(violation_lines(
+            violations, steps, missed, ticks, quantum, tr.schedule.inputs))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to the null device at exit, not
+        # to a closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if violations or steps:
         return 1
     print("ok", file=sys.stderr)
     return 0

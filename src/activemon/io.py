@@ -527,12 +527,15 @@ def write_triggers(path, reports) -> None:
 MISSED = "obligated task left unsatisfied"
 
 
-def violation_lines(violations, missed=(), ticks=(), quantum=1, inputs=()):
+def violation_lines(violations, steps=(), missed=(), ticks=(), quantum=1,
+                    inputs=()):
     """One JSON line per violation, newline included: {kind, step, time,
     detail, stream (if any), task (if any)}; then one "schedule" line per
-    missed obligation. `missed` holds (step, task) pairs flat, as
-    `check_scheduled_model` spools them: a miss is timed by its step's tick
-    in `ticks`, on `quantum`, and `inputs` names the bits of its task."""
+    missed obligation, all the lines of one step in one string. `steps`
+    and `missed` are `check_scheduled_model`'s spool: the steps that miss
+    an obligation and per step the tuple of its missed tasks. A step is
+    timed by its tick in `ticks`, on `quantum`, and `inputs` names the
+    bits of its tasks."""
     parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
     time = text = None  # the last time rendered, shared by one step's lines
     for v in violations:
@@ -548,18 +551,23 @@ def violation_lines(violations, missed=(), ticks=(), quantum=1, inputs=()):
             time, text = v.time, repr(float(v.time))
         yield f'{head}{v.step}, "time": {text}, {tail}\n'
     tails: dict = {}  # task -> the line after its step's time
-    last = None
-    pairs = iter(missed)
-    for step, task in zip(pairs, pairs):
-        if step != last:
-            # int / int is correctly rounded, as float(Fraction) is
-            last, head = step, (f'{{"kind": "schedule", "step": {step}, '
-                                f'"time": {ticks[step] / quantum!r}, ')
-        tail = tails.get(task)
-        if tail is None:
-            tail = tails[task] = json.dumps(
-                {"detail": MISSED, "task": task_key(task, inputs)})[1:] + "\n"
-        yield head + tail
+    # tuple of tasks -> "" and the tail of each, which the head of a step
+    # joins into its lines
+    rests: dict = {}
+    for step, tasks in zip(steps, missed):
+        rest = rests.get(tasks)
+        if rest is None:
+            rest = rests[tasks] = [""]
+            for task in tasks:
+                tail = tails.get(task)
+                if tail is None:
+                    tail = tails[task] = json.dumps(
+                        {"detail": MISSED,
+                         "task": task_key(task, inputs)})[1:] + "\n"
+                rest.append(tail)
+        # int / int is correctly rounded, as float(Fraction) is
+        yield (f'{{"kind": "schedule", "step": {step}, '
+               f'"time": {ticks[step] / quantum!r}, ').join(rest)
 
 
 def write_plan_log(path, plans, mode, inputs) -> None:

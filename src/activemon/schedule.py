@@ -367,6 +367,10 @@ class DecisionOracle:
     the floor of the fresh satisfied tasks (the tasks are kept in buckets
     by current value), those with a holding region and, in deadline mode,
     the pending ones. Only the tasks it returns are put in task_key order.
+    The satisfied tasks of a present mask are enumerated once, and only
+    when read: by a priority verdict while some task is valued or overdue,
+    by a deadline step while some task is pending, or through `satisfied`.
+    So an oracle over a schedule without direct tasks enumerates none.
 
     In the priority modes a verdict depends only on the present mask, the
     overdue tasks and the current values, and the current values move at
@@ -438,10 +442,11 @@ class DecisionOracle:
         self.expiry: dict = {}  # task -> expiry tick, deadline mode
         # tick of the last satisfaction of each tracked task, None if never
         self.last: list = [None] * len(self.tracked)
-        self.satisfied: frozenset = frozenset()  # at the last step fed
+        self.present = 0  # mask of present inputs at the last step fed
         self.overdue: frozenset = frozenset()  # at the last step fed
         # shared by every step with the same key
-        self._sat: dict = {}  # present mask -> satisfied tasks
+        self._sat: dict = {}  # present mask -> satisfied tasks, once read
+        self._fed: dict = {}  # present mask -> indices of tracked tasks
         self._holds: dict = {}  # holding mask -> (task, value) pairs
         # fresh subtasks per bound -> [overdue tasks, the same in order]
         self._overdue: dict = {}
@@ -449,12 +454,13 @@ class DecisionOracle:
         # for (len(bound_ticks) if none), and the tick from which that index
         # grows (its last satisfaction plus that bound plus one); `_until`
         # is at most the least of those ticks, and `_over` the overdue tasks
-        # of the current indices, None once one moved
+        # of the current indices, None once one moved (without bounds none
+        # is overdue, and no index moves)
         never = len(self.bound_ticks)
         self._fresh = [never] * len(self.tracked)
         self._moves: list = [math.inf] * len(self.tracked)
         self._until = math.inf
-        self._over: Optional[list] = None
+        self._over: Optional[list] = None if self.bound_ticks else _NOTHING
         # the index of a task just satisfied, and the ticks after which
         # that index moves (None if it never does); ticks stay integers,
         # which may lie beyond float range
@@ -478,15 +484,17 @@ class DecisionOracle:
                 keys[task] = self.schedule.key(task)
         return tuple(sorted(tasks, key=keys.__getitem__))
 
-    def _satisfied(self, present: int) -> tuple:
-        """(satisfied tasks, indices of the tracked ones) under a mask of
-        present inputs."""
+    @property
+    def satisfied(self) -> frozenset:
+        """The tasks satisfied at the last step fed."""
+        return self._satisfied(self.present)
+
+    def _satisfied(self, present: int) -> frozenset:
+        """The tasks satisfied under a mask of present inputs, enumerated
+        once per mask, when first read."""
         got = self._sat.get(present)
         if got is None:
-            got = self._sat[present] = (
-                self.schedule.tasks(present),
-                [j for j, (_, t) in enumerate(self.tracked)
-                 if not t & ~present])
+            got = self._sat[present] = self.schedule.tasks(present)
         return got
 
     def _holding(self, holding: int) -> list:
@@ -526,8 +534,6 @@ class DecisionOracle:
         when its task is satisfied (`decide` resets it) or its age passes
         its bound, so only those indices are found again."""
         bounds = self.bound_ticks
-        if not bounds:
-            return _NOTHING
         if now >= self._until:
             never = len(bounds)
             fresh, moves = self._fresh, self._moves
@@ -566,7 +572,11 @@ class DecisionOracle:
         nothing.
         """
         tick *= self.scale
-        self.satisfied, tracked = self._satisfied(present)
+        self.present = present
+        tracked = self._fed.get(present)
+        if tracked is None:
+            tracked = self._fed[present] = [
+                j for j, (_, t) in enumerate(self.tracked) if not t & ~present]
         obliged = ()
         if self.deadline:
             if self.tick is not None:
@@ -575,7 +585,9 @@ class DecisionOracle:
                 obliged = self._in_order([task for task, e in
                                           self.expiry.items() if e < horizon])
         else:
-            over = self._overdue_at(tick)
+            over = self._over
+            if over is None or tick >= self._until:
+                over = self._overdue_at(tick)
             self.overdue = over[0]
             if self.tick is not None:
                 key = (present, over[0])
@@ -597,8 +609,9 @@ class DecisionOracle:
                 self._until = moves
         if self.deadline:
             expiry = self.expiry
-            for task in self.satisfied:
-                expiry.pop(task, None)
+            if expiry:
+                for task in self._satisfied(present):
+                    expiry.pop(task, None)
             for task, d in self._holding(holding):
                 if task not in expiry or tick + d < expiry[task]:
                     expiry[task] = tick + d
@@ -620,11 +633,13 @@ class DecisionOracle:
         """An unserved task is obliged when a fresh satisfied task has a
         strictly lower current priority, and an overdue task is obliged as
         soon as any fresh task is satisfied."""
-        stale, sat = over[0], self.satisfied
+        stale, current = over[0], self.current
+        if not stale and not current:
+            return ()  # no task is valued or overdue, so none is obliged
+        sat = self.satisfied
         fresh = [task for task in sat if task not in stale]
         if not fresh:
             return ()
-        current = self.current
         floor = min((v for task in fresh if (v := current.get(task)) is not None),
                     default=None)
         # as is under a satisfied superset
@@ -641,6 +656,9 @@ class DecisionOracle:
 # ---------------------------------------------------------------------------
 # model-level checks
 
+# the most (verdict, present mask) pairs that `check_scheduled_model` keeps
+_UNMET = 1024
+
 
 def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
                           bound: int, model) -> tuple:
@@ -653,13 +671,17 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
     blocks' quanta, and nothing else per step. Once the walk is done the
     quantum is final, and the `DecisionOracle` is fed every step.
 
-    Returns (violations, missed, ticks, quantum): the semantic violations
-    and then the bandwidth ones, as `Violation`s; the missed obligations
-    spooled as ints, the step then the task of each, by step and sorted
-    task; and every step's tick on `quantum`, which times the misses. They
-    come after the violations in `check`'s output; `io.violation_lines`
-    renders both. `missed` is an array('q') while every task mask fits in
-    64 bits, else a list of ints, and so are the masks kept per step.
+    Returns (violations, steps, missed, ticks, quantum): the semantic
+    violations and then the bandwidth ones, as `Violation`s; the steps
+    that miss an obligation, in order, and per such step the tuple of its
+    missed tasks in task_key order; and every step's tick on `quantum`,
+    which times the misses. They come after the violations in `check`'s
+    output; `io.violation_lines` renders both. A step's tuple is found
+    once per distinct (verdict, present mask) pair and shared by every
+    step with that pair, so the spool holds two words per step that
+    misses anything, however many tasks it misses. `steps` is an
+    array('q'), and the masks kept per step are an array('q') while they
+    fit in 64 bits, else a list of ints.
     """
     violations: list = []
     guards = schedule.distinct_guards
@@ -673,20 +695,32 @@ def check_scheduled_model(analyzed: AnalyzedSpec, schedule: StaticSchedule,
         holding.append(h)
 
     q, ticks = timeline.quantum, timeline.ticks
-    missed = _masks(max(schedule.base, default=0).bit_length())
+    steps, missed = array("q"), []
+    # (verdict, present mask) -> the verdict's tasks outside the mask; the
+    # verdicts repeat, and the memo is emptied when full, so its size does
+    # not grow with the run
+    unmet: dict = {}
     decide = DecisionOracle(analyzed, schedule, q).decide
     nexts = itertools.chain(itertools.islice(ticks, 1, None), (None,))
     for step, tick, nxt, p, h in zip(itertools.count(), ticks, nexts,
                                      present, holding):
-        for task in decide(tick, p, h, nxt):
-            if task & ~p:
-                missed.extend((step, task))
+        obliged = decide(tick, p, h, nxt)
+        if obliged:
+            tasks = unmet.get((obliged, p))
+            if tasks is None:
+                if len(unmet) == _UNMET:
+                    unmet.clear()
+                tasks = unmet[obliged, p] = tuple(
+                    task for task in obliged if task & ~p)
+            if tasks:
+                steps.append(step)
+                missed.append(tasks)
         width = p.bit_count()
         if width > bound:
             violations.append(Violation(
                 "bandwidth", step, Fraction(tick, q),
                 f"{width} inputs arrive at once, bound is {bound}"))
-    return violations, missed, ticks, q
+    return violations, steps, missed, ticks, q
 
 
 def _masks(bits: int):

@@ -2,11 +2,13 @@
 exact step times and offset depths that tests compare against.
 
 `check_scheduled_model` returns its semantic and bandwidth violations as
-`Violation`s and spools each missed obligation as a (step, task) pair of
-ints, which `io.violation_lines` renders after them. `missed_violations`
-expands the spool into the `Violation`s of those lines, each at its step's
-exact time, and `check_violations` gives the whole list in `check`'s
-order, the form that the reference oracle and the tests compare.
+`Violation`s and spools its missed obligations per step: the steps that
+miss any, and per such step the tuple of its missed tasks, which
+`io.violation_lines` renders after them. `missed_violations` expands the
+spool into the `Violation`s of those lines, one per missed task, each at
+its step's exact time, and `check_violations` gives the whole list in
+`check`'s order, the form that the reference oracle and the tests
+compare.
 `time_at` is a model step's exact time, and `offset_refs` the deepest
 offset an expression uses against each stream.
 """
@@ -21,19 +23,20 @@ from activemon.io import MISSED
 from activemon.schedule import check_scheduled_model, task_key
 
 
-def missed_violations(missed, model, inputs) -> list:
-    """One "schedule" `Violation` per spooled (step, task) pair."""
-    pairs = iter(missed)
+def missed_violations(steps, missed, model, inputs) -> list:
+    """One "schedule" `Violation` per task of each spooled step."""
     return [Violation("schedule", step, time_at(model, step), MISSED,
                       task=task_key(task, inputs))
-            for step, task in zip(pairs, pairs)]
+            for step, tasks in zip(steps, missed, strict=True)
+            for task in tasks]
 
 
 def check_violations(analyzed, schedule, bound: int, model) -> list:
     """`check_scheduled_model`'s violations, then its misses expanded."""
-    violations, missed, _, _ = check_scheduled_model(analyzed, schedule,
-                                                     bound, model)
-    return violations + missed_violations(missed, model, schedule.inputs)
+    violations, steps, missed, _, _ = check_scheduled_model(
+        analyzed, schedule, bound, model)
+    return violations + missed_violations(steps, missed, model,
+                                          schedule.inputs)
 
 
 def time_at(model, step: int) -> Fraction:

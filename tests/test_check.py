@@ -5,9 +5,10 @@ mask, overdue tasks) until some task's current value changes, and skips a
 holding update whose mask it applied last. `RecomputingOracle` decides
 every step afresh, and the two must give the same verdicts at every step.
 
-`check_scheduled_model` spools each missed obligation as a (step, task)
-pair of ints. The lines that `violation_lines` renders from the spool must
-equal the lines of the spool expanded into `Violation`s, each at its step's
+`check_scheduled_model` spools its missed obligations per step: each step
+that misses any, and the tuple of its missed tasks. The lines that
+`violation_lines` renders from the spool must equal the lines of the
+spool expanded into `Violation`s, one per missed task, each at its step's
 exact time.
 
 The verifier compares each step's recomputed outputs with the recorded
@@ -17,7 +18,8 @@ every output, in the same order.
 
 `check` verifies each block of model.csv as it is read. Its lines and exit
 code must be those of the model read whole and walked as one block, and
-what it holds per step must be a few words.
+what it holds per step must be a few words, however many tasks a step
+misses.
 """
 
 import contextlib
@@ -174,9 +176,9 @@ def test_a_value_change_between_equal_keys_is_decided_again(mode):
     assert values[1] < values[2] == values[3]
     assert a not in verdicts[1] and a in verdicts[3]
     assert same_verdicts(analyzed, sched, model) == 3
-    violations, missed, _, _ = check_scheduled_model(analyzed, sched, 2,
-                                                     model)
-    assert violations == [] and (3, a) in zip(*[iter(missed)] * 2)
+    violations, steps, missed, _, _ = check_scheduled_model(analyzed, sched,
+                                                            2, model)
+    assert violations == [] and a in dict(zip(steps, missed))[3]
 
 
 # -- spooled misses ----------------------------------------------------------
@@ -184,13 +186,16 @@ def test_a_value_change_between_equal_keys_is_decided_again(mode):
 
 def rendered(analyzed, schedule, bound, model) -> tuple:
     """The lines rendered from the spool, and from the spool expanded into
-    `Violation`s; and the violations and misses."""
-    violations, missed, ticks, quantum = check_scheduled_model(
+    `Violation`s; and the violations, the steps with misses and their
+    missed tasks."""
+    violations, steps, missed, ticks, quantum = check_scheduled_model(
         analyzed, schedule, bound, model)
-    expanded = violations + missed_violations(missed, model, schedule.inputs)
-    return (list(violation_lines(violations, missed, ticks, quantum,
-                                 schedule.inputs)),
-            list(violation_lines(expanded)), violations, missed)
+    expanded = violations + missed_violations(steps, missed, model,
+                                              schedule.inputs)
+    spooled = "".join(violation_lines(violations, steps, missed, ticks,
+                                      quantum, schedule.inputs))
+    return (spooled.splitlines(keepends=True),
+            list(violation_lines(expanded)), violations, steps, missed)
 
 
 def test_spooled_lines_equal_the_expanded_ones_on_the_golden_models(
@@ -198,8 +203,8 @@ def test_spooled_lines_equal_the_expanded_ones_on_the_golden_models(
     kinds = set()
     for tr, model in _golden_models(spec_dir, tmp_path):
         for bound in BOUNDS:
-            spooled, expanded, _, _ = rendered(tr.plain, tr.schedule, bound,
-                                               model)
+            spooled, expanded, *_ = rendered(tr.plain, tr.schedule, bound,
+                                             model)
             assert spooled == expanded
             kinds |= {json.loads(line)["kind"] for line in spooled}
     assert kinds == {"semantic", "bandwidth", "schedule"}
@@ -225,8 +230,7 @@ def test_a_step_with_a_bandwidth_finding_and_misses():
     model = run_events(analyzed, [
         Event(Fraction(0), {"a": 1.0, "b": 1.0, "c": 1.0}),
         Event(Fraction(1), {"b": 2.0, "c": 2.0})])[0]
-    spooled, expanded, violations, missed = rendered(analyzed, sched, 1,
-                                                     model)
+    spooled, expanded, violations, *_ = rendered(analyzed, sched, 1, model)
     assert spooled == expanded
     assert [(v.kind, v.step) for v in violations] == \
         [("bandwidth", 0), ("bandwidth", 1)]
@@ -257,8 +261,8 @@ def test_miss_times_above_2_53_on_a_quantum_of_thirds():
         Event(Fraction(n - 3, 3), {"a": 1.0, "b": 1.0}),
         Event(Fraction(n, 3), {"b": 2.0})])[0]
     assert (model.quantum, model.ticks[1]) == (3, n)
-    spooled, expanded, _, missed = rendered(analyzed, sched, 2, model)
-    assert len(missed) == 4  # {a} and {a, b} at step 1
+    spooled, expanded, _, steps, missed = rendered(analyzed, sched, 2, model)
+    assert (list(steps), missed) == ([1], [(1, 3)])  # {a} and {a, b}
     assert spooled == expanded
     assert {json.loads(line)["time"] for line in spooled} == {n / 3}
 
@@ -270,8 +274,8 @@ def test_tasks_beyond_64_bits_spool_as_python_ints():
     sched = build_static_schedule(analyzed, "priority")
     model = run_events(analyzed, [Event(Fraction(0), {"a": 1.0, "b": 1.0}),
                                   Event(Fraction(1), {"b": 2.0})])[0]
-    spooled, expanded, _, missed = rendered(analyzed, sched, 2, model)
-    assert list(missed) == [1, 1 << 63, 1, 3 << 63]
+    spooled, expanded, _, steps, missed = rendered(analyzed, sched, 2, model)
+    assert (list(steps), missed) == ([1], [(1 << 63, 3 << 63)])
     assert spooled == expanded
     assert [json.loads(line)["task"] for line in spooled] == \
         [["a"], ["a", "b"]]
@@ -288,8 +292,8 @@ def test_spooled_lines_equal_the_expanded_ones_on_generated_models(
             k = rng.randrange(1, len(model))
             model.ticks[k] = model.ticks[k - 1]
         for bound in (1, 2):
-            spooled, expanded, _, _ = rendered(tr.plain, tr.schedule, bound,
-                                               model)
+            spooled, expanded, *_ = rendered(tr.plain, tr.schedule, bound,
+                                             model)
             assert spooled == expanded
 
 
@@ -401,11 +405,11 @@ def _in_memory_check(spec, path) -> tuple:
     walked as one block."""
     tr = translate(analyze(parse_spec(spec.read_text())), "dp")
     model = read_model(path, tr.plain)
-    violations, missed, ticks, quantum = check_scheduled_model(
+    violations, steps, missed, ticks, quantum = check_scheduled_model(
         tr.plain, tr.schedule, 2, model)
-    return ("".join(violation_lines(violations, missed, ticks, quantum,
-                                    tr.schedule.inputs)),
-            1 if violations or missed else 0)
+    return ("".join(violation_lines(violations, steps, missed, ticks,
+                                    quantum, tr.schedule.inputs)),
+            1 if violations or steps else 0)
 
 
 def _check(spec, path) -> list:
@@ -495,6 +499,43 @@ def test_check_holds_a_few_words_per_step_beyond_one_block(tmp_path):
         transient[blocks] = _check_transient(_check(spec, path))
     rows = 12 * BLOCK_ROWS
     # three arrays of 8-byte ints per step and two per miss, each grown by
-    # at most an eighth
+    # at most an eighth; the spool takes two words per step with misses,
+    # at most one step per miss
     need = 8 * (3 * rows + 2 * (misses[16] - misses[4])) * 9 // 8
     assert transient[16] - transient[4] < need + 4096, (transient, misses)
+
+
+def _starved(highs: int) -> str:
+    """`highs` high-priority inputs and a low one, z."""
+    return "".join(f'#[priority="high"]\ninput h{i} : Float64\n'
+                   for i in range(highs)) + \
+        '#[priority="low"]\ninput z : Float64\n'
+
+
+def test_check_holds_a_few_words_per_step_however_many_tasks_it_misses(
+        tmp_path):
+    # every input arrives at step 0 and z alone after it, so every later
+    # step misses every task but {z}: 14 tasks at 3 high inputs, 30 at 4
+    growth = {}
+    for highs in (3, 4):
+        text = _starved(highs)
+        spec = tmp_path / f"starved{highs}.lola"
+        spec.write_text(text)
+        analyzed = translate(analyze(parse_spec(text)), "dp").plain
+        every = dict.fromkeys(analyzed.spec.input_names(), 1.0)
+        transient = {}
+        for blocks in (2, 8):
+            path = tmp_path / f"starved{highs}-{blocks}.csv"
+            write_model(path, run_events(analyzed, [
+                Event(Fraction(k), every if k == 0 else {"z": 1.0})
+                for k in range(blocks * BLOCK_ROWS)])[0], analyzed)
+            out, _ = _in_memory_check(spec, path)
+            assert out.count('"schedule"') == \
+                (2 ** (highs + 1) - 2) * (blocks * BLOCK_ROWS - 1)
+            transient[blocks] = _check_transient(_check(spec, path))
+        growth[highs] = transient[8] - transient[2]
+    rows = 6 * BLOCK_ROWS
+    # three arrays of 8-byte ints per step and the spool's two words per
+    # step with misses, each grown by at most an eighth
+    need = 8 * 5 * rows * 9 // 8
+    assert max(growth.values()) < need + 4096, growth

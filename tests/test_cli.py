@@ -14,7 +14,7 @@ from activemon import schedule
 from activemon.analysis import analyze
 from activemon.cli import _check_config_names, _load, _read_config, main
 from activemon.engine import verify_model
-from activemon.io import read_model, violation_lines, write_model
+from activemon.io import MISSED, read_model, violation_lines, write_model
 from activemon.parser import parse_spec
 from activemon.scheduler import run_scheduled
 from activemon.translate import translate
@@ -484,18 +484,14 @@ def test_check_plain_spec_reports_what_verify_model_reports(
 def test_check_plain_spec_builds_no_task_universe(tmp_path, capsys,
                                                   monkeypatch):
     # 18 inputs, each paced by its own output: 2**18 - 1 tasks, none of
-    # which has regions or a bound, so `check` needs only those inside each
-    # step's inputs
+    # which has regions or a bound, so no step can oblige any of them and
+    # `check` needs none, not even those inside a row that carries all 18
     names = [f"x{i}" for i in range(18)]
     text = "".join(f"input {n} : Float64\n" for n in names) + "".join(
         f"output o{n} |@{n}| := {n} + 1.0\n" for n in names)
     spec = tmp_path / "wide.lola"
     spec.write_text(text)
     analyzed = analyze(parse_spec(text))
-    events = [Event(Fraction(k, 2), {names[k % 18]: float(k)})
-              for k in range(200)]
-    model = tmp_path / "model.csv"
-    write_model(model, run_events(analyzed, events)[0], analyzed)
 
     built = []  # the size of every union closure that check builds
 
@@ -506,11 +502,21 @@ def test_check_plain_spec_builds_no_task_universe(tmp_path, capsys,
 
     closure = schedule.union_closure
     monkeypatch.setattr(schedule, "union_closure", union_closure)
-    rc = main(["check", str(spec), "--model", str(model)])
-    captured = capsys.readouterr()
-    assert (rc, captured.out, captured.err) == (0, "", "ok\n")
-    # each step has one input, which satisfies its one task
-    assert built and max(built) == 1
+    one = [{names[k % 18]: float(k)} for k in range(200)]
+    every = [dict.fromkeys(names, float(k)) for k in range(200)]
+    for rows, bound in ((one, []), (every, ["--bound", "18"])):
+        events = [Event(Fraction(k, 2), row) for k, row in enumerate(rows)]
+        model = tmp_path / "model.csv"
+        write_model(model, run_events(analyzed, events)[0], analyzed)
+        rc = main(["check", str(spec), "--model", str(model), *bound])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (0, "", "ok\n")
+        assert built == []
+    # read, the oracle's satisfied set is still exact, and the hook sees it
+    oracle = schedule.DecisionOracle(
+        analyzed, schedule.build_static_schedule(analyzed, "dp"), 2)
+    oracle.decide(0, 0b101, 0)
+    assert oracle.satisfied == {0b1, 0b100, 0b101} and built == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +929,31 @@ def test_python_m_activemon_check_exits_with_its_code(
         assert result.stdout == ""
     if code == 2:
         assert "--bound: must be at least 1: '0'" in result.stderr
+
+
+def test_check_into_a_pipe_closed_early_exits_with_its_verdict(tmp_path):
+    # b is served alone from 1 s on while a holds the higher priority: two
+    # misses a step, far more lines than a pipe buffers, so the writes
+    # after the reader has gone fail
+    spec = tmp_path / "pair.lola"
+    spec.write_text(PAIR_TEXT)
+    tr = translate(analyze(parse_spec(PAIR_TEXT)), "priority")
+    model = tmp_path / "pair.csv"
+    write_model(model, run_events(tr.plain, [
+        Event(Fraction(k), {"a": 1.0, "b": 1.0} if k == 0 else {"b": 2.0})
+        for k in range(4000)])[0], tr.plain)
+    src = Path(__file__).parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-m", "activemon", "check", str(spec),
+             "--model", str(model), "--mode", "priority", "--bound", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        first = proc.stdout.readline()  # as `check ... | head -1` reads
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert json.loads(first) == {"kind": "schedule", "step": 1, "time": 1.0,
+                                 "detail": MISSED, "task": ["a"]}
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 def test_module_entry_point_smoke(spec_dir):
