@@ -22,7 +22,7 @@ from .io import (read_json, read_model_blocks, read_text, read_trace,
                  write_plan_log, write_triggers)
 from .parser import parse_spec, positive_finite
 from .schedule import MODES, check_scheduled_model
-from .scheduler import run_scheduled
+from .scheduler import build_precondition_report, run_scheduled
 from .sim import (CROSSING_KINDS, TraceSource, baseline_name,
                   compute_metrics, generate_flight, run_experiment, run_fixed,
                   scenario_from_json, trace_fingerprint)
@@ -123,9 +123,12 @@ def cmd_run(args) -> int:
     analyzed = _load(args.spec)
     tr = translate(analyzed, args.mode)
     trace, horizon = _source_for(args, analyzed)
-    run = run_scheduled(tr, TraceSource(trace), horizon, args.bound)
-    if not run.report.ok or run.report.deadline_warnings:
-        for line in run.report.lines():
+    bound = args.bound if args.bound is not None else analyzed.config.bandwidth
+    run = run_scheduled(tr, TraceSource(trace), horizon, bound)
+    report = build_precondition_report(tr.schedule, bound,
+                                       analyzed.config.period)
+    if not report.ok or report.deadline_warnings:
+        for line in report.lines():
             print(line, file=sys.stderr)
     metrics = compute_metrics(run.model, analyzed.spec.input_names(),
                               float(horizon),

@@ -536,20 +536,12 @@ def violation_lines(violations, steps=(), missed=(), ticks=(), quantum=1,
     an obligation and per step the tuple of its missed tasks. A step is
     timed by its tick in `ticks`, on `quantum`, and `inputs` names the
     bits of its tasks."""
-    parts: dict = {}  # (kind, detail, stream, task) -> JSON around step, time
-    time = text = None  # the last time rendered, shared by one step's lines
     for v in violations:
-        key = (v.kind, v.detail, v.stream, v.task)
-        if key not in parts:
-            tail = {"detail": v.detail, "stream": v.stream, "task": v.task}
-            tail = {k: x for k, x in tail.items() if x is not None}
-            parts[key] = (f'{{"kind": {json.dumps(v.kind)}, "step": ',
-                          json.dumps(tail)[1:])
-        head, tail = parts[key]
-        if v.time is not time:
-            # JSON writes a finite float as its repr
-            time, text = v.time, repr(float(v.time))
-        yield f'{head}{v.step}, "time": {text}, {tail}\n'
+        tail = {"detail": v.detail, "stream": v.stream, "task": v.task}
+        yield json.dumps({"kind": v.kind, "step": v.step,
+                          "time": float(v.time),
+                          **{k: x for k, x in tail.items()
+                             if x is not None}}) + "\n"
     tails: dict = {}  # task -> the line after its step's time
     # tuple of tasks -> "" and the tail of each, which the head of a step
     # joins into its lines

@@ -13,9 +13,9 @@ the working tasks inside its inputs, since the event fits the bound.  Urgency is
 back from the generated ``schedule_*``/``last_*`` helper streams of the
 direct tasks, and a joint task's value combines its sources' values when
 all of them fire together, so the loop needs no second interpretation of
-the annotations.  Before the first cycle `build_precondition_report`
-states whether every task fits the bandwidth, which, the tasks being
-union-closed, is whether the widest, the union of them all, does.
+the annotations.  `build_precondition_report`, which the `run` command
+prints, states whether every task fits the bandwidth, which, the tasks
+being union-closed, is whether the widest, the union of them all, does.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ class SchedulerState:
 
 @dataclass(frozen=True)
 class PreconditionReport:
-    """What `run` states about a schedule before its first cycle.
+    """What the `run` command states about a schedule on stderr.
 
     The tasks are union-closed, so the widest is the union of all the
     others. When that task fits the bandwidth every task fits one
@@ -397,7 +397,6 @@ class ScheduledRun:
     model: EvaluationModel
     triggers: list
     plans: list
-    report: PreconditionReport
 
 
 def run_scheduled(translation: Translation, source, horizon,
@@ -409,9 +408,10 @@ def run_scheduled(translation: Translation, source, horizon,
     in one `source.read(sensors, tick, quantum)` request. `run_monitor_full`
     evaluates and records each cycle's event and hands its row to
     `SchedulerState.observe` before the next cycle is planned.
-    The run proceeds even when the precondition report is negative;
-    tasks wider than the bandwidth are simply never scheduled. More than
-    MAX_STEPS cycles raise TooManySteps before any cycle runs.
+    The run proceeds even when some task is wider than the bandwidth
+    (see `build_precondition_report`); such tasks are simply never
+    scheduled. More than MAX_STEPS cycles raise TooManySteps before any
+    cycle runs.
     """
     config = translation.analyzed.config
     period = config.period
@@ -421,7 +421,6 @@ def run_scheduled(translation: Translation, source, horizon,
     cycles = math.ceil(horizon / period)
     check_steps(cycles, f"a {float(horizon)} s scheduled run")
 
-    report = build_precondition_report(translation.schedule, bound, period)
     state = SchedulerState(translation, bound)
     # cycle k runs at tick k * period.numerator on the quantum
     # period.denominator; the plan and the sensor read take the tick
@@ -441,4 +440,4 @@ def run_scheduled(translation: Translation, source, horizon,
 
     model, triggers = run_monitor_full(translation.plain, events(), quantum,
                                        state.observe)
-    return ScheduledRun(translation, model, triggers, plans, report)
+    return ScheduledRun(translation, model, triggers, plans)

@@ -6,11 +6,17 @@ value, a ``last_*`` timestamp stream per observable task, and in the
 staleness modes an ``overdue_*`` stream per bounded task.  Tasks are the
 schedule's bit masks over the inputs, and helpers are named after a
 task's inputs in declaration order, so neither the names nor the order of
-the helpers depends on set iteration.  Only direct tasks get helpers,
-from their literal region tables; every other task's value is derived by
-rule where it is needed.  The original streams are kept verbatim (with
-their inferred pacings made explicit), so every model of the lowered spec
-restricted to the original streams is a model of the input spec.
+the helpers depends on set iteration.  Only direct tasks get helpers;
+every other task's value is derived by rule where it is needed.  A
+``schedule_*`` helper is always its task's region table
+(`StaticSchedule.entries`), one clause per region, most restrictive
+first, guarded by the conjunction of the region's annotation guards.  A
+guard carries the negation of every earlier ``when`` of its stream,
+annotated or not, so a helper carries a value exactly where the
+`DecisionOracle` finds a region holding, and that region's value.  The
+original streams are kept verbatim (with their inferred pacings made
+explicit), so every model of the lowered spec restricted to the original
+streams is a model of the input spec.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .ast import (
 from .schedule import (
     MODE_DEADLINE,
     MODE_PRIORITY,
+    ScheduleEntry,
     StaticSchedule,
     Task,
     build_static_schedule,
@@ -77,46 +84,13 @@ def _fresh(base: str, used: set) -> str:
     return name
 
 
-def _value_const(mode: str, value) -> Const:
-    if mode == MODE_DEADLINE:
-        return Const(float(value), is_float=True)
-    return Const(int(value))
-
-
-def _chain_in_source_order(regions: tuple, spec: Specification) -> Optional[list]:
-    """Original (pacing, when, value) clauses if the whole table is one
-    stream's chain already sorted most restrictive first; None otherwise."""
-    if not regions:
-        return None
-    streams = {src for r in regions for src, _ in r.sources}
-    if len(streams) != 1 or any(len(r.sources) != 1 for r in regions):
-        return None
-    indices = [r.sources[0][1] for r in regions]
-    if indices != sorted(indices):
-        return None
-    (name,) = streams
-    out = []
-    for region in regions:
-        idx = region.sources[0][1]
-        if idx < 0:  # input annotation, unconditioned
-            when = None
-        else:
-            when = spec.output_decl(name).clauses[idx].when
-        out.append((region.pacing, when, region.value))
-    return out
-
-
-def _schedule_clauses(mode: str, regions: tuple,
-                      spec: Specification) -> tuple:
-    original = _chain_in_source_order(regions, spec)
-    if original is not None:
-        return tuple(
-            EvalClause(pacing, when, _value_const(mode, value))
-            for pacing, when, value in original)
-    return tuple(
-        EvalClause(r.pacing, None if r.condition == TRUE else r.condition,
-                   _value_const(mode, r.value))
-        for r in regions)
+def _region_clause(mode: str, region: ScheduleEntry) -> EvalClause:
+    """One region of a direct task's table as a `schedule_*` clause: the
+    region's value while the conjunction of its entries' guards holds."""
+    value = (Const(float(region.value), is_float=True)
+             if mode == MODE_DEADLINE else Const(int(region.value)))
+    when = None if region.condition == TRUE else region.condition
+    return EvalClause(region.pacing, when, value)
 
 
 def _overdue_expr(task: Task, bound: Fraction, schedule: StaticSchedule,
@@ -158,7 +132,7 @@ def translate(analyzed: AnalyzedSpec, mode: str) -> Translation:
         if "schedule" in kinds:
             helpers.append(OutputDecl(
                 kinds["schedule"],
-                _schedule_clauses(mode, schedule.entries[task], spec)))
+                tuple(_region_clause(mode, r) for r in schedule.entries[task])))
         if "last" in kinds:
             helpers.append(OutputDecl(kinds["last"], (
                 EvalClause(Pacing.of(task_names(task, inputs)), None, Now()),)))

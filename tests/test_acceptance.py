@@ -266,9 +266,9 @@ def test_criterion_8_conflict_resolution_and_precondition(
             return {s: 20.0 if s == "a" else 1.0 for s in sensors}
 
     tr = translate(analyze(parse_spec(conflict_text)), "priority")
+    assert build_precondition_report(tr.schedule, 2, Fraction(1)).ok
     run = run_scheduled(tr, Source(), 10, 2)
     union = task_of("ab", tr.schedule.inputs)
-    assert run.report.ok
     assert all(union in p.selected for p in run.plans)
     assert check_violations(tr.plain, tr.schedule, 2, run.model) == []
 

@@ -405,6 +405,52 @@ def test_check_on_a_model_without_the_helper_columns_is_a_usage_error(
     assert "Traceback" not in err
 
 
+# x's first clause is unannotated, so its `high` region is z > 1.0 only
+# while z <= 5.0; from 3 s on z is 7.0 and only the `low` region holds
+UNANNOTATED_FIRST = """\
+#![frequency="1Hz", bound="1"]
+#[deadline="3s"]
+input z : Float64
+#[deadline="3s"]
+input b : Float64
+output x
+    eval |@z| when z > 5.0 with 0.0
+    #[priority="high"]
+    eval |@z| when z > 1.0 with z
+    #[priority="low"]
+    eval |@z| with z
+output y
+    #[priority="medium"]
+    eval |@b| with b
+"""
+
+
+def test_a_helper_after_an_unannotated_clause_keeps_its_negation(tmp_path,
+                                                                capsys):
+    # z's helper reads 1 while z is 7.0, so the medium b outranks z, the
+    # bound-1 run serves both, and `check` finds no missed obligation
+    spec = tmp_path / "x.lola"
+    spec.write_text(UNANNOTATED_FIRST)
+    assert main(["translate", str(spec), "--mode", "dp"]) == 0
+    out = capsys.readouterr().out
+    assert ("output schedule_z\n"
+            "    eval |@z| when z > 1.0 && z <= 5.0 with 10\n"
+            "    eval |@z| when z <= 1.0 && z <= 5.0 with 1\n") in out
+    events = [Event(Fraction(t), {"z": 0.0 if t < 3 else 7.0, "b": 1.0})
+              for t in range(31)]
+    trace = tmp_path / "trace.csv"
+    write_trace(trace, events, analyze(parse_spec(UNANNOTATED_FIRST)))
+    run = tmp_path / "run"
+    assert main(["run", str(spec), "--trace", str(trace), "--mode", "dp",
+                 "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(spec), "--model", str(run / "model.csv"),
+                 "--mode", "dp"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "ok"
+
+
 def test_check_plain_spec_uses_the_semantic_oracle(tmp_path, capsys):
     spec = tmp_path / "plain.lola"
     spec.write_text("input s : Float64\noutput o := s + 1.0\n")

@@ -93,9 +93,9 @@ def reference_run(analyzed, events):
     return columns, fired
 
 
-def _generated(seed, annotate, off_grid=False):
+def _generated(seed, annotate, off_grid=False, mode=None):
     rng = Random(seed)
-    mode = gen_specs.MODES[seed % 3]
+    mode = mode or gen_specs.MODES[seed % 3]
     analyzed = analyze(parse_spec(gen_specs.gen_spec(
         rng, mode, annotate=annotate, off_grid=off_grid)))
     events = gen_specs.gen_trace(rng, analyzed.spec.input_names(), 30,
@@ -146,6 +146,37 @@ def test_region_truth_from_guards_matches_the_reference(seed):
             ]
             assert [s for s, h in enumerate(holding)
                     if h & mask == mask] == expected
+
+
+@given(SEEDS, st.sampled_from(gen_specs.MODES))
+# o4's unannotated clause `when s0 <= -1.3` lies between its annotated
+# ones, so s0's second region needs s0 > -1.3; at step 6 neither of s0's
+# regions holds, and its helper is absent
+@example(12, "priority")
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_helper_carries_the_region_that_the_guards_decide(seed, mode):
+    # each `schedule_*` cell is the value of the task's most restrictive
+    # region whose guards all hold, the region table that the oracle reads,
+    # and absent where none holds; deadline helpers carry floats
+    _, tr, events = _generated(seed, annotate=True, mode=mode)
+    model, _ = run_events(tr.plain, events)
+    schedule = tr.schedule
+    guards = schedule.distinct_guards
+    bit = {guard: 1 << i for i, guard in enumerate(guards)}
+    holding = [h for _, h in walk_model(tr.plain, model, [], guards)]
+    exact = float if mode == "deadline" else int
+    for task, regions in schedule.entries.items():
+        if not regions:
+            continue
+        masks = [sum({bit[schedule.guards[s]] for s in r.sources})
+                 for r in regions]
+        expected = [
+            next((exact(r.value) for r, m in zip(regions, masks)
+                  if h & m == m), ABSENT)
+            for h in holding]
+        column = model.streams[tr.names[task]["schedule"]]
+        assert [(v, type(v)) for v in column] == \
+            [(v, type(v)) for v in expected], tr.names[task]["schedule"]
 
 
 def _probed(analyzed, model):

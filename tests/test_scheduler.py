@@ -8,16 +8,17 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen_specs
 from activemon import scheduler
 from activemon.analysis import analyze
 from activemon.ast import Pacing
-from activemon.engine import values_equal
+from activemon.engine import values_equal, walk_model
 from activemon.parser import parse_spec
-from activemon.schedule import (MODE_DEADLINE, build_static_schedule,
+from activemon.schedule import (MODE_DEADLINE, DecisionOracle,
+                                build_static_schedule,
                                 task_names, task_of, union_closure)
 from activemon.scheduler import (
     SchedulerState,
@@ -165,8 +166,8 @@ def test_empty_plans_produce_no_events():
             '    #[priority="high"]\n'
             "    eval |@a && b| with a + b\n")
     tr = _translated(text, "priority")
+    assert not build_precondition_report(tr.schedule, 1, Fraction(1)).ok
     run = run_scheduled(tr, ConstSource({"a": 1.0, "b": 1.0}), 10, bound=1)
-    assert not run.report.ok
     assert len(run.plans) == 10
     assert all(p.flat == frozenset() for p in run.plans)
     assert len(run.model) == 0
@@ -179,8 +180,8 @@ def test_empty_plans_produce_no_events():
 
 def test_conflict_union_scheduled_at_full_bandwidth(conflict_text):
     tr = _translated(conflict_text, "priority")
+    assert build_precondition_report(tr.schedule, 2, Fraction(1)).ok
     run = run_scheduled(tr, ConstSource({"a": 20.0, "b": 1.0}), 10)
-    assert run.report.ok
     assert all(p.flat == {"a", "b"} for p in run.plans)
     assert all(AB in p.selected for p in run.plans)
     assert check_violations(tr.plain, tr.schedule, 2, run.model) == []
@@ -188,9 +189,10 @@ def test_conflict_union_scheduled_at_full_bandwidth(conflict_text):
 
 def test_conflict_starves_cleanly_below_bandwidth(conflict_text):
     tr = _translated(conflict_text, "priority")
+    report = build_precondition_report(tr.schedule, 1, Fraction(1))
+    assert not report.ok
+    assert report.oversized == (AB,)
     run = run_scheduled(tr, ConstSource({"a": 20.0, "b": 1.0}), 10, bound=1)
-    assert not run.report.ok
-    assert run.report.oversized == (AB,)
     # the high-priority singleton wins every cycle; no inversion results
     assert all(p.flat == {"a"} for p in run.plans)
     assert check_violations(tr.plain, tr.schedule, 1, run.model) == []
@@ -451,6 +453,46 @@ def test_scheduler_matches_the_time_based_reference(seed, mode, deadlines,
     # task, so the bounds between are where unions compete for the event
     for b in range(1, bound + 1):
         _assert_matches_reference(tr, trace, horizon, b)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["priority", "dp"]))
+# o4's unannotated clause `when s0 <= -1.3` lies between its annotated
+# ones, so s0's second region needs s0 > -1.3; at the first step no region
+# of s0 holds, so the scheduler must leave s0 without a value
+@example(12, "priority")
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_the_scheduler_values_tasks_as_the_oracle_does(seed, mode):
+    # after every step of a closed-loop run, each working task's value in
+    # `SchedulerState.values`, read back from the helpers, is the current
+    # value that `DecisionOracle` decides from the annotation guards;
+    # deadline mode keeps expiries instead of current values
+    rng = Random(seed)
+    analyzed = analyze(parse_spec(gen_specs.gen_spec(rng, mode, annotate=True)))
+    trace = gen_specs.gen_source_trace(rng, analyzed.spec.input_names(),
+                                       Fraction(20))
+    tr = translate(analyzed, mode)
+    for bound in (1, 2):
+        values = []
+
+        class Recording(SchedulerState):
+            def observe(self, row):
+                super().observe(row)
+                values.append(dict(self.values))
+
+        with mock.patch.object(scheduler, "SchedulerState", Recording):
+            run = run_scheduled(tr, TraceSource(trace), 20, bound)
+        model = run.model
+        working = tr.schedule.tasks(width=bound)
+        guards = tr.schedule.distinct_guards
+        oracle = DecisionOracle(tr.plain, tr.schedule, model.quantum)
+        nexts = list(model.ticks[1:]) + [None]
+        for step, ((present, holding), tick, nxt, held) in enumerate(zip(
+                walk_model(tr.plain, model, [], guards), model.ticks, nexts,
+                values, strict=True)):
+            oracle.decide(tick, present, holding, nxt)
+            assert {t: held.get(t) for t in working} == \
+                {t: oracle.current.get(t) for t in working}, (bound, step)
 
 
 # 3 Hz against bounds of 1.2 s and 0.5 s: 3.6 and 1.5 cycles, so the
