@@ -20,7 +20,7 @@ from .errors import OutOfRange, SpecError
 from .io import (read_json, read_model_blocks, read_text, read_trace,
                  trigger_json, violation_lines, write_json, write_model,
                  write_plan_log, write_triggers)
-from .parser import parse_spec, positive_finite
+from .parser import exact_number, parse_spec, positive_finite
 from .schedule import MODES, check_scheduled_model
 from .scheduler import build_precondition_report, run_scheduled
 from .sim import (CROSSING_KINDS, TraceSource, baseline_name,
@@ -44,7 +44,7 @@ def _frequency(text: str) -> Fraction:
     """argparse type for a sampling frequency: a number of Hz, read
     exactly, whose float and whose period's float are positive and finite."""
     try:
-        freq = Fraction(text)
+        freq = exact_number(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (positive_finite(freq) and positive_finite(1 / freq)):

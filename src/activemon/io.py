@@ -9,7 +9,7 @@ rows at a time, transposes them and parses each column with the parser
 bound once to its type, a tuple column once per distinct cell. A block
 whose time cells are all unsigned plain ASCII decimals becomes integer
 ticks on 10**(its most fraction digits) at once; any other block reads
-each time cell through `Fraction(cell)`. Either way each block's times
+each time cell through `parser.exact_number`. Either way each block's times
 become integer ticks on the least quantum of that block. A reader keeps
 every tick on the lcm of the blocks' quanta so far and scales what it holds
 only when that lcm grows. Line numbers live only as long as their block, as
@@ -50,6 +50,7 @@ from .ast import BOOL, INT64, UINT64, TupleType, Type
 from .engine import (ABSENT, EvaluationModel, Timeline, TriggerReport,
                      backward_rows, extend_ticks)
 from .errors import NonMonotonicTime, SpecSyntaxError
+from .parser import exact_number
 from .schedule import task_key
 from .sim import SensorTrace
 
@@ -97,10 +98,11 @@ def format_time(t: Fraction) -> str:
 
 
 def _time_parts(cell: str) -> tuple[int, int]:
-    """(numerator, denominator) of a time cell, read by Fraction(cell), so
-    the cells accepted and their values are Fraction's. A time beyond float
-    range is rejected, since monitors read time as a float."""
-    t = Fraction(cell)
+    """(numerator, denominator) of a time cell, read by
+    `parser.exact_number`, so the cells accepted and their values are
+    Fraction's. A time beyond float range is rejected, since monitors read
+    time as a float."""
+    t = exact_number(cell)
     try:
         float(t)
     except OverflowError:
@@ -589,11 +591,14 @@ def write_json(path, payload) -> None:
 # a JSON string, or an integer that is not part of a float
 _JSON_INT = re.compile(
     r'"(?:[^"\\]|\\.)*"|(?<![0-9.eE+-])-?([0-9]+)(?![.eE0-9])')
+# a JSON string, or a bracket outside strings
+_JSON_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|([\[{])|([\]}])')
 
 
 def read_json(path):
     """A JSON file's value; a SpecSyntaxError at its line and column when
-    it is not JSON, or holds an integer of more digits than int() reads."""
+    it is not JSON, holds an integer of more digits than int() reads, or
+    nests deeper than the json module's recursion reaches."""
     text = read_text(path)
     try:
         return json.loads(text)
@@ -605,9 +610,20 @@ def read_json(path):
         limit = sys.get_int_max_str_digits()
         at = next((m.start() for m in _JSON_INT.finditer(text)
                    if m.group(1) and len(m.group(1)) > limit), 0)
-        raise SpecSyntaxError(
-            f"integer has more than {limit} digits", str(path),
-            text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)) from None
+        message = f"integer has more than {limit} digits"
+    except RecursionError:
+        # at the first bracket of the deepest nesting
+        depth = deepest = at = 0
+        for m in _JSON_BRACKET.finditer(text):
+            if m.group(1):
+                depth += 1
+                if depth > deepest:
+                    deepest, at = depth, m.start()
+            elif m.group(2):
+                depth -= 1
+        message = f"arrays and objects nested {deepest} deep"
+    raise SpecSyntaxError(message, str(path), text.count("\n", 0, at) + 1,
+                          at - text.rfind("\n", 0, at))
 
 
 __all__ = [

@@ -42,7 +42,8 @@ _BUILTIN_FUNCS = {"min", "max", "abs", "sqrt"}
 # list, offset default and prefix operator open around a token: at most
 # MAX_NESTING. Every pass over the tree recurses once per level, leaves
 # included (a chain of n binary operators is n + 1 deep): at most
-# MAX_DEPTH. A deeper expression is a syntax error, not a RecursionError.
+# MAX_DEPTH. A deeper expression is a syntax error, not a RecursionError,
+# and so is a tuple type of more than MAX_NESTING parentheses open at once.
 MAX_NESTING = 100
 MAX_DEPTH = 500
 _RESERVED = _KEYWORDS | _BUILTIN_FUNCS | {"offset", "by", "defaults", "to"}
@@ -247,7 +248,7 @@ class Parser:
     def parse_frequency(self, value: str, tok: Token) -> Fraction:
         body = value[:-2] if value.endswith("Hz") else value
         try:
-            freq = Fraction(body)
+            freq = exact_number(body)
         except (ValueError, ZeroDivisionError):
             raise self.error(f"invalid frequency {value!r}", tok)
         # a frequency that is not positive is GlobalConfig's to reject
@@ -260,7 +261,7 @@ class Parser:
     def parse_seconds(self, value: str, tok: Token) -> Fraction:
         body = value[:-1] if value.endswith("s") else value
         try:
-            sec = Fraction(body)
+            sec = exact_number(body)
         except (ValueError, ZeroDivisionError):
             raise self.error(f"invalid duration {value!r}", tok)
         if sec <= 0:
@@ -317,12 +318,15 @@ class Parser:
         self.declared.append(tok)
         return tok.text
 
-    def parse_type(self):
+    def parse_type(self, nesting: int = 0):
         if self.at_punct("("):
+            if nesting == MAX_NESTING:
+                raise self.error(f"type nests more than {MAX_NESTING} levels "
+                                 "deep")
             self.advance()
-            first = self.parse_type()
+            first = self.parse_type(nesting + 1)
             self.expect("PUNCT", ",")
-            second = self.parse_type()
+            second = self.parse_type(nesting + 1)
             self.expect("PUNCT", ")")
             return TupleType((first, second))
         tok = self.expect("IDENT")
@@ -564,6 +568,23 @@ class Parser:
                     f"pacing may only name input streams, not '{tok.text}'", tok)
 
 
+# the largest decimal exponent that `exact_number` reads: int()'s default
+# digit limit, past which the value's digits would not be read either
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def exact_number(text: str) -> Fraction:
+    """Fraction(text), but ValueError for a decimal exponent beyond
+    ±MAX_EXPONENT, whose power of ten alone Fraction would build: 1e-400
+    reads, and 1e-99999999999 does not take all memory."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"the exponent of {text.strip()!r} is beyond "
+                         f"±{MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def positive_finite(value) -> bool:
     """Whether `value`, an int, float or Fraction, has a positive finite
     float; a value beyond float range has none."""
@@ -578,4 +599,5 @@ def parse_spec(text: str, filename: str = "<spec>") -> Specification:
     return Parser(text, filename).parse()
 
 
-__all__ = ["parse_spec", "Parser", "positive_finite"]
+__all__ = ["MAX_EXPONENT", "parse_spec", "Parser", "exact_number",
+           "positive_finite"]

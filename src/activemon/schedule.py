@@ -357,10 +357,12 @@ class DecisionOracle:
     That is the least, over the task's regions, of a region's first onset
     since the task's last satisfaction (that step included) plus the
     region's deadline; a later onset of the same region cannot expire
-    sooner, so this one number decides the deadline rule. A region holds
-    exactly when every guard named in its sources holds, and each distinct
-    guard is one bit of the `holding` mask that the verifier computes for
-    `guards`.
+    sooner, so this one number decides the deadline rule. Staleness is not
+    kept but derived from the last satisfactions at every dp step: a
+    bounded task is overdue unless one of its tracked subtasks was last
+    satisfied at most its bound before the step. A region holds exactly
+    when every guard named in its sources holds, and each distinct guard is
+    one bit of the `holding` mask that the verifier computes for `guards`.
 
     A step visits only the tasks that it can oblige or change: the
     satisfied ones, the overdue ones, those whose current value lies above
@@ -448,25 +450,8 @@ class DecisionOracle:
         self._sat: dict = {}  # present mask -> satisfied tasks, once read
         self._fed: dict = {}  # present mask -> indices of tracked tasks
         self._holds: dict = {}  # holding mask -> (task, value) pairs
-        # fresh subtasks per bound -> [overdue tasks, the same in order]
+        # `_overdue_at`'s key -> [overdue tasks, the same in order]
         self._overdue: dict = {}
-        # per tracked task: the index of the least bound that it is fresh
-        # for (len(bound_ticks) if none), and the tick from which that index
-        # grows (its last satisfaction plus that bound plus one); `_until`
-        # is at most the least of those ticks, and `_over` the overdue tasks
-        # of the current indices, None once one moved (without bounds none
-        # is overdue, and no index moves)
-        never = len(self.bound_ticks)
-        self._fresh = [never] * len(self.tracked)
-        self._moves: list = [math.inf] * len(self.tracked)
-        self._until = math.inf
-        self._over: Optional[list] = None if self.bound_ticks else _NOTHING
-        # the index of a task just satisfied, and the ticks after which
-        # that index moves (None if it never does); ticks stay integers,
-        # which may lie beyond float range
-        self._reset = bisect_left(self.bound_ticks, 0)
-        self._reset_moves = (self.bound_ticks[self._reset] + 1
-                             if self._reset < never else None)
         # priority modes: (present mask, overdue tasks) -> verdict, while no
         # current value changes, and the holding mask applied last
         self._verdicts: dict = {}
@@ -525,38 +510,25 @@ class DecisionOracle:
 
     def _overdue_at(self, now: int) -> list:
         """[the tasks that are stale at tick `now`, the same in task_key
-        order once asked for]; none in priority mode, which sets no
-        staleness bounds. A bounded task is overdue unless one of its
-        tracked subtasks was last satisfied within its bound. The tasks
-        depend only on the fresh subtasks per bound, which the index of the
-        least bound that each tracked task is fresh for decides, so they are
-        found once per distinct tuple of those indices. An index moves only
-        when its task is satisfied (`decide` resets it) or its age passes
-        its bound, so only those indices are found again."""
+        order once asked for]. A bounded task is overdue unless one of its
+        tracked subtasks was last satisfied within its bound. Which tracked
+        tasks are fresh for which bounds follows from each one's age: the
+        key holds, per tracked task, the index of the least bound at or
+        above its age (len(bound_ticks) if it was never satisfied), and the
+        tasks are found once per distinct key."""
         bounds = self.bound_ticks
-        if now >= self._until:
-            never = len(bounds)
-            fresh, moves = self._fresh, self._moves
-            for j, last in enumerate(self.last):
-                if moves[j] <= now:
-                    fresh[j] = i = bisect_left(bounds, now - last)
-                    moves[j] = last + bounds[i] + 1 if i < never else math.inf
-            self._until = min(moves)
-            self._over = None
-        got = self._over
+        key = tuple([len(bounds) if last is None
+                     else bisect_left(bounds, now - last) for last in self.last])
+        got = self._overdue.get(key)
         if got is None:
-            key = tuple(self._fresh)
-            got = self._overdue.get(key)
-            if got is None:
-                every = sum(b for b, _ in self.tracked)
-                tasks = []
-                for i, groups in enumerate(self.stale):
-                    stale = every & ~sum(b for (b, _), least in
-                                         zip(self.tracked, key) if least <= i)
-                    tasks += (task for subs in submasks(groups, stale)
-                              for task in groups[subs])
-                got = self._overdue[key] = [frozenset(tasks), None]
-            self._over = got
+            every = sum(b for b, _ in self.tracked)
+            tasks = []
+            for i, groups in enumerate(self.stale):
+                stale = every & ~sum(b for (b, _), least in
+                                     zip(self.tracked, key) if least <= i)
+                tasks += (task for subs in submasks(groups, stale)
+                          for task in groups[subs])
+            got = self._overdue[key] = [frozenset(tasks), None]
         return got
 
     def decide(self, tick: int, present: int, holding: int,
@@ -569,7 +541,9 @@ class DecisionOracle:
         guards, and `next_tick` the following step's tick, None after the
         last step. Deadline verdicts look ahead to that tick, past the end
         one period on. The first step has no step before it and obliges
-        nothing.
+        nothing. A dp step reads its overdue tasks from the last
+        satisfactions before it, and then records its own: the tracked
+        tasks it satisfies were last satisfied at `tick`.
         """
         tick *= self.scale
         self.present = present
@@ -585,9 +559,7 @@ class DecisionOracle:
                 obliged = self._in_order([task for task, e in
                                           self.expiry.items() if e < horizon])
         else:
-            over = self._over
-            if over is None or tick >= self._until:
-                over = self._overdue_at(tick)
+            over = self._overdue_at(tick) if self.bound_ticks else _NOTHING
             self.overdue = over[0]
             if self.tick is not None:
                 key = (present, over[0])
@@ -596,17 +568,8 @@ class DecisionOracle:
                     obliged = self._verdicts[key] = self._priority(over)
 
         # then this step's satisfactions and regions
-        if tracked:
-            moves = (math.inf if self._reset_moves is None
-                     else tick + self._reset_moves)
-            for j in tracked:
-                self.last[j] = tick
-                self._moves[j] = moves
-                if self._fresh[j] != self._reset:
-                    self._fresh[j] = self._reset
-                    self._over = None
-            if moves < self._until:
-                self._until = moves
+        for j in tracked:
+            self.last[j] = tick
         if self.deadline:
             expiry = self.expiry
             if expiry:

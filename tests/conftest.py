@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import activemon
 
@@ -25,3 +26,9 @@ def conflict_text() -> str:
 @pytest.fixture(scope="session")
 def geofence_text() -> str:
     return (SPEC_DIR / "geofence_priority.lola").read_text(encoding="utf-8")
+
+
+# a longer run of the derandomized CLI fuzzer, which takes its number of
+# examples from the profile:
+#   pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz
+settings.register_profile("fuzz", max_examples=3000, derandomize=True)

@@ -38,7 +38,8 @@ _BUILTIN_FUNCS = {"min", "max", "abs", "sqrt"}
 # list, offset default and prefix operator open around a token: at most
 # MAX_NESTING. Every pass over the tree recurses once per level, leaves
 # included (a chain of n binary operators is n + 1 deep): at most
-# MAX_DEPTH. A deeper expression is a syntax error, not a RecursionError.
+# MAX_DEPTH. A deeper expression is a syntax error, not a RecursionError,
+# and so is a tuple type of more than MAX_NESTING parentheses open at once.
 MAX_NESTING = 100
 MAX_DEPTH = 500
 _RESERVED = _KEYWORDS | _BUILTIN_FUNCS | {"offset", "by", "defaults", "to"}
@@ -330,12 +331,15 @@ class Parser:
             raise self.error(f"{tok.text!r} is reserved and cannot name a stream", tok)
         return tok.text
 
-    def parse_type(self):
+    def parse_type(self, nesting: int = 0):
         if self.at_punct("("):
+            if nesting == MAX_NESTING:
+                raise self.error(f"type nests more than {MAX_NESTING} levels "
+                                 "deep")
             self.advance()
-            first = self.parse_type()
+            first = self.parse_type(nesting + 1)
             self.expect("PUNCT", ",")
-            second = self.parse_type()
+            second = self.parse_type(nesting + 1)
             self.expect("PUNCT", ")")
             return TupleType((first, second))
         tok = self.expect("IDENT")

@@ -609,6 +609,18 @@ def test_too_deep_an_expression_is_a_usage_error(tmp_path, capsys, expr,
     assert f"deep.lola:{message} levels deep" in err
 
 
+@pytest.mark.parametrize("ty,message", [
+    # the 101st pair of parentheses opens at column 111, in either element
+    ("(" * 101 + "Float64" + ", Bool)" * 101, "1:111"),
+    ("(Bool, " * 2000 + "Float64" + ")" * 2000, "1:711"),
+])
+def test_too_deep_a_tuple_type_is_a_usage_error(tmp_path, capsys, ty, message):
+    spec = tmp_path / "deep.lola"
+    spec.write_text(f"input a : {ty}\noutput o := a\n")
+    err = _usage_error(["translate", str(spec)], capsys)
+    assert f"deep.lola:{message}: type nests more than 100 levels deep" in err
+
+
 @pytest.mark.parametrize("literal,message", [
     ("2²", "2:18: unexpected character '²'"),
     ("9" * 5000, "2:17: integer literal has more than"),
@@ -812,9 +824,13 @@ def test_a_run_beyond_the_step_cap_is_a_usage_error(spec_dir, tmp_path,
     assert f"{count} steps, more than the cap of 1000000" in result.stderr
 
 
+# a number whose power of ten alone would take all memory
+HUGE_EXPONENT = "1e-" + "4" * 60
+
+
 # 1e400 Hz has no float, and neither has the period of 1e-400 or 1e-320 Hz
 @pytest.mark.parametrize("freq", ["0", "abc", "-2", "1e400", "1e-400",
-                                  "1e-320"])
+                                  "1e-320", HUGE_EXPONENT])
 def test_bad_baseline_frequency_is_a_usage_error(spec_dir, conflict_trace,
                                                  capsys, freq):
     err = _usage_error(["baseline", str(spec_dir / "priority_conflict.lola"),
@@ -1042,6 +1058,39 @@ def test_a_spec_quantity_beyond_float_range_is_a_usage_error(
     assert err.startswith(f"error: {spec}:{message}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    (f'#![frequency="{HUGE_EXPONENT}Hz"]\n',
+     f"1:4: invalid frequency '{HUGE_EXPONENT}Hz'"),
+    (f'#![deadline="{HUGE_EXPONENT}s"]\n',
+     f"1:4: invalid duration '{HUGE_EXPONENT}s'"),
+])
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_a_spec_quantity_with_a_huge_exponent_is_a_usage_error(
+        tmp_path, capsys, text, message, command):
+    spec = tmp_path / "huge.lola"
+    spec.write_text(text + "input a : Float64\noutput b := a\n",
+                    encoding="utf-8")
+    err = _usage_error([command[0], str(spec), *command[1:]], capsys)
+    assert err.startswith(f"error: {spec}:{message}\n")
+
+
+@pytest.mark.parametrize("command", [["run"], ["baseline", "--freq", "1"],
+                                     ["check", "--mode", "priority"]])
+def test_a_time_cell_with_a_huge_exponent_is_a_usage_error(
+        spec_dir, tmp_path, conflict_model, capsys, command):
+    # the second row's time, of a trace or of the model `run` wrote
+    path = conflict_model if command[0] == "check" else tmp_path / "trace.csv"
+    rows = (path.read_text().splitlines() if command[0] == "check"
+            else ["time,a,b", "0,20.0,1.0", "1,5.0,1.0"])
+    rows[2] = HUGE_EXPONENT + rows[2][rows[2].index(","):]
+    path.write_text("\n".join(rows) + "\n")
+    flag = "--model" if command[0] == "check" else "--trace"
+    err = _usage_error([command[0], str(spec_dir / "priority_conflict.lola"),
+                        flag, str(path), *command[1:]], capsys)
+    assert err.startswith(f"error: {path}:3:1: bad cell: the exponent of "
+                          f"'{HUGE_EXPONENT}' is beyond ±4300")
+
+
 def test_a_duration_finer_than_float_resolution_is_kept(tmp_path, capsys):
     spec = tmp_path / "fine.lola"
     spec.write_text('#![deadline="1e-400s"]\ninput a : Float64\n'
@@ -1114,3 +1163,17 @@ def test_a_json_integer_beyond_the_digit_limit_is_a_usage_error(
     err = _usage_error(argv, capsys)
     limit = sys.get_int_max_str_digits()
     assert err == f"error: {path}:2:11: integer has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_json_nested_beyond_the_recursion_limit_is_a_usage_error(
+        spec_dir, tmp_path, capsys, command):
+    argv = _scenario_argv(spec_dir, tmp_path, command, {"seed": 1})
+    path = Path(argv[argv.index("--scenario" if command == "run"
+                                else "--config") + 1])
+    # brackets inside a string do not nest
+    path.write_text('{"note": "[[{",\n "x": ' + "[" * 5000 + "]" * 5000
+                    + "}")
+    err = _usage_error(argv, capsys)
+    # at the 5000th "[" of line 2
+    assert err == f"error: {path}:2:5006: arrays and objects nested 5001 deep\n"

@@ -34,7 +34,7 @@ from activemon.ast import (Const, Specification, StreamRef, Unary,
                            format_spec)
 from activemon.errors import (DuplicateStream, SpecError, SpecSyntaxError,
                               UnknownStream)
-from activemon.parser import parse_spec
+from activemon.parser import MAX_EXPONENT, parse_spec
 from activemon.schedule import MODES
 from activemon.translate import translate
 from conftest import SPEC_DIR
@@ -165,16 +165,32 @@ def out_of_float_range(text: str, message: str) -> bool:
             and text.split("\n")[line - 1][col - 1:].startswith(key))
 
 
+# parse_seconds' and parse_frequency's error for a value that
+# `exact_number` rejects
+_INVALID = re.compile(r"invalid (?:duration|frequency) ('.*'|\".*\")$")
+
+
+def exponent_beyond_the_limit(message: str) -> bool:
+    """The error rejects a quoted `deadline` or `frequency` value by the
+    exponent rule that the reference lacks: a decimal exponent beyond
+    ±MAX_EXPONENT, whose power of ten the reference builds."""
+    match = _INVALID.fullmatch(message.partition(": ")[2])
+    exponent = match and re.search(r"[eE]([-+]?[0-9_]+)(?:s|Hz)?$",
+                                   ast.literal_eval(match[1]))
+    return bool(exponent) and abs(int(exponent[1])) > MAX_EXPONENT
+
+
 def differs_on_purpose(text: str, ref, new) -> bool:
     """One of the three literals that the reference gets wrong, which
     `parse_spec` rejects as a syntax error, a quoted duration or frequency
-    beyond float range, which the reference takes, or a name error, which
-    the reference reports without a place."""
+    beyond float range or with an exponent beyond ±MAX_EXPONENT, which the
+    reference takes, or a name error, which the reference reports without a
+    place."""
     if name_error(ref) and name_error(new):
         return named_at_its_token(text, new[1])
     if not (isinstance(new, tuple) and new[0] is SpecSyntaxError):
         return False
-    if out_of_float_range(text, new[1]):
+    if out_of_float_range(text, new[1]) or exponent_beyond_the_limit(new[1]):
         return True
     numbers = reference_numbers(text)
     if any(not (c.isdecimal() or c in ".eE+-") for n in numbers for c in n):
@@ -202,7 +218,8 @@ def test_the_bundled_and_golden_specs_parse_like_the_reference(name):
 
 
 @given(SEEDS, st.sampled_from(gen_specs.MODES), st.booleans(), st.booleans())
-# an edit there makes deadline="1e40018s", which only parse_spec rejects
+# an edit there makes deadline="1e40018s", which only parse_spec rejects,
+# for its exponent beyond MAX_EXPONENT
 @example(418695, "priority", True, False)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_generated_specs_and_their_edits_parse_like_the_reference(

@@ -612,6 +612,11 @@ def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from(gen_specs.MODES), st.booleans())
+# a step exactly a staleness bound after a tracked task's last satisfaction,
+# and one tick later, for two distinct bounds (22 and 24 ticks; 18 and 20
+# ticks off the grid), beside a tracked task that is never satisfied
+@example(5, "dp", False)
+@example(2, "dp", True)
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_the_reference_under_default_and_input_deadlines(
         seed, mode, off_grid):

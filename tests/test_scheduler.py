@@ -4,6 +4,8 @@ import gc
 import math
 import weakref
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from random import Random
 from unittest import mock
 
@@ -18,7 +20,7 @@ from activemon.ast import Pacing
 from activemon.engine import values_equal, walk_model
 from activemon.parser import parse_spec
 from activemon.schedule import (MODE_DEADLINE, DecisionOracle,
-                                build_static_schedule,
+                                build_static_schedule, check_scheduled_model,
                                 task_names, task_of, union_closure)
 from activemon.scheduler import (
     SchedulerState,
@@ -493,6 +495,60 @@ def test_the_scheduler_values_tasks_as_the_oracle_does(seed, mode):
             oracle.decide(tick, present, holding, nxt)
             assert {t: held.get(t) for t in working} == \
                 {t: oracle.current.get(t) for t in working}, (bound, step)
+
+
+def test_drone_misses_are_verdicts_beyond_the_bound_and_ranked_unions(
+        drone_text):
+    # pins how today's rules for union tasks give the seed-7 1800 s flight
+    # its misses: nearly every one falls on a step whose obliged tasks
+    # together need more inputs than the bound, so no event could meet the
+    # verdict; the other 5 are a union that the scheduler ranks among the
+    # non-direct unions (class 4), behind the direct tasks it packs
+    tr = _translated(drone_text, "dp")
+    inputs = tr.schedule.inputs
+    gps = task_of({"gps_altitude", "gps_lat_long"}, inputs)
+    queried = task_of({"barometer_altitude", "gps_lat_long"}, inputs)
+    orders = {}
+
+    class Recording(SchedulerState):
+        def plan(self, tick):
+            event = super().plan(tick)
+            orders[self.cycle] = list(self.order)
+            return event
+
+    trace = generate_flight(FlightScenario(seed=7, duration=1800.0))
+    with mock.patch.object(scheduler, "SchedulerState", Recording):
+        model = run_scheduled(tr, TraceSource(trace), 1800, 2).model
+    assert len(model) == len(orders) == 3600  # every cycle queries
+
+    violations, steps, missed, _, _ = check_scheduled_model(
+        tr.plain, tr.schedule, 2, model)
+    assert violations == []
+    assert (len(steps), sum(map(len, missed))) == (3529, 10593)
+    missed = dict(zip(steps, missed))
+
+    oracle = DecisionOracle(tr.plain, tr.schedule, model.quantum)
+    nexts = list(model.ticks[1:]) + [None]
+    beyond, within = [], []
+    for step, ((present, holding), tick, nxt) in enumerate(zip(
+            walk_model(tr.plain, model, [], oracle.guards), model.ticks,
+            nexts, strict=True)):
+        obliged = oracle.decide(tick, present, holding, nxt)
+        if reduce(or_, obliged, 0).bit_count() > 2:
+            beyond.append(step)
+        elif step in missed:
+            within.append((step, obliged, present, missed[step]))
+    assert len(beyond) == 3524
+    assert sum(len(missed.get(step, ())) for step in beyond) == 10588
+    assert within == [(step, (gps,), queried, (gps,)) for step in range(44, 49)]
+
+    for cycle in range(44, 49):
+        ranks = [(key[0], key[-1]) for key in orders[cycle]]
+        # the four direct tasks, then the six non-direct unions; the event
+        # packs the first two direct ones
+        assert [rank for rank, _ in ranks] == [1] * 4 + [4] * 6, cycle
+        assert ranks.index((4, gps)) == 8, cycle
+        assert ranks[0][1] | ranks[1][1] == queried, cycle
 
 
 # 3 Hz against bounds of 1.2 s and 0.5 s: 3.6 and 1.5 cycles, so the
