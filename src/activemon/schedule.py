@@ -25,10 +25,10 @@ of inputs are the unions of the base tasks inside it, which
 `StaticSchedule.tasks` enumerates for the mask and width asked, never
 growing a union already too wide. The scheduler asks for the tasks within
 the bandwidth, and the oracle for those that the present inputs satisfy;
-the whole union closure, `universe`, is built only for the precondition
-report and for an oracle over direct tasks. The direct tasks are kept
-least deadline first, and `inside` and `bound` derive a task's direct
-subtasks and its bound from them when asked.
+the whole union closure, `universe`, is built only for an oracle over
+direct tasks. The direct tasks are kept least deadline first, and
+`inside` and `bound` derive a task's direct subtasks and its bound from
+them when asked.
 
 `check_scheduled_model` walks the model once through the verifier, a block
 at a time as it is read, which decides each distinct guard behind its

@@ -14,8 +14,8 @@ back from the generated ``schedule_*``/``last_*`` helper streams of the
 direct tasks, and a joint task's value combines its sources' values when
 all of them fire together, so the loop needs no second interpretation of
 the annotations.  `build_precondition_report`, which the `run` command
-prints, states whether every task fits the bandwidth, which, the tasks
-being union-closed, is whether the widest, the union of them all, does.
+prints, reads only the base and direct tasks: every task fits the
+bandwidth exactly when the widest, the union of the base tasks, does.
 """
 
 from __future__ import annotations
@@ -320,24 +320,26 @@ class SchedulerState:
 class PreconditionReport:
     """What the `run` command states about a schedule on stderr.
 
-    The tasks are union-closed, so the widest is the union of all the
-    others. When that task fits the bandwidth every task fits one
-    event, the split bound is one event, and deadlines and staleness
-    bounds are compared with a round of one period; otherwise the split
-    bound diverges at the first oversized task and the comparison is
-    skipped.
+    Every task is a union of base tasks, so every task fits one event, and
+    the split bound is one event, exactly when the widest, the union of the
+    base tasks, fits the bandwidth; otherwise the split bound diverges with
+    it as witness, and the oversized base tasks are never scheduled.
     """
 
     mode: str
     bound: int
-    max_task_size: int
-    oversized: tuple  # tasks wider than the bandwidth, never schedulable
+    widest: int  # the union of every task
+    oversized: tuple  # base tasks wider than the bandwidth, never schedulable
     deadline_warnings: tuple
     inputs: tuple  # names of the tasks' bits
 
     @property
+    def max_task_size(self) -> int:
+        return self.widest.bit_count()
+
+    @property
     def ok(self) -> bool:
-        return not self.oversized
+        return self.max_task_size <= self.bound
 
     def lines(self) -> list:
         out = [f"mode={self.mode} bound={self.bound} "
@@ -345,46 +347,42 @@ class PreconditionReport:
         for task in self.oversized:
             out.append(f"unschedulable task {format_task(task, self.inputs)}: "
                        f"wider than bandwidth {self.bound}")
-        if self.oversized:
-            out.append("split bound unavailable: task "
-                       f"{format_task(self.oversized[0], self.inputs)} exceeds "
-                       f"bandwidth {self.bound}; the split bound diverges")
-            out.append("deadline and staleness warnings skipped: "
-                       "they need the split bound")
-        else:
-            out.append("split bound: worst 1, best 1")
+        out.append("split bound: worst 1, best 1" if self.ok else
+                   "split bound unavailable: task "
+                   f"{format_task(self.widest, self.inputs)} exceeds "
+                   f"bandwidth {self.bound}; the split bound diverges")
         out.extend(self.deadline_warnings)
         return out
 
 
 def build_precondition_report(schedule: StaticSchedule, bound: int,
                               period: Fraction) -> PreconditionReport:
-    """Oversized tasks in task_key order and, when there are none, the
-    bounds within one period. A task's bound is its staleness deadline; in
-    deadline mode, which takes no priorities, a task has one exactly when
-    it has regions, and it is the least deadline of its contributing
-    chains."""
-    inputs = schedule.inputs
-    tasks = sorted(schedule.universe, key=schedule.key)
-    oversized = tuple(t for t in tasks if t.bit_count() > bound)
-    warnings: list = []
-    if not oversized:
-        kind, tail = ("deadline", "; it can be missed") \
-            if schedule.mode == MODE_DEADLINE else ("staleness bound", "")
-        for task in tasks:
-            b = schedule.bound(task)
-            if b is not None and b <= period:
-                warnings.append(
-                    f"{kind} {float(b)}s on {format_task(task, inputs)} is "
-                    f"within the worst-case round of {float(period)}s{tail}")
+    """The widest task, the oversized base tasks and, in task_key order, a
+    warning per direct task within the bandwidth whose bound is within one
+    period. A task takes the bound of the first direct task inside it,
+    least bound first (`StaticSchedule.by_deadline`). So a direct task that
+    contains one read before it is not warned on, and a task that contains
+    a warned one has a bound within the period unless it contains one read
+    before it whose bound is not: the warning names those."""
+    inputs, key = schedule.inputs, schedule.key
+    kind, tail = ("deadline", "; it can be missed") \
+        if schedule.mode == MODE_DEADLINE else ("staleness bound", "")
+    warnings, read, above = [], [], []  # above: bound not within the period
+    for task, _, b in schedule.by_deadline:
+        if b is None or b > period:
+            above.append(task)
+        elif task.bit_count() <= bound and all(r & ~task for r in read):
+            but = " or ".join(format_task(a, inputs) for a in above)
+            warnings.append((key(task), (
+                f"{kind} {float(b)}s on {format_task(task, inputs)} and every "
+                f"task that contains it{but and ' but not ' + but} is within "
+                f"the worst-case round of {float(period)}s{tail}")))
+        read.append(task)
+    oversized = sorted((t for t in schedule.base if t.bit_count() > bound),
+                       key=key)
     return PreconditionReport(
-        mode=schedule.mode,
-        bound=bound,
-        max_task_size=max((t.bit_count() for t in tasks), default=0),
-        oversized=oversized,
-        deadline_warnings=tuple(warnings),
-        inputs=inputs,
-    )
+        schedule.mode, bound, reduce(or_, schedule.base, 0), tuple(oversized),
+        tuple(line for _, line in sorted(warnings)), inputs)
 
 
 # ---------------------------------------------------------------------------

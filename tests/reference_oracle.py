@@ -65,15 +65,20 @@ class ReferenceSchedule:
         return min if self.mode == MODE_DEADLINE else max
 
 
-def reference_universe(analyzed) -> frozenset:
-    """Every nonempty union of clause pacings and annotated-input
-    singletons, by adding one base task at a time."""
+def reference_base(analyzed) -> frozenset:
+    """The clause pacings and annotated-input singletons."""
     base = {frozenset(c.pacing.inputs) for o in analyzed.spec.outputs
             for c in o.clauses if c.pacing is not None and not c.pacing.is_any}
-    base |= {frozenset({i.name}) for i in analyzed.spec.inputs
-             if i.annotation is not None and not i.annotation.is_empty()}
+    return frozenset(base | {
+        frozenset({i.name}) for i in analyzed.spec.inputs
+        if i.annotation is not None and not i.annotation.is_empty()})
+
+
+def reference_universe(analyzed) -> frozenset:
+    """Every nonempty union of the base tasks, by adding one base task at a
+    time."""
     tasks: set = set()
-    for b in base:
+    for b in reference_base(analyzed):
         tasks |= {b} | {t | b for t in tasks}
     return frozenset(tasks)
 

@@ -7,6 +7,8 @@ under pytest -s) and enforces its own wall-clock budget.
 import itertools
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from random import Random
 
 import pytest
@@ -182,11 +184,11 @@ def test_criterion_4_split_bound_matches_brute_force():
                     assert "split bound: worst 1, best 1" in lines
                     fits += 1
                 else:
-                    first = min((t for t in universe if t.bit_count() > bound),
-                                key=lambda t: sorted(task_names(t, ground)))
+                    # the witness is the widest task, the union of them all
+                    widest = reduce(or_, universe)
                     assert (
                         f"split bound unavailable: task "
-                        f"{{{','.join(task_names(first, ground))}}} exceeds "
+                        f"{{{','.join(task_names(widest, ground))}}} exceeds "
                         f"bandwidth {bound}; the split bound diverges"
                     ) in lines
                     assert not any(line.startswith("split bound:")

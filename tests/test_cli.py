@@ -20,6 +20,7 @@ from activemon.scheduler import run_scheduled
 from activemon.translate import translate
 
 from events import Event, parse_time, run_events, write_trace
+from test_golden_translate import wide_text
 from test_translate import GOLDEN_PRIORITY
 
 
@@ -86,8 +87,13 @@ def test_run_scenario_writes_artifacts(spec_dir, tmp_path, capsys):
     assert lines
     assert all(l["trigger"] in ("scheduled_geofence",
                                 "scheduled_altitude_bound") for l in lines)
-    # the precondition report (not ok: 3- and 4-sensor unions) goes to stderr
-    assert "unschedulable task" in captured.err
+    # the precondition report (not ok: the union of the four sensors is too
+    # wide, though each sensor fits) goes to stderr
+    assert captured.err.splitlines() == [
+        "mode=dp bound=2 max_task_size=4 ok=False",
+        "split bound unavailable: task {barometer_altitude,barometer_pressure,"
+        "gps_altitude,gps_lat_long} exceeds bandwidth 2; the split bound "
+        "diverges"]
 
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["total_values"] == 240
@@ -99,6 +105,30 @@ def test_run_scenario_writes_artifacts(spec_dir, tmp_path, capsys):
     assert all(p["mode"] == "dp" and len(p["queried"]) <= 2 for p in plans)
     assert (out / "triggers.jsonl").read_text().splitlines() == \
         captured.out.splitlines()
+
+
+def test_run_reports_on_17_sensors_without_the_task_universe(
+        tmp_path, capsys, monkeypatch):
+    # 2^17 - 1 tasks: the report reads the base and direct tasks only, so
+    # it is two lines, and `run` never builds the union closure
+    monkeypatch.setattr(schedule.StaticSchedule, "universe", property(
+        lambda _: pytest.fail("run read the task universe")))
+    sensors = [f"s{i}" for i in range(1, 18)]
+    spec = tmp_path / "wide.lola"
+    spec.write_text(wide_text(len(sensors)), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time," + ",".join(sensors) + "\n" + "".join(
+        f"{k}/2," + ",".join(f"{(k * i) % 5 * 0.6 - 1.2:.1f}"
+                             for i in range(len(sensors))) + "\n"
+        for k in range(9)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--trace", str(trace), "--mode", "dp",
+                 "--bound", "2", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "mode=dp bound=2 max_task_size=17 ok=False",
+        "split bound unavailable: task {" + ",".join(sorted(sensors))
+        + "} exceeds bandwidth 2; the split bound diverges"]
+    assert len((out / "plans.jsonl").read_text().splitlines()) == 9
 
 
 def test_run_trace_replays_a_recorded_flight(spec_dir, tmp_path, capsys,
@@ -1172,8 +1202,11 @@ def test_json_nested_beyond_the_recursion_limit_is_a_usage_error(
     path = Path(argv[argv.index("--scenario" if command == "run"
                                 else "--config") + 1])
     # brackets inside a string do not nest
-    path.write_text('{"note": "[[{",\n "x": ' + "[" * 5000 + "]" * 5000
-                    + "}")
+    # 100000 deep, past what the json module of every supported Python
+    # parses (3.13's reaches about 10000)
+    path.write_text('{"note": "[[{",\n "x": ' + "[" * 100000
+                    + "]" * 100000 + "}")
     err = _usage_error(argv, capsys)
-    # at the 5000th "[" of line 2
-    assert err == f"error: {path}:2:5006: arrays and objects nested 5001 deep\n"
+    # at the 100000th "[" of line 2
+    assert err == (f"error: {path}:2:100006: arrays and objects nested "
+                   "100001 deep\n")

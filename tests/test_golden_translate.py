@@ -58,15 +58,15 @@ trigger near > 6.0 "x close to z"
 WIDE_SENSORS = 9
 
 
-def wide_text() -> str:
-    """Nine annotated sensors, each with a staleness deadline and a
-    priority on the guarded clause of its alarm stream."""
+def wide_text(sensors: int = WIDE_SENSORS) -> str:
+    """Annotated sensors, nine by default, each with a staleness deadline
+    and a priority on the guarded clause of its alarm stream."""
     levels = ("low", "medium", "high")
     lines = ['#![frequency="2Hz", bound="2"]', ""]
-    for i in range(1, WIDE_SENSORS + 1):
+    for i in range(1, sensors + 1):
         lines += [f'#[deadline="{3 + i % 3}s"]', f"input s{i} : Float64"]
     lines.append("")
-    for i in range(1, WIDE_SENSORS + 1):
+    for i in range(1, sensors + 1):
         lines += [
             f"output dev_s{i} := abs(s{i} - 0.{i})",
             f"output alarm_s{i}",

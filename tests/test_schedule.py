@@ -617,6 +617,9 @@ def test_oracle_matches_the_per_task_reference(seed, mode, off_grid):
 # ticks off the grid), beside a tracked task that is never satisfied
 @example(5, "dp", False)
 @example(2, "dp", True)
+# a region onset that expires sooner than the task's pending expiry, which
+# must replace it
+@example(854, "deadline", False)
 @settings(max_examples=40, deadline=None)
 def test_oracle_matches_the_reference_under_default_and_input_deadlines(
         seed, mode, off_grid):

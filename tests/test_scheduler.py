@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -21,7 +22,7 @@ from activemon.engine import values_equal, walk_model
 from activemon.parser import parse_spec
 from activemon.schedule import (MODE_DEADLINE, DecisionOracle,
                                 build_static_schedule, check_scheduled_model,
-                                task_names, task_of, union_closure)
+                                task_names, task_of)
 from activemon.scheduler import (
     SchedulerState,
     build_precondition_report,
@@ -34,6 +35,7 @@ from activemon.translate import translate
 from checks import check_violations, time_at
 from events import trace_from_samples
 from reference_eval import present_inputs, triggers_from_model
+from reference_oracle import reference_base, reference_schedule
 from reference_scheduler import reference_run
 from test_golden_translate import wide_text
 
@@ -87,8 +89,9 @@ def test_selected_tasks_upward_closure():
 
 
 # ---------------------------------------------------------------------------
-# split bounds: the universe is union-closed, so the split bound is one event
-# when its widest task fits and diverges at the first oversized task
+# split bounds: the tasks are the unions of the base tasks, so the split
+# bound is one event when their union fits and diverges otherwise, with the
+# union as its witness; only the base tasks wider than the bound are listed
 
 ONE_EVENT = "split bound: worst 1, best 1"
 
@@ -98,12 +101,11 @@ def _paced_report(tasks, bound):
     return build_precondition_report(tr.schedule, bound, Fraction(1))
 
 
-def _diverges(task, bound):
-    return [f"unschedulable task {task}: wider than bandwidth {bound}",
-            f"split bound unavailable: task {task} exceeds bandwidth {bound}; "
-            "the split bound diverges",
-            "deadline and staleness warnings skipped: they need the split "
-            "bound"]
+def _diverges(widest, bound, *oversized):
+    return [f"unschedulable task {task}: wider than bandwidth {bound}"
+            for task in oversized] + [
+        f"split bound unavailable: task {widest} exceeds bandwidth {bound}; "
+        "the split bound diverges"]
 
 
 @pytest.mark.parametrize("universe,bound,expected", [
@@ -113,7 +115,7 @@ def _diverges(task, bound):
     ({A, B, C, AB}, 2, _diverges("{a,b,c}", 2)),
 ])
 def test_split_bound_range(universe, bound, expected):
-    # the paced tasks span their union closure, which the report reads
+    # the paced tasks are the base tasks, which the report reads
     assert _paced_report(universe, bound).lines()[1:] == expected
 
 
@@ -121,7 +123,7 @@ def test_split_bound_rejects_oversized_task():
     report = _paced_report({A, B, AB}, 1)
     assert report.oversized == (AB,)
     assert not report.ok
-    assert report.lines()[1:] == _diverges("{a,b}", 1)
+    assert report.lines()[1:] == _diverges("{a,b}", 1, "{a,b}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +211,14 @@ def test_drone_report_flags_oversized_unions(drone_text):
     report = build_precondition_report(tr.schedule, 2, Fraction(1, 2))
     assert not report.ok
     assert report.max_task_size == 4
-    assert len(report.oversized) == 5  # the 3- and 4-sensor unions
-    # the first oversized task in task_key order names the divergence
-    lines = report.lines()
-    assert "split bound unavailable: task {barometer_altitude," \
-        "barometer_pressure,gps_altitude} exceeds bandwidth 2; the split " \
-        "bound diverges" in lines
-    assert "deadline and staleness warnings skipped: they need the split " \
-        "bound" in lines
+    # every base task is one sensor, so only unions are too wide, and the
+    # widest, all four sensors, names the divergence
+    assert report.oversized == ()
+    assert report.lines() == [
+        "mode=dp bound=2 max_task_size=4 ok=False",
+        "split bound unavailable: task {barometer_altitude,barometer_pressure,"
+        "gps_altitude,gps_lat_long} exceeds bandwidth 2; the split bound "
+        "diverges"]
 
 
 def test_drone_report_ok_once_bound_covers_tasks(drone_text):
@@ -239,35 +241,60 @@ def test_deadline_report_warns_on_tight_deadline():
     assert report.ok  # warnings do not invalidate the run
 
 
+def _warning(kind, seconds, task, tail="", but=""):
+    return (f"{kind} {seconds}s on {task} and every task that contains it"
+            f"{but and ' but not ' + but} is within the worst-case round of "
+            f"1.0s{tail}")
+
+
+MISSED = "; it can be missed"
+
+
 def test_deadline_report_warns_on_a_union_at_its_least_deadline():
     text = ('#![frequency="1Hz"]\n'
-            '#[deadline="1s"]\ninput x : Float64\n'
+            '#[deadline="0.5s"]\ninput x : Float64\n'
             '#[deadline="5s"]\ninput y : Float64\n'
-            "output s := x + y\n")
+            "output s\n"
+            '    #[deadline="1s"]\n'
+            "    eval |@x && y| with x + y\n")
     tr = _translated(text, "deadline")
     report = build_precondition_report(tr.schedule, 2, Fraction(1))
     assert ONE_EVENT in report.lines()
-    # {x,y} has no table of its own; its shortest region deadline is x's
-    assert [w.split(" is ")[0] for w in report.deadline_warnings] == [
-        "deadline 1.0s on {x}", "deadline 1.0s on {x,y}"]
+    # {x,y} takes x's deadline, the least inside it, not its own 1 s; x's
+    # warning names it, as it names every task that contains {x}
+    assert tr.schedule.bound(task_of("xy", tr.schedule.inputs)) == \
+        Fraction(1, 2)
+    assert report.deadline_warnings == (
+        _warning("deadline", 0.5, "{x}", MISSED),)
 
 
-def test_report_skips_warnings_without_split_bound():
-    tr = _translated(DEADLINE_PAIR, "deadline")
+def test_report_warns_without_split_bound():
+    # {x} warns at bound 1, where {y,z} and so the union of all three are
+    # too wide; the direct task {y,z} has a deadline within the round too,
+    # but is never scheduled
+    text = ('#![frequency="1Hz"]\n'
+            '#[deadline="1s"]\ninput x : Float64\n'
+            '#[deadline="5s"]\ninput y : Float64\n'
+            "input z : Float64\n"
+            "output s\n"
+            '    #[deadline="1s"]\n'
+            "    eval |@y && z| with y + z\n")
+    tr = _translated(text, "deadline")
     report = build_precondition_report(tr.schedule, 1, Fraction(1))
-    assert report.oversized == (task_of("xy", tr.schedule.inputs),)
-    assert report.lines()[2:] == [
-        "split bound unavailable: task {x,y} exceeds bandwidth 1; the split "
-        "bound diverges",
-        "deadline and staleness warnings skipped: they need the split bound"]
-    assert report.deadline_warnings == ()
+    assert report.oversized == (task_of("yz", tr.schedule.inputs),)
     assert not report.ok
+    assert report.lines() == [
+        "mode=deadline bound=1 max_task_size=3 ok=False",
+        "unschedulable task {y,z}: wider than bandwidth 1",
+        "split bound unavailable: task {x,y,z} exceeds bandwidth 1; the "
+        "split bound diverges",
+        _warning("deadline", 1.0, "{x}", MISSED)]
 
 
 def test_deadline_report_skips_a_task_without_regions():
-    # {y} is paced but unannotated: it has no regions and so no deadline,
-    # and the header's default, which is within the period, is not its
-    # bound; {x} and the union {x,y} warn at x's deadline
+    # {y} is paced but unannotated: it is no direct task, so it has no
+    # bound, and the header's default, which is within the period, is not
+    # warned on; {x} warns at x's deadline, for itself and {x,y}
     text = ('#![frequency="1Hz", deadline="1s"]\n'
             '#[deadline="1s"]\ninput x : Float64\n'
             "input y : Float64\n"
@@ -280,79 +307,100 @@ def test_deadline_report_skips_a_task_without_regions():
     assert report.lines() == [
         "mode=deadline bound=2 max_task_size=2 ok=True",
         ONE_EVENT,
-        "deadline 1.0s on {x} is within the worst-case round of 1.0s; it can "
-        "be missed",
-        "deadline 1.0s on {x,y} is within the worst-case round of 1.0s; it "
-        "can be missed"]
+        _warning("deadline", 1.0, "{x}", MISSED)]
 
 
-def _reference_report_lines(schedule, bound, period):
-    """The report as the split-bound search and the per-chain deadline scan
-    defined it, for a universe whose union fits or that has an oversized
-    task (every union-closed one)."""
+def test_report_names_the_tasks_that_take_a_larger_bound():
+    # {y} takes the header's default, within the round, but a task that
+    # contains it and {x} takes x's own 5 s; {y,z} takes y's default too,
+    # as z is paced only, and {x,y} is no direct task of its own
+    text = ('#![frequency="1Hz", deadline="1s"]\n'
+            '#[priority="low", deadline="5s"]\ninput x : Float64\n'
+            '#[priority="high"]\ninput y : Float64\n'
+            "input z : Float64\n"
+            "output o\n    eval |@y && z| with y + z\n")
+    schedule = _translated(text, "dp").schedule
+    report = build_precondition_report(schedule, 2, Fraction(1))
+    assert report.deadline_warnings == (
+        _warning("staleness bound", 1.0, "{y}", but="{x}"),)
+    x, y, z = (task_of(n, schedule.inputs) for n in "xyz")
+    assert schedule.bound(y) == schedule.bound(y | z) == 1
+    assert schedule.bound(x | y) == schedule.bound(x | y | z) == 5
+
+
+def _warned(report, schedule, bounds, period):
+    """The tasks of `bounds`, a map of every task to its bound, that the
+    report's warnings name: each warned direct task, at its bound, and
+    every task that contains it, but none that contain a task after "but
+    not"."""
     inputs = schedule.inputs
-    tasks = sorted(schedule.universe,
-                   key=lambda t: sorted(task_names(t, inputs)))
-
-    def fmt(task):
-        return "{" + ",".join(sorted(task_names(task, inputs))) + "}"
-
-    oversized = [t for t in tasks if t.bit_count() > bound]
-    lines = [f"mode={schedule.mode} bound={bound} max_task_size="
-             f"{max((t.bit_count() for t in tasks), default=0)} "
-             f"ok={not oversized}"]
-    lines += [f"unschedulable task {fmt(t)}: wider than bandwidth {bound}"
-              for t in oversized]
-    if oversized:
-        return lines + [
-            f"split bound unavailable: task {fmt(oversized[0])} exceeds "
-            f"bandwidth {bound}; the split bound diverges",
-            "deadline and staleness warnings skipped: they need the split "
-            "bound"]
-    union = 0
-    for task in tasks:
-        union |= task
-    assert union.bit_count() <= bound
-    window = 1 * period  # the union fits: every task in one event
-    lines.append("split bound: worst 1, best 1")
-    for task in tasks:
-        if schedule.mode == MODE_DEADLINE:
-            least = min((v for k, chains in enumerate(schedule.chains)
-                         if schedule.inside(task) >> k & 1
-                         for chain in chains for _, v in chain),
-                        default=None)
-            if least is not None and least <= window:
-                lines.append(
-                    f"deadline {float(least)}s on {fmt(task)} is within the "
-                    f"worst-case round of {float(window)}s; it can be missed")
-        else:
-            b = schedule.bound(task)
-            if b is not None and b <= window:
-                lines.append(
-                    f"staleness bound {float(b)}s on {fmt(task)} is within "
-                    f"the worst-case round of {float(window)}s")
-    return lines
+    warned = set()
+    for line in report.deadline_warnings:
+        match = re.fullmatch(
+            r"(deadline|staleness bound) (\S+)s on \{(.*?)\} and every task "
+            r"that contains it(?: but not (.*?))? is within the worst-case "
+            r"round of (\S+)s(; it can be missed)?", line)
+        assert match, line
+        kind, seconds, task, but, window, tail = match.groups()
+        assert (kind == "deadline") == (schedule.mode == MODE_DEADLINE) \
+            == bool(tail)
+        task = task_of(task.split(","), inputs)
+        assert task in schedule.direct
+        assert (seconds, window) == (str(float(bounds[task])),
+                                     str(float(period)))
+        excluded = [task_of(t.strip("{}").split(","), inputs)
+                    for t in but.split(" or ")] if but else []
+        warned |= {t for t in bounds if not task & ~t
+                   and all(e & ~t for e in excluded)}
+    return warned
 
 
-def test_report_matches_the_split_bound_and_chain_scan_definitions():
-    warned = 0
+def test_report_matches_the_union_closure_by_brute_force():
+    """On generated specs the report, read off the base and direct tasks,
+    says what the union closure says: whether every task fits, the widest
+    width, a witness that is too wide exactly when some task is, the base
+    tasks that are too wide, and which tasks have a bound within the
+    period: every task the warnings name has one, and so does every task
+    within the bandwidth that they do not name."""
+    warned = missed_by_default = 0
     for seed in range(50):
         for mode in gen_specs.MODES:
             for off_grid in (False, True):
                 rng = Random(f"{seed} {mode} {off_grid}")
                 analyzed = analyze(parse_spec(gen_specs.gen_spec(
                     rng, mode, annotate=True, deadlines=(1, 2),
-                    off_grid=off_grid)))
+                    off_grid=off_grid, bounds=True)))
                 schedule = build_static_schedule(analyzed, mode)
-                assert union_closure(schedule.universe) == schedule.universe
+                ref = reference_schedule(analyzed, mode)
+                inputs = schedule.inputs
+                universe = {task_of(t, inputs): t for t in ref.universe}
+                base = [t for t in universe if universe[t] in
+                        reference_base(analyzed)]
                 period = analyzed.config.period
+                bounds = {t: ref.bounds[names]
+                          for t, names in universe.items()}
+                tight = {t for t, b in bounds.items()
+                         if b is not None and b <= period}
                 for bound in range(1, 5):
                     report = build_precondition_report(schedule, bound,
                                                        period)
-                    assert report.lines() == _reference_report_lines(
-                        schedule, bound, period), (seed, mode, off_grid)
+                    wide = {t for t in universe if t.bit_count() > bound}
+                    assert report.ok == (not wide)
+                    assert report.max_task_size == max(
+                        (t.bit_count() for t in universe), default=0)
+                    assert report.widest in universe or not universe
+                    assert (report.widest in wide) == bool(wide)
+                    assert report.oversized == tuple(sorted(
+                        (t for t in base if t in wide),
+                        key=lambda t: sorted(task_names(t, inputs))))
+                    named = _warned(report, schedule, bounds, period)
+                    assert named <= tight, (seed, mode, off_grid, bound)
+                    assert tight - wide <= named, (seed, mode, off_grid,
+                                                   bound)
                     warned += len(report.deadline_warnings)
-    assert warned > 100
+                    missed_by_default += any(
+                        " but not " in w for w in report.deadline_warnings)
+    assert warned > 100 and missed_by_default > 0
 
 
 # ---------------------------------------------------------------------------
